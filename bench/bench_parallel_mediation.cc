@@ -21,9 +21,8 @@
 #include "common/logging.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
-#include "xml/parser.h"
 
 using piye::core::ClinicalScenario;
 using piye::mediator::MediationEngine;
@@ -75,7 +74,7 @@ piye::source::PiqlQuery Query(const std::string& body) {
 }
 
 std::string TableBytes(const piye::relational::Table& t) {
-  return piye::xml::Serialize(*piye::relational::TableToXml(t, "t"), /*indent=*/-1);
+  return piye::relational::EncodeTable(t);
 }
 
 double WallMillis(MediationEngine* engine, const piye::source::PiqlQuery& query,

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "mediator/persistence.h"
-#include "source/metadata_tagger.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
 
@@ -353,8 +352,6 @@ Status MediationEngine::Recover(const std::string& dir) {
       std::move(state.disclosures);
 
   size_t replayed = 0;
-  bool replay_clean = recovered.wal_clean;
-  std::string replay_detail = recovered.tail_detail;
   for (const auto& rec : recovered.records) {
     Status bad;
     switch (static_cast<RecordType>(rec.type)) {
@@ -422,12 +419,12 @@ Status MediationEngine::Recover(const std::string& dir) {
                                  std::to_string(rec.type));
     }
     if (!bad.ok()) {
-      // A frame that passed its checksum but fails to decode is treated
-      // exactly like a torn tail: everything from here on is discarded, and
-      // the budget floors already carry the durable losses forward.
-      replay_clean = false;
-      replay_detail = bad.ToString();
-      break;
+      // A frame that passed its checksum but does not decode is a schema
+      // incompatibility (an older or newer record version), not a torn
+      // write: discarding it would drop every later record and the budget
+      // it holds. Refuse to start, as for an undecodable snapshot.
+      persist_.reset();
+      return bad;
     }
     ++replayed;
   }
@@ -505,10 +502,10 @@ Status MediationEngine::Recover(const std::string& dir) {
   snapshotter_->Start();
 
   metrics_.AddCounter("engine.recoveries");
-  if (!replay_clean) {
+  if (!recovered.wal_clean) {
     metrics_.AddCounter("engine.recovery_tail_discards");
-    Logger::Warn("mediator",
-                 "recovery discarded a damaged log tail: " + replay_detail);
+    Logger::Warn("mediator", "recovery discarded a damaged log tail: " +
+                                 recovered.tail_detail);
   }
   Logger::Info("mediator",
                "recovered " + std::to_string(history_.size()) +
@@ -1045,8 +1042,12 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   double combined = 0.0;
   {
     trace::ScopedSpan span("privacy-control", &query_trace, &metrics_);
-    std::vector<const xml::XmlNode*> tagged;
-    for (const auto& a : answers) tagged.push_back(a.fragment.xml.get());
+    std::vector<PrivacyControl::TaggedResult> tagged;
+    tagged.reserve(answers.size());
+    for (const auto& a : answers) {
+      tagged.push_back({a.owner, a.fragment.column_tags,
+                        a.fragment.losses.privacy_loss, a.fragment.loss_budget});
+    }
     for (;;) {
       auto check = control_.CheckIntegratedResults(tagged);
       if (check.ok()) {
@@ -1067,9 +1068,8 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       // Drop the answer with the highest tagged loss.
       size_t worst = 0;
       double worst_loss = -1.0;
-      for (size_t i = 0; i < answers.size(); ++i) {
-        const double l =
-            source::MetadataTagger::ReadPrivacyLoss(*answers[i].fragment.xml);
+      for (size_t i = 0; i < tagged.size(); ++i) {
+        const double l = tagged[i].privacy_loss;
         if (l > worst_loss) {
           worst_loss = l;
           worst = i;
@@ -1084,8 +1084,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
                                    check.status().message());
       out.sources_suppressed.push_back(answers[worst].owner);
       answers.erase(answers.begin() + static_cast<ptrdiff_t>(worst));
-      tagged.clear();
-      for (const auto& a : answers) tagged.push_back(a.fragment.xml.get());
+      tagged.erase(tagged.begin() + static_cast<ptrdiff_t>(worst));
     }
   }
 
@@ -1100,10 +1099,9 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
     }
     ResultIntegrator integrator(&schema_);
     std::vector<ResultIntegrator::SourceResult> source_results;
-    for (const auto& a : answers) {
-      PIYE_ASSIGN_OR_RETURN(ResultIntegrator::SourceResult r,
-                            integrator.FromTaggedXml(*a.fragment.xml));
-      source_results.push_back(std::move(r));
+    for (auto& a : answers) {
+      source_results.push_back(
+          integrator.FromSource(a.owner, std::move(a.fragment.table)));
       out.sources_answered.push_back(a.owner);
     }
     PIYE_ASSIGN_OR_RETURN(relational::Table integrated,

@@ -80,7 +80,9 @@ namespace mediator {
 /// whose disclosure cannot be made durable is withheld), periodic snapshots
 /// bound recovery time, and `Recover` reconstructs the state conservatively:
 /// a torn or corrupt WAL tail is discarded with its budget floors held at
-/// the last durable values — a crash can never reset a snooper's budget.
+/// the last durable values — a crash can never reset a snooper's budget —
+/// while a checksummed record or snapshot that does not decode (another
+/// format version) refuses recovery outright.
 /// If the durability layer fails mid-flight, the engine fails closed:
 /// subsequent queries are refused rather than served unaccounted.
 class MediationEngine {
@@ -166,9 +168,10 @@ class MediationEngine {
   /// (no-op state-wise when the directory is fresh). Replays the newest
   /// valid snapshot plus its WAL — discarding a damaged tail but holding
   /// every requester's cumulative loss at no less than its last durable
-  /// value — then folds the result into a fresh snapshot generation and
-  /// starts journaling. Must run on a fresh engine (before any Execute);
-  /// call it once per process, at startup.
+  /// value; a record that passes its checksum but does not decode fails the
+  /// call with the decode status — then folds the result into a fresh
+  /// snapshot generation and starts journaling. Must run on a fresh engine
+  /// (before any Execute); call it once per process, at startup.
   Status Recover(const std::string& dir);
 
   /// True once Recover attached a directory (the engine journals releases).

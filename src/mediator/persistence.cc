@@ -4,8 +4,7 @@
 
 #include "common/macros.h"
 #include "persist/codec.h"
-#include "relational/xml_bridge.h"
-#include "xml/parser.h"
+#include "relational/table_codec.h"
 
 namespace piye {
 namespace mediator {
@@ -16,15 +15,16 @@ using persist::Decoder;
 using persist::Encoder;
 
 /// Payload schema version, bumped on any incompatible layout change. A
-/// mismatch is a decode error, which recovery treats like a corrupt record
-/// (fail closed), never a silent misread.
-constexpr uint8_t kVersion = 1;
+/// mismatch is a decode error, on which recovery refuses to start (fail
+/// closed), never a silent misread. v2 stores warehouse tables in the
+/// binary table codec instead of XML text.
+constexpr uint8_t kVersion = 2;
 
 /// Snapshot layout version. v2 added `total_history` (the logical entry
 /// count, so compaction can drop ring entries without forgetting how many
-/// queries the mediator has answered); v1 snapshots still decode. WAL
-/// record payloads keep their own `kVersion` above.
-constexpr uint8_t kSnapshotVersion = 2;
+/// queries the mediator has answered); v3 stores warehouse tables in the
+/// binary table codec. WAL record payloads keep their own `kVersion` above.
+constexpr uint8_t kSnapshotVersion = 3;
 
 Status CheckVersion(Decoder& dec) {
   PIYE_ASSIGN_OR_RETURN(uint8_t version, dec.GetU8());
@@ -60,19 +60,6 @@ Result<HistoryEntry> GetHistoryEntry(Decoder& dec) {
   PIYE_ASSIGN_OR_RETURN(uint8_t released, dec.GetU8());
   e.released = released != 0;
   return e;
-}
-
-void PutTable(Encoder& enc, const relational::Table& table) {
-  enc.PutString(xml::Serialize(*relational::TableToXml(table), /*indent=*/-1));
-}
-
-Result<relational::Table> GetTable(Decoder& dec) {
-  PIYE_ASSIGN_OR_RETURN(std::string xml_text, dec.GetString());
-  PIYE_ASSIGN_OR_RETURN(xml::XmlDocument doc, xml::Parse(xml_text));
-  if (!doc.has_root()) {
-    return Status::ParseError("persisted table: empty XML document");
-  }
-  return relational::XmlToTable(doc.root());
 }
 
 void PutCell(Encoder& enc, const PrivacyControl::SensitiveCellSpec& cell) {
@@ -136,7 +123,7 @@ std::string EncodeWarehousePutRecord(const std::string& fingerprint,
   enc.PutU8(kVersion);
   enc.PutString(fingerprint);
   enc.PutU64(epoch);
-  PutTable(enc, table);
+  relational::EncodeTable(table, &enc);
   return enc.Take();
 }
 
@@ -147,7 +134,10 @@ Result<Warehouse::SnapshotEntry> DecodeWarehousePutRecord(
   Warehouse::SnapshotEntry entry;
   PIYE_ASSIGN_OR_RETURN(entry.fingerprint, dec.GetString());
   PIYE_ASSIGN_OR_RETURN(entry.epoch, dec.GetU64());
-  PIYE_ASSIGN_OR_RETURN(relational::Table table, GetTable(dec));
+  PIYE_ASSIGN_OR_RETURN(relational::Table table, relational::DecodeTable(&dec));
+  if (!dec.exhausted()) {
+    return Status::ParseError("persisted warehouse put: trailing bytes");
+  }
   entry.table = std::make_shared<const relational::Table>(std::move(table));
   return entry;
 }
@@ -217,7 +207,7 @@ std::string EncodeSnapshot(const DurableState& state) {
   for (const auto& w : state.warehouse) {
     enc.PutString(w.fingerprint);
     enc.PutU64(w.epoch);
-    PutTable(enc, *w.table);
+    relational::EncodeTable(*w.table, &enc);
   }
   enc.PutU64(state.cells.size());
   for (const auto& c : state.cells) PutCell(enc, c);
@@ -229,15 +219,13 @@ std::string EncodeSnapshot(const DurableState& state) {
 Result<DurableState> DecodeSnapshot(const std::string& blob) {
   Decoder dec(blob);
   PIYE_ASSIGN_OR_RETURN(uint8_t version, dec.GetU8());
-  if (version != kSnapshotVersion && version != 1) {
+  if (version != kSnapshotVersion) {
     return Status::ParseError("persisted snapshot version " +
                               std::to_string(version) + " != expected " +
                               std::to_string(kSnapshotVersion));
   }
   DurableState state;
-  if (version >= 2) {
-    PIYE_ASSIGN_OR_RETURN(state.total_history, dec.GetU64());
-  }
+  PIYE_ASSIGN_OR_RETURN(state.total_history, dec.GetU64());
   PIYE_ASSIGN_OR_RETURN(uint64_t history_count, dec.GetU64());
   for (uint64_t i = 0; i < history_count; ++i) {
     PIYE_ASSIGN_OR_RETURN(HistoryEntry e, GetHistoryEntry(dec));
@@ -255,7 +243,7 @@ Result<DurableState> DecodeSnapshot(const std::string& blob) {
     Warehouse::SnapshotEntry w;
     PIYE_ASSIGN_OR_RETURN(w.fingerprint, dec.GetString());
     PIYE_ASSIGN_OR_RETURN(w.epoch, dec.GetU64());
-    PIYE_ASSIGN_OR_RETURN(relational::Table table, GetTable(dec));
+    PIYE_ASSIGN_OR_RETURN(relational::Table table, relational::DecodeTable(&dec));
     w.table = std::make_shared<const relational::Table>(std::move(table));
     state.warehouse.push_back(std::move(w));
   }

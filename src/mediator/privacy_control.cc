@@ -1,14 +1,13 @@
 #include "mediator/privacy_control.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/strings.h"
-#include "source/metadata_tagger.h"
+#include "source/loss_computation.h"
 
 namespace piye {
 namespace mediator {
@@ -20,7 +19,7 @@ double PrivacyControl::CombineLosses(const std::vector<double>& losses) {
 }
 
 Result<double> PrivacyControl::CheckIntegratedResults(
-    const std::vector<const xml::XmlNode*>& tagged_results) const {
+    const std::vector<TaggedResult>& tagged_results) const {
   // Per-data-item accounting: for every *protected* column (some source set
   // a budget below 1 for it), combine the per-source losses and verify the
   // combination still respects the tightest budget. Columns no policy
@@ -31,37 +30,27 @@ Result<double> PrivacyControl::CheckIntegratedResults(
     std::string tightest_owner;
   };
   std::map<std::string, ColumnAccount> accounts;
-  bool any_column_metadata = false;
-  for (const xml::XmlNode* r : tagged_results) {
-    const std::string owner = source::MetadataTagger::ReadOwner(*r);
-    const xml::XmlNode* schema = r->FirstChild("schema");
-    if (schema == nullptr) continue;
-    for (const xml::XmlNode* col : schema->Children("column")) {
-      const std::string* name = col->GetAttr("name");
-      const std::string* loss = col->GetAttr("loss");
-      if (name == nullptr || loss == nullptr) continue;
-      any_column_metadata = true;
-      ColumnAccount& account = accounts[*name];
-      account.losses.push_back(std::strtod(loss->c_str(), nullptr));
-      const std::string* budget = col->GetAttr("budget");
-      const double b = budget != nullptr ? std::strtod(budget->c_str(), nullptr) : 1.0;
-      if (b < account.tightest_budget) {
-        account.tightest_budget = b;
-        account.tightest_owner = owner;
-      }
+  auto charge = [&accounts](const std::string& item, double loss, double budget,
+                            const std::string& owner) {
+    ColumnAccount& account = accounts[item];
+    account.losses.push_back(loss);
+    if (budget < account.tightest_budget) {
+      account.tightest_budget = budget;
+      account.tightest_owner = owner;
+    }
+  };
+  for (const TaggedResult& r : tagged_results) {
+    for (const source::ColumnTag& tag : r.column_tags) {
+      if (!tag.form.has_value()) continue;
+      charge(tag.name, source::LossComputation::FormWeight(*tag.form), tag.budget,
+             r.owner);
     }
   }
-  if (!any_column_metadata) {
-    // Hand-tagged results without schema columns: treat each result's
-    // root-level loss/budget as a single pseudo-item.
-    ColumnAccount& account = accounts["_result"];
-    for (const xml::XmlNode* r : tagged_results) {
-      account.losses.push_back(source::MetadataTagger::ReadPrivacyLoss(*r));
-      const double b = source::MetadataTagger::ReadLossBudget(*r);
-      if (b < account.tightest_budget) {
-        account.tightest_budget = b;
-        account.tightest_owner = source::MetadataTagger::ReadOwner(*r);
-      }
+  if (accounts.empty()) {
+    // No column carries a form: treat each result's result-level
+    // loss/budget as a single pseudo-item.
+    for (const TaggedResult& r : tagged_results) {
+      charge("_result", r.privacy_loss, r.loss_budget, r.owner);
     }
   }
   double overall = 0.0;

@@ -9,7 +9,7 @@
 #include "common/result.h"
 #include "common/sync.h"
 #include "inference/sequence_auditor.h"
-#include "xml/node.h"
+#include "source/federated_source.h"
 
 namespace piye {
 namespace mediator {
@@ -71,12 +71,22 @@ class PrivacyControl {
   /// Combined loss of tagged per-source results: 1 - prod(1 - loss_i).
   static double CombineLosses(const std::vector<double>& losses);
 
-  /// Checks the tagged <result> elements of one integrated answer. Fails
-  /// with kPrivacyViolation when the combined loss exceeds the engine-wide
-  /// maximum or any source's own budget; on success returns the combined
-  /// loss.
+  /// One source's tagged answer: per-column tags, plus the result-level
+  /// loss and budget that stand in when no column carries a form.
+  struct TaggedResult {
+    std::string owner;
+    std::vector<source::ColumnTag> column_tags;
+    double privacy_loss = 0.0;
+    double loss_budget = 1.0;
+  };
+
+  /// Checks the tagged results of one integrated answer: each rated column
+  /// adds loss FormWeight(form) to its source-local name, whose combined
+  /// loss must stay within the tightest budget any source set for it and
+  /// within the engine-wide maximum (kPrivacyViolation otherwise). Returns
+  /// the combined loss.
   Result<double> CheckIntegratedResults(
-      const std::vector<const xml::XmlNode*>& tagged_results) const;
+      const std::vector<TaggedResult>& tagged_results) const;
 
   // --- Inference-audit interface (delegates to the sequence auditor) ---
 

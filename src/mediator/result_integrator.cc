@@ -6,8 +6,6 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "linkage/record_linkage.h"
-#include "relational/xml_bridge.h"
-#include "source/metadata_tagger.h"
 
 namespace piye {
 namespace mediator {
@@ -39,11 +37,9 @@ std::string MediatedName(const match::MediatedSchema& schema,
 
 }  // namespace
 
-Result<ResultIntegrator::SourceResult> ResultIntegrator::FromTaggedXml(
-    const xml::XmlNode& result) const {
-  SourceResult out;
-  out.owner = source::MetadataTagger::ReadOwner(result);
-  PIYE_ASSIGN_OR_RETURN(out.table, relational::XmlToTable(result));
+ResultIntegrator::SourceResult ResultIntegrator::FromSource(
+    std::string owner, relational::Table table) const {
+  SourceResult out{std::move(owner), std::move(table)};
   for (size_t c = 0; c < out.table.schema().num_columns(); ++c) {
     out.table.mutable_schema().SetColumnName(
         c, MediatedName(*schema_, out.owner, out.table.schema().column(c).name));

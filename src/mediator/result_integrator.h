@@ -7,16 +7,15 @@
 #include "common/result.h"
 #include "match/mediated_schema.h"
 #include "relational/table.h"
-#include "xml/node.h"
 
 namespace piye {
 namespace mediator {
 
-/// The Result Integrator of Figure 2(b): converts the tagged XML results of
-/// the sources back to tables, renames their columns to mediated attribute
-/// names, pads attributes a source could not deliver with NULLs, unions
-/// everything, and removes duplicates — by exact PSI-style keys when the
-/// caller names key attributes, by whole-row identity otherwise.
+/// The Result Integrator of Figure 2(b): renames the columns of the
+/// sources' result tables to mediated attribute names, pads attributes a
+/// source could not deliver with NULLs, unions everything, and removes
+/// duplicates — by exact PSI-style keys when the caller names key
+/// attributes, by whole-row identity otherwise.
 class ResultIntegrator {
  public:
   explicit ResultIntegrator(const match::MediatedSchema* schema) : schema_(schema) {}
@@ -26,11 +25,11 @@ class ResultIntegrator {
     relational::Table table;  ///< columns already mediated-named
   };
 
-  /// Parses a tagged <result> and renames its columns to mediated attribute
-  /// names using the schema's (source column -> attribute) mappings.
-  /// Aggregate aliases of the form `func_column` are renamed to
+  /// Takes `owner`'s result table and renames its columns to mediated
+  /// attribute names using the schema's (source column -> attribute)
+  /// mappings. Aggregate aliases of the form `func_column` are renamed to
   /// `func_attribute`.
-  Result<SourceResult> FromTaggedXml(const xml::XmlNode& result) const;
+  SourceResult FromSource(std::string owner, relational::Table table) const;
 
   /// Unions the per-source tables over the union of their columns (missing
   /// columns padded with NULL), appending a `_source` provenance column,

@@ -442,7 +442,7 @@ Result<Frame> NetClient::DoRequest(MessageType type, std::string payload,
   return response;
 }
 
-Result<std::string> NetClient::ExecuteFragmentXml(
+Result<source::FederatedSource::FragmentResult> NetClient::ExecuteFragment(
     const std::string& owner, const std::string& fragment_xml,
     const CancelToken& cancel) {
   ExecuteRequest req;
@@ -465,7 +465,7 @@ Result<std::string> NetClient::ExecuteFragmentXml(
   PIYE_ASSIGN_OR_RETURN(ExecuteResponse resp,
                         DecodeExecuteResponse(response.payload));
   PIYE_RETURN_NOT_OK(resp.status);
-  return std::move(resp.result_xml);
+  return std::move(resp.result);
 }
 
 Result<std::vector<match::ColumnSketch>> NetClient::FetchSketches(

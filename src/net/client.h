@@ -62,13 +62,13 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
-  /// Executes a fragment on the remote source `owner`, returning the
-  /// serialized tagged result XML. The token's deadline bounds the whole
+  /// Executes a fragment on the remote source `owner`, returning its
+  /// released table and privacy tags. The token's deadline bounds the whole
   /// exchange (dial, write, wait); on expiry the client sends a best-effort
   /// CancelRequest so the server stops burning work on an abandoned query.
-  Result<std::string> ExecuteFragmentXml(const std::string& owner,
-                                         const std::string& fragment_xml,
-                                         const CancelToken& cancel = {});
+  Result<source::FederatedSource::FragmentResult> ExecuteFragment(
+      const std::string& owner, const std::string& fragment_xml,
+      const CancelToken& cancel = {});
 
   Result<std::vector<match::ColumnSketch>> FetchSketches(
       const std::string& owner, const std::string& shared_key);

@@ -43,7 +43,7 @@ enum class MessageType : uint8_t {
   kHello = 1,            ///< client → server: protocol handshake
   kHelloAck = 2,         ///< server → client: hosted source owners
   kExecuteRequest = 3,   ///< client → server: run one query fragment
-  kExecuteResponse = 4,  ///< server → client: status + tagged XML result
+  kExecuteResponse = 4,  ///< server → client: status + tagged result table
   kSketchRequest = 5,    ///< client → server: export schema sketches
   kSketchResponse = 6,   ///< server → client: status + sketches
   kCancelRequest = 7,    ///< client → server: cancel in-flight request_id

@@ -1,6 +1,5 @@
 #include "net/net_source.h"
 
-#include "common/macros.h"
 #include "xml/parser.h"
 
 namespace piye {
@@ -8,27 +7,8 @@ namespace net {
 
 Result<source::FederatedSource::FragmentResult> NetSource::ExecuteFragment(
     const source::PiqlQuery& fragment, const CancelToken& cancel) const {
-  const std::string fragment_xml =
-      xml::Serialize(*fragment.ToXml(), /*indent=*/-1);
-  PIYE_ASSIGN_OR_RETURN(
-      std::string result_xml,
-      client_->ExecuteFragmentXml(owner_, fragment_xml, cancel));
-  Result<xml::XmlDocument> doc = xml::Parse(result_xml);
-  if (!doc.ok()) {
-    // The frame CRC passed, so this is a malformed response body from the
-    // server, not wire corruption — still a transport-class failure from
-    // the engine's point of view (retry may hit a healthy replica path).
-    return Status::Unavailable("source '" + owner_ +
-                               "' returned unparseable result XML: " +
-                               doc.status().message());
-  }
-  FragmentResult result;
-  result.xml = doc->release_root();
-  if (result.xml == nullptr) {
-    return Status::Unavailable("source '" + owner_ +
-                               "' returned an empty result document");
-  }
-  return result;
+  return client_->ExecuteFragment(
+      owner_, xml::Serialize(*fragment.ToXml(), /*indent=*/-1), cancel);
 }
 
 Result<std::vector<match::ColumnSketch>> NetSource::ExportSketches(

@@ -9,7 +9,6 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "source/piql.h"
-#include "xml/parser.h"
 
 namespace piye {
 namespace net {
@@ -284,9 +283,7 @@ void SourceServer::DispatchExecute(std::shared_ptr<Connection> conn,
         token = token.WithTimeout(
             std::chrono::milliseconds(req.deadline_budget_ms));
       }
-      PIYE_ASSIGN_OR_RETURN(source::FederatedSource::FragmentResult result,
-                            src->ExecuteFragment(fragment, token));
-      resp.result_xml = xml::Serialize(*result.xml, /*indent=*/-1);
+      PIYE_ASSIGN_OR_RETURN(resp.result, src->ExecuteFragment(fragment, token));
       return Status::OK();
     };
     resp.status = run();

@@ -5,6 +5,7 @@
 #include "common/macros.h"
 #include "linkage/bloom.h"
 #include "persist/codec.h"
+#include "relational/table_codec.h"
 
 namespace piye {
 namespace net {
@@ -126,6 +127,42 @@ Result<match::ColumnSketch> GetSketch(Decoder& dec) {
   return sketch;
 }
 
+/// A column tag's form travels as 0 (unrated) or 1 + DisclosureForm.
+void PutFragmentResult(Encoder& enc,
+                       const source::FederatedSource::FragmentResult& result) {
+  relational::EncodeTable(result.table, &enc);
+  enc.PutU64(result.column_tags.size());
+  for (const source::ColumnTag& tag : result.column_tags) {
+    enc.PutU8(tag.form ? 1 + static_cast<uint8_t>(*tag.form) : 0);
+    enc.PutDouble(tag.budget);
+  }
+  enc.PutDouble(result.losses.privacy_loss);
+  enc.PutDouble(result.losses.information_loss);
+  enc.PutDouble(result.loss_budget);
+}
+
+Status GetFragmentResult(Decoder& dec, source::FederatedSource::FragmentResult* out) {
+  PIYE_ASSIGN_OR_RETURN(out->table, relational::DecodeTable(&dec));
+  PIYE_ASSIGN_OR_RETURN(const uint64_t tag_count, dec.GetU64());
+  if (tag_count != out->table.num_columns()) {
+    return Status::InvalidArgument("column tag count does not match the columns");
+  }
+  for (const relational::Column& column : out->table.schema().columns()) {
+    source::ColumnTag& tag = out->column_tags.emplace_back();
+    tag.name = column.name;
+    PIYE_ASSIGN_OR_RETURN(const uint8_t form, dec.GetU8());
+    if (form > 1 + static_cast<uint8_t>(policy::DisclosureForm::kExact)) {
+      return Status::InvalidArgument("column tag form " + std::to_string(form));
+    }
+    if (form != 0) tag.form = static_cast<policy::DisclosureForm>(form - 1);
+    PIYE_ASSIGN_OR_RETURN(tag.budget, dec.GetDouble());
+  }
+  PIYE_ASSIGN_OR_RETURN(out->losses.privacy_loss, dec.GetDouble());
+  PIYE_ASSIGN_OR_RETURN(out->losses.information_loss, dec.GetDouble());
+  PIYE_ASSIGN_OR_RETURN(out->loss_budget, dec.GetDouble());
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string EncodeHello(const std::string& peer_name) {
@@ -182,7 +219,7 @@ std::string EncodeExecuteResponse(const ExecuteResponse& resp) {
   Encoder enc;
   enc.PutU8(kWireSchemaVersion);
   PutStatus(enc, resp.status);
-  enc.PutString(resp.result_xml);
+  PutFragmentResult(enc, resp.result);
   return enc.Take();
 }
 
@@ -191,7 +228,7 @@ Result<ExecuteResponse> DecodeExecuteResponse(const std::string& payload) {
   PIYE_RETURN_NOT_OK(CheckSchemaVersion(dec, "ExecuteResponse"));
   ExecuteResponse resp;
   PIYE_RETURN_NOT_OK(GetStatus(dec, &resp.status));
-  PIYE_ASSIGN_OR_RETURN(resp.result_xml, dec.GetString());
+  PIYE_RETURN_NOT_OK(GetFragmentResult(dec, &resp.result));
   PIYE_RETURN_NOT_OK(CheckExhausted(dec, "ExecuteResponse"));
   return resp;
 }

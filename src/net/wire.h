@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "match/schema_matcher.h"
+#include "source/federated_source.h"
 
 namespace piye {
 namespace net {
@@ -20,9 +21,11 @@ namespace net {
 /// Versioning rules: the frame header carries the protocol version; within
 /// a version, every payload begins with its own u8 schema version so
 /// individual messages can evolve without a protocol bump. Decoders reject
-/// unknown schema versions with `kInvalidArgument`.
+/// unknown schema versions with `kInvalidArgument`. Version 2 replaced the
+/// tagged-XML result of an ExecuteResponse with the binary table codec plus
+/// typed privacy tags.
 
-constexpr uint8_t kWireSchemaVersion = 1;
+constexpr uint8_t kWireSchemaVersion = 2;
 
 /// ---- Handshake -----------------------------------------------------------
 
@@ -53,7 +56,11 @@ struct ExecuteResponse {
   /// the wire: kPrivacyViolation is still never retried, kUnavailable still
   /// trips breakers, and skip reasons keep their detail.
   Status status;
-  std::string result_xml;  ///< serialized tagged fragment result; empty on error
+  /// The released table (relational/table_codec) and its privacy tags: one
+  /// (form, budget) per column — names come from the table — then the
+  /// result-level losses and budget. Empty on error. The per-stage
+  /// diagnostics of a FragmentResult do not cross the wire.
+  source::FederatedSource::FragmentResult result;
 };
 std::string EncodeExecuteResponse(const ExecuteResponse& resp);
 Result<ExecuteResponse> DecodeExecuteResponse(const std::string& payload);

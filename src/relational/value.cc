@@ -26,7 +26,7 @@ const char* ColumnTypeToString(ColumnType type) {
 namespace {
 
 // Shortest representation that round-trips exactly (std::to_chars), so
-// doubles survive the XML wire format bit-for-bit.
+// displayed and parsed-back doubles keep their bits.
 std::string DoubleToString(double x) {
   char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), x);

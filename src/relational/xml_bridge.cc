@@ -7,91 +7,6 @@
 namespace piye {
 namespace relational {
 
-std::unique_ptr<xml::XmlNode> TableToXml(const Table& table,
-                                         const std::string& name) {
-  auto result = xml::XmlNode::Element("result");
-  result->SetAttr("name", name);
-  xml::XmlNode* schema = result->AddElement("schema");
-  for (const auto& col : table.schema().columns()) {
-    xml::XmlNode* c = schema->AddElement("column");
-    c->SetAttr("name", col.name);
-    c->SetAttr("type", ColumnTypeToString(col.type));
-  }
-  xml::XmlNode* rows = result->AddElement("rows");
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    xml::XmlNode* row = rows->AddElement("row");
-    for (size_t i = 0; i < table.num_columns(); ++i) {
-      xml::XmlNode* cell = row->AddElement(table.schema().column(i).name);
-      const ColumnVector& col = table.col(i);
-      if (col.IsNull(r)) {
-        cell->SetAttr("null", "true");
-      } else {
-        cell->AddText(col.ValueAt(r).ToDisplayString());
-      }
-    }
-  }
-  return result;
-}
-
-namespace {
-
-Result<ColumnType> ParseColumnType(const std::string& s) {
-  if (s == "INT64") return ColumnType::kInt64;
-  if (s == "DOUBLE") return ColumnType::kDouble;
-  if (s == "STRING") return ColumnType::kString;
-  if (s == "BOOL") return ColumnType::kBool;
-  return Status::ParseError("unknown column type '" + s + "'");
-}
-
-}  // namespace
-
-Result<Table> XmlToTable(const xml::XmlNode& result_node) {
-  const xml::XmlNode* schema_node = result_node.FirstChild("schema");
-  if (schema_node == nullptr) {
-    return Status::ParseError("<result> missing <schema>");
-  }
-  Schema schema;
-  for (const xml::XmlNode* c : schema_node->Children("column")) {
-    const std::string* name = c->GetAttr("name");
-    const std::string* type = c->GetAttr("type");
-    if (name == nullptr || type == nullptr) {
-      return Status::ParseError("<column> missing name/type");
-    }
-    PIYE_ASSIGN_OR_RETURN(ColumnType ct, ParseColumnType(*type));
-    schema.AddColumn({*name, ct});
-  }
-  Table table(schema);
-  const xml::XmlNode* rows_node = result_node.FirstChild("rows");
-  if (rows_node == nullptr) return table;
-  for (const xml::XmlNode* row_node : rows_node->Children("row")) {
-    Row row;
-    row.reserve(schema.num_columns());
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      const xml::XmlNode* cell = row_node->FirstChild(schema.column(i).name);
-      if (cell == nullptr) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      const std::string* is_null = cell->GetAttr("null");
-      if (is_null != nullptr && *is_null == "true") {
-        row.push_back(Value::Null());
-        continue;
-      }
-      // STRING cells take the text verbatim: "" and "NULL" are legitimate
-      // string contents, not absent values (nulls carry the attribute above).
-      if (schema.column(i).type == ColumnType::kString) {
-        row.push_back(Value::Str(cell->InnerText()));
-        continue;
-      }
-      PIYE_ASSIGN_OR_RETURN(Value v,
-                            Value::Parse(cell->InnerText(), schema.column(i).type));
-      row.push_back(std::move(v));
-    }
-    PIYE_RETURN_NOT_OK(table.AppendRow(std::move(row)));
-  }
-  return table;
-}
-
 Result<Table> TableFromXmlRecords(const xml::XmlNode& root) {
   const auto records = root.ChildElements();
   // Pass 1: collect column names in first-seen order and classify types.

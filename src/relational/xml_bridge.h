@@ -1,35 +1,12 @@
 #ifndef PIYE_RELATIONAL_XML_BRIDGE_H_
 #define PIYE_RELATIONAL_XML_BRIDGE_H_
 
-#include <memory>
-#include <string>
-
 #include "common/result.h"
 #include "relational/table.h"
 #include "xml/node.h"
 
 namespace piye {
 namespace relational {
-
-/// Converts between relational tables and the canonical XML result format
-/// exchanged on the wire between sources and the mediation engine:
-///
-///   <result name="...">
-///     <schema>
-///       <column name="hmo" type="STRING"/>
-///     </schema>
-///     <rows>
-///       <row><hmo>HMO1</hmo>...</row>
-///     </rows>
-///   </result>
-///
-/// Privacy metadata attached by the MetadataTagger lives in attributes on the
-/// <result> and <column> elements and survives the round-trip.
-std::unique_ptr<xml::XmlNode> TableToXml(const Table& table,
-                                         const std::string& name = "result");
-
-/// Parses the canonical format back into a table.
-Result<Table> XmlToTable(const xml::XmlNode& result_node);
 
 /// Ingests *record-shaped* XML — the hierarchical stores and structured
 /// files the paper's data model is chosen for — into a table:

@@ -2,19 +2,20 @@
 #define PIYE_SOURCE_FEDERATED_SOURCE_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/result.h"
 #include "match/schema_matcher.h"
+#include "policy/policy.h"
+#include "relational/table.h"
 #include "source/loss_computation.h"
 #include "source/optimizer.h"
 #include "source/piql.h"
 #include "source/preservation.h"
 #include "source/query_cluster.h"
-#include "xml/node.h"
 
 namespace piye {
 namespace source {
@@ -36,10 +37,21 @@ struct TransportStats {
   uint64_t disconnects = 0;     ///< connections lost mid-use
 };
 
+/// The Metadata Tagger's annotation of one released result column: the
+/// disclosure form and loss budget the source's privacy rewriter settled on,
+/// which the mediator's privacy control re-verifies after integration.
+struct ColumnTag {
+  std::string name;  ///< the column's source-local name
+  /// Disclosure form granted; empty for a column the rewriter did not rate
+  /// (such a column takes no part in per-item loss accounting).
+  std::optional<policy::DisclosureForm> form;
+  double budget = 1.0;  ///< policy loss budget (1.0 = unconstrained)
+};
+
 /// The mediation engine's execution-facing view of one autonomous source —
 /// the seam along which "federated" becomes literal. The engine talks to a
 /// source exclusively through this interface: `ExecuteFragment` (XML query
-/// in, tagged XML result out) and `ExportSketches` (privacy-respecting
+/// in, table plus privacy tags out) and `ExportSketches` (privacy-respecting
 /// schema summaries for mediated-schema generation). `RemoteSource`
 /// implements it in-process (each source runs the full Figure 2(a) pipeline
 /// in the mediator's address space); `net::NetSource` implements it over the
@@ -62,20 +74,22 @@ class FederatedSource {
   /// engine).
   virtual const std::string& owner() const = 0;
 
-  /// Everything `ExecuteFragment` reports back besides the XML payload.
-  /// In-process sources fill the per-stage diagnostics (used by the Fig. 2
-  /// pipeline benchmark); a network source reconstructs only what crosses
-  /// the wire — the tagged XML and its parsed `table` — and leaves the
-  /// diagnostics at their defaults.
+  /// Everything `ExecuteFragment` reports back. The released rows and their
+  /// privacy tags — per column, aligned with `table` by position, plus the
+  /// result-level `losses` and `loss_budget` — are what the mediator
+  /// consumes; a network source reconstructs exactly those from the wire.
+  /// In-process sources also fill the per-stage diagnostics (used by the
+  /// Fig. 2 pipeline benchmark), which a network source leaves at their
+  /// defaults.
   struct FragmentResult {
-    std::unique_ptr<xml::XmlNode> xml;  ///< tagged <result> element
-    relational::Table table;            ///< the released rows, pre-serialization
+    relational::Table table;  ///< the released rows
+    std::vector<ColumnTag> column_tags;
+    LossEstimate losses;
+    double loss_budget = 1.0;
     PrivacyOptimizer::Plan plan;
     BreachClass breach = BreachClass::kNone;
     std::vector<Technique> techniques;
-    LossEstimate losses;
     std::vector<std::string> denied_columns;
-    double loss_budget = 1.0;
   };
 
   /// Executes one query fragment under the source's privacy machinery.

@@ -232,10 +232,17 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
       result, preservation_.Apply(std::move(result), rewritten.column_forms,
                                   rewritten.loss_budget, out.techniques, &call_rng));
 
-  // (8) XML Transformer + (9) Metadata Tagger.
-  out.xml = relational::TableToXml(result, table_name_);
-  MetadataTagger::Tag(out.xml.get(), owner_, fragment, rewritten.column_forms,
-                      rewritten.column_budgets, out.losses, rewritten.loss_budget);
+  // (8) Metadata Tagger: each released column carries the disclosure form
+  // and budget the rewriter settled on, so the mediator can re-verify the
+  // loss per data item after integration.
+  for (const relational::Column& column : result.schema().columns()) {
+    ColumnTag& tag = out.column_tags.emplace_back();
+    tag.name = column.name;
+    auto form = rewritten.column_forms.find(column.name);
+    if (form != rewritten.column_forms.end()) tag.form = form->second;
+    auto budget = rewritten.column_budgets.find(column.name);
+    if (budget != rewritten.column_budgets.end()) tag.budget = budget->second;
+  }
   out.table = std::move(result);
   return out;
 }

@@ -16,7 +16,6 @@
 #include "relational/executor.h"
 #include "source/federated_source.h"
 #include "source/loss_computation.h"
-#include "source/metadata_tagger.h"
 #include "source/optimizer.h"
 #include "source/piql.h"
 #include "source/preservation.h"
@@ -31,7 +30,7 @@ namespace source {
 /// A remote source running the complete privacy-preserving query processing
 /// framework of Figure 2(a), implementing the `FederatedSource` execution
 /// interface in-process. The mediation engine talks to it exclusively
-/// through `ExecuteFragment` (XML query in, tagged XML result out) and
+/// through `ExecuteFragment` (XML query in, tagged table out) and
 /// `ExportSketches` (privacy-respecting schema summaries for mediated-schema
 /// generation) — it never sees the raw tables. The same object can also be
 /// hosted out-of-process by a `net::SourceServer`, in which case the engine
@@ -92,15 +91,15 @@ class RemoteSource : public FederatedSource {
     hidden_schema_columns_.insert(column);
   }
 
-  /// Everything `ExecuteFragment` reports back besides the XML payload —
-  /// per-stage diagnostics used by the Fig. 2 pipeline benchmark. The type
-  /// itself now lives on the `FederatedSource` interface; this alias keeps
-  /// the historical `RemoteSource::FragmentResult` spelling working.
+  /// Everything `ExecuteFragment` reports back: the released table, its
+  /// privacy tags and per-stage diagnostics used by the Fig. 2 pipeline
+  /// benchmark. The type itself lives on the `FederatedSource` interface;
+  /// this alias keeps the `RemoteSource::FragmentResult` spelling working.
   using FragmentResult = FederatedSource::FragmentResult;
 
   /// Runs the full pipeline: privacy view → transform → rewrite →
   /// cluster-match → loss → optimize → (query-set restriction) → execute →
-  /// preserve → serialize → tag.
+  /// preserve → tag.
   ///
   /// Safe for concurrent callers: the pipeline stages are all const over
   /// the source's configuration, and stochastic preservation draws from a

@@ -105,9 +105,6 @@ class XmlDocument {
   const XmlNode& root() const { return *root_; }
   XmlNode& mutable_root() { return *root_; }
   void set_root(std::unique_ptr<XmlNode> root) { root_ = std::move(root); }
-  /// Transfers ownership of the root out of the document (which becomes
-  /// rootless) — how a parsed wire payload is adopted without a deep copy.
-  std::unique_ptr<XmlNode> release_root() { return std::move(root_); }
 
   XmlDocument Clone() const {
     return root_ ? XmlDocument(root_->Clone()) : XmlDocument();

@@ -32,15 +32,14 @@
 #include "common/cancel.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
-#include "xml/parser.h"
 
 namespace piye {
 namespace {
 
 std::string TableBytes(const relational::Table& t) {
-  return xml::Serialize(*relational::TableToXml(t, "t"), /*indent=*/-1);
+  return relational::EncodeTable(t);
 }
 
 std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(

@@ -20,8 +20,7 @@
 #include "core/private_iye.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
-#include "relational/xml_bridge.h"
-#include "xml/parser.h"
+#include "relational/table_codec.h"
 
 namespace piye {
 namespace {
@@ -341,7 +340,7 @@ TEST(TraceTest, RegistryIsSafeForConcurrentWriters) {
 // --- Engine fan-out over homogeneous patient sources ---
 
 std::string TableBytes(const relational::Table& t) {
-  return xml::Serialize(*relational::TableToXml(t, "t"), /*indent=*/-1);
+  return relational::EncodeTable(t);
 }
 
 std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(

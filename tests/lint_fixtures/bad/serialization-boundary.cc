@@ -1,12 +1,11 @@
 // Fixture: raw-record serialization away from the blessed seams (this file
 // is linted under a src/mediator/ virtual path).
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 
 namespace fixture {
 
 std::string Dump(const piye::relational::Table& table) {
-  auto doc = piye::relational::TableToXml(table, "dump");
-  return "dumped";
+  return piye::relational::EncodeTable(table);
 }
 
 }  // namespace fixture

@@ -1,11 +1,11 @@
-// Fixture: the mediator hands tables around as handles; only the blessed
-// seams materialize bytes.
+// Fixture: the mediator consumes the typed tables sources hand it; only the
+// blessed seams turn them into bytes.
 #include "relational/table.h"
 
 namespace fixture {
 
 size_t Rows(const piye::relational::Table& table) {
-  return table.records.size();
+  return table.num_rows();
 }
 
 }  // namespace fixture

@@ -1,12 +1,11 @@
 // Fixture: an explicitly blessed one-off (e.g. a debug dumper).
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 
 namespace fixture {
 
 std::string Dump(const piye::relational::Table& table) {
   // piye-lint: allow(serialization-boundary) debug dump, policy-tagged upstream
-  auto doc = piye::relational::TableToXml(table, "dump");
-  return "dumped";
+  return piye::relational::EncodeTable(table);
 }
 
 }  // namespace fixture

@@ -97,28 +97,63 @@ TEST(PrivacyControlTest, LossCombination) {
 
 TEST(PrivacyControlTest, ChecksCombinedAgainstBudgets) {
   PrivacyControl control(/*max_combined_loss=*/0.6, /*max_interval_loss=*/1.0);
+  // Results without per-column tags: the result-level loss and budget act
+  // as the single accounted item.
   auto make_result = [](double loss, double budget) {
-    auto node = xml::XmlNode::Element("result");
-    node->SetAttr("owner", "src");
-    node->SetAttr("privacyLoss", std::to_string(loss));
-    node->SetAttr("lossBudget", std::to_string(budget));
-    return node;
+    PrivacyControl::TaggedResult r;
+    r.owner = "src";
+    r.privacy_loss = loss;
+    r.loss_budget = budget;
+    return r;
   };
   // Two results at 0.3 combine to 0.51 <= 0.6 and within budgets 0.7.
-  auto a = make_result(0.3, 0.7);
-  auto b = make_result(0.3, 0.7);
-  auto ok = control.CheckIntegratedResults({a.get(), b.get()});
+  const auto a = make_result(0.3, 0.7);
+  const auto b = make_result(0.3, 0.7);
+  auto ok = control.CheckIntegratedResults({a, b});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_NEAR(*ok, 0.51, 1e-12);
   // A third result pushes past the engine maximum.
-  auto c = make_result(0.3, 0.7);
-  auto too_much = control.CheckIntegratedResults({a.get(), b.get(), c.get()});
+  const auto c = make_result(0.3, 0.7);
+  auto too_much = control.CheckIntegratedResults({a, b, c});
   EXPECT_TRUE(too_much.status().IsPrivacyViolation());
   // Or past a single source's budget even under the engine max: the paper's
   // "k' > k after integration" situation.
-  auto tight = make_result(0.3, 0.4);
-  auto violates_budget = control.CheckIntegratedResults({a.get(), tight.get()});
+  const auto tight = make_result(0.3, 0.4);
+  auto violates_budget = control.CheckIntegratedResults({a, tight});
   EXPECT_TRUE(violates_budget.status().IsPrivacyViolation());
+}
+
+TEST(PrivacyControlTest, AccountsPerTaggedColumn) {
+  PrivacyControl control(/*max_combined_loss=*/1.0, /*max_interval_loss=*/1.0);
+  auto make_result = [](const std::string& owner,
+                        std::vector<source::ColumnTag> tags) {
+    PrivacyControl::TaggedResult r;
+    r.owner = owner;
+    r.column_tags = std::move(tags);
+    r.privacy_loss = 0.9;  // ignored: some column carries a form
+    r.loss_budget = 0.1;
+    return r;
+  };
+  using policy::DisclosureForm;
+  // Two exact `dob` columns (0.8 each) combine to 0.96 against b's 0.9
+  // budget; the untagged `note` column takes no part.
+  const auto a = make_result("a", {{"dob", DisclosureForm::kExact, 1.0},
+                                   {"note", std::nullopt, 0.01}});
+  const auto b = make_result("b", {{"dob", DisclosureForm::kExact, 0.9}});
+  auto refused = control.CheckIntegratedResults({a, b});
+  ASSERT_TRUE(refused.status().IsPrivacyViolation());
+  EXPECT_NE(refused.status().message().find("'dob'"), std::string::npos);
+  EXPECT_NE(refused.status().message().find("source 'b'"), std::string::npos);
+  // Generalized (0.5) and range (0.3) combine to 0.65, within 0.9.
+  const auto c = make_result("c", {{"dob", DisclosureForm::kGeneralized, 0.9}});
+  const auto d = make_result("d", {{"dob", DisclosureForm::kRange, 1.0}});
+  auto ok = control.CheckIntegratedResults({c, d});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_NEAR(*ok, 0.65, 1e-12);
+  // Unconstrained items (budget 1.0 everywhere) add nothing to the total.
+  auto free = control.CheckIntegratedResults({a});
+  ASSERT_TRUE(free.ok());
+  EXPECT_EQ(*free, 0.0);
 }
 
 TEST(PrivacyControlTest, InferenceAuditDelegation) {

@@ -28,7 +28,7 @@
 #include "mediator/engine.h"
 #include "net/client.h"
 #include "net/net_source.h"
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
 
@@ -36,7 +36,7 @@ namespace piye {
 namespace {
 
 std::string TableBytes(const relational::Table& t) {
-  return xml::Serialize(*relational::TableToXml(t, "t"), /*indent=*/-1);
+  return relational::EncodeTable(t);
 }
 
 std::string ServerBinary() {

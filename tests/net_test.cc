@@ -27,7 +27,7 @@
 #include "net/net_source.h"
 #include "net/server.h"
 #include "net/wire.h"
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
 
@@ -38,7 +38,33 @@ using net::Frame;
 using net::MessageType;
 
 std::string TableBytes(const relational::Table& t) {
-  return xml::Serialize(*relational::TableToXml(t, "t"), /*indent=*/-1);
+  return relational::EncodeTable(t);
+}
+
+/// A tagged answer with duplicate and non-identifier column names, NULLs
+/// and every tag shape (rated, unrated, constrained budget).
+source::FederatedSource::FragmentResult TaggedResult() {
+  source::FederatedSource::FragmentResult result;
+  relational::ColumnVector a(relational::ColumnType::kInt64);
+  relational::ColumnVector b(relational::ColumnType::kInt64);
+  relational::ColumnVector c(relational::ColumnType::kString);
+  a.AppendInt(1);
+  a.AppendNull();
+  b.AppendInt(2);
+  b.AppendInt(3);
+  c.AppendStr("2001-02-03");
+  c.AppendStr("");
+  result.table.AddColumn({"id", relational::ColumnType::kInt64}, std::move(a));
+  result.table.AddColumn({"id", relational::ColumnType::kInt64}, std::move(b));
+  result.table.AddColumn({"first visit", relational::ColumnType::kString},
+                         std::move(c));
+  result.column_tags = {{"id", policy::DisclosureForm::kExact, 1.0},
+                        {"id", std::nullopt, 1.0},
+                        {"first visit", policy::DisclosureForm::kRange, 0.35}};
+  result.losses.privacy_loss = 0.8;
+  result.losses.information_loss = 0.25;
+  result.loss_budget = 0.35;
+  return result;
 }
 
 /// In-memory transport over a byte string — the harness for codec fuzzing
@@ -232,14 +258,42 @@ TEST(WireTest, ExecuteRequestResponseRoundTrip) {
         Status::Cancelled("gone")}) {
     net::ExecuteResponse resp;
     resp.status = status;
-    resp.result_xml = status.ok() ? "<result/>" : "";
+    if (status.ok()) resp.result = TaggedResult();
     auto decoded =
         net::DecodeExecuteResponse(net::EncodeExecuteResponse(resp));
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->status.code(), status.code());
     EXPECT_EQ(decoded->status.message(), status.message());
-    EXPECT_EQ(decoded->result_xml, resp.result_xml);
+    // Byte-equal tables: duplicate and non-identifier column names keep
+    // their own values.
+    EXPECT_EQ(TableBytes(decoded->result.table), TableBytes(resp.result.table));
+    ASSERT_EQ(decoded->result.column_tags.size(), resp.result.column_tags.size());
+    for (size_t c = 0; c < resp.result.column_tags.size(); ++c) {
+      const source::ColumnTag& want = resp.result.column_tags[c];
+      const source::ColumnTag& got = decoded->result.column_tags[c];
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.form, want.form);
+      EXPECT_EQ(got.budget, want.budget);
+    }
+    EXPECT_EQ(decoded->result.losses.privacy_loss, resp.result.losses.privacy_loss);
+    EXPECT_EQ(decoded->result.losses.information_loss,
+              resp.result.losses.information_loss);
+    EXPECT_EQ(decoded->result.loss_budget, resp.result.loss_budget);
   }
+}
+
+TEST(WireTest, RejectsOldSchemaVersionAndMismatchedTags) {
+  net::ExecuteResponse resp;
+  resp.result = TaggedResult();
+  std::string bytes = net::EncodeExecuteResponse(resp);
+  // A version-1 payload (tagged XML text) is refused before it is read.
+  bytes[0] = 1;
+  EXPECT_TRUE(net::DecodeExecuteResponse(bytes).status().IsInvalidArgument());
+  // Tags must match the table column for column.
+  resp.result.column_tags.pop_back();
+  EXPECT_TRUE(net::DecodeExecuteResponse(net::EncodeExecuteResponse(resp))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(WireTest, SketchResponseRoundTripsBloomFilter) {
@@ -271,6 +325,37 @@ TEST(WireTest, SketchResponseRoundTripsBloomFilter) {
   EXPECT_DOUBLE_EQ(got.InstanceSimilarity(*sketch), 1.0);
 }
 
+TEST(WireTest, ExecuteResponseFuzzFailsCleanly) {
+  // Truncations and bit flips of a real answer: the decoder either accepts
+  // the bytes or fails with a clean parse/argument error — never a crash,
+  // a giant allocation or another status.
+  net::ExecuteResponse resp;
+  resp.result = TaggedResult();
+  const std::string good = net::EncodeExecuteResponse(resp);
+  auto decode = [](const std::string& bytes) {
+    return net::DecodeExecuteResponse(bytes).status();
+  };
+  auto expect_clean = [](const Status& status) {
+    EXPECT_TRUE(status.ok() || status.IsParseError() || status.IsInvalidArgument())
+        << status.ToString();
+  };
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    const Status status = decode(good.substr(0, cut));
+    EXPECT_FALSE(status.ok()) << cut;
+    expect_clean(status);
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = good;
+    const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int f = 0; f < flips; ++f) {
+      const size_t at = static_cast<size_t>(rng.NextBounded(bytes.size()));
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.NextBounded(8)));
+    }
+    expect_clean(decode(bytes));
+  }
+}
+
 TEST(WireTest, FuzzPayloadDecodersNeverCrash) {
   Rng rng(4242);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -281,7 +366,9 @@ TEST(WireTest, FuzzPayloadDecodersNeverCrash) {
     (void)net::DecodeHello(bytes);
     (void)net::DecodeHelloAck(bytes);
     (void)net::DecodeExecuteRequest(bytes);
-    (void)net::DecodeExecuteResponse(bytes);
+    const Status response = net::DecodeExecuteResponse(bytes).status();
+    EXPECT_TRUE(response.ok() || response.IsParseError() || response.IsInvalidArgument())
+        << response.ToString();
     (void)net::DecodeSketchRequest(bytes);
     (void)net::DecodeSketchResponse(bytes);
   }
@@ -444,6 +531,54 @@ TEST(NetFederationTest, FederatedAnswerIsByteIdenticalToInProcess) {
   EXPECT_EQ(TableBytes(over_wire->table()), TableBytes(in_process->table()));
   EXPECT_DOUBLE_EQ(over_wire->combined_privacy_loss,
                    in_process->combined_privacy_loss);
+}
+
+TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
+  // A column named "first visit" is no valid XML element name; the answer
+  // must arrive over the wire exactly as it does in process.
+  relational::Table table(relational::Schema{
+      {"patient_id", relational::ColumnType::kString},
+      {"first visit", relational::ColumnType::kString}});
+  for (int i = 0; i < 10; ++i) {
+    const std::string day = std::to_string(i % 9 + 1);
+    table.AppendRowUnchecked({relational::Value::Str("p" + std::to_string(i)),
+                              relational::Value::Str("2001-02-0" + day)});
+  }
+  source::RemoteSource src("clinic", "visits", std::move(table), /*seed=*/3);
+  core::ClinicalScenario::ApplyPatientPolicies(&src);
+  net::ServerConfig server_config;
+  server_config.listen_address = UniqueSocketPath("odd_names");
+  net::SourceServer server(server_config);
+  server.AddSource(&src);
+  ASSERT_TRUE(server.Start().ok());
+  net::ClientConfig client_config;
+  client_config.address = server.bound_address();
+  auto client = std::make_shared<net::NetClient>(client_config);
+  std::vector<std::unique_ptr<source::FederatedSource>> wired;
+  wired.push_back(std::make_unique<net::NetSource>("clinic", client));
+  std::vector<source::FederatedSource*> local = {&src};
+
+  auto build = [](const std::vector<source::FederatedSource*>& sources) {
+    auto engine = std::make_unique<mediator::MediationEngine>(EngineOptions());
+    for (auto* s : sources) EXPECT_TRUE(engine->RegisterSource(s).ok());
+    EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
+    return engine;
+  };
+  auto wire_engine = build({wired[0].get()});
+  auto local_engine = build(local);
+  auto query = source::PiqlQuery::Parse(
+      "<query requester=\"analyst\" purpose=\"research\" maxLoss=\"0.95\">"
+      "<select>patient_id</select><select>first visit</select></query>");
+  ASSERT_TRUE(query.ok());
+  auto over_wire = wire_engine->Execute(*query, mediator::QueryOptions{});
+  auto in_process = local_engine->Execute(*query, mediator::QueryOptions{});
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  EXPECT_EQ(over_wire->table().schema().column(1).name, "first visit");
+  EXPECT_EQ(over_wire->table().num_rows(), 10u);
+  EXPECT_EQ(TableBytes(over_wire->table()), TableBytes(in_process->table()));
+  client->Close();
+  server.Stop();
 }
 
 TEST(NetFederationTest, TcpTransportSmoke) {
@@ -609,7 +744,7 @@ TEST(NetFederationTest, WindowBackpressureAdmitsAllEventually) {
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back([&] {
-      auto result = client.ExecuteFragmentXml("hospital", fragment_xml);
+      auto result = client.ExecuteFragment("hospital", fragment_xml);
       if (result.ok()) ok_count.fetch_add(1);
     });
   }
@@ -627,9 +762,9 @@ TEST(NetFederationTest, ServerStopDrainsGracefully) {
       xml::Serialize(*MakeQuery().ToXml(), /*indent=*/-1);
   // Prove liveness, then stop the server and expect clean kUnavailable for
   // subsequent calls (dial refused), not hangs.
-  ASSERT_TRUE(client.ExecuteFragmentXml("hospital", fragment_xml).ok());
+  ASSERT_TRUE(client.ExecuteFragment("hospital", fragment_xml).ok());
   cluster.servers[0]->Stop();
-  auto result = client.ExecuteFragmentXml("hospital", fragment_xml);
+  auto result = client.ExecuteFragment("hospital", fragment_xml);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
   client.Close();

@@ -11,10 +11,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "mediator/persistence.h"
 #include "persist/codec.h"
 #include "persist/state_log.h"
 #include "persist/wal.h"
@@ -419,6 +422,74 @@ TEST(WalFuzzTest, MangledLogsAlwaysRecoverToAValidPrefix) {
     ASSERT_TRUE(reread->clean) << "round " << round;
     ASSERT_EQ(reread->records.size(), read->records.size() + 1);
     ASSERT_EQ(reread->records.back().payload, "healed");
+  }
+}
+
+// --- Fuzz: the mediator's table-carrying records. A CRC-colliding payload
+// must decode or fail cleanly — truncations always fail — and never crash
+// or allocate beyond what the payload could hold. ---
+
+relational::Table FuzzTable() {
+  relational::Table t(relational::Schema{{"id", relational::ColumnType::kInt64},
+                                         {"first visit", relational::ColumnType::kString},
+                                         {"rate%", relational::ColumnType::kDouble},
+                                         {"flag", relational::ColumnType::kBool}});
+  using relational::Value;
+  for (int i = 0; i < 11; ++i) {
+    t.AppendRowUnchecked({i % 4 == 0 ? Value::Null() : Value::Int(i),
+                          Value::Str(std::string(static_cast<size_t>(i), 'v')),
+                          Value::Real(i / 3.0), Value::Boolean(i % 2 == 0)});
+  }
+  return t;
+}
+
+TEST(RecordFuzzTest, TablePayloadsFailCleanlyUnderTruncationAndBitFlips) {
+  const relational::Table table = FuzzTable();
+  mediator::DurableState state;
+  state.total_history = 1;
+  state.cumulative_loss["analyst"] = 0.5;
+  state.warehouse.push_back(
+      {"fingerprint", 3, std::make_shared<const relational::Table>(table)});
+  const std::string put = mediator::EncodeWarehousePutRecord("fingerprint", 3, table);
+  const std::string snapshot = mediator::EncodeSnapshot(state);
+  auto put_status = [](const std::string& bytes) {
+    return mediator::DecodeWarehousePutRecord(bytes).status();
+  };
+  auto snapshot_status = [](const std::string& bytes) {
+    return mediator::DecodeSnapshot(bytes).status();
+  };
+  struct Case {
+    const char* name;
+    const std::string* bytes;
+    std::function<Status(const std::string&)> decode;
+  };
+  for (const Case& c : {Case{"put", &put, put_status},
+                        Case{"snapshot", &snapshot, snapshot_status}}) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.decode(*c.bytes).ok());
+    auto expect_clean = [](const Status& status) {
+      EXPECT_TRUE(status.ok() || status.IsParseError() || status.IsInvalidArgument())
+          << status.ToString();
+    };
+    for (size_t cut = 0; cut < c.bytes->size(); ++cut) {
+      const Status status = c.decode(c.bytes->substr(0, cut));
+      EXPECT_FALSE(status.ok()) << "cut " << cut;
+      expect_clean(status);
+    }
+    Rng rng(0xC0DEC);
+    for (int round = 0; round < 2000; ++round) {
+      std::string mangled = *c.bytes;
+      const size_t at = rng.NextBounded(mangled.size());
+      if (round % 2 == 0) {
+        mangled[at] = static_cast<char>(mangled[at] ^ (1u << rng.NextBounded(8)));
+      } else {
+        const size_t len = std::min(mangled.size() - at, 1 + rng.NextBounded(16));
+        for (size_t i = 0; i < len; ++i) {
+          mangled[at + i] = static_cast<char>(rng.NextBounded(256));
+        }
+      }
+      expect_clean(c.decode(mangled));
+    }
   }
 }
 

@@ -13,8 +13,7 @@
 #include "core/private_iye.h"
 #include "core/scenario.h"
 #include "relational/sql.h"
-#include "relational/xml_bridge.h"
-#include "xml/parser.h"
+#include "relational/table_codec.h"
 #include "inference/constraint.h"
 #include "inference/interval_solver.h"
 #include "inference/nlp_solver.h"
@@ -378,9 +377,9 @@ TEST_P(ExprRoundTripTest, ToStringParsesBackToSameEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExprRoundTripTest, ::testing::Range<uint64_t>(1, 7));
 
-class TableXmlRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
+class TableCodecRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TableXmlRoundTripTest, SerializeParseIsIdentity) {
+TEST_P(TableCodecRoundTripTest, EncodeDecodeIsIdentity) {
   Rng rng(GetParam() * 97);
   relational::Table t(relational::Schema{
       relational::Column{"id", relational::ColumnType::kInt64},
@@ -394,40 +393,33 @@ TEST_P(TableXmlRoundTripTest, SerializeParseIsIdentity) {
     row.push_back(rng.NextBernoulli(0.1)
                       ? relational::Value::Null()
                       : relational::Value::Int(static_cast<int64_t>(rng.Next() % 1000)));
-    row.push_back(relational::Value::Str(nasty[rng.NextBounded(6)]));
-    row.push_back(relational::Value::Real(
-        static_cast<double>(rng.NextBounded(1000000)) / 64.0));
+    row.push_back(rng.NextBernoulli(0.1)
+                      ? relational::Value::Null()
+                      : relational::Value::Str(nasty[rng.NextBounded(6)]));
+    row.push_back(relational::Value::Real(rng.NextUniform(-1e6, 1e6)));
     row.push_back(relational::Value::Boolean(rng.NextBernoulli(0.5)));
     ASSERT_TRUE(t.AppendRow(std::move(row)).ok());
   }
-  auto node = relational::TableToXml(t, "fuzz");
-  const std::string wire = xml::Serialize(*node);
-  auto doc = xml::Parse(wire);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  auto back = relational::XmlToTable(doc->root());
+  const std::string bytes = relational::EncodeTable(t);
+  persist::Decoder dec(bytes);
+  auto back = relational::DecodeTable(&dec);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(dec.exhausted());
   ASSERT_EQ(back->num_rows(), t.num_rows());
   ASSERT_EQ(back->schema(), t.schema());
+  // Exact, whitespace and double bits included.
   for (size_t r = 0; r < t.num_rows(); ++r) {
     for (size_t c = 0; c < t.schema().num_columns(); ++c) {
-      const auto orig = t.Cell(r, c);
-      const auto got = back->Cell(r, c);
-      if (orig.is_double()) {
-        EXPECT_NEAR(orig.AsDouble(), got.AsDouble(),
-                    1e-6 * std::max(1.0, std::fabs(orig.AsDouble())))
-            << r << "," << c;
-      } else if (orig.is_string()) {
-        // Whitespace-only distinctions at the edges are not preserved by the
-        // XML text model (trimming); compare trimmed.
-        EXPECT_EQ(strings::Trim(orig.AsString()), strings::Trim(got.AsString()));
-      } else {
-        EXPECT_TRUE(orig == got) << r << "," << c;
-      }
+      std::string want, got;
+      t.col(c).EncodeCell(r, &want);
+      back->col(c).EncodeCell(r, &got);
+      EXPECT_EQ(want, got) << r << "," << c;
     }
   }
+  EXPECT_EQ(relational::EncodeTable(*back), bytes);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, TableXmlRoundTripTest,
+INSTANTIATE_TEST_SUITE_P(Sweep, TableCodecRoundTripTest,
                          ::testing::Range<uint64_t>(1, 6));
 
 // --- Whole-system metamorphic invariants over random PIQL queries ---

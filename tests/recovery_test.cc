@@ -20,7 +20,10 @@
 #include "mediator/circuit_breaker.h"
 #include "mediator/engine.h"
 #include "mediator/persistence.h"
+#include "persist/codec.h"
+#include "persist/state_log.h"
 #include "persist/wal.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
 
 namespace piye {
@@ -31,6 +34,7 @@ using mediator::CircuitBreaker;
 using mediator::CircuitBreakerConfig;
 using mediator::MediationEngine;
 using mediator::QueryOptions;
+using mediator::RecordType;
 using persist::KillPoint;
 
 std::string TestDir(const std::string& name) {
@@ -439,6 +443,156 @@ TEST(RecoveryTest, CorruptedWalTailRecoversConservatively) {
   // the last durable floor and the engine still serves.
   EXPECT_GE(revived->history()->CumulativeLoss("analyst"), first_loss);
   EXPECT_TRUE(revived->Execute(query, QueryOptions{}).ok());
+}
+
+// --- Fail-closed decoding and the record format ---
+
+/// Appends raw records to the live WAL of a durable directory no engine
+/// holds open.
+void AppendRaw(const std::string& dir,
+               const std::vector<std::pair<RecordType, std::string>>& records) {
+  persist::StateLog::RecoveredState recovered;
+  auto log = persist::StateLog::Open(dir, &recovered);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (const auto& [type, payload] : records) {
+    ASSERT_TRUE((*log)->Append(static_cast<uint16_t>(type), payload).ok());
+  }
+  ASSERT_TRUE((*log)->Sync().ok());
+}
+
+/// A later entry for "analyst" whose post-entry loss is far above anything
+/// the engine recorded — what recovery would lose if it stopped early.
+std::string LaterEntry() {
+  mediator::HistoryRecord record;
+  record.entry.sequence_number = 1000;
+  record.entry.requester = "analyst";
+  record.entry.purpose = "research";
+  record.entry.query_text = "later";
+  record.entry.released = true;
+  record.entry.aggregated_privacy_loss = 0.5;
+  record.cumulative_after = 42.0;
+  return mediator::EncodeHistoryRecord(record);
+}
+
+TEST(RecoveryTest, UndecodableRecordMidLogRefusesToStart) {
+  // A record that passes its CRC but does not decode is a format mismatch,
+  // not a torn write: recovery must refuse to start rather than truncate
+  // the log there and lose the later record's budget.
+  const std::string good = LaterEntry();
+  std::string old_version = good;
+  old_version[0] = 1;
+  const std::vector<std::pair<std::string, std::pair<RecordType, std::string>>> bad = {
+      {"old_version", {RecordType::kHistoryEntry, old_version}},
+      {"truncated", {RecordType::kHistoryEntry, good.substr(0, good.size() / 2)}},
+      {"unknown_type", {static_cast<RecordType>(99), good}},
+  };
+  auto sources = BuildSources(2);
+  const auto query = MakeQuery("<select>patient_id</select><select>diagnosis</select>");
+  for (const auto& [name, record] : bad) {
+    SCOPED_TRACE(name);
+    const std::string dir = TestDir("undecodable_" + name);
+    {
+      auto engine = BuildEngine(sources, DurableOptions());
+      ASSERT_TRUE(engine->Recover(dir).ok());
+      ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    }
+    AppendRaw(dir, {record, {RecordType::kHistoryEntry, LaterEntry()}});
+    auto revived = BuildEngine(sources, DurableOptions());
+    const Status status = revived->Recover(dir);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString();
+    EXPECT_FALSE(revived->persistence_enabled());
+    EXPECT_EQ(revived->history()->size(), 0u);
+  }
+}
+
+TEST(RecoveryTest, PreviousFormatDirectoryIsRejected) {
+  // Records as the XML-era mediator (record version 1) wrote them: the
+  // history layout is unchanged but for its version byte, and a warehouse
+  // put carries its table as XML text.
+  std::string history_v1 = LaterEntry();
+  history_v1[0] = 1;
+  persist::Encoder put_v1;
+  put_v1.PutU8(1);
+  put_v1.PutString("fingerprint");
+  put_v1.PutU64(0);
+  put_v1.PutString(
+      "<result name=\"result\"><schema><column name=\"a\" type=\"INT64\"/>"
+      "</schema><rows><row><a>1</a></row></rows></result>");
+  const std::string dir = TestDir("previous_format");
+  AppendRaw(dir, {{RecordType::kHistoryEntry, history_v1},
+                  {RecordType::kWarehousePut, put_v1.Take()}});
+  auto sources = BuildSources(1);
+  auto engine = BuildEngine(sources, DurableOptions());
+  EXPECT_TRUE(engine->Recover(dir).IsParseError());
+  EXPECT_FALSE(engine->persistence_enabled());
+
+  // A snapshot of the previous layout version is refused the same way.
+  const std::string snap_dir = TestDir("previous_snapshot");
+  {
+    persist::StateLog::RecoveredState recovered;
+    auto log = persist::StateLog::Open(snap_dir, &recovered);
+    ASSERT_TRUE(log.ok());
+    mediator::DurableState state;
+    state.cumulative_loss["analyst"] = 42.0;
+    std::string blob = mediator::EncodeSnapshot(state);
+    blob[0] = 2;
+    ASSERT_TRUE((*log)->Rotate(blob).ok());
+  }
+  auto snap_engine = BuildEngine(sources, DurableOptions());
+  EXPECT_TRUE(snap_engine->Recover(snap_dir).IsParseError());
+}
+
+TEST(RecoveryTest, ColumnNamesThatAreNotXmlNamesSurviveRestart) {
+  // An answer column named "first visit" is journaled with its warehouse
+  // put; a lossy query follows. Every record must replay: both history
+  // entries, the cumulative loss and the warehouse entry.
+  const std::string dir = TestDir("odd_column_names");
+  relational::Table table(relational::Schema{
+      {"patient_id", relational::ColumnType::kString},
+      {"first visit", relational::ColumnType::kString},
+      {"diagnosis", relational::ColumnType::kString}});
+  for (int i = 0; i < 12; ++i) {
+    const std::string day = std::to_string(i % 9 + 1);
+    table.AppendRowUnchecked({relational::Value::Str("p" + std::to_string(i)),
+                              relational::Value::Str("2001-02-0" + day),
+                              relational::Value::Str(i % 2 == 0 ? "flu" : "cold")});
+  }
+  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+  sources.push_back(std::make_unique<source::RemoteSource>("clinic", "visits",
+                                                           std::move(table), 1));
+  core::ClinicalScenario::ApplyPatientPolicies(sources[0].get());
+  MediationEngine::Options options = DurableOptions();
+  options.enable_warehouse = true;
+
+  double loss_before = 0.0;
+  std::string first_answer;
+  {
+    auto engine = BuildEngine(sources, options);
+    ASSERT_TRUE(engine->Recover(dir).ok());
+    auto first = engine->Execute(
+        MakeQuery("<select>patient_id</select><select>first visit</select>"),
+        QueryOptions{});
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_EQ(first->table().schema().column(1).name, "first visit");
+    first_answer = relational::EncodeTable(first->table());
+    auto lossy = engine->Execute(MakeQuery("<select>diagnosis</select>"), QueryOptions{});
+    ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
+    loss_before = engine->history()->CumulativeLoss("analyst");
+    ASSERT_GT(loss_before, 0.0);
+    ASSERT_EQ(engine->history()->size(), 2u);
+    ASSERT_EQ(engine->warehouse()->size(), 2u);
+  }
+  auto revived = BuildEngine(sources, options);
+  ASSERT_TRUE(revived->Recover(dir).ok());
+  EXPECT_EQ(revived->history()->size(), 2u);
+  EXPECT_DOUBLE_EQ(revived->history()->CumulativeLoss("analyst"), loss_before);
+  EXPECT_EQ(revived->warehouse()->size(), 2u);
+  auto again = revived->Execute(
+      MakeQuery("<select>patient_id</select><select>first visit</select>"),
+      QueryOptions{});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->from_warehouse);
+  EXPECT_EQ(relational::EncodeTable(again->table()), first_answer);
 }
 
 // --- Circuit breakers ---

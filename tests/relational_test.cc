@@ -12,6 +12,7 @@
 #include "relational/schema.h"
 #include "relational/sql.h"
 #include "relational/table.h"
+#include "relational/table_codec.h"
 #include "relational/value.h"
 #include "relational/xml_bridge.h"
 #include "xml/parser.h"
@@ -322,31 +323,134 @@ TEST_F(ExecutorTest, MissingTable) {
   EXPECT_FALSE(ex.Query("SELECT * FROM nope").ok());
 }
 
-// --- XML bridge ---
+// --- Binary table codec ---
 
-TEST(XmlBridgeTest, RoundTrip) {
+/// Decodes a whole buffer; leftover bytes count as a failure.
+Result<Table> Decode(const std::string& bytes) {
+  persist::Decoder dec(bytes);
+  Result<Table> table = DecodeTable(&dec);
+  if (table.ok() && !dec.exhausted()) return Status::ParseError("trailing bytes");
+  return table;
+}
+
+/// Schema plus every cell (bit-exact for doubles, NULL-aware).
+void ExpectSameTable(const Table& a, const Table& b) {
+  ASSERT_EQ(a.schema(), b.schema());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      ASSERT_EQ(a.col(c).IsNull(r), b.col(c).IsNull(r)) << c << "," << r;
+      if (a.col(c).IsNull(r)) continue;
+      std::string ka, kb;
+      a.col(c).EncodeCell(r, &ka);
+      b.col(c).EncodeCell(r, &kb);
+      EXPECT_EQ(ka, kb) << c << "," << r;
+    }
+  }
+}
+
+TEST(TableCodecTest, RoundTrip) {
   Table t = PatientsFixture();
-  auto node = TableToXml(t, "patients");
-  auto back = XmlToTable(*node);
+  auto back = Decode(EncodeTable(t));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_rows(), t.num_rows());
-  EXPECT_EQ(back->schema(), t.schema());
+  ExpectSameTable(t, *back);
   EXPECT_EQ(back->row(2)[1].AsString(), "cal");
   EXPECT_DOUBLE_EQ(back->row(2)[3].AsDouble(), 0.9);
+  // Deterministic: the bytes are a digest of the table.
+  EXPECT_EQ(EncodeTable(*back), EncodeTable(t));
 }
 
-TEST(XmlBridgeTest, NullsSurvive) {
-  Table t(Schema{Column{"a", ColumnType::kInt64}});
-  ASSERT_TRUE(t.AppendRow(Row{Value::Null()}).ok());
-  auto node = TableToXml(t);
-  auto back = XmlToTable(*node);
+TEST(TableCodecTest, NullsAndEveryTypeSurvive) {
+  Table t(Schema{Column{"i", ColumnType::kInt64}, Column{"d", ColumnType::kDouble},
+                 Column{"s", ColumnType::kString}, Column{"b", ColumnType::kBool}});
+  ASSERT_TRUE(t.AppendRow(Row{Value::Null(), Value::Real(-0.0), Value::Str(""),
+                              Value::Boolean(false)})
+                  .ok());
+  ASSERT_TRUE(t.AppendRow(Row{Value::Int(INT64_MIN), Value::Null(), Value::Str("  "),
+                              Value::Null()})
+                  .ok());
+  ASSERT_TRUE(t.AppendRow(Row{Value::Int(INT64_MAX), Value::Real(1e300),
+                              Value::Null(), Value::Boolean(true)})
+                  .ok());
+  auto back = Decode(EncodeTable(t));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ExpectSameTable(t, *back);
+  EXPECT_TRUE(std::signbit(back->row(0)[1].AsDouble()));
+  EXPECT_EQ(back->row(1)[2].AsString(), "  ");
+  EXPECT_EQ(back->row(0)[2].AsString(), "");
+  // An empty table round-trips too.
+  auto empty = Decode(EncodeTable(Table{}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->num_columns(), 0u);
+}
+
+TEST(TableCodecTest, DoubleRoundTripIsExact) {
+  Table t(Schema{Column{"x", ColumnType::kDouble}});
+  const double values[] = {0.1, 1.0 / 3.0, 83.07, 1e-17, 12345678.90123,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::denorm_min()};
+  for (double v : values) {
+    ASSERT_TRUE(t.AppendRow(Row{Value::Real(v)}).ok());
+  }
+  auto back = Decode(EncodeTable(t));
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->row(0)[0].is_null());
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    EXPECT_EQ(back->col(0).RealAt(i), t.col(0).RealAt(i)) << i;
+  }
 }
 
-TEST(XmlBridgeTest, RejectsMalformedResult) {
-  auto bad = xml::XmlNode::Element("result");
-  EXPECT_FALSE(XmlToTable(*bad).ok());
+TEST(TableCodecTest, AnyColumnNameSurvivesIncludingDuplicates) {
+  // Join outputs repeat names, and source columns need not be identifiers:
+  // each column keeps its own name and its own values.
+  Table t;
+  ColumnVector a(ColumnType::kInt64), b(ColumnType::kInt64), c(ColumnType::kString);
+  a.AppendInt(1);
+  b.AppendInt(2);
+  c.AppendStr("<x&y>");
+  t.AddColumn({"id", ColumnType::kInt64}, std::move(a));
+  t.AddColumn({"id", ColumnType::kInt64}, std::move(b));
+  t.AddColumn({"first visit / rate%", ColumnType::kString}, std::move(c));
+  auto back = Decode(EncodeTable(t));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ExpectSameTable(t, *back);
+  EXPECT_EQ(back->col(0).IntAt(0), 1);
+  EXPECT_EQ(back->col(1).IntAt(0), 2);
+  EXPECT_EQ(back->schema().column(2).name, "first visit / rate%");
+}
+
+TEST(TableCodecTest, RejectsMalformedBytes) {
+  Table one(Schema{Column{"b", ColumnType::kBool}});
+  ASSERT_TRUE(one.AppendRow(Row{Value::Boolean(true)}).ok());
+  const std::string good = EncodeTable(one);
+  // Layout: rows(8) cols(8) name(8+1) type(1) bitmap(8+1) cell(1).
+  ASSERT_EQ(good.size(), 36u);
+  auto expect_parse_error = [](const std::string& bytes, const char* what) {
+    auto decoded = Decode(bytes);
+    EXPECT_TRUE(decoded.status().IsParseError())
+        << what << ": " << decoded.status().ToString();
+  };
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    expect_parse_error(good.substr(0, cut), "truncated");
+  }
+  std::string bad_type = good;
+  bad_type[25] = 9;
+  expect_parse_error(bad_type, "type tag");
+  std::string padding = good;
+  padding[34] = 0x03;  // bit 1 is past the single row
+  expect_parse_error(padding, "padding bits");
+  std::string bad_bool = good;
+  bad_bool[35] = 2;
+  expect_parse_error(bad_bool, "bool");
+  std::string huge_rows = good;
+  huge_rows[7] = 0x7f;  // bitmap length no longer matches the row count
+  expect_parse_error(huge_rows, "row count");
+  std::string huge_cols = good;
+  huge_cols[15] = 0x7f;  // column count beyond what the payload can hold
+  expect_parse_error(huge_cols, "column count");
+  persist::Encoder rows_only;
+  rows_only.PutU64(3);
+  rows_only.PutU64(0);
+  expect_parse_error(rows_only.Take(), "rows without columns");
 }
 
 }  // namespace
@@ -408,21 +512,6 @@ TEST(XmlRecordsTest, EmptyRootGivesEmptyTable) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->num_rows(), 0u);
   EXPECT_EQ(table->schema().num_columns(), 0u);
-}
-
-TEST(XmlRecordsTest, DoubleRoundTripIsExact) {
-  // The to_chars wire format preserves doubles bit-for-bit.
-  Table t(Schema{Column{"x", ColumnType::kDouble}});
-  const double values[] = {0.1, 1.0 / 3.0, 83.07, 1e-17, 12345678.90123};
-  for (double v : values) {
-    ASSERT_TRUE(t.AppendRow(Row{Value::Real(v)}).ok());
-  }
-  auto node = TableToXml(t);
-  auto back = XmlToTable(*node);
-  ASSERT_TRUE(back.ok());
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    EXPECT_EQ(back->row(i)[0].AsDouble(), t.row(i)[0].AsDouble()) << i;
-  }
 }
 
 // --- ColumnVector (columnar storage) ---

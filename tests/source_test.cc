@@ -8,6 +8,7 @@
 #include "common/rng.h"
 
 #include "core/scenario.h"
+#include "relational/table_codec.h"
 #include "source/loss_computation.h"
 #include "source/optimizer.h"
 #include "source/piql.h"
@@ -217,19 +218,19 @@ TEST_F(RemoteSourceTest, RequesterInfoLossToleranceGates) {
   EXPECT_TRUE(result.status().IsPrivacyViolation());
 }
 
-TEST_F(RemoteSourceTest, ResultXmlCarriesPrivacyMetadata) {
+TEST_F(RemoteSourceTest, ResultCarriesPrivacyTags) {
   auto result = src_->ExecuteFragment(MakeQuery("<select>diagnosis</select>"));
   ASSERT_TRUE(result.ok());
-  const xml::XmlNode& node = *result->xml;
-  EXPECT_EQ(MetadataTagger::ReadOwner(node), "hospitalA");
-  EXPECT_GT(MetadataTagger::ReadPrivacyLoss(node), 0.0);
-  EXPECT_LE(MetadataTagger::ReadLossBudget(node), 1.0);
-  // The schema columns carry their disclosure form.
-  const xml::XmlNode* schema = node.FirstChild("schema");
-  ASSERT_NE(schema, nullptr);
-  const auto columns = schema->Children("column");
-  ASSERT_FALSE(columns.empty());
-  EXPECT_NE(columns[0]->GetAttr("form"), nullptr);
+  EXPECT_GT(result->losses.privacy_loss, 0.0);
+  EXPECT_LE(result->loss_budget, 1.0);
+  // One tag per released column, aligned by position, each carrying the
+  // disclosure form the rewriter granted.
+  ASSERT_EQ(result->column_tags.size(), result->table.num_columns());
+  ASSERT_FALSE(result->column_tags.empty());
+  for (size_t c = 0; c < result->column_tags.size(); ++c) {
+    EXPECT_EQ(result->column_tags[c].name, result->table.schema().column(c).name);
+  }
+  EXPECT_TRUE(result->column_tags[0].form.has_value());
 }
 
 TEST_F(RemoteSourceTest, SketchesRespectPolicy) {
@@ -589,9 +590,9 @@ namespace piye {
 namespace source {
 namespace {
 
-TEST(DeterminismTest, SameSeedSameReleasedXml) {
+TEST(DeterminismTest, SameSeedSameReleasedBytes) {
   // Reproducibility guarantee: rebuild the same source with the same seed
-  // and the released (noised/rounded) XML is byte-identical.
+  // and the released (noised/rounded) table is byte-identical.
   auto build_and_query = [] {
     auto tables = core::ClinicalScenario::MakePatientTables(30, 0.5, 7);
     RemoteSource src("hospital", "patients", std::move(tables.hospital),
@@ -602,7 +603,7 @@ TEST(DeterminismTest, SameSeedSameReleasedXml) {
              <select>zip</select><select>diagnosis</select></query>)");
     auto result = src.ExecuteFragment(*q);
     EXPECT_TRUE(result.ok());
-    return xml::Serialize(*result->xml);
+    return relational::EncodeTable(result->table);
   };
   EXPECT_EQ(build_and_query(), build_and_query());
 }

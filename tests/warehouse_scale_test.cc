@@ -20,9 +20,8 @@
 #include "mediator/engine.h"
 #include "mediator/warehouse.h"
 #include "relational/table.h"
-#include "relational/xml_bridge.h"
+#include "relational/table_codec.h"
 #include "source/remote_source.h"
-#include "xml/parser.h"
 
 namespace piye {
 namespace {
@@ -229,7 +228,7 @@ TEST(WarehouseScaleTest, SnapshotDoesNotBlockConcurrentGets) {
 // --- Single-flight coalescing in the engine ---
 
 std::string TableBytes(const relational::Table& t) {
-  return xml::Serialize(*relational::TableToXml(t, "t"), /*indent=*/-1);
+  return relational::EncodeTable(t);
 }
 
 std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(

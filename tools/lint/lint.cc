@@ -268,21 +268,20 @@ void CheckPrivacyRetry(const std::string& path, const std::vector<LineInfo>& lin
   }
 }
 
-/// serialization-boundary: record tables cross into/out of XML only at the
-/// blessed seams, so every raw-record byte stream is policy-checked and
-/// perturbation-tagged before it exists.
+/// serialization-boundary: record tables become bytes (the binary table
+/// codec) or come in from record XML only at the blessed seams, so every
+/// raw-record byte stream is policy-checked and perturbation-tagged before
+/// it exists.
 void CheckSerializationBoundary(const std::string& path, const std::vector<LineInfo>& lines,
                                 Emit out) {
   static const char* kRule = "serialization-boundary";
   static const std::vector<std::string> kBlessed = {
-      "relational/",       "policy/",
-      "source/remote_source", "source/metadata_tagger",
-      "mediator/persistence.cc", "mediator/result_integrator.cc",
-      "net/wire.cc"};
+      "relational/table_codec", "relational/xml_bridge",
+      "source/remote_source.cc", "mediator/persistence.cc", "net/wire.cc"};
   for (const auto& prefix : kBlessed) {
     if (PathHas(path, prefix)) return;
   }
-  static const std::vector<std::string> kSeams = {"TableToXml", "XmlToTable",
+  static const std::vector<std::string> kSeams = {"EncodeTable", "DecodeTable",
                                                   "TableFromXmlRecords"};
   for (size_t i = 0; i < lines.size(); ++i) {
     for (const auto& token : kSeams) {
