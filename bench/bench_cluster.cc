@@ -66,7 +66,6 @@ mediator::MediationEngine::Options EngineOptions() {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e12;
-  options.enable_warehouse = false;
   return options;
 }
 
@@ -92,6 +91,7 @@ void RunLoop(benchmark::State& state, mediator::MediationEngine* engine,
              uint32_t max_retries) {
   const auto query = MakeQuery();
   mediator::QueryOptions qopts;
+  qopts.allow_warehouse = false;
   qopts.requester = "alice";
   qopts.max_retries = max_retries;
   qopts.coalesce = false;

@@ -17,7 +17,7 @@
 #include "perturb/noise.h"
 #include "perturb/swapping.h"
 #include "relational/executor.h"
-#include "relational/reference.h"
+#include "reference/rowref.h"
 
 using piye::core::ClinicalScenario;
 using piye::core::PrivateIye;
@@ -28,7 +28,6 @@ std::unique_ptr<PrivateIye> BuildSystem(size_t patients, uint64_t seed) {
   piye::mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   auto system = std::make_unique<PrivateIye>(options);
   auto tables = ClinicalScenario::MakePatientTables(patients, 0.4, seed);
   auto* hospital = system->AddSource("hospital", "patients",
@@ -59,7 +58,7 @@ void PrintStageBreakdown() {
   std::printf(" total(us)\n");
   for (size_t patients : {50, 200, 800, 3200}) {
     auto system = BuildSystem(patients, 11);
-    auto result = system->Query(Query());
+    auto result = system->Query(Query(), {.allow_warehouse = false});
     if (!result.ok()) {
       std::printf("%-10zu failed: %s\n", patients,
                   result.status().ToString().c_str());
@@ -86,7 +85,7 @@ void BM_EndToEndQuery(benchmark::State& state) {
   auto system = BuildSystem(static_cast<size_t>(state.range(0)), 13);
   const auto query = Query();
   for (auto _ : state) {
-    auto result = system->Query(query);
+    auto result = system->Query(query, {.allow_warehouse = false});
     benchmark::DoNotOptimize(result);
   }
   state.counters["rows_per_source"] = static_cast<double>(state.range(0));

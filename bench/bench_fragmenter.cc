@@ -25,7 +25,6 @@ SystemBundle BuildSystem(size_t hidden_columns_per_source) {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   SystemBundle bundle{std::make_unique<core::PrivateIye>(options)};
   auto tables = core::ClinicalScenario::MakePatientTables(60, 0.4, 7);
   auto* hospital = bundle.system->AddSource("hospital", "patients",
@@ -98,7 +97,7 @@ void BM_FragmentedQuery(benchmark::State& state) {
   auto bundle = BuildSystem(0);
   const auto q = Q("<select>drug</select>");
   for (auto _ : state) {
-    auto result = bundle.system->Query(q);
+    auto result = bundle.system->Query(q, {.allow_warehouse = false});
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel("fragmenter routes to 1 source");
@@ -113,7 +112,7 @@ void BM_BroadcastQuery(benchmark::State& state) {
   const auto q = Q("<select>dob</select><select>drug</select>");
   (void)engine;
   for (auto _ : state) {
-    auto result = bundle.system->Query(q);
+    auto result = bundle.system->Query(q, {.allow_warehouse = false});
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel("query touching all 3 sources");

@@ -51,11 +51,10 @@ void ConfigureSource(piye::source::RemoteSource* src, const std::string& owner) 
   (void)src->mutable_rbac()->Grant("who", piye::access::Action::kSelect, "*", "*");
 }
 
-std::unique_ptr<PrivateIye> BuildSystem(uint64_t seed, bool warehouse) {
+std::unique_ptr<PrivateIye> BuildSystem(uint64_t seed) {
   piye::mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.99;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = warehouse;
   auto system = std::make_unique<PrivateIye>(options);
   auto tables = OutbreakScenario::MakeCaseTables(Countries(), kDays, kOutbreakDay,
                                                  kOutbreakAt, seed);
@@ -92,8 +91,8 @@ void DetectionSweep() {
       }
     }
     // The privacy-preserving feed through the engine.
-    auto system = BuildSystem(seed, /*warehouse=*/false);
-    auto result = system->Query(SurveillanceQuery());
+    auto system = BuildSystem(seed);
+    auto result = system->Query(SurveillanceQuery(), {.allow_warehouse = false});
     std::vector<double> integrated(kDays, 0.0);
     if (result.ok()) {
       auto day_idx = result->table().schema().IndexOf("day");
@@ -122,11 +121,12 @@ void DetectionSweep() {
 
 void BM_SurveillanceQuery(benchmark::State& state) {
   const bool warehouse = state.range(0) != 0;
-  auto system = BuildSystem(5, warehouse);
+  auto system = BuildSystem(5);
   const auto query = SurveillanceQuery();
-  (void)system->Query(query);  // warm the warehouse
+  const piye::mediator::QueryOptions options{.allow_warehouse = warehouse};
+  (void)system->Query(query, options);  // warm the warehouse
   for (auto _ : state) {
-    auto result = system->Query(query);
+    auto result = system->Query(query, options);
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel(warehouse ? "warehoused" : "virtual");

@@ -76,7 +76,6 @@ std::unique_ptr<MediationEngine> BuildEngine(
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   options.worker_threads = worker_threads;
   options.admission = admission;
   auto engine = std::make_unique<MediationEngine>(options);
@@ -84,6 +83,9 @@ std::unique_ptr<MediationEngine> BuildEngine(
   (void)engine->GenerateMediatedSchema("bench-key");
   return engine;
 }
+
+// Every query here runs live: overload is about fan-out, not cache hits.
+QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 piye::source::PiqlQuery Query(const std::string& requester) {
   auto q = piye::source::PiqlQuery::Parse(
@@ -116,7 +118,7 @@ LoadResult RunLoad(MediationEngine* engine, size_t threads, size_t per_thread) {
   std::atomic<uint64_t> ok{0}, shed{0}, other{0};
   std::vector<std::vector<double>> latencies(threads);
   const auto query = Query("analyst");
-  QueryOptions options;
+  QueryOptions options = LiveOptions();
   options.coalesce = false;
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
@@ -236,24 +238,24 @@ void PrintCancellationTiming() {
   };
 
   {
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     options.cancel = CancelToken{}.WithDeadline(std::chrono::steady_clock::now() -
                                                 std::chrono::milliseconds(1));
     timed("pre-expired deadline", options, nullptr, 0);
   }
   {
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     options.deadline_ms = 100;
     timed("deadline_ms = 100", options, nullptr, 0);
   }
   {
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     options.cancel = CancelToken{}.WithTimeout(std::chrono::milliseconds(100));
     timed("token deadline = 100 ms", options, nullptr, 0);
   }
   {
     CancelSource source;
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     options.cancel = source.token();
     timed("RequestCancel after 50 ms", options, &source, 50);
   }
@@ -286,7 +288,7 @@ void PrintFairShareTable() {
     for (int w = 0; w < 3; ++w) {
       workers.emplace_back([&, requester] {
         const auto query = Query(requester);
-        QueryOptions options;
+        QueryOptions options = LiveOptions();
         options.coalesce = false;
         while (!stop.load()) {
           auto result = engine->Execute(query, options);
@@ -322,9 +324,9 @@ void BM_AdmitUncontended(benchmark::State& state) {
   auto sources = BuildSources(1, 0);
   AdmissionConfig admission;
   admission.max_inflight = 8;
-  auto engine = BuildEngine(sources, admission, /*worker_threads=*/0);
+  auto engine = BuildEngine(sources, admission, /*worker_threads=*/1);
   const auto query = Query("analyst");
-  QueryOptions options;
+  QueryOptions options = LiveOptions();
   options.coalesce = false;
   for (auto _ : state) {
     auto result = engine->Execute(query, options);
@@ -341,9 +343,9 @@ void BM_ShedAtRateLimit(benchmark::State& state) {
   AdmissionConfig admission;
   admission.tokens_per_second = 1e-9;  // bucket never refills in bench time
   admission.bucket_burst = 1.0;
-  auto engine = BuildEngine(sources, admission, /*worker_threads=*/0);
+  auto engine = BuildEngine(sources, admission, /*worker_threads=*/1);
   const auto query = Query("analyst");
-  QueryOptions options;
+  QueryOptions options = LiveOptions();
   options.coalesce = false;
   (void)engine->Execute(query, options);  // drain the bucket's single token
   for (auto _ : state) {

@@ -1,9 +1,10 @@
 // Experiment parallel-mediation — the mediation engine's concurrent
 // fault-tolerant fragment fan-out as a performance object:
 //
-//   1. serial vs parallel wall clock over 1–16 autonomous sources, each with
-//      injected per-source latency (the federated regime the paper assumes:
-//      remote sources dominated by network/service time, not CPU);
+//   1. serial (a 1-worker pool) vs parallel wall clock over 1–16 autonomous
+//      sources, each with injected per-source latency (the federated regime
+//      the paper assumes: remote sources dominated by network/service time,
+//      not CPU);
 //   2. a byte-identity audit: the parallel engine must integrate the exact
 //      same answer as the serial engine on every scenario — fan-out is a
 //      pure wall-clock optimization;
@@ -58,13 +59,15 @@ std::unique_ptr<MediationEngine> BuildEngine(
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   options.worker_threads = worker_threads;
   auto engine = std::make_unique<MediationEngine>(options);
   for (const auto& src : sources) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
   return engine;
 }
+
+// Every query here runs live: the fan-out is what is measured.
+QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 piye::source::PiqlQuery Query(const std::string& body) {
   auto q = piye::source::PiqlQuery::Parse(
@@ -99,9 +102,9 @@ void PrintFanoutSweep() {
   const auto query = Query("<select>patient_id</select><select>sex</select>");
   for (size_t n : {1, 2, 4, 8, 16}) {
     auto sources = BuildSources(n, kInjectedLatencyMicros);
-    auto serial = BuildEngine(sources, /*worker_threads=*/0);
+    auto serial = BuildEngine(sources, /*worker_threads=*/1);
     auto parallel = BuildEngine(sources, /*worker_threads=*/16);
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     const double serial_ms = WallMillis(serial.get(), query, options);
     const double parallel_ms = WallMillis(parallel.get(), query, options);
     if (serial_ms < 0 || parallel_ms < 0) continue;
@@ -148,10 +151,10 @@ void PrintByteIdentityAudit() {
        {"patient_id"}},
   };
   auto sources = make_trio();
-  auto serial = BuildEngine(sources, 0);
+  auto serial = BuildEngine(sources, 1);
   auto parallel = BuildEngine(sources, 8);
   for (const auto& s : scenarios) {
-    QueryOptions options;
+    QueryOptions options = LiveOptions();
     options.dedup_keys = s.dedup_keys;
     auto rs = serial->Execute(Query(s.body), options);
     auto rp = parallel->Execute(Query(s.body), options);
@@ -180,7 +183,7 @@ void PrintDegradation() {
   hanging.seed = 8;
   sources[5]->set_fault_injection(hanging);
   auto engine = BuildEngine(sources, 16);
-  QueryOptions options;
+  QueryOptions options = LiveOptions();
   options.deadline_ms = 50;
   options.max_retries = 2;
   const auto start = std::chrono::steady_clock::now();
@@ -205,10 +208,10 @@ void PrintDegradation() {
 void BM_SerialFanout(benchmark::State& state) {
   auto sources = BuildSources(static_cast<size_t>(state.range(0)),
                               kInjectedLatencyMicros);
-  auto engine = BuildEngine(sources, /*worker_threads=*/0);
+  auto engine = BuildEngine(sources, /*worker_threads=*/1);
   const auto query = Query("<select>patient_id</select>");
   for (auto _ : state) {
-    auto result = engine->Execute(query, QueryOptions{});
+    auto result = engine->Execute(query, LiveOptions());
     benchmark::DoNotOptimize(result);
   }
   state.counters["sources"] = static_cast<double>(state.range(0));
@@ -221,7 +224,7 @@ void BM_ParallelFanout(benchmark::State& state) {
   auto engine = BuildEngine(sources, /*worker_threads=*/16);
   const auto query = Query("<select>patient_id</select>");
   for (auto _ : state) {
-    auto result = engine->Execute(query, QueryOptions{});
+    auto result = engine->Execute(query, LiveOptions());
     benchmark::DoNotOptimize(result);
   }
   state.counters["sources"] = static_cast<double>(state.range(0));
@@ -234,7 +237,7 @@ void BM_DegradedQuery(benchmark::State& state) {
   erroring.error_rate = 1.0;
   sources[2]->set_fault_injection(erroring);
   auto engine = BuildEngine(sources, 16);
-  QueryOptions options;
+  QueryOptions options = LiveOptions();
   options.deadline_ms = 50;
   options.max_retries = 1;
   const auto query = Query("<select>patient_id</select>");

@@ -76,7 +76,6 @@ std::unique_ptr<MediationEngine> BuildEngine(
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;  // live execution every iteration
   options.worker_threads = 8;
   options.sync_wal = mode == Durability::kWalFsync;
   auto engine = std::make_unique<MediationEngine>(options);
@@ -105,7 +104,7 @@ LatencyStats MeasureExecuteMillis(MediationEngine* engine, size_t iterations) {
   double total = 0.0;
   for (size_t i = 0; i < iterations; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    auto result = engine->Execute(query, QueryOptions{});
+    auto result = engine->Execute(query, {.allow_warehouse = false});
     const auto end = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::printf("  !! query failed: %s\n", result.status().ToString().c_str());
@@ -298,7 +297,7 @@ void BM_DurableMediatedQuery(benchmark::State& state) {
   auto engine = BuildEngine(sources, mode, dir);
   const auto query = Query();
   for (auto _ : state) {
-    auto result = engine->Execute(query, QueryOptions{});
+    auto result = engine->Execute(query, {.allow_warehouse = false});
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel(mode == Durability::kVolatile  ? "volatile"

@@ -213,7 +213,6 @@ void PrintSingleFlightBurst() {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;  // coalescing, not caching, answers repeats
   options.worker_threads = 4;
   MediationEngine engine(options);
   for (const auto& src : sources) (void)engine.RegisterSource(src.get());
@@ -230,7 +229,8 @@ void PrintSingleFlightBurst() {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
       while (!go.load()) std::this_thread::yield();
-      if (engine.Execute(query, QueryOptions{}).ok()) ok.fetch_add(1);
+      // Coalescing, not caching, answers the repeats.
+      if (engine.Execute(query, {.allow_warehouse = false}).ok()) ok.fetch_add(1);
     });
   }
   go.store(true);

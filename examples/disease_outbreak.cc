@@ -36,7 +36,7 @@ int main() {
   piye::mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.99;
   options.max_cumulative_loss = 1000.0;
-  options.enable_warehouse = true;  // emergencies need quick re-answers
+  // The warehouse is on by default: emergencies need quick re-answers.
   PrivateIye system(options);
   for (size_t c = 0; c < countries.size(); ++c) {
     auto* src = system.AddSource(countries[c], "cases", std::move(tables[c]),

@@ -38,20 +38,6 @@ Result<mediator::MediationEngine::IntegratedResult> PrivateIye::QueryXml(
   return engine_.Execute(query, options);
 }
 
-Result<mediator::MediationEngine::IntegratedResult> PrivateIye::Query(
-    const source::PiqlQuery& query, const std::vector<std::string>& dedup_keys) {
-  mediator::QueryOptions options;
-  options.dedup_keys = dedup_keys;
-  return Query(query, options);
-}
-
-Result<mediator::MediationEngine::IntegratedResult> PrivateIye::QueryXml(
-    std::string_view piql_xml, const std::vector<std::string>& dedup_keys) {
-  mediator::QueryOptions options;
-  options.dedup_keys = dedup_keys;
-  return QueryXml(piql_xml, options);
-}
-
 source::RemoteSource* PrivateIye::source(const std::string& owner) {
   for (const auto& s : owned_sources_) {
     if (s->owner() == owner) return s.get();

@@ -53,18 +53,11 @@ class PrivateIye {
   /// Runs an integrated PIQL query under the given options (deadlines,
   /// retries, quorum, dedup keys — see mediator/query_options.h).
   Result<mediator::MediationEngine::IntegratedResult> Query(
-      const source::PiqlQuery& query, const mediator::QueryOptions& options);
+      const source::PiqlQuery& query, const mediator::QueryOptions& options = {});
 
   /// Parses and runs a PIQL query from its XML text.
   Result<mediator::MediationEngine::IntegratedResult> QueryXml(
-      std::string_view piql_xml, const mediator::QueryOptions& options);
-
-  /// Back-compat forwarding overloads for the old positional-dedup call
-  /// shape; new code should pass QueryOptions.
-  Result<mediator::MediationEngine::IntegratedResult> Query(
-      const source::PiqlQuery& query, const std::vector<std::string>& dedup_keys = {});
-  Result<mediator::MediationEngine::IntegratedResult> QueryXml(
-      std::string_view piql_xml, const std::vector<std::string>& dedup_keys = {});
+      std::string_view piql_xml, const mediator::QueryOptions& options = {});
 
   mediator::MediationEngine* engine() { return &engine_; }
   const match::MediatedSchema& mediated_schema() const {

@@ -45,9 +45,11 @@ bool IsTransportFailure(const Status& status) {
 /// different request.
 std::string OptionsCoalescingKey(const QueryOptions& options) {
   std::string key;
+  // Length-prefixed, so {"a,b"} and {"a", "b"} stay distinct requests.
   for (const auto& k : options.dedup_keys) {
+    key += std::to_string(k.size());
+    key += ':';
     key += k;
-    key += ',';
   }
   key += '|';
   key += std::to_string(options.deadline_ms) + '|' +
@@ -101,14 +103,11 @@ MediationEngine::MediationEngine(Options options)
     : options_(options),
       history_(QueryHistory::Options{options.history_shards,
                                      options.max_resident_history}),
-      warehouse_(Warehouse::Options{options.warehouse_shards,
-                                    options.warehouse_max_bytes}),
+      warehouse_(Warehouse::Options{.max_bytes = options.warehouse_max_bytes}),
       control_(options.max_combined_loss, options.max_interval_loss),
-      admission_(options.admission, &metrics_) {
+      admission_(options.admission, &metrics_),
+      executor_(options.worker_threads) {
   warehouse_.set_metrics(&metrics_);
-  if (options_.worker_threads > 0) {
-    executor_ = std::make_unique<Executor>(options_.worker_threads);
-  }
 }
 
 Status MediationEngine::RegisterSource(source::FederatedSource* src) {
@@ -497,7 +496,6 @@ Status MediationEngine::Recover(const std::string& dir) {
   });
 
   snapshotter_ = std::make_unique<persist::Snapshotter>(
-      persist::Snapshotter::Options{options_.snapshot_min_interval_ms},
       [this] { return RotateSnapshotBackground(); });
   snapshotter_->Start();
 
@@ -753,7 +751,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
       AdmissionController::Permit permit,
       admission_.Admit(effective_query->requester, options.cancel));
 
-  if (!options_.enable_single_flight || !options.coalesce) {
+  if (!options.coalesce) {
     return ExecuteUncoalesced(*effective_query, options, fingerprint);
   }
 
@@ -828,16 +826,13 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
 Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
     const source::PiqlQuery& query, const QueryOptions& options,
     const std::string& fingerprint) {
-  const source::PiqlQuery* effective_query = &query;
-
   IntegratedResult out;
   trace::Trace query_trace;
-  const bool use_warehouse = options_.enable_warehouse && options.allow_warehouse;
 
   // Warehouse lookup (hybrid virtual/materialized querying).
   {
     trace::ScopedSpan span("warehouse-lookup", &query_trace, &metrics_);
-    if (use_warehouse) {
+    if (options.allow_warehouse) {
       auto cached = warehouse_.Get(fingerprint, epoch(), options_.warehouse_max_age);
       if (cached != nullptr) {
         span.Stop();
@@ -855,14 +850,14 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   // before any admission or budget decision. Fail closed — a floor that
   // cannot be loaded refuses the query rather than defaulting to a fresh
   // budget.
-  auto cumulative = history_.DurableCumulativeLoss(effective_query->requester);
+  auto cumulative = history_.DurableCumulativeLoss(query.requester);
   if (!cumulative.ok()) {
     return Status::Unavailable(
         "refusing query: the requester's durable budget floor could not be "
         "loaded (fail closed): " + cumulative.status().ToString());
   }
   if (*cumulative >= options_.max_cumulative_loss) {
-    return Status::PrivacyViolation("requester '" + effective_query->requester +
+    return Status::PrivacyViolation("requester '" + query.requester +
                                     "' has exhausted the cumulative loss budget");
   }
 
@@ -872,17 +867,17 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   {
     trace::ScopedSpan span("fragment", &query_trace, &metrics_);
     PIYE_ASSIGN_OR_RETURN(fragments,
-                          fragmenter.Fragment(*effective_query, SourceOwners()));
+                          fragmenter.Fragment(query, SourceOwners()));
   }
   out.sources_skipped = fragments.skipped;
 
   // Per-source execution (each runs its full Fig. 2(a) pipeline), fanned out
-  // across the pool when one exists. Outcomes are indexed by fragment order,
-  // so integration below is deterministic however the tasks interleave.
+  // across the pool. Outcomes are indexed by fragment order, so integration
+  // below is deterministic however the tasks interleave.
   struct Dispatch {
     std::string owner;
     std::shared_ptr<FragmentOutcome> outcome;
-    std::future<void> done;  // valid only in parallel mode
+    std::future<void> done;
   };
   std::vector<Dispatch> dispatches;
   size_t transport_skips = 0;  // unavailable / past-deadline / shed, not refusals
@@ -929,29 +924,23 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       d.outcome = std::make_shared<FragmentOutcome>();
       d.outcome->fragment = frag.query;
       d.outcome->breaker = breaker;
-      if (executor_ != nullptr) {
-        auto outcome = d.outcome;  // keep alive even if the waiter gives up
-        // The executor-level gate uses the *caller* token: a task dequeued
-        // after the caller gave up never starts (the whole query returns the
-        // cancellation status, so its empty outcome is never read). Deadline
-        // handling stays inside RunFragmentWithRetry, which can classify it.
-        d.done = executor_->Submit(
-            options.cancel,
-            [src, outcome, options, deadline, frag_token, metrics = &metrics_] {
-              RunFragmentWithRetry(src, outcome->fragment, options, deadline,
-                                   frag_token, metrics, outcome.get());
-            });
-      } else {
-        RunFragmentWithRetry(src, d.outcome->fragment, options, deadline,
-                             frag_token, &metrics_, d.outcome.get());
-      }
+      auto outcome = d.outcome;  // keep alive even if the waiter gives up
+      // The executor-level gate uses the *caller* token: a task dequeued
+      // after the caller gave up never starts (the whole query returns the
+      // cancellation status, so its empty outcome is never read). Deadline
+      // handling stays inside RunFragmentWithRetry, which can classify it.
+      d.done = executor_.Submit(
+          options.cancel,
+          [src, outcome, options, deadline, frag_token, metrics = &metrics_] {
+            RunFragmentWithRetry(src, outcome->fragment, options, deadline,
+                                 frag_token, metrics, outcome.get());
+          });
       dispatches.push_back(std::move(d));
     }
 
     const bool bounded_wait =
         options.deadline_ms != 0 || options.cancel.has_deadline();
     for (auto& d : dispatches) {
-      if (!d.done.valid()) continue;  // serial mode: already ran in-line
       if (!bounded_wait) {
         d.done.wait();
       } else if (d.done.wait_until(deadline) != std::future_status::ready) {
@@ -1056,8 +1045,8 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       }
       if (answers.size() <= 1) {
         HistoryEntry entry;
-        entry.requester = effective_query->requester;
-        entry.purpose = effective_query->purpose;
+        entry.requester = query.requester;
+        entry.purpose = query.purpose;
         entry.query_text = fingerprint;
         entry.released = false;
         // A refusal is part of the sequence too: it must survive a crash,
@@ -1080,7 +1069,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       // the log plus the sources_suppressed report.
       Logger::Warn("mediator", "privacy control suppressed results of '" +
                                    answers[worst].owner + "' for requester '" +
-                                   effective_query->requester + "': " +
+                                   query.requester + "': " +
                                    check.status().message());
       out.sources_suppressed.push_back(answers[worst].owner);
       answers.erase(answers.begin() + static_cast<ptrdiff_t>(worst));
@@ -1118,16 +1107,16 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   {
     trace::ScopedSpan span("record", &query_trace, &metrics_);
     HistoryEntry entry;
-    entry.requester = effective_query->requester;
-    entry.purpose = effective_query->purpose;
+    entry.requester = query.requester;
+    entry.purpose = query.purpose;
     entry.query_text = fingerprint;
     entry.sources_answered = out.sources_answered;
     entry.sources_refused = out.sources_suppressed;
     entry.aggregated_privacy_loss = combined;
     entry.released = true;
-    PIYE_RETURN_NOT_OK(RecordDurably(std::move(entry),
-                                     use_warehouse ? out.table_handle : nullptr,
-                                     fingerprint));
+    PIYE_RETURN_NOT_OK(RecordDurably(
+        std::move(entry), options.allow_warehouse ? out.table_handle : nullptr,
+        fingerprint));
   }
   out.timings = query_trace.timings();
   return out;

@@ -95,22 +95,14 @@ class MediationEngine {
     /// Per-requester cumulative loss budget across the whole history.
     double max_cumulative_loss = 2.0;
     /// Warehouse answers up to this many epochs old ("quick response for
-    /// emergencies"); the warehouse is bypassed when false.
-    bool enable_warehouse = true;
+    /// emergencies"); `QueryOptions::allow_warehouse` bypasses it per query.
     uint64_t warehouse_max_age = 1;
-    /// Warehouse scale knobs (see mediator/warehouse.h): fingerprints hash
-    /// across `warehouse_shards` independently locked shards, and the cache
-    /// as a whole is bounded to `warehouse_max_bytes` (ApproxBytes
-    /// accounting; oldest-epoch / LRU-within-epoch eviction; 0 = unbounded).
-    size_t warehouse_shards = 16;
+    /// Bound on the warehouse as a whole (ApproxBytes accounting;
+    /// oldest-epoch / LRU-within-epoch eviction; 0 = unbounded; see
+    /// mediator/warehouse.h).
     size_t warehouse_max_bytes = 256ull << 20;
-    /// Single-flight coalescing of identical concurrent queries (see
-    /// QueryOptions::coalesce for the exact merge rule). Off ⇒ every call
-    /// executes privately, whatever the per-query option says.
-    bool enable_single_flight = true;
-    /// Worker threads for the per-source fan-out. 0 ⇒ serial in-line
-    /// execution (no pool — the pre-concurrency behaviour, also the
-    /// baseline the parallel-mediation benchmark compares against).
+    /// Worker threads in the per-source fan-out pool; values below 1 are
+    /// clamped to 1.
     size_t worker_threads = Executor::DefaultThreadCount();
     /// Per-source circuit breakers: off by default (pure retry/deadline
     /// degradation, the PR 1 behaviour); when on, `circuit_breaker` tunes
@@ -144,9 +136,6 @@ class MediationEngine {
     size_t history_shards = 16;
     size_t max_resident_history = 4096;
     size_t hot_requesters = 65536;
-    /// Rate limit between background snapshot rotations (milliseconds
-    /// between rotation starts; 0 = unlimited).
-    uint64_t snapshot_min_interval_ms = 0;
   };
 
   explicit MediationEngine(Options options);
@@ -236,16 +225,7 @@ class MediationEngine {
 
   /// Runs one integrated query under the given options.
   Result<IntegratedResult> Execute(const source::PiqlQuery& query,
-                                   const QueryOptions& options);
-
-  /// Back-compat forwarding overload for the old positional-dedup call
-  /// shape; new code should pass QueryOptions.
-  Result<IntegratedResult> Execute(const source::PiqlQuery& query,
-                                   const std::vector<std::string>& dedup_keys = {}) {
-    QueryOptions options;
-    options.dedup_keys = dedup_keys;
-    return Execute(query, options);
-  }
+                                   const QueryOptions& options = {});
 
   /// Health / readiness accounting for load balancers and operators.
   struct SourceHealth {
@@ -384,9 +364,6 @@ class MediationEngine {
   /// Admission pipeline (declared after metrics_, which it reports into).
   AdmissionController admission_;
 
-  /// Durability layer. persist_mu_ serializes WAL appends with their
-  /// in-memory application, so recovery's replay order matches execution
-  /// order; the atomics let hot paths check state without the lock.
   /// Single-flight table: coalescing key -> in-flight execution. A leader
   /// inserts its flight before executing and removes it before publishing;
   /// followers that joined in between wait on the flight's condition
@@ -395,6 +372,9 @@ class MediationEngine {
   std::map<std::string, std::shared_ptr<InflightExecution>> inflight_
       GUARDED_BY(inflight_mu_);
 
+  /// Durability layer. persist_mu_ serializes WAL appends with their
+  /// in-memory application, so recovery's replay order matches execution
+  /// order; the atomics let hot paths check state without the lock.
   mutable Mutex persist_mu_;
   std::unique_ptr<persist::StateLog> persist_ GUARDED_BY(persist_mu_);
   std::atomic<bool> persist_attached_{false};
@@ -417,9 +397,8 @@ class MediationEngine {
   std::atomic<uint64_t> snapshots_total_{0};
 
   /// Declared last: destroyed (joined) first, so in-flight fragment tasks
-  /// finish before any other engine state is torn down. Null when
-  /// options_.worker_threads == 0 (serial mode).
-  std::unique_ptr<Executor> executor_;
+  /// finish before any other engine state is torn down.
+  Executor executor_;
 
   /// Declared after executor_ so it is stopped (worker joined) before
   /// anything else is torn down: its rotate callback touches persist_,

@@ -12,19 +12,21 @@ namespace piye {
 namespace mediator {
 
 /// Per-query execution options for `MediationEngine::Execute` (and the
-/// `PrivateIye::Query*` facades). This replaces the old positional
-/// `dedup_keys` default argument: everything a requester can tune about one
-/// integrated query lives here, so adding a knob no longer grows every
-/// signature in the call chain.
+/// `PrivateIye::Query*` facades): everything a requester can tune about one
+/// integrated query lives here, so adding a knob never grows a signature in
+/// the call chain. Callers name what they set, e.g.
+/// `Execute(query, {.dedup_keys = {"patient_id"}})`; every field carries a
+/// default member initializer so such designated initializers stay
+/// warning-free under -Wextra.
 struct QueryOptions {
   /// Mediated attribute names used for PSI-style duplicate elimination
   /// (empty ⇒ whole-row distinct).
-  std::vector<std::string> dedup_keys;
+  std::vector<std::string> dedup_keys{};
 
   /// Overrides the requester identity carried inside the PIQL query when
   /// non-empty — for deployments where the transport authenticates the
   /// caller and the query text is not trusted to self-identify.
-  std::string requester;
+  std::string requester{};
 
   /// Per-source deadline in milliseconds, measured from fan-out start. A
   /// source that has not answered in time lands in `sources_skipped` with a
@@ -47,7 +49,7 @@ struct QueryOptions {
   /// executing query stops its in-flight fragments cooperatively instead of
   /// letting them run to completion. A fired token never charges privacy
   /// budget for an unreleased answer. Default: never fires.
-  CancelToken cancel;
+  CancelToken cancel{};
 
   /// Quorum: fail the whole query (kUnavailable) unless at least this many
   /// sources contributed answers. 0 or 1 ⇒ any non-empty answer set is
@@ -55,8 +57,8 @@ struct QueryOptions {
   size_t min_sources = 0;
 
   /// Per-query opt-out from the materialized warehouse (both lookup and
-  /// population) even when the engine enables it — for requesters that need
-  /// a live answer.
+  /// population) — for requesters that need a live answer, and for
+  /// measurements of the live execution path.
   bool allow_warehouse = true;
 
   /// Dials sources even when their circuit breaker is open (the engine's

@@ -5,10 +5,7 @@
 namespace piye {
 namespace persist {
 
-using Clock = std::chrono::steady_clock;
-
-Snapshotter::Snapshotter(Options options, RotateFn rotate)
-    : options_(options), rotate_(std::move(rotate)) {}
+Snapshotter::Snapshotter(RotateFn rotate) : rotate_(std::move(rotate)) {}
 
 Snapshotter::~Snapshotter() { Stop(); }
 
@@ -59,22 +56,6 @@ Status Snapshotter::TriggerAndWait() {
   return last_status_;
 }
 
-Snapshotter::Stats Snapshotter::stats() const {
-  MutexLock lock(mu_);
-  Stats s;
-  s.rotations = rotations_;
-  s.failures = failures_;
-  s.last_duration_ms = last_duration_ms_;
-  s.last_ok = last_status_.ok();
-  if (ever_rotated_) {
-    s.ms_since_last_rotation = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                              last_done_)
-            .count());
-  }
-  return s;
-}
-
 void Snapshotter::Run() {
   const CancelToken cancel = cancel_.token();
   for (;;) {
@@ -83,33 +64,16 @@ void Snapshotter::Run() {
       MutexLock lock(mu_);
       while (!cancel.cancelled() && !pending_) cv_.Wait(lock);
       if (cancel.cancelled()) return;
-      // Rate limit: back-to-back triggers coalesce until the interval since
-      // the last rotation start has elapsed. Stop() wakes this wait too.
-      while (!cancel.cancelled() && Clock::now() < next_allowed_) {
-        // cv_status carries no information the loop condition doesn't.
-        (void)cv_.WaitUntil(lock, next_allowed_);
-      }
-      if (cancel.cancelled()) return;
       pending_ = false;
       batch = request_seq_;
     }
 
-    const Clock::time_point start = Clock::now();
     // Outside the lock: the callback takes the engine's persistence mutex,
     // and query threads holding it must be able to Trigger without blocking.
     Status status = rotate_();
-    const Clock::time_point end = Clock::now();
 
     MutexLock lock(mu_);
-    ++rotations_;
-    if (!status.ok()) ++failures_;
     last_status_ = std::move(status);
-    last_duration_ms_ = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(end - start)
-            .count());
-    last_done_ = end;
-    ever_rotated_ = true;
-    next_allowed_ = start + std::chrono::milliseconds(options_.min_interval_ms);
     if (batch > satisfied_seq_) satisfied_seq_ = batch;
     cv_.NotifyAll();
   }

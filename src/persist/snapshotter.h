@@ -1,7 +1,6 @@
 #ifndef PIYE_PERSIST_SNAPSHOTTER_H_
 #define PIYE_PERSIST_SNAPSHOTTER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 // The snapshotter is the one type besides the executor that legitimately
@@ -23,28 +22,21 @@ namespace persist {
 /// threshold — it never blocks and coalesces bursts into a single rotation.
 /// Tests and operators call `TriggerAndWait()`, which returns the status of
 /// a rotation that *started after* the call (so the caller's writes are
-/// covered by it). The worker is rate-limited (`min_interval_ms`) so a
-/// write-heavy burst cannot turn into back-to-back full-state snapshots,
-/// and cancellable via CancelToken: `Stop()` requests cancel, wakes every
-/// sleep, and joins.
+/// covered by it). Triggers that arrive while a rotation runs coalesce into
+/// the next one. The worker is cancellable via CancelToken: `Stop()`
+/// requests cancel, wakes every wait, and joins.
 ///
 /// The rotate callback runs with no snapshotter lock held — it is expected
 /// to take the engine's persistence mutex itself, and callers of
 /// Trigger/TriggerAndWait may hold that mutex without deadlock.
 class Snapshotter {
  public:
-  struct Options {
-    /// Minimum milliseconds between the *starts* of two background
-    /// rotations. 0 = unlimited.
-    uint64_t min_interval_ms = 0;
-  };
-
-  /// The compact/rotate step. A non-OK return is counted as a failure and
-  /// handed back to TriggerAndWait callers; the engine's callback latches
-  /// its fail-closed state on any durability error in here.
+  /// The compact/rotate step. A non-OK return is handed back to
+  /// TriggerAndWait callers; the engine's callback latches its fail-closed
+  /// state on any durability error in here.
   using RotateFn = std::function<Status()>;
 
-  Snapshotter(Options options, RotateFn rotate);
+  explicit Snapshotter(RotateFn rotate);
   ~Snapshotter();  ///< stops and joins the worker
 
   Snapshotter(const Snapshotter&) = delete;
@@ -66,20 +58,9 @@ class Snapshotter {
   /// snapshotter is stopped first (or was never started).
   Status TriggerAndWait();
 
-  struct Stats {
-    uint64_t rotations = 0;      ///< completed rotation attempts
-    uint64_t failures = 0;       ///< attempts that returned non-OK
-    uint64_t last_duration_ms = 0;
-    /// Milliseconds since the last completed rotation; ~0 when none ever ran.
-    uint64_t ms_since_last_rotation = UINT64_MAX;
-    bool last_ok = true;
-  };
-  Stats stats() const;
-
  private:
   void Run();
 
-  const Options options_;
   const RotateFn rotate_;
   CancelSource cancel_;
 
@@ -89,13 +70,7 @@ class Snapshotter {
   bool pending_ GUARDED_BY(mu_) = false;
   uint64_t request_seq_ GUARDED_BY(mu_) = 0;
   uint64_t satisfied_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t rotations_ GUARDED_BY(mu_) = 0;
-  uint64_t failures_ GUARDED_BY(mu_) = 0;
-  uint64_t last_duration_ms_ GUARDED_BY(mu_) = 0;
   Status last_status_ GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point next_allowed_ GUARDED_BY(mu_){};
-  std::chrono::steady_clock::time_point last_done_ GUARDED_BY(mu_){};
-  bool ever_rotated_ GUARDED_BY(mu_) = false;
 
   // The snapshotter owns exactly one worker, started in Start() and joined
   // in Stop() (called from the destructor).

@@ -12,7 +12,7 @@ namespace relational {
 
 /// Shared accumulator math for SUM/AVG/STDDEV/COUNT, used by both the
 /// vectorized executor and the row-at-a-time reference engine
-/// (relational/reference.h) so the differential harness compares
+/// (tests/reference/rowref.h) so the differential harness compares
 /// bit-identical floating-point results — both engines apply the identical
 /// operation sequence in row order.
 ///

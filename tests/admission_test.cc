@@ -454,7 +454,6 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
     mediator::MediationEngine::Options options) {
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
   for (const auto& src : sources) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
@@ -462,6 +461,9 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
   return engine;
 }
+
+// Every query here runs live, never from the warehouse.
+mediator::QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery(const std::string& body) {
   auto q = source::PiqlQuery::Parse(
@@ -474,7 +476,7 @@ source::PiqlQuery MakeQuery(const std::string& body) {
 TEST(QueryOptionsValidationTest, NegativeDeadlineRejected) {
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, {});
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.deadline_ms = -5;
   auto result = engine->Execute(MakeQuery("<select>patient_id</select>"), options);
   ASSERT_FALSE(result.ok());
@@ -487,7 +489,7 @@ TEST(QueryOptionsValidationTest, NegativeDeadlineRejected) {
 TEST(QueryOptionsValidationTest, RetryCountAboveLimitRejected) {
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, {});
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.max_retries = mediator::QueryOptions::kMaxRetriesLimit + 1;
   auto result = engine->Execute(MakeQuery("<select>patient_id</select>"), options);
   ASSERT_FALSE(result.ok());
@@ -500,7 +502,7 @@ TEST(QueryOptionsValidationTest, RetryCountAboveLimitRejected) {
 TEST(QueryOptionsValidationTest, UnmeetableQuorumRejected) {
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, {});
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.min_sources = 3;  // only 2 registered: no outcome can satisfy this
   auto result = engine->Execute(MakeQuery("<select>patient_id</select>"), options);
   ASSERT_FALSE(result.ok());
@@ -512,7 +514,7 @@ TEST(QueryOptionsValidationTest, ZeroDeadlineStillMeansNoDeadline) {
   // Back-compat: 0 is the documented "no deadline" default, not an error.
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, {});
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.deadline_ms = 0;
   EXPECT_TRUE(engine->Execute(MakeQuery("<select>patient_id</select>"), options).ok());
 }
@@ -529,12 +531,12 @@ TEST(BreakerShedInteractionTest, ShedQueriesDoNotCountAsBreakerFailures) {
   auto engine = BuildEngine(sources, engine_options);
 
   const auto query = MakeQuery("<select>patient_id</select>");
-  auto first = engine->Execute(query, mediator::QueryOptions{});
+  auto first = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const double budget_after_first = engine->history()->CumulativeLoss("analyst");
   const size_t history_after_first = engine->history()->size();
 
-  auto shed = engine->Execute(query, mediator::QueryOptions{});
+  auto shed = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsResourceExhausted()) << shed.status().ToString();
 
@@ -568,7 +570,7 @@ TEST(BreakerShedInteractionTest, CallerCancellationDoesNotBlameSources) {
   auto engine = BuildEngine(sources, engine_options);
 
   CancelSource cancel;
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.cancel = cancel.token();
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -138,8 +138,7 @@ TEST(BoundedStateSoakTest, CrashSoakMatrixMatchesOracleDecisions) {
   // federation plane.
   rig.sources.push_back(MakeSoakSource());
   rig.options.max_combined_loss = 0.95;
-  rig.options.enable_warehouse = false;
-  rig.options.worker_threads = 0;
+  rig.options.worker_threads = 1;
   rig.options.sync_wal = false;  // acked ⟺ flushed; kills still injected
   rig.options.snapshot_every_records =
       EnvOr("PIYE_SOAK_SNAPSHOT_EVERY", 512);
@@ -160,7 +159,7 @@ TEST(BoundedStateSoakTest, CrashSoakMatrixMatchesOracleDecisions) {
     probe.options = rig.options;
     probe.sources.push_back(MakeSoakSource());
     auto engine = probe.Boot();
-    auto probed = engine->Execute(SoakQuery("probe"), QueryOptions{});
+    auto probed = engine->Execute(SoakQuery("probe"), QueryOptions{.allow_warehouse = false});
     ASSERT_TRUE(probed.ok()) << probed.status().ToString();
     per_query_loss = engine->history()->CumulativeLoss("probe");
     ASSERT_GT(per_query_loss, 0.0);
@@ -248,7 +247,7 @@ TEST(BoundedStateSoakTest, CrashSoakMatrixMatchesOracleDecisions) {
     // until the engine commits to admit or refuse.
     char decision = 0;
     for (int attempt = 0; attempt < 8 && decision == 0; ++attempt) {
-      auto result = engine->Execute(query, QueryOptions{});
+      auto result = engine->Execute(query, QueryOptions{.allow_warehouse = false});
       if (result.ok()) {
         decision = 'A';
       } else if (result.status().IsPrivacyViolation()) {

@@ -66,10 +66,13 @@ MediationEngine::Options DurableOptions() {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
-  options.worker_threads = 0;
+  options.worker_threads = 1;
   return options;
 }
+
+// Every release is a live execution: one history record (and no warehouse
+// put) per query, so the WAL counts below are exact.
+QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery(const std::string& body,
                             const std::string& requester = "analyst") {
@@ -101,7 +104,7 @@ TEST(BoundedStateTest, SnapshotterRacesLiveTraffic) {
         const auto query = MakeQuery(
             "<select>patient_id</select><select>diagnosis</select>",
             "analyst" + std::to_string(t) + "-" + std::to_string(i % 3));
-        auto r = engine->Execute(query, QueryOptions{});
+        auto r = engine->Execute(query, LiveOptions());
         EXPECT_TRUE(r.ok()) << r.status().ToString();
       }
     });
@@ -153,7 +156,7 @@ TEST_P(RotateKillMatrixTest, KillMidCompactionFailsClosedAndRecoversExactly) {
   auto engine = BuildEngine(sources, options);
   ASSERT_TRUE(engine->Recover(dir).ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   }
   const double durable_loss = engine->history()->CumulativeLoss("analyst");
   ASSERT_GT(durable_loss, 0.0);
@@ -166,7 +169,7 @@ TEST_P(RotateKillMatrixTest, KillMidCompactionFailsClosedAndRecoversExactly) {
   // Satellite regression pin: a durability failure *during* compaction must
   // trip the same refuse-all-queries latch as an append failure.
   EXPECT_TRUE(engine->persistence_failed());
-  auto refused = engine->Execute(query, QueryOptions{});
+  auto refused = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable())
       << refused.status().ToString();
@@ -179,7 +182,7 @@ TEST_P(RotateKillMatrixTest, KillMidCompactionFailsClosedAndRecoversExactly) {
   EXPECT_DOUBLE_EQ(revived->history()->CumulativeLoss("analyst"),
                    durable_loss);
   EXPECT_EQ(revived->history()->size(), 3u);
-  auto r = revived->Execute(query, QueryOptions{});
+  auto r = revived->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(revived->history()->CumulativeLoss("analyst"), durable_loss);
 }
@@ -215,8 +218,8 @@ TEST(BoundedStateTest, SpilledRequesterIsStillRefusedOnReturn) {
   ASSERT_TRUE(engine->Recover(dir).ok());
 
   const auto cold = MakeQuery("<select>patient_id</select><select>diagnosis</select>", "cold-analyst");
-  ASSERT_TRUE(engine->Execute(cold, QueryOptions{}).ok());
-  auto exhausted = engine->Execute(cold, QueryOptions{});
+  ASSERT_TRUE(engine->Execute(cold, LiveOptions()).ok());
+  auto exhausted = engine->Execute(cold, LiveOptions());
   ASSERT_FALSE(exhausted.ok());
   EXPECT_TRUE(exhausted.status().IsPrivacyViolation());
 
@@ -224,11 +227,11 @@ TEST(BoundedStateTest, SpilledRequesterIsStillRefusedOnReturn) {
   // folded into the floor index and its resident state evicted.
   ASSERT_TRUE(
       engine->Execute(MakeQuery("<select>patient_id</select><select>diagnosis</select>", "warm-a"),
-                      QueryOptions{})
+                      LiveOptions())
           .ok());
   ASSERT_TRUE(
       engine->Execute(MakeQuery("<select>patient_id</select><select>diagnosis</select>", "warm-b"),
-                      QueryOptions{})
+                      LiveOptions())
           .ok());
   ASSERT_TRUE(engine->TriggerSnapshot(/*wait=*/true).ok());
   EXPECT_LE(engine->history()->resident_requesters(), 1u);
@@ -238,7 +241,7 @@ TEST(BoundedStateTest, SpilledRequesterIsStillRefusedOnReturn) {
 
   // ...and the returning query faults the floor back in before the budget
   // decision: still refused, never default-allowed.
-  auto returned = engine->Execute(cold, QueryOptions{});
+  auto returned = engine->Execute(cold, LiveOptions());
   ASSERT_FALSE(returned.ok());
   EXPECT_TRUE(returned.status().IsPrivacyViolation())
       << returned.status().ToString();
@@ -258,7 +261,7 @@ TEST(BoundedStateTest, FloorLoadFailureRefusesTheQuery) {
         return Status::Internal("injected floor-index read failure");
       });
   auto refused = engine->Execute(
-      MakeQuery("<select>patient_id</select><select>diagnosis</select>", "never-seen"), QueryOptions{});
+      MakeQuery("<select>patient_id</select><select>diagnosis</select>", "never-seen"), LiveOptions());
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable()) << refused.status().ToString();
 }
@@ -274,7 +277,7 @@ TEST(BoundedStateTest, HealthReportsDurabilityState) {
   ASSERT_TRUE(engine->Recover(dir).ok());
   const auto query = MakeQuery("<select>patient_id</select><select>diagnosis</select>");
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   }
   auto health = engine->Health();
   EXPECT_TRUE(health.persistence_enabled);
@@ -373,15 +376,15 @@ TEST(BoundedStateTest, RecoveryDoesNotResurrectSpilledRequesterBelowFloor) {
   ASSERT_TRUE(engine->Recover(dir).ok());
   const auto victim_query = MakeQuery(
       "<select>patient_id</select><select>diagnosis</select>", "victim");
-  ASSERT_TRUE(engine->Execute(victim_query, QueryOptions{}).ok());
-  ASSERT_TRUE(engine->Execute(victim_query, QueryOptions{}).ok());
+  ASSERT_TRUE(engine->Execute(victim_query, LiveOptions()).ok());
+  ASSERT_TRUE(engine->Execute(victim_query, LiveOptions()).ok());
   const double full_loss = engine->history()->CumulativeLoss("victim");
   ASSERT_GT(full_loss, 0.0);
   // A warmer requester pushes the victim's first entry out of the ring and
   // outranks it in the spill order.
   ASSERT_TRUE(
       engine->Execute(MakeQuery("<select>patient_id</select><select>diagnosis</select>", "warm"),
-                      QueryOptions{})
+                      LiveOptions())
           .ok());
 
   // Rotation 1 makes the victim's floor durable and spills it; rotation 2

@@ -71,7 +71,6 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
     mediator::MediationEngine::Options options) {
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
   for (const auto& src : sources) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
@@ -79,6 +78,9 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
   return engine;
 }
+
+// Every answer here is a live execution, never a warehouse hit.
+mediator::QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery() {
   auto q = source::PiqlQuery::Parse(
@@ -101,11 +103,11 @@ void ExpectDrainedToIdle(mediator::MediationEngine* engine) {
 TEST(ChaosSoakTest, SaturatingBurstConservesChargesAndAnswersExactly) {
   auto sources = BuildSources(3, /*latency_micros=*/3000);
 
-  // Serial, unloaded reference: what every admitted answer must look like.
+  // One-worker, unloaded reference: what every admitted answer must look like.
   mediator::MediationEngine::Options serial_options;
-  serial_options.worker_threads = 0;
+  serial_options.worker_threads = 1;
   auto serial = BuildEngine(sources, serial_options);
-  mediator::QueryOptions serial_qopts;
+  mediator::QueryOptions serial_qopts = LiveOptions();
   serial_qopts.coalesce = false;
   auto reference = serial->Execute(MakeQuery(), serial_qopts);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -123,13 +125,21 @@ TEST(ChaosSoakTest, SaturatingBurstConservesChargesAndAnswersExactly) {
   std::atomic<int> ok_count{0}, shed_count{0}, other_count{0};
   std::vector<std::string> ok_bytes[2];
   std::mutex ok_mu;
+  // Start gate: every caller is spawned and ready before any arrives, so the
+  // burst overloads the engine even when thread start-up is slow (a loaded
+  // machine, a sanitizer build).
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   for (int i = 0; i < 2 * kPerRequester; ++i) {
     threads.emplace_back([&, i] {
-      mediator::QueryOptions qopts;
+      mediator::QueryOptions qopts = LiveOptions();
       qopts.requester = requesters[i % 2];  // interleaved arrival by requester
       qopts.coalesce = false;               // every call is a real execution
-      auto result = engine->Execute(MakeQuery(), qopts);
+      const auto query = MakeQuery();
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      auto result = engine->Execute(query, qopts);
       if (result.ok()) {
         ok_count.fetch_add(1);
         std::lock_guard<std::mutex> lock(ok_mu);
@@ -144,6 +154,8 @@ TEST(ChaosSoakTest, SaturatingBurstConservesChargesAndAnswersExactly) {
       }
     });
   }
+  while (ready.load() < 2 * kPerRequester) std::this_thread::yield();
+  go.store(true);
   for (auto& t : threads) t.join();
 
   // Conservation: admitted + shed == offered, both as observed by callers
@@ -193,7 +205,7 @@ TEST(ChaosSoakTest, FairShareGoodputUnderSustainedSaturation) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&, w] {
-      mediator::QueryOptions qopts;
+      mediator::QueryOptions qopts = LiveOptions();
       qopts.requester = requesters[w % 2];
       qopts.coalesce = false;
       while (std::chrono::steady_clock::now() < window_end) {
@@ -230,7 +242,7 @@ TEST(ChaosSoakTest, PreExpiredDeadlineRejectedBeforeAnyDispatch) {
   options.worker_threads = 4;
   auto engine = BuildEngine(sources, options);
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.cancel = CancelToken().WithDeadline(std::chrono::steady_clock::now() -
                                             std::chrono::milliseconds(1));
   auto result = engine->Execute(MakeQuery(), qopts);
@@ -259,7 +271,7 @@ TEST(ChaosSoakTest, ExpiredDeadlineReturnsWithinTwiceTheDeadline) {
   auto engine = BuildEngine(sources, options);
 
   constexpr auto kDeadline = std::chrono::milliseconds(150);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.cancel = CancelToken().WithTimeout(kDeadline);
   const auto start = std::chrono::steady_clock::now();
   auto result = engine->Execute(MakeQuery(), qopts);
@@ -288,7 +300,7 @@ TEST(ChaosSoakTest, CancellationStopsHungFragmentsAndEngineStaysServable) {
   auto engine = BuildEngine(sources, options);
 
   CancelSource cancel;
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.cancel = cancel.token();
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -307,7 +319,7 @@ TEST(ChaosSoakTest, CancellationStopsHungFragmentsAndEngineStaysServable) {
   for (auto& src : sources) {
     src->set_fault_injection(source::RemoteSource::FaultInjection{});
   }
-  auto after = engine->Execute(MakeQuery(), mediator::QueryOptions{});
+  auto after = engine->Execute(MakeQuery(), LiveOptions());
   EXPECT_TRUE(after.ok()) << after.status().ToString();
   ExpectDrainedToIdle(engine.get());
 }
@@ -341,7 +353,7 @@ TEST(ChaosSoakTest, SeededFaultStormSoakHoldsInvariantsEveryRound) {
     std::vector<std::thread> threads;
     for (int i = 0; i < kOfferedPerRound; ++i) {
       threads.emplace_back([&, i] {
-        mediator::QueryOptions qopts;
+        mediator::QueryOptions qopts = LiveOptions();
         qopts.requester = (i % 2 == 0) ? "alice" : "bob";
         qopts.coalesce = false;
         qopts.max_retries = 2;

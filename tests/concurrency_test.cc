@@ -368,7 +368,6 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   options.worker_threads = worker_threads;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
   for (const auto& src : sources) {
@@ -377,6 +376,9 @@ std::unique_ptr<mediator::MediationEngine> BuildEngine(
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
   return engine;
 }
+
+// Every engine test here measures live fan-out, never a warehouse hit.
+mediator::QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery(const std::string& body) {
   auto q = source::PiqlQuery::Parse(
@@ -388,11 +390,11 @@ source::PiqlQuery MakeQuery(const std::string& body) {
 
 TEST(EngineFanoutTest, ParallelOutputIsByteIdenticalToSerial) {
   auto sources = BuildSources(6, /*latency_micros=*/1000);
-  auto serial = BuildEngine(sources, /*worker_threads=*/0);
+  auto serial = BuildEngine(sources, /*worker_threads=*/1);
   auto parallel = BuildEngine(sources, /*worker_threads=*/8);
   const auto query = MakeQuery("<select>patient_id</select><select>sex</select>");
-  auto rs = serial->Execute(query, mediator::QueryOptions{});
-  auto rp = parallel->Execute(query, mediator::QueryOptions{});
+  auto rs = serial->Execute(query, LiveOptions());
+  auto rp = parallel->Execute(query, LiveOptions());
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_TRUE(rp.ok()) << rp.status().ToString();
   EXPECT_EQ(rs->sources_answered, rp->sources_answered);
@@ -405,9 +407,9 @@ TEST(EngineFanoutTest, DeterministicAcrossThreadCounts) {
   auto sources = BuildSources(5);
   const auto query = MakeQuery("<select>patient_id</select><select>dob</select>");
   std::string reference;
-  for (size_t threads : {0u, 1u, 2u, 8u}) {
+  for (size_t threads : {1u, 2u, 8u}) {
     auto engine = BuildEngine(sources, threads);
-    auto result = engine->Execute(query, mediator::QueryOptions{});
+    auto result = engine->Execute(query, LiveOptions());
     ASSERT_TRUE(result.ok()) << "threads=" << threads << ": "
                              << result.status().ToString();
     const std::string bytes = TableBytes(result->table());
@@ -426,11 +428,11 @@ TEST(EngineFanoutTest, RepeatedQueryReproducesIdenticalPerturbation) {
   auto sources = BuildSources(3);
   auto engine = BuildEngine(sources, 4);
   const auto query = MakeQuery("<select>patient_id</select><select>dob</select>");
-  auto first = engine->Execute(query, mediator::QueryOptions{});
-  auto second = engine->Execute(query, mediator::QueryOptions{});
+  auto first = engine->Execute(query, LiveOptions());
+  auto second = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second->from_warehouse);  // warehouse disabled in BuildEngine
+  EXPECT_FALSE(second->from_warehouse);  // LiveOptions skips the warehouse
   EXPECT_EQ(TableBytes(first->table()), TableBytes(second->table()));
 }
 
@@ -449,7 +451,7 @@ TEST(EngineFanoutTest, FaultySourcesAreSkippedWithReasons) {
   sources[5]->set_fault_injection(hanging);
 
   auto engine = BuildEngine(sources, 8);
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.deadline_ms = 50;
   options.max_retries = 1;
   auto result = engine->Execute(MakeQuery("<select>patient_id</select>"), options);
@@ -472,7 +474,7 @@ TEST(EngineFanoutTest, QuorumEnforcement) {
   auto engine = BuildEngine(sources, 4);
   const auto query = MakeQuery("<select>patient_id</select>");
 
-  mediator::QueryOptions strict;
+  mediator::QueryOptions strict = LiveOptions();
   strict.min_sources = 4;
   auto refused = engine->Execute(query, strict);
   ASSERT_FALSE(refused.ok());
@@ -480,7 +482,7 @@ TEST(EngineFanoutTest, QuorumEnforcement) {
   EXPECT_NE(refused.status().message().find("quorum"), std::string::npos);
   EXPECT_NE(refused.status().message().find("hospital0"), std::string::npos);
 
-  mediator::QueryOptions relaxed;
+  mediator::QueryOptions relaxed = LiveOptions();
   relaxed.min_sources = 3;
   auto served = engine->Execute(query, relaxed);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
@@ -497,31 +499,16 @@ TEST(EngineFanoutTest, AllSourcesDownIsUnavailableNotPrivacyViolation) {
   for (auto& s : sources) s->set_fault_injection(erroring);
   auto engine = BuildEngine(sources, 4);
   auto result =
-      engine->Execute(MakeQuery("<select>patient_id</select>"), mediator::QueryOptions{});
+      engine->Execute(MakeQuery("<select>patient_id</select>"), LiveOptions());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
   EXPECT_NE(result.status().message().find("hospital1"), std::string::npos);
 }
 
-TEST(EngineFanoutTest, SerialModeStillDegradesGracefully) {
-  // worker_threads == 0: no pool, but retry and error degradation still work
-  // (deadlines cannot preempt an in-line call; they only bound retries).
-  auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection erroring;
-  erroring.error_rate = 1.0;
-  sources[1]->set_fault_injection(erroring);
-  auto engine = BuildEngine(sources, 0);
-  auto result =
-      engine->Execute(MakeQuery("<select>patient_id</select>"), mediator::QueryOptions{});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->sources_answered.size(), 2u);
-  EXPECT_EQ(result->sources_skipped.count("hospital1"), 1u);
-}
-
 TEST(EngineFanoutTest, RequesterOverrideReachesHistory) {
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, 2);
-  mediator::QueryOptions options;
+  mediator::QueryOptions options = LiveOptions();
   options.requester = "analyst";  // the RBAC-known identity
   // The query self-claims a different requester; the override wins.
   auto q = source::PiqlQuery::Parse(
@@ -534,12 +521,29 @@ TEST(EngineFanoutTest, RequesterOverrideReachesHistory) {
   EXPECT_EQ(engine->history()->ForRequester("impostor").size(), 0u);
 }
 
+TEST(EngineFanoutTest, RequesterOverrideKeysTheWarehouse) {
+  // The warehouse and single-flight key on the *effective* query: an answer
+  // materialized for the query's self-claimed requester must never be served
+  // to a different, transport-authenticated one.
+  auto sources = BuildSources(2);
+  auto engine = BuildEngine(sources, 2);
+  const auto query = MakeQuery("<select>patient_id</select>");  // as "analyst"
+  auto own = engine->Execute(query);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  ASSERT_EQ(engine->warehouse()->size(), 1u);
+  mediator::QueryOptions as_cdc;
+  as_cdc.requester = "cdc";
+  auto other = engine->Execute(query, as_cdc);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_FALSE(other->from_warehouse);
+  EXPECT_EQ(engine->history()->ForRequester("cdc").size(), 1u);
+}
+
 TEST(EngineFanoutTest, PerQueryWarehouseOptOut) {
   auto sources = BuildSources(2);
   mediator::MediationEngine::Options engine_options;
   engine_options.max_combined_loss = 0.95;
   engine_options.max_cumulative_loss = 1e9;
-  engine_options.enable_warehouse = true;
   mediator::MediationEngine engine(engine_options);
   for (const auto& src : sources) {
     ASSERT_TRUE(engine.RegisterSource(src.get()).ok());
@@ -575,7 +579,7 @@ TEST(EngineFanoutTest, ConcurrentExecuteCallersShareOneEngine) {
                                    "'</where>");
       // Callers share two query shapes; force private executions so each
       // caller exercises its own fan-out (coalescing has its own tests).
-      mediator::QueryOptions opts;
+      mediator::QueryOptions opts = LiveOptions();
       opts.coalesce = false;
       auto result = engine->Execute(query, opts);
       if (result.ok() && result->table().num_rows() > 0) ok_count.fetch_add(1);

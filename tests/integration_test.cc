@@ -239,7 +239,6 @@ TEST(OutbreakTest, PrivacyPreservingSharingStillDetects) {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.99;
   options.max_cumulative_loss = 1000.0;
-  options.enable_warehouse = false;
   PrivateIye system(options);
   for (size_t c = 0; c < countries.size(); ++c) {
     auto* src = system.AddSource(countries[c], "cases", std::move(tables[c]),
@@ -272,7 +271,8 @@ TEST(OutbreakTest, PrivacyPreservingSharingStillDetects) {
   auto result = system.QueryXml(R"(
     <query requester="who" purpose="disease-surveillance" maxLoss="0.95">
       <aggregate func="SUM" attribute="cases"><groupBy>day</groupBy></aggregate>
-    </query>)");
+    </query>)",
+                                {.allow_warehouse = false});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->sources_answered.size(), 3u);
 

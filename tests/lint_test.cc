@@ -151,6 +151,15 @@ TEST(LintPaths, ExecutorMayOwnThreads) {
   EXPECT_EQ(LintOne("src/mediator/engine.cc", content).size(), 1u);
 }
 
+TEST(LintPaths, OnlyTheRowShimsMayLoopOverRows) {
+  const std::string content = ReadFixture("bad", "row-loop.cc");
+  EXPECT_TRUE(LintOne("src/relational/table.cc", content).empty());
+  // Only the row shims are exempt: a row loop anywhere else in the
+  // product's relational module fires.
+  EXPECT_EQ(LintOne("src/relational/reference.cc", content).size(), 1u);
+  EXPECT_EQ(LintOne("src/relational/executor.cc", content).size(), 1u);
+}
+
 TEST(LintStatusDiscard, VariableDiscardIsExempt) {
   const auto findings = LintOne("src/mediator/fixture.cc",
                                 "bool inserted = true;\n"

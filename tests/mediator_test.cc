@@ -245,7 +245,7 @@ TEST_F(EngineTest, DedupByKeyRemovesCrossSourceDuplicates) {
   ASSERT_TRUE(with_dups.ok()) << with_dups.status().ToString();
   engine_->AdvanceEpoch();
   engine_->AdvanceEpoch();  // force the warehouse entry stale
-  auto deduped = engine_->Execute(MakeQuery(body), {"patient_id"});
+  auto deduped = engine_->Execute(MakeQuery(body), {.dedup_keys = {"patient_id"}});
   ASSERT_TRUE(deduped.ok()) << deduped.status().ToString();
   EXPECT_LT(deduped->table().num_rows(), with_dups->table().num_rows());
   EXPECT_GT(deduped->table().num_rows(), 0u);
@@ -272,7 +272,6 @@ TEST_F(EngineTest, CumulativeBudgetExhausts) {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 0.5;
-  options.enable_warehouse = false;  // force live execution every time
   MediationEngine engine(options);
   ASSERT_TRUE(engine.RegisterSource(hospital_.get()).ok());
   ASSERT_TRUE(engine.GenerateMediatedSchema("k").ok());
@@ -281,7 +280,7 @@ TEST_F(EngineTest, CumulativeBudgetExhausts) {
   for (int i = 0; i < 10; ++i) {
     auto q = MakeQuery("<select>diagnosis</select><where>sex = '" +
                        std::string(i % 2 == 0 ? "F" : "M") + "'</where>");
-    auto r = engine.Execute(q);
+    auto r = engine.Execute(q, {.allow_warehouse = false});  // live every time
     if (r.ok()) {
       ++released;
     } else {

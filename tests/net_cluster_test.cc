@@ -238,9 +238,11 @@ class NetClusterTest : public ::testing::Test {
     mediator::MediationEngine::Options options;
     options.max_combined_loss = 0.95;
     options.max_cumulative_loss = 1e9;
-    options.enable_warehouse = false;
     return options;
   }
+
+  /// Every answer here is a live federated execution, never a warehouse hit.
+  static mediator::QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
   template <typename SourceVector>
   static std::unique_ptr<mediator::MediationEngine> BuildEngine(
@@ -276,7 +278,7 @@ TEST_F(NetClusterTest, AnswerIsByteIdenticalAcrossProcessBoundaries) {
   auto wire_engine = BuildEngine(wire_sources);
   auto local_engine = BuildEngine(baseline_sources);
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   const auto query = MakeQuery();
   auto federated = wire_engine->Execute(query, qopts);
@@ -318,7 +320,7 @@ TEST_F(NetClusterTest, SeededFaultStormConvergesToTheSameBytes) {
   }
   ASSERT_TRUE(schema_status.ok()) << schema_status.ToString();
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   qopts.max_retries = 6;
   qopts.coalesce = false;
@@ -342,7 +344,7 @@ TEST_F(NetClusterTest, SeededFaultStormConvergesToTheSameBytes) {
 TEST_F(NetClusterTest, SigkillMidTrafficDegradesToQuorumAndChargesNoGhostBudget) {
   auto wire_sources = WireSources();
   auto engine = BuildEngine(wire_sources);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   qopts.min_sources = 2;
   qopts.max_retries = 2;
@@ -400,7 +402,7 @@ TEST_F(NetClusterTest, BreakerOpensOnDeadServerAndReclosesAfterRestart) {
   options.circuit_breaker.open_cooldown_ms = 100;
   auto engine = BuildEngine(wire_sources, options);
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   qopts.min_sources = 2;
   qopts.max_retries = 0;
@@ -448,7 +450,7 @@ TEST_F(NetClusterTest, BreakerOpensOnDeadServerAndReclosesAfterRestart) {
 TEST_F(NetClusterTest, GracefulShutdownDrainsInFlightWork) {
   auto wire_sources = WireSources();
   auto engine = BuildEngine(wire_sources);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   ASSERT_TRUE(engine->Execute(MakeQuery(), qopts).ok());
 

@@ -499,9 +499,11 @@ mediator::MediationEngine::Options EngineOptions() {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   return options;
 }
+
+// Every answer here is a live federated execution, never a warehouse hit.
+mediator::QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 template <typename SourceVector>
 std::unique_ptr<mediator::MediationEngine> BuildEngine(
@@ -519,7 +521,7 @@ TEST(NetFederationTest, FederatedAnswerIsByteIdenticalToInProcess) {
   auto wire_engine = BuildEngine(cluster.net_sources);
   auto local_engine = BuildEngine(cluster.sources);
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   const auto query = MakeQuery();
   auto over_wire = wire_engine->Execute(query, qopts);
@@ -570,8 +572,8 @@ TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
       "<query requester=\"analyst\" purpose=\"research\" maxLoss=\"0.95\">"
       "<select>patient_id</select><select>first visit</select></query>");
   ASSERT_TRUE(query.ok());
-  auto over_wire = wire_engine->Execute(*query, mediator::QueryOptions{});
-  auto in_process = local_engine->Execute(*query, mediator::QueryOptions{});
+  auto over_wire = wire_engine->Execute(*query, LiveOptions());
+  auto in_process = local_engine->Execute(*query, LiveOptions());
   ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
   ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
   EXPECT_EQ(over_wire->table().schema().column(1).name, "first visit");
@@ -584,7 +586,7 @@ TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
 TEST(NetFederationTest, TcpTransportSmoke) {
   Cluster cluster = BuildCluster("tcp", /*tcp=*/true);
   auto engine = BuildEngine(cluster.net_sources);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   auto result = engine->Execute(MakeQuery(), qopts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -617,7 +619,7 @@ TEST(NetFederationTest, UnreachableServerSkipsWithUnavailableDetail) {
   // must integrate the survivors.
   cluster.servers[2]->Stop();
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   auto result = engine->Execute(MakeQuery(), qopts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -638,7 +640,7 @@ TEST(NetFederationTest, UnreachableServerSkipsWithUnavailableDetail) {
 TEST(NetFederationTest, HealthReportsTransportStats) {
   Cluster cluster = BuildCluster("health");
   auto engine = BuildEngine(cluster.net_sources);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   ASSERT_TRUE(engine->Execute(MakeQuery(), qopts).ok());
 
@@ -672,7 +674,7 @@ TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
   auto engine = BuildEngine(cluster.net_sources);
   auto local_engine = BuildEngine(cluster.sources);
 
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   qopts.max_retries = 6;
   qopts.coalesce = false;
@@ -713,7 +715,7 @@ TEST(NetFederationTest, DeadlinePropagatesAndTimesOutCleanly) {
     src->set_fault_injection(faults);
   }
   auto engine = BuildEngine(cluster.net_sources);
-  mediator::QueryOptions qopts;
+  mediator::QueryOptions qopts = LiveOptions();
   qopts.requester = "alice";
   qopts.deadline_ms = 60;
   qopts.coalesce = false;

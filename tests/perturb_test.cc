@@ -6,7 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "relational/reference.h"
+#include "reference/rowref.h"
 #include "common/stats.h"
 #include "perturb/noise.h"
 #include "perturb/randomized_response.h"

@@ -431,7 +431,6 @@ TEST_P(SystemInvariantTest, DeniedColumnsNeverLeakWhateverTheQuery) {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;
   core::PrivateIye system(options);
   auto tables = core::ClinicalScenario::MakePatientTables(25, 0.5, GetParam());
   auto* hospital =
@@ -456,7 +455,7 @@ TEST_P(SystemInvariantTest, DeniedColumnsNeverLeakWhateverTheQuery) {
     for (size_t s = 0; s < n_select; ++s) {
       q.select.push_back(attributes[rng.NextBounded(10)]);
     }
-    auto result = system.Query(q);
+    auto result = system.Query(q, {.allow_warehouse = false});
     if (!result.ok()) continue;  // refusals are always acceptable
     for (const auto& col : result->table().schema().columns()) {
       // Patient names are denied at every source; they must never appear,

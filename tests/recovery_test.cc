@@ -71,10 +71,13 @@ MediationEngine::Options DurableOptions() {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  options.enable_warehouse = false;  // single WAL record per release
   options.worker_threads = 4;
   return options;
 }
+
+// A live execution writes a single WAL record per release (no warehouse
+// put). Tests that exercise the warehouse pass QueryOptions{} instead.
+QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery(const std::string& body,
                             const std::string& requester = "analyst") {
@@ -100,7 +103,7 @@ TEST(RecoveryTest, StateSurvivesRestart) {
     ASSERT_TRUE(engine->Recover(dir).ok());
     EXPECT_TRUE(engine->persistence_enabled());
     for (int i = 0; i < 3; ++i) {
-      auto r = engine->Execute(query, QueryOptions{});
+      auto r = engine->Execute(query, LiveOptions());
       ASSERT_TRUE(r.ok()) << r.status().ToString();
     }
     loss_before = engine->history()->CumulativeLoss("analyst");
@@ -113,7 +116,7 @@ TEST(RecoveryTest, StateSurvivesRestart) {
   EXPECT_EQ(revived->history()->size(), history_before);
   EXPECT_DOUBLE_EQ(revived->history()->CumulativeLoss("analyst"), loss_before);
   // And the revived engine keeps serving (and accounting) normally.
-  auto r = revived->Execute(query, QueryOptions{});
+  auto r = revived->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(revived->history()->CumulativeLoss("analyst"), loss_before);
 }
@@ -127,7 +130,7 @@ TEST(RecoveryTest, RecoverTwiceOrOnUsedEngineIsRejected) {
 
   auto volatile_engine = BuildEngine(sources, DurableOptions());
   auto r = volatile_engine->Execute(
-      MakeQuery("<select>patient_id</select>"), QueryOptions{});
+      MakeQuery("<select>patient_id</select>"), LiveOptions());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(volatile_engine->Recover(TestDir("recover_used")).ok());
 }
@@ -136,7 +139,6 @@ TEST(RecoveryTest, WarehouseMaterializationsSurviveRestart) {
   const std::string dir = TestDir("warehouse_survives");
   auto sources = BuildSources(3);
   auto options = DurableOptions();
-  options.enable_warehouse = true;
   const auto query = MakeQuery("<select>patient_id</select><select>sex</select>");
   {
     auto engine = BuildEngine(sources, options);
@@ -158,7 +160,6 @@ TEST(RecoveryTest, JournaledEvictionSurvivesRestart) {
   const std::string dir = TestDir("evict_survives");
   auto sources = BuildSources(2);
   auto options = DurableOptions();
-  options.enable_warehouse = true;
   const auto query = MakeQuery("<select>patient_id</select>");
   {
     auto engine = BuildEngine(sources, options);
@@ -233,7 +234,7 @@ TEST(RecoveryTest, SnapshotRotationPreservesStateAcrossRestart) {
     auto engine = BuildEngine(sources, options);
     ASSERT_TRUE(engine->Recover(dir).ok());
     for (int i = 0; i < 7; ++i) {
-      ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+      ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
     }
     // Rotation is asynchronous now; force one deterministically so the
     // snapshot below is guaranteed to carry all seven entries.
@@ -263,20 +264,20 @@ TEST_P(CrashMatrixTest, BudgetIsIdenticalBeforeAndAfterCrash) {
 
   auto engine = BuildEngine(sources, DurableOptions());
   ASSERT_TRUE(engine->Recover(dir).ok());
-  ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+  ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   const double durable_loss = engine->history()->CumulativeLoss("analyst");
   ASSERT_GT(durable_loss, 0.0);
 
   // The process "dies" at the kill-point during the next release.
   ASSERT_TRUE(engine->ArmPersistKillPoint(kp).ok());
-  auto crashed = engine->Execute(query, QueryOptions{});
+  auto crashed = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(crashed.ok()) << persist::KillPointName(kp)
                              << ": the un-journalable answer must be withheld";
   EXPECT_TRUE(crashed.status().IsUnavailable());
   EXPECT_TRUE(engine->persistence_failed());
 
   // Fail closed: the dying engine refuses everything from now on.
-  auto refused = engine->Execute(query, QueryOptions{});
+  auto refused = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable());
   EXPECT_FALSE(engine->Health().ready);
@@ -290,7 +291,7 @@ TEST_P(CrashMatrixTest, BudgetIsIdenticalBeforeAndAfterCrash) {
   EXPECT_DOUBLE_EQ(revived->history()->CumulativeLoss("analyst"), durable_loss)
       << persist::KillPointName(kp);
   // And the revived engine serves again.
-  auto r = revived->Execute(query, QueryOptions{});
+  auto r = revived->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
@@ -406,7 +407,7 @@ TEST(RecoveryTest, FailedDisclosureJournalWithholdsTheValue) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(engine->persistence_failed());
   EXPECT_FALSE(engine->Execute(MakeQuery("<select>patient_id</select>"),
-                               QueryOptions{})
+                               LiveOptions())
                    .ok());
 }
 
@@ -421,9 +422,9 @@ TEST(RecoveryTest, CorruptedWalTailRecoversConservatively) {
   {
     auto engine = BuildEngine(sources, DurableOptions());
     ASSERT_TRUE(engine->Recover(dir).ok());
-    ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
     first_loss = engine->history()->CumulativeLoss("analyst");
-    ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   }
   // Tear bytes off the end of the live WAL, as a dying disk would.
   fs::path wal_path;
@@ -442,7 +443,7 @@ TEST(RecoveryTest, CorruptedWalTailRecoversConservatively) {
   // The torn second record is gone, the first survives; budget is at least
   // the last durable floor and the engine still serves.
   EXPECT_GE(revived->history()->CumulativeLoss("analyst"), first_loss);
-  EXPECT_TRUE(revived->Execute(query, QueryOptions{}).ok());
+  EXPECT_TRUE(revived->Execute(query, LiveOptions()).ok());
 }
 
 // --- Fail-closed decoding and the record format ---
@@ -494,7 +495,7 @@ TEST(RecoveryTest, UndecodableRecordMidLogRefusesToStart) {
     {
       auto engine = BuildEngine(sources, DurableOptions());
       ASSERT_TRUE(engine->Recover(dir).ok());
-      ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+      ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
     }
     AppendRaw(dir, {record, {RecordType::kHistoryEntry, LaterEntry()}});
     auto revived = BuildEngine(sources, DurableOptions());
@@ -562,7 +563,6 @@ TEST(RecoveryTest, ColumnNamesThatAreNotXmlNamesSurviveRestart) {
                                                            std::move(table), 1));
   core::ClinicalScenario::ApplyPatientPolicies(sources[0].get());
   MediationEngine::Options options = DurableOptions();
-  options.enable_warehouse = true;
 
   double loss_before = 0.0;
   std::string first_answer;
@@ -667,13 +667,13 @@ TEST(EngineBreakerTest, PersistentlyFailingSourceIsShedNotDialed) {
   // Two queries burn real attempts against the sick source and open its
   // breaker; the third is shed without dialing.
   for (int i = 0; i < 2; ++i) {
-    auto r = engine->Execute(query, QueryOptions{});
+    auto r = engine->Execute(query, LiveOptions());
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_NE(r->sources_skipped.find("hospital1"), r->sources_skipped.end());
   }
   const uint64_t attempts_before =
       engine->metrics()->counter("engine.fragment_attempts");
-  auto r = engine->Execute(query, QueryOptions{});
+  auto r = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok());
   const auto skipped = r->sources_skipped.find("hospital1");
   ASSERT_NE(skipped, r->sources_skipped.end());
@@ -696,12 +696,12 @@ TEST(EngineBreakerTest, HalfOpenProbeReadmitsARecoveredSource) {
                                                     /*cooldown_ms=*/1));
   const auto query = MakeQuery("<select>patient_id</select><select>sex</select>");
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+    ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   }
   // The source heals; after the cooldown the next query probes and readmits.
   sources[0]->set_fault_injection(source::RemoteSource::FaultInjection{});
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto r = engine->Execute(query, QueryOptions{});
+  auto r = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok());
   EXPECT_NE(std::find(r->sources_answered.begin(), r->sources_answered.end(),
                       "hospital0"),
@@ -720,16 +720,16 @@ TEST(EngineBreakerTest, BypassDialsAnOpenBreakerSource) {
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/1,
                                                     /*cooldown_ms=*/60'000));
   const auto query = MakeQuery("<select>patient_id</select><select>sex</select>");
-  ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());  // opens breaker
+  ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());  // opens breaker
   sources[0]->set_fault_injection(source::RemoteSource::FaultInjection{});
 
   // Shed without bypass (the breaker stays open long past this test)...
-  auto shed = engine->Execute(query, QueryOptions{});
+  auto shed = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(shed.ok());
   ASSERT_NE(shed->sources_skipped.find("hospital0"),
             shed->sources_skipped.end());
   // ...but a must-try query dials it and gets the answer.
-  QueryOptions bypass;
+  QueryOptions bypass = LiveOptions();
   bypass.bypass_circuit_breaker = true;
   auto r = engine->Execute(query, bypass);
   ASSERT_TRUE(r.ok());
@@ -750,12 +750,12 @@ TEST(EngineBreakerTest, AllSourcesShedReportsUnavailableNotPrivacy) {
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/1,
                                                     /*cooldown_ms=*/60'000));
   const auto query = MakeQuery("<select>patient_id</select>");
-  auto first = engine->Execute(query, QueryOptions{});
+  auto first = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsUnavailable());
   // Both breakers now open: the query is shed everywhere, still a transport
   // verdict (retryable), never a privacy verdict.
-  auto second = engine->Execute(query, QueryOptions{});
+  auto second = engine->Execute(query, LiveOptions());
   ASSERT_FALSE(second.ok());
   EXPECT_TRUE(second.status().IsUnavailable());
 }
@@ -792,7 +792,7 @@ TEST(HealthTest, ReportsSchemaBreakersAndPersistence) {
   // degraded (but still ready) engine.
   ASSERT_TRUE(
       engine->Execute(MakeQuery("<select>patient_id</select><select>sex</select>"),
-                      QueryOptions{})
+                      LiveOptions())
           .ok());
   report = engine->Health();
   EXPECT_TRUE(report.ready);
@@ -815,7 +815,6 @@ TEST(HealthTest, ReportsSchemaBreakersAndPersistence) {
 TEST(WarehouseMetricsTest, CountersTrackPutsHitsMissesAndEvictions) {
   auto sources = BuildSources(2);
   auto options = DurableOptions();
-  options.enable_warehouse = true;
   auto engine = BuildEngine(sources, options);
   const auto query = MakeQuery("<select>patient_id</select>");
 

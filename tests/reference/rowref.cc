@@ -1,4 +1,4 @@
-#include "relational/reference.h"
+#include "reference/rowref.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef PIYE_RELATIONAL_REFERENCE_H_
-#define PIYE_RELATIONAL_REFERENCE_H_
+#ifndef PIYE_TESTS_REFERENCE_ROWREF_H_
+#define PIYE_TESTS_REFERENCE_ROWREF_H_
 
 #include <string>
 #include <vector>
@@ -60,4 +60,4 @@ Status RankSwapRowAtATime(Table* table, const std::string& column,
 }  // namespace relational
 }  // namespace piye
 
-#endif  // PIYE_RELATIONAL_REFERENCE_H_
+#endif  // PIYE_TESTS_REFERENCE_ROWREF_H_

@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "relational/column.h"
 #include "relational/executor.h"
-#include "relational/reference.h"
+#include "reference/rowref.h"
 #include "relational/expression.h"
 #include "relational/schema.h"
 #include "relational/sql.h"

@@ -255,9 +255,6 @@ std::unique_ptr<MediationEngine> BuildEngine(
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
-  // Warehouse off: any non-coalesced repeat *must* re-execute at the
-  // sources, so history size is a direct count of federated executions.
-  options.enable_warehouse = false;
   options.worker_threads = 4;
   auto engine = std::make_unique<MediationEngine>(options);
   for (const auto& src : sources) {
@@ -266,6 +263,10 @@ std::unique_ptr<MediationEngine> BuildEngine(
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
   return engine;
 }
+
+// Warehouse off: any non-coalesced repeat *must* re-execute at the sources,
+// so history size is a direct count of federated executions.
+QueryOptions LiveOptions() { return {.allow_warehouse = false}; }
 
 source::PiqlQuery MakeQuery(const std::string& body) {
   auto q = source::PiqlQuery::Parse(
@@ -293,7 +294,7 @@ TEST(SingleFlightTest, IdenticalConcurrentQueriesShareOneExecution) {
     callers.emplace_back([&, c] {
       ready.fetch_add(1);
       while (!go.load()) std::this_thread::yield();
-      auto result = engine->Execute(query, QueryOptions{});
+      auto result = engine->Execute(query, LiveOptions());
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       answers[c] = TableBytes(result->table());
       losses[c] = result->combined_privacy_loss;
@@ -335,7 +336,7 @@ TEST(SingleFlightTest, DistinctRequestersNeverCoalesce) {
   for (int c = 0; c < 2 * kPerRequester; ++c) {
     callers.emplace_back([&, c] {
       while (!go.load()) std::this_thread::yield();
-      QueryOptions options;
+      QueryOptions options = LiveOptions();
       // Transport-authenticated identity: two requesters, two flights.
       // (Both have RBAC grants in the scenario; only the identity differs.)
       options.requester = c % 2 == 0 ? "cdc" : "analyst";
@@ -359,6 +360,43 @@ TEST(SingleFlightTest, DistinctRequestersNeverCoalesce) {
             static_cast<uint64_t>(2 * kPerRequester - 2));
 }
 
+TEST(SingleFlightTest, DistinctDedupKeysNeverCoalesce) {
+  // {"patient_id,diagnosis"} and {"patient_id", "diagnosis"} are different
+  // requests: the first names one (unknown) key and fails, the second
+  // dedups on two real keys and succeeds. Concurrent callers alternating
+  // between them must form two flights, each getting its own outcome.
+  auto sources = BuildSources(2, /*latency_micros=*/100'000);
+  auto engine = BuildEngine(sources);
+  const auto query =
+      MakeQuery("<select>patient_id</select><select>diagnosis</select>");
+  const std::vector<std::string> joined_key{"patient_id,diagnosis"};
+  const std::vector<std::string> two_keys{"patient_id", "diagnosis"};
+
+  constexpr int kPerList = 2;
+  std::vector<std::thread> callers;
+  std::atomic<bool> go{false};
+  std::atomic<int> joined_failed{0}, two_keys_ok{0};
+  for (int c = 0; c < 2 * kPerList; ++c) {
+    callers.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      QueryOptions options = LiveOptions();
+      options.dedup_keys = c % 2 == 0 ? joined_key : two_keys;
+      auto result = engine->Execute(query, options);
+      if (c % 2 == 0 && result.status().IsNotFound()) joined_failed.fetch_add(1);
+      if (c % 2 == 1 && result.ok()) two_keys_ok.fetch_add(1);
+    });
+  }
+  go.store(true);
+  for (auto& t : callers) t.join();
+
+  EXPECT_EQ(joined_failed.load(), kPerList);
+  EXPECT_EQ(two_keys_ok.load(), kPerList);
+  EXPECT_EQ(engine->metrics()->counter("engine.singleflight_leaders"), 2u);
+  EXPECT_EQ(engine->metrics()->counter("engine.singleflight_coalesced"),
+            static_cast<uint64_t>(2 * kPerList - 2));
+  EXPECT_EQ(engine->history()->size(), 1u);  // only the two-key flight released
+}
+
 TEST(SingleFlightTest, SequentialIdenticalQueriesDoNotCoalesce) {
   // Coalescing is strictly for *overlapping* executions: once the leader
   // publishes, a later identical query is a fresh federated execution (the
@@ -366,8 +404,8 @@ TEST(SingleFlightTest, SequentialIdenticalQueriesDoNotCoalesce) {
   auto sources = BuildSources(2, /*latency_micros=*/0);
   auto engine = BuildEngine(sources);
   const auto query = MakeQuery("<select>patient_id</select>");
-  ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
-  ASSERT_TRUE(engine->Execute(query, QueryOptions{}).ok());
+  ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
+  ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   EXPECT_EQ(engine->history()->size(), 2u);
   EXPECT_EQ(engine->metrics()->counter("engine.singleflight_coalesced"), 0u);
   EXPECT_EQ(engine->metrics()->counter("engine.singleflight_leaders"), 2u);
@@ -384,7 +422,7 @@ TEST(SingleFlightTest, CoalesceOptOutForcesPrivateExecutions) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
       while (!go.load()) std::this_thread::yield();
-      QueryOptions options;
+      QueryOptions options = LiveOptions();
       options.coalesce = false;
       auto result = engine->Execute(query, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
