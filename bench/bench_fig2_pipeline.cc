@@ -14,10 +14,14 @@
 #include "common/rng.h"
 #include "core/private_iye.h"
 #include "core/scenario.h"
+#include "match/mediated_schema.h"
+#include "mediator/result_integrator.h"
 #include "perturb/noise.h"
 #include "perturb/swapping.h"
-#include "relational/executor.h"
+#include "reference/dedupref.h"
 #include "reference/rowref.h"
+#include "relational/executor.h"
+#include "relational/table_codec.h"
 
 using piye::core::ClinicalScenario;
 using piye::core::PrivateIye;
@@ -209,10 +213,42 @@ void BM_RankSwapRowEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_RankSwapRowEngine)->Arg(100000)->Unit(benchmark::kMillisecond);
 
+/// Three source answers of ~`rows` rows (patient id, date of birth, a
+/// score with NULLs) drawn from one patient pool, so a third of each
+/// answer repeats a row another source already returned.
+std::vector<piye::mediator::ResultIntegrator::SourceResult> IntegrateInputs(
+    size_t rows) {
+  piye::Rng rng(41);
+  const size_t pool = rows * 3 / 2;
+  std::vector<piye::mediator::ResultIntegrator::SourceResult> out;
+  for (const char* owner : {"hospital", "pharmacy", "lab"}) {
+    rel::ColumnVector id(rel::ColumnType::kString), dob(rel::ColumnType::kString),
+        score(rel::ColumnType::kDouble);
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t p = rng.NextBounded(pool);
+      id.AppendStr("P" + std::to_string(100000 + p));
+      dob.AppendStr(std::to_string(1940 + p % 60) + "-0" + std::to_string(1 + p % 9) +
+                    "-1" + std::to_string(p % 10));
+      if (p % 7 == 0) {
+        score.AppendNull();
+      } else {
+        score.AppendReal(static_cast<double>(p % 1000) / 8.0);
+      }
+    }
+    rel::Table t;
+    t.AddColumn({"patient_id", rel::ColumnType::kString}, std::move(id));
+    t.AddColumn({"dob", rel::ColumnType::kString}, std::move(dob));
+    t.AddColumn({"score", rel::ColumnType::kDouble}, std::move(score));
+    out.push_back({owner, std::move(t)});
+  }
+  return out;
+}
+
 /// --quick: a CI smoke gate instead of the full benchmark sweep. Runs the
-/// aggregation and perturbation hot paths through both engines, requires
-/// value-identical answers, and fails (exit 1) unless the columnar engine
-/// clears the minimum speedup.
+/// aggregation and perturbation hot paths through both engines and the
+/// Result Integrator against its display-string reference, requires
+/// identical answers, and fails (exit 1) unless each clears its minimum
+/// speedup.
 bool TablesIdentical(const rel::Table& a, const rel::Table& b) {
   if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
     return false;
@@ -246,6 +282,7 @@ int RunQuickGate() {
   // cost vanishes.
   constexpr double kMinAggSpeedup = 5.0;
   constexpr double kMinSwapSpeedup = 1.2;
+  constexpr double kMinIntegrateSpeedup = 3.0;
   constexpr size_t kRows = 200000;
   const rel::Table t = HotPathTable(kRows);
   const auto aggs = HotPathAggs();
@@ -306,18 +343,47 @@ int RunQuickGate() {
     benchmark::DoNotOptimize(copy);
   });
 
+  // Integration: three ~2k-row answers, whole-row dedup, byte-identical to
+  // the display-string reference (whose inputs avoid its two collisions).
+  const auto sources = IntegrateInputs(2000);
+  std::vector<rel::dedupref::Source> ref_sources;
+  for (const auto& s : sources) ref_sources.push_back({s.owner, s.table});
+  const piye::match::MediatedSchema mediated;
+  const piye::mediator::ResultIntegrator integrator(&mediated);
+  {
+    auto typed = integrator.Integrate(sources, {});
+    auto ref = rel::dedupref::Integrate(ref_sources, {});
+    if (!typed.ok() || !ref.ok() ||
+        rel::EncodeTable(*typed) != rel::EncodeTable(*ref)) {
+      std::printf("FAIL: integrator and reference disagree on the union\n");
+      return 1;
+    }
+  }
+  const double int_typed_ms = BestOfMillis(5, [&] {
+    auto out = integrator.Integrate(sources, {});
+    benchmark::DoNotOptimize(out);
+  });
+  const double int_ref_ms = BestOfMillis(5, [&] {
+    auto out = rel::dedupref::Integrate(ref_sources, {});
+    benchmark::DoNotOptimize(out);
+  });
+
   const double agg_speedup = agg_row_ms / agg_col_ms;
   const double pert_speedup = pert_row_ms / pert_col_ms;
+  const double int_speedup = int_ref_ms / int_typed_ms;
   std::printf("--quick hot-path gate (%zu rows, value-identical verified)\n",
               kRows);
   std::printf("  aggregate: row %.2f ms, columnar %.2f ms -> %.1fx\n",
               agg_row_ms, agg_col_ms, agg_speedup);
   std::printf("  rank-swap: row %.2f ms, columnar %.2f ms -> %.1fx\n",
               pert_row_ms, pert_col_ms, pert_speedup);
-  if (agg_speedup < kMinAggSpeedup || pert_speedup < kMinSwapSpeedup) {
+  std::printf("  integrate: reference %.2f ms, typed %.2f ms -> %.1fx\n",
+              int_ref_ms, int_typed_ms, int_speedup);
+  if (agg_speedup < kMinAggSpeedup || pert_speedup < kMinSwapSpeedup ||
+      int_speedup < kMinIntegrateSpeedup) {
     std::printf("FAIL: hot-path speedup below gate (aggregate %.1fx, "
-                "rank-swap %.1fx)\n",
-                kMinAggSpeedup, kMinSwapSpeedup);
+                "rank-swap %.1fx, integrate %.1fx)\n",
+                kMinAggSpeedup, kMinSwapSpeedup, kMinIntegrateSpeedup);
     return 1;
   }
   std::printf("OK\n");

@@ -8,7 +8,8 @@
 # (PIYE_SANITIZE=thread), then the parser/overload suites under UBSan
 # (PIYE_SANITIZE=undefined), then the columnar hot-path gate
 # (bench_fig2_pipeline --quick: speedup + value-identity against the row
-# reference engine), then a scaled-down bounded-state soak (crash matrix
+# reference engine and the display-string dedup reference), then a
+# scaled-down bounded-state soak (crash matrix
 # against the counting oracle with RSS and recovery-time ceilings). The
 # analysis leg runs before the sanitizer legs
 # on purpose: it needs no test execution, so a lock-discipline or
@@ -142,15 +143,17 @@ else
   # malformed-input fuzz loop, the wire-frame decoder under the bit-flip
   # and random-garbage fuzz tests, and the relational suite's differential
   # harness (validity-bitmap shifts, int64 overflow-checked SUM, typed
-  # buffer reinterpretation in the columnar engine).
+  # buffer reinterpretation in the columnar engine), and the property
+  # suite's differential runs of the typed dedup kernel and the bulk column
+  # gathers (word-assembled validity, shifted appends).
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
   cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DPIYE_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target \
     xml_test admission_test chaos_soak_test common_test net_test \
-    relational_test
+    relational_test property_test
   ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$JOBS" \
-    -R '^(xml_test|admission_test|chaos_soak_test|common_test|net_test|relational_test)$'
+    -R '^(xml_test|admission_test|chaos_soak_test|common_test|net_test|relational_test|property_test)$'
 fi
 
 if [[ "${PIYE_CI_SKIP_BENCH:-0}" == "1" ]]; then
@@ -158,10 +161,12 @@ if [[ "${PIYE_CI_SKIP_BENCH:-0}" == "1" ]]; then
 else
   echo "=== [7/8] columnar hot-path gate: bench_fig2_pipeline --quick ==="
   # Times the vectorized engine against the row-at-a-time reference on the
-  # aggregation and rank-swap hot paths, requires cell-for-cell identical
-  # answers, and fails unless aggregation clears its speedup bar. Catches
-  # both silent value drift and a perf regression that would quietly undo
-  # the columnar rebuild.
+  # aggregation and rank-swap hot paths, and the Result Integrator's typed
+  # dedup against the display-string reference on three ~2k-row answers;
+  # requires identical answers (integration: identical encoded bytes) and
+  # fails unless each clears its speedup bar (aggregate 5x, rank-swap 1.2x,
+  # integrate 3x). Catches both silent value drift and a perf regression
+  # that would quietly undo the columnar rebuild.
   cmake --build "$ROOT/build" -j "$JOBS" --target bench_fig2_pipeline
   "$ROOT/build/bench/bench_fig2_pipeline" --quick
 fi

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/macros.h"
+#include "relational/dedup.h"
 
 namespace piye {
 namespace linkage {
@@ -81,22 +82,12 @@ Result<std::vector<LinkedPair>> PrivateRecordLinkage::LinkApproximate(
 
 Result<relational::Table> DeduplicateByKey(
     const relational::Table& input, const std::vector<std::string>& key_columns) {
-  std::vector<size_t> idx;
+  relational::KeyBlock keys{{}, input.num_rows()};
   for (const auto& col : key_columns) {
     PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(col));
-    idx.push_back(i);
+    keys.cols.push_back(&input.col(i));
   }
-  relational::Table out(input.schema());
-  std::set<std::string> seen;
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    std::string key;
-    for (size_t i : idx) {
-      if (!key.empty()) key += '\x1f';
-      key += input.row(r)[i].ToDisplayString();
-    }
-    if (seen.insert(key).second) out.AppendRowUnchecked(input.row(r));
-  }
-  return out;
+  return input.Gather(relational::FirstOccurrences({keys}));
 }
 
 }  // namespace linkage

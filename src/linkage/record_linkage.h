@@ -54,9 +54,9 @@ class PrivateRecordLinkage {
   std::unique_ptr<PsiProtocol> protocol_;
 };
 
-/// Removes duplicate records across an integrated table using PSI-derived
-/// keys: the first occurrence of each linkage key is kept. Used by the
-/// Result Integrator after union-ing source results.
+/// Removes duplicate records from `input`: the first row of each distinct
+/// value of `key_columns` is kept, in row order. Keys are compared in
+/// plaintext with relational::FirstOccurrences' typed equality (no PSI).
 Result<relational::Table> DeduplicateByKey(const relational::Table& input,
                                            const std::vector<std::string>& key_columns);
 

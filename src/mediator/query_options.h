@@ -19,8 +19,8 @@ namespace mediator {
 /// default member initializer so such designated initializers stay
 /// warning-free under -Wextra.
 struct QueryOptions {
-  /// Mediated attribute names used for PSI-style duplicate elimination
-  /// (empty ⇒ whole-row distinct).
+  /// Mediated attribute names used as the (plaintext, typed) duplicate
+  /// elimination key (empty ⇒ whole-row distinct).
   std::vector<std::string> dedup_keys{};
 
   /// Overrides the requester identity carried inside the PIQL query when

@@ -1,11 +1,10 @@
 #include "mediator/result_integrator.h"
 
-#include <algorithm>
-#include <set>
+#include <deque>
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "linkage/record_linkage.h"
+#include "relational/dedup.h"
 
 namespace piye {
 namespace mediator {
@@ -50,67 +49,93 @@ ResultIntegrator::SourceResult ResultIntegrator::FromSource(
 Result<relational::Table> ResultIntegrator::Integrate(
     const std::vector<SourceResult>& results,
     const std::vector<std::string>& dedup_keys) const {
-  // Ordered union of mediated column names.
-  std::vector<relational::Column> columns;
-  auto has_column = [&columns](const std::string& name) {
-    return std::any_of(columns.begin(), columns.end(),
-                       [&name](const relational::Column& c) { return c.name == name; });
-  };
+  // Ordered union of mediated column names, plus provenance.
+  relational::Schema schema;
   for (const auto& r : results) {
     for (const auto& col : r.table.schema().columns()) {
-      if (!has_column(col.name)) columns.push_back(col);
+      if (!schema.Contains(col.name)) schema.AddColumn(col);
     }
   }
-  // Column-wise assembly: each mediated column is stitched from the sources'
-  // columns — whole-column appends when the type matches, per-cell coercion
-  // (AppendValue rules) when a later source disagrees on the type, and NULL
-  // runs when a source lacks the column entirely.
-  size_t total_rows = 0;
-  for (const auto& r : results) total_rows += r.table.num_rows();
-  relational::Table combined;
-  for (const auto& column : columns) {
-    relational::ColumnVector data(column.type);
-    data.Reserve(total_rows);
-    for (const auto& r : results) {
-      const size_t n = r.table.num_rows();
-      auto idx = r.table.schema().IndexOf(column.name);
-      if (!idx.ok()) {
-        for (size_t i = 0; i < n; ++i) data.AppendNull();
-      } else if (r.table.schema().column(*idx).type == column.type) {
-        data.AppendColumn(r.table.col(*idx));
-      } else {
-        const relational::ColumnVector& src = r.table.col(*idx);
-        for (size_t i = 0; i < n; ++i) data.AppendValue(src.ValueAt(i));
+  const size_t payload_cols = schema.num_columns();
+  schema.AddColumn({"_source", relational::ColumnType::kString});
+
+  // One block per source, one entry per mediated column: the source's own
+  // column when its type matches, a coerced copy (AppendValue rules) when a
+  // later source disagrees on the type, nullptr (all NULL) when it lacks
+  // the column.
+  std::deque<relational::ColumnVector> owned;
+  std::vector<relational::KeyBlock> blocks(results.size());
+  for (size_t b = 0; b < results.size(); ++b) {
+    const relational::Table& t = results[b].table;
+    blocks[b].num_rows = t.num_rows();
+    for (size_t c = 0; c < payload_cols; ++c) {
+      const relational::Column& column = schema.column(c);
+      auto idx = t.schema().IndexOf(column.name);
+      const relational::ColumnVector* col = nullptr;
+      if (idx.ok() && t.schema().column(*idx).type == column.type) {
+        col = &t.col(*idx);
+      } else if (idx.ok()) {
+        relational::ColumnVector& coerced = owned.emplace_back(column.type);
+        coerced.Reserve(t.num_rows());
+        for (size_t i = 0; i < t.num_rows(); ++i) {
+          coerced.AppendValue(t.col(*idx).ValueAt(i));
+        }
+        col = &coerced;
+      }
+      blocks[b].cols.push_back(col);
+    }
+  }
+
+  // Dedup keys: the named columns, or the whole row ignoring provenance.
+  std::vector<relational::KeyBlock> keys = blocks;
+  if (!dedup_keys.empty()) {
+    for (auto& k : keys) k.cols.clear();
+    for (const auto& name : dedup_keys) {
+      PIYE_ASSIGN_OR_RETURN(size_t c, schema.IndexOf(name));
+      for (size_t b = 0; b < results.size(); ++b) {
+        if (c < payload_cols) {
+          keys[b].cols.push_back(blocks[b].cols[c]);
+        } else {
+          relational::ColumnVector& owner =
+              owned.emplace_back(relational::ColumnType::kString);
+          owner.AppendStrRun(results[b].owner, results[b].table.num_rows());
+          keys[b].cols.push_back(&owner);
+        }
       }
     }
-    combined.AddColumn(column, std::move(data));
   }
-  {
-    relational::ColumnVector src_col(relational::ColumnType::kString);
-    src_col.Reserve(total_rows);
-    for (const auto& r : results) {
-      for (size_t i = 0; i < r.table.num_rows(); ++i) src_col.AppendStr(r.owner);
+  const std::vector<uint32_t> first = relational::FirstOccurrences(keys);
+
+  // Survivors are ascending, so source b's are the run [runs[b], runs[b+1])
+  // of `first`; make them source-local, then emit every column with one
+  // gather per source.
+  std::vector<uint32_t> local(first.size());
+  std::vector<size_t> runs(results.size() + 1, 0);
+  for (size_t b = 0, block_start = 0, i = 0; b < results.size(); ++b) {
+    const size_t block_end = block_start + blocks[b].num_rows;
+    for (; i < first.size() && first[i] < block_end; ++i) {
+      local[i] = first[i] - static_cast<uint32_t>(block_start);
     }
-    combined.AddColumn({"_source", relational::ColumnType::kString},
-                       std::move(src_col));
+    runs[b + 1] = i;
+    block_start = block_end;
   }
-  if (!dedup_keys.empty()) {
-    return linkage::DeduplicateByKey(combined, dedup_keys);
-  }
-  // Whole-row distinct ignoring provenance.
-  std::set<std::string> seen;
-  const size_t payload_cols = columns.size();
-  std::vector<uint32_t> sel;
-  sel.reserve(combined.num_rows());
-  for (size_t r = 0; r < combined.num_rows(); ++r) {
-    std::string key;
-    for (size_t c = 0; c < payload_cols; ++c) {
-      key += combined.col(c).ValueAt(r).ToDisplayString();
-      key += '\x1f';
+  relational::Table out;
+  for (size_t c = 0; c <= payload_cols; ++c) {
+    relational::ColumnVector data(schema.column(c).type);
+    data.Reserve(first.size());
+    for (size_t b = 0; b < results.size(); ++b) {
+      const size_t n = runs[b + 1] - runs[b];
+      if (c == payload_cols) {
+        data.AppendStrRun(results[b].owner, n);
+      } else if (blocks[b].cols[c] == nullptr) {
+        data.AppendNulls(n);
+      } else {
+        data.AppendGather(*blocks[b].cols[c], local.data() + runs[b], n);
+      }
     }
-    if (seen.insert(std::move(key)).second) sel.push_back(static_cast<uint32_t>(r));
+    out.AddColumn(schema.column(c), std::move(data));
   }
-  return combined.Gather(sel);
+  return out;
 }
 
 }  // namespace mediator

@@ -14,8 +14,11 @@ namespace mediator {
 /// The Result Integrator of Figure 2(b): renames the columns of the
 /// sources' result tables to mediated attribute names, pads attributes a
 /// source could not deliver with NULLs, unions everything, and removes
-/// duplicates — by exact PSI-style keys when the caller names key
-/// attributes, by whole-row identity otherwise.
+/// duplicates — by the key attributes the caller names, by whole-row
+/// identity otherwise. Dedup is plaintext (no PSI): cells are compared
+/// after the union's type coercion with relational::FirstOccurrences'
+/// typed equality (NULL equals only NULL, INT64/BOOL by value, DOUBLE by
+/// bit pattern with one NaN per sign, STRING by bytes).
 class ResultIntegrator {
  public:
   explicit ResultIntegrator(const match::MediatedSchema* schema) : schema_(schema) {}

@@ -1,5 +1,6 @@
 #include "relational/column.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace piye {
@@ -223,20 +224,93 @@ void ColumnVector::SetNull(size_t i) {
   }
 }
 
+template <typename RowAt>
+void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row) {
+  // Every buffer is resized before any pointer into it is taken, so `src`
+  // may be `*this` (reads stay below `base`, writes at or above it).
+  const size_t base = size_;
+  switch (type_) {
+    case ColumnType::kInt64: {
+      ints_.resize(base + n);
+      int64_t* out = ints_.data() + base;
+      const int64_t* in = src.ints_.data();
+      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      break;
+    }
+    case ColumnType::kDouble: {
+      reals_.resize(base + n);
+      double* out = reals_.data() + base;
+      const double* in = src.reals_.data();
+      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      break;
+    }
+    case ColumnType::kBool: {
+      bools_.resize(base + n);
+      uint8_t* out = bools_.data() + base;
+      const uint8_t* in = src.bools_.data();
+      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      break;
+    }
+    case ColumnType::kString: {
+      // A NULL cell has length 0, so it contributes no bytes.
+      size_t bytes = 0;
+      for (size_t k = 0; k < n; ++k) bytes += src.str_len_[row(k)];
+      size_t offset = arena_.size();
+      arena_.resize(offset + bytes);
+      str_offset_.resize(base + n);
+      str_len_.resize(base + n);
+      char* out = arena_.data();
+      const char* in = src.arena_.data();
+      for (size_t k = 0; k < n; ++k) {
+        const size_t j = row(k);
+        const uint32_t len = src.str_len_[j];
+        std::memcpy(out + offset, in + src.str_offset_[j], len);
+        str_offset_[base + k] = static_cast<uint32_t>(offset);
+        str_len_[base + k] = len;
+        offset += len;
+      }
+      break;
+    }
+  }
+  validity_.resize((base + n + 63) / 64, 0);
+  for (size_t k = 0; k < n;) {
+    const size_t bit = (base + k) & 63;
+    const size_t take = std::min<size_t>(64 - bit, n - k);
+    uint64_t word = 0;
+    for (size_t t = 0; t < take; ++t) {
+      word |= static_cast<uint64_t>(!src.IsNull(row(k + t))) << (bit + t);
+    }
+    validity_[(base + k) >> 6] |= word;
+    k += take;
+  }
+  size_ = base + n;
+}
+
+void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* sel,
+                                size_t n) {
+  AppendRows(src, n, [sel](size_t k) { return sel[k]; });
+}
+
+void ColumnVector::AppendNulls(size_t n) {
+  ColumnVector null(type_);
+  null.AppendNull();
+  AppendRows(null, n, [](size_t) { return size_t{0}; });
+}
+
+void ColumnVector::AppendStrRun(std::string_view v, size_t n) {
+  ColumnVector one(ColumnType::kString);
+  one.AppendStr(v);
+  AppendRows(one, n, [](size_t) { return size_t{0}; });
+}
+
 ColumnVector ColumnVector::Gather(const uint32_t* sel, size_t n) const {
   ColumnVector out(type_);
-  out.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.AppendFrom(*this, sel[i]);
-  }
+  out.AppendGather(*this, sel, n);
   return out;
 }
 
 void ColumnVector::AppendColumn(const ColumnVector& other) {
-  Reserve(size_ + other.size_);
-  for (size_t i = 0; i < other.size_; ++i) {
-    AppendFrom(other, i);
-  }
+  AppendRows(other, other.size_, [](size_t k) { return k; });
 }
 
 void ColumnVector::EncodeCell(size_t i, std::string* out) const {

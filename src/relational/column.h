@@ -72,8 +72,17 @@ class ColumnVector {
   /// column. Any other mismatch appends NULL (such cells were already
   /// unserializable under the row engine).
   void AppendValue(const Value& v);
+  /// Appends `n` NULL cells.
+  void AppendNulls(size_t n);
+  /// Appends `n` copies of the string `v` (kString columns only).
+  void AppendStrRun(std::string_view v, size_t n);
   /// Appends cell `i` of `src` (same ColumnType required).
   void AppendFrom(const ColumnVector& src, size_t i);
+  /// Appends cells `sel[0..n)` of `src`, in that order (same ColumnType
+  /// required). A bulk typed copy: payloads are copied by index (a NULL
+  /// slot already holds the zero payload), the string arena grows once by
+  /// the selected lengths, and validity is assembled a word at a time.
+  void AppendGather(const ColumnVector& src, const uint32_t* sel, size_t n);
 
   // -- point access --------------------------------------------------------
   /// Materializes cell `i` as a Value (NULL-aware).
@@ -87,7 +96,8 @@ class ColumnVector {
   /// New column holding rows `sel[0..n)` of this one, in that order. String
   /// columns are compacted (arena slack from Set is dropped).
   ColumnVector Gather(const uint32_t* sel, size_t n) const;
-  /// Appends all cells of `other` (same ColumnType required).
+  /// Appends all cells of `other` (same ColumnType required), with the
+  /// same bulk copy as AppendGather.
   void AppendColumn(const ColumnVector& other);
 
   /// Appends the canonical grouping/join key encoding of cell `i` to `out`.
@@ -105,6 +115,9 @@ class ColumnVector {
 
  private:
   void AppendValiditySlot(bool present);
+  /// Bulk append of `n` cells of `src`; cell k comes from row `row(k)`.
+  template <typename RowAt>
+  void AppendRows(const ColumnVector& src, size_t n, RowAt row);
 
   ColumnType type_ = ColumnType::kString;
   size_t size_ = 0;

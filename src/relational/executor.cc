@@ -451,8 +451,8 @@ Status EvalTruth(const Table& t, const Expression& e, size_t b0, size_t b1,
 
 }  // namespace
 
-Result<Table> Executor::Filter(const Table& input, const ExprPtr& predicate) {
-  if (predicate == nullptr) return input;
+Result<std::vector<uint32_t>> Executor::FilterSelection(const Table& input,
+                                                        const Expression& predicate) {
   const size_t n = input.num_rows();
   std::vector<uint32_t> sel;
   Mask active(kBatchSize, 1);
@@ -460,11 +460,17 @@ Result<Table> Executor::Filter(const Table& input, const ExprPtr& predicate) {
   for (size_t b0 = 0; b0 < n; b0 += kBatchSize) {
     const size_t b1 = std::min(b0 + kBatchSize, n);
     std::fill(active.begin(), active.begin() + (b1 - b0), 1);
-    PIYE_RETURN_NOT_OK(EvalTruth(input, *predicate, b0, b1, active, &out));
+    PIYE_RETURN_NOT_OK(EvalTruth(input, predicate, b0, b1, active, &out));
     for (size_t r = b0; r < b1; ++r) {
       if (out[r - b0]) sel.push_back(static_cast<uint32_t>(r));
     }
   }
+  return sel;
+}
+
+Result<Table> Executor::Filter(const Table& input, const ExprPtr& predicate) {
+  if (predicate == nullptr) return input;
+  PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, FilterSelection(input, *predicate));
   return input.Gather(sel);
 }
 
@@ -805,7 +811,32 @@ Table Executor::Limit(const Table& input, size_t n) {
 
 Result<Table> Executor::Execute(const SelectStatement& stmt) const {
   PIYE_ASSIGN_OR_RETURN(const Table* base, catalog_->GetTable(stmt.table));
-  PIYE_ASSIGN_OR_RETURN(Table filtered, Filter(*base, stmt.where));
+  // Late materialization: the WHERE is evaluated on the base table to a
+  // selection, and only the columns the statement reads are gathered
+  // through it. A name the base lacks is left out, so the step that reads
+  // it fails on `filtered` with the same error as on the whole table.
+  std::vector<size_t> read;
+  auto add_read = [&read, base](const std::string& name) {
+    auto idx = base->schema().IndexOf(name);
+    if (idx.ok() && std::find(read.begin(), read.end(), *idx) == read.end()) {
+      read.push_back(*idx);
+    }
+  };
+  if (stmt.HasStar()) {
+    read.resize(base->num_columns());
+    std::iota(read.begin(), read.end(), size_t{0});
+  }
+  for (const auto& item : stmt.items) {
+    if (!item.column.empty()) add_read(item.column);
+  }
+  for (const auto& g : stmt.group_by) add_read(g);
+  for (const auto& k : stmt.order_by) add_read(k.column);
+  Table filtered = base->ProjectShared(read);
+  if (stmt.where != nullptr) {
+    PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                          FilterSelection(*base, *stmt.where));
+    filtered = filtered.Gather(sel);
+  }
 
   Table result;
   if (stmt.HasAggregates() || !stmt.group_by.empty()) {

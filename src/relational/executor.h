@@ -47,6 +47,11 @@ class Executor {
   /// Rows of `input` satisfying `predicate`.
   static Result<Table> Filter(const Table& input, const ExprPtr& predicate);
 
+  /// Positions of the rows of `input` satisfying `predicate`, ascending —
+  /// Filter's selection vector, before any cell is copied.
+  static Result<std::vector<uint32_t>> FilterSelection(const Table& input,
+                                                       const Expression& predicate);
+
   /// Projection onto named columns.
   static Result<Table> Project(const Table& input, const std::vector<std::string>& columns);
 

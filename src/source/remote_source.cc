@@ -162,13 +162,14 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
       rewritten.stmt.group_by.empty() &&
       std::find(out.techniques.begin(), out.techniques.end(),
                 Technique::kQuerySetRestriction) != out.techniques.end()) {
-    PIYE_ASSIGN_OR_RETURN(relational::Table query_set,
-                          relational::Executor::Filter(*base, rewritten.stmt.where));
+    PIYE_ASSIGN_OR_RETURN(
+        const std::vector<uint32_t> query_set,
+        relational::Executor::FilterSelection(*base, *rewritten.stmt.where));
     const size_t k = preservation_.config().k;
     const size_t n = base->num_rows();
-    if (query_set.num_rows() < k || query_set.num_rows() + k > n) {
+    if (query_set.size() < k || query_set.size() + k > n) {
       return Status::PrivacyViolation(
-          "aggregate query set size " + std::to_string(query_set.num_rows()) +
+          "aggregate query set size " + std::to_string(query_set.size()) +
           " outside [" + std::to_string(k) + ", " +
           std::to_string(n >= k ? n - k : 0) + "] — tracker risk");
     }

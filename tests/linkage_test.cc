@@ -230,6 +230,29 @@ TEST(DeduplicateByKeyTest, KeepsFirstOccurrence) {
   EXPECT_EQ(out->row(0)[1].AsInt(), 1);  // first "a" kept
 }
 
+// Two shapes the display-string key ('\x1f'-joined ToDisplayString)
+// collapsed: a separator byte inside a key string, and NULL vs "NULL".
+TEST(DeduplicateByKeyTest, DistinctKeysWithSeparatorBytesBothSurvive) {
+  Table t(Schema{Column{"a", ColumnType::kString}, Column{"b", ColumnType::kString}});
+  (void)t.AppendRow(Row{Value::Str("a\x1f"), Value::Str("b")});
+  (void)t.AppendRow(Row{Value::Str("a"), Value::Str("\x1f" "b")});
+  auto out = DeduplicateByKey(t, {"a", "b"});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 2u);
+}
+
+TEST(DeduplicateByKeyTest, NullAndTheStringNullAreDistinctKeys) {
+  Table t(Schema{Column{"id", ColumnType::kString}});
+  (void)t.AppendRow(Row{Value::Null()});
+  (void)t.AppendRow(Row{Value::Str("NULL")});
+  (void)t.AppendRow(Row{Value::Null()});
+  auto out = DeduplicateByKey(t, {"id"});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 2u);
+  EXPECT_TRUE(out->Cell(0, 0).is_null());
+  EXPECT_EQ(out->Cell(1, 0).AsString(), "NULL");
+}
+
 TEST(DeduplicateByKeyTest, MissingKeyColumnFails) {
   Table t(Schema{Column{"id", ColumnType::kString}});
   EXPECT_FALSE(DeduplicateByKey(t, {"nope"}).ok());

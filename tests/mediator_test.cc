@@ -238,8 +238,8 @@ TEST_F(EngineTest, SharedAttributeFansOut) {
 
 TEST_F(EngineTest, DedupByKeyRemovesCrossSourceDuplicates) {
   // id + drug: only the pharmacy has drug, so the same patient appears as
-  // (id, NULL) and (id, drug) — whole-row distinct keeps both, PSI-style
-  // key dedup collapses them.
+  // (id, NULL) and (id, drug) — whole-row distinct keeps both, key dedup
+  // collapses them.
   const char* body = "<select>patient_id</select><select>drug</select>";
   auto with_dups = engine_->Execute(MakeQuery(body));
   ASSERT_TRUE(with_dups.ok()) << with_dups.status().ToString();
@@ -330,6 +330,40 @@ TEST(ResultIntegratorTest, WholeRowDistinctIgnoresProvenance) {
   auto out = integrator.Integrate({{"s1", a}, {"s2", b}}, {});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1u);  // identical payloads collapse
+}
+
+// Two shapes the display-string row key ('\x1f'-joined ToDisplayString)
+// collapsed: a separator byte inside a string, and NULL vs the string "NULL".
+TEST(ResultIntegratorTest, DistinctRowsWithSeparatorBytesBothSurvive) {
+  match::MediatedSchema schema;
+  ResultIntegrator integrator(&schema);
+  const Schema cols{Column{"a", ColumnType::kString}, Column{"b", ColumnType::kString}};
+  Table s1(cols);
+  (void)s1.AppendRow(Row{Value::Str("a\x1f"), Value::Str("b")});
+  Table s2(cols);
+  (void)s2.AppendRow(Row{Value::Str("a"), Value::Str("\x1f" "b")});
+  auto out = integrator.Integrate({{"s1", s1}, {"s2", s2}}, {});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->num_rows(), 2u);
+  EXPECT_EQ(out->Cell(1, 1).AsString(), "\x1f" "b");
+}
+
+TEST(ResultIntegratorTest, NullAndTheStringNullAreDistinct) {
+  match::MediatedSchema schema;
+  ResultIntegrator integrator(&schema);
+  Table s1(Schema{Column{"x", ColumnType::kString}});
+  (void)s1.AppendRow(Row{Value::Null()});
+  Table s2(Schema{Column{"x", ColumnType::kString}});
+  (void)s2.AppendRow(Row{Value::Str("NULL")});
+  auto out = integrator.Integrate({{"s1", s1}, {"s2", s2}}, {});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->num_rows(), 2u);
+  EXPECT_TRUE(out->Cell(0, 0).is_null());
+  EXPECT_EQ(out->Cell(1, 0).AsString(), "NULL");
+  // The same keys through named dedup keys.
+  auto keyed = integrator.Integrate({{"s1", s1}, {"s2", s2}}, {"x"});
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  EXPECT_EQ(keyed->num_rows(), 2u);
 }
 
 // --- Fragmenter unit behaviour ---

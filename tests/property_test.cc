@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,9 +20,12 @@
 #include "inference/interval_solver.h"
 #include "inference/nlp_solver.h"
 #include "linkage/psi.h"
+#include "linkage/record_linkage.h"
 #include "mediator/privacy_control.h"
+#include "mediator/result_integrator.h"
 #include "perturb/noise.h"
 #include "perturb/reconstruction.h"
+#include "reference/dedupref.h"
 #include "statdb/audit.h"
 
 namespace piye {
@@ -477,6 +482,251 @@ TEST_P(SystemInvariantTest, DeniedColumnsNeverLeakWhateverTheQuery) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SystemInvariantTest, ::testing::Range<uint64_t>(1, 5));
+
+}  // namespace
+}  // namespace piye
+
+namespace piye {
+namespace {
+
+// --- Typed dedup kernel vs the display-string oracle ---
+
+using relational::ColumnType;
+using relational::ColumnVector;
+using relational::Value;
+
+/// A double with the given bit pattern (NaN payloads included).
+double FromBits(uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// A cell from a small domain, so rows repeat. Strings exclude the
+/// oracle's two collision shapes: '\x1f' and "NULL".
+Value RandomDedupCell(Rng* rng, ColumnType type) {
+  if (rng->NextBernoulli(0.15)) return Value::Null();
+  constexpr int64_t kBig = int64_t{1} << 53;
+  switch (type) {
+    case ColumnType::kInt64: {
+      const int64_t ints[] = {0, 1, -1, kBig, kBig + 1, kBig + 2, -kBig - 1,
+                              std::numeric_limits<int64_t>::max(),
+                              std::numeric_limits<int64_t>::min()};
+      return Value::Int(ints[rng->NextBounded(9)]);
+    }
+    case ColumnType::kDouble: {
+      const double reals[] = {0.0, -0.0, 1.5, -1.5, 9007199254740992.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::quiet_NaN(),
+                              FromBits(0x7ff8000000000001ULL),
+                              FromBits(0xfff0000000000002ULL),
+                              std::numeric_limits<double>::infinity()};
+      return Value::Real(reals[rng->NextBounded(10)]);
+    }
+    case ColumnType::kString: {
+      const char* strs[] = {"", "a", "b", "ab", " a", "null", "nan", "-0", "x y"};
+      return Value::Str(strs[rng->NextBounded(9)]);
+    }
+    case ColumnType::kBool:
+      return Value::Boolean(rng->NextBernoulli(0.5));
+  }
+  return Value::Null();
+}
+
+struct DedupColumn {
+  const char* name;
+  ColumnType type;
+};
+
+/// The column pool: `mixed` is INT64 or DOUBLE per source, so the union
+/// coerces it (INT64 widens into a DOUBLE column; DOUBLE into an INT64
+/// column is NULL).
+const DedupColumn kDedupPool[] = {{"id", ColumnType::kInt64},
+                                  {"name", ColumnType::kString},
+                                  {"score", ColumnType::kDouble},
+                                  {"flag", ColumnType::kBool},
+                                  {"mixed", ColumnType::kInt64}};
+
+/// Random sources drawn from shared prototype rows (so duplicates cross
+/// sources), each with a random subset and order of the pool's columns.
+std::vector<relational::dedupref::Source> RandomSources(Rng* rng) {
+  std::vector<std::map<std::string, Value>> protos(1 + rng->NextBounded(10));
+  for (auto& p : protos) {
+    for (const auto& c : kDedupPool) {
+      const bool real = c.name == std::string("mixed") && rng->NextBernoulli(0.3);
+      p[c.name] = RandomDedupCell(rng, real ? ColumnType::kDouble : c.type);
+    }
+  }
+  std::vector<relational::dedupref::Source> sources(1 + rng->NextBounded(4));
+  for (size_t s = 0; s < sources.size(); ++s) {
+    sources[s].owner = "s" + std::to_string(s);
+    relational::Schema schema;
+    for (const auto& c : kDedupPool) {
+      if (!rng->NextBernoulli(0.7)) continue;
+      const bool real = c.name == std::string("mixed") && rng->NextBernoulli(0.5);
+      schema.AddColumn({c.name, real ? ColumnType::kDouble : c.type});
+    }
+    relational::Table t(schema);
+    const size_t rows = rng->NextBernoulli(0.2) ? 0 : rng->NextBounded(40);
+    for (size_t r = 0; r < rows; ++r) {
+      std::map<std::string, Value> cells = protos[rng->NextBounded(protos.size())];
+      if (rng->NextBernoulli(0.2)) {
+        const DedupColumn& c = kDedupPool[rng->NextBounded(5)];
+        cells[c.name] = RandomDedupCell(rng, c.type);
+      }
+      relational::Row row;
+      for (const auto& col : schema.columns()) row.push_back(cells[col.name]);
+      t.AppendRowUnchecked(row);
+    }
+    sources[s].table = std::move(t);
+  }
+  return sources;
+}
+
+class DedupDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DedupDifferentialTest, IntegrateMatchesDisplayStringOracle) {
+  Rng rng(GetParam() * 7919 + 3);
+  match::MediatedSchema mediated;
+  const mediator::ResultIntegrator integrator(&mediated);
+  const char* key_names[] = {"id", "name", "score", "flag", "mixed", "_source", "nope"};
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto sources = RandomSources(&rng);
+    std::vector<std::string> keys;
+    if (rng.NextBernoulli(0.5)) {
+      const size_t n = 1 + rng.NextBounded(2);
+      for (size_t k = 0; k < n; ++k) keys.push_back(key_names[rng.NextBounded(7)]);
+    }
+    std::vector<mediator::ResultIntegrator::SourceResult> results;
+    for (const auto& s : sources) results.push_back({s.owner, s.table});
+    auto got = integrator.Integrate(results, keys);
+    auto want = relational::dedupref::Integrate(sources, keys);
+    ASSERT_EQ(got.ok(), want.ok()) << trial;
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(relational::EncodeTable(*got), relational::EncodeTable(*want))
+        << "trial " << trial << "\ngot:\n"
+        << got->ToString() << "want:\n"
+        << want->ToString();
+  }
+}
+
+TEST_P(DedupDifferentialTest, DeduplicateByKeyMatchesDisplayStringOracle) {
+  Rng rng(GetParam() * 104729 + 11);
+  const char* key_names[] = {"id", "name", "score", "flag", "mixed"};
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto sources = RandomSources(&rng);
+    const relational::Table& t = sources[0].table;
+    std::vector<std::string> keys;
+    for (const auto& col : t.schema().columns()) {
+      if (rng.NextBernoulli(0.5)) keys.push_back(col.name);
+    }
+    if (keys.empty()) keys.push_back(key_names[rng.NextBounded(5)]);
+    auto got = linkage::DeduplicateByKey(t, keys);
+    auto want = relational::dedupref::DeduplicateByKey(t, keys);
+    ASSERT_EQ(got.ok(), want.ok()) << trial;
+    if (!want.ok()) continue;
+    EXPECT_EQ(relational::EncodeTable(*got), relational::EncodeTable(*want))
+        << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DedupDifferentialTest, ::testing::Range<uint64_t>(1, 9));
+
+// --- Bulk Gather/AppendColumn vs per-cell appends ---
+
+/// A random column with NULLs; string columns also get overwrites that
+/// leave arena slack (a longer value is appended, the old bytes stay).
+ColumnVector RandomColumn(Rng* rng, ColumnType type, size_t n) {
+  ColumnVector col(type);
+  for (size_t i = 0; i < n; ++i) col.AppendValue(RandomDedupCell(rng, type));
+  for (size_t k = 0; n > 0 && k < n / 3; ++k) {
+    const size_t i = rng->NextBounded(n);
+    if (rng->NextBernoulli(0.2)) {
+      col.SetNull(i);
+    } else if (type == ColumnType::kString) {
+      col.Set(i, Value::Str(std::string(rng->NextBounded(12), 'q')));
+    } else {
+      col.Set(i, RandomDedupCell(rng, type));
+    }
+  }
+  return col;
+}
+
+std::string ColumnBytes(const ColumnVector& col) {
+  relational::Table t;
+  t.AddColumn({"c", col.type()}, col);
+  return relational::EncodeTable(t);
+}
+
+/// Per-cell appends of `src`'s rows `sel` onto a copy of `prefix`.
+ColumnVector PerCell(const ColumnVector& prefix, const ColumnVector& src,
+                     const std::vector<uint32_t>& sel) {
+  ColumnVector out = prefix;
+  for (uint32_t i : sel) out.AppendValue(src.ValueAt(i));
+  return out;
+}
+
+void ExpectZeroNullSlots(const ColumnVector& col) {
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) continue;
+    switch (col.type()) {
+      case ColumnType::kInt64:
+        EXPECT_EQ(col.IntAt(i), 0);
+        break;
+      case ColumnType::kDouble:
+        EXPECT_EQ(col.RealAt(i), 0.0);
+        break;
+      case ColumnType::kBool:
+        EXPECT_FALSE(col.BoolAt(i));
+        break;
+      case ColumnType::kString:
+        EXPECT_TRUE(col.StrAt(i).empty());
+        break;
+    }
+  }
+}
+
+class BulkColumnCopyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BulkColumnCopyTest, GatherAndAppendColumnMatchPerCellAppends) {
+  Rng rng(GetParam() * 6151 + 5);
+  const ColumnType types[] = {ColumnType::kInt64, ColumnType::kDouble,
+                              ColumnType::kString, ColumnType::kBool};
+  for (int trial = 0; trial < 40; ++trial) {
+    const ColumnType type = types[rng.NextBounded(4)];
+    const ColumnVector src = RandomColumn(&rng, type, rng.NextBounded(200));
+    // Prefix lengths off a word boundary shift the appended validity bits.
+    const ColumnVector prefix = RandomColumn(&rng, type, rng.NextBounded(130));
+    std::vector<uint32_t> sel(src.size() == 0 ? 0 : rng.NextBounded(300));
+    for (uint32_t& s : sel) s = static_cast<uint32_t>(rng.NextBounded(src.size()));
+    std::vector<uint32_t> all(src.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+
+    const ColumnVector gathered = src.Gather(sel.data(), sel.size());
+    EXPECT_EQ(ColumnBytes(gathered), ColumnBytes(PerCell(ColumnVector(type), src, sel)));
+    ExpectZeroNullSlots(gathered);
+
+    ColumnVector appended = prefix;
+    appended.AppendColumn(src);
+    EXPECT_EQ(ColumnBytes(appended), ColumnBytes(PerCell(prefix, src, all)));
+    ExpectZeroNullSlots(appended);
+
+    ColumnVector gathered_onto = prefix;
+    gathered_onto.AppendGather(src, sel.data(), sel.size());
+    EXPECT_EQ(ColumnBytes(gathered_onto), ColumnBytes(PerCell(prefix, src, sel)));
+
+    ColumnVector doubled = src;
+    doubled.AppendColumn(doubled);
+    std::vector<uint32_t> twice = all;
+    twice.insert(twice.end(), all.begin(), all.end());
+    EXPECT_EQ(ColumnBytes(doubled), ColumnBytes(PerCell(ColumnVector(type), src, twice)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BulkColumnCopyTest, ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace piye

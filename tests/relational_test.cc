@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 
 #include "common/rng.h"
 #include "relational/column.h"
+#include "relational/dedup.h"
 #include "relational/executor.h"
 #include "reference/rowref.h"
 #include "relational/expression.h"
@@ -583,6 +585,37 @@ TEST(ColumnVectorTest, EncodeCellMatchesCompareEquality) {
   EXPECT_NE(null_key, pos0);
 }
 
+TEST(FirstOccurrencesTest, TypedEqualityRules) {
+  // Pairs that the key rules keep apart (INT64 above 2^53, -0.0 vs 0.0,
+  // NaNs of opposite sign, NULL vs a value) and pairs they merge (NaN
+  // payloads of one sign, NULL vs an absent column).
+  constexpr int64_t kBig = int64_t{1} << 53;
+  ColumnVector i(ColumnType::kInt64), d(ColumnType::kDouble);
+  const uint64_t nan_bits = 0x7ff8000000000001ULL;
+  double other_nan = 0.0;
+  std::memcpy(&other_nan, &nan_bits, sizeof(other_nan));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int64_t v : {kBig, kBig + 1, kBig, int64_t{0}, int64_t{0}, int64_t{0},
+                    int64_t{0}, int64_t{0}}) {
+    i.AppendInt(v);
+  }
+  for (double v : {1.0, 1.0, 1.0, 0.0, -0.0, nan, other_nan, -nan}) d.AppendReal(v);
+  i.AppendNull();
+  d.AppendNull();
+  const KeyBlock first{{&i, &d}, i.size()};
+  // A second block lacking the double column: its cells read as NULL.
+  ColumnVector tail(ColumnType::kInt64);
+  tail.AppendNull();
+  tail.AppendInt(0);
+  const KeyBlock second{{&tail, nullptr}, tail.size()};
+  EXPECT_EQ(FirstOccurrences({first, second}),
+            (std::vector<uint32_t>{0, 1, 3, 4, 5, 7, 8, 10}));
+  // No key columns: one key for every row.
+  EXPECT_EQ(FirstOccurrences({KeyBlock{{}, 3}, KeyBlock{{}, 2}}),
+            (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(FirstOccurrences({KeyBlock{{}, 0}}).empty());
+}
+
 TEST(TableColumnarTest, ProjectSharedSharesBuffersUntilMutation) {
   Table t = PatientsFixture();
   Table view = t.ProjectShared({0, 2});
@@ -764,6 +797,45 @@ TEST(DifferentialTest, BothEnginesAgreeAcrossNullDensities) {
     ExpectSameTable(Result<Table>(Executor::Limit(t, 17)),
                     Result<Table>(rowref::Limit(t, 17)), "Limit" + tag);
   }
+}
+
+TEST(DifferentialTest, ExecuteMatchesFilteringEveryColumnFirst) {
+  // Execute gathers only the columns a statement reads, after the WHERE.
+  // The reference filters the whole table with the row engine first and
+  // runs the statement without its WHERE on the result.
+  const char* kStatements[] = {
+      "SELECT * FROM t WHERE i > 0",
+      "SELECT s, d FROM t WHERE i > 0 AND b = TRUE",
+      "SELECT d AS dee FROM t WHERE s LIKE 'o%' ORDER BY dee LIMIT 9",
+      "SELECT g, COUNT(*), SUM(i) FROM t WHERE d < 10.0 GROUP BY g",
+      "SELECT COUNT(s) FROM t WHERE g IN (1, 2)",
+      "SELECT i, i FROM t WHERE NOT (g = 2) ORDER BY i",
+      "SELECT g FROM t ORDER BY g",
+  };
+  Rng rng(0xD15C0);
+  Catalog catalog;
+  catalog.PutTable("t", RandomTable(&rng, 1500, 0.2));
+  const Executor executor(&catalog);
+  for (const char* sql : kStatements) {
+    auto stmt = ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    Catalog filtered;
+    auto pre = rowref::Filter(**catalog.GetTable("t"), stmt->where);
+    ASSERT_TRUE(pre.ok()) << sql;
+    filtered.PutTable("t", *pre);
+    SelectStatement unfiltered = *stmt;
+    unfiltered.where = nullptr;
+    ExpectSameTable(executor.Execute(*stmt), Executor(&filtered).Execute(unfiltered),
+                    sql);
+  }
+  // Predicate errors come before projection errors; a missing column keeps
+  // its error.
+  auto both = executor.Query("SELECT missing FROM t WHERE i LIKE 'x%'");
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().message(), "LIKE requires string operands");
+  auto missing = executor.Query("SELECT missing FROM t WHERE i > 0");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(), "no column named 'missing'");
 }
 
 TEST(DifferentialTest, EmptyTablesAgree) {
