@@ -84,10 +84,11 @@ void DetectionSweep() {
                                                    kOutbreakAt, seed);
     std::vector<double> full(kDays, 0.0), none(kDays, 0.0);
     for (size_t c = 0; c < tables.size(); ++c) {
-      for (const auto& row : tables[c].rows()) {
-        const size_t d = static_cast<size_t>(row[0].AsInt());
-        full[d] += static_cast<double>(row[2].AsInt());
-        if (c != kOutbreakAt) none[d] += static_cast<double>(row[2].AsInt());
+      for (size_t r = 0; r < tables[c].num_rows(); ++r) {
+        const size_t d = static_cast<size_t>(tables[c].Cell(r, 0).AsInt());
+        const double cases = static_cast<double>(tables[c].Cell(r, 2).AsInt());
+        full[d] += cases;
+        if (c != kOutbreakAt) none[d] += cases;
       }
     }
     // The privacy-preserving feed through the engine.
@@ -98,9 +99,10 @@ void DetectionSweep() {
       auto day_idx = result->table().schema().IndexOf("day");
       auto sum_idx = result->table().schema().IndexOf("sum_cases");
       if (day_idx.ok() && sum_idx.ok()) {
-        for (const auto& row : result->table().rows()) {
-          integrated[static_cast<size_t>(row[*day_idx].AsInt())] +=
-              row[*sum_idx].AsDouble();
+        const auto& table = result->table();
+        for (size_t r = 0; r < table.num_rows(); ++r) {
+          integrated[static_cast<size_t>(table.Cell(r, *day_idx).AsInt())] +=
+              table.Cell(r, *sum_idx).AsDouble();
         }
       }
     }

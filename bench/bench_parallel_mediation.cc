@@ -240,6 +240,9 @@ void BM_DegradedQuery(benchmark::State& state) {
   QueryOptions options = LiveOptions();
   options.deadline_ms = 50;
   options.max_retries = 1;
+  // Measures the retry path on every iteration: without the bypass the
+  // breaker would shed source 2 after its fifth failure.
+  options.bypass_circuit_breaker = true;
   const auto query = Query("<select>patient_id</select>");
   for (auto _ : state) {
     auto result = engine->Execute(query, options);

@@ -1,22 +1,20 @@
 // Experiment recovery — the cost of crash safety:
 //
-//   1. durability overhead: the Figure 2 mediation pipeline run volatile vs
-//      with the fail-closed WAL (fsync per release, and the
-//      `sync_wal = false` flush-only mode), over the federated regime the
-//      paper assumes (1 ms injected per-source latency). The WAL must stay
-//      under 10% of end-to-end query latency — durability rides on queries
-//      dominated by autonomous-source time;
+//   1. durability overhead: the Figure 2 mediation pipeline run with the
+//      fail-closed WAL (fsync per release) against the volatile engine — the
+//      no-durability baseline — over the federated regime the paper assumes
+//      (5 ms injected per-source latency). The WAL must stay under 10% of
+//      end-to-end query latency — durability rides on queries dominated by
+//      autonomous-source time;
 //   2. recovery time: `MediationEngine::Recover` over a synthetic
 //      10k-release WAL, and over the same state folded into a snapshot —
 //      the gap is what periodic snapshot rotation buys;
-//   3. raw WAL throughput: append+fsync and append+flush rates for
-//      history-sized records.
+//   3. raw WAL throughput: the append+fsync rate for history-sized records.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -68,7 +66,7 @@ std::vector<std::unique_ptr<RemoteSource>> BuildSources(size_t n) {
   return sources;
 }
 
-enum class Durability { kVolatile, kWalFsync, kWalFlush };
+enum class Durability { kVolatile, kWalFsync };
 
 std::unique_ptr<MediationEngine> BuildEngine(
     const std::vector<std::unique_ptr<RemoteSource>>& sources, Durability mode,
@@ -77,7 +75,6 @@ std::unique_ptr<MediationEngine> BuildEngine(
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = 8;
-  options.sync_wal = mode == Durability::kWalFsync;
   auto engine = std::make_unique<MediationEngine>(options);
   for (const auto& src : sources) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
@@ -131,32 +128,23 @@ void PrintDurabilityOverhead() {
               kInjectedLatencyMicros / 1000.0, kIters);
   auto sources = BuildSources(4);
   const std::string fsync_dir = FreshDir("overhead_fsync");
-  const std::string flush_dir = FreshDir("overhead_flush");
 
   auto volatile_engine = BuildEngine(sources, Durability::kVolatile, "");
   auto fsync_engine = BuildEngine(sources, Durability::kWalFsync, fsync_dir);
-  auto flush_engine = BuildEngine(sources, Durability::kWalFlush, flush_dir);
 
   const auto volatile_s = MeasureExecuteMillis(volatile_engine.get(), kIters);
   const auto fsync_s = MeasureExecuteMillis(fsync_engine.get(), kIters);
-  const auto flush_s = MeasureExecuteMillis(flush_engine.get(), kIters);
-  if (volatile_s.median_ms < 0 || fsync_s.median_ms < 0 || flush_s.median_ms < 0) {
-    return;
-  }
+  if (volatile_s.median_ms < 0 || fsync_s.median_ms < 0) return;
 
   std::printf("%-12s %-14s %-12s %s\n", "mode", "median(ms)", "mean(ms)",
               "median overhead");
   std::printf("%-12s %-14.3f %-12.3f %s\n", "volatile", volatile_s.median_ms,
               volatile_s.mean_ms, "-");
-  for (const auto& [name, stats] :
-       {std::pair<const char*, const LatencyStats&>{"wal+fsync", fsync_s},
-        {"wal+flush", flush_s}}) {
-    const double pct =
-        100.0 * (stats.median_ms - volatile_s.median_ms) / volatile_s.median_ms;
-    std::printf("%-12s %-14.3f %-12.3f %+.1f%% %s\n", name, stats.median_ms,
-                stats.mean_ms, pct,
-                pct < 10.0 ? "(under the 10% budget)" : "— OVER BUDGET");
-  }
+  const double pct =
+      100.0 * (fsync_s.median_ms - volatile_s.median_ms) / volatile_s.median_ms;
+  std::printf("%-12s %-14.3f %-12.3f %+.1f%% %s\n", "wal+fsync", fsync_s.median_ms,
+              fsync_s.mean_ms, pct,
+              pct < 10.0 ? "(under the 10% budget)" : "— OVER BUDGET");
   std::printf("\n");
 }
 
@@ -259,8 +247,7 @@ void PrintCompactionSweep() {
 }
 
 void BM_WalAppend(benchmark::State& state) {
-  const bool do_fsync = state.range(0) != 0;
-  const std::string dir = FreshDir(do_fsync ? "wal_fsync" : "wal_flush");
+  const std::string dir = FreshDir("wal_fsync");
   fs::create_directories(dir);
   auto writer = piye::persist::WalWriter::Open(dir + "/wal-bench");
   if (!writer.ok()) {
@@ -277,21 +264,16 @@ void BM_WalAppend(benchmark::State& state) {
   const std::string payload = piye::mediator::EncodeHistoryRecord(record);
   for (auto _ : state) {
     (void)(*writer)->Append(1, payload);
-    if (do_fsync) {
-      (void)(*writer)->Sync();
-    } else {
-      (void)(*writer)->Flush();
-    }
+    (void)(*writer)->Sync();
   }
   state.counters["payload_bytes"] = static_cast<double>(payload.size());
-  state.SetLabel(do_fsync ? "append+fsync" : "append+flush");
+  state.SetLabel("append+fsync");
 }
-BENCHMARK(BM_WalAppend)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalAppend)->Unit(benchmark::kMicrosecond);
 
 void BM_DurableMediatedQuery(benchmark::State& state) {
-  const Durability mode = state.range(0) == 0   ? Durability::kVolatile
-                          : state.range(0) == 1 ? Durability::kWalFsync
-                                                : Durability::kWalFlush;
+  const Durability mode =
+      state.range(0) == 0 ? Durability::kVolatile : Durability::kWalFsync;
   auto sources = BuildSources(4);
   const std::string dir = FreshDir("bm_query");
   auto engine = BuildEngine(sources, mode, dir);
@@ -300,11 +282,9 @@ void BM_DurableMediatedQuery(benchmark::State& state) {
     auto result = engine->Execute(query, {.allow_warehouse = false});
     benchmark::DoNotOptimize(result);
   }
-  state.SetLabel(mode == Durability::kVolatile  ? "volatile"
-                 : mode == Durability::kWalFsync ? "wal+fsync"
-                                                 : "wal+flush");
+  state.SetLabel(mode == Durability::kVolatile ? "volatile" : "wal+fsync");
 }
-BENCHMARK(BM_DurableMediatedQuery)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DurableMediatedQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Recover10k(benchmark::State& state) {
   for (auto _ : state) {

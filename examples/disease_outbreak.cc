@@ -27,9 +27,9 @@ int main() {
   std::vector<std::vector<double>> truth(countries.size(),
                                          std::vector<double>(days, 0.0));
   for (size_t c = 0; c < countries.size(); ++c) {
-    for (const auto& row : tables[c].rows()) {
-      truth[c][static_cast<size_t>(row[0].AsInt())] =
-          static_cast<double>(row[2].AsInt());
+    for (size_t r = 0; r < tables[c].num_rows(); ++r) {
+      truth[c][static_cast<size_t>(tables[c].Cell(r, 0).AsInt())] =
+          static_cast<double>(tables[c].Cell(r, 2).AsInt());
     }
   }
 
@@ -81,8 +81,10 @@ int main() {
   auto day_idx = result->table().schema().IndexOf("day");
   auto sum_idx = result->table().schema().IndexOf("sum_cases");
   if (!day_idx.ok() || !sum_idx.ok()) return 1;
-  for (const auto& row : result->table().rows()) {
-    by_day[row[*day_idx].AsInt()] += row[*sum_idx].AsDouble();
+  const auto& integrated_table = result->table();
+  for (size_t r = 0; r < integrated_table.num_rows(); ++r) {
+    by_day[integrated_table.Cell(r, *day_idx).AsInt()] +=
+        integrated_table.Cell(r, *sum_idx).AsDouble();
   }
   std::vector<double> integrated;
   for (size_t d = 0; d < days; ++d) integrated.push_back(by_day[(int64_t)d]);

@@ -46,8 +46,6 @@ class RbacDatabase {
   /// All roles effectively held by the user (assigned + inherited juniors).
   std::set<std::string> EffectiveRoles(const std::string& user) const;
 
-  bool HasRole(const std::string& role) const { return roles_.count(role) != 0; }
-
  private:
   struct Permission {
     Action action;

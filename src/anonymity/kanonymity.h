@@ -66,7 +66,6 @@ class KAnonymizer {
   /// level/max_level over QIs (the "GenILoss" precision metric).
   double GeneralizationLoss(const std::vector<size_t>& levels) const;
 
-  const std::vector<QuasiIdentifier>& quasi_identifiers() const { return qis_; }
   size_t k() const { return k_; }
 
  private:

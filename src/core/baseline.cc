@@ -18,11 +18,12 @@ Result<relational::Table> NaiveIntegrator::IntegrateAll(
     if (!(src->schema() == sources[0]->schema())) {
       return Status::InvalidArgument("naive integration requires matching schemas");
     }
-    for (const auto& row : src->raw_table_for_testing().rows()) {
-      relational::Row r = row;
-      r.push_back(relational::Value::Str(src->owner()));
-      out.AppendRowUnchecked(std::move(r));
-    }
+    // The raw columns shared copy-on-write, plus the provenance column.
+    relational::Table tagged = src->raw_table_for_testing();
+    relational::ColumnVector owner(relational::ColumnType::kString);
+    owner.AppendStrRun(src->owner(), tagged.num_rows());
+    tagged.AddColumn({"_source", relational::ColumnType::kString}, std::move(owner));
+    out.AppendTable(tagged);
   }
   return out;
 }
@@ -34,12 +35,22 @@ NaiveIntegrator::PublishGroupedAggregates(
   PIYE_ASSIGN_OR_RETURN(relational::Table all, IntegrateAll(sources));
   PIYE_ASSIGN_OR_RETURN(size_t group_idx, all.schema().IndexOf(group_column));
   PIYE_ASSIGN_OR_RETURN(size_t value_idx, all.schema().IndexOf(value_column));
+  const relational::ColumnVector& group = all.col(group_idx);
+  const relational::ColumnVector& value = all.col(value_idx);
+  const bool value_is_int = value.type() == relational::ColumnType::kInt64;
+  if (!value_is_int && value.type() != relational::ColumnType::kDouble &&
+      value.CountValid() > 0) {
+    return Status::InvalidArgument("column '" + value_column + "' is not numeric");
+  }
   std::map<std::string, std::vector<double>> groups;
   std::vector<std::string> order;
-  for (const auto& row : all.rows()) {
-    const std::string key = row[group_idx].ToDisplayString();
+  for (size_t r = 0; r < all.num_rows(); ++r) {
+    const std::string key = group.ValueAt(r).ToDisplayString();
     if (groups.count(key) == 0) order.push_back(key);
-    if (!row[value_idx].is_null()) groups[key].push_back(row[value_idx].AsDouble());
+    if (!value.IsNull(r)) {
+      groups[key].push_back(value_is_int ? static_cast<double>(value.IntAt(r))
+                                         : value.RealAt(r));
+    }
   }
   std::vector<PublishedRow> out;
   for (const auto& key : order) {

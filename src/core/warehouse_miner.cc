@@ -24,11 +24,13 @@ std::vector<std::vector<std::string>> Transactions(const relational::Table& tabl
   }
   std::vector<std::vector<std::string>> out;
   out.reserve(table.num_rows());
-  for (const auto& row : table.rows()) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
     std::vector<std::string> txn;
     for (size_t c : cat_columns) {
-      if (row[c].is_null()) continue;
-      txn.push_back(table.schema().column(c).name + "=" + row[c].ToDisplayString());
+      const relational::ColumnVector& cv = table.col(c);
+      if (cv.IsNull(r)) continue;
+      txn.push_back(table.schema().column(c).name + "=" +
+                    cv.ValueAt(r).ToDisplayString());
     }
     std::sort(txn.begin(), txn.end());
     out.push_back(std::move(txn));
@@ -149,14 +151,26 @@ Result<std::map<std::string, double>> WarehouseMiner::TrendSlopes(
   PIYE_ASSIGN_OR_RETURN(size_t group_idx, table.schema().IndexOf(group_column));
   PIYE_ASSIGN_OR_RETURN(size_t time_idx, table.schema().IndexOf(time_column));
   PIYE_ASSIGN_OR_RETURN(size_t value_idx, table.schema().IndexOf(value_column));
+  const relational::ColumnVector& group = table.col(group_idx);
+  const relational::ColumnVector& time = table.col(time_idx);
+  const relational::ColumnVector& value = table.col(value_idx);
+  auto is_numeric = [](const relational::ColumnVector& cv) {
+    return cv.type() == relational::ColumnType::kInt64 ||
+           cv.type() == relational::ColumnType::kDouble;
+  };
+  auto as_double = [](const relational::ColumnVector& cv, size_t r) {
+    return cv.type() == relational::ColumnType::kInt64
+               ? static_cast<double>(cv.IntAt(r))
+               : cv.RealAt(r);
+  };
   std::map<std::string, std::vector<std::pair<double, double>>> series;
-  for (const auto& row : table.rows()) {
-    if (row[time_idx].is_null() || row[value_idx].is_null()) continue;
-    if (!row[time_idx].is_numeric() || !row[value_idx].is_numeric()) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (time.IsNull(r) || value.IsNull(r)) continue;
+    if (!is_numeric(time) || !is_numeric(value)) {
       return Status::InvalidArgument("trend columns must be numeric");
     }
-    series[row[group_idx].ToDisplayString()].emplace_back(
-        row[time_idx].AsDouble(), row[value_idx].AsDouble());
+    series[group.ValueAt(r).ToDisplayString()].emplace_back(as_double(time, r),
+                                                           as_double(value, r));
   }
   std::map<std::string, double> out;
   for (const auto& [group, points] : series) {

@@ -72,7 +72,7 @@ struct MediationEngine::FragmentOutcome {
   source::PiqlQuery fragment;
   Status status = Status::Internal("fragment never ran");
   source::FederatedSource::FragmentResult result;
-  CircuitBreaker* breaker = nullptr;  ///< null when breakers are off/bypassed
+  CircuitBreaker* breaker = nullptr;  ///< null when the query bypasses it
   std::atomic<bool> breaker_reported{false};
 
   void ReportToBreaker() {
@@ -101,8 +101,8 @@ struct MediationEngine::InflightExecution {
 
 MediationEngine::MediationEngine(Options options)
     : options_(options),
-      history_(QueryHistory::Options{options.history_shards,
-                                     options.max_resident_history}),
+      history_(QueryHistory::Options{
+          .max_resident_entries = options.max_resident_history}),
       warehouse_(Warehouse::Options{.max_bytes = options.warehouse_max_bytes}),
       control_(options.max_combined_loss, options.max_interval_loss),
       admission_(options.admission, &metrics_),
@@ -162,7 +162,7 @@ Status MediationEngine::FailClosedStatus() const {
 Status MediationEngine::JournalLocked(RecordType type, const std::string& payload) {
   if (persist_failed_.load()) return FailClosedStatus();
   Status status = persist_->Append(static_cast<uint16_t>(type), payload);
-  if (status.ok()) status = options_.sync_wal ? persist_->Sync() : persist_->Flush();
+  if (status.ok()) status = persist_->Sync();
   if (!status.ok()) {
     persist_failed_.store(true);
     metrics_.AddCounter("engine.persist_failures");
@@ -282,7 +282,7 @@ Status MediationEngine::RecordDurably(
         static_cast<uint16_t>(RecordType::kWarehousePut),
         EncodeWarehousePutRecord(fingerprint, epoch(), *warehouse_table));
   }
-  if (status.ok()) status = options_.sync_wal ? persist_->Sync() : persist_->Flush();
+  if (status.ok()) status = persist_->Sync();
   if (!status.ok()) {
     persist_failed_.store(true);
     metrics_.AddCounter("engine.persist_failures");
@@ -610,19 +610,13 @@ MediationEngine::HealthReport MediationEngine::Health() const {
     SourceHealth health;
     health.owner = src->owner();
     health.transport = src->transport_stats();
-    if (!options_.enable_circuit_breakers) {
-      health.breaker_state = "disabled";
-      ++report.sources_admitting;
-    } else {
-      const auto it = breakers_.find(src->owner());
-      const CircuitBreaker* breaker = it->second.get();
-      const CircuitBreaker::State state = breaker->state();
-      health.breaker_state = CircuitBreaker::StateName(state);
-      health.consecutive_failures = breaker->consecutive_failures();
-      health.shed_total = breaker->shed_total();
-      health.opened_total = breaker->opened_total();
-      if (state != CircuitBreaker::State::kOpen) ++report.sources_admitting;
-    }
+    const CircuitBreaker* breaker = breakers_.at(src->owner()).get();
+    const CircuitBreaker::State state = breaker->state();
+    health.breaker_state = CircuitBreaker::StateName(state);
+    health.consecutive_failures = breaker->consecutive_failures();
+    health.shed_total = breaker->shed_total();
+    health.opened_total = breaker->opened_total();
+    if (state != CircuitBreaker::State::kOpen) ++report.sources_admitting;
     report.sources.push_back(std::move(health));
   }
   report.ready = report.schema_ready && report.persistence_ok &&
@@ -903,11 +897,9 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
         }
       }
       if (src == nullptr) continue;
-      CircuitBreaker* breaker = nullptr;
-      if (options_.enable_circuit_breakers && !options.bypass_circuit_breaker) {
-        const auto it = breakers_.find(frag.source);
-        if (it != breakers_.end()) breaker = it->second.get();
-      }
+      CircuitBreaker* breaker = options.bypass_circuit_breaker
+                                    ? nullptr
+                                    : breakers_.at(frag.source).get();
       if (breaker != nullptr &&
           !breaker->Admit(std::chrono::steady_clock::now())) {
         // Shed without dialing: the breaker already counted it.

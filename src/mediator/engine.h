@@ -43,9 +43,9 @@ namespace mediator {
 /// per-source deadlines, bounded retry for transient failures, and graceful
 /// degradation — a slow or failing source is reported in `sources_skipped`,
 /// it does not fail the query (unless a `QueryOptions::min_sources` quorum
-/// demands it). Per-source circuit breakers (when enabled) shed a
-/// persistently failing source outright instead of burning retry and
-/// deadline budget on every query, with half-open probing to readmit it.
+/// demands it). Per-source circuit breakers shed a persistently failing
+/// source outright instead of burning retry and deadline budget on every
+/// query, with half-open probing to readmit it.
 /// Identical concurrent queries (same fingerprint, requester, and options)
 /// are single-flighted: one caller leads the federated execution and the
 /// rest share its privacy-checked result — one source fan-out, one history
@@ -104,11 +104,10 @@ class MediationEngine {
     /// Worker threads in the per-source fan-out pool; values below 1 are
     /// clamped to 1.
     size_t worker_threads = Executor::DefaultThreadCount();
-    /// Per-source circuit breakers: off by default (pure retry/deadline
-    /// degradation, the PR 1 behaviour); when on, `circuit_breaker` tunes
-    /// the thresholds and `QueryOptions::bypass_circuit_breaker` can exempt
+    /// Thresholds of the per-source circuit breakers. Every registered
+    /// source has one and every fragment consults it; a healthy source's
+    /// breaker only admits. `QueryOptions::bypass_circuit_breaker` exempts
     /// a single query.
-    bool enable_circuit_breakers = false;
     CircuitBreakerConfig circuit_breaker;
     /// Overload resilience (see mediator/admission.h): max-inflight gating,
     /// bounded fair-share queueing, and per-requester rate limiting, all
@@ -121,19 +120,13 @@ class MediationEngine {
     /// during Recover. Crossing the threshold *triggers* the background
     /// snapshotter; the rotation itself runs off the query path.
     uint64_t snapshot_every_records = 256;
-    /// fsync the WAL before releasing each answer. Turning this off keeps
-    /// the WAL ordering but trades the power-failure guarantee for latency
-    /// (the recovery benchmark measures both).
-    bool sync_wal = true;
-    /// Bounded-state knobs. Per-requester budget state lives in
-    /// `history_shards` independently locked shards; the in-memory history
-    /// ring keeps at most `max_resident_history` entries (sequence numbers
-    /// and `history()->size()` keep counting past it; 0 = unbounded); after
+    /// Bounded-state knobs. The in-memory history ring keeps at most
+    /// `max_resident_history` entries (sequence numbers and
+    /// `history()->size()` keep counting past it; 0 = unbounded); after
     /// each snapshot rotation, cold requesters beyond `hot_requesters` are
     /// spilled to the generation's durable floor index and faulted back in
     /// on their next query (0 = never spill). The defaults keep small
     /// deployments entirely resident.
-    size_t history_shards = 16;
     size_t max_resident_history = 4096;
     size_t hot_requesters = 65536;
   };
@@ -230,7 +223,7 @@ class MediationEngine {
   /// Health / readiness accounting for load balancers and operators.
   struct SourceHealth {
     std::string owner;
-    /// "closed" / "open" / "half-open", or "disabled" without breakers.
+    /// The source's circuit breaker: "closed", "open" or "half-open".
     std::string breaker_state;
     uint32_t consecutive_failures = 0;
     uint64_t shed_total = 0;
@@ -357,9 +350,10 @@ class MediationEngine {
   PrivacyControl control_;
   std::atomic<uint64_t> epoch_{0};
   trace::MetricsRegistry metrics_;
-  /// owner -> breaker; populated at registration, consulted only when
-  /// options_.enable_circuit_breakers (stable addresses: pool tasks report
-  /// outcomes through these pointers after the waiter moved on).
+  /// owner -> breaker; populated at registration, consulted by every
+  /// fragment of a query that does not bypass breakers (stable addresses:
+  /// pool tasks report outcomes through these pointers after the waiter
+  /// moved on).
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
   /// Admission pipeline (declared after metrics_, which it reports into).
   AdmissionController admission_;

@@ -61,10 +61,10 @@ struct QueryOptions {
   /// measurements of the live execution path.
   bool allow_warehouse = true;
 
-  /// Dials sources even when their circuit breaker is open (the engine's
-  /// `enable_circuit_breakers` mode) — for must-try emergency queries that
-  /// prefer a slow failure over shedding. The outcome still feeds the
-  /// breaker's failure accounting.
+  /// Dials every source without consulting its circuit breaker, even one
+  /// the breaker has opened — for must-try emergency queries that prefer a
+  /// slow failure over shedding. The bypassed fragments report nothing to
+  /// the breakers, so they neither open nor close one.
   bool bypass_circuit_breaker = false;
 
   /// Single-flight coalescing: when an identical execution (same query

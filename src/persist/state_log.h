@@ -86,12 +86,6 @@ class StateLog {
     return wal_->Sync();
   }
 
-  /// Pushes appends into the file without fsync (`sync_wal = false` mode).
-  Status Flush() {
-    if (dead_) return Status::Unavailable("state log crashed (injected kill)");
-    return wal_->Flush();
-  }
-
   /// Compacts: folds `dirty_floors` into the next generation's floor index,
   /// writes `snapshot_blob` as the next snapshot, and starts its fresh WAL;
   /// older generations — including every WAL record now folded into the

@@ -204,15 +204,6 @@ Status WalWriter::Append(uint16_t type, std::string_view payload) {
 
 Status WalWriter::Sync() {
   MutexLock lock(mu_);
-  return FlushLocked(/*do_fsync=*/true);
-}
-
-Status WalWriter::Flush() {
-  MutexLock lock(mu_);
-  return FlushLocked(/*do_fsync=*/false);
-}
-
-Status WalWriter::FlushLocked(bool do_fsync) {
   if (dead_) return Status::Unavailable("wal writer is dead (crashed earlier)");
   if (kill_pending_sync_) {
     kill_pending_sync_ = false;
@@ -240,7 +231,7 @@ Status WalWriter::FlushLocked(bool do_fsync) {
   PIYE_RETURN_NOT_OK(WriteAll(fd_, pending_.data(), pending_.size()));
   // fdatasync: the record bytes and the file length are what recovery
   // needs; the inode's timestamps are not worth a second journal commit.
-  if (do_fsync && ::fdatasync(fd_) != 0) {
+  if (::fdatasync(fd_) != 0) {
     return Status::Internal(Errno("wal fdatasync"));
   }
   synced_ += pending_.size();

@@ -69,11 +69,6 @@ class WalWriter {
   /// Flushes buffered records to the file and fsyncs it.
   Status Sync();
 
-  /// Flushes buffered records to the file *without* fsync — preserves WAL
-  /// ordering but leaves durability to the page cache (the engine's
-  /// `sync_wal = false` latency mode).
-  Status Flush();
-
   /// Bytes known durable (synced) so far, including the header.
   uint64_t synced_bytes() const;
 
@@ -91,7 +86,6 @@ class WalWriter {
 
   /// Marks the writer crashed; caller holds mu_.
   Status Die(const std::string& what) REQUIRES(mu_);
-  Status FlushLocked(bool do_fsync) REQUIRES(mu_);
 
   mutable Mutex mu_;
   int fd_;

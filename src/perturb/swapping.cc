@@ -95,31 +95,6 @@ std::vector<double> Microaggregator::Aggregate(const std::vector<double>& xs) co
   return out;
 }
 
-Status Microaggregator::AggregateColumn(relational::Table* table,
-                                        const std::string& column) const {
-  PIYE_ASSIGN_OR_RETURN(std::vector<double> xs, table->NumericColumn(column));
-  if (xs.size() != table->num_rows()) {
-    return Status::InvalidArgument("microaggregation requires no NULLs in column");
-  }
-  const std::vector<double> agg = Aggregate(xs);
-  PIYE_ASSIGN_OR_RETURN(size_t col, table->schema().IndexOf(column));
-  const bool is_int =
-      table->schema().column(col).type == relational::ColumnType::kInt64;
-  // No NULLs (checked above): the dense result maps 1:1 onto the column
-  // buffer, so write straight through the typed pointer.
-  relational::ColumnVector* mc = table->MutableColumn(col);
-  if (is_int) {
-    int64_t* vals = mc->mutable_ints();
-    for (size_t i = 0; i < agg.size(); ++i) {
-      vals[i] = static_cast<int64_t>(std::llround(agg[i]));
-    }
-  } else {
-    double* vals = mc->mutable_reals();
-    for (size_t i = 0; i < agg.size(); ++i) vals[i] = agg[i];
-  }
-  return Status::OK();
-}
-
 double Microaggregator::SumOfSquaredErrors(const std::vector<double>& original,
                                            const std::vector<double>& released) {
   double sse = 0.0;

@@ -40,8 +40,6 @@ class Microaggregator {
 
   std::vector<double> Aggregate(const std::vector<double>& xs) const;
 
-  Status AggregateColumn(relational::Table* table, const std::string& column) const;
-
   /// Within-group sum of squared errors of the released values — the
   /// information-loss metric (lower is better utility).
   static double SumOfSquaredErrors(const std::vector<double>& original,

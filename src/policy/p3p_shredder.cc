@@ -140,17 +140,22 @@ Result<Disclosure> PolicyShredder::Evaluate(
 
   out.max_privacy_loss = 1.0;
   bool any_grant = false;
-  for (const Row& row : matching.rows()) {
-    if (!seen.insert(row[id_idx].AsString()).second) continue;
-    if (row[deny_idx].AsBool()) {
+  const relational::ColumnVector& ids = matching.col(id_idx);
+  const relational::ColumnVector& forms = matching.col(form_idx);
+  const relational::ColumnVector& denies = matching.col(deny_idx);
+  const relational::ColumnVector& losses = matching.col(loss_idx);
+  for (size_t r = 0; r < matching.num_rows(); ++r) {
+    std::string id(ids.StrAt(r));
+    if (!seen.insert(id).second) continue;
+    if (denies.BoolAt(r)) {
       Disclosure denied;
-      denied.rule_ids = {row[id_idx].AsString()};
+      denied.rule_ids = {std::move(id)};
       return denied;
     }
     any_grant = true;
-    out.rule_ids.push_back(row[id_idx].AsString());
-    out.form = std::max(out.form, static_cast<DisclosureForm>(row[form_idx].AsInt()));
-    out.max_privacy_loss = std::min(out.max_privacy_loss, row[loss_idx].AsDouble());
+    out.rule_ids.push_back(std::move(id));
+    out.form = std::max(out.form, static_cast<DisclosureForm>(forms.IntAt(r)));
+    out.max_privacy_loss = std::min(out.max_privacy_loss, losses.RealAt(r));
   }
   if (!any_grant) {
     out.form = DisclosureForm::kDenied;
@@ -167,8 +172,9 @@ size_t PolicyShredder::RuleCount(const relational::Catalog& catalog,
   size_t n = 0;
   auto idx = (*rules)->schema().IndexOf("owner");
   if (!idx.ok()) return 0;
-  for (const Row& row : (*rules)->rows()) {
-    if (row[*idx].AsString() == owner) ++n;
+  const relational::ColumnVector& owners = (*rules)->col(*idx);
+  for (size_t r = 0; r < owners.size(); ++r) {
+    if (owners.StrAt(r) == owner) ++n;
   }
   return n;
 }

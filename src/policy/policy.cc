@@ -111,7 +111,7 @@ Result<PrivacyPolicy> PrivacyPolicy::FromXml(const xml::XmlNode& node) {
   }
   PrivacyPolicy policy;
   const std::string* owner = node.GetAttr("owner");
-  policy.set_owner(owner != nullptr ? *owner : "");
+  policy.owner_ = owner != nullptr ? *owner : "";
   for (const xml::XmlNode* r : node.Children("rule")) {
     PolicyRule rule;
     const std::string* id = r->GetAttr("id");

@@ -74,7 +74,6 @@ class PrivacyPolicy {
       : owner_(std::move(owner)), rules_(std::move(rules)) {}
 
   const std::string& owner() const { return owner_; }
-  void set_owner(std::string owner) { owner_ = std::move(owner); }
   const std::vector<PolicyRule>& rules() const { return rules_; }
   void AddRule(PolicyRule rule) { rules_.push_back(std::move(rule)); }
 

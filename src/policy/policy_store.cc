@@ -23,16 +23,6 @@ Result<const PrivacyPolicy*> PolicyStore::GetPolicy(const std::string& owner) co
   return &it->second;
 }
 
-bool PolicyStore::HasPolicy(const std::string& owner) const {
-  return policies_.count(owner) != 0;
-}
-
-std::vector<std::string> PolicyStore::PolicyOwners() const {
-  std::vector<std::string> out;
-  for (const auto& [owner, _] : policies_) out.push_back(owner);
-  return out;
-}
-
 Status PolicyStore::AddView(const std::string& owner, PrivacyView view) {
   auto key = std::make_pair(owner, view.name());
   auto [it, inserted] = views_.emplace(key, std::move(view));
@@ -41,15 +31,6 @@ Status PolicyStore::AddView(const std::string& owner, PrivacyView view) {
                                  owner + "'");
   }
   return Status::OK();
-}
-
-Result<const PrivacyView*> PolicyStore::GetView(const std::string& owner,
-                                                const std::string& view_name) const {
-  auto it = views_.find({owner, view_name});
-  if (it == views_.end()) {
-    return Status::NotFound("no view '" + view_name + "' for owner '" + owner + "'");
-  }
-  return &it->second;
 }
 
 std::vector<const PrivacyView*> PolicyStore::ViewsForTable(
@@ -68,21 +49,6 @@ Status PolicyStore::AddPreference(UserPreference pref) {
     return Status::AlreadyExists("preference for '" + id + "' already registered");
   }
   return Status::OK();
-}
-
-Result<const UserPreference*> PolicyStore::GetPreference(
-    const std::string& subject_id) const {
-  auto it = preferences_.find(subject_id);
-  if (it == preferences_.end()) {
-    return Status::NotFound("no preference for subject '" + subject_id + "'");
-  }
-  return &it->second;
-}
-
-std::vector<const UserPreference*> PolicyStore::AllPreferences() const {
-  std::vector<const UserPreference*> out;
-  for (const auto& [_, pref] : preferences_) out.push_back(&pref);
-  return out;
 }
 
 Disclosure PolicyStore::EffectiveDisclosure(const std::string& owner,

@@ -22,25 +22,17 @@ class PolicyStore {
   /// Registers the policy of a source (keyed by the policy owner).
   Status AddPolicy(PrivacyPolicy policy);
   Result<const PrivacyPolicy*> GetPolicy(const std::string& owner) const;
-  bool HasPolicy(const std::string& owner) const;
-  std::vector<std::string> PolicyOwners() const;
 
   /// Registers a privacy view (keyed by source owner + view name).
   Status AddView(const std::string& owner, PrivacyView view);
-  Result<const PrivacyView*> GetView(const std::string& owner,
-                                     const std::string& view_name) const;
   /// All views an owner defined over a given base table.
   std::vector<const PrivacyView*> ViewsForTable(const std::string& owner,
                                                 const std::string& table) const;
 
   /// Registers a data subject's preferences.
   Status AddPreference(UserPreference pref);
-  Result<const UserPreference*> GetPreference(const std::string& subject_id) const;
-  /// All registered preferences (the rewriter enforces the strictest).
-  std::vector<const UserPreference*> AllPreferences() const;
 
   const PurposeLattice& lattice() const { return lattice_; }
-  PurposeLattice& mutable_lattice() { return lattice_; }
 
   /// Effective disclosure for (owner, table, column, purpose, recipient):
   /// the source policy verdict met with every registered subject preference

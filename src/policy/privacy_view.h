@@ -31,9 +31,6 @@ class PrivacyView {
 
   const std::string& name() const { return name_; }
   const std::string& table() const { return table_; }
-  const std::vector<std::string>& visible_columns() const { return visible_; }
-  const std::vector<SensitiveColumn>& sensitive_columns() const { return sensitive_; }
-  const relational::ExprPtr& row_filter() const { return row_filter_; }
 
   void AddVisibleColumn(std::string column) { visible_.push_back(std::move(column)); }
   void AddSensitiveColumn(SensitiveColumn col) { sensitive_.push_back(std::move(col)); }

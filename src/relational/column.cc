@@ -225,7 +225,7 @@ void ColumnVector::SetNull(size_t i) {
 }
 
 template <typename RowAt>
-void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row) {
+void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row_at) {
   // Every buffer is resized before any pointer into it is taken, so `src`
   // may be `*this` (reads stay below `base`, writes at or above it).
   const size_t base = size_;
@@ -234,27 +234,27 @@ void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row) {
       ints_.resize(base + n);
       int64_t* out = ints_.data() + base;
       const int64_t* in = src.ints_.data();
-      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      for (size_t k = 0; k < n; ++k) out[k] = in[row_at(k)];
       break;
     }
     case ColumnType::kDouble: {
       reals_.resize(base + n);
       double* out = reals_.data() + base;
       const double* in = src.reals_.data();
-      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      for (size_t k = 0; k < n; ++k) out[k] = in[row_at(k)];
       break;
     }
     case ColumnType::kBool: {
       bools_.resize(base + n);
       uint8_t* out = bools_.data() + base;
       const uint8_t* in = src.bools_.data();
-      for (size_t k = 0; k < n; ++k) out[k] = in[row(k)];
+      for (size_t k = 0; k < n; ++k) out[k] = in[row_at(k)];
       break;
     }
     case ColumnType::kString: {
       // A NULL cell has length 0, so it contributes no bytes.
       size_t bytes = 0;
-      for (size_t k = 0; k < n; ++k) bytes += src.str_len_[row(k)];
+      for (size_t k = 0; k < n; ++k) bytes += src.str_len_[row_at(k)];
       size_t offset = arena_.size();
       arena_.resize(offset + bytes);
       str_offset_.resize(base + n);
@@ -262,7 +262,7 @@ void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row) {
       char* out = arena_.data();
       const char* in = src.arena_.data();
       for (size_t k = 0; k < n; ++k) {
-        const size_t j = row(k);
+        const size_t j = row_at(k);
         const uint32_t len = src.str_len_[j];
         std::memcpy(out + offset, in + src.str_offset_[j], len);
         str_offset_[base + k] = static_cast<uint32_t>(offset);
@@ -278,7 +278,7 @@ void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row) {
     const size_t take = std::min<size_t>(64 - bit, n - k);
     uint64_t word = 0;
     for (size_t t = 0; t < take; ++t) {
-      word |= static_cast<uint64_t>(!src.IsNull(row(k + t))) << (bit + t);
+      word |= static_cast<uint64_t>(!src.IsNull(row_at(k + t))) << (bit + t);
     }
     validity_[(base + k) >> 6] |= word;
     k += take;

@@ -115,9 +115,9 @@ class ColumnVector {
 
  private:
   void AppendValiditySlot(bool present);
-  /// Bulk append of `n` cells of `src`; cell k comes from row `row(k)`.
+  /// Bulk append of `n` cells of `src`; cell k comes from row `row_at(k)`.
   template <typename RowAt>
-  void AppendRows(const ColumnVector& src, size_t n, RowAt row);
+  void AppendRows(const ColumnVector& src, size_t n, RowAt row_at);
 
   ColumnType type_ = ColumnType::kString;
   size_t size_ = 0;

@@ -13,14 +13,6 @@
 namespace piye {
 namespace relational {
 
-Status Catalog::AddTable(const std::string& name, Table table) {
-  if (tables_.count(name) != 0) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  tables_.emplace(name, std::move(table));
-  return Status::OK();
-}
-
 void Catalog::PutTable(const std::string& name, Table table) {
   tables_.insert_or_assign(name, std::move(table));
 }
@@ -39,13 +31,6 @@ Result<Table*> Catalog::GetMutableTable(const std::string& name) {
 
 bool Catalog::HasTable(const std::string& name) const {
   return tables_.count(name) != 0;
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> out;
-  out.reserve(tables_.size());
-  for (const auto& [name, _] : tables_) out.push_back(name);
-  return out;
 }
 
 namespace {

@@ -16,14 +16,11 @@ namespace relational {
 /// mediator's warehouse is one too.
 class Catalog {
  public:
-  /// Registers a table; fails if the name exists.
-  Status AddTable(const std::string& name, Table table);
   /// Replaces or creates a table.
   void PutTable(const std::string& name, Table table);
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetMutableTable(const std::string& name);
   bool HasTable(const std::string& name) const;
-  std::vector<std::string> TableNames() const;
 
  private:
   std::map<std::string, Table> tables_;

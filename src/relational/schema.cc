@@ -28,13 +28,6 @@ Result<Schema> Schema::Project(const std::vector<std::string>& names) const {
   return out;
 }
 
-std::vector<std::string> Schema::ColumnNames() const {
-  std::vector<std::string> out;
-  out.reserve(columns_.size());
-  for (const auto& c : columns_) out.push_back(c.name);
-  return out;
-}
-
 std::string Schema::ToString() const {
   std::string out;
   for (size_t i = 0; i < columns_.size(); ++i) {

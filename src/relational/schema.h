@@ -44,9 +44,6 @@ class Schema {
   /// Schema with only the named columns (in the given order).
   Result<Schema> Project(const std::vector<std::string>& names) const;
 
-  /// All column names in order.
-  std::vector<std::string> ColumnNames() const;
-
   bool operator==(const Schema& other) const { return columns_ == other.columns_; }
 
   /// "name:TYPE, name:TYPE, ..."

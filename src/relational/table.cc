@@ -57,13 +57,6 @@ void Table::AppendTable(const Table& other) {
   num_rows_ += other.num_rows_;
 }
 
-void Table::AppendRowFrom(const Table& other, size_t i) {
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    MutableColumn(c)->AppendFrom(other.col(c), i);
-  }
-  ++num_rows_;
-}
-
 void Table::Reserve(size_t n) {
   for (size_t c = 0; c < cols_.size(); ++c) {
     MutableColumn(c)->Reserve(n);
@@ -74,13 +67,6 @@ Row Table::row(size_t i) const {
   Row out;
   out.reserve(cols_.size());
   for (const auto& col : cols_) out.push_back(col->ValueAt(i));
-  return out;
-}
-
-std::vector<Row> Table::rows() const {
-  std::vector<Row> out;
-  out.reserve(num_rows_);
-  for (size_t r = 0; r < num_rows_; ++r) out.push_back(row(r));
   return out;
 }
 
@@ -121,14 +107,6 @@ Result<Value> Table::At(size_t row_idx, const std::string& column) const {
   }
   PIYE_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
   return cols_[col]->ValueAt(row_idx);
-}
-
-Result<std::vector<Value>> Table::ColumnValues(const std::string& column) const {
-  PIYE_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
-  std::vector<Value> out;
-  out.reserve(num_rows_);
-  for (size_t r = 0; r < num_rows_; ++r) out.push_back(cols_[col]->ValueAt(r));
-  return out;
 }
 
 Result<std::vector<double>> Table::NumericColumn(const std::string& column) const {

@@ -15,8 +15,8 @@ namespace piye {
 namespace relational {
 
 /// A row of values, positionally aligned with a Schema. With columnar
-/// storage a Row is a materialized copy, not the storage unit — the shim
-/// accessors below build them on demand.
+/// storage a Row is a materialized copy, not the storage unit — `row()`
+/// builds one on demand.
 using Row = std::vector<Value>;
 
 /// An in-memory table: a schema plus column-major typed storage (one
@@ -27,8 +27,8 @@ using Row = std::vector<Value>;
 /// projecting a subset of its columns) shares the underlying buffers;
 /// `MutableColumn` clones a column only when it is actually shared. Hot
 /// paths (the vectorized executor, the perturbation/anonymization kernels)
-/// work on ColumnVector buffers directly; `row()`/`rows()` remain as
-/// by-value shims so row-at-a-time callers keep working during migration.
+/// work on ColumnVector buffers directly; `row()` remains as a by-value
+/// shim for the last row-at-a-time caller (the optimizer's prefix sampler).
 class Table {
  public:
   Table() = default;
@@ -74,18 +74,14 @@ class Table {
   /// Appends all rows of `other`; schemas must already be compatible
   /// (same column count and types — the callers validate names).
   void AppendTable(const Table& other);
-  /// Appends row `i` of `other` cell-by-cell (same column count/types).
-  void AppendRowFrom(const Table& other, size_t i);
 
   void Reserve(size_t n);
 
-  // -- row shims (cold paths, incremental migration) -----------------------
+  // -- row shim (cold paths) ------------------------------------------------
   /// Materialized copy of row `i`. By value: with columnar storage there is
   /// no stored Row to reference. Callers must not bind `const Value&` into
   /// the temporary across statements.
   Row row(size_t i) const;
-  /// Materialized copy of all rows. O(cells); cold paths only.
-  std::vector<Row> rows() const;
 
   /// Appends a row after arity and (non-NULL) type checking.
   Status AppendRow(Row row);
@@ -97,8 +93,6 @@ class Table {
   /// Value at (row, named column).
   Result<Value> At(size_t row_idx, const std::string& column) const;
 
-  /// Entire column as a vector of values.
-  Result<std::vector<Value>> ColumnValues(const std::string& column) const;
   /// Numeric column as doubles (NULLs skipped).
   Result<std::vector<double>> NumericColumn(const std::string& column) const;
 

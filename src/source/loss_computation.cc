@@ -58,11 +58,5 @@ LossEstimate LossComputation::Estimate(
   return out;
 }
 
-bool LossComputation::Acceptable(const LossEstimate& estimate, const PiqlQuery& query,
-                                 double policy_loss_budget) {
-  return estimate.information_loss <= query.max_information_loss &&
-         estimate.privacy_loss <= policy_loss_budget;
-}
-
 }  // namespace source
 }  // namespace piye

@@ -41,11 +41,6 @@ class LossComputation {
   static LossEstimate Estimate(
       const std::map<std::string, policy::DisclosureForm>& column_forms,
       size_t denied_columns);
-
-  /// True if the estimate respects both the requester's stated tolerance
-  /// (max information loss) and the policy's privacy budget.
-  static bool Acceptable(const LossEstimate& estimate, const PiqlQuery& query,
-                         double policy_loss_budget);
 };
 
 }  // namespace source

@@ -17,9 +17,12 @@ Result<PrivacyOptimizer::Plan> PrivacyOptimizer::Choose(
     const size_t n = std::min(sample_size, base_table.num_rows());
     size_t pass = 0;
     for (size_t r = 0; r < n; ++r) {
-      PIYE_ASSIGN_OR_RETURN(
-          bool keep, policy_predicate->EvaluatesTrue(base_table.row(r),
-                                                     base_table.schema()));
+      // The ROADMAP item "A Figure 2(a) optimizer whose plan is the plan that
+      // runs: index-backed source scans" deletes this prefix sampler.
+      // piye-lint: allow(row-loop) last Table::row caller, removed by that item
+      const relational::Row row = base_table.row(r);
+      PIYE_ASSIGN_OR_RETURN(bool keep,
+                            policy_predicate->EvaluatesTrue(row, base_table.schema()));
       if (keep) ++pass;
     }
     plan.estimated_policy_selectivity =

@@ -59,7 +59,6 @@ class ClusterStore {
   const QueryCluster* Map(const QueryFeatures& features) const;
 
   const std::vector<QueryCluster>& clusters() const { return clusters_; }
-  size_t num_exemplars() const { return exemplars_.size(); }
 
   /// A store pre-trained on canonical exemplars of the four breach classes.
   static ClusterStore Default();

@@ -7,6 +7,7 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "relational/xml_bridge.h"
+#include "statdb/restriction.h"
 #include "statdb/sampling.h"
 #include "xml/parser.h"
 
@@ -56,10 +57,6 @@ size_t RemoteSource::num_rows() const {
 
 const relational::Table& RemoteSource::raw_table_for_testing() const {
   return **catalog_.GetTable(table_name_);
-}
-
-void RemoteSource::set_name_matcher(xml::LooseNameMatcher matcher) {
-  transformer_ = QueryTransformer(std::move(matcher));
 }
 
 Result<relational::Table> RemoteSource::EffectiveTable() const {
@@ -165,13 +162,12 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
     PIYE_ASSIGN_OR_RETURN(
         const std::vector<uint32_t> query_set,
         relational::Executor::FilterSelection(*base, *rewritten.stmt.where));
-    const size_t k = preservation_.config().k;
-    const size_t n = base->num_rows();
-    if (query_set.size() < k || query_set.size() + k > n) {
-      return Status::PrivacyViolation(
-          "aggregate query set size " + std::to_string(query_set.size()) +
-          " outside [" + std::to_string(k) + ", " +
-          std::to_string(n >= k ? n - k : 0) + "] — tracker risk");
+    const Status size_check =
+        statdb::QuerySetSizeControl(preservation_.config().k)
+            .Check(query_set.size(), base->num_rows());
+    if (!size_check.ok()) {
+      return Status::PrivacyViolation("aggregate " + size_check.message() +
+                                      " — tracker risk");
     }
   }
 

@@ -58,11 +58,9 @@ class RemoteSource : public FederatedSource {
   policy::PolicyStore* mutable_policies() { return &policies_; }
   const policy::PolicyStore& policies() const { return policies_; }
   access::RbacDatabase* mutable_rbac() { return &rbac_; }
-  void set_cluster_store(ClusterStore store) { clusters_ = std::move(store); }
   void set_preservation_config(PreservationModule::Config config) {
     preservation_ = PreservationModule(config);
   }
-  void set_name_matcher(xml::LooseNameMatcher matcher);
 
   /// Seeded fault injection for testing and benchmarking the mediation
   /// engine's degradation behaviour against a misbehaving autonomous
@@ -81,7 +79,6 @@ class RemoteSource : public FederatedSource {
     uint64_t seed = 0;
   };
   void set_fault_injection(const FaultInjection& faults) { faults_ = faults; }
-  const FaultInjection& fault_injection() const { return faults_; }
 
   /// Marks a column whose *name* is itself sensitive: it still participates
   /// in mediated-schema generation (via instance sketches) but is exported

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/macros.h"
 #include "relational/agg.h"
+#include "relational/executor.h"
 
 namespace piye {
 namespace statdb {
@@ -20,17 +22,15 @@ std::string AggregateQuery::Canonical() const {
 
 Result<std::vector<size_t>> QuerySet(const AggregateQuery& query,
                                      const relational::Table& data) {
-  std::vector<size_t> rows;
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    if (query.predicate == nullptr) {
-      rows.push_back(i);
-      continue;
-    }
-    PIYE_ASSIGN_OR_RETURN(bool keep,
-                          query.predicate->EvaluatesTrue(data.row(i), data.schema()));
-    if (keep) rows.push_back(i);
+  if (query.predicate == nullptr) {
+    std::vector<size_t> rows(data.num_rows());
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    return rows;
   }
-  return rows;
+  PIYE_ASSIGN_OR_RETURN(
+      const std::vector<uint32_t> sel,
+      relational::Executor::FilterSelection(data, *query.predicate));
+  return std::vector<size_t>(sel.begin(), sel.end());
 }
 
 Result<double> EvaluateAggregate(const AggregateQuery& query,

@@ -8,14 +8,19 @@
 namespace piye {
 namespace statdb {
 
+Status QuerySetSizeControl::Check(size_t set_size, size_t n) const {
+  if (set_size < k_ || set_size + k_ > n) {
+    return Status::PrivacyViolation(strings::Format(
+        "query set size %zu outside [%zu, %zu]", set_size, k_,
+        n >= k_ ? n - k_ : 0));
+  }
+  return Status::OK();
+}
+
 Result<double> QuerySetSizeControl::Answer(const AggregateQuery& query,
                                            const relational::Table& data) const {
   PIYE_ASSIGN_OR_RETURN(std::vector<size_t> rows, QuerySet(query, data));
-  const size_t n = data.num_rows();
-  if (rows.size() < k_ || rows.size() + k_ > n) {
-    return Status::PrivacyViolation(strings::Format(
-        "query set size %zu outside [%zu, %zu]", rows.size(), k_, n - k_));
-  }
+  PIYE_RETURN_NOT_OK(Check(rows.size(), data.num_rows()));
   return EvaluateAggregate(query, data, rows);
 }
 

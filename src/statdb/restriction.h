@@ -19,6 +19,11 @@ class QuerySetSizeControl {
 
   size_t k() const { return k_; }
 
+  /// The size rule itself: OK when a query set of `set_size` rows out of
+  /// `n` satisfies k <= |C| <= n - k, kPrivacyViolation otherwise (the
+  /// message names the admissible range; its upper end is 0 when n < k).
+  Status Check(size_t set_size, size_t n) const;
+
   /// Answers or returns kPrivacyViolation when the size check fails.
   Result<double> Answer(const AggregateQuery& query,
                         const relational::Table& data) const;

@@ -28,10 +28,10 @@ Result<double> RandomSampleQueries::Answer(const AggregateQuery& query,
   }
   PIYE_ASSIGN_OR_RETURN(size_t key_col, data.schema().IndexOf(key_column_));
   PIYE_ASSIGN_OR_RETURN(std::vector<size_t> rows, QuerySet(query, data));
+  const relational::ColumnVector& keys = data.col(key_col);
   std::vector<size_t> sampled;
   for (size_t r : rows) {
-    const std::string key = data.row(r)[key_col].ToDisplayString();
-    if (Includes(key, query)) sampled.push_back(r);
+    if (Includes(keys.ValueAt(r).ToDisplayString(), query)) sampled.push_back(r);
   }
   PIYE_ASSIGN_OR_RETURN(double value, EvaluateAggregate(query, data, sampled));
   // Rescale extensive statistics so the estimate is unbiased.

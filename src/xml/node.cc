@@ -47,12 +47,6 @@ XmlNode* XmlNode::AddElementWithText(const std::string& name,
 
 void XmlNode::AddText(std::string text) { AddChild(Text(std::move(text))); }
 
-void XmlNode::RemoveChild(size_t index) {
-  if (index < children_.size()) {
-    children_.erase(children_.begin() + static_cast<ptrdiff_t>(index));
-  }
-}
-
 const XmlNode* XmlNode::FirstChild(std::string_view name) const {
   for (const auto& c : children_) {
     if (c->is_element() && c->name() == name) return c.get();

@@ -37,7 +37,6 @@ class XmlNode {
   /// Element name (elements) or text content (text nodes).
   const std::string& name() const { return name_; }
   const std::string& text() const { return name_; }
-  void set_text(std::string text) { name_ = std::move(text); }
 
   // --- Attributes (elements only) ---
 
@@ -60,8 +59,6 @@ class XmlNode {
   XmlNode* AddElementWithText(const std::string& name, const std::string& text);
   /// Appends a text child.
   void AddText(std::string text);
-  /// Removes the child at `index`.
-  void RemoveChild(size_t index);
 
   const std::vector<std::unique_ptr<XmlNode>>& children() const { return children_; }
   std::vector<std::unique_ptr<XmlNode>>& mutable_children() { return children_; }
@@ -103,8 +100,6 @@ class XmlDocument {
 
   bool has_root() const { return root_ != nullptr; }
   const XmlNode& root() const { return *root_; }
-  XmlNode& mutable_root() { return *root_; }
-  void set_root(std::unique_ptr<XmlNode> root) { root_ = std::move(root); }
 
   XmlDocument Clone() const {
     return root_ ? XmlDocument(root_->Clone()) : XmlDocument();

@@ -525,7 +525,6 @@ TEST(BreakerShedInteractionTest, ShedQueriesDoNotCountAsBreakerFailures) {
   // not charge the requester's privacy budget.
   auto sources = BuildSources(3);
   mediator::MediationEngine::Options engine_options;
-  engine_options.enable_circuit_breakers = true;
   engine_options.admission.tokens_per_second = 0.001;  // one query, then shed
   engine_options.admission.bucket_burst = 1.0;
   auto engine = BuildEngine(sources, engine_options);
@@ -565,7 +564,6 @@ TEST(BreakerShedInteractionTest, CallerCancellationDoesNotBlameSources) {
     src->set_fault_injection(faults);
   }
   mediator::MediationEngine::Options engine_options;
-  engine_options.enable_circuit_breakers = true;
   engine_options.worker_threads = 4;
   auto engine = BuildEngine(sources, engine_options);
 

@@ -139,12 +139,10 @@ TEST(BoundedStateSoakTest, CrashSoakMatrixMatchesOracleDecisions) {
   rig.sources.push_back(MakeSoakSource());
   rig.options.max_combined_loss = 0.95;
   rig.options.worker_threads = 1;
-  rig.options.sync_wal = false;  // acked ⟺ flushed; kills still injected
   rig.options.snapshot_every_records =
       EnvOr("PIYE_SOAK_SNAPSHOT_EVERY", 512);
   rig.options.max_resident_history = 2048;
   rig.options.hot_requesters = 4096;
-  rig.options.history_shards = 32;
   rig.options.max_cumulative_loss = 1.0;  // placeholder, set from L below
 
   // Measure the (deterministic, policy-derived) per-release loss once, then

@@ -90,7 +90,6 @@ TEST(BoundedStateTest, SnapshotterRacesLiveTraffic) {
   auto sources = BuildSources(2);
   auto options = DurableOptions();
   options.worker_threads = 2;
-  options.sync_wal = false;
   options.snapshot_every_records = 2;  // keep the snapshotter busy
   auto engine = BuildEngine(sources, options);
   ASSERT_TRUE(engine->Recover(dir).ok());

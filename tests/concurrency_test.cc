@@ -505,6 +505,57 @@ TEST(EngineFanoutTest, AllSourcesDownIsUnavailableNotPrivacyViolation) {
   EXPECT_NE(result.status().message().find("hospital1"), std::string::npos);
 }
 
+TEST(EngineFanoutTest, DefaultEngineShedsAPersistentlyFailingSource) {
+  // Circuit breakers are always on: with nothing but default options, a
+  // source that fails every call is shed after `failure_threshold`
+  // consecutive failures, and Health reports its breaker open.
+  auto sources = BuildSources(3);
+  source::RemoteSource::FaultInjection erroring;
+  erroring.error_rate = 1.0;
+  sources[1]->set_fault_injection(erroring);
+  mediator::MediationEngine engine;
+  for (const auto& src : sources) ASSERT_TRUE(engine.RegisterSource(src.get()).ok());
+  ASSERT_TRUE(engine.GenerateMediatedSchema("shared-key").ok());
+  const auto query = MakeQuery("<select>patient_id</select>");
+
+  const uint32_t threshold = mediator::CircuitBreakerConfig{}.failure_threshold;
+  for (uint32_t i = 0; i < threshold; ++i) {
+    auto result = engine.Execute(query, LiveOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_NE(result->sources_skipped.at("hospital1").find("injected fault"),
+              std::string::npos)
+        << "query " << i;
+  }
+  auto health = engine.Health();
+  ASSERT_EQ(health.sources.size(), 3u);
+  for (const auto& src : health.sources) {
+    EXPECT_EQ(src.breaker_state, src.owner == "hospital1" ? "open" : "closed")
+        << src.owner;
+  }
+  EXPECT_EQ(health.sources_admitting, 2u);
+
+  // The next query sheds the source without dialing it.
+  const uint64_t attempts = engine.metrics()->counter("engine.fragment_attempts");
+  auto shed = engine.Execute(query, LiveOptions());
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_NE(shed->sources_skipped.at("hospital1").find("circuit breaker open"),
+            std::string::npos);
+  EXPECT_EQ(shed->sources_answered.size(), 2u);
+  EXPECT_EQ(engine.metrics()->counter("engine.fragment_attempts"), attempts + 2);
+  health = engine.Health();
+  EXPECT_EQ(health.sources[1].owner, "hospital1");
+  EXPECT_EQ(health.sources[1].shed_total, 1u);
+  EXPECT_EQ(health.sources[1].opened_total, 1u);
+
+  // A query that bypasses the breakers still dials the failing source.
+  mediator::QueryOptions must_try = LiveOptions();
+  must_try.bypass_circuit_breaker = true;
+  auto tried = engine.Execute(query, must_try);
+  ASSERT_TRUE(tried.ok()) << tried.status().ToString();
+  EXPECT_NE(tried->sources_skipped.at("hospital1").find("injected fault"),
+            std::string::npos);
+}
+
 TEST(EngineFanoutTest, RequesterOverrideReachesHistory) {
   auto sources = BuildSources(2);
   auto engine = BuildEngine(sources, 2);

@@ -51,8 +51,8 @@ TEST_F(ClinicalWorldTest, QueryXmlEndToEnd) {
     </query>)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->table().num_rows(), 0u);
-  for (const auto& row : result->table().rows()) {
-    EXPECT_EQ(row[0].AsString(), "diabetes");
+  for (size_t r = 0; r < result->table().num_rows(); ++r) {
+    EXPECT_EQ(result->table().Cell(r, 0).AsString(), "diabetes");
   }
 }
 
@@ -214,10 +214,11 @@ TEST(OutbreakTest, SharingAcceleratesDetection) {
   // (the "China does not share" world).
   std::vector<double> shared(days, 0.0), unshared(days, 0.0);
   for (size_t c = 0; c < tables.size(); ++c) {
-    for (const auto& row : tables[c].rows()) {
-      const size_t d = static_cast<size_t>(row[0].AsInt());
-      shared[d] += static_cast<double>(row[2].AsInt());
-      if (c != outbreak_at) unshared[d] += static_cast<double>(row[2].AsInt());
+    for (size_t r = 0; r < tables[c].num_rows(); ++r) {
+      const size_t d = static_cast<size_t>(tables[c].Cell(r, 0).AsInt());
+      const double cases = static_cast<double>(tables[c].Cell(r, 2).AsInt());
+      shared[d] += cases;
+      if (c != outbreak_at) unshared[d] += cases;
     }
   }
   const long detect_shared = OutbreakScenario::DetectOutbreak(shared, 7, 2.0);
@@ -282,8 +283,9 @@ TEST(OutbreakTest, PrivacyPreservingSharingStillDetects) {
   auto sum_idx = result->table().schema().IndexOf("sum_cases");
   ASSERT_TRUE(day_idx.ok()) << result->table().schema().ToString();
   ASSERT_TRUE(sum_idx.ok()) << result->table().schema().ToString();
-  for (const auto& row : result->table().rows()) {
-    by_day[row[*day_idx].AsInt()] += row[*sum_idx].AsDouble();
+  for (size_t r = 0; r < result->table().num_rows(); ++r) {
+    by_day[result->table().Cell(r, *day_idx).AsInt()] +=
+        result->table().Cell(r, *sum_idx).AsDouble();
   }
   std::vector<double> curve;
   for (size_t d = 0; d < days; ++d) curve.push_back(by_day[static_cast<int64_t>(d)]);

@@ -160,6 +160,18 @@ TEST(LintPaths, OnlyTheRowShimsMayLoopOverRows) {
   EXPECT_EQ(LintOne("src/relational/executor.cc", content).size(), 1u);
 }
 
+TEST(LintPaths, RowLoopCoversAllOfSrc) {
+  // Not only the columnar kernels: a row loop in any product module fires.
+  const std::string content = ReadFixture("bad", "row-loop.cc");
+  EXPECT_EQ(LintOne("src/core/fixture.cc", content).size(), 1u);
+  // A Table::row member call fires on its own, with no loop around it.
+  EXPECT_EQ(LintOne("src/statdb/fixture.cc", "Row r = table.row(0);\n").size(), 1u);
+  EXPECT_EQ(LintOne("src/statdb/fixture.cc", "Row r = table->row(0);\n").size(), 1u);
+  EXPECT_TRUE(LintOne("src/statdb/fixture.cc", "size_t n = table.num_rows();\n").empty());
+  // The test and bench trees keep their row-engine oracles.
+  EXPECT_TRUE(LintOne("tests/reference/fixture.cc", content).empty());
+}
+
 TEST(LintStatusDiscard, VariableDiscardIsExempt) {
   const auto findings = LintOne("src/mediator/fixture.cc",
                                 "bool inserted = true;\n"

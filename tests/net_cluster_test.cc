@@ -349,6 +349,10 @@ TEST_F(NetClusterTest, SigkillMidTrafficDegradesToQuorumAndChargesNoGhostBudget)
   qopts.min_sources = 2;
   qopts.max_retries = 2;
   qopts.coalesce = false;
+  // Every query dials the dead server, so the skip reason below is the
+  // transport failure itself, not the breaker shedding it (the breaker's
+  // own test follows).
+  qopts.bypass_circuit_breaker = true;
   const auto query = MakeQuery();
 
   // Traffic in flight while the lab server dies: every concurrent query must
@@ -397,7 +401,6 @@ TEST_F(NetClusterTest, BreakerOpensOnDeadServerAndReclosesAfterRestart) {
   auto wire_sources = WireSources();
   auto baseline_sources = BaselineSources();
   auto options = EngineOptions();
-  options.enable_circuit_breakers = true;
   options.circuit_breaker.failure_threshold = 2;
   options.circuit_breaker.open_cooldown_ms = 100;
   auto engine = BuildEngine(wire_sources, options);

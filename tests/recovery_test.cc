@@ -648,7 +648,6 @@ TEST(CircuitBreakerUnitTest, FailedProbeReopensImmediately) {
 MediationEngine::Options BreakerOptions(uint32_t threshold,
                                         uint64_t cooldown_ms) {
   auto options = DurableOptions();
-  options.enable_circuit_breakers = true;
   options.circuit_breaker.failure_threshold = threshold;
   options.circuit_breaker.open_cooldown_ms = cooldown_ms;
   return options;

@@ -13,10 +13,22 @@ namespace piye {
 namespace relational {
 namespace rowref {
 
+namespace {
+
+/// Every row of `t`, materialized: the oracle is row-at-a-time by design.
+std::vector<Row> AllRows(const Table& t) {
+  std::vector<Row> out;
+  out.reserve(t.num_rows());
+  for (size_t i = 0; i < t.num_rows(); ++i) out.push_back(t.row(i));
+  return out;
+}
+
+}  // namespace
+
 Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
   Table out(input.schema());
   if (predicate == nullptr) {
-    for (const Row& r : input.rows()) out.AppendRowUnchecked(r);
+    for (const Row& r : AllRows(input)) out.AppendRowUnchecked(r);
     return out;
   }
   for (size_t i = 0; i < input.num_rows(); ++i) {
@@ -36,7 +48,7 @@ Result<Table> Project(const Table& input,
     idx.push_back(i);
   }
   Table out(std::move(schema));
-  for (const Row& r : input.rows()) {
+  for (const Row& r : AllRows(input)) {
     Row row;
     row.reserve(idx.size());
     for (size_t i : idx) row.push_back(r[i]);
@@ -116,7 +128,7 @@ Result<Table> Aggregate(const Table& input,
   // Group rows. Keys compare by Value::Compare (exact semantics incl. NULL).
   std::map<std::vector<Value>, std::vector<AggState>> groups;
   std::vector<std::vector<Value>> group_order;
-  for (const Row& r : input.rows()) {
+  for (const Row& r : AllRows(input)) {
     std::vector<Value> key;
     key.reserve(group_idx.size());
     for (size_t i : group_idx) key.push_back(r[i]);
@@ -205,15 +217,15 @@ Result<Table> Union(const Table& a, const Table& b) {
                                    b.schema().ToString() + "]");
   }
   Table out(a.schema());
-  for (const Row& r : a.rows()) out.AppendRowUnchecked(r);
-  for (const Row& r : b.rows()) out.AppendRowUnchecked(r);
+  for (const Row& r : AllRows(a)) out.AppendRowUnchecked(r);
+  for (const Row& r : AllRows(b)) out.AppendRowUnchecked(r);
   return out;
 }
 
 Table Distinct(const Table& input) {
   Table out(input.schema());
   std::set<std::vector<Value>> seen;
-  for (const Row& r : input.rows()) {
+  for (const Row& r : AllRows(input)) {
     if (seen.insert(r).second) out.AppendRowUnchecked(r);
   }
   return out;
@@ -225,7 +237,7 @@ Result<Table> Sort(const Table& input, const std::vector<OrderKey>& keys) {
     PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(k.column));
     idx.emplace_back(i, k.ascending);
   }
-  std::vector<Row> rows = input.rows();
+  std::vector<Row> rows = AllRows(input);
   std::stable_sort(rows.begin(), rows.end(),
                    [&idx](const Row& a, const Row& b) {
                      for (const auto& [i, asc] : idx) {

@@ -149,8 +149,8 @@ TEST(ExpressionTest, InList) {
   auto expr = ParseExpression("city IN ('oslo', 'rome')");
   ASSERT_TRUE(expr.ok());
   int matches = 0;
-  for (const auto& row : t.rows()) {
-    auto b = (*expr)->EvaluatesTrue(row, t.schema());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    auto b = (*expr)->EvaluatesTrue(t.row(r), t.schema());
     ASSERT_TRUE(b.ok());
     matches += *b ? 1 : 0;
   }

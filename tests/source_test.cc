@@ -202,9 +202,10 @@ TEST_F(RemoteSourceTest, RangeColumnsAreGeneralized) {
   auto idx = result->table.schema().IndexOf("zip");
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(result->table.schema().column(*idx).type, ColumnType::kString);
-  for (const auto& row : result->table.rows()) {
-    if (row[*idx].is_null()) continue;
-    EXPECT_NE(row[*idx].AsString().find('['), std::string::npos);
+  for (size_t r = 0; r < result->table.num_rows(); ++r) {
+    const Value cell = result->table.Cell(r, *idx);
+    if (cell.is_null()) continue;
+    EXPECT_NE(cell.AsString().find('['), std::string::npos);
   }
 }
 

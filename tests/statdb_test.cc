@@ -87,6 +87,20 @@ TEST(QuerySetSizeControlTest, BlocksSmallAndLargeSets) {
   EXPECT_TRUE(all.status().IsPrivacyViolation());
 }
 
+TEST(QuerySetSizeControlTest, TableSmallerThanKNamesAnEmptyRange) {
+  // N = 8 < k = 10: every query set is refused, and the refusal names the
+  // admissible range's upper end as 0 — not N - k wrapped around 2^64.
+  const Table t = SalaryFixture();
+  QuerySetSizeControl control(10);
+  auto refused = control.Answer(MakeQuery(relational::AggFunc::kSum, "dept = 'icu'"), t);
+  ASSERT_TRUE(refused.status().IsPrivacyViolation());
+  EXPECT_EQ(refused.status().message(), "query set size 3 outside [10, 0]");
+  // The rule on its own: the same decision and text without a table.
+  EXPECT_EQ(control.Check(3, 8).message(), "query set size 3 outside [10, 0]");
+  EXPECT_TRUE(QuerySetSizeControl(3).Check(3, 8).ok());
+  EXPECT_TRUE(QuerySetSizeControl(3).Check(6, 8).IsPrivacyViolation());
+}
+
 TEST(OverlapControlTest, EnforcesPairwiseOverlap) {
   const Table t = SalaryFixture();
   OverlapControl control(/*min_size=*/3, /*max_overlap=*/1);

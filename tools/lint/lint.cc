@@ -389,18 +389,16 @@ void CheckAnalysisEscape(const std::string& path, const std::vector<LineInfo>& l
   }
 }
 
-/// row-loop: the perturbation/anonymization kernels and the relational
-/// engine iterate contiguous column buffers; materializing Rows in a loop
-/// reintroduces the per-cell variant churn the columnar rebuild removed
-/// (and, for dense write-backs, the NULL-misalignment bug class). The row
-/// shims (relational/table.*) are the sanctioned home of row iteration; the
-/// row-engine reference lives in the test tree, outside the scanned paths.
+/// row-loop: the product tree reads tables column by column; materializing
+/// Rows reintroduces the per-cell variant churn the columnar rebuild removed
+/// (and, for dense write-backs, the NULL-misalignment bug class). Flags row
+/// iteration and every `.row(` / `->row(` member call anywhere under src/.
+/// The row shim (relational/table.*) is the sanctioned home of row
+/// materialization; the row-engine reference lives in the test tree,
+/// outside the scanned paths.
 void CheckRowLoop(const std::string& path, const std::vector<LineInfo>& lines, Emit out) {
   static const char* kRule = "row-loop";
-  const bool hot = PathHas(path, "src/perturb/") ||
-                   PathHas(path, "src/anonymity/") ||
-                   PathHas(path, "src/relational/");
-  if (!hot) return;
+  if (!PathHas(path, "src/")) return;
   if (PathHas(path, "relational/table.")) return;
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& code = lines[i].code;
@@ -416,14 +414,16 @@ void CheckRowLoop(const std::string& path, const std::vector<LineInfo>& lines, E
         break;
       }
     }
+    const bool row_call = code.find(".row(") != std::string::npos ||
+                          code.find("->row(") != std::string::npos;
     const bool row_iteration =
-        HasToken(code, "mutable_rows") ||
+        row_call || HasToken(code, "mutable_rows") ||
         (HasToken(code, "for") &&
          (rows_call || code.find("Row&") != std::string::npos));
     if (row_iteration && !Suppressed(lines, i, kRule)) {
       AddFinding(out, path, i, kRule,
-                 "row-at-a-time iteration in a columnar hot path; loop over the "
-                 "column's typed buffer (Table::col / MutableColumn) instead");
+                 "row-at-a-time access in the product tree; read the column's "
+                 "typed buffer (Table::col / MutableColumn) instead");
     }
   }
 }
@@ -489,7 +489,8 @@ const std::vector<Rule>& Rules() {
        "NO_THREAD_SAFETY_ANALYSIS outside common/sync.h (no opt-outs)",
        CheckAnalysisEscape},
       {"row-loop",
-       "row-at-a-time iteration in columnar hot paths (perturb/anonymity/relational)",
+       "row-at-a-time iteration or Table::row calls anywhere in src/ outside "
+       "the row shim (relational/table.*)",
        CheckRowLoop},
       {"manual-snapshot",
        "StateLog rotation calls outside the snapshotter/engine seam (bypass "
