@@ -6,16 +6,23 @@
 //
 // Sweep: table size x policy-predicate selectivity. The gap grows as the
 // policy predicate becomes more selective.
+//
+// Experiment abl-optimizer's second choice rides along: output perturbation
+// placed after aggregation (one noisy value per group) vs before it (every
+// input row). Both placements are fixed by the source pipeline's shape —
+// rewrite, execute, then preserve — and measured here rather than modelled.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "common/rng.h"
+#include "perturb/noise.h"
 #include "relational/executor.h"
 #include "relational/sql.h"
 
 using namespace piye::relational;
+namespace perturb = piye::perturb;
 
 namespace {
 
@@ -103,12 +110,65 @@ BENCHMARK(BM_ExecuteThenFilter)
     ->Args({100000, 10})
     ->Unit(benchmark::kMillisecond);
 
+// Rows spread over 12 sites; the perturbation-placement benchmarks group by
+// site.
+Table MakeSiteTable(size_t rows, uint64_t seed) {
+  piye::Rng rng(seed);
+  Table t(Schema{Column{"tier", ColumnType::kInt64},
+                 Column{"site", ColumnType::kString},
+                 Column{"rate", ColumnType::kDouble}});
+  for (size_t i = 0; i < rows; ++i) {
+    t.AppendRowUnchecked(
+        {Value::Int(static_cast<int64_t>(rng.NextBounded(100))),
+         Value::Str("s" + std::to_string(rng.NextBounded(12))),
+         Value::Real(rng.NextUniform(0, 100))});
+  }
+  return t;
+}
+
+void BM_PerturbAfterAggregate(benchmark::State& state) {
+  Catalog catalog;
+  catalog.PutTable("t", MakeSiteTable(static_cast<size_t>(state.range(0)), 3));
+  Executor ex(&catalog);
+  auto stmt = ParseSql("SELECT site, AVG(rate) AS m FROM t GROUP BY site");
+  piye::Rng rng(5);
+  for (auto _ : state) {
+    auto result = ex.Execute(*stmt);
+    const perturb::AdditiveNoise noise(perturb::AdditiveNoise::Distribution::kGaussian,
+                                       1.0);
+    (void)noise.PerturbColumn(&*result, "m", &rng);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_PerturbAfterAggregate)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+void BM_PerturbBeforeAggregate(benchmark::State& state) {
+  Catalog catalog;
+  catalog.PutTable("t", MakeSiteTable(static_cast<size_t>(state.range(0)), 3));
+  Executor ex(&catalog);
+  auto stmt = ParseSql("SELECT site, AVG(rate) AS m FROM t GROUP BY site");
+  piye::Rng rng(5);
+  for (auto _ : state) {
+    Table copy = **catalog.GetTable("t");
+    const perturb::AdditiveNoise noise(perturb::AdditiveNoise::Distribution::kGaussian,
+                                       1.0);
+    (void)noise.PerturbColumn(&copy, "rate", &rng);
+    Catalog scratch;
+    scratch.PutTable("t", std::move(copy));
+    auto result = Executor(&scratch).Execute(*stmt);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_PerturbBeforeAggregate)->Arg(50000)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::printf("abl-rewrite: rewrite-then-execute vs execute-then-filter.\n"
               "Expect the rewrite variant to win, with the gap growing as the\n"
-              "policy predicate gets more selective (lower selectivity_pct).\n\n");
+              "policy predicate gets more selective (lower selectivity_pct).\n"
+              "abl-optimizer: perturbation after vs before aggregation.\n"
+              "Expect after-aggregate to win: it perturbs one value per group.\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

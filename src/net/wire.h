@@ -58,8 +58,8 @@ struct ExecuteResponse {
   Status status;
   /// The released table (relational/table_codec) and its privacy tags: one
   /// (form, budget) per column — names come from the table — then the
-  /// result-level losses and budget. Empty on error. The per-stage
-  /// diagnostics of a FragmentResult do not cross the wire.
+  /// result-level losses and budget — every field of a FragmentResult.
+  /// Empty on error.
   source::FederatedSource::FragmentResult result;
 };
 std::string EncodeExecuteResponse(const ExecuteResponse& resp);

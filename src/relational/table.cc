@@ -63,13 +63,6 @@ void Table::Reserve(size_t n) {
   }
 }
 
-Row Table::row(size_t i) const {
-  Row out;
-  out.reserve(cols_.size());
-  for (const auto& col : cols_) out.push_back(col->ValueAt(i));
-  return out;
-}
-
 Status Table::AppendRow(Row row) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(strings::Format(

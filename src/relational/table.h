@@ -15,8 +15,8 @@ namespace piye {
 namespace relational {
 
 /// A row of values, positionally aligned with a Schema. With columnar
-/// storage a Row is a materialized copy, not the storage unit — `row()`
-/// builds one on demand.
+/// storage a Row is not the storage unit: it is what `AppendRow` takes and
+/// what row-at-a-time expression evaluation reads.
 using Row = std::vector<Value>;
 
 /// An in-memory table: a schema plus column-major typed storage (one
@@ -27,8 +27,8 @@ using Row = std::vector<Value>;
 /// projecting a subset of its columns) shares the underlying buffers;
 /// `MutableColumn` clones a column only when it is actually shared. Hot
 /// paths (the vectorized executor, the perturbation/anonymization kernels)
-/// work on ColumnVector buffers directly; `row()` remains as a by-value
-/// shim for the last row-at-a-time caller (the optimizer's prefix sampler).
+/// work on ColumnVector buffers directly; single cells are read through
+/// `Cell`.
 class Table {
  public:
   Table() = default;
@@ -77,12 +77,7 @@ class Table {
 
   void Reserve(size_t n);
 
-  // -- row shim (cold paths) ------------------------------------------------
-  /// Materialized copy of row `i`. By value: with columnar storage there is
-  /// no stored Row to reference. Callers must not bind `const Value&` into
-  /// the temporary across statements.
-  Row row(size_t i) const;
-
+  // -- row appends (cold paths) --------------------------------------------
   /// Appends a row after arity and (non-NULL) type checking.
   Status AppendRow(Row row);
   /// Appends without validation (hot paths that construct rows themselves).

@@ -12,10 +12,7 @@
 #include "policy/policy.h"
 #include "relational/table.h"
 #include "source/loss_computation.h"
-#include "source/optimizer.h"
 #include "source/piql.h"
-#include "source/preservation.h"
-#include "source/query_cluster.h"
 
 namespace piye {
 namespace source {
@@ -74,22 +71,15 @@ class FederatedSource {
   /// engine).
   virtual const std::string& owner() const = 0;
 
-  /// Everything `ExecuteFragment` reports back. The released rows and their
-  /// privacy tags — per column, aligned with `table` by position, plus the
-  /// result-level `losses` and `loss_budget` — are what the mediator
-  /// consumes; a network source reconstructs exactly those from the wire.
-  /// In-process sources also fill the per-stage diagnostics (used by the
-  /// Fig. 2 pipeline benchmark), which a network source leaves at their
-  /// defaults.
+  /// Everything `ExecuteFragment` reports back, and exactly what crosses the
+  /// wire: the released rows, their privacy tags (per column, aligned with
+  /// `table` by position) and the result-level `losses` and `loss_budget`.
+  /// In-process and network sources return the same shape.
   struct FragmentResult {
     relational::Table table;  ///< the released rows
     std::vector<ColumnTag> column_tags;
     LossEstimate losses;
     double loss_budget = 1.0;
-    PrivacyOptimizer::Plan plan;
-    BreachClass breach = BreachClass::kNone;
-    std::vector<Technique> techniques;
-    std::vector<std::string> denied_columns;
   };
 
   /// Executes one query fragment under the source's privacy machinery.

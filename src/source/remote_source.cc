@@ -113,21 +113,19 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
                         rewriter.Rewrite(transformed.stmt, fragment));
 
   FragmentResult out;
-  out.denied_columns = rewritten.denied_columns;
   out.loss_budget = rewritten.loss_budget;
 
   // (3) Cluster Matching: classify the breach profile without executing.
   const QueryFeatures features = QueryFeatures::Extract(rewritten.stmt);
+  std::vector<Technique> techniques;
   if (const QueryCluster* cluster = clusters_.Map(features)) {
-    out.breach = cluster->breach;
-    out.techniques = cluster->techniques;
+    techniques = cluster->techniques;
   }
   // Merge in the defaults implied by the disclosure forms.
   for (Technique t :
        preservation_.DefaultTechniques(rewritten.column_forms, rewritten.loss_budget)) {
-    if (std::find(out.techniques.begin(), out.techniques.end(), t) ==
-        out.techniques.end()) {
-      out.techniques.push_back(t);
+    if (std::find(techniques.begin(), techniques.end(), t) == techniques.end()) {
+      techniques.push_back(t);
     }
   }
 
@@ -145,11 +143,6 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
   // Cheap stages are done; poll before the expensive execution half.
   PIYE_RETURN_NOT_OK(cancel.Check());
 
-  // (5) Privacy-conscious optimization (the rewritten statement already has
-  // the policy predicate pushed down; the plan records the reasoning).
-  PIYE_ASSIGN_OR_RETURN(
-      out.plan, PrivacyOptimizer::Choose(rewritten.stmt, *base, rewritten.stmt.where));
-
   // (5b) Statistical query-set restriction: when the cluster matcher tagged
   // the query as aggregate-inference-prone, refuse *predicate-selected
   // global* aggregates whose query set could act as a tracker (|C| < k or
@@ -157,8 +150,8 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
   // subsets; they are governed by the rounding/noise techniques instead.
   if (rewritten.stmt.HasAggregates() && rewritten.stmt.where != nullptr &&
       rewritten.stmt.group_by.empty() &&
-      std::find(out.techniques.begin(), out.techniques.end(),
-                Technique::kQuerySetRestriction) != out.techniques.end()) {
+      std::find(techniques.begin(), techniques.end(),
+                Technique::kQuerySetRestriction) != techniques.end()) {
     PIYE_ASSIGN_OR_RETURN(
         const std::vector<uint32_t> query_set,
         relational::Executor::FilterSelection(*base, *rewritten.stmt.where));
@@ -227,7 +220,7 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
                strings::Fnv1a64(xml::Serialize(*fragment.ToXml(), /*indent=*/-1)));
   PIYE_ASSIGN_OR_RETURN(
       result, preservation_.Apply(std::move(result), rewritten.column_forms,
-                                  rewritten.loss_budget, out.techniques, &call_rng));
+                                  rewritten.loss_budget, techniques, &call_rng));
 
   // (8) Metadata Tagger: each released column carries the disclosure form
   // and budget the rewriter settled on, so the mediator can re-verify the

@@ -16,7 +16,6 @@
 #include "relational/executor.h"
 #include "source/federated_source.h"
 #include "source/loss_computation.h"
-#include "source/optimizer.h"
 #include "source/piql.h"
 #include "source/preservation.h"
 #include "source/privacy_rewriter.h"
@@ -88,15 +87,9 @@ class RemoteSource : public FederatedSource {
     hidden_schema_columns_.insert(column);
   }
 
-  /// Everything `ExecuteFragment` reports back: the released table, its
-  /// privacy tags and per-stage diagnostics used by the Fig. 2 pipeline
-  /// benchmark. The type itself lives on the `FederatedSource` interface;
-  /// this alias keeps the `RemoteSource::FragmentResult` spelling working.
-  using FragmentResult = FederatedSource::FragmentResult;
-
-  /// Runs the full pipeline: privacy view → transform → rewrite →
-  /// cluster-match → loss → optimize → (query-set restriction) → execute →
-  /// preserve → tag.
+  /// Runs the full pipeline: privacy view → transform → rewrite (policy
+  /// predicate pushed into the WHERE) → cluster-match → loss → (query-set
+  /// restriction) → execute → preserve → tag.
   ///
   /// Safe for concurrent callers: the pipeline stages are all const over
   /// the source's configuration, and stochastic preservation draws from a

@@ -227,7 +227,7 @@ TEST(DeduplicateByKeyTest, KeepsFirstOccurrence) {
   auto out = DeduplicateByKey(t, {"id"});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->num_rows(), 2u);
-  EXPECT_EQ(out->row(0)[1].AsInt(), 1);  // first "a" kept
+  EXPECT_EQ(out->Cell(0, 1).AsInt(), 1);  // first "a" kept
 }
 
 // Two shapes the display-string key ('\x1f'-joined ToDisplayString)

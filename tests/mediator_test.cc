@@ -73,7 +73,7 @@ TEST(WarehouseTest, PutKeepsMaxEpochEntry) {
   warehouse.Put("q1", stale, /*epoch=*/3);
   auto handle = warehouse.Get("q1", 7, 0);
   ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->row(0)[0].AsInt(), 2);
+  EXPECT_EQ(handle->Cell(0, 0).AsInt(), 2);
 
   // Same-epoch and newer-epoch puts replace as usual.
   Table newer(Schema{Column{"x", ColumnType::kInt64}});
@@ -81,7 +81,7 @@ TEST(WarehouseTest, PutKeepsMaxEpochEntry) {
   warehouse.Put("q1", newer, /*epoch=*/8);
   handle = warehouse.Get("q1", 8, 0);
   ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->row(0)[0].AsInt(), 9);
+  EXPECT_EQ(handle->Cell(0, 0).AsInt(), 9);
   EXPECT_EQ(warehouse.size(), 1u);
 }
 
@@ -317,8 +317,8 @@ TEST(ResultIntegratorTest, PadsMissingColumnsWithNull) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->num_rows(), 2u);
   ASSERT_TRUE(out->schema().Contains("y"));
-  EXPECT_TRUE(out->row(0)[1].is_null());   // s1 lacks y
-  EXPECT_EQ(out->row(1)[1].AsString(), "v");
+  EXPECT_TRUE(out->Cell(0, 1).is_null());   // s1 lacks y
+  EXPECT_EQ(out->Cell(1, 1).AsString(), "v");
 }
 
 TEST(ResultIntegratorTest, WholeRowDistinctIgnoresProvenance) {

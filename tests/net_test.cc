@@ -252,13 +252,37 @@ TEST(WireTest, ExecuteRequestResponseRoundTrip) {
   // Status codes cross the wire verbatim — including the ones the engine
   // branches on (privacy refusals are never retried, kUnavailable trips
   // breakers).
+  std::vector<net::ExecuteResponse> responses;
   for (const Status& status :
        {Status::OK(), Status::PrivacyViolation("policy refused"),
         Status::Unavailable("flaky"), Status::DeadlineExceeded("late"),
         Status::Cancelled("gone")}) {
-    net::ExecuteResponse resp;
+    net::ExecuteResponse& resp = responses.emplace_back();
     resp.status = status;
     if (status.ok()) resp.result = TaggedResult();
+  }
+  // Real pipeline results: an in-process answer and its wire form are the
+  // same value, field for field.
+  auto tables = core::ClinicalScenario::MakePatientTables(20, 0.5, 11);
+  source::RemoteSource src("hospitalA", "patients", std::move(tables.hospital), 1);
+  core::ClinicalScenario::ApplyPatientPolicies(&src);
+  for (const char* body :
+       {"<select>name</select><select>dob</select><select>diagnosis</select>",
+        "<aggregate func=\"COUNT\" attribute=\"diagnosis\">"
+        "<groupBy>sex</groupBy></aggregate>"}) {
+    auto fragment = source::PiqlQuery::Parse(
+        std::string("<query requester=\"analyst\" purpose=\"research\" "
+                    "maxLoss=\"0.9\">") +
+        body + "</query>");
+    ASSERT_TRUE(fragment.ok()) << fragment.status().ToString();
+    auto result = src.ExecuteFragment(*fragment);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GT(result->table.num_rows(), 0u) << body;
+    EXPECT_FALSE(result->table.schema().Contains("name")) << body;
+    responses.emplace_back().result = *std::move(result);
+  }
+  for (const net::ExecuteResponse& resp : responses) {
+    const Status& status = resp.status;
     auto decoded =
         net::DecodeExecuteResponse(net::EncodeExecuteResponse(resp));
     ASSERT_TRUE(decoded.ok());

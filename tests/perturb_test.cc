@@ -67,8 +67,8 @@ TEST(AdditiveNoiseTest, PerturbColumnRespectsTypesAndNulls) {
   Rng rng(3);
   const AdditiveNoise noise(AdditiveNoise::Distribution::kGaussian, 5.0);
   ASSERT_TRUE(noise.PerturbColumn(&t, "v", &rng).ok());
-  EXPECT_TRUE(t.row(0)[0].is_int());
-  EXPECT_TRUE(t.row(1)[0].is_null());
+  EXPECT_TRUE(t.Cell(0, 0).is_int());
+  EXPECT_TRUE(t.Cell(1, 0).is_null());
   EXPECT_FALSE(noise.PerturbColumn(&t, "s", &rng).ok());
 }
 

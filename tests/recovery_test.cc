@@ -209,7 +209,7 @@ TEST(RecoveryTest, ReplayedWarehousePutDoesNotRollBackNewerEntry) {
 
   auto handle = warehouse.Get("fp", /*current_epoch=*/6, /*max_age=*/0);
   ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->row(0)[0].AsInt(), 6);  // epoch-6 table, not rolled back
+  EXPECT_EQ(handle->Cell(0, 0).AsInt(), 6);  // epoch-6 table, not rolled back
   EXPECT_EQ(warehouse.size(), 1u);
   EXPECT_EQ(metrics.counter("warehouse.stale_put_drops"), 1u);
   EXPECT_EQ(metrics.counter("warehouse.puts"), 1u);
@@ -220,7 +220,7 @@ TEST(RecoveryTest, ReplayedWarehousePutDoesNotRollBackNewerEntry) {
   EXPECT_EQ(warehouse.size(), 1u);
   handle = warehouse.Get("fp", 6, 0);
   ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->row(0)[0].AsInt(), 6);
+  EXPECT_EQ(handle->Cell(0, 0).AsInt(), 6);
 }
 
 TEST(RecoveryTest, SnapshotRotationPreservesStateAcrossRestart) {

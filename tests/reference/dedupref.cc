@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/macros.h"
+#include "reference/rowref.h"
 
 namespace piye {
 namespace relational {
@@ -39,7 +40,9 @@ Result<Table> Integrate(const std::vector<Source>& sources,
       key += combined.Cell(r, c).ToDisplayString();
       key += '\x1f';
     }
-    if (seen.insert(std::move(key)).second) out.AppendRowUnchecked(combined.row(r));
+    if (seen.insert(std::move(key)).second) {
+      out.AppendRowUnchecked(rowref::RowAt(combined, r));
+    }
   }
   return out;
 }
@@ -59,7 +62,7 @@ Result<Table> DeduplicateByKey(const Table& input,
       if (!key.empty()) key += '\x1f';
       key += input.Cell(r, i).ToDisplayString();
     }
-    if (seen.insert(key).second) out.AppendRowUnchecked(input.row(r));
+    if (seen.insert(key).second) out.AppendRowUnchecked(rowref::RowAt(input, r));
   }
   return out;
 }

@@ -13,13 +13,20 @@ namespace piye {
 namespace relational {
 namespace rowref {
 
+Row RowAt(const Table& t, size_t i) {
+  Row out;
+  out.reserve(t.num_columns());
+  for (size_t c = 0; c < t.num_columns(); ++c) out.push_back(t.Cell(i, c));
+  return out;
+}
+
 namespace {
 
 /// Every row of `t`, materialized: the oracle is row-at-a-time by design.
 std::vector<Row> AllRows(const Table& t) {
   std::vector<Row> out;
   out.reserve(t.num_rows());
-  for (size_t i = 0; i < t.num_rows(); ++i) out.push_back(t.row(i));
+  for (size_t i = 0; i < t.num_rows(); ++i) out.push_back(RowAt(t, i));
   return out;
 }
 
@@ -32,7 +39,7 @@ Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
     return out;
   }
   for (size_t i = 0; i < input.num_rows(); ++i) {
-    const Row r = input.row(i);
+    const Row r = RowAt(input, i);
     PIYE_ASSIGN_OR_RETURN(bool keep, predicate->EvaluatesTrue(r, input.schema()));
     if (keep) out.AppendRowUnchecked(r);
   }
@@ -190,20 +197,20 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   }
   std::map<Value, std::vector<size_t>> build;
   for (size_t i = 0; i < right.num_rows(); ++i) {
-    const Value k = right.row(i)[ri];
+    const Value k = right.Cell(i, ri);
     if (k.is_null()) continue;
     build[k].push_back(i);
   }
   Table out(std::move(out_schema));
   for (size_t l = 0; l < left.num_rows(); ++l) {
-    const Row lrow = left.row(l);
+    const Row lrow = RowAt(left, l);
     const Value& k = lrow[li];
     if (k.is_null()) continue;
     auto it = build.find(k);
     if (it == build.end()) continue;
     for (size_t r : it->second) {
       Row row = lrow;
-      for (const Value& v : right.row(r)) row.push_back(v);
+      for (const Value& v : RowAt(right, r)) row.push_back(v);
       out.AppendRowUnchecked(row);
     }
   }
@@ -254,7 +261,7 @@ Result<Table> Sort(const Table& input, const std::vector<OrderKey>& keys) {
 Table Limit(const Table& input, size_t n) {
   Table out(input.schema());
   for (size_t i = 0; i < std::min(n, input.num_rows()); ++i) {
-    out.AppendRowUnchecked(input.row(i));
+    out.AppendRowUnchecked(RowAt(input, i));
   }
   return out;
 }

@@ -27,6 +27,11 @@ namespace rowref {
 // Welford STDDEV, exact INT64 SUM/AVG accumulation, and (in the perturbation
 // baselines below) NULL-aware write-back.
 
+/// Row `i` of `t`, materialized cell by cell: `Table` itself is columnar
+/// and has no row accessor; the oracle and the row-level expression tests
+/// build rows here.
+Row RowAt(const Table& t, size_t i);
+
 Result<Table> Filter(const Table& input, const ExprPtr& predicate);
 Result<Table> Project(const Table& input, const std::vector<std::string>& columns);
 Result<Table> Aggregate(const Table& input,

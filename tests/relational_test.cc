@@ -103,8 +103,8 @@ TEST(TableTest, AppendRowValidatesArityAndTypes) {
 TEST(TableTest, IntWidensToDouble) {
   Table t(Schema{Column{"d", ColumnType::kDouble}});
   ASSERT_TRUE(t.AppendRow(Row{Value::Int(3)}).ok());
-  EXPECT_TRUE(t.row(0)[0].is_double());
-  EXPECT_DOUBLE_EQ(t.row(0)[0].AsDouble(), 3.0);
+  EXPECT_TRUE(t.Cell(0, 0).is_double());
+  EXPECT_DOUBLE_EQ(t.Cell(0, 0).AsDouble(), 3.0);
 }
 
 TEST(TableTest, NumericColumnSkipsNulls) {
@@ -122,7 +122,7 @@ TEST(ExpressionTest, ArithmeticAndComparison) {
   const Table t = PatientsFixture();
   auto expr = ParseExpression("age * 2 + 1");
   ASSERT_TRUE(expr.ok());
-  auto v = (*expr)->Evaluate(t.row(0), t.schema());
+  auto v = (*expr)->Evaluate(rowref::RowAt(t, 0), t.schema());
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->AsInt(), 69);
 }
@@ -150,7 +150,7 @@ TEST(ExpressionTest, InList) {
   ASSERT_TRUE(expr.ok());
   int matches = 0;
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    auto b = (*expr)->EvaluatesTrue(t.row(r), t.schema());
+    auto b = (*expr)->EvaluatesTrue(rowref::RowAt(t, r), t.schema());
     ASSERT_TRUE(b.ok());
     matches += *b ? 1 : 0;
   }
@@ -162,7 +162,7 @@ TEST(ExpressionTest, NullComparisonsAreFalse) {
   ASSERT_TRUE(t.AppendRow(Row{Value::Null()}).ok());
   auto expr = ParseExpression("a = 0 OR a <> 0");
   ASSERT_TRUE(expr.ok());
-  auto b = (*expr)->EvaluatesTrue(t.row(0), t.schema());
+  auto b = (*expr)->EvaluatesTrue(rowref::RowAt(t, 0), t.schema());
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(*b);
 }
@@ -244,8 +244,8 @@ TEST_F(ExecutorTest, FilterProjectOrderLimit) {
       "SELECT name FROM patients WHERE age >= 40 ORDER BY name DESC LIMIT 2");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 2u);
-  EXPECT_EQ(r->row(0)[0].AsString(), "eli");
-  EXPECT_EQ(r->row(1)[0].AsString(), "cal");
+  EXPECT_EQ(r->Cell(0, 0).AsString(), "eli");
+  EXPECT_EQ(r->Cell(1, 0).AsString(), "cal");
 }
 
 TEST_F(ExecutorTest, GlobalAggregates) {
@@ -254,10 +254,10 @@ TEST_F(ExecutorTest, GlobalAggregates) {
                     "FROM patients");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_EQ(r->row(0)[0].AsInt(), 5);
-  EXPECT_NEAR(r->row(0)[1].AsDouble(), 42.8, 1e-9);
-  EXPECT_DOUBLE_EQ(r->row(0)[2].AsDouble(), 0.4);
-  EXPECT_DOUBLE_EQ(r->row(0)[3].AsDouble(), 0.9);
+  EXPECT_EQ(r->Cell(0, 0).AsInt(), 5);
+  EXPECT_NEAR(r->Cell(0, 1).AsDouble(), 42.8, 1e-9);
+  EXPECT_DOUBLE_EQ(r->Cell(0, 2).AsDouble(), 0.4);
+  EXPECT_DOUBLE_EQ(r->Cell(0, 3).AsDouble(), 0.9);
 }
 
 TEST_F(ExecutorTest, GroupBy) {
@@ -266,8 +266,8 @@ TEST_F(ExecutorTest, GroupBy) {
                     "ORDER BY city");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 3u);
-  EXPECT_EQ(r->row(0)[0].AsString(), "bern");
-  EXPECT_EQ(r->row(0)[1].AsInt(), 2);
+  EXPECT_EQ(r->Cell(0, 0).AsString(), "bern");
+  EXPECT_EQ(r->Cell(0, 1).AsInt(), 2);
 }
 
 TEST_F(ExecutorTest, AggregateOverEmptyInput) {
@@ -275,7 +275,7 @@ TEST_F(ExecutorTest, AggregateOverEmptyInput) {
   auto r = ex.Query("SELECT COUNT(*) FROM patients WHERE age > 1000");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_EQ(r->row(0)[0].AsInt(), 0);
+  EXPECT_EQ(r->Cell(0, 0).AsInt(), 0);
 }
 
 TEST_F(ExecutorTest, BareColumnNeedsGroupBy) {
@@ -356,8 +356,8 @@ TEST(TableCodecTest, RoundTrip) {
   auto back = Decode(EncodeTable(t));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectSameTable(t, *back);
-  EXPECT_EQ(back->row(2)[1].AsString(), "cal");
-  EXPECT_DOUBLE_EQ(back->row(2)[3].AsDouble(), 0.9);
+  EXPECT_EQ(back->Cell(2, 1).AsString(), "cal");
+  EXPECT_DOUBLE_EQ(back->Cell(2, 3).AsDouble(), 0.9);
   // Deterministic: the bytes are a digest of the table.
   EXPECT_EQ(EncodeTable(*back), EncodeTable(t));
 }
@@ -377,9 +377,9 @@ TEST(TableCodecTest, NullsAndEveryTypeSurvive) {
   auto back = Decode(EncodeTable(t));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectSameTable(t, *back);
-  EXPECT_TRUE(std::signbit(back->row(0)[1].AsDouble()));
-  EXPECT_EQ(back->row(1)[2].AsString(), "  ");
-  EXPECT_EQ(back->row(0)[2].AsString(), "");
+  EXPECT_TRUE(std::signbit(back->Cell(0, 1).AsDouble()));
+  EXPECT_EQ(back->Cell(1, 2).AsString(), "  ");
+  EXPECT_EQ(back->Cell(0, 2).AsString(), "");
   // An empty table round-trips too.
   auto empty = Decode(EncodeTable(Table{}));
   ASSERT_TRUE(empty.ok());
@@ -479,7 +479,7 @@ TEST(XmlRecordsTest, InfersSchemaAndTypes) {
   EXPECT_EQ(table->schema().column(0).type, ColumnType::kString);  // pid
   EXPECT_EQ(table->schema().column(1).type, ColumnType::kInt64);   // age
   EXPECT_EQ(table->schema().column(2).type, ColumnType::kDouble);  // score (widened)
-  EXPECT_DOUBLE_EQ(table->row(1)[2].AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(table->Cell(1, 2).AsDouble(), 2.0);
 }
 
 TEST(XmlRecordsTest, MissingFieldsBecomeNull) {
@@ -493,8 +493,8 @@ TEST(XmlRecordsTest, MissingFieldsBecomeNull) {
   auto table = TableFromXmlRecords(doc->root());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->schema().num_columns(), 3u);
-  EXPECT_TRUE(table->row(1)[1].is_null());  // rec 2 lacks b
-  EXPECT_TRUE(table->row(2)[0].is_null());  // rec 3 lacks a
+  EXPECT_TRUE(table->Cell(1, 1).is_null());  // rec 2 lacks b
+  EXPECT_TRUE(table->Cell(2, 0).is_null());  // rec 3 lacks a
 }
 
 TEST(XmlRecordsTest, MixedTypesWidenToString) {
@@ -504,7 +504,7 @@ TEST(XmlRecordsTest, MixedTypesWidenToString) {
   auto table = TableFromXmlRecords(doc->root());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->schema().column(0).type, ColumnType::kString);
-  EXPECT_EQ(table->row(0)[0].AsString(), "12");
+  EXPECT_EQ(table->Cell(0, 0).AsString(), "12");
 }
 
 TEST(XmlRecordsTest, EmptyRootGivesEmptyTable) {

@@ -10,7 +10,6 @@
 #include "core/scenario.h"
 #include "relational/table_codec.h"
 #include "source/loss_computation.h"
-#include "source/optimizer.h"
 #include "source/piql.h"
 #include "source/preservation.h"
 #include "source/privacy_rewriter.h"
@@ -176,8 +175,85 @@ TEST_F(RemoteSourceTest, DeniedColumnIsStripped) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->table.schema().Contains("name"));
   EXPECT_TRUE(result->table.schema().Contains("diagnosis"));
-  ASSERT_EQ(result->denied_columns.size(), 1u);
-  EXPECT_EQ(result->denied_columns[0], "name");
+
+  // The rewriter records what it stripped.
+  const PiqlQuery q = MakeQuery("<select>name</select><select>diagnosis</select>");
+  auto transformed = QueryTransformer(DefaultClinicalNameMatcher())
+                         .Transform(q, "patients", src_->schema());
+  ASSERT_TRUE(transformed.ok()) << transformed.status().ToString();
+  auto rewritten = PrivacyRewriter(&src_->policies(), src_->mutable_rbac(), "hospitalA")
+                       .Rewrite(transformed->stmt, q);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  ASSERT_EQ(rewritten->denied_columns.size(), 1u);
+  EXPECT_EQ(rewritten->denied_columns[0], "name");
+  ASSERT_EQ(rewritten->stmt.items.size(), 1u);
+  EXPECT_EQ(rewritten->stmt.items[0].column, "diagnosis");
+}
+
+// A fragment predicate that raises an evaluation error fails the fragment
+// with the evaluator's status, whichever stage first evaluates it.
+TEST_F(RemoteSourceTest, RaisingPredicateFailsRowFragment) {
+  auto like = src_->ExecuteFragment(
+      MakeQuery("<select>diagnosis</select><where>zip LIKE '9%'</where>"));
+  ASSERT_FALSE(like.ok());
+  EXPECT_TRUE(like.status().IsInvalidArgument()) << like.status().ToString();
+  EXPECT_EQ(like.status().message(), "LIKE requires string operands");
+
+  auto arithmetic = src_->ExecuteFragment(
+      MakeQuery("<select>diagnosis</select><where>diagnosis + 1 &gt; 0</where>"));
+  ASSERT_FALSE(arithmetic.ok());
+  EXPECT_TRUE(arithmetic.status().IsInvalidArgument())
+      << arithmetic.status().ToString();
+  EXPECT_EQ(arithmetic.status().message(), "arithmetic on non-numeric values");
+}
+
+TEST_F(RemoteSourceTest, RaisingPredicateFailsAggregateAtQuerySetCheck) {
+  // The query-set restriction applies to this aggregate shape: a
+  // well-formed tracker-sized predicate is refused there.
+  auto tracker = src_->ExecuteFragment(MakeQuery(
+      "<aggregate func=\"COUNT\" attribute=\"diagnosis\"/>"
+      "<where>diagnosis = 'no-such-diagnosis'</where>"));
+  ASSERT_FALSE(tracker.ok());
+  EXPECT_TRUE(tracker.status().IsPrivacyViolation()) << tracker.status().ToString();
+  EXPECT_NE(tracker.status().message().find("tracker risk"), std::string::npos)
+      << tracker.status().ToString();
+
+  auto like = src_->ExecuteFragment(MakeQuery(
+      "<aggregate func=\"COUNT\" attribute=\"diagnosis\"/>"
+      "<where>zip LIKE '9%'</where>"));
+  ASSERT_FALSE(like.ok());
+  EXPECT_TRUE(like.status().IsInvalidArgument()) << like.status().ToString();
+  EXPECT_EQ(like.status().message(), "LIKE requires string operands");
+
+  auto arithmetic = src_->ExecuteFragment(MakeQuery(
+      "<aggregate func=\"COUNT\" attribute=\"diagnosis\"/>"
+      "<where>diagnosis * 2 &gt; 1</where>"));
+  ASSERT_FALSE(arithmetic.ok());
+  EXPECT_TRUE(arithmetic.status().IsInvalidArgument())
+      << arithmetic.status().ToString();
+  EXPECT_EQ(arithmetic.status().message(), "arithmetic on non-numeric values");
+}
+
+TEST_F(RemoteSourceTest, RaisingPredicateOverEmptyEffectiveTable) {
+  // No row is ever evaluated, so nothing raises: the row fragment releases
+  // an empty table and the aggregate is refused by the query-set check.
+  RemoteSource empty("hospitalA", "patients", Table(src_->schema()), 1);
+  core::ClinicalScenario::ApplyPatientPolicies(&empty);
+  ASSERT_EQ(empty.EffectiveTable()->num_rows(), 0u);
+
+  auto rows = empty.ExecuteFragment(
+      MakeQuery("<select>diagnosis</select><where>zip LIKE '9%'</where>"));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->table.num_rows(), 0u);
+
+  auto aggregate = empty.ExecuteFragment(MakeQuery(
+      "<aggregate func=\"COUNT\" attribute=\"diagnosis\"/>"
+      "<where>diagnosis + 1 &gt; 0</where>"));
+  ASSERT_FALSE(aggregate.ok());
+  EXPECT_TRUE(aggregate.status().IsPrivacyViolation())
+      << aggregate.status().ToString();
+  EXPECT_NE(aggregate.status().message().find("tracker risk"), std::string::npos)
+      << aggregate.status().ToString();
 }
 
 TEST_F(RemoteSourceTest, AllDeniedIsPrivacyViolation) {
@@ -305,7 +381,7 @@ TEST(KMeansTest, SeparatesObviousClusters) {
   EXPECT_GT(std::fabs(centroids[0].v[4] - centroids[1].v[4]), 5.0);
 }
 
-// --- Loss computation & optimizer ---
+// --- Loss computation ---
 
 TEST(LossComputationTest, FormWeightsAreMonotone) {
   using policy::DisclosureForm;
@@ -331,35 +407,6 @@ TEST(LossComputationTest, EstimatesBalanceBothLosses) {
   EXPECT_NEAR(e.information_loss, (0.6 + 1.0) / 2.0, 1e-9);
 }
 
-TEST(OptimizerTest, SelectivePolicyPushesDown) {
-  Table t(Schema{Column{"a", ColumnType::kInt64}});
-  for (int i = 0; i < 1000; ++i) (void)t.AppendRow(Row{Value::Int(i % 100)});
-  auto stmt = relational::ParseSql("SELECT a FROM t");
-  ASSERT_TRUE(stmt.ok());
-  auto selective = relational::ParseExpression("a < 5");
-  ASSERT_TRUE(selective.ok());
-  auto plan = PrivacyOptimizer::Choose(*stmt, t, *selective);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->push_policy_filter);
-  EXPECT_NEAR(plan->estimated_policy_selectivity, 0.05, 0.03);
-  EXPECT_FALSE(plan->steps.empty());
-}
-
-TEST(OptimizerTest, CostModelOrdersStrategies) {
-  // Pushing a selective filter is cheaper than post-hoc filtering.
-  const double pushed = PrivacyOptimizer::EstimateCost(
-      100000, 0.01, /*push=*/true, /*agg=*/false, /*after=*/true, 1);
-  const double post = PrivacyOptimizer::EstimateCost(
-      100000, 0.01, /*push=*/false, /*agg=*/false, /*after=*/true, 1);
-  EXPECT_LT(pushed, post);
-  // Perturbing after aggregation touches fewer rows.
-  const double after = PrivacyOptimizer::EstimateCost(
-      100000, 1.0, true, /*agg=*/true, /*after=*/true, 10);
-  const double before = PrivacyOptimizer::EstimateCost(
-      100000, 1.0, true, /*agg=*/true, /*after=*/false, 10);
-  EXPECT_LT(after, before);
-}
-
 // --- Preservation module ---
 
 TEST(PreservationTest, RoundingCoarsensAggregates) {
@@ -371,7 +418,7 @@ TEST(PreservationTest, RoundingCoarsensAggregates) {
   Rng rng(1);
   auto out = preservation.Apply(t, forms, /*budget=*/0.5, {Technique::kRounding}, &rng);
   ASSERT_TRUE(out.ok());
-  const double v = out->row(0)[0].AsDouble();
+  const double v = out->Cell(0, 0).AsDouble();
   EXPECT_NE(v, 83.07);           // coarsened
   EXPECT_NEAR(v, 83.07, 2.0);    // but close
 }
@@ -654,7 +701,7 @@ TEST(RandomSampleQueryModeTest, SampledAggregatesAreStableAndApproximate) {
   auto first = src.ExecuteFragment(*q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_EQ(first->table.num_rows(), 1u);
-  const double answer1 = first->table.row(0)[0].AsDouble();
+  const double answer1 = first->table.Cell(0, 0).AsDouble();
   // Close to the truth (unbiased sample of 80%, plus budget-1.0 rounding is
   // fine-grained)...
   EXPECT_NEAR(answer1, truth, 0.1 * truth);
@@ -662,7 +709,7 @@ TEST(RandomSampleQueryModeTest, SampledAggregatesAreStableAndApproximate) {
   // averaging attack gains nothing.
   auto second = src.ExecuteFragment(*q);
   ASSERT_TRUE(second.ok());
-  EXPECT_DOUBLE_EQ(second->table.row(0)[0].AsDouble(), answer1);
+  EXPECT_DOUBLE_EQ(second->table.Cell(0, 0).AsDouble(), answer1);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(WarehouseScaleTest, ConcurrentPutGetEvictAcrossShards) {
     auto handle = warehouse.Get(Fp(key), 8, 8);
     if (handle != nullptr) {
       ++readable;
-      EXPECT_EQ(handle->row(0)[0].AsInt(), static_cast<int64_t>(key));
+      EXPECT_EQ(handle->Cell(0, 0).AsInt(), static_cast<int64_t>(key));
     }
   }
   EXPECT_EQ(readable, warehouse.size());

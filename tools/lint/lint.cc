@@ -393,9 +393,10 @@ void CheckAnalysisEscape(const std::string& path, const std::vector<LineInfo>& l
 /// Rows reintroduces the per-cell variant churn the columnar rebuild removed
 /// (and, for dense write-backs, the NULL-misalignment bug class). Flags row
 /// iteration and every `.row(` / `->row(` member call anywhere under src/.
-/// The row shim (relational/table.*) is the sanctioned home of row
-/// materialization; the row-engine reference lives in the test tree,
-/// outside the scanned paths.
+/// `Table` has no row accessor, and the rule keeps it that way.
+/// relational/table.* is exempt as the owner of the row-append boundary
+/// (`AppendRow`); the row-engine reference (`rowref::RowAt`) lives in the
+/// test tree, outside the scanned paths.
 void CheckRowLoop(const std::string& path, const std::vector<LineInfo>& lines, Emit out) {
   static const char* kRule = "row-loop";
   if (!PathHas(path, "src/")) return;
