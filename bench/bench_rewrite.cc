@@ -11,15 +11,30 @@
 // placed after aggregation (one noisy value per group) vs before it (every
 // input row). Both placements are fixed by the source pipeline's shape —
 // rewrite, execute, then preserve — and measured here rather than modelled.
+//
+// Experiment abl-scan: the scan choice inside a source, measured per
+// RemoteSource::ExecuteFragment call on a 25,600-row patient table. The
+// path is chosen by the WHERE's shape alone: `dob >= a AND dob < b` is
+// answered through the sorted index of dob, and the same window written as
+// `NOT (dob < a OR dob >= b)` is not eligible, so it is the full-scan
+// baseline. A second table holds aggregate fragments at |C| = k and
+// |C| = n - k, whose cost must not follow |C|.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/scenario.h"
 #include "perturb/noise.h"
 #include "relational/executor.h"
 #include "relational/sql.h"
+#include "relational/table_codec.h"
+#include "source/remote_source.h"
 
 using namespace piye::relational;
 namespace perturb = piye::perturb;
@@ -161,6 +176,119 @@ void BM_PerturbBeforeAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_PerturbBeforeAggregate)->Arg(50000)->Unit(benchmark::kMillisecond);
 
+// --- abl-scan ---
+
+constexpr int kScanCalls = 200;
+
+struct CallTimes {
+  double p25 = 0, p50 = 0, p75 = 0;  // microseconds
+  size_t released_rows = 0;
+  std::string released;              // encoded table, or the error
+  uint64_t index_scans = 0;          // over all calls
+  uint64_t rows_examined = 0;        // per call
+};
+
+piye::source::PiqlQuery ScanQuery(bool aggregate, const std::string& where) {
+  const std::string xml =
+      std::string("<query requester=\"bench\" purpose=\"healthcare\" maxLoss=\"1.0\">") +
+      (aggregate ? "<aggregate func=\"COUNT\" attribute=\"patient_id\"/>"
+                 : "<select>patient_id</select><select>dob</select>") +
+      "<where>" + where + "</where></query>";
+  return *piye::source::PiqlQuery::Parse(xml);
+}
+
+CallTimes TimeFragment(const piye::source::RemoteSource& src,
+                       const piye::source::PiqlQuery& query) {
+  CallTimes out;
+  const auto first = src.ExecuteFragment(query);  // builds the index, if any
+  out.released = first.ok() ? EncodeTable(first->table) : first.status().ToString();
+  out.released_rows = first.ok() ? first->table.num_rows() : 0;
+  const auto before = src.scan_stats();
+  std::vector<double> us;
+  for (int i = 0; i < kScanCalls; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = src.ExecuteFragment(query);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(r);
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  const auto after = src.scan_stats();
+  out.index_scans = after.index_scans - before.index_scans;
+  out.rows_examined = (after.rows_examined - before.rows_examined) / kScanCalls;
+  std::sort(us.begin(), us.end());
+  out.p25 = us[us.size() / 4];
+  out.p50 = us[us.size() / 2];
+  out.p75 = us[us.size() * 3 / 4];
+  return out;
+}
+
+void PrintScanChoice() {
+  auto tables = piye::core::ClinicalScenario::MakePatientTables(25600, 0.3, 1);
+  piye::source::RemoteSource src("hospital", "patients", std::move(tables.hospital), 4);
+  piye::core::ClinicalScenario::ApplyPatientPolicies(&src);
+  (void)src.mutable_rbac()->AssignRole("*", "analyst");
+  const size_t n = src.num_rows();
+
+  std::printf("abl-scan: per-fragment source time, %d calls each (n = %zu rows)\n",
+              kScanCalls, n);
+  std::printf("%-9s %-9s %-6s %9s %10s %10s %10s %9s\n", "shape", "window", "path",
+              "released", "examined", "p25 us", "p50 us", "p75 us");
+  struct Window {
+    const char* name;
+    const char* lo;
+    const char* hi;
+  };
+  const Window windows[] = {{"14 days", "1960-03-01", "1960-03-15"},
+                            {"2 years", "1960-01-01", "1962-01-01"},
+                            {"5 years", "1960-01-01", "1965-01-01"}};
+  bool same = true;
+  for (bool aggregate : {false, true}) {
+    for (const Window& w : windows) {
+      const std::string lo = std::string("'") + w.lo + "'";
+      const std::string hi = std::string("'") + w.hi + "'";
+      const CallTimes index = TimeFragment(
+          src, ScanQuery(aggregate, "dob &gt;= " + lo + " AND dob &lt; " + hi));
+      const CallTimes full = TimeFragment(
+          src, ScanQuery(aggregate, "NOT (dob &lt; " + lo + " OR dob &gt;= " + hi + ")"));
+      same &= index.released_rows == full.released_rows;
+      for (const auto* t : {&index, &full}) {
+        std::printf("%-9s %-9s %-6s %9zu %10llu %10.1f %10.1f %10.1f\n",
+                    aggregate ? "COUNT" : "rows", w.name,
+                    t->index_scans == kScanCalls ? "index" : "full", t->released_rows,
+                    static_cast<unsigned long long>(t->rows_examined), t->p25, t->p50,
+                    t->p75);
+      }
+    }
+  }
+  std::printf("index and full scan release the same row counts: %s\n\n",
+              same ? "yes" : "NO");
+
+  // |C| = k and |C| = n - k: `dob < x` holds exactly the rows below x, so x
+  // is the first dob after exactly k (n - k) smaller ones; both query sets
+  // pass the query-set restriction, so both answers are released.
+  const size_t k = piye::source::PreservationModule::Config{}.k;
+  const auto& dob = src.raw_table_for_testing().col(2);
+  std::vector<std::string> sorted;
+  for (size_t r = 0; r < n; ++r) sorted.emplace_back(dob.StrAt(r));
+  std::sort(sorted.begin(), sorted.end());
+  std::printf("aggregate fragments: COUNT(patient_id) WHERE dob < x, %d calls each\n",
+              kScanCalls);
+  std::printf("%-6s %6s %-6s %9s %10s %10s %10s %10s\n", "|C|", "", "path", "released",
+              "examined", "p25 us", "p50 us", "p75 us");
+  for (size_t target : {k, n - k}) {
+    // Step inward past duplicates until exactly `c` rows are below x.
+    size_t c = target;
+    while (c > 0 && c < n && sorted[c - 1] == sorted[c]) c += target == k ? 1 : -1;
+    const CallTimes t =
+        TimeFragment(src, ScanQuery(true, "dob &lt; '" + sorted[c] + "'"));
+    std::printf("%-6s %6zu %-6s %9zu %10llu %10.1f %10.1f %10.1f\n",
+                target == k ? "k" : "n - k", c,
+                t.index_scans == kScanCalls ? "index" : "full", t.released_rows,
+                static_cast<unsigned long long>(t.rows_examined), t.p25, t.p50, t.p75);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,7 +296,11 @@ int main(int argc, char** argv) {
               "Expect the rewrite variant to win, with the gap growing as the\n"
               "policy predicate gets more selective (lower selectivity_pct).\n"
               "abl-optimizer: perturbation after vs before aggregation.\n"
-              "Expect after-aggregate to win: it perturbs one value per group.\n\n");
+              "Expect after-aggregate to win: it perturbs one value per group.\n"
+              "abl-scan: expect the index to beat the full scan on row fragments\n"
+              "by more the narrower the window, and the two aggregate rows to\n"
+              "cost the same.\n\n");
+  PrintScanChoice();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

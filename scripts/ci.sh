@@ -121,17 +121,19 @@ else
   # suite (client reader/writer threads vs server accept/worker threads,
   # reconnect teardown races, window backpressure), plus the relational
   # suite so the copy-on-write column sharing (shared_ptr buffers cloned on
-  # MutableColumn) is exercised under the race detector, and the
+  # MutableColumn) is exercised under the race detector, the
   # bounded-state suite (background snapshotter racing live traffic, sharded
-  # history fault-in, rotate kill points).
+  # history fault-in, rotate kill points), and the source suite (the
+  # per-generation effective-table snapshot and its lazily built indexes;
+  # concurrency_test drives them from eight cold-start callers).
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
   cmake -B "$ROOT/build-threadsan" -S "$ROOT" -DPIYE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ROOT/build-threadsan" -j "$JOBS" --target \
     warehouse_scale_test concurrency_test recovery_test admission_test \
-    chaos_soak_test net_test relational_test bounded_state_test
+    chaos_soak_test net_test relational_test bounded_state_test source_test
   ctest --test-dir "$ROOT/build-threadsan" --output-on-failure -j "$JOBS" \
-    -R '^(warehouse_scale_test|concurrency_test|recovery_test|admission_test|chaos_soak_test|net_test|relational_test|bounded_state_test)$'
+    -R '^(warehouse_scale_test|concurrency_test|recovery_test|admission_test|chaos_soak_test|net_test|relational_test|bounded_state_test|source_test)$'
 fi
 
 if [[ "${PIYE_CI_SKIP_UBSAN:-0}" == "1" ]]; then

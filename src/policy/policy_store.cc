@@ -1,7 +1,18 @@
 #include "policy/policy_store.h"
 
+#include <atomic>
+
 namespace piye {
 namespace policy {
+
+namespace {
+
+uint64_t NextGeneration() {
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 Status PolicyStore::AddPolicy(PrivacyPolicy policy) {
   const std::string owner = policy.owner();
@@ -12,6 +23,7 @@ Status PolicyStore::AddPolicy(PrivacyPolicy policy) {
   if (!inserted) {
     return Status::AlreadyExists("policy for '" + owner + "' already registered");
   }
+  generation_ = NextGeneration();
   return Status::OK();
 }
 
@@ -30,6 +42,7 @@ Status PolicyStore::AddView(const std::string& owner, PrivacyView view) {
     return Status::AlreadyExists("view '" + key.second + "' already registered for '" +
                                  owner + "'");
   }
+  generation_ = NextGeneration();
   return Status::OK();
 }
 
@@ -48,6 +61,7 @@ Status PolicyStore::AddPreference(UserPreference pref) {
   if (!inserted) {
     return Status::AlreadyExists("preference for '" + id + "' already registered");
   }
+  generation_ = NextGeneration();
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef PIYE_POLICY_POLICY_STORE_H_
 #define PIYE_POLICY_POLICY_STORE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +35,11 @@ class PolicyStore {
 
   const PurposeLattice& lattice() const { return lattice_; }
 
+  /// Identifies the store's contents: every mutation sets it to a value no
+  /// store in the process has used before, so a cache keyed by it (a
+  /// source's effective table) is stale exactly when it differs.
+  uint64_t generation() const { return generation_; }
+
   /// Effective disclosure for (owner, table, column, purpose, recipient):
   /// the source policy verdict met with every registered subject preference
   /// that constrains the column.
@@ -46,6 +52,7 @@ class PolicyStore {
   std::map<std::string, PrivacyPolicy> policies_;
   std::map<std::pair<std::string, std::string>, PrivacyView> views_;
   std::map<std::string, UserPreference> preferences_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace policy

@@ -49,25 +49,6 @@ using Mask = std::vector<uint8_t>;
 // harness checks the vectorized engine against the row engine, which uses
 // Value::Compare directly.
 
-int RankOfType(ColumnType t) {
-  switch (t) {
-    case ColumnType::kBool:
-      return 1;
-    case ColumnType::kInt64:
-    case ColumnType::kDouble:
-      return 2;
-    case ColumnType::kString:
-      return 3;
-  }
-  return 3;
-}
-
-int RankOfValue(const Value& v) {
-  if (v.is_bool()) return 1;
-  if (v.is_numeric()) return 2;
-  return 3;
-}
-
 double NumAt(const ColumnVector& c, size_t i) {
   return c.type() == ColumnType::kInt64 ? static_cast<double>(c.IntAt(i))
                                         : c.RealAt(i);
@@ -95,7 +76,7 @@ int CellCompare(const ColumnVector& c, size_t i, size_t j) {
 /// columns, following Value::Compare's cross-type rules.
 int CellCompareCols(const ColumnVector& a, size_t i, const ColumnVector& b,
                     size_t j) {
-  const int ra = RankOfType(a.type()), rb = RankOfType(b.type());
+  const int ra = TypeRank(a.type()), rb = TypeRank(b.type());
   if (ra != rb) return ra < rb ? -1 : 1;
   switch (ra) {
     case 1:
@@ -156,8 +137,8 @@ Status FallbackTruth(const Table& t, const Expression& e, size_t b0, size_t b1,
 void CompareColLit(const ColumnVector& col, bool flipped, const Value& lit,
                    Expression::Op op, size_t b0, size_t b1, const Mask& active,
                    Mask* out) {
-  const int rank_col = RankOfType(col.type());
-  const int rank_lit = RankOfValue(lit);
+  const int rank_col = TypeRank(col.type());
+  const int rank_lit = TypeRank(lit);
   if (rank_col != rank_lit) {
     // Cross-rank comparisons are constant for every non-NULL cell.
     int c = rank_col < rank_lit ? -1 : 1;
@@ -350,12 +331,12 @@ Status EvalTruth(const Table& t, const Expression& e, size_t b0, size_t b1,
       const ColumnVector& col = t.col(idx);
       // Only IN-list values of the column's type rank can ever SqlEqual a
       // cell; collect them once, typed.
-      const int rank = RankOfType(col.type());
+      const int rank = TypeRank(col.type());
       std::vector<double> nums;
       std::vector<std::string_view> strs;
       std::vector<bool> bools;
       for (const Value& v : e.in_values()) {
-        if (v.is_null() || RankOfValue(v) != rank) continue;
+        if (v.is_null() || TypeRank(v) != rank) continue;
         if (rank == 2) {
           nums.push_back(v.AsDouble());
         } else if (rank == 3) {
@@ -421,10 +402,7 @@ Status EvalTruth(const Table& t, const Expression& e, size_t b0, size_t b1,
         if (col.type() != ColumnType::kString || !r.literal().is_string()) {
           return Status::InvalidArgument("LIKE requires string operands");
         }
-        (*out)[i] = SqlLikeMatch(std::string(col.StrAt(row)),
-                                 r.literal().AsString())
-                        ? 1
-                        : 0;
+        (*out)[i] = SqlLikeMatch(col.StrAt(row), r.literal().AsString()) ? 1 : 0;
       }
       return Status::OK();
     }
@@ -434,23 +412,66 @@ Status EvalTruth(const Table& t, const Expression& e, size_t b0, size_t b1,
   }
 }
 
-}  // namespace
-
-Result<std::vector<uint32_t>> Executor::FilterSelection(const Table& input,
-                                                        const Expression& predicate) {
+/// Evaluates `predicate` over every row of `input`, batch by batch, and
+/// hands each batch's truth mask to `emit(b0, b1, mask)`.
+template <typename Emit>
+Status EvalBatches(const Table& input, const Expression& predicate, Emit emit) {
   const size_t n = input.num_rows();
-  std::vector<uint32_t> sel;
   Mask active(kBatchSize, 1);
   Mask out(kBatchSize, 0);
   for (size_t b0 = 0; b0 < n; b0 += kBatchSize) {
     const size_t b1 = std::min(b0 + kBatchSize, n);
     std::fill(active.begin(), active.begin() + (b1 - b0), 1);
     PIYE_RETURN_NOT_OK(EvalTruth(input, predicate, b0, b1, active, &out));
+    emit(b0, b1, out);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Selection Selection::All(size_t num_rows) {
+  Selection s;
+  s.count = num_rows;
+  return s;
+}
+
+Selection Selection::Rows(std::vector<uint32_t> rows) {
+  Selection s;
+  s.kind = Kind::kRows;
+  s.count = rows.size();
+  s.rows = std::move(rows);
+  return s;
+}
+
+Selection Selection::Mask(std::vector<uint8_t> mask) {
+  Selection s;
+  s.kind = Kind::kMask;
+  for (uint8_t m : mask) s.count += m;
+  s.mask = std::move(mask);
+  return s;
+}
+
+Result<std::vector<uint32_t>> Executor::FilterSelection(const Table& input,
+                                                        const Expression& predicate) {
+  std::vector<uint32_t> sel;
+  auto collect = [&sel](size_t b0, size_t b1, const Mask& out) {
     for (size_t r = b0; r < b1; ++r) {
       if (out[r - b0]) sel.push_back(static_cast<uint32_t>(r));
     }
-  }
+  };
+  PIYE_RETURN_NOT_OK(EvalBatches(input, predicate, collect));
   return sel;
+}
+
+Result<std::vector<uint8_t>> Executor::FilterMask(const Table& input,
+                                                  const Expression& predicate) {
+  std::vector<uint8_t> mask(input.num_rows());
+  auto copy = [&mask](size_t b0, size_t b1, const Mask& out) {
+    std::copy(out.begin(), out.begin() + (b1 - b0), mask.begin() + b0);
+  };
+  PIYE_RETURN_NOT_OK(EvalBatches(input, predicate, copy));
+  return mask;
 }
 
 Result<Table> Executor::Filter(const Table& input, const ExprPtr& predicate) {
@@ -473,7 +494,11 @@ Result<Table> Executor::Project(const Table& input,
 
 Result<Table> Executor::Aggregate(const Table& input,
                                   const std::vector<std::string>& group_by,
-                                  const std::vector<SelectItem>& aggregates) {
+                                  const std::vector<SelectItem>& aggregates,
+                                  const uint8_t* mask) {
+  if (mask != nullptr && !group_by.empty()) {
+    return Status::InvalidArgument("a selection mask needs a global aggregation");
+  }
   // Resolve group and aggregate column indices.
   std::vector<size_t> group_idx;
   for (const auto& g : group_by) {
@@ -516,8 +541,13 @@ Result<Table> Executor::Aggregate(const Table& input,
   std::vector<uint32_t> group_first_row;
   size_t num_groups = 0;
   if (group_idx.empty()) {
-    // Global aggregation: one group, even over an empty input.
+    // Global aggregation: one group, even over an empty input. Under a mask,
+    // unselected rows go to group 1, which is accumulated but not emitted.
     num_groups = 1;
+    if (mask != nullptr) {
+      for (size_t r = 0; r < n; ++r) gid[r] = mask[r] ^ 1u;
+      num_groups = 2;
+    }
   } else if (group_idx.size() == 1 &&
              input.col(group_idx[0]).type() == ColumnType::kInt64) {
     // Single INT64 key: group straight off the typed buffer, no per-row
@@ -576,6 +606,19 @@ Result<Table> Executor::Aggregate(const Table& input,
     } else {
       agg[s].assign(num_groups, NumericAgg{});
     }
+    if (mask != nullptr && spec.func == AggFunc::kCount) {
+      // A masked COUNT is a branch-free sum over every row; scattering
+      // increments across two groups would cost more as the mask mixes.
+      size_t count = 0;
+      if (spec.col < 0) {
+        for (size_t r = 0; r < n; ++r) count += mask[r];
+      } else {
+        const ColumnVector& c = input.col(static_cast<size_t>(spec.col));
+        for (size_t r = 0; r < n; ++r) count += mask[r] & (c.IsNull(r) ? 0u : 1u);
+      }
+      agg[s][0].count = count;
+      continue;
+    }
     if (spec.col < 0) {
       for (size_t r = 0; r < n; ++r) ++agg[s][gid[r]].count;  // COUNT(*)
       continue;
@@ -631,8 +674,10 @@ Result<Table> Executor::Aggregate(const Table& input,
     }
   }
 
-  // An INT64 SUM column stays INT64 unless some group actually overflowed
-  // the exact accumulator, in which case the whole column widens to DOUBLE.
+  // An INT64 SUM column stays INT64 unless some emitted group actually
+  // overflowed the exact accumulator, in which case the whole column widens
+  // to DOUBLE.
+  const size_t emitted = mask != nullptr ? 1 : num_groups;
   std::vector<bool> int_input(specs.size(), false);
   for (size_t s = 0; s < specs.size(); ++s) {
     AggSpec& spec = specs[s];
@@ -640,7 +685,8 @@ Result<Table> Executor::Aggregate(const Table& input,
     int_input[s] = input.schema().column(static_cast<size_t>(spec.col)).type ==
                    ColumnType::kInt64;
     if (spec.func == AggFunc::kSum && int_input[s]) {
-      for (const NumericAgg& a : agg[s]) {
+      for (size_t g = 0; g < emitted; ++g) {
+        const NumericAgg& a = agg[s][g];
         if (a.count > 0 && a.ioverflow) {
           spec.out_type = ColumnType::kDouble;
           break;
@@ -660,10 +706,11 @@ Result<Table> Executor::Aggregate(const Table& input,
   for (size_t s = 0; s < specs.size(); ++s) {
     const AggSpec& spec = specs[s];
     ColumnVector data(spec.out_type);
-    data.Reserve(num_groups);
+    data.Reserve(emitted);
     if (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) {
       const ColumnVector& src = input.col(static_cast<size_t>(spec.col));
-      for (uint32_t best : extreme[s]) {
+      for (size_t g = 0; g < emitted; ++g) {
+        const uint32_t best = extreme[s][g];
         if (best == kNoRow) {
           data.AppendNull();
         } else {
@@ -671,8 +718,8 @@ Result<Table> Executor::Aggregate(const Table& input,
         }
       }
     } else {
-      for (const NumericAgg& a : agg[s]) {
-        data.AppendValue(a.Finish(spec.func, int_input[s]));
+      for (size_t g = 0; g < emitted; ++g) {
+        data.AppendValue(agg[s][g].Finish(spec.func, int_input[s]));
       }
     }
     out.AddColumn({spec.out_name, spec.out_type}, std::move(data));
@@ -796,19 +843,32 @@ Table Executor::Limit(const Table& input, size_t n) {
 
 Result<Table> Executor::Execute(const SelectStatement& stmt) const {
   PIYE_ASSIGN_OR_RETURN(const Table* base, catalog_->GetTable(stmt.table));
-  // Late materialization: the WHERE is evaluated on the base table to a
-  // selection, and only the columns the statement reads are gathered
-  // through it. A name the base lacks is left out, so the step that reads
-  // it fails on `filtered` with the same error as on the whole table.
+  if (stmt.where == nullptr) {
+    return Execute(stmt, *base, Selection::All(base->num_rows()));
+  }
+  PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, FilterSelection(*base, *stmt.where));
+  return Execute(stmt, *base, Selection::Rows(std::move(sel)));
+}
+
+Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
+                                const Selection& selection) {
+  if (selection.kind == Selection::Kind::kMask &&
+      selection.mask.size() != base.num_rows()) {
+    return Status::InvalidArgument("selection mask does not cover the table");
+  }
+  // Late materialization: only the columns the statement reads are gathered
+  // through the selection. A name the base lacks is left out, so the step
+  // that reads it fails on `filtered` with the same error as on the whole
+  // table.
   std::vector<size_t> read;
-  auto add_read = [&read, base](const std::string& name) {
-    auto idx = base->schema().IndexOf(name);
+  auto add_read = [&read, &base](const std::string& name) {
+    auto idx = base.schema().IndexOf(name);
     if (idx.ok() && std::find(read.begin(), read.end(), *idx) == read.end()) {
       read.push_back(*idx);
     }
   };
   if (stmt.HasStar()) {
-    read.resize(base->num_columns());
+    read.resize(base.num_columns());
     std::iota(read.begin(), read.end(), size_t{0});
   }
   for (const auto& item : stmt.items) {
@@ -816,11 +876,26 @@ Result<Table> Executor::Execute(const SelectStatement& stmt) const {
   }
   for (const auto& g : stmt.group_by) add_read(g);
   for (const auto& k : stmt.order_by) add_read(k.column);
-  Table filtered = base->ProjectShared(read);
-  if (stmt.where != nullptr) {
-    PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                          FilterSelection(*base, *stmt.where));
-    filtered = filtered.Gather(sel);
+  Table filtered = base.ProjectShared(read);
+  const uint8_t* mask = nullptr;
+  switch (selection.kind) {
+    case Selection::Kind::kAll:
+      break;
+    case Selection::Kind::kRows:
+      filtered = filtered.Gather(selection.rows);
+      break;
+    case Selection::Kind::kMask:
+      if (stmt.HasAggregates() && stmt.group_by.empty()) {
+        mask = selection.mask.data();
+      } else {
+        std::vector<uint32_t> rows;
+        rows.reserve(selection.count);
+        for (size_t r = 0; r < selection.mask.size(); ++r) {
+          if (selection.mask[r]) rows.push_back(static_cast<uint32_t>(r));
+        }
+        filtered = filtered.Gather(rows);
+      }
+      break;
   }
 
   Table result;
@@ -847,7 +922,7 @@ Result<Table> Executor::Execute(const SelectStatement& stmt) const {
         out_columns.push_back(item.column);
       }
     }
-    PIYE_ASSIGN_OR_RETURN(Table agg, Aggregate(filtered, stmt.group_by, aggs));
+    PIYE_ASSIGN_OR_RETURN(Table agg, Aggregate(filtered, stmt.group_by, aggs, mask));
     // Reorder/alias output columns to the select-list order.
     // Build rename-aware projection: group cols keep names; aggregates were
     // named by OutputName already.

@@ -84,10 +84,10 @@ Result<Value> Arith(Expression::Op op, const Value& a, const Value& b) {
 
 }  // namespace
 
-bool SqlLikeMatch(const std::string& text, const std::string& pattern) {
+bool SqlLikeMatch(std::string_view text, std::string_view pattern) {
   // Iterative wildcard match with backtracking on the last '%'.
   size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
       ++t;
@@ -95,7 +95,7 @@ bool SqlLikeMatch(const std::string& text, const std::string& pattern) {
     } else if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;
     } else {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -90,7 +91,7 @@ class Expression {
 
 /// Returns true if `text` matches the SQL LIKE `pattern` (% = any run,
 /// _ = any single char). Exposed for testing.
-bool SqlLikeMatch(const std::string& text, const std::string& pattern);
+bool SqlLikeMatch(std::string_view text, std::string_view pattern);
 
 }  // namespace relational
 }  // namespace piye

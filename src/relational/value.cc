@@ -48,15 +48,6 @@ std::string Value::ToDisplayString() const {
   return ToString();
 }
 
-namespace {
-int TypeRank(const Value& v) {
-  if (v.is_null()) return 0;
-  if (v.is_bool()) return 1;
-  if (v.is_int() || v.is_double()) return 2;
-  return 3;  // string
-}
-}  // namespace
-
 int Value::Compare(const Value& other) const {
   const int ra = TypeRank(*this), rb = TypeRank(other);
   if (ra != rb) return ra < rb ? -1 : 1;

@@ -15,6 +15,20 @@ enum class ColumnType { kInt64, kDouble, kString, kBool };
 
 const char* ColumnTypeToString(ColumnType type);
 
+/// Value::Compare's order of types: NULL 0 < BOOL 1 < numeric 2 < STRING 3.
+inline int TypeRank(ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool:
+      return 1;
+    case ColumnType::kInt64:
+    case ColumnType::kDouble:
+      return 2;
+    case ColumnType::kString:
+      return 3;
+  }
+  return 3;
+}
+
 /// A dynamically typed SQL value (NULL, INT64, DOUBLE, STRING, or BOOL).
 ///
 /// Values use SQL-ish semantics: NULL compares as absent (any comparison with
@@ -83,6 +97,13 @@ class Value {
 
   Data data_;
 };
+
+/// The rank of `v`'s type, NULL ranking first.
+inline int TypeRank(const Value& v) {
+  if (v.is_null()) return 0;
+  if (v.is_bool()) return 1;
+  return v.is_numeric() ? 2 : 3;
+}
 
 }  // namespace relational
 }  // namespace piye

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -175,23 +176,29 @@ Status PreservationModule::ApplySuppression(
     }
   }
   if (qi.empty()) return Status::OK();
-  std::map<std::string, size_t> counts;
-  std::vector<std::string> keys;
-  keys.reserve(table->num_rows());
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    std::string key;
-    for (size_t c : qi) {
-      key += table->col(c).ValueAt(r).ToDisplayString();
-      key += '\x1f';
-    }
-    ++counts[key];
-    keys.push_back(std::move(key));
+  // A row's class key is its QI cells' tagged, length-prefixed encodings, so
+  // two different QI combinations (NULL vs 'NULL', or a separator byte
+  // inside a string) never share a class.
+  const size_t n = table->num_rows();
+  std::unordered_map<std::string, uint32_t> class_of;
+  class_of.reserve(n);
+  std::vector<uint32_t> row_class(n);
+  std::vector<size_t> class_size;
+  std::string key;
+  for (size_t r = 0; r < n; ++r) {
+    key.clear();
+    for (size_t c : qi) table->col(c).EncodeCell(r, &key);
+    auto [it, inserted] =
+        class_of.try_emplace(key, static_cast<uint32_t>(class_size.size()));
+    if (inserted) class_size.push_back(0);
+    ++class_size[it->second];
+    row_class[r] = it->second;
   }
   // Keep rows of sufficiently large equivalence classes via one gather.
   std::vector<uint32_t> sel;
-  sel.reserve(table->num_rows());
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    if (counts[keys[r]] >= config_.k) sel.push_back(static_cast<uint32_t>(r));
+  sel.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (class_size[row_class[r]] >= config_.k) sel.push_back(static_cast<uint32_t>(r));
   }
   *table = table->Gather(sel);
   return Status::OK();

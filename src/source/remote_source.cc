@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "common/macros.h"
@@ -27,14 +28,33 @@ xml::LooseNameMatcher DefaultClinicalNameMatcher() {
   return matcher;
 }
 
+struct RemoteSource::Snapshot {
+  /// One per column: the index is built under `mu` by the first fragment
+  /// that can use the column, and never changes afterwards.
+  struct IndexSlot {
+    Mutex mu;
+    bool built GUARDED_BY(mu) = false;
+    std::optional<relational::SortedIndex> index GUARDED_BY(mu);
+  };
+
+  Snapshot(uint64_t generation, relational::Table table)
+      : generation(generation),
+        table(std::move(table)),
+        slots(std::make_unique<IndexSlot[]>(this->table.num_columns())) {}
+
+  const uint64_t generation;
+  const relational::Table table;
+  const std::unique_ptr<IndexSlot[]> slots;
+};
+
 RemoteSource::RemoteSource(std::string owner, std::string table_name,
                            relational::Table data, uint64_t seed)
     : owner_(std::move(owner)),
       table_name_(std::move(table_name)),
+      raw_(std::move(data)),
       transformer_(DefaultClinicalNameMatcher()),
       perturb_seed_(seed ^ 0xBF58476D1CE4E5B9ULL),
       rsq_seed_(seed ^ 0x94D049BB133111EBULL) {
-  catalog_.PutTable(table_name_, std::move(data));
   clusters_ = ClusterStore::Default();
 }
 
@@ -47,26 +67,91 @@ Result<std::unique_ptr<RemoteSource>> RemoteSource::FromXmlRecords(
   return std::make_unique<RemoteSource>(owner, table_name, std::move(table), seed);
 }
 
-const relational::Schema& RemoteSource::schema() const {
-  return (*catalog_.GetTable(table_name_))->schema();
-}
-
-size_t RemoteSource::num_rows() const {
-  return (*catalog_.GetTable(table_name_))->num_rows();
-}
-
-const relational::Table& RemoteSource::raw_table_for_testing() const {
-  return **catalog_.GetTable(table_name_);
+Result<std::shared_ptr<const RemoteSource::Snapshot>> RemoteSource::CurrentSnapshot()
+    const {
+  const uint64_t generation = policies_.generation();
+  MutexLock lock(snapshot_mu_);
+  if (snapshot_ == nullptr || snapshot_->generation != generation) {
+    relational::Table table = raw_;
+    for (const policy::PrivacyView* view : policies_.ViewsForTable(owner_, table_name_)) {
+      PIYE_ASSIGN_OR_RETURN(table, view->Apply(table));
+    }
+    snapshot_ = std::make_shared<const Snapshot>(generation, std::move(table));
+  }
+  return snapshot_;
 }
 
 Result<relational::Table> RemoteSource::EffectiveTable() const {
-  PIYE_ASSIGN_OR_RETURN(const relational::Table* raw, catalog_.GetTable(table_name_));
-  const auto views = policies_.ViewsForTable(owner_, table_name_);
-  relational::Table table = *raw;
-  for (const policy::PrivacyView* view : views) {
-    PIYE_ASSIGN_OR_RETURN(table, view->Apply(table));
+  PIYE_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot, CurrentSnapshot());
+  return snapshot->table;
+}
+
+const relational::SortedIndex* RemoteSource::IndexFor(const Snapshot& snapshot,
+                                                      size_t column) const {
+  Snapshot::IndexSlot& slot = snapshot.slots[column];
+  MutexLock lock(slot.mu);
+  if (!slot.built) {
+    slot.index = relational::SortedIndex::Build(snapshot.table.col(column));
+    slot.built = true;
+    counters_.index_builds.fetch_add(1, std::memory_order_relaxed);
   }
-  return table;
+  return slot.index.has_value() ? &*slot.index : nullptr;
+}
+
+Result<relational::Selection> RemoteSource::Scan(
+    const Snapshot& snapshot, const relational::SelectStatement& stmt) const {
+  const relational::Table& base = snapshot.table;
+  const size_t n = base.num_rows();
+  if (stmt.where == nullptr) return relational::Selection::All(n);
+  // An empty table keeps the full scan: it evaluates nothing, so not even
+  // an unknown column raises there.
+  std::optional<relational::IndexableWhere> plan;
+  const relational::SortedIndex* index = nullptr;
+  if (n > 0) plan = relational::MatchIndexable(stmt.where, base);
+  if (plan.has_value()) index = IndexFor(snapshot, plan->column);
+  if (index == nullptr) {
+    counters_.full_scans.fetch_add(1, std::memory_order_relaxed);
+    counters_.rows_examined.fetch_add(n, std::memory_order_relaxed);
+    PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                          relational::Executor::FilterSelection(base, *stmt.where));
+    counters_.rows_gathered.fetch_add(rows.size(), std::memory_order_relaxed);
+    return relational::Selection::Rows(std::move(rows));
+  }
+  counters_.index_scans.fetch_add(1, std::memory_order_relaxed);
+  const relational::SortedIndex::Range range =
+      index->Find(base.col(plan->column), plan->bounds);
+  if (!stmt.HasAggregates() && stmt.group_by.empty()) {
+    // Row-shaped: the release holds |C| rows anyway, so the work may follow
+    // |C|. The rest of the WHERE runs on the candidates only.
+    counters_.rows_examined.fetch_add(range.size(), std::memory_order_relaxed);
+    PIYE_ASSIGN_OR_RETURN(
+        relational::Selection selection,
+        index->Select(base, range, plan->residual, relational::Selection::Kind::kRows));
+    counters_.rows_gathered.fetch_add(selection.count, std::memory_order_relaxed);
+    return selection;
+  }
+  // Aggregate-shaped: every row is tested, whatever |C| is, so neither the
+  // query-set restriction nor the answer takes time that tracks |C|.
+  counters_.rows_examined.fetch_add(n, std::memory_order_relaxed);
+  PIYE_ASSIGN_OR_RETURN(
+      relational::Selection selection,
+      index->Select(base, range, plan->residual, relational::Selection::Kind::kMask));
+  // Grouped aggregates gather, then group: the one aggregate path whose
+  // cost grows with |C| (the query-set restriction exempts them).
+  if (!stmt.group_by.empty()) {
+    counters_.rows_gathered.fetch_add(selection.count, std::memory_order_relaxed);
+  }
+  return selection;
+}
+
+RemoteSource::ScanStats RemoteSource::scan_stats() const {
+  ScanStats stats;
+  stats.index_scans = counters_.index_scans.load(std::memory_order_relaxed);
+  stats.full_scans = counters_.full_scans.load(std::memory_order_relaxed);
+  stats.rows_examined = counters_.rows_examined.load(std::memory_order_relaxed);
+  stats.rows_gathered = counters_.rows_gathered.load(std::memory_order_relaxed);
+  stats.index_builds = counters_.index_builds.load(std::memory_order_relaxed);
+  return stats;
 }
 
 Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
@@ -99,8 +184,8 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
   }
 
   // (0) Privacy views define what exists at all.
-  PIYE_ASSIGN_OR_RETURN(relational::Table effective, EffectiveTable());
-  const relational::Table* base = &effective;
+  PIYE_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot, CurrentSnapshot());
+  const relational::Table* base = &snapshot->table;
 
   // (1) Query Transformer: XML fragment → local SQL with loose name
   // resolution.
@@ -143,38 +228,43 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
   // Cheap stages are done; poll before the expensive execution half.
   PIYE_RETURN_NOT_OK(cancel.Check());
 
-  // (5b) Statistical query-set restriction: when the cluster matcher tagged
-  // the query as aggregate-inference-prone, refuse *predicate-selected
-  // global* aggregates whose query set could act as a tracker (|C| < k or
-  // |C| > N - k). Grouped or unfiltered statistics are not attacker-chosen
-  // subsets; they are governed by the rounding/noise techniques instead.
-  if (rewritten.stmt.HasAggregates() && rewritten.stmt.where != nullptr &&
-      rewritten.stmt.group_by.empty() &&
-      std::find(techniques.begin(), techniques.end(),
-                Technique::kQuerySetRestriction) != techniques.end()) {
-    PIYE_ASSIGN_OR_RETURN(
-        const std::vector<uint32_t> query_set,
-        relational::Executor::FilterSelection(*base, *rewritten.stmt.where));
-    const Status size_check =
-        statdb::QuerySetSizeControl(preservation_.config().k)
-            .Check(query_set.size(), base->num_rows());
-    if (!size_check.ok()) {
-      return Status::PrivacyViolation("aggregate " + size_check.message() +
-                                      " — tracker risk");
-    }
-  }
-
-  // (6) Execute against the effective (view-filtered) table. When enabled,
-  // ungrouped single aggregates are answered through Denning random-sample
-  // queries instead of the exact executor.
-  relational::Table result;
+  // When enabled, ungrouped single aggregates are answered through Denning
+  // random-sample queries, which evaluate the WHERE themselves.
   const relational::SelectItem* lone_aggregate =
       rewritten.stmt.group_by.empty() && rewritten.stmt.items.size() == 1 &&
               rewritten.stmt.items[0].kind == relational::SelectItem::Kind::kAggregate &&
               !rewritten.stmt.items[0].column.empty()
           ? &rewritten.stmt.items[0]
           : nullptr;
-  if (preservation_.config().use_random_sample_queries && lone_aggregate != nullptr) {
+  const bool random_sample =
+      preservation_.config().use_random_sample_queries && lone_aggregate != nullptr;
+  // (5b) Statistical query-set restriction: when the cluster matcher tagged
+  // the query as aggregate-inference-prone, refuse *predicate-selected
+  // global* aggregates whose query set could act as a tracker (|C| < k or
+  // |C| > N - k). Grouped or unfiltered statistics are not attacker-chosen
+  // subsets; they are governed by the rounding/noise techniques instead.
+  const bool restricted =
+      rewritten.stmt.HasAggregates() && rewritten.stmt.where != nullptr &&
+      rewritten.stmt.group_by.empty() &&
+      std::find(techniques.begin(), techniques.end(),
+                Technique::kQuerySetRestriction) != techniques.end();
+  // The scan's one selection serves both (5b) and (6).
+  relational::Selection selection;
+  if (restricted || !random_sample) {
+    PIYE_ASSIGN_OR_RETURN(selection, Scan(*snapshot, rewritten.stmt));
+  }
+  if (restricted) {
+    const Status size_check = statdb::QuerySetSizeControl(preservation_.config().k)
+                                  .Check(selection.count, base->num_rows());
+    if (!size_check.ok()) {
+      return Status::PrivacyViolation("aggregate " + size_check.message() +
+                                      " — tracker risk");
+    }
+  }
+
+  // (6) Execute against the effective (view-filtered) table.
+  relational::Table result;
+  if (random_sample) {
     // Key records by their stable ordinal in the effective table. The
     // payload columns are shared (copy-on-write), only _rowid is built.
     relational::Table keyed;
@@ -203,10 +293,8 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
     sampled.AppendRowUnchecked({relational::Value::Real(value)});
     result = std::move(sampled);
   } else {
-    relational::Catalog scratch;
-    scratch.PutTable(table_name_, *base);
-    relational::Executor executor(&scratch);
-    PIYE_ASSIGN_OR_RETURN(result, executor.Execute(rewritten.stmt));
+    PIYE_ASSIGN_OR_RETURN(
+        result, relational::Executor::Execute(rewritten.stmt, *base, selection));
   }
 
   PIYE_RETURN_NOT_OK(cancel.Check());
@@ -239,8 +327,8 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
 
 Result<std::vector<match::ColumnSketch>> RemoteSource::ExportSketches(
     const std::string& shared_key) const {
-  PIYE_ASSIGN_OR_RETURN(relational::Table effective, EffectiveTable());
-  const relational::Table* base = &effective;
+  PIYE_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot, CurrentSnapshot());
+  const relational::Table* base = &snapshot->table;
   // A column belongs in the mediated schema if *some* purpose can ever see
   // it, so probe with every purpose the policy mentions (plus the root).
   std::vector<std::string> probe_purposes{"any"};

@@ -11,9 +11,11 @@
 #include "common/cancel.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/sync.h"
 #include "match/schema_matcher.h"
 #include "policy/policy_store.h"
 #include "relational/executor.h"
+#include "relational/sorted_index.h"
 #include "source/federated_source.h"
 #include "source/loss_computation.h"
 #include "source/piql.h"
@@ -50,8 +52,8 @@ class RemoteSource : public FederatedSource {
 
   const std::string& owner() const override { return owner_; }
   const std::string& table_name() const { return table_name_; }
-  const relational::Schema& schema() const;
-  size_t num_rows() const;
+  const relational::Schema& schema() const { return raw_.schema(); }
+  size_t num_rows() const { return raw_.num_rows(); }
 
   /// Mutable configuration (populated during deployment).
   policy::PolicyStore* mutable_policies() { return &policies_; }
@@ -88,16 +90,27 @@ class RemoteSource : public FederatedSource {
   }
 
   /// Runs the full pipeline: privacy view → transform → rewrite (policy
-  /// predicate pushed into the WHERE) → cluster-match → loss → (query-set
-  /// restriction) → execute → preserve → tag.
+  /// predicate pushed into the WHERE) → cluster-match → loss → scan →
+  /// (query-set restriction) → execute → preserve → tag.
+  ///
+  /// The scan evaluates the WHERE once for both the query-set restriction
+  /// and execution. When the WHERE's AND chain bounds one column against
+  /// literals (relational::MatchIndexable), it reads a sorted index of that
+  /// column instead of every row. A row-shaped fragment then evaluates the
+  /// rest of the WHERE on the index's candidates only. An aggregate-shaped
+  /// fragment tests every row against the index range in one pass, so its
+  /// cost does not depend on how many rows it selects. Every other WHERE
+  /// is evaluated on every row.
   ///
   /// Safe for concurrent callers: the pipeline stages are all const over
-  /// the source's configuration, and stochastic preservation draws from a
-  /// per-call RNG stream derived from the source seed and the fragment's
-  /// serialized content rather than shared mutable generator state. That
-  /// derivation also means re-asking the *same* fragment reproduces the
-  /// same perturbation — averaging repeated answers gains an attacker
-  /// nothing (the same property Denning's random-sample queries rely on).
+  /// the source's configuration (the effective table and its indexes are
+  /// built once per policy generation under locks), and stochastic
+  /// preservation draws from a per-call RNG stream derived from the source
+  /// seed and the fragment's serialized content rather than shared mutable
+  /// generator state. That derivation also means re-asking the *same*
+  /// fragment reproduces the same perturbation — averaging repeated answers
+  /// gains an attacker nothing (the same property Denning's random-sample
+  /// queries rely on).
   ///
   /// `cancel` makes the call cooperative: the pipeline polls the token at
   /// its stage boundaries and the fault-injection sleeps are interruptible,
@@ -122,13 +135,38 @@ class RemoteSource : public FederatedSource {
 
   /// Direct (policy-bypassing) access for tests and for the no-privacy
   /// baseline integrator in the benchmarks.
-  const relational::Table& raw_table_for_testing() const;
+  const relational::Table& raw_table_for_testing() const { return raw_; }
+
+  /// Running totals of the scan's choices, for tests and benches.
+  struct ScanStats {
+    uint64_t index_scans = 0;    ///< WHEREs answered through a sorted index
+    uint64_t full_scans = 0;     ///< WHEREs evaluated on every row
+    uint64_t rows_examined = 0;  ///< rows a WHERE or an index range was tested on
+    uint64_t rows_gathered = 0;  ///< selected rows copied before execution
+    uint64_t index_builds = 0;   ///< sorted indexes built, over all generations
+  };
+  ScanStats scan_stats() const;
 
  private:
+  /// The effective table of one policy generation and its lazily built
+  /// column indexes.
+  struct Snapshot;
+
+  /// The snapshot of the current policy generation, built on first use.
+  Result<std::shared_ptr<const Snapshot>> CurrentSnapshot() const
+      EXCLUDES(snapshot_mu_);
+  /// The sorted index of `column`, built the first time it is asked for;
+  /// null when the column has no sort order.
+  const relational::SortedIndex* IndexFor(const Snapshot& snapshot,
+                                          size_t column) const;
+  /// The WHERE's selection over the snapshot's table (see ExecuteFragment).
+  Result<relational::Selection> Scan(const Snapshot& snapshot,
+                                     const relational::SelectStatement& stmt) const;
+
   std::string owner_;
   std::string table_name_;
   std::set<std::string> hidden_schema_columns_;
-  relational::Catalog catalog_;
+  relational::Table raw_;
   policy::PolicyStore policies_;
   access::RbacDatabase rbac_;
   ClusterStore clusters_;
@@ -137,9 +175,19 @@ class RemoteSource : public FederatedSource {
   uint64_t perturb_seed_;
   uint64_t rsq_seed_;
   FaultInjection faults_;
-  /// Per-call fault-decision counter (the only mutable state ExecuteFragment
-  /// touches; atomic so concurrent callers draw distinct fault decisions).
+  /// Per-call fault-decision counter (atomic so concurrent callers draw
+  /// distinct fault decisions).
   mutable std::atomic<uint64_t> fault_calls_{0};
+  mutable Mutex snapshot_mu_;
+  mutable std::shared_ptr<const Snapshot> snapshot_ GUARDED_BY(snapshot_mu_);
+  struct ScanCounters {
+    std::atomic<uint64_t> index_scans{0};
+    std::atomic<uint64_t> full_scans{0};
+    std::atomic<uint64_t> rows_examined{0};
+    std::atomic<uint64_t> rows_gathered{0};
+    std::atomic<uint64_t> index_builds{0};
+  };
+  mutable ScanCounters counters_;
 };
 
 /// The default clinical-domain synonym dictionary used by the examples and

@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/sync.h"
 #include "common/trace.h"
 #include "core/private_iye.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
+#include "relational/sql.h"
 #include "relational/table_codec.h"
 
 namespace piye {
@@ -641,6 +643,116 @@ TEST(EngineFanoutTest, ConcurrentExecuteCallersShareOneEngine) {
   EXPECT_EQ(engine->history()->size(), static_cast<size_t>(kCallers));
   EXPECT_EQ(engine->metrics()->counter("engine.queries"),
             static_cast<uint64_t>(kCallers));
+}
+
+// --- A source's effective-table snapshot and lazy indexes under load ---
+
+std::unique_ptr<source::RemoteSource> ScanSource() {
+  auto tables = core::ClinicalScenario::MakePatientTables(2000, 0.3, 41);
+  auto src = std::make_unique<source::RemoteSource>("hospital", "patients",
+                                                    std::move(tables.hospital), 3);
+  core::ClinicalScenario::ApplyPatientPolicies(src.get());
+  return src;
+}
+
+std::vector<source::PiqlQuery> ScanQueries() {
+  std::vector<source::PiqlQuery> queries;
+  for (const char* body :
+       {"<select>patient_id</select><select>dob</select>",
+        "<aggregate func=\"COUNT\" attribute=\"patient_id\"/>"}) {
+    for (const char* window : {"dob &gt;= '1950-01-01' AND dob &lt; '1955-01-01'",
+                               "dob &gt;= '1930' AND dob &lt; '1990'"}) {
+      auto q = source::PiqlQuery::Parse(
+          std::string("<query requester=\"analyst\" purpose=\"healthcare\" "
+                      "maxLoss=\"1.0\">") +
+          body + "<where>" + window + "</where></query>");
+      EXPECT_TRUE(q.ok()) << q.status().ToString();
+      queries.push_back(*q);
+    }
+  }
+  return queries;
+}
+
+std::string FragmentBytes(const Result<source::FederatedSource::FragmentResult>& r) {
+  return r.ok() ? TableBytes(r->table) : r.status().ToString();
+}
+
+policy::PrivacyView WomenOnlyView() {
+  policy::PrivacyView view("women", "patients");
+  for (const char* c : {"patient_id", "dob", "zip", "sex", "diagnosis"}) {
+    view.AddVisibleColumn(c);
+  }
+  view.set_row_filter(*relational::ParseExpression("sex = 'F'"));
+  return view;
+}
+
+/// Eight callers released together at `src`, each asking every query three
+/// times; returns every answer, caller by caller.
+std::vector<std::vector<std::string>> ConcurrentAnswers(
+    const source::RemoteSource& src, const std::vector<source::PiqlQuery>& queries) {
+  constexpr int kCallers = 8;
+  Mutex mu;
+  CondVar go;
+  bool released = false;
+  std::vector<std::vector<std::string>> answers(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      {
+        MutexLock lock(mu);
+        while (!released) go.Wait(lock);
+      }
+      for (int round = 0; round < 3; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          // Callers start on different queries so cold builds overlap.
+          const auto& query = queries[(q + static_cast<size_t>(c)) % queries.size()];
+          answers[c].push_back(FragmentBytes(src.ExecuteFragment(query)));
+        }
+      }
+    });
+  }
+  {
+    MutexLock lock(mu);
+    released = true;
+  }
+  go.NotifyAll();
+  for (auto& t : callers) t.join();
+  return answers;
+}
+
+TEST(SourceSnapshotTest, ConcurrentColdStartsBuildEachIndexOnce) {
+  const auto queries = ScanQueries();
+  auto expect_answers = [&queries](const source::RemoteSource& reference,
+                                   const std::vector<std::vector<std::string>>& got) {
+    std::vector<std::string> want;
+    for (const auto& q : queries) {
+      want.push_back(FragmentBytes(reference.ExecuteFragment(q)));
+    }
+    for (size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(got[c].size(), 3 * queries.size());
+      for (size_t i = 0; i < got[c].size(); ++i) {
+        const size_t q = (i % queries.size() + c) % queries.size();
+        EXPECT_EQ(got[c][i], want[q]) << "caller " << c << " answer " << i;
+      }
+    }
+  };
+
+  auto src = ScanSource();
+  auto reference = ScanSource();
+  const auto cold = ConcurrentAnswers(*src, queries);
+  expect_answers(*reference, cold);
+  // Every query bounds dob: one index, built once, for this generation.
+  EXPECT_EQ(src->scan_stats().index_builds, 1u);
+  EXPECT_EQ(src->scan_stats().full_scans, 0u);
+  EXPECT_EQ(src->scan_stats().index_scans, 8u * 3 * queries.size());
+
+  // A new view is a new generation: a new snapshot and one rebuild.
+  ASSERT_TRUE(src->mutable_policies()->AddView("hospital", WomenOnlyView()).ok());
+  ASSERT_TRUE(reference->mutable_policies()->AddView("hospital", WomenOnlyView()).ok());
+  const auto viewed = ConcurrentAnswers(*src, queries);
+  expect_answers(*reference, viewed);
+  EXPECT_EQ(src->scan_stats().index_builds, 2u);
+  EXPECT_NE(cold[0][0], viewed[0][0]);
 }
 
 // --- Registration API ---

@@ -14,6 +14,8 @@
 #include "common/strings.h"
 #include "core/private_iye.h"
 #include "core/scenario.h"
+#include "relational/executor.h"
+#include "relational/sorted_index.h"
 #include "relational/sql.h"
 #include "relational/table_codec.h"
 #include "inference/constraint.h"
@@ -727,6 +729,329 @@ TEST_P(BulkColumnCopyTest, GatherAndAppendColumnMatchPerCellAppends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BulkColumnCopyTest, ::testing::Range<uint64_t>(1, 7));
+
+// --- Index scan vs the full scan ---
+
+using relational::Expression;
+using relational::ExprPtr;
+using relational::Selection;
+
+/// Every type, NULLs in each, and small domains so duplicates are common.
+/// `i` holds INT64s on both sides of 2^53, `j` sums that overflow, `s`
+/// strings that share prefixes, and `d` sometimes a NaN.
+const DedupColumn kScanPool[] = {{"i", ColumnType::kInt64},
+                                 {"d", ColumnType::kDouble},
+                                 {"s", ColumnType::kString},
+                                 {"b", ColumnType::kBool},
+                                 {"j", ColumnType::kInt64}};
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+const char* const kScanStrings[] = {"",      "19",         "1970",       "1970-01",
+                                    "1970-1", "1970-01-01", "1970-01-02", "1971",
+                                    "a",     "NULL",       "\x1f"};
+
+Value ScanCell(Rng* rng, const DedupColumn& c, bool nan) {
+  if (rng->NextBernoulli(0.15)) return Value::Null();
+  switch (c.type) {
+    case ColumnType::kInt64: {
+      if (c.name == std::string("j")) {
+        const int64_t js[] = {0, 1, -5, std::numeric_limits<int64_t>::max(),
+                              std::numeric_limits<int64_t>::max() - 1};
+        return Value::Int(js[rng->NextBounded(5)]);
+      }
+      const int64_t is[] = {-3, -1, 0, 1, 2, 5, kTwo53 - 1, kTwo53, kTwo53 + 1,
+                            kTwo53 + 2, -kTwo53 - 1};
+      return Value::Int(is[rng->NextBounded(11)]);
+    }
+    case ColumnType::kDouble: {
+      if (nan && rng->NextBernoulli(0.1)) {
+        return Value::Real(std::numeric_limits<double>::quiet_NaN());
+      }
+      const double ds[] = {-2.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1e300,
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::infinity()};
+      return Value::Real(ds[rng->NextBounded(9)]);
+    }
+    case ColumnType::kString:
+      return Value::Str(kScanStrings[rng->NextBounded(11)]);
+    case ColumnType::kBool:
+      return Value::Boolean(rng->NextBernoulli(0.5));
+  }
+  return Value::Null();
+}
+
+/// A non-NULL, non-NaN literal of type rank 1 (BOOL), 2 (numeric) or 3.
+Value ScanLiteral(Rng* rng, int rank) {
+  if (rank == 1) return Value::Boolean(rng->NextBernoulli(0.5));
+  if (rank == 3) {
+    if (rng->NextBernoulli(0.2)) return Value::Str("1970-01-01x");
+    return Value::Str(kScanStrings[rng->NextBounded(11)]);
+  }
+  if (rng->NextBernoulli(0.5)) {
+    const int64_t is[] = {-1, 0, 1, 2, 5, kTwo53, kTwo53 + 1, -kTwo53 - 1};
+    return Value::Int(is[rng->NextBounded(8)]);
+  }
+  // Doubles above 2^53 compare against INT64 cells through the double cast.
+  const double ds[] = {0.5, 1.0, -0.0, 2.0, 9007199254740992.0, 9007199254740994.0,
+                       -9007199254740994.0, 1e300};
+  return Value::Real(ds[rng->NextBounded(8)]);
+}
+
+const Expression::Op kBoundOps[] = {Expression::Op::kEq, Expression::Op::kLt,
+                                    Expression::Op::kLe, Expression::Op::kGt,
+                                    Expression::Op::kGe};
+
+const DedupColumn& AnyScanColumn(Rng* rng) { return kScanPool[rng->NextBounded(5)]; }
+
+/// `column op literal` with a literal of the column's rank, either way round.
+ExprPtr BoundOn(Rng* rng, const DedupColumn& c) {
+  const Expression::Op op = kBoundOps[rng->NextBounded(5)];
+  ExprPtr col = Expression::ColumnRef(c.name);
+  ExprPtr lit = Expression::Literal(ScanLiteral(rng, relational::TypeRank(c.type)));
+  return rng->NextBernoulli(0.3) ? Expression::Binary(op, lit, col)
+                                 : Expression::Binary(op, col, lit);
+}
+
+/// A conjunct that cannot raise and is not a bound.
+ExprPtr ResidualConjunct(Rng* rng) {
+  const DedupColumn& c = AnyScanColumn(rng);
+  ExprPtr col = Expression::ColumnRef(c.name);
+  switch (rng->NextBounded(9)) {
+    case 0:
+      return Expression::Binary(
+          Expression::Op::kNe, col,
+          Expression::Literal(ScanLiteral(rng, relational::TypeRank(c.type))));
+    case 1: {
+      std::vector<Value> values;
+      for (size_t k = 0, n = 1 + rng->NextBounded(3); k < n; ++k) {
+        const int rank = 1 + static_cast<int>(rng->NextBounded(3));
+        const bool null = rng->NextBernoulli(0.2);
+        values.push_back(null ? Value::Null() : ScanLiteral(rng, rank));
+      }
+      return Expression::In(col, std::move(values));
+    }
+    case 2:
+      return Expression::Binary(Expression::Op::kOr, BoundOn(rng, c),
+                                BoundOn(rng, AnyScanColumn(rng)));
+    case 3:
+      return Expression::Not(BoundOn(rng, c));
+    case 4:
+      return Expression::Binary(kBoundOps[rng->NextBounded(5)], col,
+                                Expression::ColumnRef(AnyScanColumn(rng).name));
+    case 5:  // a literal of another rank: constant on every non-NULL cell
+      return Expression::Binary(
+          kBoundOps[rng->NextBounded(5)], col,
+          Expression::Literal(ScanLiteral(rng, relational::TypeRank(c.type) % 3 + 1)));
+    case 6:
+      return col;
+    case 7:  // a constant: TRUE, FALSE, 0, '' and the like
+      return Expression::Literal(
+          ScanLiteral(rng, 1 + static_cast<int>(rng->NextBounded(3))));
+    default:
+      return Expression::Binary(kBoundOps[rng->NextBounded(5)], col,
+                                Expression::Literal(Value::Null()));
+  }
+}
+
+/// ANDs `parts` in a random order and tree shape.
+ExprPtr RandomAndTree(Rng* rng, std::vector<ExprPtr> parts) {
+  rng->Shuffle(&parts);
+  while (parts.size() > 1) {
+    const size_t i = rng->NextBounded(parts.size() - 1);
+    parts[i] = Expression::And(parts[i], parts[i + 1]);
+    parts.erase(parts.begin() + static_cast<long>(i) + 1);
+  }
+  return parts[0];
+}
+
+enum class WhereShape {
+  kOneColumn,       // bounds on one column plus residual conjuncts
+  kTwoColumns,      // bounds on two columns: falls back
+  kTopOr,           // falls back
+  kTopNot,          // falls back
+  kLike,            // may raise: falls back
+  kArithmetic,      // may raise: falls back
+  kUnknownColumn,   // raises on a non-empty table: falls back
+  kNanLiteral,      // a NaN literal bounds nothing: falls back
+};
+
+ExprPtr RandomWhere(Rng* rng, WhereShape shape) {
+  const size_t first = rng->NextBounded(5);
+  const DedupColumn& c = kScanPool[first];
+  std::vector<ExprPtr> parts;
+  for (size_t k = 0, n = 1 + rng->NextBounded(3); k < n; ++k) {
+    parts.push_back(BoundOn(rng, c));
+  }
+  switch (shape) {
+    case WhereShape::kOneColumn:
+      if (rng->NextBernoulli(0.3)) {
+        // A single-point range (x <= c <= x) or, when the second literal is
+        // smaller, an inverted one (c > x AND c < y).
+        const int rank = relational::TypeRank(c.type);
+        const Value x = ScanLiteral(rng, rank);
+        const Value y = rng->NextBernoulli(0.5) ? x : ScanLiteral(rng, rank);
+        const bool point = rng->NextBernoulli(0.5);
+        using Op = Expression::Op;
+        ExprPtr col = Expression::ColumnRef(c.name);
+        ExprPtr lo = Expression::Literal(x), hi = Expression::Literal(y);
+        parts = {Expression::Binary(point ? Op::kGe : Op::kGt, col, lo),
+                 Expression::Binary(point ? Op::kLe : Op::kLt, col, hi)};
+      }
+      break;
+    case WhereShape::kTwoColumns:
+      parts.push_back(BoundOn(rng, kScanPool[(first + 1 + rng->NextBounded(4)) % 5]));
+      break;
+    case WhereShape::kTopOr:
+      return Expression::Binary(Expression::Op::kOr, RandomAndTree(rng, parts),
+                                BoundOn(rng, c));
+    case WhereShape::kTopNot:
+      return Expression::Not(RandomAndTree(rng, parts));
+    case WhereShape::kLike:
+      parts.push_back(Expression::Binary(Expression::Op::kLike,
+                                         Expression::ColumnRef(AnyScanColumn(rng).name),
+                                         Expression::Literal(Value::Str("19%"))));
+      break;
+    case WhereShape::kArithmetic:
+      parts.push_back(Expression::Binary(
+          Expression::Op::kGt,
+          Expression::Binary(Expression::Op::kAdd,
+                             Expression::ColumnRef(AnyScanColumn(rng).name),
+                             Expression::Literal(Value::Int(1))),
+          Expression::Literal(Value::Int(0))));
+      break;
+    case WhereShape::kUnknownColumn:
+      parts.push_back(Expression::Binary(Expression::Op::kLt,
+                                         Expression::ColumnRef("nope"),
+                                         Expression::Literal(Value::Int(1))));
+      break;
+    case WhereShape::kNanLiteral:
+      parts.assign(1, Expression::Binary(
+                          kBoundOps[rng->NextBounded(5)], Expression::ColumnRef("d"),
+                          Expression::Literal(
+                              Value::Real(std::numeric_limits<double>::quiet_NaN()))));
+      break;
+  }
+  for (size_t k = 0, n = rng->NextBounded(3); k < n; ++k) {
+    parts.push_back(ResidualConjunct(rng));
+  }
+  return RandomAndTree(rng, std::move(parts));
+}
+
+/// A row, ungrouped-aggregate or grouped-aggregate statement over `t`.
+relational::SelectStatement RandomScanStatement(Rng* rng, ExprPtr where) {
+  using relational::AggFunc;
+  using relational::SelectItem;
+  relational::SelectStatement stmt;
+  stmt.table = "t";
+  stmt.where = std::move(where);
+  const AggFunc funcs[] = {AggFunc::kCount, AggFunc::kSum, AggFunc::kAvg,
+                           AggFunc::kMin,   AggFunc::kMax, AggFunc::kStdDev};
+  switch (rng->NextBounded(3)) {
+    case 0:
+      if (rng->NextBernoulli(0.2)) {
+        stmt.items.push_back(SelectItem::Star());
+      } else {
+        for (size_t k = 0, n = 1 + rng->NextBounded(3); k < n; ++k) {
+          stmt.items.push_back(SelectItem::Col(AnyScanColumn(rng).name));
+        }
+      }
+      break;
+    case 1:
+      for (size_t k = 0, n = 1 + rng->NextBounded(3); k < n; ++k) {
+        const AggFunc f = funcs[rng->NextBounded(6)];
+        const bool star = f == AggFunc::kCount && rng->NextBernoulli(0.3);
+        const std::string column = star ? "" : AnyScanColumn(rng).name;
+        stmt.items.push_back(SelectItem::Agg(f, column, "a" + std::to_string(k)));
+      }
+      break;
+    default: {
+      const std::string g = rng->NextBernoulli(0.5) ? "b" : "s";
+      stmt.group_by = {g};
+      stmt.items = {SelectItem::Col(g), SelectItem::Agg(AggFunc::kCount, ""),
+                    SelectItem::Agg(AggFunc::kSum, "j")};
+      break;
+    }
+  }
+  return stmt;
+}
+
+std::vector<uint32_t> MaskPositions(const std::vector<uint8_t>& mask) {
+  std::vector<uint32_t> rows;
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (mask[r]) rows.push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+std::string ResultBytes(const Result<relational::Table>& r) {
+  return r.ok() ? relational::EncodeTable(*r) : r.status().ToString();
+}
+
+class IndexScanDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+// An index scan (relational::MatchIndexable + SortedIndex) selects exactly
+// the rows Executor::FilterSelection selects, in both of its shapes, and
+// the statement over either selection releases the same table in the same
+// row order as the catalog path. Ineligible shapes must fall back.
+TEST_P(IndexScanDifferentialTest, MatchesTheFullScan) {
+  Rng rng(GetParam() * 15485863 + 17);
+  size_t indexed = 0, empty_ranges = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    relational::Schema schema;
+    for (const auto& c : kScanPool) schema.AddColumn({c.name, c.type});
+    relational::Table t(schema);
+    const bool nan = rng.NextBernoulli(0.15);
+    const size_t rows = rng.NextBernoulli(0.05) ? 0 : 1 + rng.NextBounded(200);
+    for (size_t r = 0; r < rows; ++r) {
+      relational::Row row;
+      for (const auto& c : kScanPool) row.push_back(ScanCell(&rng, c, nan));
+      t.AppendRowUnchecked(row);
+    }
+    const auto shape = static_cast<WhereShape>(
+        rng.NextBernoulli(0.6) ? 0 : 1 + rng.NextBounded(7));
+    const relational::SelectStatement stmt =
+        RandomScanStatement(&rng, RandomWhere(&rng, shape));
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + stmt.ToSql());
+
+    const auto plan = relational::MatchIndexable(stmt.where, t);
+    EXPECT_EQ(plan.has_value(), shape == WhereShape::kOneColumn);
+    if (!plan.has_value()) continue;
+    const auto want_rows = relational::Executor::FilterSelection(t, *stmt.where);
+    ASSERT_TRUE(want_rows.ok()) << want_rows.status().ToString();
+    const auto index = relational::SortedIndex::Build(t.col(plan->column));
+    if (!index.has_value()) {
+      // Only a NaN leaves a column without a sort order.
+      ASSERT_EQ(t.col(plan->column).type(), ColumnType::kDouble);
+      const ColumnVector& col = t.col(plan->column);
+      bool has_nan = false;
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        has_nan |= !col.IsNull(r) && std::isnan(col.RealAt(r));
+      }
+      EXPECT_TRUE(has_nan);
+      continue;
+    }
+    ++indexed;
+    const auto range = index->Find(t.col(plan->column), plan->bounds);
+    empty_ranges += range.size() == 0 ? 1 : 0;
+    const auto by_rows = index->Select(t, range, plan->residual, Selection::Kind::kRows);
+    const auto by_mask = index->Select(t, range, plan->residual, Selection::Kind::kMask);
+    ASSERT_TRUE(by_rows.ok() && by_mask.ok());
+    EXPECT_EQ(by_rows->rows, *want_rows);
+    EXPECT_EQ(MaskPositions(by_mask->mask), *want_rows);
+    EXPECT_EQ(by_mask->count, want_rows->size());
+
+    relational::Catalog catalog;
+    catalog.PutTable("t", t);
+    const std::string want = ResultBytes(relational::Executor(&catalog).Execute(stmt));
+    EXPECT_EQ(ResultBytes(relational::Executor::Execute(stmt, t, *by_rows)), want);
+    EXPECT_EQ(ResultBytes(relational::Executor::Execute(stmt, t, *by_mask)), want);
+  }
+  // Most one-column shapes really took the index, some with empty ranges.
+  EXPECT_GT(indexed, 120u);
+  EXPECT_GT(empty_ranges, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, IndexScanDifferentialTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace piye

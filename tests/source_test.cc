@@ -256,6 +256,29 @@ TEST_F(RemoteSourceTest, RaisingPredicateOverEmptyEffectiveTable) {
       << aggregate.status().ToString();
 }
 
+TEST_F(RemoteSourceTest, RaisingPredicatesTakeTheFullScan) {
+  // An index could skip the rows a raising conjunct fails on; the scan
+  // counters show the full scan ran, and the error is the evaluator's.
+  auto like = src_->ExecuteFragment(MakeQuery(
+      "<select>diagnosis</select>"
+      "<where>dob &gt;= '1950' AND zip LIKE '9%'</where>"));
+  ASSERT_FALSE(like.ok());
+  EXPECT_EQ(like.status().message(), "LIKE requires string operands");
+  EXPECT_EQ(src_->scan_stats().full_scans, 1u);
+  EXPECT_EQ(src_->scan_stats().index_scans, 0u);
+  EXPECT_EQ(src_->scan_stats().rows_examined, src_->num_rows());
+
+  // Over an empty effective table even an eligible WHERE keeps the full scan.
+  RemoteSource empty("hospitalA", "patients", Table(src_->schema()), 1);
+  core::ClinicalScenario::ApplyPatientPolicies(&empty);
+  auto rows = empty.ExecuteFragment(
+      MakeQuery("<select>diagnosis</select><where>dob &gt;= '1950'</where>"));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(empty.scan_stats().full_scans, 1u);
+  EXPECT_EQ(empty.scan_stats().index_scans, 0u);
+  EXPECT_EQ(empty.scan_stats().index_builds, 0u);
+}
+
 TEST_F(RemoteSourceTest, AllDeniedIsPrivacyViolation) {
   auto q = MakeQuery("<select>name</select>");
   q.max_information_loss = 1.0;
@@ -439,6 +462,35 @@ TEST(PreservationTest, SuppressionDropsUniqueRows) {
   EXPECT_EQ(out->num_rows(), 3u);  // the lone "b" is suppressed
 }
 
+TEST(PreservationTest, SuppressionClassesDoNotCollide) {
+  // ("a\x1f", "b") and ("a", "\x1fb") are two classes of one row each, as
+  // are NULL and 'NULL': with k = 2 every row is suppressed.
+  PreservationModule::Config config;
+  config.k = 2;
+  const PreservationModule preservation(config);
+  Rng rng(1);
+  Table pairs(Schema{Column{"g", ColumnType::kString}, Column{"h", ColumnType::kString}});
+  (void)pairs.AppendRow(Row{Value::Str("a\x1f"), Value::Str("b")});
+  (void)pairs.AppendRow(Row{Value::Str("a"), Value::Str("\x1f" "b")});
+  const std::map<std::string, policy::DisclosureForm> forms{
+      {"g", policy::DisclosureForm::kGeneralized},
+      {"h", policy::DisclosureForm::kGeneralized}};
+  auto out = preservation.Apply(pairs, forms, 1.0, {Technique::kSuppression}, &rng);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+
+  Table nulls(Schema{Column{"g", ColumnType::kString}});
+  (void)nulls.AppendRow(Row{Value::Null()});
+  (void)nulls.AppendRow(Row{Value::Str("NULL")});
+  (void)nulls.AppendRow(Row{Value::Str("x")});
+  (void)nulls.AppendRow(Row{Value::Str("x")});
+  out = preservation.Apply(nulls, forms, 1.0, {Technique::kSuppression}, &rng);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 2u);  // only the class of two "x" rows stays
+  EXPECT_EQ(out->Cell(0, 0), Value::Str("x"));
+  EXPECT_EQ(out->Cell(1, 0), Value::Str("x"));
+}
+
 TEST(PreservationTest, DefaultTechniquesFollowForms) {
   const PreservationModule preservation;
   using policy::DisclosureForm;
@@ -469,7 +521,9 @@ using relational::Value;
 
 class ViewedSourceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { src_ = MakeSource(); }
+
+  static std::unique_ptr<RemoteSource> MakeSource() {
     Table t(Schema{Column{"patient_id", ColumnType::kString},
                    Column{"diagnosis", ColumnType::kString},
                    Column{"consented", ColumnType::kBool}});
@@ -479,7 +533,7 @@ class ViewedSourceTest : public ::testing::Test {
                           Value::Boolean(false)});
     (void)t.AppendRow(Row{Value::Str("P3"), Value::Str("diabetes"),
                           Value::Boolean(true)});
-    src_ = std::make_unique<RemoteSource>("clinic", "patients", std::move(t), 1);
+    auto src = std::make_unique<RemoteSource>("clinic", "patients", std::move(t), 1);
     policy::PrivacyPolicy policy("clinic", {});
     policy::PolicyRule rule;
     rule.id = "all-healthcare";
@@ -488,10 +542,11 @@ class ViewedSourceTest : public ::testing::Test {
     rule.recipients = {"*"};
     rule.form = policy::DisclosureForm::kExact;
     policy.AddRule(rule);
-    (void)src_->mutable_policies()->AddPolicy(std::move(policy));
-    (void)src_->mutable_rbac()->AddRole("analyst");
-    (void)src_->mutable_rbac()->AssignRole("analyst", "analyst");
-    (void)src_->mutable_rbac()->Grant("analyst", access::Action::kSelect, "*", "*");
+    (void)src->mutable_policies()->AddPolicy(std::move(policy));
+    (void)src->mutable_rbac()->AddRole("analyst");
+    (void)src->mutable_rbac()->AssignRole("analyst", "analyst");
+    (void)src->mutable_rbac()->Grant("analyst", access::Action::kSelect, "*", "*");
+    return src;
   }
 
   std::unique_ptr<RemoteSource> src_;
@@ -535,6 +590,136 @@ TEST_F(ViewedSourceTest, NoViewMeansRawTable) {
   ASSERT_TRUE(effective.ok());
   EXPECT_EQ(effective->num_rows(), 3u);
   EXPECT_TRUE(effective->schema().Contains("consented"));
+}
+
+TEST_F(ViewedSourceTest, AddViewRebuildsTheSnapshot) {
+  auto q = PiqlQuery::Parse(
+      R"(<query requester="analyst" purpose="research" maxLoss="1.0">
+           <select>patient_id</select><where>diagnosis &gt;= 'a'</where></query>)");
+  ASSERT_TRUE(q.ok());
+  auto before = src_->ExecuteFragment(*q);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->table.num_rows(), 3u);
+  EXPECT_EQ(src_->scan_stats().index_builds, 1u);
+
+  auto consented_only = [] {
+    policy::PrivacyView view("consented_only", "patients");
+    view.AddVisibleColumn("patient_id");
+    view.AddVisibleColumn("diagnosis");
+    view.set_row_filter(*relational::ParseExpression("consented = TRUE"));
+    return view;
+  };
+  ASSERT_TRUE(src_->mutable_policies()->AddView("clinic", consented_only()).ok());
+  auto after = src_->ExecuteFragment(*q);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(src_->scan_stats().index_builds, 2u);  // rebuilt for the new generation
+
+  // The answer is the one a source built with the view from the start gives.
+  auto fresh = MakeSource();
+  ASSERT_TRUE(fresh->mutable_policies()->AddView("clinic", consented_only()).ok());
+  auto want = fresh->ExecuteFragment(*q);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(after->table.num_rows(), 2u);
+  EXPECT_EQ(relational::EncodeTable(after->table), relational::EncodeTable(want->table));
+}
+
+// --- The scan: index for bounded WHEREs, full scan otherwise ---
+
+class ScanSourceTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 100;
+
+  void SetUp() override {
+    Table t(Schema{Column{"pid", ColumnType::kString}, Column{"age", ColumnType::kInt64},
+                   Column{"rate", ColumnType::kDouble}});
+    for (size_t i = 0; i < kRows; ++i) {
+      (void)t.AppendRow(Row{Value::Str("P" + std::to_string(i)),
+                            Value::Int(static_cast<int64_t>(i)),
+                            Value::Real(static_cast<double>(i % 7))});
+    }
+    src_ = std::make_unique<RemoteSource>("hmo", "stats", std::move(t), 1);
+    policy::PrivacyPolicy policy("hmo", {});
+    policy::PolicyRule rule;
+    rule.id = "all";
+    rule.item = {"*", "*"};
+    rule.purposes = {"*"};
+    rule.recipients = {"*"};
+    rule.form = policy::DisclosureForm::kExact;
+    policy.AddRule(rule);
+    (void)src_->mutable_policies()->AddPolicy(std::move(policy));
+    (void)src_->mutable_rbac()->AddRole("r");
+    (void)src_->mutable_rbac()->AssignRole("u", "r");
+    (void)src_->mutable_rbac()->Grant("r", access::Action::kSelect, "*", "*");
+  }
+
+  Result<FederatedSource::FragmentResult> Ask(const std::string& body) {
+    auto q = PiqlQuery::Parse(
+        "<query requester=\"u\" purpose=\"any\" maxLoss=\"1.0\">" + body + "</query>");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return src_->ExecuteFragment(*q);
+  }
+
+  std::unique_ptr<RemoteSource> src_;
+};
+
+TEST_F(ScanSourceTest, RowFragmentExaminesOnlyItsCandidates) {
+  auto rows = Ask("<select>pid</select><select>age</select>"
+                  "<where>age &gt;= 10 AND age &lt; 30</where>");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->table.num_rows(), 20u);
+  RemoteSource::ScanStats stats = src_->scan_stats();
+  EXPECT_EQ(stats.index_scans, 1u);
+  EXPECT_EQ(stats.full_scans, 0u);
+  EXPECT_EQ(stats.rows_examined, 20u);
+  EXPECT_EQ(stats.rows_gathered, 20u);
+  EXPECT_EQ(stats.index_builds, 1u);
+
+  // A residual conjunct runs on the candidates only; the index is reused.
+  rows = Ask("<select>pid</select>"
+             "<where>age &lt; 30 AND rate &lt;&gt; 0 AND age &gt;= 10</where>");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->table.num_rows(), 17u);  // 14, 21 and 28 have rate 0
+  stats = src_->scan_stats();
+  EXPECT_EQ(stats.index_scans, 2u);
+  EXPECT_EQ(stats.rows_examined, 40u);
+  EXPECT_EQ(stats.rows_gathered, 37u);
+  EXPECT_EQ(stats.index_builds, 1u);
+}
+
+TEST_F(ScanSourceTest, AggregateWorkIsIndependentOfQuerySetSize) {
+  // |C| = k and |C| = n - k: both test every row once and gather nothing.
+  const size_t k = PreservationModule::Config{}.k;
+  for (size_t c : {k, kRows - k}) {
+    const RemoteSource::ScanStats before = src_->scan_stats();
+    auto count = Ask("<aggregate func=\"SUM\" attribute=\"rate\"/><where>age &lt; " +
+                     std::to_string(c) + "</where>");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    const RemoteSource::ScanStats after = src_->scan_stats();
+    EXPECT_EQ(after.index_scans - before.index_scans, 1u) << "|C| = " << c;
+    EXPECT_EQ(after.rows_examined - before.rows_examined, kRows) << "|C| = " << c;
+    EXPECT_EQ(after.rows_gathered - before.rows_gathered, 0u) << "|C| = " << c;
+  }
+  // Grouped aggregates gather, then group.
+  const RemoteSource::ScanStats before = src_->scan_stats();
+  auto grouped = Ask("<aggregate func=\"COUNT\" attribute=\"pid\"><groupBy>rate</groupBy>"
+                     "</aggregate><where>age &lt; 50</where>");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(src_->scan_stats().rows_examined - before.rows_examined, kRows);
+  EXPECT_EQ(src_->scan_stats().rows_gathered - before.rows_gathered, 50u);
+}
+
+TEST_F(ScanSourceTest, IneligibleWheresTakeTheFullScan) {
+  for (const char* where : {"age &lt; 10 OR age &gt; 90", "NOT age &lt; 10",
+                            "age &gt;= 10 AND rate &lt; 3", "pid LIKE 'P1%'"}) {
+    const RemoteSource::ScanStats before = src_->scan_stats();
+    auto rows = Ask(std::string("<select>pid</select><where>") + where + "</where>");
+    ASSERT_TRUE(rows.ok()) << where << ": " << rows.status().ToString();
+    const RemoteSource::ScanStats after = src_->scan_stats();
+    EXPECT_EQ(after.full_scans - before.full_scans, 1u) << where;
+    EXPECT_EQ(after.index_scans, before.index_scans) << where;
+    EXPECT_EQ(after.rows_examined - before.rows_examined, kRows) << where;
+  }
+  EXPECT_EQ(src_->scan_stats().index_builds, 0u);
 }
 
 // --- Query-set-size restriction in the pipeline ---
