@@ -12,10 +12,14 @@
 //      concurrent queries against slow sources → one federated execution,
 //      the rest joined (engine.singleflight_* counters);
 //   4. byte-budget eviction: fill a bounded warehouse past its budget and
-//      report resident vs evicted bytes.
+//      report resident vs evicted bytes;
+//   5. engine-level hit latency: `MediationEngine::Execute` answered from a
+//      warm warehouse over in-process sources, 64 distinct requests per
+//      client thread, at 1 and 4 threads (and BM_EngineHit).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -275,6 +279,110 @@ void PrintEvictionBudget() {
                   metrics.counter("warehouse.bytes_evicted")));
 }
 
+// --- engine-level warehouse hits ---
+
+constexpr size_t kHitThreadsMax = 4;
+constexpr size_t kHitRequestsPerThread = 64;
+
+/// A live engine over three in-process patient sources whose warehouse
+/// already holds every answer the hit loops ask for: each client thread
+/// owns 64 distinct requests (16 requesters x 4 query shapes).
+struct HitDeployment {
+  std::vector<std::unique_ptr<RemoteSource>> sources;
+  std::unique_ptr<MediationEngine> engine;
+  std::vector<std::vector<piye::source::PiqlQuery>> requests;  ///< per thread
+};
+
+HitDeployment* SharedHitDeployment() {
+  static HitDeployment* d = [] {
+    auto* out = new HitDeployment();
+    for (size_t i = 0; i < 3; ++i) {
+      auto tables = ClinicalScenario::MakePatientTables(200, 0.3, 100 + i);
+      auto src = std::make_unique<RemoteSource>("hospital" + std::to_string(i),
+                                                "patients", std::move(tables.hospital),
+                                                /*seed=*/i + 1);
+      ClinicalScenario::ApplyPatientPolicies(src.get());
+      out->sources.push_back(std::move(src));
+    }
+    MediationEngine::Options options;
+    options.max_combined_loss = 0.95;
+    options.max_cumulative_loss = 1e9;
+    options.worker_threads = 4;
+    out->engine = std::make_unique<MediationEngine>(options);
+    const char* shapes[] = {"<select>patient_id</select>", "<select>dob</select>",
+                            "<select>zip</select>",
+                            "<select>patient_id</select><select>sex</select>"};
+    out->requests.resize(kHitThreadsMax);
+    for (size_t t = 0; t < kHitThreadsMax; ++t) {
+      for (size_t r = 0; r < kHitRequestsPerThread / 4; ++r) {
+        const std::string requester =
+            "t" + std::to_string(t) + "-r" + std::to_string(r);
+        for (const auto& src : out->sources) {
+          (void)src->mutable_rbac()->AssignRole(requester, "analyst");
+        }
+        for (const char* shape : shapes) {
+          out->requests[t].push_back(*piye::source::PiqlQuery::Parse(
+              "<query requester=\"" + requester +
+              "\" purpose=\"research\" maxLoss=\"0.95\">" + shape + "</query>"));
+        }
+      }
+    }
+    for (const auto& src : out->sources) (void)out->engine->RegisterSource(src.get());
+    (void)out->engine->GenerateMediatedSchema("bench-key");
+    for (const auto& per_thread : out->requests) {
+      for (const auto& query : per_thread) (void)out->engine->Execute(query);
+    }
+    return out;
+  }();
+  return d;
+}
+
+void PrintEngineHitLatency() {
+  std::printf("--- engine-level warehouse hit: Execute on a warm warehouse, "
+              "%zu distinct requests per thread ---\n",
+              kHitRequestsPerThread);
+  HitDeployment* d = SharedHitDeployment();
+  constexpr size_t kRounds = 400;  // passes over each thread's requests
+  std::printf("  threads  mean_ns  p50_ns  p90_ns  hits/thread\n");
+  for (size_t threads : {size_t{1}, kHitThreadsMax}) {
+    std::atomic<bool> go{false};
+    std::atomic<size_t> misses{0};
+    std::vector<std::vector<int64_t>> samples(threads);
+    std::vector<std::thread> workers;
+    for (size_t w = 0; w < threads; ++w) {
+      workers.emplace_back([&, w] {
+        const auto& requests = d->requests[w];
+        samples[w].reserve(kRounds * requests.size());
+        while (!go.load()) std::this_thread::yield();
+        for (size_t round = 0; round < kRounds; ++round) {
+          for (const auto& query : requests) {
+            const auto start = std::chrono::steady_clock::now();
+            auto result = d->engine->Execute(query);
+            const auto stop = std::chrono::steady_clock::now();
+            if (!result.ok() || !result->from_warehouse) misses.fetch_add(1);
+            samples[w].push_back(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
+                    .count());
+          }
+        }
+      });
+    }
+    go.store(true);
+    for (auto& t : workers) t.join();
+    std::vector<int64_t> all;
+    for (const auto& s : samples) all.insert(all.end(), s.begin(), s.end());
+    std::sort(all.begin(), all.end());
+    double sum = 0;
+    for (int64_t ns : all) sum += static_cast<double>(ns);
+    std::printf("  %7zu  %7.0f  %6lld  %6lld  %zu%s\n", threads, sum / all.size(),
+                static_cast<long long>(all[all.size() / 2]),
+                static_cast<long long>(all[all.size() * 9 / 10]),
+                kRounds * kHitRequestsPerThread,
+                misses.load() == 0 ? "" : "  (some requests missed!)");
+  }
+  std::printf("\n");
+}
+
 // --- google-benchmark microbenchmarks (multi-threaded Get) ---
 
 BaselineWarehouse* SharedBaseline() {
@@ -315,6 +423,18 @@ void BM_ShardedHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedHit)->Threads(1)->Threads(4)->Threads(8)->Threads(16);
 
+void BM_EngineHit(benchmark::State& state) {
+  HitDeployment* d = SharedHitDeployment();
+  const auto& requests =
+      d->requests[static_cast<size_t>(state.thread_index()) % kHitThreadsMax];
+  size_t i = 0;
+  for (auto _ : state) {
+    auto result = d->engine->Execute(requests[++i % requests.size()]);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_EngineHit)->Threads(1)->Threads(4);
+
 void BM_ShardedPutEvict(benchmark::State& state) {
   Warehouse warehouse(Warehouse::Options{16, /*max_bytes=*/1 << 20});
   size_t i = 0;
@@ -333,6 +453,7 @@ int main(int argc, char** argv) {
   PrintHitLatency();
   PrintSingleFlightBurst();
   PrintEvictionBudget();
+  PrintEngineHitLatency();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

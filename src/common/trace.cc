@@ -72,9 +72,9 @@ std::string JsonEscape(const std::string& s) {
 
 // --- Trace ---
 
-void Trace::Record(const std::string& stage, double micros) {
+void Trace::Record(std::string_view stage, double micros) {
   MutexLock lock(mu_);
-  timings_.push_back({stage, micros});
+  timings_.push_back({std::string(stage), micros});
 }
 
 std::vector<StageTiming> Trace::timings() const {
@@ -83,15 +83,6 @@ std::vector<StageTiming> Trace::timings() const {
 }
 
 // --- Histogram ---
-
-void Histogram::Record(double micros) {
-  micros = std::max(micros, 0.0);
-  ++buckets_[BucketIndex(micros)];
-  if (count_ == 0 || micros < min_) min_ = micros;
-  if (micros > max_) max_ = micros;
-  ++count_;
-  sum_ += micros;
-}
 
 double Histogram::PercentileMicros(double p) const {
   if (count_ == 0) return 0.0;
@@ -105,6 +96,45 @@ double Histogram::PercentileMicros(double p) const {
     }
   }
   return max_;
+}
+
+// --- LatencyCell ---
+
+void LatencyCell::Record(double micros) {
+  micros = std::max(micros, 0.0);
+  buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(micros, std::memory_order_relaxed);
+  double seen = min_.load(std::memory_order_relaxed);
+  while (micros < seen &&
+         !min_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (micros > seen &&
+         !max_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+  }
+  // Last, with release: a Snapshot that counts this sample sees its min/max.
+  count_.fetch_add(1, std::memory_order_release);
+}
+
+Histogram LatencyCell::Snapshot() const {
+  Histogram h;
+  h.count_ = count_.load(std::memory_order_acquire);
+  if (h.count_ == 0) return h;
+  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    h.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
+  h.sum_ = sum_.load(std::memory_order_relaxed);
+  h.min_ = min_.load(std::memory_order_relaxed);
+  h.max_ = max_.load(std::memory_order_relaxed);
+  return h;
+}
+
+void LatencyCell::Reset() {
+  count_.store(0, std::memory_order_relaxed);
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
 }
 
 // --- MetricsRegistry ---
@@ -137,16 +167,22 @@ void MetricsRegistry::AddCounter(const std::string& name, uint64_t delta) {
   RegisterCounter(name)->fetch_add(delta, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::DeclareLatency(const std::string& name) {
+LatencyCell* MetricsRegistry::RegisterLatency(const std::string& name) {
   LatencyStripe& stripe = latency_stripes_[StripeOf(name)];
-  MutexLock lock(stripe.mu);
-  stripe.latencies.try_emplace(name);
+  {
+    ReaderMutexLock lock(stripe.mu);
+    auto it = stripe.latencies.find(name);
+    if (it != stripe.latencies.end()) return it->second.get();
+  }
+  WriterMutexLock lock(stripe.mu);
+  auto [it, inserted] =
+      stripe.latencies.try_emplace(name, std::make_unique<LatencyCell>());
+  (void)inserted;
+  return it->second.get();
 }
 
 void MetricsRegistry::RecordLatency(const std::string& name, double micros) {
-  LatencyStripe& stripe = latency_stripes_[StripeOf(name)];
-  MutexLock lock(stripe.mu);
-  stripe.latencies[name].Record(micros);
+  RegisterLatency(name)->Record(micros);
 }
 
 uint64_t MetricsRegistry::counter(const std::string& name) const {
@@ -160,9 +196,9 @@ uint64_t MetricsRegistry::counter(const std::string& name) const {
 
 Histogram MetricsRegistry::latency(const std::string& name) const {
   const LatencyStripe& stripe = latency_stripes_[StripeOf(name)];
-  MutexLock lock(stripe.mu);
+  ReaderMutexLock lock(stripe.mu);
   auto it = stripe.latencies.find(name);
-  return it == stripe.latencies.end() ? Histogram() : it->second;
+  return it == stripe.latencies.end() ? Histogram() : it->second->Snapshot();
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -177,8 +213,10 @@ std::string MetricsRegistry::ToJson() const {
   }
   std::map<std::string, Histogram> latencies;
   for (const LatencyStripe& stripe : latency_stripes_) {
-    MutexLock lock(stripe.mu);
-    for (const auto& [name, hist] : stripe.latencies) latencies[name] = hist;
+    ReaderMutexLock lock(stripe.mu);
+    for (const auto& [name, cell] : stripe.latencies) {
+      latencies[name] = cell->Snapshot();
+    }
   }
 
   std::string out = "{\"counters\": {";
@@ -226,17 +264,17 @@ void MetricsRegistry::Reset() {
     }
   }
   for (LatencyStripe& stripe : latency_stripes_) {
-    MutexLock lock(stripe.mu);
-    stripe.latencies.clear();
+    WriterMutexLock lock(stripe.mu);
+    for (auto& [name, cell] : stripe.latencies) cell->Reset();
   }
 }
 
 // --- ScopedSpan ---
 
-ScopedSpan::ScopedSpan(std::string stage, Trace* trace, MetricsRegistry* registry)
-    : stage_(std::move(stage)),
+ScopedSpan::ScopedSpan(std::string_view stage, Trace* trace, LatencyCell* latency)
+    : stage_(stage),
       trace_(trace),
-      registry_(registry),
+      latency_(latency),
       start_(std::chrono::steady_clock::now()) {}
 
 double ScopedSpan::Stop() {
@@ -247,7 +285,7 @@ double ScopedSpan::Stop() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - start_).count() /
       1000.0;
   if (trace_ != nullptr) trace_->Record(stage_, micros);
-  if (registry_ != nullptr) registry_->RecordLatency("stage." + stage_, micros);
+  if (latency_ != nullptr) latency_->Record(micros);
   return micros;
 }
 

@@ -5,9 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sync.h"
@@ -30,7 +32,7 @@ struct StageTiming {
 /// (the engine) record their top-level stages from a single thread.
 class Trace {
  public:
-  void Record(const std::string& stage, double micros);
+  void Record(std::string_view stage, double micros);
   std::vector<StageTiming> timings() const;
 
  private:
@@ -38,13 +40,12 @@ class Trace {
   std::vector<StageTiming> timings_ GUARDED_BY(mu_);
 };
 
-/// Fixed-bucket latency histogram (power-of-two microsecond buckets). Small
-/// enough to copy out as a snapshot under a registry lock.
+/// Fixed-bucket latency histogram (power-of-two microsecond buckets). The
+/// value type of a latency snapshot; the registry records into lock-free
+/// `LatencyCell`s and copies them out as Histograms.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 40;
-
-  void Record(double micros);
 
   uint64_t count() const { return count_; }
   double sum_micros() const { return sum_; }
@@ -58,6 +59,8 @@ class Histogram {
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
 
  private:
+  friend class LatencyCell;
+
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -65,18 +68,36 @@ class Histogram {
   double max_ = 0.0;
 };
 
+/// A registered latency histogram: the same buckets and summary as
+/// Histogram, held in atomics so concurrent Records take no lock. A
+/// Snapshot taken while Records are running may not yet show their bucket
+/// or sum updates; every sample whose count it includes is in its min/max.
+class LatencyCell {
+ public:
+  void Record(double micros);
+  Histogram Snapshot() const;
+  /// Back to empty (not atomic with respect to concurrent Records).
+  void Reset();
+
+ private:
+  std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets_{};
+  std::atomic<uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{0.0};
+};
+
 /// Registry of named counters and latency histograms. All operations are
 /// thread-safe; the engine owns one and its concurrent per-source tasks
 /// record into it directly.
 ///
-/// Counters are striped by name hash and stored as atomics behind a
-/// shared_mutex per stripe, so the steady-state AddCounter path is a shared
-/// (read) lock plus one relaxed fetch_add — concurrent writers to different
-/// names (or even the same name) never serialize behind a global map lock.
-/// For the hottest paths, `RegisterCounter` hands back a stable atomic cell
-/// that callers cache and increment directly, skipping even the name lookup
-/// (the warehouse shards do this). Histograms keep a per-stripe mutex:
-/// Histogram::Record mutates several fields and is not atomic-friendly.
+/// Counters and histograms are striped by name hash and stored as atomic
+/// cells behind a shared_mutex per stripe, so the steady-state AddCounter /
+/// RecordLatency path is a shared (read) lock plus lock-free updates —
+/// concurrent writers never serialize behind a global map lock. On hot
+/// paths, `RegisterCounter` and `RegisterLatency` hand back stable cells
+/// that callers cache and update directly, with no name lookup and no lock
+/// at all (the engine, admission and warehouse do this).
 class MetricsRegistry {
  public:
   /// A registered counter cell. Stable for the registry's lifetime — Reset
@@ -88,13 +109,14 @@ class MetricsRegistry {
   /// with `fetch_add(n, std::memory_order_relaxed)`.
   Counter* RegisterCounter(const std::string& name);
 
+  /// Returns the (created-on-first-use) latency cell for `name`; stable for
+  /// the registry's lifetime. A registered cell that never records shows in
+  /// ToJson at explicit zeros, so scrapers see the metric before its first
+  /// sample.
+  LatencyCell* RegisterLatency(const std::string& name);
+
   void AddCounter(const std::string& name, uint64_t delta = 1);
   void RecordLatency(const std::string& name, double micros);
-
-  /// Pre-registers a latency histogram with no samples, so scrapers see the
-  /// metric (at explicit zeros) before the first recording. No-op if the
-  /// name already exists.
-  void DeclareLatency(const std::string& name);
 
   uint64_t counter(const std::string& name) const;
   /// Snapshot copy; a never-recorded name yields an empty histogram.
@@ -106,8 +128,8 @@ class MetricsRegistry {
   /// Names are JSON-escaped; an empty histogram reports explicit zeros.
   std::string ToJson() const;
 
-  /// Zeroes every counter (registered cells stay valid) and drops all
-  /// histograms.
+  /// Zeroes every counter and empties every histogram (registered cells
+  /// stay valid).
   void Reset();
 
  private:
@@ -120,8 +142,9 @@ class MetricsRegistry {
     std::map<std::string, std::unique_ptr<Counter>> counters GUARDED_BY(mu);
   };
   struct LatencyStripe {
-    mutable Mutex mu;
-    std::map<std::string, Histogram> latencies GUARDED_BY(mu);
+    mutable SharedMutex mu;
+    /// As for counters: the map is guarded, the cells are lock-free.
+    std::map<std::string, std::unique_ptr<LatencyCell>> latencies GUARDED_BY(mu);
   };
 
   static size_t StripeOf(const std::string& name) {
@@ -132,14 +155,21 @@ class MetricsRegistry {
   std::array<LatencyStripe, kStripes> latency_stripes_;
 };
 
+/// Adds `delta` to a registered counter cell; a null cell (no registry
+/// attached) is a no-op.
+inline void Bump(MetricsRegistry::Counter* counter, uint64_t delta = 1) {
+  if (counter != nullptr) counter->fetch_add(delta, std::memory_order_relaxed);
+}
+
 /// RAII span over a monotonic (steady) clock — wall-clock timestamps are
 /// never used for durations, so NTP adjustments cannot produce negative
 /// stage timings. On destruction (or explicit `Stop`) the elapsed time is
-/// recorded into the optional per-query `Trace` and the optional
-/// `MetricsRegistry` latency histogram of the same name.
+/// recorded into the optional per-query `Trace` and the optional registered
+/// latency cell (conventionally the registry's "stage.<stage>"). `stage`
+/// must outlive the span; it is a string literal in practice.
 class ScopedSpan {
  public:
-  ScopedSpan(std::string stage, Trace* trace, MetricsRegistry* registry = nullptr);
+  ScopedSpan(std::string_view stage, Trace* trace, LatencyCell* latency = nullptr);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -150,9 +180,9 @@ class ScopedSpan {
   double Stop();
 
  private:
-  std::string stage_;
+  std::string_view stage_;
   Trace* trace_;
-  MetricsRegistry* registry_;
+  LatencyCell* latency_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
 };

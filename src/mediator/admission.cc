@@ -170,7 +170,11 @@ bool FairShareQueue::Remove(uint64_t id) {
 AdmissionController::AdmissionController(AdmissionConfig config,
                                          trace::MetricsRegistry* metrics)
     : config_(std::move(config)),
-      metrics_(metrics),
+      c_admitted_(metrics->RegisterCounter("engine.admitted")),
+      c_shed_(metrics->RegisterCounter("engine.shed")),
+      c_cancelled_(metrics->RegisterCounter("engine.cancelled")),
+      c_queued_(metrics->RegisterCounter("engine.queued")),
+      admission_wait_(metrics->RegisterLatency("engine.admission_wait")),
       bucket_shards_(RoundUpPow2(std::max<size_t>(1, config_.bucket_shards))),
       queue_(config_.max_queue_depth) {
   bucket_shard_mask_ = bucket_shards_.size() - 1;
@@ -186,8 +190,7 @@ AdmissionController::BucketShard& AdmissionController::BucketShardFor(
 }
 
 size_t AdmissionController::inflight() const {
-  MutexLock lock(mu_);
-  return inflight_;
+  return inflight_.load(std::memory_order_relaxed);
 }
 
 size_t AdmissionController::queue_depth() const {
@@ -216,6 +219,10 @@ void AdmissionController::Permit::Release() {
 }
 
 void AdmissionController::Release() {
+  if (config_.max_inflight == 0) {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    return;
+  }
   MutexLock lock(mu_);
   uint64_t id = 0;
   if (queue_.Pop(&id)) {
@@ -223,7 +230,7 @@ void AdmissionController::Release() {
     admitted_[id] = true;
     cv_.NotifyAll();
   } else {
-    --inflight_;
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -234,7 +241,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     // touches the bucket, the queue, or anything downstream.
     Status live = token.Check();
     if (!live.ok()) {
-      metrics_->AddCounter("engine.cancelled");
+      trace::Bump(c_cancelled_);
       return live;
     }
   }
@@ -264,7 +271,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
       }
     }
     if (!consumed) {
-      metrics_->AddCounter("engine.shed");
+      trace::Bump(c_shed_);
       return Status::ResourceExhausted(
           "admission: requester '" + requester +
           "' exceeded its rate limit; retry after ~" +
@@ -272,26 +279,32 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     }
   }
 
+  if (config_.max_inflight == 0) {
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    trace::Bump(c_admitted_);
+    return Permit(this);
+  }
+
   MutexLock lock(mu_);
-  if (config_.max_inflight == 0 ||
-      (inflight_ < config_.max_inflight && queue_.empty())) {
-    ++inflight_;
-    metrics_->AddCounter("engine.admitted");
+  if (inflight_.load(std::memory_order_relaxed) < config_.max_inflight &&
+      queue_.empty()) {
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    trace::Bump(c_admitted_);
     return Permit(this);
   }
 
   const uint64_t id = next_waiter_id_++;
   if (!queue_.Push(id, requester, token.deadline())) {
-    metrics_->AddCounter("engine.shed");
+    trace::Bump(c_shed_);
     // Retry-after heuristic: every queued waiter ahead plus this one needs a
     // slot; with no service-time model, a millisecond per waiter is a usable
     // lower bound for a backoff hint.
     return Status::ResourceExhausted(
         "admission queue saturated (" + std::to_string(queue_.size()) +
-        " waiting, " + std::to_string(inflight_) + " in flight); retry after ~" +
-        std::to_string(queue_.size() + 1) + " ms");
+        " waiting, " + std::to_string(inflight_.load(std::memory_order_relaxed)) +
+        " in flight); retry after ~" + std::to_string(queue_.size() + 1) + " ms");
   }
-  metrics_->AddCounter("engine.queued");
+  trace::Bump(c_queued_);
   const auto wait_start = now;
 
   for (;;) {
@@ -300,9 +313,8 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     cv_.WaitUntil(lock, wake);  // poll tick: timeout and wakeup both recheck
     if (auto it = admitted_.find(id); it != admitted_.end()) {
       admitted_.erase(it);
-      metrics_->AddCounter("engine.admitted");
-      metrics_->RecordLatency(
-          "engine.admission_wait",
+      trace::Bump(c_admitted_);
+      admission_wait_->Record(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - wait_start)
               .count());
@@ -318,10 +330,10 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
           admitted_[next] = true;
           cv_.NotifyAll();
         } else {
-          --inflight_;
+          inflight_.fetch_sub(1, std::memory_order_relaxed);
         }
       }
-      metrics_->AddCounter("engine.cancelled");
+      trace::Bump(c_cancelled_);
       return token.status();
     }
   }

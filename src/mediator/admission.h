@@ -1,6 +1,7 @@
 #ifndef PIYE_MEDIATOR_ADMISSION_H_
 #define PIYE_MEDIATOR_ADMISSION_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -168,7 +169,13 @@ class FairShareQueue {
 /// A shed or expired query consumes no privacy budget, writes no history,
 /// and feeds no circuit breaker — it was never admitted, so no source can be
 /// blamed for it. Thread-safe; metrics land in the engine registry as
-/// engine.admitted / engine.shed / engine.cancelled / engine.queued.
+/// engine.admitted / engine.shed / engine.cancelled / engine.queued through
+/// cells registered at construction.
+///
+/// With `max_inflight == 0` (the permissive default) nothing ever queues, so
+/// admission and release are one atomic increment and decrement of the
+/// in-flight gauge: no mutex, no name lookup. The bounded path takes `mu_`
+/// as before; a controller is one or the other for its whole life.
 class AdmissionController {
  public:
   AdmissionController(AdmissionConfig config, trace::MetricsRegistry* metrics);
@@ -228,14 +235,21 @@ class AdmissionController {
   BucketShard& BucketShardFor(const std::string& requester) const;
 
   AdmissionConfig config_;
-  trace::MetricsRegistry* metrics_;
+  trace::MetricsRegistry::Counter* c_admitted_;
+  trace::MetricsRegistry::Counter* c_shed_;
+  trace::MetricsRegistry::Counter* c_cancelled_;
+  trace::MetricsRegistry::Counter* c_queued_;
+  trace::LatencyCell* admission_wait_;
 
   mutable std::vector<BucketShard> bucket_shards_;
   size_t bucket_shard_mask_ = 0;
 
+  /// Queries holding a permit. Permissive mode updates it lock-free; the
+  /// bounded path reads and writes it only under mu_.
+  std::atomic<size_t> inflight_{0};
+
   mutable Mutex mu_;
   CondVar cv_;
-  size_t inflight_ GUARDED_BY(mu_) = 0;
   uint64_t next_waiter_id_ GUARDED_BY(mu_) = 0;
   FairShareQueue queue_ GUARDED_BY(mu_);
   /// Waiters flipped to admitted by Release; their Admit call wakes, erases

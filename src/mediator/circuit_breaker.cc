@@ -12,13 +12,23 @@ const char* CircuitBreaker::StateName(State s) {
   return "unknown";
 }
 
+CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config,
+                               trace::MetricsRegistry* metrics)
+    : config_(config) {
+  if (metrics == nullptr) return;
+  c_opened_ = metrics->RegisterCounter("engine.breaker_opened");
+  c_shed_ = metrics->RegisterCounter("engine.breaker_shed");
+  c_half_open_probes_ = metrics->RegisterCounter("engine.breaker_half_open_probes");
+  c_closed_ = metrics->RegisterCounter("engine.breaker_closed");
+}
+
 void CircuitBreaker::OpenLocked(std::chrono::steady_clock::time_point now) {
   state_ = State::kOpen;
   open_until_ = now + std::chrono::milliseconds(config_.open_cooldown_ms);
   probe_in_flight_ = false;
   probe_successes_ = 0;
   ++opened_total_;
-  if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_opened");
+  trace::Bump(c_opened_);
 }
 
 bool CircuitBreaker::Admit(std::chrono::steady_clock::time_point now) {
@@ -29,22 +39,22 @@ bool CircuitBreaker::Admit(std::chrono::steady_clock::time_point now) {
     case State::kOpen:
       if (now < open_until_) {
         ++shed_total_;
-        if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_shed");
+        trace::Bump(c_shed_);
         return false;
       }
       state_ = State::kHalfOpen;
       probe_successes_ = 0;
       probe_in_flight_ = true;
-      if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_half_open_probes");
+      trace::Bump(c_half_open_probes_);
       return true;
     case State::kHalfOpen:
       if (probe_in_flight_) {
         ++shed_total_;
-        if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_shed");
+        trace::Bump(c_shed_);
         return false;
       }
       probe_in_flight_ = true;
-      if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_half_open_probes");
+      trace::Bump(c_half_open_probes_);
       return true;
   }
   return true;
@@ -58,7 +68,7 @@ void CircuitBreaker::OnSuccess() {
     if (++probe_successes_ >= config_.half_open_successes) {
       state_ = State::kClosed;
       probe_successes_ = 0;
-      if (metrics_ != nullptr) metrics_->AddCounter("engine.breaker_closed");
+      trace::Bump(c_closed_);
     }
   }
 }

@@ -38,9 +38,9 @@ class CircuitBreaker {
   enum class State { kClosed, kOpen, kHalfOpen };
   static const char* StateName(State s);
 
-  /// `metrics` (optional) receives engine.breaker_* counters.
-  CircuitBreaker(CircuitBreakerConfig config, trace::MetricsRegistry* metrics)
-      : config_(config), metrics_(metrics) {}
+  /// `metrics` (optional) receives engine.breaker_* counters through cells
+  /// registered here.
+  CircuitBreaker(CircuitBreakerConfig config, trace::MetricsRegistry* metrics);
 
   /// Admission decision for one fragment. Closed ⇒ true. Open ⇒ false until
   /// the cooldown elapses, at which point the breaker half-opens and admits
@@ -63,7 +63,11 @@ class CircuitBreaker {
   void OpenLocked(std::chrono::steady_clock::time_point now) REQUIRES(mu_);
 
   CircuitBreakerConfig config_;
-  trace::MetricsRegistry* metrics_;
+  /// Registry cells (null without a registry).
+  trace::MetricsRegistry::Counter* c_opened_ = nullptr;
+  trace::MetricsRegistry::Counter* c_shed_ = nullptr;
+  trace::MetricsRegistry::Counter* c_half_open_probes_ = nullptr;
+  trace::MetricsRegistry::Counter* c_closed_ = nullptr;
   mutable Mutex mu_;
   State state_ GUARDED_BY(mu_) = State::kClosed;
   uint32_t consecutive_failures_ GUARDED_BY(mu_) = 0;

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "mediator/persistence.h"
+#include "persist/codec.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
 
@@ -39,22 +40,14 @@ bool IsTransportFailure(const Status& status) {
   return status.IsUnavailable() || status.IsDeadlineExceeded();
 }
 
-/// Canonical encoding of every QueryOptions field that can change the
-/// answer. Two calls coalesce only when this string (plus requester and
-/// query fingerprint) matches exactly — a deadline or quorum difference is a
-/// different request.
+/// The QueryOptions fields that shape an execution but are not in the
+/// warehouse key (which already covers the resolved dedup keys and the
+/// quorum). Two calls coalesce only when this string and the warehouse key
+/// both match exactly — a deadline or retry difference is a different
+/// request.
 std::string OptionsCoalescingKey(const QueryOptions& options) {
-  std::string key;
-  // Length-prefixed, so {"a,b"} and {"a", "b"} stay distinct requests.
-  for (const auto& k : options.dedup_keys) {
-    key += std::to_string(k.size());
-    key += ':';
-    key += k;
-  }
-  key += '|';
-  key += std::to_string(options.deadline_ms) + '|' +
-         std::to_string(options.max_retries) + '|' +
-         std::to_string(options.min_sources) + '|';
+  std::string key = std::to_string(options.deadline_ms) + '|' +
+                    std::to_string(options.max_retries) + '|';
   key += options.allow_warehouse ? '1' : '0';
   key += options.bypass_circuit_breaker ? '1' : '0';
   return key;
@@ -99,12 +92,39 @@ struct MediationEngine::InflightExecution {
       Status::Internal("single-flight execution still in flight")};
 };
 
+MediationEngine::MetricCells::MetricCells(trace::MetricsRegistry* m)
+    : queries(m->RegisterCounter("engine.queries")),
+      warehouse_hits(m->RegisterCounter("engine.warehouse_hits")),
+      singleflight_leaders(m->RegisterCounter("engine.singleflight_leaders")),
+      singleflight_coalesced(m->RegisterCounter("engine.singleflight_coalesced")),
+      cancelled(m->RegisterCounter("engine.cancelled")),
+      fragment_attempts(m->RegisterCounter("engine.fragment_attempts")),
+      fragment_retries(m->RegisterCounter("engine.fragment_retries")),
+      fragments_ok(m->RegisterCounter("engine.fragments_ok")),
+      fragments_failed(m->RegisterCounter("engine.fragments_failed")),
+      fragments_cancelled(m->RegisterCounter("engine.fragments_cancelled")),
+      fragments_deadline_exceeded(
+          m->RegisterCounter("engine.fragments_deadline_exceeded")),
+      wal_records(m->RegisterCounter("engine.wal_records")),
+      persist_failures(m->RegisterCounter("engine.persist_failures")),
+      snapshots(m->RegisterCounter("engine.snapshots")),
+      recoveries(m->RegisterCounter("engine.recoveries")),
+      recovery_tail_discards(m->RegisterCounter("engine.recovery_tail_discards")),
+      warehouse_lookup(m->RegisterLatency("stage.warehouse-lookup")),
+      fragment(m->RegisterLatency("stage.fragment")),
+      source_execution(m->RegisterLatency("stage.source-execution")),
+      source_fragment(m->RegisterLatency("stage.source-fragment")),
+      privacy_control(m->RegisterLatency("stage.privacy-control")),
+      integrate(m->RegisterLatency("stage.integrate")),
+      record(m->RegisterLatency("stage.record")) {}
+
 MediationEngine::MediationEngine(Options options)
     : options_(options),
       history_(QueryHistory::Options{
           .max_resident_entries = options.max_resident_history}),
       warehouse_(Warehouse::Options{.max_bytes = options.warehouse_max_bytes}),
       control_(options.max_combined_loss, options.max_interval_loss),
+      cells_(&metrics_),
       admission_(options.admission, &metrics_),
       executor_(options.worker_threads) {
   warehouse_.set_metrics(&metrics_);
@@ -165,12 +185,12 @@ Status MediationEngine::JournalLocked(RecordType type, const std::string& payloa
   if (status.ok()) status = persist_->Sync();
   if (!status.ok()) {
     persist_failed_.store(true);
-    metrics_.AddCounter("engine.persist_failures");
+    trace::Bump(cells_.persist_failures);
     Logger::Error("mediator",
                   "journal append failed, failing closed: " + status.ToString());
     return Status::Unavailable("fail closed: " + status.ToString());
   }
-  metrics_.AddCounter("engine.wal_records");
+  trace::Bump(cells_.wal_records);
   ++records_since_snapshot_;  // rotation happens on the history-record path
   return Status::OK();
 }
@@ -209,7 +229,7 @@ Status MediationEngine::RotateSnapshotLocked() {
     }
   }
   records_since_snapshot_ = 0;
-  metrics_.AddCounter("engine.snapshots");
+  trace::Bump(cells_.snapshots);
   snapshots_total_.fetch_add(1);
   const auto end = std::chrono::steady_clock::now();
   last_snapshot_duration_ms_.store(static_cast<uint64_t>(
@@ -235,7 +255,7 @@ Status MediationEngine::RotateSnapshotBackground() {
     // the current generation, but a disk that cannot rotate is a disk that
     // will shortly fail an append — stop accepting work now.
     persist_failed_.store(true);
-    metrics_.AddCounter("engine.persist_failures");
+    trace::Bump(cells_.persist_failures);
     Logger::Error("mediator", "snapshot rotation failed, failing closed: " +
                                   rotated.ToString());
   }
@@ -244,11 +264,11 @@ Status MediationEngine::RotateSnapshotBackground() {
 
 Status MediationEngine::RecordDurably(
     HistoryEntry entry, std::shared_ptr<const relational::Table> warehouse_table,
-    const std::string& fingerprint) {
+    const std::string& warehouse_key) {
   if (!persist_attached_.load()) {
     history_.Record(std::move(entry));
     if (warehouse_table != nullptr) {
-      warehouse_.Put(fingerprint, std::move(warehouse_table), epoch());
+      warehouse_.Put(warehouse_key, std::move(warehouse_table), epoch());
     }
     return Status::OK();
   }
@@ -264,7 +284,7 @@ Status MediationEngine::RecordDurably(
   auto base_loss = history_.DurableCumulativeLoss(entry.requester);
   if (!base_loss.ok()) {
     persist_failed_.store(true);
-    metrics_.AddCounter("engine.persist_failures");
+    trace::Bump(cells_.persist_failures);
     Logger::Error("mediator", "budget floor load failed, failing closed: " +
                                   base_loss.status().ToString());
     return Status::Unavailable(
@@ -280,22 +300,22 @@ Status MediationEngine::RecordDurably(
   if (status.ok() && warehouse_table != nullptr) {
     status = persist_->Append(
         static_cast<uint16_t>(RecordType::kWarehousePut),
-        EncodeWarehousePutRecord(fingerprint, epoch(), *warehouse_table));
+        EncodeWarehousePutRecord(warehouse_key, epoch(), *warehouse_table));
   }
   if (status.ok()) status = persist_->Sync();
   if (!status.ok()) {
     persist_failed_.store(true);
-    metrics_.AddCounter("engine.persist_failures");
+    trace::Bump(cells_.persist_failures);
     Logger::Error("mediator",
                   "durability failure, failing closed: " + status.ToString());
     return Status::Unavailable(
         "answer withheld (fail closed): the disclosure could not be durably "
         "recorded: " + status.ToString());
   }
-  metrics_.AddCounter("engine.wal_records");
+  trace::Bump(cells_.wal_records);
   history_.Record(std::move(entry));
   if (warehouse_table != nullptr) {
-    warehouse_.Put(fingerprint, std::move(warehouse_table), epoch());
+    warehouse_.Put(warehouse_key, std::move(warehouse_table), epoch());
   }
   if (options_.snapshot_every_records > 0 &&
       ++records_since_snapshot_ >= options_.snapshot_every_records &&
@@ -499,9 +519,9 @@ Status MediationEngine::Recover(const std::string& dir) {
       [this] { return RotateSnapshotBackground(); });
   snapshotter_->Start();
 
-  metrics_.AddCounter("engine.recoveries");
+  trace::Bump(cells_.recoveries);
   if (!recovered.wal_clean) {
-    metrics_.AddCounter("engine.recovery_tail_discards");
+    trace::Bump(cells_.recovery_tail_discards);
     Logger::Warn("mediator", "recovery discarded a damaged log tail: " +
                                  recovered.tail_detail);
   }
@@ -654,15 +674,15 @@ Status MediationEngine::ValidateOptions(const QueryOptions& options) const {
 void MediationEngine::RunFragmentWithRetry(
     const source::FederatedSource* src, const source::PiqlQuery& fragment,
     const QueryOptions& options, std::chrono::steady_clock::time_point deadline,
-    const CancelToken& cancel, trace::MetricsRegistry* metrics,
+    const CancelToken& cancel, const MetricCells& cells,
     FragmentOutcome* outcome) {
-  trace::ScopedSpan span("source-fragment", nullptr, metrics);
+  trace::ScopedSpan span("source-fragment", nullptr, cells.source_fragment);
   // The caller gave up (explicit cancel or whole-query deadline): the source
   // is not to blame, so the breaker hears nothing about this fragment.
   auto abandoned_by_caller = [&] {
     outcome->status = options.cancel.status();
     outcome->breaker_reported.store(true);  // suppress blame
-    metrics->AddCounter("engine.fragments_cancelled");
+    trace::Bump(cells.fragments_cancelled);
   };
   for (uint32_t attempt = 0;; ++attempt) {
     if (cancel.cancelled()) {
@@ -675,16 +695,16 @@ void MediationEngine::RunFragmentWithRetry(
       outcome->status = Status::DeadlineExceeded(
           "per-source deadline exceeded before attempt " +
           std::to_string(attempt + 1));
-      metrics->AddCounter("engine.fragments_failed");
-      metrics->AddCounter("engine.fragments_deadline_exceeded");
+      trace::Bump(cells.fragments_failed);
+      trace::Bump(cells.fragments_deadline_exceeded);
       break;
     }
-    metrics->AddCounter("engine.fragment_attempts");
+    trace::Bump(cells.fragment_attempts);
     auto result = src->ExecuteFragment(fragment, cancel);
     if (result.ok()) {
       outcome->status = Status::OK();
       outcome->result = std::move(result).value();
-      metrics->AddCounter("engine.fragments_ok");
+      trace::Bump(cells.fragments_ok);
       break;
     }
     outcome->status = result.status();
@@ -696,25 +716,40 @@ void MediationEngine::RunFragmentWithRetry(
     // Only transient faults are worth retrying; a privacy refusal or a
     // malformed fragment will refuse identically every time.
     if (!result.status().IsUnavailable() || attempt >= options.max_retries) {
-      metrics->AddCounter("engine.fragments_failed");
+      trace::Bump(cells.fragments_failed);
       // A cooperative source that woke at the fan-out deadline lands here
       // (instead of the waiter's abandonment path) — keep the deadline
       // counter accurate either way.
       if (result.status().IsDeadlineExceeded()) {
-        metrics->AddCounter("engine.fragments_deadline_exceeded");
+        trace::Bump(cells.fragments_deadline_exceeded);
       }
       break;
     }
     const auto backoff =
         std::min(kRetryBackoffCap, kRetryBackoffBase * (1u << std::min(attempt, 5u)));
     if (std::chrono::steady_clock::now() + backoff >= deadline) {
-      metrics->AddCounter("engine.fragments_failed");
+      trace::Bump(cells.fragments_failed);
       break;  // the waiter is about to give up on us anyway
     }
-    metrics->AddCounter("engine.fragment_retries");
+    trace::Bump(cells.fragment_retries);
     if (!cancel.SleepFor(backoff)) continue;  // fired mid-backoff: classify at top
   }
   outcome->ReportToBreaker();
+}
+
+std::vector<std::string> MediationEngine::ResolveDedupKeys(
+    const std::vector<std::string>& keys) const {
+  std::vector<std::string> resolved;
+  if (keys.empty()) return resolved;
+  // Dedup keys are requester-facing names: resolve them loosely to mediated
+  // attribute names, keeping an unresolvable name as given.
+  QueryFragmenter fragmenter(&schema_, source::DefaultClinicalNameMatcher());
+  resolved.reserve(keys.size());
+  for (const auto& key : keys) {
+    auto attr = fragmenter.Resolve(key);
+    resolved.push_back(attr.ok() ? (*attr)->name : key);
+  }
+  return resolved;
 }
 
 Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
@@ -724,7 +759,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
   }
   if (persist_failed_.load()) return FailClosedStatus();
   PIYE_RETURN_NOT_OK(ValidateOptions(options));
-  metrics_.AddCounter("engine.queries");
+  trace::Bump(cells_.queries);
 
   // The transport-authenticated requester overrides the query's self-claim.
   const source::PiqlQuery* effective_query = &query;
@@ -734,10 +769,8 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
     reidentified.requester = options.requester;
     effective_query = &reidentified;
   }
-  const std::string fingerprint =
-      xml::Serialize(*effective_query->ToXml(), /*indent=*/-1);
 
-  // Admission runs ahead of single-flight, the warehouse, history, budget,
+  // Admission runs ahead of the warehouse, single-flight, history, budget,
   // and the breakers: a shed or pre-expired query touches none of them. The
   // permit is held for the whole call — a coalesced follower occupies a slot
   // too (it is live work the caller is waiting on).
@@ -745,18 +778,50 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
       AdmissionController::Permit permit,
       admission_.Admit(effective_query->requester, options.cancel));
 
-  if (!options.coalesce) {
-    return ExecuteUncoalesced(*effective_query, options, fingerprint);
+  // The warehouse key: the effective query's canonical binary identity plus
+  // every option that shapes the cached table — the resolved dedup keys and
+  // the quorum (0 and 1 both accept any non-empty answer set).
+  std::vector<std::string> dedup_keys = ResolveDedupKeys(options.dedup_keys);
+  std::string key;
+  {
+    persist::Encoder enc;
+    enc.Reserve(256);  // covers a typical query without regrowth
+    effective_query->AppendCanonicalKey(&enc);
+    enc.PutStringVector(dedup_keys);
+    enc.PutU64(std::max<size_t>(options.min_sources, 1));
+    key = enc.Take();
   }
 
-  // Single-flight: identical concurrent requests (same fingerprint, same
-  // requester, same options) share one federated execution. The requester is
-  // part of the key on top of the fingerprint (which already serializes it)
-  // so the budget-neutrality rule — never merge across requesters — holds by
-  // construction even if fingerprinting ever changes.
-  const std::string flight_key = effective_query->requester + '\x1f' +
-                                 OptionsCoalescingKey(options) + '\x1f' +
-                                 fingerprint;
+  // A warehouse hit is served here, ahead of single-flight: it takes no
+  // engine-wide lock, allocates no flight and copies no result.
+  trace::Trace query_trace;
+  if (options.allow_warehouse) {
+    Warehouse::TableHandle cached;
+    {
+      trace::ScopedSpan span("warehouse-lookup", &query_trace,
+                             cells_.warehouse_lookup);
+      cached = warehouse_.Get(key, epoch(), options_.warehouse_max_age);
+    }
+    if (cached != nullptr) {
+      trace::Bump(cells_.warehouse_hits);
+      IntegratedResult out;
+      out.table_handle = std::move(cached);  // zero-copy: the cached entry
+      out.from_warehouse = true;
+      out.timings = query_trace.timings();
+      return out;
+    }
+  }
+
+  if (!options.coalesce) {
+    return ExecuteUncoalesced(*effective_query, options, key, dedup_keys,
+                              &query_trace);
+  }
+
+  // Single-flight: identical concurrent misses (same warehouse key, which
+  // covers the requester, and same options) share one federated execution.
+  // Different requesters never coalesce, so the budget-neutrality rule holds
+  // by construction.
+  const std::string flight_key = key + '\x1f' + OptionsCoalescingKey(options);
   std::shared_ptr<InflightExecution> flight;
   bool leader = false;
   {
@@ -774,7 +839,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
     // Join the in-flight execution: no source fan-out, no retries, and no
     // additional budget charge for this caller — the leader's (single)
     // history record already accounts the disclosure for this requester.
-    metrics_.AddCounter("engine.singleflight_coalesced");
+    trace::Bump(cells_.singleflight_coalesced);
     MutexLock lock(flight->mu);
     if (!options.cancel.can_fire()) {
       while (!flight->done) flight->cv.Wait(lock);
@@ -790,16 +855,16 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
         }
         flight->cv.WaitUntil(lock, wake);
         if (!flight->done && options.cancel.cancelled()) {
-          metrics_.AddCounter("engine.cancelled");
+          trace::Bump(cells_.cancelled);
           return options.cancel.status();
         }
       }
     }
     return flight->result;
   }
-  metrics_.AddCounter("engine.singleflight_leaders");
-  Result<IntegratedResult> result =
-      ExecuteUncoalesced(*effective_query, options, fingerprint);
+  trace::Bump(cells_.singleflight_leaders);
+  Result<IntegratedResult> result = ExecuteUncoalesced(
+      *effective_query, options, key, dedup_keys, &query_trace);
   {
     // Remove the flight *before* publishing: a caller arriving after this
     // point starts a fresh execution (correct — the previous answer is now
@@ -819,25 +884,9 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
 
 Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
     const source::PiqlQuery& query, const QueryOptions& options,
-    const std::string& fingerprint) {
+    const std::string& warehouse_key, const std::vector<std::string>& dedup_keys,
+    trace::Trace* query_trace) {
   IntegratedResult out;
-  trace::Trace query_trace;
-
-  // Warehouse lookup (hybrid virtual/materialized querying).
-  {
-    trace::ScopedSpan span("warehouse-lookup", &query_trace, &metrics_);
-    if (options.allow_warehouse) {
-      auto cached = warehouse_.Get(fingerprint, epoch(), options_.warehouse_max_age);
-      if (cached != nullptr) {
-        span.Stop();
-        out.table_handle = std::move(cached);  // zero-copy: the cached entry
-        out.from_warehouse = true;
-        out.timings = query_trace.timings();
-        metrics_.AddCounter("engine.warehouse_hits");
-        return out;
-      }
-    }
-  }
 
   // Sequence-level budget for the requester, against the *durable* floor: a
   // spilled requester's first returning query faults its floor back in here,
@@ -859,7 +908,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   QueryFragmenter fragmenter(&schema_, source::DefaultClinicalNameMatcher());
   QueryFragmenter::FragmentationResult fragments;
   {
-    trace::ScopedSpan span("fragment", &query_trace, &metrics_);
+    trace::ScopedSpan span("fragment", query_trace, cells_.fragment);
     PIYE_ASSIGN_OR_RETURN(fragments,
                           fragmenter.Fragment(query, SourceOwners()));
   }
@@ -876,7 +925,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   std::vector<Dispatch> dispatches;
   size_t transport_skips = 0;  // unavailable / past-deadline / shed, not refusals
   {
-    trace::ScopedSpan span("source-execution", &query_trace, &metrics_);
+    trace::ScopedSpan span("source-execution", query_trace, cells_.source_execution);
     const auto fanout_start = std::chrono::steady_clock::now();
     // The effective per-fragment deadline is the tighter of the per-source
     // deadline and the caller token's whole-query deadline.
@@ -923,9 +972,9 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       // handling stays inside RunFragmentWithRetry, which can classify it.
       d.done = executor_.Submit(
           options.cancel,
-          [src, outcome, options, deadline, frag_token, metrics = &metrics_] {
+          [src, outcome, options, deadline, frag_token, cells = &cells_] {
             RunFragmentWithRetry(src, outcome->fragment, options, deadline,
-                                 frag_token, metrics, outcome.get());
+                                 frag_token, *cells, outcome.get());
           });
       dispatches.push_back(std::move(d));
     }
@@ -948,7 +997,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
                    !d.outcome->breaker_reported.exchange(true)) {
           d.outcome->breaker->OnFailure(std::chrono::steady_clock::now());
         }
-        metrics_.AddCounter("engine.fragments_deadline_exceeded");
+        trace::Bump(cells_.fragments_deadline_exceeded);
         d.outcome = nullptr;
         out.sources_skipped[d.owner] =
             Status::DeadlineExceeded("per-source deadline of " +
@@ -962,7 +1011,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   // Cooperative whole-query stop: nothing was released, so nothing is
   // charged or recorded — the fired token simply unwinds the call.
   if (options.cancel.cancelled()) {
-    metrics_.AddCounter("engine.cancelled");
+    trace::Bump(cells_.cancelled);
     return options.cancel.status();
   }
 
@@ -1022,7 +1071,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   // recorded in sources_suppressed).
   double combined = 0.0;
   {
-    trace::ScopedSpan span("privacy-control", &query_trace, &metrics_);
+    trace::ScopedSpan span("privacy-control", query_trace, cells_.privacy_control);
     std::vector<PrivacyControl::TaggedResult> tagged;
     tagged.reserve(answers.size());
     for (const auto& a : answers) {
@@ -1039,11 +1088,11 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
         HistoryEntry entry;
         entry.requester = query.requester;
         entry.purpose = query.purpose;
-        entry.query_text = fingerprint;
+        entry.query_text = xml::Serialize(*query.ToXml(), /*indent=*/-1);
         entry.released = false;
         // A refusal is part of the sequence too: it must survive a crash,
         // or the auditor's view of the history diverges.
-        PIYE_RETURN_NOT_OK(RecordDurably(std::move(entry), nullptr, fingerprint));
+        PIYE_RETURN_NOT_OK(RecordDurably(std::move(entry), nullptr, warehouse_key));
         return check.status();
       }
       // Drop the answer with the highest tagged loss.
@@ -1069,15 +1118,9 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
     }
   }
 
-  // Integration + private dedup. Dedup keys are requester-facing names, so
-  // resolve them loosely to mediated attribute names first.
+  // Integration + private dedup on the already-resolved keys.
   {
-    trace::ScopedSpan span("integrate", &query_trace, &metrics_);
-    std::vector<std::string> resolved_keys;
-    for (const auto& key : options.dedup_keys) {
-      auto attr = fragmenter.Resolve(key);
-      resolved_keys.push_back(attr.ok() ? (*attr)->name : key);
-    }
+    trace::ScopedSpan span("integrate", query_trace, cells_.integrate);
     ResultIntegrator integrator(&schema_);
     std::vector<ResultIntegrator::SourceResult> source_results;
     for (auto& a : answers) {
@@ -1086,7 +1129,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
       out.sources_answered.push_back(a.owner);
     }
     PIYE_ASSIGN_OR_RETURN(relational::Table integrated,
-                          integrator.Integrate(source_results, resolved_keys));
+                          integrator.Integrate(source_results, dedup_keys));
     out.table_handle =
         std::make_shared<const relational::Table>(std::move(integrated));
     out.combined_privacy_loss = combined;
@@ -1097,20 +1140,20 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
   // to get it there withholds the answer. The warehouse stores the same
   // refcounted table the caller receives — no copy.
   {
-    trace::ScopedSpan span("record", &query_trace, &metrics_);
+    trace::ScopedSpan span("record", query_trace, cells_.record);
     HistoryEntry entry;
     entry.requester = query.requester;
     entry.purpose = query.purpose;
-    entry.query_text = fingerprint;
+    entry.query_text = xml::Serialize(*query.ToXml(), /*indent=*/-1);
     entry.sources_answered = out.sources_answered;
     entry.sources_refused = out.sources_suppressed;
     entry.aggregated_privacy_loss = combined;
     entry.released = true;
     PIYE_RETURN_NOT_OK(RecordDurably(
         std::move(entry), options.allow_warehouse ? out.table_handle : nullptr,
-        fingerprint));
+        warehouse_key));
   }
-  out.timings = query_trace.timings();
+  out.timings = query_trace->timings();
   return out;
 }
 

@@ -46,14 +46,18 @@ namespace mediator {
 /// demands it). Per-source circuit breakers shed a persistently failing
 /// source outright instead of burning retry and deadline budget on every
 /// query, with half-open probing to readmit it.
-/// Identical concurrent queries (same fingerprint, requester, and options)
-/// are single-flighted: one caller leads the federated execution and the
-/// rest share its privacy-checked result — one source fan-out, one history
+/// Order of one Execute: admission → warehouse → single-flight → execution.
+/// Every query is keyed by its canonical binary warehouse key (the effective
+/// query's `PiqlQuery::CanonicalKey` plus the resolved dedup keys and the
+/// quorum). A warehouse hit is answered right after admission and takes no
+/// engine-wide lock. Identical concurrent misses (same key and options) are
+/// single-flighted: one caller leads the federated execution and the rest
+/// share its privacy-checked result — one source fan-out, one history
 /// entry, one budget charge for the burst (different requesters never
 /// coalesce, so per-requester accounting is untouched).
 ///
 /// Overload model: every Execute passes through an admission pipeline
-/// *before* single-flight, the warehouse, history, budget, or any breaker —
+/// *before* the warehouse, single-flight, history, budget, or any breaker —
 /// a pre-expired deadline is rejected with kDeadlineExceeded, a requester
 /// outrunning its token bucket or arriving at a saturated queue is shed
 /// with kResourceExhausted and a retry-after hint, and queries beyond
@@ -111,9 +115,9 @@ class MediationEngine {
     CircuitBreakerConfig circuit_breaker;
     /// Overload resilience (see mediator/admission.h): max-inflight gating,
     /// bounded fair-share queueing, and per-requester rate limiting, all
-    /// applied ahead of single-flight so shed queries never touch
-    /// history/budget. The default config is fully permissive (no gating,
-    /// no rate limit) — the pre-admission behaviour.
+    /// applied ahead of the warehouse and single-flight so shed queries
+    /// never touch history/budget. The default config is fully permissive
+    /// (no gating, no rate limit): one atomic gauge, no lock.
     AdmissionConfig admission;
     /// Durable mode: history records appended between snapshot rotations
     /// (smaller ⇒ faster recovery, more snapshot I/O). 0 ⇒ snapshot only
@@ -286,13 +290,52 @@ class MediationEngine {
   struct FragmentOutcome;
   struct InflightExecution;
 
-  /// The body of one federated execution (everything Execute did before
-  /// single-flight existed): warehouse lookup, budget check, fragmentation,
-  /// fan-out, privacy control, integration, durable release. `fingerprint`
-  /// is the serialized effective query (already requester-corrected).
+  /// Registry cells of every metric the engine updates, registered once at
+  /// construction so the query path does no name lookup and takes no
+  /// registry lock.
+  struct MetricCells {
+    explicit MetricCells(trace::MetricsRegistry* m);
+    trace::MetricsRegistry::Counter* queries;
+    trace::MetricsRegistry::Counter* warehouse_hits;
+    trace::MetricsRegistry::Counter* singleflight_leaders;
+    trace::MetricsRegistry::Counter* singleflight_coalesced;
+    trace::MetricsRegistry::Counter* cancelled;
+    trace::MetricsRegistry::Counter* fragment_attempts;
+    trace::MetricsRegistry::Counter* fragment_retries;
+    trace::MetricsRegistry::Counter* fragments_ok;
+    trace::MetricsRegistry::Counter* fragments_failed;
+    trace::MetricsRegistry::Counter* fragments_cancelled;
+    trace::MetricsRegistry::Counter* fragments_deadline_exceeded;
+    trace::MetricsRegistry::Counter* wal_records;
+    trace::MetricsRegistry::Counter* persist_failures;
+    trace::MetricsRegistry::Counter* snapshots;
+    trace::MetricsRegistry::Counter* recoveries;
+    trace::MetricsRegistry::Counter* recovery_tail_discards;
+    /// "stage.<name>" latency histograms, one per ScopedSpan stage.
+    trace::LatencyCell* warehouse_lookup;
+    trace::LatencyCell* fragment;
+    trace::LatencyCell* source_execution;
+    trace::LatencyCell* source_fragment;
+    trace::LatencyCell* privacy_control;
+    trace::LatencyCell* integrate;
+    trace::LatencyCell* record;
+  };
+
+  /// The body of one federated execution after a warehouse miss (or with
+  /// the warehouse off): budget check, fragmentation, fan-out, privacy
+  /// control, integration, durable release. `warehouse_key` is the
+  /// effective query's warehouse key, `dedup_keys` the resolved dedup keys,
+  /// and `query_trace` already holds the warehouse-lookup span, if any.
   Result<IntegratedResult> ExecuteUncoalesced(const source::PiqlQuery& query,
                                               const QueryOptions& options,
-                                              const std::string& fingerprint);
+                                              const std::string& warehouse_key,
+                                              const std::vector<std::string>& dedup_keys,
+                                              trace::Trace* query_trace);
+
+  /// Requester-facing dedup key names resolved loosely to mediated
+  /// attribute names (an unresolvable name is kept as given).
+  std::vector<std::string> ResolveDedupKeys(
+      const std::vector<std::string>& keys) const;
 
   /// Cheap structural validation of the options, before the query is
   /// admitted or charged: negative deadline, runaway retry counts, and a
@@ -310,7 +353,7 @@ class MediationEngine {
                                    const QueryOptions& options,
                                    std::chrono::steady_clock::time_point deadline,
                                    const CancelToken& cancel,
-                                   trace::MetricsRegistry* metrics,
+                                   const MetricCells& cells,
                                    FragmentOutcome* outcome);
 
   /// The fail-closed durability barrier of one release (or refusal): in
@@ -320,7 +363,7 @@ class MediationEngine {
   /// refusal. In volatile mode, applies in memory directly.
   Status RecordDurably(HistoryEntry entry,
                        std::shared_ptr<const relational::Table> warehouse_table,
-                       const std::string& fingerprint);
+                       const std::string& warehouse_key);
 
   /// Appends one auxiliary record (epoch/evict/audit) and syncs; marks the
   /// engine failed on error. Caller must hold persist_mu_.
@@ -350,6 +393,7 @@ class MediationEngine {
   PrivacyControl control_;
   std::atomic<uint64_t> epoch_{0};
   trace::MetricsRegistry metrics_;
+  MetricCells cells_;  ///< declared after metrics_, whose cells it holds
   /// owner -> breaker; populated at registration, consulted by every
   /// fragment of a query that does not bypass breakers (stable addresses:
   /// pool tasks report outcomes through these pointers after the waiter
@@ -358,7 +402,8 @@ class MediationEngine {
   /// Admission pipeline (declared after metrics_, which it reports into).
   AdmissionController admission_;
 
-  /// Single-flight table: coalescing key -> in-flight execution. A leader
+  /// Single-flight table: warehouse key + coalescing options -> in-flight
+  /// execution (misses only; a hit never gets here). A leader
   /// inserts its flight before executing and removes it before publishing;
   /// followers that joined in between wait on the flight's condition
   /// variable and share the leader's result.

@@ -17,14 +17,16 @@ using persist::Encoder;
 /// Payload schema version, bumped on any incompatible layout change. A
 /// mismatch is a decode error, on which recovery refuses to start (fail
 /// closed), never a silent misread. v2 stores warehouse tables in the
-/// binary table codec instead of XML text.
-constexpr uint8_t kVersion = 2;
+/// binary table codec instead of XML text; v3 keys warehouse puts by the
+/// engine's canonical binary warehouse key instead of the query's XML text.
+constexpr uint8_t kVersion = 3;
 
 /// Snapshot layout version. v2 added `total_history` (the logical entry
 /// count, so compaction can drop ring entries without forgetting how many
 /// queries the mediator has answered); v3 stores warehouse tables in the
-/// binary table codec. WAL record payloads keep their own `kVersion` above.
-constexpr uint8_t kSnapshotVersion = 3;
+/// binary table codec; v4 keys warehouse entries by the canonical binary
+/// warehouse key. WAL record payloads keep their own `kVersion` above.
+constexpr uint8_t kSnapshotVersion = 4;
 
 Status CheckVersion(Decoder& dec) {
   PIYE_ASSIGN_OR_RETURN(uint8_t version, dec.GetU8());

@@ -67,9 +67,10 @@ struct QueryOptions {
   /// the breakers, so they neither open nor close one.
   bool bypass_circuit_breaker = false;
 
-  /// Single-flight coalescing: when an identical execution (same query
-  /// fingerprint, same requester, same options) is already in flight, join
-  /// it and share its privacy-checked result instead of fanning out to the
+  /// Single-flight coalescing: when, after a warehouse miss, an identical
+  /// execution (same warehouse key — query, requester, dedup keys, quorum —
+  /// and same options) is already in flight, join it and share its
+  /// privacy-checked result instead of fanning out to the
   /// sources again — one federated execution, one history entry, one
   /// per-requester budget charge for the whole burst. Requests from
   /// *different* requesters never coalesce (their budgets are accounted

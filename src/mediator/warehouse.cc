@@ -59,9 +59,9 @@ void Warehouse::EnforceBudgetLocked(Shard& shard) {
   }
   if (entries_evicted > 0) {
     shard.evicted += entries_evicted;
-    BumpCounter(c_evictions_);
-    BumpCounter(c_evicted_entries_, entries_evicted);
-    BumpCounter(c_bytes_evicted_, bytes_evicted);
+    trace::Bump(c_evictions_);
+    trace::Bump(c_evicted_entries_, entries_evicted);
+    trace::Bump(c_bytes_evicted_, bytes_evicted);
   }
 }
 
@@ -82,7 +82,7 @@ void Warehouse::Put(const std::string& fingerprint, TableHandle table,
     if (it->second.epoch > epoch) {
       // A replayed (or otherwise stale) put must not roll the
       // materialization back to an older epoch.
-      BumpCounter(c_stale_put_drops_);
+      trace::Bump(c_stale_put_drops_);
       return;
     }
     RemoveLocked(shard, it);
@@ -92,7 +92,7 @@ void Warehouse::Put(const std::string& fingerprint, TableHandle table,
                         Entry{std::move(table), epoch, entry_bytes, tick});
   shard.eviction_order.emplace(EvictionKey{epoch, tick}, fingerprint);
   shard.bytes += entry_bytes;
-  BumpCounter(c_puts_);
+  trace::Bump(c_puts_);
   EnforceBudgetLocked(shard);
 }
 
@@ -104,7 +104,7 @@ Warehouse::TableHandle Warehouse::Get(const std::string& fingerprint,
   auto it = shard.entries.find(fingerprint);
   if (it == shard.entries.end()) {
     ++shard.misses;
-    BumpCounter(c_misses_);
+    trace::Bump(c_misses_);
     return nullptr;
   }
   Entry& entry = it->second;
@@ -112,15 +112,17 @@ Warehouse::TableHandle Warehouse::Get(const std::string& fingerprint,
       current_epoch >= entry.epoch ? current_epoch - entry.epoch : 0;
   if (age > max_age) {
     ++shard.misses;
-    BumpCounter(c_misses_);
+    trace::Bump(c_misses_);
     return nullptr;
   }
-  // Refresh the LRU position within the entry's epoch.
-  shard.eviction_order.erase({entry.epoch, entry.tick});
+  // Refresh the LRU position within the entry's epoch by re-keying the
+  // index node in place: no allocation and no copy of the fingerprint.
+  auto node = shard.eviction_order.extract({entry.epoch, entry.tick});
   entry.tick = ++shard.tick;
-  shard.eviction_order.emplace(EvictionKey{entry.epoch, entry.tick}, fingerprint);
+  node.key() = EvictionKey{entry.epoch, entry.tick};
+  shard.eviction_order.insert(std::move(node));
   ++shard.hits;
-  BumpCounter(c_hits_);
+  trace::Bump(c_hits_);
   return entry.table;
 }
 
@@ -139,9 +141,9 @@ size_t Warehouse::EvictOlderThan(uint64_t epoch) {
       ++evicted;
     }
   }
-  BumpCounter(c_evictions_);
-  BumpCounter(c_evicted_entries_, evicted);
-  if (bytes_evicted > 0) BumpCounter(c_bytes_evicted_, bytes_evicted);
+  trace::Bump(c_evictions_);
+  trace::Bump(c_evicted_entries_, evicted);
+  if (bytes_evicted > 0) trace::Bump(c_bytes_evicted_, bytes_evicted);
   return evicted;
 }
 

@@ -20,7 +20,9 @@ namespace mediator {
 /// virtual-querying design (Section 5: the hybrid is chosen "due to the
 /// quick-response needed during emergency situations"). Integrated results
 /// are cached under their query fingerprint with a logical epoch; a lookup
-/// specifies how stale an answer it will accept.
+/// specifies how stale an answer it will accept. Fingerprints are opaque
+/// byte strings: the engine uses its canonical binary warehouse key (see
+/// `MediationEngine::Execute`), compared by exact bytes.
 ///
 /// Scale model — this store sits on the hot read path of every query, so it
 /// is built to serve many concurrent `MediationEngine::Execute` callers
@@ -77,7 +79,7 @@ class Warehouse {
 
   /// Returns a handle to the materialized table if one exists with
   /// epoch >= current_epoch - max_age; otherwise nullptr. A hit refreshes
-  /// the entry's LRU position within its epoch.
+  /// the entry's LRU position within its epoch without allocating.
   TableHandle Get(const std::string& fingerprint, uint64_t current_epoch,
                   uint64_t max_age) const;
 
@@ -144,11 +146,6 @@ class Warehouse {
 
   /// Evicts until the shard fits its byte slice (caller holds the lock).
   void EnforceBudgetLocked(Shard& shard) REQUIRES(shard.mu);
-
-  void BumpCounter(trace::MetricsRegistry::Counter* counter,
-                   uint64_t delta = 1) const {
-    if (counter != nullptr) counter->fetch_add(delta, std::memory_order_relaxed);
-  }
 
   size_t shard_mask_ = 0;
   size_t max_bytes_per_shard_ = 0;  ///< 0 = unbounded

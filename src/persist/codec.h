@@ -34,6 +34,7 @@ class Encoder {
   void PutStringVector(const std::vector<std::string>& v);
   void PutU64Vector(const std::vector<uint64_t>& v);
 
+  void Reserve(size_t n) { out_.reserve(n); }
   const std::string& bytes() const { return out_; }
   std::string Take() { return std::move(out_); }
 

@@ -1,6 +1,10 @@
 #include "relational/expression.h"
 
+#include <charconv>
+#include <cmath>
+
 #include "common/macros.h"
+#include "persist/codec.h"
 
 namespace piye {
 namespace relational {
@@ -215,10 +219,84 @@ size_t Expression::NodeCount() const {
   return n;
 }
 
+namespace {
+
+/// A literal as text the parser reads back as the same Value.
+std::string SqlLiteral(const Value& v) {
+  if (v.is_string()) {
+    std::string out = "'";
+    for (const char c : v.AsString()) {
+      if (c == '\'') out += '\'';
+      out += c;
+    }
+    return out + "'";
+  }
+  if (v.is_double() && std::isfinite(v.AsDouble())) {
+    // Fixed notation, because the lexer reads no exponent; the longest
+    // finite double (a subnormal) needs ~330 characters.
+    char buf[400];
+    const auto [ptr, ec] =
+        std::to_chars(buf, buf + sizeof(buf), v.AsDouble(), std::chars_format::fixed);
+    if (ec == std::errc()) {
+      std::string out(buf, ptr);
+      if (out.find('.') == std::string::npos) out += ".0";
+      return out;
+    }
+  }
+  return v.ToString();
+}
+
+/// Type tags of a literal in the canonical key.
+enum class LiteralTag : uint8_t { kNull, kInt, kDouble, kString, kBool };
+
+void AppendLiteralKey(const Value& v, persist::Encoder* enc) {
+  if (v.is_null()) {
+    enc->PutU8(static_cast<uint8_t>(LiteralTag::kNull));
+  } else if (v.is_int()) {
+    enc->PutU8(static_cast<uint8_t>(LiteralTag::kInt));
+    enc->PutU64(static_cast<uint64_t>(v.AsInt()));
+  } else if (v.is_double()) {
+    enc->PutU8(static_cast<uint8_t>(LiteralTag::kDouble));
+    enc->PutDouble(v.AsDouble());
+  } else if (v.is_string()) {
+    enc->PutU8(static_cast<uint8_t>(LiteralTag::kString));
+    enc->PutString(v.AsString());
+  } else {
+    enc->PutU8(static_cast<uint8_t>(LiteralTag::kBool));
+    enc->PutU8(v.AsBool() ? 1 : 0);
+  }
+}
+
+}  // namespace
+
+void Expression::AppendCanonicalKey(persist::Encoder* enc) const {
+  enc->PutU8(static_cast<uint8_t>(op_));
+  switch (op_) {
+    case Op::kLiteral:
+      AppendLiteralKey(literal_, enc);
+      return;
+    case Op::kColumn:
+      enc->PutString(column_);
+      return;
+    case Op::kNot:
+      lhs_->AppendCanonicalKey(enc);
+      return;
+    case Op::kIn:
+      lhs_->AppendCanonicalKey(enc);
+      enc->PutU64(in_values_.size());
+      for (const Value& v : in_values_) AppendLiteralKey(v, enc);
+      return;
+    default:
+      lhs_->AppendCanonicalKey(enc);
+      rhs_->AppendCanonicalKey(enc);
+      return;
+  }
+}
+
 std::string Expression::ToString() const {
   switch (op_) {
     case Op::kLiteral:
-      return literal_.ToString();
+      return SqlLiteral(literal_);
     case Op::kColumn:
       return column_;
     case Op::kNot:
@@ -227,7 +305,7 @@ std::string Expression::ToString() const {
       std::string out = "(" + lhs_->ToString() + " IN (";
       for (size_t i = 0; i < in_values_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += in_values_[i].ToString();
+        out += SqlLiteral(in_values_[i]);
       }
       return out + "))";
     }

@@ -13,6 +13,10 @@
 #include "relational/value.h"
 
 namespace piye {
+namespace persist {
+class Encoder;
+}  // namespace persist
+
 namespace relational {
 
 /// A scalar expression tree over a row: literals, column references,
@@ -75,8 +79,18 @@ class Expression {
   /// Number of nodes (used as a query feature by the cluster matcher).
   size_t NodeCount() const;
 
-  /// SQL-ish rendering.
+  /// SQL-ish rendering that ParseExpression reads back as the same tree:
+  /// string literals double their embedded quotes, and a DOUBLE literal
+  /// always carries a decimal point (fixed notation, shortest round-trip
+  /// digits) so it does not come back as an INT. Negative literals, which
+  /// the parser builds as `0 - x`, and non-finite doubles have no such text.
   std::string ToString() const;
+
+  /// Canonical binary encoding of the tree: per node its kind, then the
+  /// column name, the literal's type tag plus exact bytes (strings) or bits
+  /// (integers, doubles), or the operands in order. Two trees encode equal
+  /// iff they are structurally identical with bit-identical literals.
+  void AppendCanonicalKey(persist::Encoder* enc) const;
 
  private:
   Expression() = default;

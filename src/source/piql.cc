@@ -4,12 +4,16 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "persist/codec.h"
 #include "xml/parser.h"
 
 namespace piye {
 namespace source {
 
 namespace {
+
+/// Bumped whenever the canonical key layout changes.
+constexpr uint8_t kCanonicalKeyVersion = 1;
 
 Result<relational::AggFunc> ParseAggFunc(const std::string& s) {
   const std::string t = strings::ToLower(strings::Trim(s));
@@ -69,7 +73,7 @@ std::unique_ptr<xml::XmlNode> PiqlQuery::ToXml() const {
   auto node = xml::XmlNode::Element("query");
   node->SetAttr("requester", requester);
   node->SetAttr("purpose", purpose);
-  node->SetAttr("maxLoss", strings::Format("%g", max_information_loss));
+  node->SetAttr("maxLoss", relational::Value::Real(max_information_loss).ToString());
   xml::XmlNode* target = node->AddElement("target");
   target->SetAttr("path", target_path);
   for (const auto& s : select) node->AddElementWithText("select", s);
@@ -81,6 +85,29 @@ std::unique_ptr<xml::XmlNode> PiqlQuery::ToXml() const {
     for (const auto& g : aggregate->group_by) agg->AddElementWithText("groupBy", g);
   }
   return node;
+}
+
+void PiqlQuery::AppendCanonicalKey(persist::Encoder* enc) const {
+  enc->PutU8(kCanonicalKeyVersion);
+  enc->PutString(requester);
+  enc->PutString(purpose);
+  enc->PutDouble(max_information_loss);
+  enc->PutString(target_path);
+  enc->PutStringVector(select);
+  enc->PutU8(where != nullptr ? 1 : 0);
+  if (where != nullptr) where->AppendCanonicalKey(enc);
+  enc->PutU8(aggregate.has_value() ? 1 : 0);
+  if (aggregate.has_value()) {
+    enc->PutU8(static_cast<uint8_t>(aggregate->func));
+    enc->PutString(aggregate->attribute);
+    enc->PutStringVector(aggregate->group_by);
+  }
+}
+
+std::string PiqlQuery::CanonicalKey() const {
+  persist::Encoder enc;
+  AppendCanonicalKey(&enc);
+  return enc.Take();
 }
 
 std::vector<std::string> PiqlQuery::ReferencedAttributes() const {

@@ -11,6 +11,10 @@
 #include "xml/node.h"
 
 namespace piye {
+namespace persist {
+class Encoder;
+}  // namespace persist
+
 namespace source {
 
 /// Aggregate request inside a PIQL query.
@@ -55,7 +59,19 @@ struct PiqlQuery {
   /// addressing); resolution happens through the mediated schema.
   static Result<PiqlQuery> Parse(std::string_view xml_text);
   static Result<PiqlQuery> FromXml(const xml::XmlNode& node);
+  /// The XML form; `maxLoss` is the shortest text that reads back to the
+  /// same double, and the WHERE text re-parses to the same tree (see
+  /// relational::Expression::ToString).
   std::unique_ptr<xml::XmlNode> ToXml() const;
+
+  /// The query's canonical binary identity: a version byte, then every
+  /// field length-prefixed in order — requester, purpose, the exact bits of
+  /// max_information_loss, target path, the ordered select list, the WHERE
+  /// tree (Expression::AppendCanonicalKey) and the aggregate (function,
+  /// attribute, group-by list). Two queries have equal keys iff every field
+  /// is identical; no XML or text formatting is involved.
+  std::string CanonicalKey() const;
+  void AppendCanonicalKey(persist::Encoder* enc) const;
 
   /// All attribute names the query touches (select + where + aggregate).
   std::vector<std::string> ReferencedAttributes() const;

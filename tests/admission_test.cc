@@ -303,6 +303,58 @@ TEST(AdmissionControllerTest, PermissiveDefaultsAdmitImmediately) {
   EXPECT_EQ(metrics.counter("engine.shed"), 0u);
 }
 
+TEST(AdmissionControllerTest, LockFreePermissivePathCoexistsWithBoundedConfig) {
+  // Two controllers share one registry: a permissive one hammered by four
+  // threads through its lock-free path, and a bounded one that must still
+  // admit, queue and shed exactly as before while that runs.
+  trace::MetricsRegistry metrics;
+  AdmissionController permissive(AdmissionConfig{}, &metrics);
+  AdmissionConfig bounded_config;
+  bounded_config.max_inflight = 1;
+  bounded_config.max_queue_depth = 1;
+  AdmissionController bounded(bounded_config, &metrics);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> hammers;
+  for (int t = 0; t < kThreads; ++t) {
+    hammers.emplace_back([&permissive, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        auto permit = permissive.Admit("r" + std::to_string(t), CancelToken());
+        ASSERT_TRUE(permit.ok());
+        EXPECT_GE(permissive.inflight(), 1u);
+      }
+    });
+  }
+
+  auto first = bounded.Admit("a", CancelToken());
+  ASSERT_TRUE(first.ok());
+  std::atomic<bool> queued_admitted{false};
+  std::thread waiter([&] {
+    auto second = bounded.Admit("b", CancelToken());
+    ASSERT_TRUE(second.ok());
+    queued_admitted.store(true);
+  });
+  while (bounded.queue_depth() == 0) std::this_thread::yield();
+  auto third = bounded.Admit("c", CancelToken());
+  ASSERT_FALSE(third.ok());
+  EXPECT_TRUE(third.status().IsResourceExhausted());
+  EXPECT_FALSE(queued_admitted.load());
+  EXPECT_EQ(bounded.inflight(), 1u);
+  first->Release();
+  waiter.join();
+  for (auto& t : hammers) t.join();
+
+  EXPECT_TRUE(queued_admitted.load());
+  EXPECT_EQ(permissive.inflight(), 0u);
+  EXPECT_EQ(bounded.inflight(), 0u);
+  EXPECT_EQ(bounded.queue_depth(), 0u);
+  EXPECT_EQ(metrics.counter("engine.admitted"),
+            static_cast<uint64_t>(kThreads * kPerThread) + 2);
+  EXPECT_EQ(metrics.counter("engine.queued"), 1u);
+  EXPECT_EQ(metrics.counter("engine.shed"), 1u);
+}
+
 TEST(AdmissionControllerTest, PreExpiredDeadlineRejectedBeforeAnything) {
   trace::MetricsRegistry metrics;
   AdmissionConfig config;

@@ -116,8 +116,9 @@ TEST(TraceTest, StopEndsSpanEarlyAndOnce) {
 }
 
 TEST(TraceTest, HistogramStatsAndPercentiles) {
-  trace::Histogram h;
-  for (double v : {1.0, 2.0, 4.0, 8.0, 1000.0}) h.Record(v);
+  trace::LatencyCell cell;
+  for (double v : {1.0, 2.0, 4.0, 8.0, 1000.0}) cell.Record(v);
+  const trace::Histogram h = cell.Snapshot();
   EXPECT_EQ(h.count(), 5u);
   EXPECT_DOUBLE_EQ(h.sum_micros(), 1015.0);
   EXPECT_DOUBLE_EQ(h.min_micros(), 1.0);
@@ -313,7 +314,7 @@ TEST(TraceTest, ToJsonRoundTripsHostileNamesThroughStrictParser) {
 
 TEST(TraceTest, ToJsonEmitsExplicitZerosForEmptyHistograms) {
   trace::MetricsRegistry registry;
-  registry.DeclareLatency("declared.but.never.recorded");
+  registry.RegisterLatency("declared.but.never.recorded");
   const std::string json = registry.ToJson();
   StrictJsonParser parser(json);
   ASSERT_TRUE(parser.Parse()) << json;
@@ -590,6 +591,125 @@ TEST(EngineFanoutTest, RequesterOverrideKeysTheWarehouse) {
   ASSERT_TRUE(other.ok()) << other.status().ToString();
   EXPECT_FALSE(other->from_warehouse);
   EXPECT_EQ(engine->history()->ForRequester("cdc").size(), 1u);
+}
+
+/// One source per row list, each releasing patient_id and ward exactly.
+std::vector<std::unique_ptr<source::RemoteSource>> WardSources(
+    const std::vector<std::vector<std::pair<std::string, std::string>>>& rows) {
+  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    relational::Table table(relational::Schema{
+        {"patient_id", relational::ColumnType::kString},
+        {"ward", relational::ColumnType::kString}});
+    for (const auto& [id, ward] : rows[i]) {
+      table.AppendRowUnchecked(
+          {relational::Value::Str(id), relational::Value::Str(ward)});
+    }
+    auto src = std::make_unique<source::RemoteSource>(
+        "clinic" + std::to_string(i), "visits", std::move(table), /*seed=*/i + 1);
+    core::ClinicalScenario::ApplyPatientPolicies(src.get());
+    sources.push_back(std::move(src));
+  }
+  return sources;
+}
+
+TEST(EngineFanoutTest, WarehouseKeyCoversDedupKeys) {
+  // p1 appears at both clinics in different wards: deduplicating on
+  // patient_id keeps one of its rows, whole-row dedup keeps both. An answer
+  // warmed under one dedup setting must not be served under the other.
+  auto sources = WardSources({{{"p1", "east"}, {"p2", "west"}},
+                              {{"p1", "north"}, {"p3", "east"}}});
+  auto engine = BuildEngine(sources, 2);
+  const auto query =
+      MakeQuery("<select>patient_id</select><select>ward</select>");
+  auto by_patient = engine->Execute(query, {.dedup_keys = {"patient_id"}});
+  ASSERT_TRUE(by_patient.ok()) << by_patient.status().ToString();
+  EXPECT_EQ(by_patient->table().num_rows(), 3u);
+  auto whole_row = engine->Execute(query);
+  ASSERT_TRUE(whole_row.ok()) << whole_row.status().ToString();
+  EXPECT_FALSE(whole_row->from_warehouse);
+  EXPECT_EQ(whole_row->table().num_rows(), 4u);
+  // Each setting is served its own entry from then on.
+  auto again = engine->Execute(query, {.dedup_keys = {"patient_id"}});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->from_warehouse);
+  EXPECT_EQ(again->table().num_rows(), 3u);
+}
+
+TEST(EngineFanoutTest, WarehouseKeyCoversTheQuorum) {
+  // With one of three sources down, a 2-of-3 answer is released and
+  // materialized. A later caller demanding all three must get the quorum
+  // failure, not the cached partial answer.
+  auto sources = BuildSources(3);
+  source::RemoteSource::FaultInjection erroring;
+  erroring.error_rate = 1.0;
+  sources[0]->set_fault_injection(erroring);
+  auto engine = BuildEngine(sources, 3);
+  const auto query = MakeQuery("<select>patient_id</select>");
+  auto partial = engine->Execute(query);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->sources_answered.size(), 2u);
+  ASSERT_EQ(engine->warehouse()->size(), 1u);
+
+  auto strict = engine->Execute(query, {.min_sources = 3});
+  ASSERT_FALSE(strict.ok());
+  EXPECT_TRUE(strict.status().IsUnavailable()) << strict.status().ToString();
+  EXPECT_NE(strict.status().message().find("quorum"), std::string::npos);
+  // min_sources 0 and 1 accept the same answers, so they share the entry.
+  auto relaxed = engine->Execute(query, {.min_sources = 1});
+  ASSERT_TRUE(relaxed.ok());
+  EXPECT_TRUE(relaxed->from_warehouse);
+}
+
+TEST(EngineFanoutTest, MetricsStayExactUnderConcurrentHitsAndMisses) {
+  // Four threads mix warehouse hits and misses (first asks, and concurrent
+  // first asks that coalesce). Every counter must equal the operation
+  // totals the threads themselves observed.
+  auto sources = BuildSources(2);
+  auto engine = BuildEngine(sources, 4);
+  std::vector<source::PiqlQuery> queries;
+  for (const char* sex : {"F", "M"}) {
+    for (const char* column : {"patient_id", "dob", "zip", "diagnosis"}) {
+      queries.push_back(MakeQuery(std::string("<select>") + column +
+                                  "</select><where>sex = '" + sex + "'</where>"));
+    }
+  }
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 64;
+  std::atomic<uint64_t> answered{0}, from_warehouse{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const auto& query = queries[(i * 5 + t * 3) % queries.size()];
+        // Two requesters per query: distinct keys that never coalesce.
+        auto result = engine->Execute(
+            query, {.requester = (i + t) % 2 == 0 ? "analyst" : "cdc"});
+        if (!result.ok()) continue;
+        answered.fetch_add(1);
+        if (result->from_warehouse) from_warehouse.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const uint64_t total = kThreads * kPerThread;
+  const trace::MetricsRegistry& m = *engine->metrics();
+  EXPECT_EQ(answered.load(), total);
+  EXPECT_GT(from_warehouse.load(), 0u);
+  EXPECT_LT(from_warehouse.load(), total);
+  EXPECT_EQ(m.counter("engine.queries"), total);
+  EXPECT_EQ(m.counter("engine.admitted"), total);
+  EXPECT_EQ(engine->Health().admitted_total, total);
+  EXPECT_EQ(engine->Health().admission_inflight, 0u);
+  EXPECT_EQ(m.latency("stage.warehouse-lookup").count(), total);
+  EXPECT_EQ(m.counter("engine.warehouse_hits"), from_warehouse.load());
+  EXPECT_EQ(m.counter("warehouse.hits"), from_warehouse.load());
+  EXPECT_EQ(engine->warehouse()->hits(), from_warehouse.load());
+  EXPECT_EQ(m.counter("warehouse.misses"), total - from_warehouse.load());
+  EXPECT_EQ(m.counter("engine.singleflight_leaders") +
+                m.counter("engine.singleflight_coalesced"),
+            total - from_warehouse.load());
 }
 
 TEST(EngineFanoutTest, PerQueryWarehouseOptOut) {

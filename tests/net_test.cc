@@ -607,6 +607,65 @@ TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
   server.Stop();
 }
 
+TEST(NetFederationTest, QuotedLiteralsCrossTheWireUnchanged) {
+  // A fragment crosses the wire as PIQL text that the server re-parses, so
+  // a string literal with an embedded quote must render with the quote
+  // doubled. Rendered bare, 'crohn''s' reaches the server as an
+  // unterminated literal, and a literal that spells out " OR diagnosis = "
+  // comes back as a second disjunct that selects other patients.
+  relational::Table table(relational::Schema{
+      {"patient_id", relational::ColumnType::kString},
+      {"diagnosis", relational::ColumnType::kString}});
+  const char* diagnoses[] = {"crohn's", "flu", "cold", "a' OR diagnosis = 'flu"};
+  for (int i = 0; i < 12; ++i) {
+    table.AppendRowUnchecked({relational::Value::Str("p" + std::to_string(i)),
+                              relational::Value::Str(diagnoses[i % 4])});
+  }
+  source::RemoteSource src("clinic", "visits", std::move(table), /*seed=*/5);
+  core::ClinicalScenario::ApplyPatientPolicies(&src);
+  net::ServerConfig server_config;
+  server_config.listen_address = UniqueSocketPath("quoted");
+  net::SourceServer server(server_config);
+  server.AddSource(&src);
+  ASSERT_TRUE(server.Start().ok());
+  net::ClientConfig client_config;
+  client_config.address = server.bound_address();
+  auto client = std::make_shared<net::NetClient>(client_config);
+  net::NetSource wired("clinic", client);
+
+  auto build = [](source::FederatedSource* source) {
+    auto engine = std::make_unique<mediator::MediationEngine>(EngineOptions());
+    EXPECT_TRUE(engine->RegisterSource(source).ok());
+    EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
+    return engine;
+  };
+  auto wire_engine = build(&wired);
+  auto local_engine = build(&src);
+  const std::pair<const char*, size_t> cases[] = {
+      {"diagnosis = 'crohn''s'", 3},
+      {"diagnosis = 'a'' OR diagnosis = ''flu'", 3},
+      {"diagnosis IN ('flu', 'crohn''s')", 6},
+  };
+  for (const auto& [where, rows] : cases) {
+    SCOPED_TRACE(where);
+    auto query = source::PiqlQuery::Parse(
+        std::string("<query requester=\"analyst\" purpose=\"research\" "
+                    "maxLoss=\"0.95\"><select>patient_id</select>"
+                    "<select>diagnosis</select><where>") +
+        where + "</where></query>");
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto over_wire = wire_engine->Execute(*query, LiveOptions());
+    auto in_process = local_engine->Execute(*query, LiveOptions());
+    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    EXPECT_TRUE(over_wire->sources_skipped.empty());
+    EXPECT_EQ(in_process->table().num_rows(), rows);
+    EXPECT_EQ(TableBytes(over_wire->table()), TableBytes(in_process->table()));
+  }
+  client->Close();
+  server.Stop();
+}
+
 TEST(NetFederationTest, TcpTransportSmoke) {
   Cluster cluster = BuildCluster("tcp", /*tcp=*/true);
   auto engine = BuildEngine(cluster.net_sources);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -18,6 +19,8 @@
 #include "relational/sorted_index.h"
 #include "relational/sql.h"
 #include "relational/table_codec.h"
+#include "source/piql.h"
+#include "xml/parser.h"
 #include "inference/constraint.h"
 #include "inference/interval_solver.h"
 #include "inference/nlp_solver.h"
@@ -383,6 +386,145 @@ TEST_P(ExprRoundTripTest, ToStringParsesBackToSameEvaluation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExprRoundTripTest, ::testing::Range<uint64_t>(1, 7));
+
+// --- PIQL text round trip: a query rendered to its XML form and parsed
+// back is the same query, field for field and literal bit for literal bit,
+// as its canonical key witnesses. Query texts are generated from a seed and
+// cover quote-bearing, NULL, bool, integral-double and random-double
+// literals, IN lists, and random maxLoss values.
+
+std::string RandomDoubleText(Rng* rng) {
+  // Fixed notation: the SQL lexer reads no exponent.
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", static_cast<int>(rng->NextBounded(18)),
+                rng->NextUniform(0, 1000));
+  std::string text = buf;
+  if (text.find('.') == std::string::npos) text += ".0";
+  return text;
+}
+
+std::string RandomLiteralText(Rng* rng) {
+  static const char* kQuoted[] = {"'O''Brien'", "'a'' OR diagnosis = ''b'", "''''",
+                                  "''", "'it''s ''quoted'''"};
+  switch (rng->NextBounded(7)) {
+    case 0:
+      return kQuoted[rng->NextBounded(5)];
+    case 1:
+      return rng->NextBernoulli(0.5) ? "NULL" : "null";
+    case 2:
+      return rng->NextBernoulli(0.5) ? "TRUE" : "FALSE";
+    case 3:
+      return std::to_string(rng->NextBounded(50)) + ".0";  // integral double
+    case 4:
+      return RandomDoubleText(rng);
+    case 5:
+      return std::to_string(rng->NextBounded(1000));
+    default:
+      return "'s" + std::to_string(rng->NextBounded(5)) + "'";
+  }
+}
+
+/// A WHERE clause as XML element text (comparison operators escaped).
+std::string RandomWhereText(Rng* rng, int depth) {
+  static const char* kColumns[] = {"diagnosis", "age", "dob"};
+  if (depth <= 0 || rng->NextBernoulli(0.25)) {
+    const std::string column = kColumns[rng->NextBounded(3)];
+    if (rng->NextBernoulli(0.2)) {
+      std::string in = column + " IN (";
+      const uint64_t n = 1 + rng->NextBounded(3);
+      for (uint64_t i = 0; i < n; ++i) {
+        if (i > 0) in += ", ";
+        in += RandomLiteralText(rng);
+      }
+      return in + ")";
+    }
+    static const char* kCompare[] = {"=",    "&lt;&gt;", "&lt;", "&lt;=",
+                                     "&gt;", "&gt;=",    "LIKE"};
+    return column + " " + kCompare[rng->NextBounded(7)] + " " + RandomLiteralText(rng);
+  }
+  switch (rng->NextBounded(4)) {
+    case 0:
+      return "NOT (" + RandomWhereText(rng, depth - 1) + ")";
+    case 1:
+      return "(" + RandomWhereText(rng, depth - 1) + ") OR (" +
+             RandomWhereText(rng, depth - 1) + ")";
+    case 2:
+      return "age + " + RandomLiteralText(rng) + " &gt; " + RandomDoubleText(rng);
+    default:
+      return "(" + RandomWhereText(rng, depth - 1) + ") AND (" +
+             RandomWhereText(rng, depth - 1) + ")";
+  }
+}
+
+std::string RandomQueryText(Rng* rng) {
+  char loss[40];
+  if (rng->NextBernoulli(0.2)) {
+    std::snprintf(loss, sizeof(loss), "0.29999999");
+  } else {
+    std::snprintf(loss, sizeof(loss), "%.17g", rng->NextUniform(0, 1));
+  }
+  std::string text = "<query requester=\"r" + std::to_string(rng->NextBounded(4)) +
+                     "\" purpose=\"healthcare\" maxLoss=\"" + loss + "\">";
+  text += "<target path=\"//patient\"/>";
+  if (rng->NextBernoulli(0.3)) {
+    text += "<aggregate func=\"AVG\" attribute=\"age\"><groupBy>zip</groupBy></aggregate>";
+  } else {
+    text += "<select>patient_id</select><select>diagnosis</select>";
+  }
+  if (rng->NextBernoulli(0.9)) {
+    text += "<where>" + RandomWhereText(rng, 3) + "</where>";
+  }
+  return text + "</query>";
+}
+
+class PiqlRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PiqlRoundTripTest, SerializedQueryParsesBackToTheSameCanonicalKey) {
+  Rng rng(GetParam() * 131 + 17);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::string text = RandomQueryText(&rng);
+    auto query = source::PiqlQuery::Parse(text);
+    ASSERT_TRUE(query.ok()) << text << " : " << query.status().ToString();
+    const std::string rendered = xml::Serialize(*query->ToXml(), /*indent=*/-1);
+    auto reparsed = source::PiqlQuery::Parse(rendered);
+    ASSERT_TRUE(reparsed.ok()) << rendered << " : " << reparsed.status().ToString();
+    EXPECT_EQ(reparsed->CanonicalKey(), query->CanonicalKey())
+        << text << "\n  rendered as " << rendered;
+    // Rendering is a fixed point after one round.
+    EXPECT_EQ(xml::Serialize(*reparsed->ToXml(), /*indent=*/-1), rendered);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PiqlRoundTripTest, ::testing::Range<uint64_t>(1, 9));
+
+TEST(PiqlCanonicalKeyTest, EveryFieldAndLiteralBitCounts) {
+  auto key = [](const std::string& attrs, const std::string& body) {
+    auto q = source::PiqlQuery::Parse("<query " + attrs + ">" + body + "</query>");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return q.ok() ? q->CanonicalKey() : std::string();
+  };
+  const std::string attrs = "requester=\"r\" purpose=\"p\" maxLoss=\"0.3\"";
+  const std::string where = "<where>a = 5</where>";
+  const std::string base = key(attrs, "<select>a</select>" + where);
+  // Formatting is not identity.
+  EXPECT_EQ(base, key(attrs, "<select> a </select><where>(a=5)</where>"));
+  const std::vector<std::string> different = {
+      key("requester=\"s\" purpose=\"p\" maxLoss=\"0.3\"", "<select>a</select>" + where),
+      key("requester=\"r\" purpose=\"q\" maxLoss=\"0.3\"", "<select>a</select>" + where),
+      key("requester=\"r\" purpose=\"p\" maxLoss=\"0.29999999\"",
+          "<select>a</select>" + where),
+      key(attrs, "<target path=\"//p\"/><select>a</select>" + where),
+      key(attrs, "<select>a</select><select>b</select>" + where),
+      key(attrs, "<select>a</select><where>a = 5.0</where>"),
+      key(attrs, "<select>a</select><where>a = '5'</where>"),
+      key(attrs, "<select>a</select><where>a &lt;&gt; 5</where>"),
+      key(attrs, "<select>a</select>"),
+      key(attrs, "<select>a</select>" + where + "<aggregate func=\"COUNT\" attribute=\"a\"/>"),
+  };
+  std::set<std::string> keys(different.begin(), different.end());
+  keys.insert(base);
+  EXPECT_EQ(keys.size(), different.size() + 1);
+}
 
 class TableCodecRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 

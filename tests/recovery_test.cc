@@ -527,20 +527,50 @@ TEST(RecoveryTest, PreviousFormatDirectoryIsRejected) {
   EXPECT_TRUE(engine->Recover(dir).IsParseError());
   EXPECT_FALSE(engine->persistence_enabled());
 
-  // A snapshot of the previous layout version is refused the same way.
-  const std::string snap_dir = TestDir("previous_snapshot");
+  // Record version 2, as the release before canonical warehouse keys wrote
+  // it: the same layout but for the version byte, with the warehouse put
+  // keyed by the query's XML text. Its keys can never match a lookup now,
+  // so the directory is refused with the version error rather than read.
   {
-    persist::StateLog::RecoveredState recovered;
-    auto log = persist::StateLog::Open(snap_dir, &recovered);
-    ASSERT_TRUE(log.ok());
-    mediator::DurableState state;
-    state.cumulative_loss["analyst"] = 42.0;
-    std::string blob = mediator::EncodeSnapshot(state);
-    blob[0] = 2;
-    ASSERT_TRUE((*log)->Rotate(blob).ok());
+    std::string history_v2 = LaterEntry();
+    history_v2[0] = 2;
+    relational::Table table(relational::Schema{{"a", relational::ColumnType::kInt64}});
+    table.AppendRowUnchecked({relational::Value::Int(1)});
+    std::string put_v2 = mediator::EncodeWarehousePutRecord(
+        "<query requester=\"analyst\" purpose=\"research\" maxLoss=\"1\">"
+        "<target path=\"//record\"/><select>a</select></query>",
+        0, table);
+    put_v2[0] = 2;
+    const std::string v2_dir = TestDir("previous_format_v2");
+    AppendRaw(v2_dir, {{RecordType::kHistoryEntry, history_v2},
+                       {RecordType::kWarehousePut, put_v2}});
+    auto v2_engine = BuildEngine(sources, DurableOptions());
+    const Status status = v2_engine->Recover(v2_dir);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString();
+    EXPECT_NE(status.message().find("record version 2 != expected 3"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(v2_engine->persistence_enabled());
   }
-  auto snap_engine = BuildEngine(sources, DurableOptions());
-  EXPECT_TRUE(snap_engine->Recover(snap_dir).IsParseError());
+
+  // Snapshots of the previous layout versions are refused the same way.
+  for (const uint8_t previous : {2, 3}) {
+    SCOPED_TRACE("snapshot version " + std::to_string(previous));
+    const std::string snap_dir =
+        TestDir("previous_snapshot_v" + std::to_string(previous));
+    {
+      persist::StateLog::RecoveredState recovered;
+      auto log = persist::StateLog::Open(snap_dir, &recovered);
+      ASSERT_TRUE(log.ok());
+      mediator::DurableState state;
+      state.cumulative_loss["analyst"] = 42.0;
+      std::string blob = mediator::EncodeSnapshot(state);
+      blob[0] = static_cast<char>(previous);
+      ASSERT_TRUE((*log)->Rotate(blob).ok());
+    }
+    auto snap_engine = BuildEngine(sources, DurableOptions());
+    EXPECT_TRUE(snap_engine->Recover(snap_dir).IsParseError());
+  }
 }
 
 TEST(RecoveryTest, ColumnNamesThatAreNotXmlNamesSurviveRestart) {

@@ -199,8 +199,10 @@ TEST(SqlParserTest, CaseInsensitiveKeywords) {
 TEST(SqlParserTest, StringEscapes) {
   auto stmt = ParseSql("SELECT a FROM t WHERE a = 'O''Brien'");
   ASSERT_TRUE(stmt.ok());
-  EXPECT_NE(stmt->where, nullptr);
-  EXPECT_NE(stmt->where->ToString().find("O'Brien"), std::string::npos);
+  ASSERT_NE(stmt->where, nullptr);
+  EXPECT_EQ(stmt->where->rhs()->literal().AsString(), "O'Brien");
+  // Rendered back as SQL, the quote is doubled again.
+  EXPECT_EQ(stmt->where->ToString(), "(a = 'O''Brien')");
 }
 
 TEST(SqlParserTest, Errors) {
