@@ -18,7 +18,7 @@
 # code paths shuffle raw buffers and file descriptors, exactly where ASan
 # earns its keep. The TSan leg guards the lock-based hot paths: the sharded
 # warehouse, the engine's single-flight coalescing and fragment fan-out, the
-# admission pipeline and chaos/soak harness, the striped metrics registry,
+# admission pipeline and chaos/soak harness, the metrics registry's cells,
 # and the net client's reader/demux threads against the server's
 # accept/worker threads. The UBSan leg covers the arithmetic-heavy
 # admission/backoff code, the XML parser's malformed-input fuzz loop, and

@@ -3,20 +3,6 @@
 namespace piye {
 namespace access {
 
-const char* ActionToString(Action action) {
-  switch (action) {
-    case Action::kSelect:
-      return "SELECT";
-    case Action::kInsert:
-      return "INSERT";
-    case Action::kUpdate:
-      return "UPDATE";
-    case Action::kDelete:
-      return "DELETE";
-  }
-  return "?";
-}
-
 Status RbacDatabase::AddRole(const std::string& role,
                              const std::vector<std::string>& parents) {
   if (roles_.count(role) != 0) {

@@ -14,8 +14,6 @@ namespace access {
 /// Actions an access rule can grant.
 enum class Action { kSelect, kInsert, kUpdate, kDelete };
 
-const char* ActionToString(Action action);
-
 /// Classic role-based access control with role inheritance: roles form a
 /// DAG (a senior role inherits every permission of its juniors), users are
 /// assigned roles, and permissions grant an action on a (table, column)

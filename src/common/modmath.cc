@@ -30,15 +30,6 @@ uint64_t PowMod(uint64_t base, uint64_t exp, uint64_t m) {
 
 uint64_t InvMod(uint64_t a, uint64_t m) { return PowMod(a % m, m - 2, m); }
 
-uint64_t Gcd(uint64_t a, uint64_t b) {
-  while (b != 0) {
-    const uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
 bool IsPrime(uint64_t n) {
   if (n < 2) return false;
   for (uint64_t p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL, 23ULL,

@@ -35,9 +35,6 @@ uint64_t PowMod(uint64_t base, uint64_t exp, uint64_t m);
 /// Multiplicative inverse of a mod m (m prime), via Fermat.
 uint64_t InvMod(uint64_t a, uint64_t m);
 
-/// Greatest common divisor.
-uint64_t Gcd(uint64_t a, uint64_t b);
-
 /// Deterministic Miller–Rabin primality test, exact for all 64-bit inputs.
 bool IsPrime(uint64_t n);
 

@@ -23,14 +23,6 @@ double Variance(const std::vector<double>& xs) {
 
 double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
-double SampleVariance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
 double Percentile(std::vector<double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
@@ -79,13 +71,6 @@ double Correlation(const std::vector<double>& xs, const std::vector<double>& ys)
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double Rmse(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) acc += (a[i] - b[i]) * (a[i] - b[i]);
-  return std::sqrt(acc / static_cast<double>(a.size()));
 }
 
 double KlDivergenceBits(const std::vector<size_t>& p, const std::vector<size_t>& q) {

@@ -20,9 +20,6 @@ double Variance(const std::vector<double>& xs);
 /// Population standard deviation.
 double StdDev(const std::vector<double>& xs);
 
-/// Sample (Bessel-corrected) variance; 0 for inputs with < 2 elements.
-double SampleVariance(const std::vector<double>& xs);
-
 /// p-th percentile (p in [0,1]) using linear interpolation; input need not be
 /// sorted. Returns 0 for empty input.
 double Percentile(std::vector<double> xs, double p);
@@ -37,9 +34,6 @@ std::vector<size_t> Histogram(const std::vector<double>& xs, double lo, double h
 
 /// Pearson correlation of two equal-length series; 0 if degenerate.
 double Correlation(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Root-mean-square error between equal-length series.
-double Rmse(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Kullback–Leibler divergence D(p||q) in bits over histogram counts, with
 /// add-one smoothing so it is always finite.

@@ -12,9 +12,6 @@ namespace strings {
 /// Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Splits `s` on any run of whitespace, dropping empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
@@ -25,7 +22,6 @@ std::string Trim(std::string_view s);
 std::string ToLower(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 /// Levenshtein edit distance.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 /// Annotated synchronization primitives for the whole codebase.
 ///
@@ -12,7 +11,7 @@
 /// budget state, auditor verdicts, warehouse epochs, WAL ordering — so lock
 /// discipline here is a *privacy* invariant, not just a liveness one. This
 /// header promotes that discipline from convention to compile-time proof:
-/// the `Mutex` / `SharedMutex` / lock-guard wrappers carry Clang
+/// the `Mutex` / `MutexLock` / `CondVar` wrappers carry Clang
 /// thread-safety capability attributes, and the `GUARDED_BY` / `REQUIRES` /
 /// `EXCLUDES` macro family lets every subsystem declare which fields a lock
 /// protects and which functions demand it held. Building with
@@ -39,8 +38,9 @@
 
 // ---------------------------------------------------------------------------
 // Clang thread-safety annotation macros (no-ops on other compilers). The
-// names follow the canonical set from the Clang Thread Safety Analysis
-// documentation, so the annotations read like the upstream literature.
+// names follow the exclusive-capability set from the Clang Thread Safety
+// Analysis documentation, so the annotations read like the upstream
+// literature. Every lock here is exclusive; there is no reader/writer lock.
 // ---------------------------------------------------------------------------
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -56,24 +56,12 @@
 #define ACQUIRED_BEFORE(...) PIYE_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) PIYE_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) PIYE_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  PIYE_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) PIYE_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  PIYE_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) PIYE_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  PIYE_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  PIYE_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   PIYE_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  PIYE_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) PIYE_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) PIYE_THREAD_ANNOTATION_(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  PIYE_THREAD_ANNOTATION_(assert_shared_capability(x))
 #define RETURN_CAPABILITY(x) PIYE_THREAD_ANNOTATION_(lock_returned(x))
 // The one escape hatch. Used only inside this header (enforced by
 // piye_lint's analysis-escape rule): application code has no business
@@ -102,24 +90,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Reader/writer mutex carrying the "shared_mutex" capability (the metrics
-/// registry's counter stripes are the canonical user: shared for the
-/// steady-state name lookup, exclusive to insert a new counter cell).
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive lock over a `Mutex` (scoped capability). Holds a
 /// std::unique_lock underneath so `CondVar` can wait on it; the analysis
 /// treats the capability as held for the guard's whole scope (CondVar::Wait
@@ -138,34 +108,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-};
-
-/// RAII exclusive (writer) lock over a `SharedMutex`.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over a `SharedMutex`.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() RELEASE_GENERIC() { mu_.UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable paired with `Mutex`/`MutexLock`. Waits take the RAII

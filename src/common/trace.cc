@@ -141,96 +141,47 @@ void LatencyCell::Reset() {
 
 MetricsRegistry::Counter* MetricsRegistry::RegisterCounter(
     const std::string& name) {
-  CounterStripe& stripe = counter_stripes_[StripeOf(name)];
-  {
-    ReaderMutexLock lock(stripe.mu);
-    auto it = stripe.counters.find(name);
-    if (it != stripe.counters.end()) return it->second.get();
-  }
-  WriterMutexLock lock(stripe.mu);
-  auto [it, inserted] =
-      stripe.counters.try_emplace(name, std::make_unique<Counter>(0));
-  (void)inserted;
+  MutexLock lock(mu_);
+  auto [it, inserted] = counters_.try_emplace(name);
+  if (inserted) it->second = std::make_unique<Counter>(0);
   return it->second.get();
-}
-
-void MetricsRegistry::AddCounter(const std::string& name, uint64_t delta) {
-  CounterStripe& stripe = counter_stripes_[StripeOf(name)];
-  {
-    ReaderMutexLock lock(stripe.mu);
-    auto it = stripe.counters.find(name);
-    if (it != stripe.counters.end()) {
-      it->second->fetch_add(delta, std::memory_order_relaxed);
-      return;
-    }
-  }
-  RegisterCounter(name)->fetch_add(delta, std::memory_order_relaxed);
 }
 
 LatencyCell* MetricsRegistry::RegisterLatency(const std::string& name) {
-  LatencyStripe& stripe = latency_stripes_[StripeOf(name)];
-  {
-    ReaderMutexLock lock(stripe.mu);
-    auto it = stripe.latencies.find(name);
-    if (it != stripe.latencies.end()) return it->second.get();
-  }
-  WriterMutexLock lock(stripe.mu);
-  auto [it, inserted] =
-      stripe.latencies.try_emplace(name, std::make_unique<LatencyCell>());
-  (void)inserted;
+  MutexLock lock(mu_);
+  auto [it, inserted] = latencies_.try_emplace(name);
+  if (inserted) it->second = std::make_unique<LatencyCell>();
   return it->second.get();
 }
 
-void MetricsRegistry::RecordLatency(const std::string& name, double micros) {
-  RegisterLatency(name)->Record(micros);
-}
-
 uint64_t MetricsRegistry::counter(const std::string& name) const {
-  const CounterStripe& stripe = counter_stripes_[StripeOf(name)];
-  ReaderMutexLock lock(stripe.mu);
-  auto it = stripe.counters.find(name);
-  return it == stripe.counters.end()
-             ? 0
-             : it->second->load(std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->load(std::memory_order_relaxed);
 }
 
 Histogram MetricsRegistry::latency(const std::string& name) const {
-  const LatencyStripe& stripe = latency_stripes_[StripeOf(name)];
-  ReaderMutexLock lock(stripe.mu);
-  auto it = stripe.latencies.find(name);
-  return it == stripe.latencies.end() ? Histogram() : it->second->Snapshot();
+  MutexLock lock(mu_);
+  auto it = latencies_.find(name);
+  return it == latencies_.end() ? Histogram() : it->second->Snapshot();
 }
 
 std::string MetricsRegistry::ToJson() const {
-  // Gather striped state into ordered maps first (one stripe lock at a
-  // time), so the output is sorted and deterministic regardless of striping.
-  std::map<std::string, uint64_t> counters;
-  for (const CounterStripe& stripe : counter_stripes_) {
-    ReaderMutexLock lock(stripe.mu);
-    for (const auto& [name, cell] : stripe.counters) {
-      counters[name] = cell->load(std::memory_order_relaxed);
-    }
-  }
-  std::map<std::string, Histogram> latencies;
-  for (const LatencyStripe& stripe : latency_stripes_) {
-    ReaderMutexLock lock(stripe.mu);
-    for (const auto& [name, cell] : stripe.latencies) {
-      latencies[name] = cell->Snapshot();
-    }
-  }
-
+  MutexLock lock(mu_);
   std::string out = "{\"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, cell] : counters_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscape(name) + "\": " + std::to_string(value);
+    out += "\"" + JsonEscape(name) + "\": " +
+           std::to_string(cell->load(std::memory_order_relaxed));
   }
   out += "}, \"latencies\": {";
   first = true;
-  for (const auto& [name, hist] : latencies) {
+  for (const auto& [name, cell] : latencies_) {
     if (!first) out += ", ";
     first = false;
+    const Histogram hist = cell->Snapshot();
     out += "\"" + JsonEscape(name) + "\": {";
     out += "\"count\": " + std::to_string(hist.count());
     if (hist.count() == 0) {
@@ -257,16 +208,9 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 void MetricsRegistry::Reset() {
-  for (CounterStripe& stripe : counter_stripes_) {
-    WriterMutexLock lock(stripe.mu);
-    for (auto& [name, cell] : stripe.counters) {
-      cell->store(0, std::memory_order_relaxed);
-    }
-  }
-  for (LatencyStripe& stripe : latency_stripes_) {
-    WriterMutexLock lock(stripe.mu);
-    for (auto& [name, cell] : stripe.latencies) cell->Reset();
-  }
+  MutexLock lock(mu_);
+  for (auto& [name, cell] : counters_) cell->store(0, std::memory_order_relaxed);
+  for (auto& [name, cell] : latencies_) cell->Reset();
 }
 
 // --- ScopedSpan ---

@@ -91,13 +91,11 @@ class LatencyCell {
 /// thread-safe; the engine owns one and its concurrent per-source tasks
 /// record into it directly.
 ///
-/// Counters and histograms are striped by name hash and stored as atomic
-/// cells behind a shared_mutex per stripe, so the steady-state AddCounter /
-/// RecordLatency path is a shared (read) lock plus lock-free updates —
-/// concurrent writers never serialize behind a global map lock. On hot
-/// paths, `RegisterCounter` and `RegisterLatency` hand back stable cells
-/// that callers cache and update directly, with no name lookup and no lock
-/// at all (the engine, admission and warehouse do this).
+/// Every metric is a stable cell. `RegisterCounter` and `RegisterLatency`
+/// find or insert it under one mutex and hand it back; callers cache the
+/// pointer and update the cell lock-free (the engine, admission, breakers
+/// and warehouse register theirs at construction, so no query takes the
+/// lock). Reads by name, `ToJson` and `Reset` take the same mutex.
 class MetricsRegistry {
  public:
   /// A registered counter cell. Stable for the registry's lifetime — Reset
@@ -106,7 +104,7 @@ class MetricsRegistry {
   using Counter = std::atomic<uint64_t>;
 
   /// Returns the (created-on-first-use) counter cell for `name`. Increment
-  /// with `fetch_add(n, std::memory_order_relaxed)`.
+  /// with `fetch_add(n, std::memory_order_relaxed)` or `Bump`.
   Counter* RegisterCounter(const std::string& name);
 
   /// Returns the (created-on-first-use) latency cell for `name`; stable for
@@ -115,14 +113,11 @@ class MetricsRegistry {
   /// sample.
   LatencyCell* RegisterLatency(const std::string& name);
 
-  void AddCounter(const std::string& name, uint64_t delta = 1);
-  void RecordLatency(const std::string& name, double micros);
-
   uint64_t counter(const std::string& name) const;
   /// Snapshot copy; a never-recorded name yields an empty histogram.
   Histogram latency(const std::string& name) const;
 
-  /// Dumps every counter and histogram as a JSON object:
+  /// Dumps every counter and histogram as a JSON object, names sorted:
   /// {"counters": {...}, "latencies": {name: {count, sum_micros, min_micros,
   /// max_micros, mean_micros, p50_micros, p95_micros, p99_micros}}}.
   /// Names are JSON-escaped; an empty histogram reports explicit zeros.
@@ -133,26 +128,11 @@ class MetricsRegistry {
   void Reset();
 
  private:
-  static constexpr size_t kStripes = 16;
-
-  struct CounterStripe {
-    mutable SharedMutex mu;
-    /// The *map* is guarded; the atomic cells it owns are deliberately
-    /// accessed lock-free through cached `Counter*` handles.
-    std::map<std::string, std::unique_ptr<Counter>> counters GUARDED_BY(mu);
-  };
-  struct LatencyStripe {
-    mutable SharedMutex mu;
-    /// As for counters: the map is guarded, the cells are lock-free.
-    std::map<std::string, std::unique_ptr<LatencyCell>> latencies GUARDED_BY(mu);
-  };
-
-  static size_t StripeOf(const std::string& name) {
-    return std::hash<std::string>{}(name) % kStripes;
-  }
-
-  std::array<CounterStripe, kStripes> counter_stripes_;
-  std::array<LatencyStripe, kStripes> latency_stripes_;
+  mutable Mutex mu_;
+  /// The maps are guarded; the cells they own are deliberately accessed
+  /// lock-free through cached pointers.
+  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<LatencyCell>> latencies_ GUARDED_BY(mu_);
 };
 
 /// Adds `delta` to a registered counter cell; a null cell (no registry

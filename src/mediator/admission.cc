@@ -1,6 +1,7 @@
 #include "mediator/admission.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -23,12 +24,6 @@ constexpr uint64_t kBucketSweepInterval = 256;
 /// Every this-many pushes/pops, the fair-share queue drops idle entries whose
 /// pass-debt the virtual clock has absorbed.
 constexpr uint64_t kQueueSweepInterval = 64;
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -175,7 +170,7 @@ AdmissionController::AdmissionController(AdmissionConfig config,
       c_cancelled_(metrics->RegisterCounter("engine.cancelled")),
       c_queued_(metrics->RegisterCounter("engine.queued")),
       admission_wait_(metrics->RegisterLatency("engine.admission_wait")),
-      bucket_shards_(RoundUpPow2(std::max<size_t>(1, config_.bucket_shards))),
+      bucket_shards_(std::bit_ceil(config_.bucket_shards)),
       queue_(config_.max_queue_depth) {
   bucket_shard_mask_ = bucket_shards_.size() - 1;
   for (const auto& [requester, weight] : config_.requester_weights) {

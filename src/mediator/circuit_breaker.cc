@@ -25,8 +25,6 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config,
 void CircuitBreaker::OpenLocked(std::chrono::steady_clock::time_point now) {
   state_ = State::kOpen;
   open_until_ = now + std::chrono::milliseconds(config_.open_cooldown_ms);
-  probe_in_flight_ = false;
-  probe_successes_ = 0;
   ++opened_total_;
   trace::Bump(c_opened_);
 }
@@ -37,25 +35,16 @@ bool CircuitBreaker::Admit(std::chrono::steady_clock::time_point now) {
     case State::kClosed:
       return true;
     case State::kOpen:
-      if (now < open_until_) {
-        ++shed_total_;
-        trace::Bump(c_shed_);
-        return false;
+      if (now >= open_until_) {
+        state_ = State::kHalfOpen;
+        trace::Bump(c_half_open_probes_);
+        return true;
       }
-      state_ = State::kHalfOpen;
-      probe_successes_ = 0;
-      probe_in_flight_ = true;
-      trace::Bump(c_half_open_probes_);
-      return true;
+      [[fallthrough]];
     case State::kHalfOpen:
-      if (probe_in_flight_) {
-        ++shed_total_;
-        trace::Bump(c_shed_);
-        return false;
-      }
-      probe_in_flight_ = true;
-      trace::Bump(c_half_open_probes_);
-      return true;
+      ++shed_total_;
+      trace::Bump(c_shed_);
+      return false;
   }
   return true;
 }
@@ -64,12 +53,8 @@ void CircuitBreaker::OnSuccess() {
   MutexLock lock(mu_);
   consecutive_failures_ = 0;
   if (state_ == State::kHalfOpen) {
-    probe_in_flight_ = false;
-    if (++probe_successes_ >= config_.half_open_successes) {
-      state_ = State::kClosed;
-      probe_successes_ = 0;
-      trace::Bump(c_closed_);
-    }
+    state_ = State::kClosed;
+    trace::Bump(c_closed_);
   }
 }
 

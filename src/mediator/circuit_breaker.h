@@ -18,9 +18,8 @@ struct CircuitBreakerConfig {
   /// verdicts, not failures — they never trip it.
   uint32_t failure_threshold = 5;
   /// How long an open breaker sheds load before letting a probe through.
+  /// One successful probe closes the breaker again; a failed one reopens it.
   uint64_t open_cooldown_ms = 100;
-  /// Consecutive successful probes required to close again.
-  uint32_t half_open_successes = 1;
 };
 
 /// Per-source circuit breaker, layered over the engine's retry path: where
@@ -44,13 +43,13 @@ class CircuitBreaker {
 
   /// Admission decision for one fragment. Closed ⇒ true. Open ⇒ false until
   /// the cooldown elapses, at which point the breaker half-opens and admits
-  /// a single probe. Half-open ⇒ only the probe slot is admitted; everyone
-  /// else is shed.
+  /// a single probe. Half-open ⇒ that probe is in flight; everyone else is
+  /// shed until it reports.
   bool Admit(std::chrono::steady_clock::time_point now);
 
   /// The admitted fragment's final outcome. Transport failures
   /// (unavailable / deadline) count toward opening; a success resets the
-  /// failure run and, in half-open, works toward closing.
+  /// failure run and, in half-open, closes the breaker.
   void OnSuccess();
   void OnFailure(std::chrono::steady_clock::time_point now);
 
@@ -71,8 +70,6 @@ class CircuitBreaker {
   mutable Mutex mu_;
   State state_ GUARDED_BY(mu_) = State::kClosed;
   uint32_t consecutive_failures_ GUARDED_BY(mu_) = 0;
-  uint32_t probe_successes_ GUARDED_BY(mu_) = 0;
-  bool probe_in_flight_ GUARDED_BY(mu_) = false;
   std::chrono::steady_clock::time_point open_until_ GUARDED_BY(mu_){};
   uint64_t shed_total_ GUARDED_BY(mu_) = 0;
   uint64_t opened_total_ GUARDED_BY(mu_) = 0;

@@ -291,6 +291,10 @@ Status MediationEngine::RecordDurably(
         "answer withheld (fail closed): the requester's durable budget floor "
         "could not be loaded: " + base_loss.status().ToString());
   }
+  // One epoch read for both the journaled and the in-memory put: a
+  // concurrent AdvanceEpoch between two reads would journal one epoch and
+  // cache another, and a later eviction would then diverge on recovery.
+  const uint64_t put_epoch = epoch();
   HistoryRecord record;
   record.cumulative_after =
       *base_loss + (entry.released ? entry.aggregated_privacy_loss : 0.0);
@@ -300,7 +304,7 @@ Status MediationEngine::RecordDurably(
   if (status.ok() && warehouse_table != nullptr) {
     status = persist_->Append(
         static_cast<uint16_t>(RecordType::kWarehousePut),
-        EncodeWarehousePutRecord(warehouse_key, epoch(), *warehouse_table));
+        EncodeWarehousePutRecord(warehouse_key, put_epoch, *warehouse_table));
   }
   if (status.ok()) status = persist_->Sync();
   if (!status.ok()) {
@@ -315,7 +319,7 @@ Status MediationEngine::RecordDurably(
   trace::Bump(cells_.wal_records);
   history_.Record(std::move(entry));
   if (warehouse_table != nullptr) {
-    warehouse_.Put(warehouse_key, std::move(warehouse_table), epoch());
+    warehouse_.Put(warehouse_key, std::move(warehouse_table), put_epoch);
   }
   if (options_.snapshot_every_records > 0 &&
       ++records_since_snapshot_ >= options_.snapshot_every_records &&
@@ -583,11 +587,17 @@ void MediationEngine::AdvanceEpoch() {
 }
 
 Status MediationEngine::EvictWarehouseOlderThan(uint64_t epoch_horizon) {
-  if (persist_attached_.load()) {
-    MutexLock lock(persist_mu_);
-    PIYE_RETURN_NOT_OK(JournalLocked(RecordType::kWarehouseEvict,
-                                     EncodeWarehouseEvictRecord(epoch_horizon)));
+  if (!persist_attached_.load()) {
+    warehouse_.EvictOlderThan(epoch_horizon);
+    return Status::OK();
   }
+  // Evict before releasing persist_mu_ (lock order persist → shard, as in
+  // RecordDurably), so WAL order = in-memory order: no rotation can snapshot
+  // entries this eviction is about to drop, and no release's put can land
+  // in the gap only to be evicted here after its journal record.
+  MutexLock lock(persist_mu_);
+  PIYE_RETURN_NOT_OK(JournalLocked(RecordType::kWarehouseEvict,
+                                   EncodeWarehouseEvictRecord(epoch_horizon)));
   warehouse_.EvictOlderThan(epoch_horizon);
   return Status::OK();
 }

@@ -8,24 +8,12 @@
 namespace piye {
 namespace mediator {
 
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 QueryHistory::QueryHistory(Options options)
-    : max_resident_entries_(options.max_resident_entries),
-      shards_(RoundUpPow2(std::max<size_t>(1, options.shards))) {
-  shard_mask_ = shards_.size() - 1;
-}
+    : max_resident_entries_(options.max_resident_entries) {}
 
 QueryHistory::Shard& QueryHistory::ShardFor(const std::string& requester) const {
-  return shards_[std::hash<std::string>{}(requester) & shard_mask_];
+  static_assert((kShards & (kShards - 1)) == 0, "kShards must be a power of two");
+  return shards_[std::hash<std::string>{}(requester) & (kShards - 1)];
 }
 
 size_t QueryHistory::Record(HistoryEntry entry) {

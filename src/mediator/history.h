@@ -1,6 +1,7 @@
 #ifndef PIYE_MEDIATOR_HISTORY_H_
 #define PIYE_MEDIATOR_HISTORY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -40,7 +41,7 @@ struct HistoryEntry {
 ///    for audit/inspection. Sequence numbers keep counting past the ring —
 ///    `size()` is the *total logical* entry count, not the resident count.
 ///  - Per-requester budget state (cumulative loss floor, dirty bit, LRU
-///    touch) in power-of-two hash shards, each with its own `piye::Mutex` —
+///    touch) in `kShards` hash shards, each with its own `piye::Mutex` —
 ///    the same placement scheme as the sharded warehouse.
 ///
 /// Memory holds only the hot set: after each snapshot rotation the engine
@@ -56,9 +57,11 @@ struct HistoryEntry {
 class QueryHistory {
  public:
   struct Options {
-    size_t shards = 16;                 ///< rounded up to a power of two
     size_t max_resident_entries = 4096; ///< entry-ring bound; 0 = unbounded
   };
+
+  /// Budget-state shards (a power of two, so a hash masks onto one).
+  static constexpr size_t kShards = 16;
 
   /// Loads the durable budget floor for a requester that is not resident.
   /// Returns nullopt when the requester has never been spilled; an error
@@ -157,9 +160,8 @@ class QueryHistory {
   Shard& ShardFor(const std::string& requester) const;
   uint64_t Touch() { return touch_clock_.fetch_add(1) + 1; }
 
-  size_t shard_mask_ = 0;
   size_t max_resident_entries_ = 0;
-  mutable std::vector<Shard> shards_;
+  mutable std::array<Shard, kShards> shards_;
 
   mutable Mutex entries_mu_;
   std::deque<HistoryEntry> entries_ GUARDED_BY(entries_mu_);

@@ -1,23 +1,13 @@
 #include "mediator/warehouse.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace piye {
 namespace mediator {
 
-namespace {
-
-size_t RoundUpToPowerOfTwo(size_t n) {
-  if (n <= 1) return 1;
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 Warehouse::Warehouse(const Options& options) {
-  const size_t num_shards = RoundUpToPowerOfTwo(options.num_shards);
+  const size_t num_shards = std::bit_ceil(options.num_shards);
   shard_mask_ = num_shards - 1;
   max_bytes_per_shard_ =
       options.max_bytes == 0 ? 0 : std::max<size_t>(1, options.max_bytes / num_shards);

@@ -14,8 +14,15 @@ namespace net {
 
 namespace {
 
-TimePoint After(uint64_t ms) {
-  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+/// Redial policy (see the NetClient comment).
+constexpr size_t kMaxDialAttempts = 3;
+constexpr std::chrono::milliseconds kConnectTimeout{1000};
+constexpr std::chrono::milliseconds kHelloTimeout{1000};
+constexpr std::chrono::milliseconds kBackoffInitial{10};
+constexpr std::chrono::milliseconds kBackoffCap{200};
+
+TimePoint After(std::chrono::milliseconds timeout) {
+  return std::chrono::steady_clock::now() + timeout;
 }
 
 /// The earlier of a token's deadline and `fallback`.
@@ -52,7 +59,11 @@ struct NetClient::Pending {
 /// therefore marked `broken` — transport shut down, pending requests failed
 /// — and the actual teardown + redial happens lazily in EnsureConnected,
 /// which joins the reader first. `generation` fences stale teardown reports.
-struct NetClient::Conn {
+///
+/// Every request and the reader thread contend on `mu` and `write_mu`, so
+/// each starts its own cache line: the wire's speed must not depend on what
+/// the allocator happens to place next to a connection.
+struct alignas(64) NetClient::Conn {
   Mutex mu;
   /// Null ⇒ never connected / torn down. The raw pointer is copied out under
   /// `mu` and used lock-free by the reader/writer: destruction only happens
@@ -68,7 +79,7 @@ struct NetClient::Conn {
   CondVar window_cv;
   bool ever_connected GUARDED_BY(mu) = false;
 
-  Mutex write_mu;  ///< serializes frame writes; acquired before `mu`
+  alignas(64) Mutex write_mu;  ///< serializes frame writes; acquired before `mu`
 
   bool usable() const REQUIRES(mu) { return transport != nullptr && !broken; }
 };
@@ -140,7 +151,6 @@ void NetClient::FailConnection(Conn& conn, uint64_t generation,
 }
 
 void NetClient::ReaderLoop(std::shared_ptr<Conn> conn, uint64_t generation) {
-  const auto frame_timeout = std::chrono::milliseconds(config_.frame_timeout_ms);
   for (;;) {
     Transport* transport = nullptr;
     {
@@ -151,8 +161,7 @@ void NetClient::ReaderLoop(std::shared_ptr<Conn> conn, uint64_t generation) {
     // Idle reads have no deadline: Shutdown() is the wakeup. The pointer
     // stays valid because EnsureConnected/Close join this thread before
     // destroying the transport.
-    Result<Frame> frame = ReadFrame(*transport, NoDeadline(), frame_timeout,
-                                    config_.max_frame_payload);
+    Result<Frame> frame = ReadFrame(*transport, NoDeadline(), kFrameTimeout);
     if (!frame.ok()) {
       if (frame.status().IsInvalidArgument()) {
         // Corrupt or torn frame: the stream is unrecoverable.
@@ -205,21 +214,19 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
   }
 
   Status last = Status::Unavailable("never dialed");
-  uint64_t backoff_ms = config_.backoff_initial_ms;
-  for (size_t attempt = 0;
-       attempt < std::max<size_t>(1, config_.max_dial_attempts); ++attempt) {
+  std::chrono::milliseconds backoff = kBackoffInitial;
+  for (size_t attempt = 0; attempt < kMaxDialAttempts; ++attempt) {
     if (closed_.load()) return Status::Unavailable("client closed");
     PIYE_RETURN_NOT_OK(cancel.Check());
     if (attempt > 0) {
       // Interruptible backoff: a fired token stops the wait mid-sleep.
-      if (!cancel.SleepFor(std::chrono::milliseconds(backoff_ms)) &&
-          cancel.can_fire() && cancel.cancelled()) {
+      if (!cancel.SleepFor(backoff) && cancel.can_fire() && cancel.cancelled()) {
         return cancel.status();
       }
-      backoff_ms = std::min(backoff_ms * 2, config_.backoff_cap_ms);
+      backoff = std::min(backoff * 2, kBackoffCap);
     }
     const TimePoint dial_deadline =
-        EffectiveDeadline(cancel, After(config_.connect_timeout_ms));
+        EffectiveDeadline(cancel, After(kConnectTimeout));
     Result<Socket> sock = Dial(config_.address, dial_deadline);
     if (!sock.ok()) {
       connect_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -243,16 +250,13 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
 
     // Handshake: Hello out, HelloAck back, both within the hello bound.
     const TimePoint hello_deadline =
-        EffectiveDeadline(cancel, After(config_.hello_timeout_ms));
+        EffectiveDeadline(cancel, After(kHelloTimeout));
     Frame hello;
     hello.type = MessageType::kHello;
     hello.payload = EncodeHello("piye-mediator");
     Status hs = WriteFrame(*transport, hello, hello_deadline);
     if (hs.ok()) {
-      Result<Frame> ack =
-          ReadFrame(*transport, hello_deadline,
-                    std::chrono::milliseconds(config_.frame_timeout_ms),
-                    config_.max_frame_payload);
+      Result<Frame> ack = ReadFrame(*transport, hello_deadline, kFrameTimeout);
       if (!ack.ok()) {
         hs = ack.status();
       } else if (ack->type != MessageType::kHelloAck) {
@@ -295,8 +299,7 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
   }
   return Status::Unavailable(
       "source at '" + config_.address + "' unreachable after " +
-      std::to_string(std::max<size_t>(1, config_.max_dial_attempts)) +
-      " attempts: " + last.message());
+      std::to_string(kMaxDialAttempts) + " attempts: " + last.message());
 }
 
 Result<Frame> NetClient::DoRequest(MessageType type, std::string payload,
@@ -366,7 +369,7 @@ Result<Frame> NetClient::DoRequest(MessageType type, std::string payload,
       return Status::Unavailable("connection lost before the request was sent");
     }
     const TimePoint write_deadline =
-        EffectiveDeadline(cancel, After(config_.frame_timeout_ms));
+        EffectiveDeadline(cancel, After(kFrameTimeout));
     const Status written = WriteFrame(*transport, request, write_deadline);
     if (!written.ok()) {
       cleanup(/*erase_pending=*/true);
@@ -421,7 +424,8 @@ Result<Frame> NetClient::DoRequest(MessageType type, std::string payload,
         }
       }
       if (transport != nullptr &&
-          WriteFrame(*transport, cancel_frame, After(50)).ok()) {
+          WriteFrame(*transport, cancel_frame,
+                     After(std::chrono::milliseconds(50))).ok()) {
         frames_sent_.fetch_add(1, std::memory_order_relaxed);
       }
     }

@@ -28,19 +28,6 @@ struct ClientConfig {
   /// it waits (bounded backpressure) instead of piling unbounded frames onto
   /// one stream.
   size_t max_inflight_per_connection = 16;
-  uint64_t connect_timeout_ms = 1000;
-  /// Bound on the Hello/HelloAck exchange after a successful dial.
-  uint64_t hello_timeout_ms = 1000;
-  /// Once a response frame's first byte arrives the rest must land within
-  /// this bound.
-  uint64_t frame_timeout_ms = 5000;
-  /// Dial attempts per request before reporting kUnavailable (1 = no
-  /// reconnect). Backoff doubles from `backoff_initial_ms` up to
-  /// `backoff_cap_ms`, interruptible by the request's cancel token.
-  size_t max_dial_attempts = 3;
-  uint64_t backoff_initial_ms = 10;
-  uint64_t backoff_cap_ms = 200;
-  size_t max_frame_payload = kDefaultMaxPayload;
   /// Wire-level fault injection applied to every dialed connection.
   FaultPlan fault;
 };
@@ -50,7 +37,10 @@ struct ClientConfig {
 /// request id. A per-connection reader thread demuxes response frames into
 /// the pending-request table; a dead connection fails its pending requests
 /// with `kUnavailable` (the engine's retry/breaker machinery takes over) and
-/// is redialed lazily by the next request.
+/// is redialed lazily by the next request. A redial makes up to three
+/// attempts, each bounded by 1 s to connect and 1 s for the Hello exchange,
+/// with a backoff that doubles from 10 ms to at most 200 ms and stops early
+/// when the request's cancel token fires.
 ///
 /// Thread-safe; one NetClient is shared by every NetSource pointing at the
 /// same server process.

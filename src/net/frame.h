@@ -37,6 +37,10 @@ constexpr size_t kFrameTrailerBytes = 4;
 /// Default ceiling on one frame's payload. Generous for result tables, far
 /// below anything that could OOM the mediator.
 constexpr size_t kDefaultMaxPayload = 64u << 20;
+/// Both ends' bound on one frame: once its first byte arrives the rest must
+/// land within this (a stalled sender cannot wedge a reader), and a frame
+/// write must finish within it.
+constexpr std::chrono::milliseconds kFrameTimeout{5000};
 
 /// Layer-2 message vocabulary (payload schemas live in net/wire.h).
 enum class MessageType : uint8_t {

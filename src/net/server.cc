@@ -14,15 +14,28 @@ namespace piye {
 namespace net {
 
 namespace {
-TimePoint After(uint64_t ms) {
-  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+/// A connected client must complete the Hello exchange within this bound or
+/// the connection is dropped (protects the server from dead or hostile
+/// peers).
+constexpr std::chrono::milliseconds kHandshakeTimeout{5000};
+/// Poll cadence of the accept loop and of every quiet connection handler:
+/// how often they check for shutdown (and the accept loop reaps dead
+/// connections). Idle ticks are cheap; this is not a client obligation.
+constexpr std::chrono::milliseconds kIdleTick{250};
+/// Stop(): how long in-flight requests get to finish after the listener
+/// closes before connections are torn down anyway.
+constexpr std::chrono::milliseconds kDrainTimeout{2000};
+
+TimePoint After(std::chrono::milliseconds timeout) {
+  return std::chrono::steady_clock::now() + timeout;
 }
 }  // namespace
 
 /// Per-connection state, shared between the handler thread and worker-pool
 /// tasks completing requests for it. Responses serialize on `write_mu` so
 /// concurrent completions interleave at frame granularity, never mid-frame.
-struct SourceServer::Connection {
+/// Cache-line aligned like the client's `Conn`, and for the same reason.
+struct alignas(64) SourceServer::Connection {
   /// Set once by the accept loop before the handler thread spawns.
   std::unique_ptr<Transport> transport;
   Mutex write_mu;
@@ -65,11 +78,6 @@ void SourceServer::AddSource(const source::FederatedSource* source) {
   sources_[source->owner()] = source;
 }
 
-uint64_t SourceServer::connections_accepted() const {
-  MutexLock lock(mu_);
-  return connections_accepted_;
-}
-
 const source::FederatedSource* SourceServer::FindSource(
     const std::string& owner) const {
   auto it = sources_.find(owner);
@@ -102,11 +110,11 @@ void SourceServer::Stop() {
   // No new connections; a blocked Accept wakes and the loop exits.
   listener_->Shutdown();
 
-  // Graceful drain: in-flight requests get drain_timeout_ms to finish and
+  // Graceful drain: in-flight requests get kDrainTimeout to finish and
   // flush their responses before connections are torn down.
   {
     MutexLock lock(mu_);
-    const TimePoint drain_deadline = After(config_.drain_timeout_ms);
+    const TimePoint drain_deadline = After(kDrainTimeout);
     while (outstanding_ != 0) {
       if (drain_cv_.WaitUntil(lock, drain_deadline) ==
           std::cv_status::timeout) {
@@ -141,7 +149,7 @@ void SourceServer::AcceptLoop() {
       MutexLock lock(mu_);
       if (stopping_) return;
     }
-    Result<Socket> accepted = listener_->Accept(After(250));
+    Result<Socket> accepted = listener_->Accept(After(kIdleTick));
     if (!accepted.ok()) {
       if (accepted.status().IsDeadlineExceeded()) {
         // Idle tick: reap connections whose handlers have exited so a
@@ -176,7 +184,6 @@ void SourceServer::AcceptLoop() {
     {
       MutexLock lock(mu_);
       if (stopping_) return;
-      ++connections_accepted_;
       connections_.push_back(conn);
     }
     // piye-lint: allow(raw-thread) handler thread spawn
@@ -186,12 +193,9 @@ void SourceServer::AcceptLoop() {
 
 void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
   Transport& transport = *conn->transport;
-  const auto frame_timeout = std::chrono::milliseconds(config_.frame_timeout_ms);
-
   // Handshake: the client speaks first, within the handshake bound.
   Result<Frame> hello =
-      ReadFrame(transport, After(config_.handshake_timeout_ms), frame_timeout,
-                config_.max_frame_payload);
+      ReadFrame(transport, After(kHandshakeTimeout), kFrameTimeout);
   bool handshaken = false;
   if (hello.ok() && hello->type == MessageType::kHello &&
       DecodeHello(hello->payload).ok()) {
@@ -202,7 +206,7 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
     ack.request_id = hello->request_id;
     ack.payload = EncodeHelloAck(owners);
     MutexLock lock(conn->write_mu);
-    handshaken = WriteFrame(transport, ack, After(config_.frame_timeout_ms)).ok();
+    handshaken = WriteFrame(transport, ack, After(kFrameTimeout)).ok();
   }
 
   while (handshaken) {
@@ -210,8 +214,7 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
       MutexLock lock(mu_);
       if (stopping_) break;  // drain: stop consuming, let responses flush
     }
-    Result<Frame> frame = ReadFrame(transport, After(config_.idle_timeout_ms),
-                                    frame_timeout, config_.max_frame_payload);
+    Result<Frame> frame = ReadFrame(transport, After(kIdleTick), kFrameTimeout);
     if (!frame.ok()) {
       if (frame.status().IsDeadlineExceeded()) continue;  // idle tick
       if (frame.status().IsInvalidArgument()) {
@@ -250,8 +253,7 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
 
 Status SourceServer::WriteResponse(Connection& conn, const Frame& frame) {
   MutexLock lock(conn.write_mu);
-  Status status =
-      WriteFrame(*conn.transport, frame, After(config_.frame_timeout_ms));
+  Status status = WriteFrame(*conn.transport, frame, After(kFrameTimeout));
   if (!status.ok()) {
     conn.transport->Shutdown();  // wake the handler; the connection is gone
   }

@@ -27,21 +27,6 @@ struct ServerConfig {
   /// Workers executing query fragments (requests multiplex onto this pool,
   /// so one slow fragment never blocks the connection's other requests).
   size_t worker_threads = 4;
-  /// A connected client must complete the Hello exchange within this bound
-  /// or the connection is dropped (protects the accept loop from dead or
-  /// hostile peers).
-  uint64_t handshake_timeout_ms = 5000;
-  /// How long a quiet connection may sit between frames before the server
-  /// checks for shutdown. Idle ticks are cheap; this is a poll cadence, not
-  /// a client obligation.
-  uint64_t idle_timeout_ms = 250;
-  /// Once a frame's first byte arrives the rest must land within this bound
-  /// (a stalled sender cannot wedge a connection handler).
-  uint64_t frame_timeout_ms = 5000;
-  /// Stop(): how long to wait for in-flight requests to finish after the
-  /// listener closes before giving up on the drain.
-  uint64_t drain_timeout_ms = 2000;
-  size_t max_frame_payload = kDefaultMaxPayload;
   /// Wire-level fault injection applied to every accepted connection (tests
   /// and chaos benchmarks; leave zeroed in production paths).
   FaultPlan fault;
@@ -57,8 +42,10 @@ struct ServerConfig {
 /// CancelSource.
 ///
 /// Stop() drains gracefully: the listener closes first (no new
-/// connections), in-flight requests get `drain_timeout_ms` to finish, then
-/// connections are shut down and every thread joined.
+/// connections), in-flight requests get a fixed drain window (2 s) to
+/// finish, then connections are shut down and every thread joined. A client
+/// must complete the Hello exchange within 5 s of connecting, and quiet
+/// connections wake every 250 ms to check for shutdown.
 class SourceServer {
  public:
   explicit SourceServer(ServerConfig config);
@@ -77,9 +64,6 @@ class SourceServer {
   /// The resolved listen address ("tcp:127.0.0.1:<port>" with the real
   /// port). Valid after Start.
   const std::string& bound_address() const { return bound_address_; }
-
-  /// Total connections accepted (diagnostics).
-  uint64_t connections_accepted() const;
 
  private:
   struct Connection;
@@ -109,7 +93,6 @@ class SourceServer {
   bool stopping_ GUARDED_BY(mu_) = false;
   /// Requests dispatched but not yet responded.
   size_t outstanding_ GUARDED_BY(mu_) = 0;
-  uint64_t connections_accepted_ GUARDED_BY(mu_) = 0;
   std::vector<std::shared_ptr<Connection>> connections_ GUARDED_BY(mu_);
 };
 

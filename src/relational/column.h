@@ -58,7 +58,6 @@ class ColumnVector {
   // -- non-NULL-aware via the validity bitmap) -----------------------------
   int64_t* mutable_ints() { return ints_.data(); }
   double* mutable_reals() { return reals_.data(); }
-  uint8_t* mutable_bools() { return bools_.data(); }
 
   // -- appends -------------------------------------------------------------
   void Reserve(size_t n);

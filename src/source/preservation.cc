@@ -29,26 +29,6 @@ const char* BreachClassToString(BreachClass breach) {
   return "?";
 }
 
-const char* TechniqueToString(Technique technique) {
-  switch (technique) {
-    case Technique::kNone:
-      return "none";
-    case Technique::kSuppression:
-      return "suppression";
-    case Technique::kGeneralization:
-      return "generalization";
-    case Technique::kKAnonymity:
-      return "k-anonymity";
-    case Technique::kNoiseAddition:
-      return "noise-addition";
-    case Technique::kRounding:
-      return "rounding";
-    case Technique::kQuerySetRestriction:
-      return "query-set-restriction";
-  }
-  return "?";
-}
-
 namespace {
 
 bool IsNumericColumn(const relational::Schema& schema, size_t i) {

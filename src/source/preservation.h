@@ -37,8 +37,6 @@ enum class Technique {
   kQuerySetRestriction,  ///< refuse small query sets
 };
 
-const char* TechniqueToString(Technique technique);
-
 /// The Privacy Preservation module of Figure 2(a): applies the selected
 /// techniques to a query result so that the released table honours each
 /// column's disclosure form and the policy's loss budget.

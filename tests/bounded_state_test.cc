@@ -310,8 +310,7 @@ TEST(BoundedStateTest, HealthReportsDurabilityState) {
 
 TEST(BoundedStateTest, RecordDuringRotationSurvivesMarkCleanAndSpill) {
   mediator::QueryHistory history(
-      mediator::QueryHistory::Options{/*shards=*/4,
-                                      /*max_resident_entries=*/64});
+      mediator::QueryHistory::Options{/*max_resident_entries=*/64});
   mediator::HistoryEntry first;
   first.requester = "racer";
   first.aggregated_privacy_loss = 1.6;

@@ -129,9 +129,9 @@ TEST(TraceTest, HistogramStatsAndPercentiles) {
 
 TEST(TraceTest, RegistryCountersAndJson) {
   trace::MetricsRegistry registry;
-  registry.AddCounter("queries");
-  registry.AddCounter("queries", 2);
-  registry.RecordLatency("stage.fragment", 123.0);
+  trace::Bump(registry.RegisterCounter("queries"));
+  trace::Bump(registry.RegisterCounter("queries"), 2);
+  registry.RegisterLatency("stage.fragment")->Record(123.0);
   EXPECT_EQ(registry.counter("queries"), 3u);
   EXPECT_EQ(registry.counter("missing"), 0u);
   EXPECT_EQ(registry.latency("stage.fragment").count(), 1u);
@@ -288,11 +288,11 @@ TEST(TraceTest, ToJsonRoundTripsHostileNamesThroughStrictParser) {
   const std::string slashed = "path\\to\\metric";
   const std::string multiline = "line1\nline2";
   const std::string control = std::string("ctl") + '\x01' + "x";
-  registry.AddCounter(quoted, 3);
-  registry.AddCounter(slashed, 7);
-  registry.AddCounter(multiline);
-  registry.AddCounter(control);
-  registry.RecordLatency(quoted, 42.0);
+  trace::Bump(registry.RegisterCounter(quoted), 3);
+  trace::Bump(registry.RegisterCounter(slashed), 7);
+  trace::Bump(registry.RegisterCounter(multiline));
+  trace::Bump(registry.RegisterCounter(control));
+  registry.RegisterLatency(quoted)->Record(42.0);
 
   const std::string json = registry.ToJson();
   StrictJsonParser parser(json);
@@ -329,12 +329,32 @@ TEST(TraceTest, ToJsonEmitsExplicitZerosForEmptyHistograms) {
   EXPECT_EQ(registry.latency("declared.but.never.recorded").max_micros(), 0.0);
 }
 
+TEST(TraceTest, ToJsonSortsNamesRegardlessOfRegistrationOrder) {
+  trace::MetricsRegistry registry;
+  trace::Bump(registry.RegisterCounter("stage.c"), 3);
+  trace::Bump(registry.RegisterCounter("engine.b"), 2);
+  trace::Bump(registry.RegisterCounter("engine.a"), 1);
+  registry.RegisterLatency("stage.z")->Record(3.0);
+  registry.RegisterLatency("stage.y");
+  EXPECT_EQ(registry.ToJson(),
+            "{\"counters\": {\"engine.a\": 1, \"engine.b\": 2, \"stage.c\": 3}, "
+            "\"latencies\": {"
+            "\"stage.y\": {\"count\": 0, \"sum_micros\": 0.000, "
+            "\"min_micros\": 0.000, \"max_micros\": 0.000, "
+            "\"mean_micros\": 0.000, \"p50_micros\": 0.000, "
+            "\"p95_micros\": 0.000, \"p99_micros\": 0.000}, "
+            "\"stage.z\": {\"count\": 1, \"sum_micros\": 3.000, "
+            "\"min_micros\": 3.000, \"max_micros\": 3.000, "
+            "\"mean_micros\": 3.000, \"p50_micros\": 3.000, "
+            "\"p95_micros\": 3.000, \"p99_micros\": 3.000}}}");
+}
+
 TEST(TraceTest, RegistryIsSafeForConcurrentWriters) {
   trace::MetricsRegistry registry;
   Executor pool(4);
   pool.ParallelFor(64, [&registry](size_t i) {
-    registry.AddCounter("c");
-    registry.RecordLatency("l", static_cast<double>(i));
+    trace::Bump(registry.RegisterCounter("c"));
+    registry.RegisterLatency("l")->Record(static_cast<double>(i));
   });
   EXPECT_EQ(registry.counter("c"), 64u);
   EXPECT_EQ(registry.latency("l").count(), 64u);

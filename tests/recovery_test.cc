@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -175,6 +176,71 @@ TEST(RecoveryTest, JournaledEvictionSurvivesRestart) {
   ASSERT_TRUE(revived->Recover(dir).ok());
   EXPECT_EQ(revived->warehouse()->size(), 0u);
   EXPECT_EQ(revived->epoch(), 2u);
+}
+
+std::vector<std::string> WarehouseFingerprints(MediationEngine& engine) {
+  std::vector<std::string> fingerprints;
+  for (const auto& entry : engine.warehouse()->SnapshotEntries()) {
+    fingerprints.push_back(entry.fingerprint);
+  }
+  return fingerprints;
+}
+
+TEST(RecoveryTest, ConcurrentEvictionsAndRotationsRecoverTheLiveWarehouse) {
+  // WAL order must equal in-memory order for evictions too. An eviction
+  // journaled but not yet applied when a rotation snapshots the warehouse,
+  // or when a release journals and caches a put, leaves a recovered engine
+  // holding an entry the live one dropped. A later eviction would mask that
+  // by dropping the entry on replay as well, so each round races exactly
+  // one eviction and then recovers.
+  auto sources = BuildSources(2);
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string dir = TestDir("concurrent_evict_" + std::to_string(round));
+    auto query = [round](int i) {
+      // Distinct per release, so every release puts its own entry.
+      return MakeQuery("<select>patient_id</select><where>patient_id != 'none-" +
+                       std::to_string(round) + "-" + std::to_string(i) +
+                       "'</where>");
+    };
+    std::vector<std::string> live;
+    {
+      auto engine = BuildEngine(sources, DurableOptions());
+      ASSERT_TRUE(engine->Recover(dir).ok());
+      // Two entries at epoch 0, then epoch 1 begins.
+      for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(engine->Execute(query(i), QueryOptions{}).ok());
+      }
+      engine->AdvanceEpoch();
+      std::atomic<bool> go{false};
+      std::vector<std::thread> workers;
+      for (int i = 2; i < 4; ++i) {
+        workers.emplace_back([&, i] {
+          while (!go.load()) std::this_thread::yield();
+          auto r = engine->Execute(query(i), QueryOptions{});
+          EXPECT_TRUE(r.ok()) << r.status().ToString();
+        });
+      }
+      workers.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        EXPECT_TRUE(engine->TriggerSnapshot(/*wait=*/false).ok());
+      });
+      workers.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        // Even rounds drop only the epoch-0 entries; odd rounds drop
+        // everything, the racing releases' puts included.
+        EXPECT_TRUE(
+            engine->EvictWarehouseOlderThan(engine->epoch() + round % 2).ok());
+      });
+      go.store(true);
+      for (auto& w : workers) w.join();
+      live = WarehouseFingerprints(*engine);
+    }
+    auto revived = BuildEngine(sources, DurableOptions());
+    ASSERT_TRUE(revived->Recover(dir).ok());
+    EXPECT_EQ(WarehouseFingerprints(*revived), live);
+  }
 }
 
 TEST(RecoveryTest, ReplayedWarehousePutDoesNotRollBackNewerEntry) {
