@@ -156,13 +156,13 @@ void WriteSyntheticWal(const std::string& dir, size_t count) {
   auto log = piye::persist::StateLog::Open(dir, &recovered);
   if (!log.ok()) return;
   double cumulative = 0.0;
+  const std::string query_key = Query().CanonicalKey();
   for (size_t i = 0; i < count; ++i) {
     piye::mediator::HistoryRecord record;
     record.entry.sequence_number = i;
     record.entry.requester = "analyst" + std::to_string(i % 8);
     record.entry.purpose = "research";
-    record.entry.query_text =
-        "<query requester=\"analyst\"><select>diagnosis</select></query>";
+    record.entry.query_key = query_key;
     record.entry.sources_answered = {"hospital0", "hospital1", "hospital2"};
     record.entry.aggregated_privacy_loss = 0.0001;
     record.entry.released = true;
@@ -257,8 +257,7 @@ void BM_WalAppend(benchmark::State& state) {
   piye::mediator::HistoryRecord record;
   record.entry.requester = "analyst";
   record.entry.purpose = "research";
-  record.entry.query_text =
-      "<query requester=\"analyst\"><select>diagnosis</select></query>";
+  record.entry.query_key = Query().CanonicalKey();
   record.entry.sources_answered = {"hospital0", "hospital1", "hospital2"};
   record.entry.aggregated_privacy_loss = 0.0001;
   const std::string payload = piye::mediator::EncodeHistoryRecord(record);

@@ -11,7 +11,6 @@
 #include "mediator/persistence.h"
 #include "persist/codec.h"
 #include "source/remote_source.h"
-#include "xml/parser.h"
 
 namespace piye {
 namespace mediator {
@@ -1098,7 +1097,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
         HistoryEntry entry;
         entry.requester = query.requester;
         entry.purpose = query.purpose;
-        entry.query_text = xml::Serialize(*query.ToXml(), /*indent=*/-1);
+        entry.query_key = warehouse_key;
         entry.released = false;
         // A refusal is part of the sequence too: it must survive a crash,
         // or the auditor's view of the history diverges.
@@ -1154,7 +1153,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
     HistoryEntry entry;
     entry.requester = query.requester;
     entry.purpose = query.purpose;
-    entry.query_text = xml::Serialize(*query.ToXml(), /*indent=*/-1);
+    entry.query_key = warehouse_key;
     entry.sources_answered = out.sources_answered;
     entry.sources_refused = out.sources_suppressed;
     entry.aggregated_privacy_loss = combined;

@@ -25,7 +25,9 @@ struct HistoryEntry {
   size_t sequence_number = 0;
   std::string requester;
   std::string purpose;
-  std::string query_text;  ///< serialized PIQL
+  /// The engine's warehouse key for the query: its PiqlQuery::CanonicalKey
+  /// followed by the resolved dedup keys and the quorum.
+  std::string query_key;
   std::vector<std::string> sources_answered;
   std::vector<std::string> sources_refused;
   double aggregated_privacy_loss = 0.0;

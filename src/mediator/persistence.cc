@@ -18,15 +18,17 @@ using persist::Encoder;
 /// mismatch is a decode error, on which recovery refuses to start (fail
 /// closed), never a silent misread. v2 stores warehouse tables in the
 /// binary table codec instead of XML text; v3 keys warehouse puts by the
-/// engine's canonical binary warehouse key instead of the query's XML text.
-constexpr uint8_t kVersion = 3;
+/// engine's canonical binary warehouse key instead of the query's XML text;
+/// v4 stores that key in each history entry instead of the query's XML text.
+constexpr uint8_t kVersion = 4;
 
 /// Snapshot layout version. v2 added `total_history` (the logical entry
 /// count, so compaction can drop ring entries without forgetting how many
 /// queries the mediator has answered); v3 stores warehouse tables in the
 /// binary table codec; v4 keys warehouse entries by the canonical binary
-/// warehouse key. WAL record payloads keep their own `kVersion` above.
-constexpr uint8_t kSnapshotVersion = 4;
+/// warehouse key; v5 holds history entries by that key instead of XML text.
+/// WAL record payloads keep their own `kVersion` above.
+constexpr uint8_t kSnapshotVersion = 5;
 
 Status CheckVersion(Decoder& dec) {
   PIYE_ASSIGN_OR_RETURN(uint8_t version, dec.GetU8());
@@ -42,7 +44,7 @@ void PutHistoryEntry(Encoder& enc, const HistoryEntry& e) {
   enc.PutU64(e.sequence_number);
   enc.PutString(e.requester);
   enc.PutString(e.purpose);
-  enc.PutString(e.query_text);
+  enc.PutString(e.query_key);
   enc.PutStringVector(e.sources_answered);
   enc.PutStringVector(e.sources_refused);
   enc.PutDouble(e.aggregated_privacy_loss);
@@ -55,7 +57,7 @@ Result<HistoryEntry> GetHistoryEntry(Decoder& dec) {
   e.sequence_number = seq;
   PIYE_ASSIGN_OR_RETURN(e.requester, dec.GetString());
   PIYE_ASSIGN_OR_RETURN(e.purpose, dec.GetString());
-  PIYE_ASSIGN_OR_RETURN(e.query_text, dec.GetString());
+  PIYE_ASSIGN_OR_RETURN(e.query_key, dec.GetString());
   PIYE_ASSIGN_OR_RETURN(e.sources_answered, dec.GetStringVector());
   PIYE_ASSIGN_OR_RETURN(e.sources_refused, dec.GetStringVector());
   PIYE_ASSIGN_OR_RETURN(e.aggregated_privacy_loss, dec.GetDouble());

@@ -447,11 +447,11 @@ Result<Frame> NetClient::DoRequest(MessageType type, std::string payload,
 }
 
 Result<source::FederatedSource::FragmentResult> NetClient::ExecuteFragment(
-    const std::string& owner, const std::string& fragment_xml,
+    const std::string& owner, const std::string& fragment,
     const CancelToken& cancel) {
   ExecuteRequest req;
   req.owner = owner;
-  req.fragment_xml = fragment_xml;
+  req.fragment = fragment;
   if (cancel.has_deadline()) {
     const auto remaining = cancel.deadline() - std::chrono::steady_clock::now();
     if (remaining <= std::chrono::milliseconds(0)) {

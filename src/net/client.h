@@ -52,12 +52,13 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
-  /// Executes a fragment on the remote source `owner`, returning its
-  /// released table and privacy tags. The token's deadline bounds the whole
-  /// exchange (dial, write, wait); on expiry the client sends a best-effort
-  /// CancelRequest so the server stops burning work on an abandoned query.
+  /// Executes a fragment, given as its PiqlQuery::CanonicalKey, on the
+  /// remote source `owner`, returning its released table and privacy tags.
+  /// The token's deadline bounds the whole exchange (dial, write, wait); on
+  /// expiry the client sends a best-effort CancelRequest so the server
+  /// stops burning work on an abandoned query.
   Result<source::FederatedSource::FragmentResult> ExecuteFragment(
-      const std::string& owner, const std::string& fragment_xml,
+      const std::string& owner, const std::string& fragment,
       const CancelToken& cancel = {});
 
   Result<std::vector<match::ColumnSketch>> FetchSketches(

@@ -1,14 +1,11 @@
 #include "net/net_source.h"
 
-#include "xml/parser.h"
-
 namespace piye {
 namespace net {
 
 Result<source::FederatedSource::FragmentResult> NetSource::ExecuteFragment(
     const source::PiqlQuery& fragment, const CancelToken& cancel) const {
-  return client_->ExecuteFragment(
-      owner_, xml::Serialize(*fragment.ToXml(), /*indent=*/-1), cancel);
+  return client_->ExecuteFragment(owner_, fragment.CanonicalKey(), cancel);
 }
 
 Result<std::vector<match::ColumnSketch>> NetSource::ExportSketches(

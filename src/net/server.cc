@@ -279,7 +279,7 @@ void SourceServer::DispatchExecute(std::shared_ptr<Connection> conn,
                                 "' hosted by this server");
       }
       PIYE_ASSIGN_OR_RETURN(source::PiqlQuery fragment,
-                            source::PiqlQuery::Parse(req.fragment_xml));
+                            source::PiqlQuery::Decode(req.fragment));
       CancelToken token = cancel_source.token();
       if (req.deadline_budget_ms > 0) {
         token = token.WithTimeout(

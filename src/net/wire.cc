@@ -199,7 +199,7 @@ std::string EncodeExecuteRequest(const ExecuteRequest& req) {
   Encoder enc;
   enc.PutU8(kWireSchemaVersion);
   enc.PutString(req.owner);
-  enc.PutString(req.fragment_xml);
+  enc.PutString(req.fragment);
   enc.PutU64(req.deadline_budget_ms);
   return enc.Take();
 }
@@ -209,7 +209,7 @@ Result<ExecuteRequest> DecodeExecuteRequest(const std::string& payload) {
   PIYE_RETURN_NOT_OK(CheckSchemaVersion(dec, "ExecuteRequest"));
   ExecuteRequest req;
   PIYE_ASSIGN_OR_RETURN(req.owner, dec.GetString());
-  PIYE_ASSIGN_OR_RETURN(req.fragment_xml, dec.GetString());
+  PIYE_ASSIGN_OR_RETURN(req.fragment, dec.GetString());
   PIYE_ASSIGN_OR_RETURN(req.deadline_budget_ms, dec.GetU64());
   PIYE_RETURN_NOT_OK(CheckExhausted(dec, "ExecuteRequest"));
   return req;

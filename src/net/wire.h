@@ -23,9 +23,10 @@ namespace net {
 /// individual messages can evolve without a protocol bump. Decoders reject
 /// unknown schema versions with `kInvalidArgument`. Version 2 replaced the
 /// tagged-XML result of an ExecuteResponse with the binary table codec plus
-/// typed privacy tags.
+/// typed privacy tags; version 3 replaced the ExecuteRequest's XML fragment
+/// text with the fragment's binary `PiqlQuery::CanonicalKey`.
 
-constexpr uint8_t kWireSchemaVersion = 2;
+constexpr uint8_t kWireSchemaVersion = 3;
 
 /// ---- Handshake -----------------------------------------------------------
 
@@ -40,8 +41,10 @@ Result<std::vector<std::string>> DecodeHelloAck(const std::string& payload);
 /// ---- Execute -------------------------------------------------------------
 
 struct ExecuteRequest {
-  std::string owner;         ///< which hosted source runs the fragment
-  std::string fragment_xml;  ///< xml::Serialize(PiqlQuery::ToXml())
+  std::string owner;     ///< which hosted source runs the fragment
+  /// The fragment's PiqlQuery::CanonicalKey; the server reads it with
+  /// PiqlQuery::Decode.
+  std::string fragment;
   /// Remaining budget the mediator grants this fragment; 0 = no deadline.
   /// The server derives its own CancelToken deadline from this, so the
   /// mediator's per-source deadline propagates across the process boundary.

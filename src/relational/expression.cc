@@ -267,7 +267,88 @@ void AppendLiteralKey(const Value& v, persist::Encoder* enc) {
   }
 }
 
+Result<Value> DecodeLiteralKey(persist::Decoder* dec) {
+  PIYE_ASSIGN_OR_RETURN(const uint8_t tag, dec->GetU8());
+  switch (static_cast<LiteralTag>(tag)) {
+    case LiteralTag::kNull:
+      return Value::Null();
+    case LiteralTag::kInt: {
+      PIYE_ASSIGN_OR_RETURN(const uint64_t bits, dec->GetU64());
+      return Value::Int(static_cast<int64_t>(bits));
+    }
+    case LiteralTag::kDouble: {
+      PIYE_ASSIGN_OR_RETURN(const double v, dec->GetDouble());
+      return Value::Real(v);
+    }
+    case LiteralTag::kString: {
+      PIYE_ASSIGN_OR_RETURN(std::string s, dec->GetString());
+      return Value::Str(std::move(s));
+    }
+    case LiteralTag::kBool: {
+      PIYE_ASSIGN_OR_RETURN(const uint8_t b, dec->GetU8());
+      if (b > 1) return Status::ParseError("expression key: bool byte " + std::to_string(b));
+      return Value::Boolean(b == 1);
+    }
+  }
+  return Status::ParseError("expression key: unknown literal tag " + std::to_string(tag));
+}
+
+/// One node and its operands; `budget` is the number of nodes still
+/// allowed, so the recursion is never deeper than kMaxExpressionNodes.
+Result<ExprPtr> DecodeNode(persist::Decoder* dec, size_t* budget) {
+  if (*budget == 0) {
+    return Status::ParseError("expression key: more than " +
+                              std::to_string(kMaxExpressionNodes) + " nodes");
+  }
+  --*budget;
+  PIYE_ASSIGN_OR_RETURN(const uint8_t raw, dec->GetU8());
+  if (raw > static_cast<uint8_t>(Expression::Op::kIn)) {
+    return Status::ParseError("expression key: unknown op code " + std::to_string(raw));
+  }
+  const auto op = static_cast<Expression::Op>(raw);
+  switch (op) {
+    case Expression::Op::kLiteral: {
+      PIYE_ASSIGN_OR_RETURN(Value v, DecodeLiteralKey(dec));
+      return Expression::Literal(std::move(v));
+    }
+    case Expression::Op::kColumn: {
+      PIYE_ASSIGN_OR_RETURN(std::string name, dec->GetString());
+      return Expression::ColumnRef(std::move(name));
+    }
+    case Expression::Op::kNot: {
+      PIYE_ASSIGN_OR_RETURN(ExprPtr operand, DecodeNode(dec, budget));
+      return Expression::Not(std::move(operand));
+    }
+    case Expression::Op::kIn: {
+      PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, DecodeNode(dec, budget));
+      PIYE_ASSIGN_OR_RETURN(const uint64_t count, dec->GetU64());
+      // Each value takes at least its tag byte.
+      if (count > dec->remaining()) {
+        return Status::ParseError("expression key: IN list of " + std::to_string(count) +
+                                  " values exceeds the bytes left");
+      }
+      std::vector<Value> values;
+      values.reserve(static_cast<size_t>(count));
+      for (uint64_t i = 0; i < count; ++i) {
+        PIYE_ASSIGN_OR_RETURN(Value v, DecodeLiteralKey(dec));
+        values.push_back(std::move(v));
+      }
+      return Expression::In(std::move(lhs), std::move(values));
+    }
+    default: {
+      PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, DecodeNode(dec, budget));
+      PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, DecodeNode(dec, budget));
+      return Expression::Binary(op, std::move(lhs), std::move(rhs));
+    }
+  }
+}
+
 }  // namespace
+
+Result<ExprPtr> Expression::DecodeCanonicalKey(persist::Decoder* dec) {
+  size_t budget = kMaxExpressionNodes;
+  return DecodeNode(dec, &budget);
+}
 
 void Expression::AppendCanonicalKey(persist::Encoder* enc) const {
   enc->PutU8(static_cast<uint8_t>(op_));

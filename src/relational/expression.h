@@ -14,10 +14,21 @@
 
 namespace piye {
 namespace persist {
+class Decoder;
 class Encoder;
 }  // namespace persist
 
 namespace relational {
+
+/// The most nodes an expression tree may have. Every tree walk recurses
+/// once per level and a tree is never deeper than its node count, so this
+/// bound also caps the stack any walk uses. ParseExpression and ParseSql
+/// (which hold parenthesis nesting to it as well) and
+/// Expression::DecodeCanonicalKey refuse larger input with kParseError.
+/// The parser's seven frames per parenthesis are the deepest use: an
+/// AddressSanitizer build overflows an 8 MiB stack between 512 and 768
+/// nested parentheses, so 256 keeps a 2x margin there.
+inline constexpr size_t kMaxExpressionNodes = 256;
 
 /// A scalar expression tree over a row: literals, column references,
 /// comparisons, boolean connectives, arithmetic, LIKE, and IN lists.
@@ -91,6 +102,13 @@ class Expression {
   /// (integers, doubles), or the operands in order. Two trees encode equal
   /// iff they are structurally identical with bit-identical literals.
   void AppendCanonicalKey(persist::Encoder* enc) const;
+
+  /// Reads one tree written by AppendCanonicalKey and rebuilds it through
+  /// the factories. An unknown op code or literal tag, a bool byte other
+  /// than 0 or 1, an IN list longer than the bytes left, or more than
+  /// kMaxExpressionNodes nodes fails with kParseError, so every tree it
+  /// accepts re-encodes to exactly the bytes it read.
+  static Result<ExprPtr> DecodeCanonicalKey(persist::Decoder* dec);
 
  private:
   Expression() = default;

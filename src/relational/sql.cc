@@ -263,6 +263,17 @@ class Parser {
     return Status::ParseError("SQL parse error: " + what);
   }
 
+  /// Counts `n` more tree nodes against kMaxExpressionNodes, before they
+  /// are built or their operands parsed.
+  Status CountNodes(size_t n) {
+    nodes_ += n;
+    if (nodes_ > kMaxExpressionNodes) {
+      return Error("expression has more than " + std::to_string(kMaxExpressionNodes) +
+                   " nodes");
+    }
+    return Status::OK();
+  }
+
   const Token& Peek(size_t ahead = 0) const {
     const size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -354,6 +365,7 @@ class Parser {
   Result<ExprPtr> ParseOr() {
     PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (MatchKeyword("OR")) {
+      PIYE_RETURN_NOT_OK(CountNodes(1));
       PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = Expression::Binary(Expression::Op::kOr, lhs, rhs);
     }
@@ -363,31 +375,37 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (MatchKeyword("AND")) {
+      PIYE_RETURN_NOT_OK(CountNodes(1));
       PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
       lhs = Expression::Binary(Expression::Op::kAnd, lhs, rhs);
     }
     return lhs;
   }
 
+  // A run of NOTs is read in a loop, so it costs no stack.
   Result<ExprPtr> ParseNot() {
-    if (MatchKeyword("NOT")) {
-      PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
-      return Expression::Not(e);
-    }
-    return ParseComparison();
+    size_t nots = 0;
+    for (; MatchKeyword("NOT"); ++nots) PIYE_RETURN_NOT_OK(CountNodes(1));
+    PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseComparison());
+    for (; nots > 0; --nots) e = Expression::Not(std::move(e));
+    return e;
   }
 
   Result<ExprPtr> ParseComparison() {
     PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
     if (MatchKeyword("LIKE")) {
+      PIYE_RETURN_NOT_OK(CountNodes(1));
       PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
       return Expression::Binary(Expression::Op::kLike, lhs, rhs);
     }
     if (MatchKeyword("IN")) {
+      PIYE_RETURN_NOT_OK(CountNodes(1));
       if (!MatchSymbol("(")) return Error("expected '(' after IN");
       std::vector<Value> values;
       do {
+        const size_t nodes_before = nodes_;
         PIYE_ASSIGN_OR_RETURN(ExprPtr lit, ParsePrimary());
+        nodes_ = nodes_before;  // the list holds values, not nodes
         if (lit->op() != Expression::Op::kLiteral) {
           return Error("IN list must contain literals");
         }
@@ -405,6 +423,7 @@ class Parser {
                 {">", Expression::Op::kGt}};
     for (const auto& o : kOps) {
       if (MatchSymbol(o.sym)) {
+        PIYE_RETURN_NOT_OK(CountNodes(1));
         PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
         return Expression::Binary(o.op, lhs, rhs);
       }
@@ -416,9 +435,11 @@ class Parser {
     PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     for (;;) {
       if (MatchSymbol("+")) {
+        PIYE_RETURN_NOT_OK(CountNodes(1));
         PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
         lhs = Expression::Binary(Expression::Op::kAdd, lhs, rhs);
       } else if (MatchSymbol("-")) {
+        PIYE_RETURN_NOT_OK(CountNodes(1));
         PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
         lhs = Expression::Binary(Expression::Op::kSub, lhs, rhs);
       } else {
@@ -431,9 +452,11 @@ class Parser {
     PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePrimary());
     for (;;) {
       if (MatchSymbol("*")) {
+        PIYE_RETURN_NOT_OK(CountNodes(1));
         PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
         lhs = Expression::Binary(Expression::Op::kMul, lhs, rhs);
       } else if (MatchSymbol("/")) {
+        PIYE_RETURN_NOT_OK(CountNodes(1));
         PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
         lhs = Expression::Binary(Expression::Op::kDiv, lhs, rhs);
       } else {
@@ -444,6 +467,10 @@ class Parser {
 
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
+    if (t.type == Token::Type::kNumber || t.type == Token::Type::kString ||
+        t.type == Token::Type::kIdent) {
+      PIYE_RETURN_NOT_OK(CountNodes(1));
+    }
     switch (t.type) {
       case Token::Type::kNumber: {
         const std::string text = t.text;
@@ -479,16 +506,30 @@ class Parser {
       }
       case Token::Type::kSymbol:
         if (t.text == "(") {
+          // The only recursion in the grammar; a tree of n nodes prints
+          // with at most n nested parentheses.
+          if (depth_ == kMaxExpressionNodes) {
+            return Error("parentheses nest deeper than " +
+                         std::to_string(kMaxExpressionNodes));
+          }
           Advance();
+          ++depth_;
           PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
+          --depth_;
           if (!MatchSymbol(")")) return Error("expected ')'");
           return e;
         }
         if (t.text == "-") {
-          Advance();
+          // A run of unary minuses is read in a loop, not by recursion;
+          // each becomes `0 - x`, two nodes.
+          size_t negations = 0;
+          for (; MatchSymbol("-"); ++negations) PIYE_RETURN_NOT_OK(CountNodes(2));
           PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
-          return Expression::Binary(Expression::Op::kSub,
-                                    Expression::Literal(Value::Int(0)), e);
+          for (; negations > 0; --negations) {
+            e = Expression::Binary(Expression::Op::kSub,
+                                   Expression::Literal(Value::Int(0)), std::move(e));
+          }
+          return e;
         }
         return Error("unexpected symbol '" + t.text + "'");
       case Token::Type::kEnd:
@@ -499,6 +540,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t nodes_ = 0;  ///< tree nodes counted so far
+  size_t depth_ = 0;  ///< open parentheses
 };
 
 }  // namespace

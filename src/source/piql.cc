@@ -15,6 +15,13 @@ namespace {
 /// Bumped whenever the canonical key layout changes.
 constexpr uint8_t kCanonicalKeyVersion = 1;
 
+/// A presence byte of the canonical key: 0 or 1, nothing else.
+Result<bool> GetFlag(persist::Decoder* dec) {
+  PIYE_ASSIGN_OR_RETURN(const uint8_t flag, dec->GetU8());
+  if (flag > 1) return Status::ParseError("PIQL key: flag byte " + std::to_string(flag));
+  return flag == 1;
+}
+
 Result<relational::AggFunc> ParseAggFunc(const std::string& s) {
   const std::string t = strings::ToLower(strings::Trim(s));
   if (t == "count") return relational::AggFunc::kCount;
@@ -28,7 +35,9 @@ Result<relational::AggFunc> ParseAggFunc(const std::string& s) {
 
 }  // namespace
 
-Result<PiqlQuery> PiqlQuery::FromXml(const xml::XmlNode& node) {
+Result<PiqlQuery> PiqlQuery::Parse(std::string_view xml_text) {
+  PIYE_ASSIGN_OR_RETURN(xml::XmlDocument doc, xml::Parse(xml_text));
+  const xml::XmlNode& node = doc.root();
   if (node.name() != "query") {
     return Status::ParseError("expected <query>, got <" + node.name() + ">");
   }
@@ -62,11 +71,6 @@ Result<PiqlQuery> PiqlQuery::FromXml(const xml::XmlNode& node) {
     q.aggregate = std::move(spec);
   }
   return q;
-}
-
-Result<PiqlQuery> PiqlQuery::Parse(std::string_view xml_text) {
-  PIYE_ASSIGN_OR_RETURN(xml::XmlDocument doc, xml::Parse(xml_text));
-  return FromXml(doc.root());
 }
 
 std::unique_ptr<xml::XmlNode> PiqlQuery::ToXml() const {
@@ -108,6 +112,43 @@ std::string PiqlQuery::CanonicalKey() const {
   persist::Encoder enc;
   AppendCanonicalKey(&enc);
   return enc.Take();
+}
+
+Result<PiqlQuery> PiqlQuery::Decode(std::string_view key) {
+  persist::Decoder dec(key);
+  PIYE_ASSIGN_OR_RETURN(const uint8_t version, dec.GetU8());
+  if (version != kCanonicalKeyVersion) {
+    return Status::ParseError("PIQL key version " + std::to_string(version) +
+                              " != expected " + std::to_string(kCanonicalKeyVersion));
+  }
+  PiqlQuery q;
+  PIYE_ASSIGN_OR_RETURN(q.requester, dec.GetString());
+  PIYE_ASSIGN_OR_RETURN(q.purpose, dec.GetString());
+  PIYE_ASSIGN_OR_RETURN(q.max_information_loss, dec.GetDouble());
+  PIYE_ASSIGN_OR_RETURN(q.target_path, dec.GetString());
+  PIYE_ASSIGN_OR_RETURN(q.select, dec.GetStringVector());
+  PIYE_ASSIGN_OR_RETURN(const bool has_where, GetFlag(&dec));
+  if (has_where) {
+    PIYE_ASSIGN_OR_RETURN(q.where, relational::Expression::DecodeCanonicalKey(&dec));
+  }
+  PIYE_ASSIGN_OR_RETURN(const bool has_aggregate, GetFlag(&dec));
+  if (has_aggregate) {
+    PiqlAggregate spec;
+    PIYE_ASSIGN_OR_RETURN(const uint8_t func, dec.GetU8());
+    if (func > static_cast<uint8_t>(relational::AggFunc::kStdDev)) {
+      return Status::ParseError("PIQL key: unknown aggregate function " +
+                                std::to_string(func));
+    }
+    spec.func = static_cast<relational::AggFunc>(func);
+    PIYE_ASSIGN_OR_RETURN(spec.attribute, dec.GetString());
+    PIYE_ASSIGN_OR_RETURN(spec.group_by, dec.GetStringVector());
+    q.aggregate = std::move(spec);
+  }
+  if (!dec.exhausted()) {
+    return Status::ParseError("PIQL key: " + std::to_string(dec.remaining()) +
+                              " trailing bytes");
+  }
+  return q;
 }
 
 std::vector<std::string> PiqlQuery::ReferencedAttributes() const {

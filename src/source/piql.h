@@ -54,24 +54,31 @@ struct PiqlQuery {
   relational::ExprPtr where;  ///< over mediated attribute names; may be null
   std::optional<PiqlAggregate> aggregate;
 
-  /// Parses the XML form above. `target_path` is informational metadata for
-  /// hierarchical sources (the record path the requester believes it is
-  /// addressing); resolution happens through the mediated schema.
+  /// Parses the XML form above — the requester's syntax, read once at the
+  /// front door. `target_path` is informational metadata for hierarchical
+  /// sources (the record path the requester believes it is addressing);
+  /// resolution happens through the mediated schema.
   static Result<PiqlQuery> Parse(std::string_view xml_text);
-  static Result<PiqlQuery> FromXml(const xml::XmlNode& node);
-  /// The XML form; `maxLoss` is the shortest text that reads back to the
-  /// same double, and the WHERE text re-parses to the same tree (see
-  /// relational::Expression::ToString).
+  /// The XML form, for display; `maxLoss` is the shortest text that reads
+  /// back to the same double, and the WHERE text re-parses to the same tree
+  /// (see relational::Expression::ToString).
   std::unique_ptr<xml::XmlNode> ToXml() const;
 
-  /// The query's canonical binary identity: a version byte, then every
-  /// field length-prefixed in order — requester, purpose, the exact bits of
-  /// max_information_loss, target path, the ordered select list, the WHERE
-  /// tree (Expression::AppendCanonicalKey) and the aggregate (function,
-  /// attribute, group-by list). Two queries have equal keys iff every field
-  /// is identical; no XML or text formatting is involved.
+  /// The query's canonical binary form, and the one format a query takes
+  /// inside the system (wire, history, warehouse key, noise seed): a
+  /// version byte, then every field length-prefixed in order — requester,
+  /// purpose, the exact bits of max_information_loss, target path, the
+  /// ordered select list, a 0/1 flag and the WHERE tree
+  /// (Expression::AppendCanonicalKey), a 0/1 flag and the aggregate
+  /// (function, attribute, group-by list). Two queries have equal keys iff
+  /// every field is identical; no XML or text formatting is involved.
   std::string CanonicalKey() const;
   void AppendCanonicalKey(persist::Encoder* enc) const;
+  /// Reads back exactly one CanonicalKey. An unknown version, flag or
+  /// AggFunc, a WHERE tree Expression::DecodeCanonicalKey refuses, or
+  /// trailing bytes fail with kParseError; an accepted key re-encodes to
+  /// the same bytes.
+  static Result<PiqlQuery> Decode(std::string_view key);
 
   /// All attribute names the query touches (select + where + aggregate).
   std::vector<std::string> ReferencedAttributes() const;

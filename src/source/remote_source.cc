@@ -300,12 +300,11 @@ Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
   PIYE_RETURN_NOT_OK(cancel.Check());
 
   // (7) Privacy preservation on the results. The RNG stream is derived per
-  // call from (source seed, serialized fragment): concurrent fragments never
-  // contend on generator state, results are independent of execution order,
-  // and re-asking the same fragment reproduces the identical perturbation
-  // (no averaging attack across retries or repeats).
-  Rng call_rng(perturb_seed_ ^
-               strings::Fnv1a64(xml::Serialize(*fragment.ToXml(), /*indent=*/-1)));
+  // call from (source seed, the fragment's canonical key): concurrent
+  // fragments never contend on generator state, results are independent of
+  // execution order, and re-asking the same fragment reproduces the
+  // identical perturbation (no averaging attack across retries or repeats).
+  Rng call_rng(perturb_seed_ ^ strings::Fnv1a64(fragment.CanonicalKey()));
   PIYE_ASSIGN_OR_RETURN(
       result, preservation_.Apply(std::move(result), rewritten.column_forms,
                                   rewritten.loss_budget, techniques, &call_rng));

@@ -53,6 +53,7 @@ const std::vector<RuleFixture>& Fixtures() {
       {"analysis-escape", "analysis-escape.cc", "src/mediator/fixture.cc"},
       {"row-loop", "row-loop.cc", "src/perturb/fixture.cc"},
       {"manual-snapshot", "manual-snapshot.cc", "src/mediator/fixture.cc"},
+      {"piql-text", "piql-text.cc", "src/mediator/fixture.cc"},
   };
   return kFixtures;
 }
@@ -142,6 +143,40 @@ TEST(LintPaths, BlessedSeamsMaySerialize) {
   EXPECT_EQ(LintOne("src/inference/auditor.cc", content).size(), 1u);
   EXPECT_EQ(LintOne("src/mediator/result_integrator.cc", content).size(), 1u);
   EXPECT_EQ(LintOne("src/policy/policy_io.cc", content).size(), 1u);
+}
+
+TEST(LintPaths, OnlyTheServerDecodesPiqlKeys) {
+  const std::string content =
+      "auto q = source::PiqlQuery::Decode(req.fragment);\n";
+  EXPECT_TRUE(LintOne("src/net/server.cc", content).empty());
+  EXPECT_TRUE(LintOne("src/source/piql.cc", content).empty());
+  // The record seams are no PIQL seams, and vice versa.
+  const auto elsewhere = LintOne("src/net/wire.cc", content);
+  ASSERT_EQ(elsewhere.size(), 1u);
+  EXPECT_EQ(elsewhere[0].rule, "serialization-boundary");
+  EXPECT_EQ(LintOne("src/mediator/engine.cc", content).size(), 1u);
+  EXPECT_EQ(LintOne("src/net/server.cc", ReadFixture("bad", "serialization-boundary.cc"))
+                .size(),
+            1u);
+}
+
+TEST(LintPaths, PiqlTextStaysAtTheRequesterEdge) {
+  const std::string content = ReadFixture("bad", "piql-text.cc");
+  EXPECT_TRUE(LintOne("src/source/piql.cc", content).empty());
+  EXPECT_TRUE(LintOne("src/core/private_iye.cc", content).empty());
+  EXPECT_TRUE(LintOne("src/xml/parser.cc", content).empty());
+  // Both sides of the wire and the source pipeline are on the query path.
+  EXPECT_EQ(LintOne("src/net/net_source.cc", content).size(), 1u);
+  EXPECT_EQ(LintOne("src/source/remote_source.cc", content).size(), 1u);
+  EXPECT_EQ(LintOne("src/mediator/engine.cc",
+                    "auto q = source::PiqlQuery::Parse(text);\n")
+                .size(),
+            1u);
+  // A declaration or definition is no call; the test tree is not scanned.
+  EXPECT_TRUE(LintOne("src/policy/policy.h",
+                      "std::unique_ptr<xml::XmlNode> ToXml() const;\n")
+                  .empty());
+  EXPECT_TRUE(LintOne("tests/fixture.cc", content).empty());
 }
 
 TEST(LintPaths, ExecutorMayOwnThreads) {

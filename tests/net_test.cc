@@ -27,9 +27,10 @@
 #include "net/net_source.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "persist/codec.h"
+#include "policy/policy.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
-#include "xml/parser.h"
 
 namespace piye {
 namespace {
@@ -241,12 +242,14 @@ TEST(WireTest, HelloAndHelloAckRoundTrip) {
 TEST(WireTest, ExecuteRequestResponseRoundTrip) {
   net::ExecuteRequest req;
   req.owner = "hospital";
-  req.fragment_xml = "<query requester=\"a\"/>";
+  source::PiqlQuery fragment_query;
+  fragment_query.requester = "a";
+  req.fragment = fragment_query.CanonicalKey();
   req.deadline_budget_ms = 750;
   auto decoded_req = net::DecodeExecuteRequest(net::EncodeExecuteRequest(req));
   ASSERT_TRUE(decoded_req.ok());
   EXPECT_EQ(decoded_req->owner, req.owner);
-  EXPECT_EQ(decoded_req->fragment_xml, req.fragment_xml);
+  EXPECT_EQ(decoded_req->fragment, req.fragment);
   EXPECT_EQ(decoded_req->deadline_budget_ms, 750u);
 
   // Status codes cross the wire verbatim — including the ones the engine
@@ -310,9 +313,23 @@ TEST(WireTest, RejectsOldSchemaVersionAndMismatchedTags) {
   net::ExecuteResponse resp;
   resp.result = TaggedResult();
   std::string bytes = net::EncodeExecuteResponse(resp);
-  // A version-1 payload (tagged XML text) is refused before it is read.
-  bytes[0] = 1;
-  EXPECT_TRUE(net::DecodeExecuteResponse(bytes).status().IsInvalidArgument());
+  net::ExecuteRequest req;
+  req.owner = "hospital";
+  req.fragment = source::PiqlQuery().CanonicalKey();
+  std::string request_bytes = net::EncodeExecuteRequest(req);
+  // Payloads of versions 1 (tagged XML result) and 2 (XML fragment text)
+  // are refused before they are read.
+  for (const char previous : {1, 2}) {
+    SCOPED_TRACE("schema version " + std::to_string(previous));
+    bytes[0] = previous;
+    const Status response = net::DecodeExecuteResponse(bytes).status();
+    EXPECT_TRUE(response.IsInvalidArgument()) << response.ToString();
+    EXPECT_NE(response.message().find("unsupported schema version"), std::string::npos);
+    request_bytes[0] = previous;
+    const Status request = net::DecodeExecuteRequest(request_bytes).status();
+    EXPECT_TRUE(request.IsInvalidArgument()) << request.ToString();
+    EXPECT_NE(request.message().find("unsupported schema version"), std::string::npos);
+  }
   // Tags must match the table column for column.
   resp.result.column_tags.pop_back();
   EXPECT_TRUE(net::DecodeExecuteResponse(net::EncodeExecuteResponse(resp))
@@ -608,11 +625,10 @@ TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
 }
 
 TEST(NetFederationTest, QuotedLiteralsCrossTheWireUnchanged) {
-  // A fragment crosses the wire as PIQL text that the server re-parses, so
-  // a string literal with an embedded quote must render with the quote
-  // doubled. Rendered bare, 'crohn''s' reaches the server as an
-  // unterminated literal, and a literal that spells out " OR diagnosis = "
-  // comes back as a second disjunct that selects other patients.
+  // A string literal with an embedded quote, or one that spells out
+  // " OR diagnosis = ", must reach the server as the same literal: never
+  // as an unterminated one, nor as a second disjunct that selects other
+  // patients.
   relational::Table table(relational::Schema{
       {"patient_id", relational::ColumnType::kString},
       {"diagnosis", relational::ColumnType::kString}});
@@ -664,6 +680,96 @@ TEST(NetFederationTest, QuotedLiteralsCrossTheWireUnchanged) {
   }
   client->Close();
   server.Stop();
+}
+
+/// A case-count source whose SUM answers carry Laplace noise, as in the
+/// disease-outbreak example.
+std::unique_ptr<source::RemoteSource> NoisyCaseSource(uint64_t seed) {
+  auto tables = core::OutbreakScenario::MakeCaseTables({"sg"}, 30, 15, 0, 9);
+  auto src = std::make_unique<source::RemoteSource>("sg", "cases",
+                                                    std::move(tables[0]), seed);
+  policy::PrivacyPolicy policy("sg", {});
+  policy::PolicyRule cases_rule;
+  cases_rule.id = "cases-aggregate";
+  cases_rule.item = {"*", "cases"};
+  cases_rule.purposes = {"disease-surveillance"};
+  cases_rule.recipients = {"*"};
+  cases_rule.form = policy::DisclosureForm::kAggregate;
+  cases_rule.max_privacy_loss = 0.9;
+  policy.AddRule(cases_rule);
+  policy::PolicyRule day_rule;
+  day_rule.id = "day-public";
+  day_rule.item = {"*", "day"};
+  day_rule.purposes = {"*"};
+  day_rule.recipients = {"*"};
+  day_rule.form = policy::DisclosureForm::kExact;
+  policy.AddRule(day_rule);
+  EXPECT_TRUE(src->mutable_policies()->AddPolicy(std::move(policy)).ok());
+  EXPECT_TRUE(src->mutable_rbac()->AddRole("who").ok());
+  EXPECT_TRUE(src->mutable_rbac()->AssignRole("who", "who").ok());
+  EXPECT_TRUE(src->mutable_rbac()->Grant("who", access::Action::kSelect, "*", "*").ok());
+  return src;
+}
+
+TEST(NetFederationTest, NoisyFragmentIsByteIdenticalOverTheWire) {
+  // The Laplace stream is seeded from the fragment's canonical key, so the
+  // server's decoded fragment must seed exactly what the in-process call
+  // seeds: the same noisy table, byte for byte.
+  auto src = NoisyCaseSource(/*seed=*/1);
+  net::ServerConfig server_config;
+  server_config.listen_address = UniqueSocketPath("noisy");
+  net::SourceServer server(server_config);
+  server.AddSource(src.get());
+  ASSERT_TRUE(server.Start().ok());
+  net::ClientConfig client_config;
+  client_config.address = server.bound_address();
+  net::NetSource wired("sg", std::make_shared<net::NetClient>(client_config));
+
+  auto fragment = source::PiqlQuery::Parse(
+      "<query requester=\"who\" purpose=\"disease-surveillance\" maxLoss=\"0.95\">"
+      "<aggregate func=\"SUM\" attribute=\"cases\"><groupBy>day</groupBy>"
+      "</aggregate></query>");
+  ASSERT_TRUE(fragment.ok()) << fragment.status().ToString();
+  auto in_process = src->ExecuteFragment(*fragment);
+  auto over_wire = wired.ExecuteFragment(*fragment);
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  ASSERT_GT(in_process->table.num_rows(), 0u);
+  EXPECT_EQ(TableBytes(over_wire->table), TableBytes(in_process->table));
+  // The answer is noisy: the same source under another seed releases
+  // different values for the same fragment.
+  auto reseeded = NoisyCaseSource(/*seed=*/2)->ExecuteFragment(*fragment);
+  ASSERT_TRUE(reseeded.ok()) << reseeded.status().ToString();
+  EXPECT_NE(TableBytes(reseeded->table), TableBytes(in_process->table));
+  wired.client()->Close();
+  server.Stop();
+}
+
+TEST(NetFederationTest, OverBoundFragmentIsRefusedAndTheServerKeepsServing) {
+  // A hand-built key whose WHERE is a chain of 100,000 NOTs: the server's
+  // decoder must stop at relational::kMaxExpressionNodes with a parse
+  // error instead of recursing down the chain, and keep serving.
+  Cluster cluster = BuildCluster("overbound");
+  net::ClientConfig config;
+  config.address = cluster.servers[0]->bound_address();
+  net::NetClient client(config);
+  const std::string plain = MakeQuery().CanonicalKey();
+  // The key ends with the absent-WHERE and absent-aggregate flags.
+  std::string hostile = plain.substr(0, plain.size() - 2);
+  hostile += '\x01';
+  hostile.append(100'000, static_cast<char>(relational::Expression::Op::kNot));
+  persist::Encoder column;
+  relational::Expression::ColumnRef("sex")->AppendCanonicalKey(&column);
+  hostile += column.Take();
+  hostile += '\x00';
+
+  auto refused = client.ExecuteFragment("hospital", hostile);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsParseError()) << refused.status().ToString();
+  auto next = client.ExecuteFragment("hospital", plain);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_GT(next->table.num_rows(), 0u);
+  client.Close();
 }
 
 TEST(NetFederationTest, TcpTransportSmoke) {
@@ -823,13 +929,12 @@ TEST(NetFederationTest, WindowBackpressureAdmitsAllEventually) {
   config.max_inflight_per_connection = 2;  // tiny window forces waiting
   net::NetClient client(config);
 
-  const std::string fragment_xml =
-      xml::Serialize(*MakeQuery().ToXml(), /*indent=*/-1);
+  const std::string fragment = MakeQuery().CanonicalKey();
   std::atomic<size_t> ok_count{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back([&] {
-      auto result = client.ExecuteFragment("hospital", fragment_xml);
+      auto result = client.ExecuteFragment("hospital", fragment);
       if (result.ok()) ok_count.fetch_add(1);
     });
   }
@@ -843,13 +948,12 @@ TEST(NetFederationTest, ServerStopDrainsGracefully) {
   net::ClientConfig config;
   config.address = cluster.servers[0]->bound_address();
   net::NetClient client(config);
-  const std::string fragment_xml =
-      xml::Serialize(*MakeQuery().ToXml(), /*indent=*/-1);
+  const std::string fragment = MakeQuery().CanonicalKey();
   // Prove liveness, then stop the server and expect clean kUnavailable for
   // subsequent calls (dial refused), not hangs.
-  ASSERT_TRUE(client.ExecuteFragment("hospital", fragment_xml).ok());
+  ASSERT_TRUE(client.ExecuteFragment("hospital", fragment).ok());
   cluster.servers[0]->Stop();
-  auto result = client.ExecuteFragment("hospital", fragment_xml);
+  auto result = client.ExecuteFragment("hospital", fragment);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
   client.Close();

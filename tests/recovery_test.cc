@@ -534,7 +534,7 @@ std::string LaterEntry() {
   record.entry.sequence_number = 1000;
   record.entry.requester = "analyst";
   record.entry.purpose = "research";
-  record.entry.query_text = "later";
+  record.entry.query_key = "later";
   record.entry.released = true;
   record.entry.aggregated_privacy_loss = 0.5;
   record.cumulative_after = 42.0;
@@ -593,34 +593,38 @@ TEST(RecoveryTest, PreviousFormatDirectoryIsRejected) {
   EXPECT_TRUE(engine->Recover(dir).IsParseError());
   EXPECT_FALSE(engine->persistence_enabled());
 
-  // Record version 2, as the release before canonical warehouse keys wrote
-  // it: the same layout but for the version byte, with the warehouse put
-  // keyed by the query's XML text. Its keys can never match a lookup now,
-  // so the directory is refused with the version error rather than read.
-  {
-    std::string history_v2 = LaterEntry();
-    history_v2[0] = 2;
+  // Record versions 2 and 3, as the releases before canonical warehouse
+  // keys and before binary history keys wrote them: the same layout but for
+  // the version byte, with the warehouse put keyed by the query's XML text
+  // (v2) and the history entry holding it (v2, v3). Such a directory is
+  // refused with the version error rather than read.
+  for (const uint8_t previous : {2, 3}) {
+    SCOPED_TRACE("record version " + std::to_string(previous));
+    std::string history_prev = LaterEntry();
+    history_prev[0] = static_cast<char>(previous);
     relational::Table table(relational::Schema{{"a", relational::ColumnType::kInt64}});
     table.AppendRowUnchecked({relational::Value::Int(1)});
-    std::string put_v2 = mediator::EncodeWarehousePutRecord(
+    std::string put_prev = mediator::EncodeWarehousePutRecord(
         "<query requester=\"analyst\" purpose=\"research\" maxLoss=\"1\">"
         "<target path=\"//record\"/><select>a</select></query>",
         0, table);
-    put_v2[0] = 2;
-    const std::string v2_dir = TestDir("previous_format_v2");
-    AppendRaw(v2_dir, {{RecordType::kHistoryEntry, history_v2},
-                       {RecordType::kWarehousePut, put_v2}});
-    auto v2_engine = BuildEngine(sources, DurableOptions());
-    const Status status = v2_engine->Recover(v2_dir);
+    put_prev[0] = static_cast<char>(previous);
+    const std::string prev_dir =
+        TestDir("previous_format_v" + std::to_string(previous));
+    AppendRaw(prev_dir, {{RecordType::kHistoryEntry, history_prev},
+                         {RecordType::kWarehousePut, put_prev}});
+    auto prev_engine = BuildEngine(sources, DurableOptions());
+    const Status status = prev_engine->Recover(prev_dir);
     EXPECT_TRUE(status.IsParseError()) << status.ToString();
-    EXPECT_NE(status.message().find("record version 2 != expected 3"),
+    EXPECT_NE(status.message().find("record version " + std::to_string(previous) +
+                                    " != expected 4"),
               std::string::npos)
         << status.ToString();
-    EXPECT_FALSE(v2_engine->persistence_enabled());
+    EXPECT_FALSE(prev_engine->persistence_enabled());
   }
 
   // Snapshots of the previous layout versions are refused the same way.
-  for (const uint8_t previous : {2, 3}) {
+  for (const uint8_t previous : {2, 3, 4}) {
     SCOPED_TRACE("snapshot version " + std::to_string(previous));
     const std::string snap_dir =
         TestDir("previous_snapshot_v" + std::to_string(previous));
@@ -635,7 +639,13 @@ TEST(RecoveryTest, PreviousFormatDirectoryIsRejected) {
       ASSERT_TRUE((*log)->Rotate(blob).ok());
     }
     auto snap_engine = BuildEngine(sources, DurableOptions());
-    EXPECT_TRUE(snap_engine->Recover(snap_dir).IsParseError());
+    const Status status = snap_engine->Recover(snap_dir);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString();
+    EXPECT_NE(status.message().find("snapshot version " + std::to_string(previous) +
+                                    " != expected 5"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(snap_engine->persistence_enabled());
   }
 }
 

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
 #include "core/scenario.h"
+#include "persist/codec.h"
+#include "relational/sql.h"
 #include "relational/table_codec.h"
 #include "source/loss_computation.h"
 #include "source/piql.h"
@@ -86,6 +94,278 @@ TEST(PiqlTest, ParseErrors) {
   EXPECT_FALSE(PiqlQuery::Parse(R"(<query><aggregate func="AVG"/></query>)").ok());
   EXPECT_FALSE(
       PiqlQuery::Parse(R"(<query><aggregate func="WAT" attribute="x"/></query>)").ok());
+}
+
+/// A query whose WHERE is `where_text`, read through the requester's XML.
+Result<PiqlQuery> ParseWhere(const std::string& where_text) {
+  return PiqlQuery::Parse("<query requester=\"r\"><select>a</select><where>" + where_text +
+                          "</where></query>");
+}
+
+std::string Repeat(const std::string& piece, size_t times) {
+  std::string out;
+  out.reserve(piece.size() * times);
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST(PiqlTest, OverBoundWhereIsAParseError) {
+  // These once overflowed the stack: the parser's recursion on the rendered
+  // NOTs and on the parentheses, and keying the AND chain's tree. The plain
+  // NOT run parsed, and reached the source server as the rendered form.
+  const std::pair<const char*, std::string> cases[] = {
+      {"4,000 NOTs", Repeat("NOT ", 4000) + "a = 1"},
+      {"4,000 NOTs as rendered", Repeat("(NOT ", 4000) + "(a = 1)" + Repeat(")", 4000)},
+      {"5,000 parentheses", Repeat("(", 5000) + "a = 1" + Repeat(")", 5000)},
+      {"100,000-term AND chain", Repeat("a = 1 AND ", 99'999) + "a = 1"},
+  };
+  for (const auto& [name, where_text] : cases) {
+    SCOPED_TRACE(name);
+    auto q = ParseWhere(where_text);
+    // The engine keys every parsed query next, walking the whole tree.
+    if (q.ok()) {
+      EXPECT_FALSE(q->CanonicalKey().empty());
+    }
+    ASSERT_FALSE(q.ok());
+    EXPECT_TRUE(q.status().IsParseError()) << q.status().ToString();
+  }
+  // The SQL text parser behind policies and views holds the same bound.
+  EXPECT_TRUE(relational::ParseSql("SELECT a FROM t WHERE " + Repeat("(", 5000) + "a = 1" +
+                                   Repeat(")", 5000))
+                  .status()
+                  .IsParseError());
+  // Unary minus is two nodes (0 - x) per sign.
+  EXPECT_TRUE(relational::ParseExpression(Repeat("-", relational::kMaxExpressionNodes) + "1")
+                  .status()
+                  .IsParseError());
+}
+
+// --- PIQL codec: PiqlQuery::CanonicalKey and PiqlQuery::Decode ---
+
+using relational::AggFunc;
+using relational::ExprPtr;
+using relational::Expression;
+
+constexpr size_t kOpCount = static_cast<size_t>(Expression::Op::kIn) + 1;
+constexpr size_t kAggFuncCount = static_cast<size_t>(AggFunc::kStdDev) + 1;
+
+std::string RandomText(Rng* rng) {
+  static const char kAlphabet[] = "ab'\" <&>%_-0";
+  std::string out(rng->NextBounded(6), ' ');
+  for (char& c : out) c = kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
+  return out;
+}
+
+/// A literal of a random tag, often an edge value.
+Value RandomLiteral(Rng* rng) {
+  static const Value kEdges[] = {
+      Value::Null(),
+      Value::Int(0),
+      Value::Int(INT64_MIN),
+      Value::Int(INT64_MAX),
+      Value::Real(std::nan("")),
+      Value::Real(-0.0),
+      Value::Real(std::numeric_limits<double>::infinity()),
+      Value::Real(std::numeric_limits<double>::denorm_min()),
+      Value::Str(""),
+      Value::Str("O'Brien"),
+      Value::Str("a' OR diagnosis = 'flu"),
+      Value::Boolean(true),
+      Value::Boolean(false),
+  };
+  if (rng->NextBounded(2) == 0) return kEdges[rng->NextBounded(std::size(kEdges))];
+  switch (rng->NextBounded(5)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Int(static_cast<int64_t>(rng->Next()));
+    case 2:
+      return Value::Real(rng->NextUniform(-1e6, 1e6));
+    case 3:
+      return Value::Str(RandomText(rng));
+    default:
+      return Value::Boolean(rng->NextBounded(2) == 1);
+  }
+}
+
+ExprPtr RandomExpression(Rng* rng, int depth) {
+  const auto op = static_cast<Expression::Op>(rng->NextBounded(depth > 0 ? kOpCount : 2));
+  switch (op) {
+    case Expression::Op::kLiteral:
+      return Expression::Literal(RandomLiteral(rng));
+    case Expression::Op::kColumn:
+      return Expression::ColumnRef(RandomText(rng));
+    case Expression::Op::kNot:
+      return Expression::Not(RandomExpression(rng, depth - 1));
+    case Expression::Op::kIn: {
+      std::vector<Value> values(rng->NextBounded(4));
+      for (Value& v : values) v = RandomLiteral(rng);
+      return Expression::In(RandomExpression(rng, depth - 1), std::move(values));
+    }
+    default:
+      return Expression::Binary(op, RandomExpression(rng, depth - 1),
+                                RandomExpression(rng, depth - 1));
+  }
+}
+
+PiqlQuery RandomQuery(Rng* rng) {
+  static const double kLosses[] = {0.0, 1.0, -0.0, 0.95, std::nan("")};
+  PiqlQuery q;
+  q.requester = RandomText(rng);
+  q.purpose = RandomText(rng);
+  q.max_information_loss = rng->NextBounded(2) == 0
+                               ? kLosses[rng->NextBounded(std::size(kLosses))]
+                               : rng->NextDouble();
+  q.target_path = RandomText(rng);
+  q.select.resize(rng->NextBounded(4));
+  for (std::string& name : q.select) name = RandomText(rng);
+  if (rng->NextBounded(2) == 1) q.where = RandomExpression(rng, 4);
+  if (rng->NextBounded(2) == 1) {
+    PiqlAggregate& agg = q.aggregate.emplace();
+    agg.func = static_cast<AggFunc>(rng->NextBounded(kAggFuncCount));
+    agg.attribute = RandomText(rng);
+    agg.group_by.resize(rng->NextBounded(3));
+    for (std::string& g : agg.group_by) g = RandomText(rng);
+  }
+  return q;
+}
+
+/// Marks every op and literal tag (null, int, double, string, bool) in `e`.
+void CollectShapes(const Expression& e, std::set<int>* ops, std::set<int>* tags) {
+  ops->insert(static_cast<int>(e.op()));
+  std::vector<Value> literals = e.in_values();
+  if (e.op() == Expression::Op::kLiteral) literals.push_back(e.literal());
+  for (const Value& v : literals) {
+    tags->insert(v.is_null() ? 0 : v.is_int() ? 1 : v.is_double() ? 2 : v.is_string() ? 3 : 4);
+  }
+  if (e.lhs() != nullptr) CollectShapes(*e.lhs(), ops, tags);
+  if (e.rhs() != nullptr) CollectShapes(*e.rhs(), ops, tags);
+}
+
+/// Decode must accept `bytes` and give back exactly them, or refuse them
+/// with a parse error.
+void ExpectCanonicalOrParseError(const std::string& bytes) {
+  auto decoded = PiqlQuery::Decode(bytes);
+  if (decoded.ok()) {
+    EXPECT_EQ(decoded->CanonicalKey(), bytes);
+  } else {
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status().ToString();
+  }
+}
+
+TEST(PiqlCodecTest, DecodeReencodesEveryGeneratedKeyByteForByte) {
+  std::set<int> ops, tags, funcs;
+  std::set<std::pair<bool, bool>> presence;  // (where, aggregate)
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const PiqlQuery q = RandomQuery(&rng);
+    const std::string key = q.CanonicalKey();
+    auto decoded = PiqlQuery::Decode(key);
+    ASSERT_TRUE(decoded.ok()) << seed << ": " << decoded.status().ToString();
+    ASSERT_EQ(decoded->CanonicalKey(), key) << seed;
+    EXPECT_EQ(decoded->select, q.select);
+    ASSERT_EQ(decoded->where != nullptr, q.where != nullptr);
+    if (q.where != nullptr) CollectShapes(*decoded->where, &ops, &tags);
+    if (q.aggregate.has_value()) funcs.insert(static_cast<int>(decoded->aggregate->func));
+    presence.emplace(q.where != nullptr, q.aggregate.has_value());
+  }
+  // The generator reached every op, literal tag, aggregate function and
+  // presence combination.
+  EXPECT_EQ(ops.size(), kOpCount);
+  EXPECT_EQ(tags.size(), 5u);
+  EXPECT_EQ(funcs.size(), kAggFuncCount);
+  EXPECT_EQ(presence.size(), 4u);
+}
+
+TEST(PiqlCodecTest, RejectsUnknownVersionsCodesAndTrailingBytes) {
+  PiqlQuery q;
+  q.requester = "r";
+  q.select = {"a"};
+  const std::string key = q.CanonicalKey();
+  // The key ends with the absent-WHERE and absent-aggregate flags.
+  const std::string fields = key.substr(0, key.size() - 2);
+  persist::Encoder column;
+  Expression::ColumnRef("a")->AppendCanonicalKey(&column);
+  persist::Encoder huge_count;
+  huge_count.PutU64(uint64_t{1} << 40);
+  const std::pair<const char*, std::string> cases[] = {
+      {"version 0", std::string(1, '\x00') + key.substr(1)},
+      {"version 2", std::string(1, '\x02') + key.substr(1)},
+      {"trailing byte", key + '\x00'},
+      {"WHERE flag 2", fields + std::string("\x02\x00", 2)},
+      {"aggregate flag 2", fields + std::string("\x00\x02", 2)},
+      {"op code 17", fields + std::string("\x01\x11\x00", 3)},
+      {"literal tag 5", fields + std::string("\x01\x00\x05\x00", 4)},
+      {"bool byte 2", fields + std::string("\x01\x00\x04\x02\x00", 5)},
+      {"IN count past the end", fields + "\x01\x10" + column.bytes() +
+                                    huge_count.bytes() + std::string(1, '\x00')},
+      {"AggFunc 6", fields + std::string("\x00\x01\x06", 3) + std::string(8, '\x00') +
+                        std::string(8, '\x00')},
+  };
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    auto decoded = PiqlQuery::Decode(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status().ToString();
+  }
+  // The cases differ from valid keys only in the byte under test.
+  EXPECT_TRUE(PiqlQuery::Decode(fields + std::string("\x01\x00\x04\x01\x00", 5)).ok());
+  EXPECT_TRUE(PiqlQuery::Decode(fields + std::string("\x00\x01\x05", 3) +
+                                std::string(16, '\x00'))
+                  .ok());
+}
+
+TEST(PiqlCodecTest, TreesAreBoundedAtKMaxExpressionNodes) {
+  // A NOT chain is the deepest tree for its size; at the bound it crosses
+  // every boundary, one node more and it crosses none.
+  auto chain = [](size_t nodes) {
+    ExprPtr e = Expression::ColumnRef("a");
+    for (size_t i = 1; i < nodes; ++i) e = Expression::Not(std::move(e));
+    PiqlQuery q;
+    q.requester = "r";
+    q.where = std::move(e);
+    return q;
+  };
+  const PiqlQuery at_bound = chain(relational::kMaxExpressionNodes);
+  auto decoded = PiqlQuery::Decode(at_bound.CanonicalKey());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->where->NodeCount(), relational::kMaxExpressionNodes);
+  auto reparsed = ParseWhere(at_bound.where->ToString());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->where->NodeCount(), relational::kMaxExpressionNodes);
+
+  const PiqlQuery over = chain(relational::kMaxExpressionNodes + 1);
+  EXPECT_TRUE(PiqlQuery::Decode(over.CanonicalKey()).status().IsParseError());
+  EXPECT_TRUE(ParseWhere(over.where->ToString()).status().IsParseError());
+}
+
+TEST(PiqlCodecTest, TruncationsAndByteMutationsDecodeOrFailCleanly) {
+  // Sample keys with a WHERE and an aggregate; every strict prefix is
+  // refused, and every single-byte change either decodes to a query that
+  // re-encodes to exactly those bytes or is refused with a parse error.
+  size_t samples = 0;
+  for (uint64_t seed = 1; samples < 4; ++seed) {
+    Rng rng(seed);
+    const PiqlQuery q = RandomQuery(&rng);
+    if (q.where == nullptr || !q.aggregate.has_value()) continue;
+    ++samples;
+    const std::string key = q.CanonicalKey();
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(key.size()) +
+                 " bytes");
+    for (size_t cut = 0; cut < key.size(); ++cut) {
+      auto decoded = PiqlQuery::Decode(key.substr(0, cut));
+      ASSERT_FALSE(decoded.ok()) << cut;
+      EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status().ToString();
+    }
+    for (size_t at = 0; at < key.size(); ++at) {
+      std::string mutated = key;
+      for (int byte = 0; byte < 256; ++byte) {
+        if (static_cast<char>(byte) == key[at]) continue;
+        mutated[at] = static_cast<char>(byte);
+        ExpectCanonicalOrParseError(mutated);
+      }
+    }
+  }
 }
 
 // --- Query transformer ---

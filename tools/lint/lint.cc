@@ -271,26 +271,63 @@ void CheckPrivacyRetry(const std::string& path, const std::vector<LineInfo>& lin
 /// serialization-boundary: record tables become bytes (the binary table
 /// codec) or come in from record XML only at the blessed seams, so every
 /// raw-record byte stream is policy-checked and perturbation-tagged before
-/// it exists.
+/// it exists. A PIQL query is decoded from its canonical key only where one
+/// arrives off the wire (the source server), besides the codec itself.
 void CheckSerializationBoundary(const std::string& path, const std::vector<LineInfo>& lines,
                                 Emit out) {
   static const char* kRule = "serialization-boundary";
-  static const std::vector<std::string> kBlessed = {
+  struct Seam {
+    std::string token;
+    std::vector<std::string> blessed;  ///< path fragments allowed to use it
+  };
+  static const std::vector<std::string> kRecordSeams = {
       "relational/table_codec", "relational/xml_bridge",
       "source/remote_source.cc", "mediator/persistence.cc", "net/wire.cc"};
-  for (const auto& prefix : kBlessed) {
-    if (PathHas(path, prefix)) return;
-  }
-  static const std::vector<std::string> kSeams = {"EncodeTable", "DecodeTable",
-                                                  "TableFromXmlRecords"};
+  static const std::vector<Seam> kSeams = {
+      {"EncodeTable", kRecordSeams},
+      {"DecodeTable", kRecordSeams},
+      {"TableFromXmlRecords", kRecordSeams},
+      {"PiqlQuery::Decode", {"source/piql.cc", "net/server.cc"}},
+  };
   for (size_t i = 0; i < lines.size(); ++i) {
-    for (const auto& token : kSeams) {
-      if (HasToken(lines[i].code, token) && !Suppressed(lines, i, kRule)) {
+    for (const auto& seam : kSeams) {
+      if (!HasToken(lines[i].code, seam.token)) continue;
+      const bool blessed =
+          std::any_of(seam.blessed.begin(), seam.blessed.end(),
+                      [&path](const std::string& prefix) { return PathHas(path, prefix); });
+      if (!blessed && !Suppressed(lines, i, kRule)) {
         AddFinding(out, path, i, kRule,
-                   token + " outside the blessed serialization seams; raw records "
-                           "must only (de)materialize where policy tagging is applied");
+                   seam.token + " outside its blessed serialization seams; raw records "
+                                "must only (de)materialize where policy tagging is "
+                                "applied, and PIQL keys are decoded only off the wire");
         break;
       }
+    }
+  }
+}
+
+/// piql-text: past the requester's front door a PIQL query travels only as
+/// its binary canonical key (wire, history, warehouse, noise seed). Text
+/// renderings and re-parses stay at the edges: the XML library, the PIQL
+/// module itself and the PrivateIye facade that reads the requester's XML.
+void CheckPiqlText(const std::string& path, const std::vector<LineInfo>& lines, Emit out) {
+  static const char* kRule = "piql-text";
+  if (!PathHas(path, "src/")) return;
+  if (PathHas(path, "src/xml/") || PathHas(path, "src/source/piql.cc") ||
+      PathHas(path, "src/core/private_iye.cc")) {
+    return;
+  }
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string& code = lines[i].code;
+    const bool text = HasToken(code, "xml::Serialize") ||
+                      HasToken(code, "PiqlQuery::Parse") ||
+                      code.find(".ToXml(") != std::string::npos ||
+                      code.find("->ToXml(") != std::string::npos;
+    if (text && !Suppressed(lines, i, kRule)) {
+      AddFinding(out, path, i, kRule,
+                 "XML rendering or PIQL re-parse on the query path; carry the "
+                 "query as PiqlQuery::CanonicalKey and read it with "
+                 "PiqlQuery::Decode");
     }
   }
 }
@@ -497,6 +534,10 @@ const std::vector<Rule>& Rules() {
        "StateLog rotation calls outside the snapshotter/engine seam (bypass "
        "dirty-floor tracking and the fail-closed latch)",
        CheckManualSnapshot},
+      {"piql-text",
+       "xml::Serialize, ToXml() or PiqlQuery::Parse calls in src/ outside the "
+       "requester edge (src/xml/, source/piql.cc, core/private_iye.cc)",
+       CheckPiqlText},
   };
   return kRules;
 }

@@ -12,7 +12,8 @@
 /// it bans the raw std primitives (so the annotated wrappers cannot be
 /// bypassed), bans the analysis escape hatch outside sync.h itself, and
 /// enforces privacy-flow conventions — never retry a privacy refusal, never
-/// serialize raw records outside the blessed seams, never schedule on the
+/// serialize raw records outside the blessed seams, never render a PIQL
+/// query as text past the requester's front door, never schedule on the
 /// wall clock, never drop a Status without saying why.
 ///
 /// The scanner strips comments and string literals before matching, so prose
