@@ -134,7 +134,7 @@ double Throughput(size_t threads, size_t total_ops, int hit_pct, GetFn get) {
 
 void PrintThroughputSweep() {
   BaselineWarehouse baseline;
-  Warehouse sharded(Warehouse::Options{/*num_shards=*/16, /*max_bytes=*/0});
+  Warehouse sharded;
   for (size_t i = 0; i < kEntries; ++i) {
     baseline.Put(Fp(i), MakeTable(i), 0);
     sharded.Put(Fp(i), MakeTable(i), 0);
@@ -173,7 +173,7 @@ void PrintThroughputSweep() {
 
 void PrintHitLatency() {
   BaselineWarehouse baseline;
-  Warehouse sharded(Warehouse::Options{/*num_shards=*/16, /*max_bytes=*/0});
+  Warehouse sharded;
   for (size_t i = 0; i < kEntries; ++i) {
     baseline.Put(Fp(i), MakeTable(i), 0);
     sharded.Put(Fp(i), MakeTable(i), 0);
@@ -264,8 +264,7 @@ void PrintEvictionBudget() {
   std::printf("--- byte-budget eviction: 1 MiB budget, ~%zu KiB entries ---\n",
               MakeTable(0).ApproxBytes() / 1024);
   piye::trace::MetricsRegistry metrics;
-  Warehouse warehouse(Warehouse::Options{/*num_shards=*/16,
-                                         /*max_bytes=*/1 << 20});
+  Warehouse warehouse(Warehouse::Options{/*max_bytes=*/1 << 20});
   warehouse.set_metrics(&metrics);
   for (size_t i = 0; i < 1024; ++i) {
     warehouse.Put(Fp(i), MakeTable(i), /*epoch=*/i / 128);
@@ -396,7 +395,7 @@ BaselineWarehouse* SharedBaseline() {
 
 Warehouse* SharedSharded() {
   static Warehouse* w = [] {
-    auto* s = new Warehouse(Warehouse::Options{16, 0});
+    auto* s = new Warehouse();
     for (size_t i = 0; i < kEntries; ++i) s->Put(Fp(i), MakeTable(i), 0);
     return s;
   }();
@@ -436,7 +435,7 @@ void BM_EngineHit(benchmark::State& state) {
 BENCHMARK(BM_EngineHit)->Threads(1)->Threads(4);
 
 void BM_ShardedPutEvict(benchmark::State& state) {
-  Warehouse warehouse(Warehouse::Options{16, /*max_bytes=*/1 << 20});
+  Warehouse warehouse(Warehouse::Options{/*max_bytes=*/1 << 20});
   size_t i = 0;
   for (auto _ : state) {
     ++i;

@@ -18,12 +18,9 @@ namespace core {
 /// published tables let the snooping HMO run its NLP inference.
 class NaiveIntegrator {
  public:
-  /// Union of the raw tables (schemas must match), plus a `_source` column.
-  static Result<relational::Table> IntegrateAll(
-      const std::vector<const source::RemoteSource*>& sources);
-
-  /// Publishes exact per-group aggregates over the raw union — e.g. the
-  /// mean/σ compliance per test across HMOs of Figure 1(a).
+  /// Publishes exact per-group aggregates over the union of the sources'
+  /// raw tables (schemas must match) — e.g. the mean/σ compliance per test
+  /// across HMOs of Figure 1(a).
   struct PublishedRow {
     std::string group;
     double mean = 0.0;

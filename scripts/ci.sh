@@ -2,8 +2,8 @@
 # The repo's CI entry point: a warning-free (-Werror) release-ish build with
 # the full test suite, then an explicit multi-process federation leg (real
 # source_server processes over Unix sockets), then a no-execution static
-# analysis leg (piye_lint + clang thread-safety analysis when a clang
-# toolchain is present), then the same suite under AddressSanitizer
+# analysis leg (piye_lint over src/ and lab/, the product-closure check, and
+# clang thread-safety analysis when a clang toolchain is present), then the same suite under AddressSanitizer
 # (PIYE_SANITIZE=address), then the concurrency suites under ThreadSanitizer
 # (PIYE_SANITIZE=thread), then the parser/overload suites under UBSan
 # (PIYE_SANITIZE=undefined), then the columnar hot-path gate
@@ -73,12 +73,16 @@ else
   echo "=== [3/8] static analysis: piye_lint + clang thread-safety ==="
   # piye_lint: repo-specific structural rules (raw sync primitives, analysis
   # escape hatches, privacy-retry, serialization boundaries, status
-  # discards, header hygiene — see tools/lint/lint.h). Any finding fails CI;
-  # the JSON report is archived next to the build for tooling.
+  # discards, header hygiene — see tools/lint/lint.h) over the product (src/)
+  # and the ablation library (lab/). Any finding fails CI; the JSON report is
+  # archived next to the build for tooling. The closure check then requires
+  # every src/ file to be reached by #include from a product root and no
+  # src/ or tools/ file to include lab/ (no exception list).
   cmake --build "$ROOT/build" -j "$JOBS" --target piye_lint
-  "$ROOT/build/tools/piye_lint" "$ROOT/src"
-  "$ROOT/build/tools/piye_lint" --json "$ROOT/src" \
+  "$ROOT/build/tools/piye_lint" "$ROOT/src" "$ROOT/lab"
+  "$ROOT/build/tools/piye_lint" --json "$ROOT/src" "$ROOT/lab" \
     > "$ROOT/build/piye_lint_report.json"
+  "$ROOT/build/tools/piye_lint" --closure "$ROOT"
 
   # Clang thread-safety analysis: a compile-only pass with the capability
   # annotations from common/sync.h enforced as errors, proving every

@@ -17,6 +17,10 @@ namespace mediator {
 
 namespace {
 
+/// Bound on the warehouse as a whole (ApproxBytes accounting;
+/// oldest-epoch / LRU-within-epoch eviction; see mediator/warehouse.h).
+constexpr size_t kWarehouseMaxBytes = 256ull << 20;
+
 constexpr std::chrono::microseconds kRetryBackoffBase{200};
 constexpr std::chrono::microseconds kRetryBackoffCap{5000};
 
@@ -121,7 +125,7 @@ MediationEngine::MediationEngine(Options options)
     : options_(options),
       history_(QueryHistory::Options{
           .max_resident_entries = options.max_resident_history}),
-      warehouse_(Warehouse::Options{.max_bytes = options.warehouse_max_bytes}),
+      warehouse_(Warehouse::Options{.max_bytes = kWarehouseMaxBytes}),
       control_(options.max_combined_loss, options.max_interval_loss),
       cells_(&metrics_),
       admission_(options.admission, &metrics_),

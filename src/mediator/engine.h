@@ -101,10 +101,6 @@ class MediationEngine {
     /// Warehouse answers up to this many epochs old ("quick response for
     /// emergencies"); `QueryOptions::allow_warehouse` bypasses it per query.
     uint64_t warehouse_max_age = 1;
-    /// Bound on the warehouse as a whole (ApproxBytes accounting;
-    /// oldest-epoch / LRU-within-epoch eviction; 0 = unbounded; see
-    /// mediator/warehouse.h).
-    size_t warehouse_max_bytes = 256ull << 20;
     /// Worker threads in the per-source fan-out pool; values below 1 are
     /// clamped to 1.
     size_t worker_threads = Executor::DefaultThreadCount();

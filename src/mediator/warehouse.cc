@@ -1,18 +1,14 @@
 #include "mediator/warehouse.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace piye {
 namespace mediator {
 
-Warehouse::Warehouse(const Options& options) {
-  const size_t num_shards = std::bit_ceil(options.num_shards);
-  shard_mask_ = num_shards - 1;
-  max_bytes_per_shard_ =
-      options.max_bytes == 0 ? 0 : std::max<size_t>(1, options.max_bytes / num_shards);
-  shards_ = std::vector<Shard>(num_shards);
-}
+Warehouse::Warehouse(const Options& options)
+    : max_bytes_per_shard_(options.max_bytes == 0
+                               ? 0
+                               : std::max<size_t>(1, options.max_bytes / kShards)) {}
 
 void Warehouse::set_metrics(trace::MetricsRegistry* metrics) {
   if (metrics == nullptr) {

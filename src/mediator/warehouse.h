@@ -28,7 +28,7 @@ namespace mediator {
 /// is built to serve many concurrent `MediationEngine::Execute` callers
 /// without a convoy:
 ///
-///  * **Sharded.** Fingerprints hash across `Options::num_shards`
+///  * **Sharded.** Fingerprints hash across `kShards`
 ///    independent shards, each with its own mutex — hot fingerprints no
 ///    longer serialize behind cold ones, and no operation takes a global
 ///    lock.
@@ -60,11 +60,12 @@ class Warehouse {
   /// Refcounted immutable handle to a materialized result.
   using TableHandle = std::shared_ptr<const relational::Table>;
 
+  /// Independent shards, each with its own lock (a power of two).
+  static constexpr size_t kShards = 16;
+
   struct Options {
-    /// Shard count; rounded up to a power of two, minimum 1.
-    size_t num_shards = 16;
     /// Whole-cache byte budget (0 = unbounded). Each shard enforces
-    /// max_bytes / num_shards.
+    /// max_bytes / kShards.
     size_t max_bytes = 0;
   };
 
@@ -100,8 +101,7 @@ class Warehouse {
   size_t evicted_entries() const;
   /// Current total ApproxBytes of all cached tables.
   size_t bytes() const;
-  size_t num_shards() const { return shards_.size(); }
-  size_t max_bytes() const { return max_bytes_per_shard_ * shards_.size(); }
+  size_t max_bytes() const { return max_bytes_per_shard_ * kShards; }
 
   /// One materialized entry, as snapshotted for the durability layer.
   struct SnapshotEntry {
@@ -137,7 +137,7 @@ class Warehouse {
   };
 
   Shard& ShardFor(const std::string& fingerprint) const {
-    return shards_[std::hash<std::string>{}(fingerprint) & shard_mask_];
+    return shards_[std::hash<std::string>{}(fingerprint) & (kShards - 1)];
   }
 
   /// Removes one entry (caller holds the shard lock). Returns its bytes.
@@ -147,9 +147,8 @@ class Warehouse {
   /// Evicts until the shard fits its byte slice (caller holds the lock).
   void EnforceBudgetLocked(Shard& shard) REQUIRES(shard.mu);
 
-  size_t shard_mask_ = 0;
   size_t max_bytes_per_shard_ = 0;  ///< 0 = unbounded
-  mutable std::vector<Shard> shards_;
+  mutable std::vector<Shard> shards_ = std::vector<Shard>(kShards);
 
   /// Cached registry cells (see MetricsRegistry::RegisterCounter); null when
   /// detached. Written only by set_metrics, before concurrent use.

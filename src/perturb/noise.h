@@ -14,7 +14,7 @@ namespace perturb {
 /// Input perturbation in the Agrawal–Srikant style: each value of a numeric
 /// column is released as x + r where r is drawn from a known noise
 /// distribution. Individual values are distorted; the *distribution* remains
-/// recoverable (see reconstruction.h).
+/// recoverable (lab/perturb/reconstruction.h recovers it).
 class AdditiveNoise {
  public:
   enum class Distribution { kGaussian, kUniform };

@@ -99,7 +99,7 @@ class ColumnVector {
   /// same bulk copy as AppendGather.
   void AppendColumn(const ColumnVector& other);
 
-  /// Appends the canonical grouping/join key encoding of cell `i` to `out`.
+  /// Appends the canonical grouping key encoding of cell `i` to `out`.
   /// Two cells encode identically iff `Value::Compare` orders them equal:
   /// NULL is a single tag byte, booleans a tag + payload byte, numerics a
   /// tag + the bit pattern of `AsDouble()` (with -0.0 canonicalized to +0.0,

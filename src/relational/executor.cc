@@ -727,62 +727,6 @@ Result<Table> Executor::Aggregate(const Table& input,
   return out;
 }
 
-Result<Table> Executor::HashJoin(const Table& left, const Table& right,
-                                 const std::string& left_key,
-                                 const std::string& right_key,
-                                 const std::string& right_prefix) {
-  PIYE_ASSIGN_OR_RETURN(size_t li, left.schema().IndexOf(left_key));
-  PIYE_ASSIGN_OR_RETURN(size_t ri, right.schema().IndexOf(right_key));
-  Schema out_schema = left.schema();
-  for (const auto& col : right.schema().columns()) {
-    std::string name = col.name;
-    if (out_schema.Contains(name)) name = right_prefix + name;
-    out_schema.AddColumn({name, col.type});
-  }
-  // Build on the right input: canonical key encoding -> right row indexes.
-  const ColumnVector& rkey = right.col(ri);
-  std::unordered_map<std::string, std::vector<uint32_t>> build;
-  build.reserve(right.num_rows());
-  {
-    std::string key;
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      if (rkey.IsNull(i)) continue;
-      key.clear();
-      rkey.EncodeCell(i, &key);
-      build[key].push_back(static_cast<uint32_t>(i));
-    }
-  }
-  // Probe with the left rows; the output order is left-row-major with right
-  // matches in right-row order, same as the row engine.
-  std::vector<uint32_t> lsel, rsel;
-  {
-    const ColumnVector& lkey = left.col(li);
-    std::string key;
-    for (size_t i = 0; i < left.num_rows(); ++i) {
-      if (lkey.IsNull(i)) continue;
-      key.clear();
-      lkey.EncodeCell(i, &key);
-      auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (uint32_t r : it->second) {
-        lsel.push_back(static_cast<uint32_t>(i));
-        rsel.push_back(r);
-      }
-    }
-  }
-  // Materialize both sides with one gather per column.
-  Table out;
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    out.AddColumn(out_schema.column(c),
-                  left.col(c).Gather(lsel.data(), lsel.size()));
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    out.AddColumn(out_schema.column(left.num_columns() + c),
-                  right.col(c).Gather(rsel.data(), rsel.size()));
-  }
-  return out;
-}
-
 Result<Table> Executor::Union(const Table& a, const Table& b) {
   if (!(a.schema() == b.schema())) {
     return Status::InvalidArgument("UNION requires identical schemas: [" +

@@ -95,13 +95,6 @@ class Executor {
                                  const std::vector<SelectItem>& aggregates,
                                  const uint8_t* mask = nullptr);
 
-  /// Hash equi-join on `left_key` = `right_key`. Right columns are prefixed
-  /// with `right_prefix` when names collide.
-  static Result<Table> HashJoin(const Table& left, const Table& right,
-                                const std::string& left_key,
-                                const std::string& right_key,
-                                const std::string& right_prefix = "r_");
-
   /// Union of two tables with identical schemas.
   static Result<Table> Union(const Table& a, const Table& b);
 

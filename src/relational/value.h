@@ -64,7 +64,7 @@ class Value {
   /// Bare rendering without string quotes (for XML/CSV output).
   std::string ToDisplayString() const;
 
-  /// Three-way comparison for ORDER BY / join keys. NULL sorts first.
+  /// Three-way comparison for ORDER BY and grouping keys. NULL sorts first.
   /// Cross-type numeric comparisons compare as doubles; otherwise types are
   /// ordered by type id.
   int Compare(const Value& other) const;

@@ -31,6 +31,12 @@ const char* BreachClassToString(BreachClass breach) {
 
 namespace {
 
+// The fixed strengths of the coarsening and distortion techniques.
+constexpr size_t kGeneralizationBuckets = 8;  ///< ranges per numeric column
+constexpr size_t kStringPrefix = 3;  ///< kept prefix when generalizing strings
+constexpr double kMinAggregatePrecision = 0.1;  ///< rounding step at full budget
+constexpr double kLaplaceScaleAtZeroBudget = 5.0;  ///< noise scale as budget → 0
+
 bool IsNumericColumn(const relational::Schema& schema, size_t i) {
   return schema.column(i).type == relational::ColumnType::kInt64 ||
          schema.column(i).type == relational::ColumnType::kDouble;
@@ -42,8 +48,8 @@ Status PreservationModule::ApplyGeneralization(
     relational::Table* table,
     const std::map<std::string, policy::DisclosureForm>& column_forms) const {
   // Coarsen every kRange/kGeneralized column: numeric columns become
-  // `generalization_buckets` equi-width ranges, strings become
-  // `string_prefix`-character prefixes ("1974-02-06" → "197*"). The table's
+  // kGeneralizationBuckets equi-width ranges, strings become
+  // kStringPrefix-character prefixes ("1974-02-06" → "197*"). The table's
   // schema changes coarsened numeric columns to STRING.
   relational::Schema new_schema;
   std::vector<bool> generalize(table->schema().num_columns(), false);
@@ -82,7 +88,7 @@ Status PreservationModule::ApplyGeneralization(
         }
       }
       lo[c] = mn;
-      width[c] = (mx - mn) / static_cast<double>(config_.generalization_buckets);
+      width[c] = (mx - mn) / static_cast<double>(kGeneralizationBuckets);
       if (width[c] <= 0.0) width[c] = 1.0;
       new_schema.AddColumn({col.name, relational::ColumnType::kString});
     } else {
@@ -104,8 +110,8 @@ Status PreservationModule::ApplyGeneralization(
           continue;
         }
         const std::string_view s = cv.StrAt(r);
-        if (s.size() > config_.string_prefix) {
-          std::string prefixed(s.substr(0, config_.string_prefix));
+        if (s.size() > kStringPrefix) {
+          std::string prefixed(s.substr(0, kStringPrefix));
           prefixed += '*';
           data.AppendStr(prefixed);
         } else {
@@ -127,7 +133,7 @@ Status PreservationModule::ApplyGeneralization(
         double bucket = std::floor((x - lo[c]) / width[c]);
         bucket = std::clamp(
             bucket, 0.0,
-            static_cast<double>(config_.generalization_buckets - 1));
+            static_cast<double>(kGeneralizationBuckets - 1));
         const double b_lo = lo[c] + bucket * width[c];
         data.AppendStr(strings::Format("[%g,%g)", b_lo, b_lo + width[c]));
       }
@@ -192,7 +198,7 @@ Status PreservationModule::ApplyRounding(
   // budget 0 → precision 10.
   const double budget = std::clamp(loss_budget, 0.0, 1.0);
   const double precision =
-      config_.min_aggregate_precision * std::pow(100.0, 1.0 - budget);
+      kMinAggregatePrecision * std::pow(100.0, 1.0 - budget);
   for (size_t c = 0; c < table->schema().num_columns(); ++c) {
     auto it = forms.find(table->schema().column(c).name);
     if (it == forms.end() || it->second != DisclosureForm::kAggregate) continue;
@@ -223,7 +229,7 @@ Status PreservationModule::ApplyNoise(
     const std::map<std::string, policy::DisclosureForm>& forms, double loss_budget,
     Rng* rng) const {
   const double budget = std::clamp(loss_budget, 0.0, 1.0);
-  const double scale = config_.laplace_scale_at_zero_budget * (1.0 - budget);
+  const double scale = kLaplaceScaleAtZeroBudget * (1.0 - budget);
   if (scale <= 0.0) return Status::OK();
   for (size_t c = 0; c < table->schema().num_columns(); ++c) {
     auto it = forms.find(table->schema().column(c).name);
@@ -283,7 +289,6 @@ Result<relational::Table> PreservationModule::Apply(
       case Technique::kQuerySetRestriction:  // enforced pre-execution
         break;
       case Technique::kGeneralization:
-      case Technique::kKAnonymity:
         PIYE_RETURN_NOT_OK(ApplyGeneralization(&result, column_forms));
         break;
       case Technique::kSuppression:

@@ -31,7 +31,6 @@ enum class Technique {
   kNone = 0,
   kSuppression,      ///< drop undersized groups
   kGeneralization,   ///< coarsen values to ranges
-  kKAnonymity,       ///< Mondrian over numeric quasi-identifiers
   kNoiseAddition,    ///< Laplace noise on aggregates
   kRounding,         ///< publish aggregates at coarser precision
   kQuerySetRestriction,  ///< refuse small query sets
@@ -43,11 +42,7 @@ enum class Technique {
 class PreservationModule {
  public:
   struct Config {
-    size_t k = 3;                    ///< group size for k-anonymity/suppression
-    size_t generalization_buckets = 8;  ///< buckets for range generalization
-    size_t string_prefix = 3;  ///< kept prefix when generalizing strings
-    double min_aggregate_precision = 0.1;   ///< rounding floor at full budget
-    double laplace_scale_at_zero_budget = 5.0;  ///< noise when budget ≈ 0
+    size_t k = 3;  ///< smallest equivalence class suppression keeps
     /// Answer global aggregates via Denning random-sample queries instead of
     /// the exact query set (statdb::RandomSampleQueries): deterministic per
     /// (record, formula), so re-asking gains nothing, but rephrased trackers

@@ -128,9 +128,9 @@ ClusterStore ClusterStore::Default() {
                      Technique::kNoiseAddition});
   // Wide unfiltered row-level dumps → linkage attacks.
   store.AddExemplar(features(0, 0, 0, 1, 8, 0, 0, 0), BreachClass::kLinkageAttack,
-                    {Technique::kKAnonymity, Technique::kSuppression});
+                    {Technique::kGeneralization, Technique::kSuppression});
   store.AddExemplar(features(0, 0, 1, 1, 10, 0, 0, 0), BreachClass::kLinkageAttack,
-                    {Technique::kKAnonymity, Technique::kSuppression});
+                    {Technique::kGeneralization, Technique::kSuppression});
   store.Train();
   return store;
 }

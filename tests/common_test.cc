@@ -145,38 +145,12 @@ TEST(StatsTest, MeanVarStd) {
 TEST(StatsTest, EmptyInputsAreZero) {
   EXPECT_EQ(stats::Mean({}), 0.0);
   EXPECT_EQ(stats::Variance({}), 0.0);
-  EXPECT_EQ(stats::Percentile({}, 0.5), 0.0);
-}
-
-TEST(StatsTest, Percentile) {
-  std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(stats::Percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats::Percentile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(stats::Percentile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(stats::Percentile(xs, 0.25), 2.0);
-}
-
-TEST(StatsTest, EntropyBits) {
-  EXPECT_DOUBLE_EQ(stats::EntropyBits({1, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(stats::EntropyBits({4, 4, 4, 4}), 2.0);
-  EXPECT_DOUBLE_EQ(stats::EntropyBits({8, 0, 0}), 0.0);
-}
-
-TEST(StatsTest, HistogramClampsOutliers) {
-  const auto h = stats::Histogram({-5, 0.1, 0.5, 0.9, 17}, 0.0, 1.0, 2);
-  EXPECT_EQ(h[0], 2u);  // -5 clamped in, 0.1
-  EXPECT_EQ(h[1], 3u);  // 0.5, 0.9, 17 clamped in
 }
 
 TEST(StatsTest, CorrelationSigns) {
   const std::vector<double> x{1, 2, 3, 4};
   EXPECT_NEAR(stats::Correlation(x, {2, 4, 6, 8}), 1.0, 1e-12);
   EXPECT_NEAR(stats::Correlation(x, {8, 6, 4, 2}), -1.0, 1e-12);
-}
-
-TEST(StatsTest, KlDivergenceProperties) {
-  EXPECT_NEAR(stats::KlDivergenceBits({5, 5}, {5, 5}), 0.0, 1e-12);
-  EXPECT_GT(stats::KlDivergenceBits({10, 0}, {0, 10}), 0.5);
 }
 
 // --- strings ---

@@ -162,6 +162,25 @@ TEST_F(Figure1Test, NaiveIntegratorPublishesAndAttackSucceeds) {
   }
 }
 
+TEST(NaiveIntegratorTest, GroupWhoseFirstValueIsNullIsPublishedOnce) {
+  // A group is listed at its first row, whether or not that row's value is
+  // NULL; its later rows must not list it again.
+  relational::Table table(relational::Schema{
+      relational::Column{"test", relational::ColumnType::kString},
+      relational::Column{"rate", relational::ColumnType::kDouble}});
+  table.AppendRowUnchecked({relational::Value::Str("a"), relational::Value::Null()});
+  table.AppendRowUnchecked({relational::Value::Str("a"), relational::Value::Real(1.0)});
+  table.AppendRowUnchecked({relational::Value::Str("b"), relational::Value::Real(2.0)});
+  const source::RemoteSource src("HMO1", "compliance", std::move(table));
+  auto rows = NaiveIntegrator::PublishGroupedAggregates({&src}, "test", "rate");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0].group, "a");
+  EXPECT_EQ((*rows)[0].count, 1u);
+  EXPECT_DOUBLE_EQ((*rows)[0].mean, 1.0);
+  EXPECT_EQ((*rows)[1].group, "b");
+}
+
 TEST_F(Figure1Test, PrivateIyeControlBlocksTheBreach) {
   // The same disclosures routed through the mediator's privacy control with
   // an inference auditor: the early aggregates pass, the one that would

@@ -7,18 +7,10 @@
 #include "linkage/bloom.h"
 #include "linkage/commutative_cipher.h"
 #include "linkage/psi.h"
-#include "linkage/record_linkage.h"
 
 namespace piye {
 namespace linkage {
 namespace {
-
-using relational::Column;
-using relational::ColumnType;
-using relational::Row;
-using relational::Schema;
-using relational::Table;
-using relational::Value;
 
 // --- Commutative cipher ---
 
@@ -175,87 +167,6 @@ TEST(BloomEncoderTest, DifferentKeysProduceUnrelatedFilters) {
   const auto a = k1.Encode({"john smith"});
   const auto b = k2.Encode({"john smith"});
   EXPECT_LT(BloomFilter::DiceSimilarity(a, b), 0.5);
-}
-
-// --- Record linkage ---
-
-Table People(const std::vector<std::pair<std::string, std::string>>& rows) {
-  Table t(Schema{Column{"name", ColumnType::kString},
-                 Column{"dob", ColumnType::kString}});
-  for (const auto& [name, dob] : rows) {
-    (void)t.AppendRow(Row{Value::Str(name), Value::Str(dob)});
-  }
-  return t;
-}
-
-TEST(PrivateRecordLinkageTest, ExactLinkViaDhPsi) {
-  const Table left = People({{"ann", "1970"}, {"bob", "1980"}, {"cal", "1990"}});
-  const Table right = People({{"bob", "1980"}, {"dee", "1960"}, {"cal", "1990"}});
-  PrivateRecordLinkage linkage({"name", "dob"}, std::make_unique<DhPsi>(5));
-  auto pairs = linkage.Link(left, right);
-  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-  ASSERT_EQ(pairs->size(), 2u);
-  // bob↔bob and cal↔cal.
-  EXPECT_EQ((*pairs)[0].left_row, 1u);
-  EXPECT_EQ((*pairs)[0].right_row, 0u);
-  EXPECT_EQ((*pairs)[1].left_row, 2u);
-  EXPECT_EQ((*pairs)[1].right_row, 2u);
-}
-
-TEST(PrivateRecordLinkageTest, ApproximateLinkSurvivesTypos) {
-  const Table left = People({{"john smith", "1970-01-02"}});
-  const Table right = People({{"jon smith", "1970-01-02"}, {"maria garcia", "1985"}});
-  PrivateRecordLinkage linkage({"name", "dob"}, std::make_unique<DhPsi>(5));
-  // Exact linkage misses the typo...
-  auto exact = linkage.Link(left, right);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_TRUE(exact->empty());
-  // ...approximate Bloom linkage finds it.
-  const BloomEncoder encoder("secret", {512, 4, 2});
-  auto approx = linkage.LinkApproximate(left, right, encoder, 0.8);
-  ASSERT_TRUE(approx.ok());
-  ASSERT_EQ(approx->size(), 1u);
-  EXPECT_EQ((*approx)[0].right_row, 0u);
-  EXPECT_GT((*approx)[0].score, 0.8);
-}
-
-TEST(DeduplicateByKeyTest, KeepsFirstOccurrence) {
-  Table t(Schema{Column{"id", ColumnType::kString}, Column{"v", ColumnType::kInt64}});
-  (void)t.AppendRow(Row{Value::Str("a"), Value::Int(1)});
-  (void)t.AppendRow(Row{Value::Str("b"), Value::Int(2)});
-  (void)t.AppendRow(Row{Value::Str("a"), Value::Int(3)});
-  auto out = DeduplicateByKey(t, {"id"});
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->num_rows(), 2u);
-  EXPECT_EQ(out->Cell(0, 1).AsInt(), 1);  // first "a" kept
-}
-
-// Two shapes the display-string key ('\x1f'-joined ToDisplayString)
-// collapsed: a separator byte inside a key string, and NULL vs "NULL".
-TEST(DeduplicateByKeyTest, DistinctKeysWithSeparatorBytesBothSurvive) {
-  Table t(Schema{Column{"a", ColumnType::kString}, Column{"b", ColumnType::kString}});
-  (void)t.AppendRow(Row{Value::Str("a\x1f"), Value::Str("b")});
-  (void)t.AppendRow(Row{Value::Str("a"), Value::Str("\x1f" "b")});
-  auto out = DeduplicateByKey(t, {"a", "b"});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 2u);
-}
-
-TEST(DeduplicateByKeyTest, NullAndTheStringNullAreDistinctKeys) {
-  Table t(Schema{Column{"id", ColumnType::kString}});
-  (void)t.AppendRow(Row{Value::Null()});
-  (void)t.AppendRow(Row{Value::Str("NULL")});
-  (void)t.AppendRow(Row{Value::Null()});
-  auto out = DeduplicateByKey(t, {"id"});
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->num_rows(), 2u);
-  EXPECT_TRUE(out->Cell(0, 0).is_null());
-  EXPECT_EQ(out->Cell(1, 0).AsString(), "NULL");
-}
-
-TEST(DeduplicateByKeyTest, MissingKeyColumnFails) {
-  Table t(Schema{Column{"id", ColumnType::kString}});
-  EXPECT_FALSE(DeduplicateByKey(t, {"nope"}).ok());
 }
 
 }  // namespace

@@ -1,0 +1,1 @@
+// Reached from the mediator root.

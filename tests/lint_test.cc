@@ -207,6 +207,60 @@ TEST(LintPaths, RowLoopCoversAllOfSrc) {
   EXPECT_TRUE(LintOne("tests/reference/fixture.cc", content).empty());
 }
 
+TEST(LintPaths, SrcScopedRulesCoverLab) {
+  // lab/ mirrors src/'s layout and keeps its rules.
+  EXPECT_EQ(LintOne("lab/anonymity/fixture.cc", ReadFixture("bad", "row-loop.cc")).size(),
+            1u);
+  EXPECT_EQ(LintOne("/repo/lab/core/fixture.cc", ReadFixture("bad", "piql-text.cc")).size(),
+            1u);
+}
+
+// --- Product closure (the on-disk fixture trees run through piye_lint as
+// ctests; these pin the resolution rules) ---
+
+std::vector<FileContent> ProductTree() {
+  return {
+      {"src/mediator/engine.h", "#include \"source/remote_source.h\"\n"},
+      {"src/mediator/engine.cc", "#include \"mediator/engine.h\"\n"},
+      {"src/source/remote_source.h", "#include <string>\n"},
+      {"src/source/remote_source.cc", "#include \"source/remote_source.h\"\n"},
+      {"tools/source_server.cc", "#include \"source/remote_source.h\"\n"},
+      {"lab/anonymity/kanonymity.h", "#include \"common/status.h\"\n"},
+  };
+}
+
+TEST(ProductClosure, HeadersBringTheirImplementations) {
+  EXPECT_TRUE(CheckProductClosure(ProductTree()).empty());
+}
+
+TEST(ProductClosure, CommentedOrLabOnlyIncludesDoNotReach) {
+  auto files = ProductTree();
+  files.push_back({"src/common/status.h", ""});  // only lab/ includes it
+  files.push_back({"src/common/macros.h", ""});
+  files[1].content += "// #include \"common/macros.h\"\n";
+  const auto findings = CheckProductClosure(files);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].file, "src/common/macros.h");
+  EXPECT_EQ(findings[1].file, "src/common/status.h");
+  EXPECT_EQ(findings[0].rule, "product-closure");
+}
+
+TEST(ProductClosure, ToolsMayNotIncludeLab) {
+  auto files = ProductTree();
+  files[4].content += "#include \"anonymity/kanonymity.h\"\n";
+  const auto findings = CheckProductClosure(files);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "tools/source_server.cc");
+  EXPECT_EQ(findings[0].line, 2u);
+  EXPECT_EQ(findings[0].rule, "lab-include");
+}
+
+TEST(ProductClosure, NoRootIsAFinding) {
+  const auto findings = CheckProductClosure({{"src/common/status.h", ""}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "product-closure");
+}
+
 TEST(LintStatusDiscard, VariableDiscardIsExempt) {
   const auto findings = LintOne("src/mediator/fixture.cc",
                                 "bool inserted = true;\n"

@@ -9,7 +9,6 @@
 #include "reference/rowref.h"
 #include "common/stats.h"
 #include "perturb/noise.h"
-#include "perturb/randomized_response.h"
 #include "perturb/reconstruction.h"
 #include "perturb/spectral_filter.h"
 #include "perturb/swapping.h"
@@ -120,59 +119,6 @@ TEST(ReconstructionTest, RejectsBadInputs) {
   const AdditiveNoise noise(AdditiveNoise::Distribution::kGaussian, 1.0);
   EXPECT_FALSE(DistributionReconstructor(0, 100, 0).Reconstruct({1.0}, noise).ok());
   EXPECT_FALSE(DistributionReconstructor(0, 100, 10).Reconstruct({}, noise).ok());
-}
-
-// --- Randomized response ---
-
-TEST(RandomizedResponseTest, UnbiasedProportionEstimate) {
-  Rng rng(11);
-  const double true_pi = 0.3;
-  std::vector<bool> truths;
-  for (int i = 0; i < 30000; ++i) truths.push_back(rng.NextBernoulli(true_pi));
-  const RandomizedResponse rr(0.75);
-  const auto reports = rr.RandomizeAll(truths, &rng);
-  auto est = rr.EstimateProportion(reports);
-  ASSERT_TRUE(est.ok());
-  EXPECT_NEAR(*est, true_pi, 0.02);
-}
-
-TEST(RandomizedResponseTest, HalfProbabilityRejected) {
-  const RandomizedResponse rr(0.5);
-  EXPECT_FALSE(rr.EstimateProportion({true, false}).ok());
-}
-
-TEST(RandomizedResponseTest, PosteriorBoundsPlausibleDeniability) {
-  const RandomizedResponse rr(0.75);
-  const double post = rr.PosteriorGivenYes(0.3);
-  EXPECT_GT(post, 0.3);
-  EXPECT_LT(post, 0.8);
-  const RandomizedResponse no_privacy(1.0);
-  EXPECT_NEAR(no_privacy.PosteriorGivenYes(0.3), 1.0, 1e-12);
-}
-
-TEST(CategoricalRandomizedResponseTest, FrequencyRecovery) {
-  Rng rng(13);
-  const size_t k = 4;
-  const std::vector<double> true_freq{0.1, 0.2, 0.3, 0.4};
-  std::vector<size_t> truths;
-  for (int i = 0; i < 40000; ++i) {
-    const double u = rng.NextDouble();
-    truths.push_back(u < 0.1 ? 0 : u < 0.3 ? 1 : u < 0.6 ? 2 : 3);
-  }
-  const CategoricalRandomizedResponse crr(k, 0.6);
-  std::vector<size_t> reports;
-  for (size_t t : truths) reports.push_back(crr.Randomize(t, &rng));
-  auto est = crr.EstimateFrequencies(reports);
-  ASSERT_TRUE(est.ok());
-  for (size_t i = 0; i < k; ++i) EXPECT_NEAR((*est)[i], true_freq[i], 0.03);
-}
-
-TEST(CategoricalRandomizedResponseTest, RandomizeStaysInRange) {
-  Rng rng(17);
-  const CategoricalRandomizedResponse crr(5, 0.4);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_LT(crr.Randomize(static_cast<size_t>(i % 5), &rng), 5u);
-  }
 }
 
 // --- Swapping / microaggregation ---

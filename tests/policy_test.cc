@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "policy/policy.h"
-#include "policy/p3p_shredder.h"
 #include "policy/policy_store.h"
 #include "policy/preference.h"
 #include "policy/privacy_view.h"
@@ -321,93 +320,6 @@ TEST(PolicyStoreTest, DuplicateRegistrationFails) {
   PolicyStore store;
   ASSERT_TRUE(store.AddPolicy(HmoPolicy()).ok());
   EXPECT_FALSE(store.AddPolicy(HmoPolicy()).ok());
-}
-
-}  // namespace
-}  // namespace policy
-}  // namespace piye
-
-namespace piye {
-namespace policy {
-namespace {
-
-// --- P3P shredding (server-centric architecture of Agrawal et al. [7]) ---
-
-TEST(P3pShredderTest, ShredsIntoThreeTables) {
-  relational::Catalog catalog;
-  ASSERT_TRUE(PolicyShredder::Shred(HmoPolicy(), &catalog).ok());
-  EXPECT_TRUE(catalog.HasTable("p3p_rules"));
-  EXPECT_TRUE(catalog.HasTable("p3p_rule_purposes"));
-  EXPECT_TRUE(catalog.HasTable("p3p_rule_recipients"));
-  EXPECT_EQ(PolicyShredder::RuleCount(catalog, "HMO1"), 3u);
-  EXPECT_EQ(PolicyShredder::RuleCount(catalog, "nobody"), 0u);
-}
-
-TEST(P3pShredderTest, RelationalEvaluationMatchesDirectEvaluation) {
-  const PrivacyPolicy policy = HmoPolicy();
-  relational::Catalog catalog;
-  ASSERT_TRUE(PolicyShredder::Shred(policy, &catalog).ok());
-  const PurposeLattice lattice = PurposeLattice::Default();
-  const char* columns[] = {"rate", "test", "nothing"};
-  const char* purposes[] = {"research", "healthcare", "marketing", "any",
-                            "unknown-purpose"};
-  const char* recipients[] = {"cdc", "who"};
-  for (const char* column : columns) {
-    for (const char* purpose : purposes) {
-      for (const char* recipient : recipients) {
-        const Disclosure direct =
-            policy.Evaluate("compliance", column, purpose, recipient, lattice);
-        auto shredded = PolicyShredder::Evaluate(catalog, "HMO1", "compliance",
-                                                 column, purpose, recipient, lattice);
-        ASSERT_TRUE(shredded.ok()) << shredded.status().ToString();
-        EXPECT_EQ(shredded->form, direct.form)
-            << column << "/" << purpose << "/" << recipient;
-        EXPECT_DOUBLE_EQ(shredded->max_privacy_loss, direct.max_privacy_loss)
-            << column << "/" << purpose << "/" << recipient;
-        // Same rules fire (order-insensitive).
-        std::set<std::string> a(direct.rule_ids.begin(), direct.rule_ids.end());
-        std::set<std::string> b(shredded->rule_ids.begin(), shredded->rule_ids.end());
-        EXPECT_EQ(a, b) << column << "/" << purpose << "/" << recipient;
-      }
-    }
-  }
-}
-
-TEST(P3pShredderTest, MultipleOwnersShareTables) {
-  relational::Catalog catalog;
-  ASSERT_TRUE(PolicyShredder::Shred(HmoPolicy(), &catalog).ok());
-  PrivacyPolicy other("HMO2", {});
-  PolicyRule rule;
-  rule.id = "r";
-  rule.item = {"*", "rate"};
-  rule.purposes = {"*"};
-  rule.recipients = {"*"};
-  rule.form = DisclosureForm::kExact;
-  other.AddRule(rule);
-  ASSERT_TRUE(PolicyShredder::Shred(other, &catalog).ok());
-  const PurposeLattice lattice = PurposeLattice::Default();
-  // HMO1's aggregate-only rule is not contaminated by HMO2's exact grant.
-  auto d1 = PolicyShredder::Evaluate(catalog, "HMO1", "compliance", "rate",
-                                     "research", "x", lattice);
-  auto d2 = PolicyShredder::Evaluate(catalog, "HMO2", "compliance", "rate",
-                                     "research", "x", lattice);
-  ASSERT_TRUE(d1.ok());
-  ASSERT_TRUE(d2.ok());
-  EXPECT_EQ(d1->form, DisclosureForm::kAggregate);
-  EXPECT_EQ(d2->form, DisclosureForm::kExact);
-}
-
-TEST(P3pShredderTest, EmptyCatalogDeniesByDefault) {
-  relational::Catalog catalog;
-  auto d = PolicyShredder::Evaluate(catalog, "o", "t", "c", "p", "r",
-                                    PurposeLattice::Default());
-  ASSERT_TRUE(d.ok());
-  EXPECT_FALSE(d->allowed());
-}
-
-TEST(P3pShredderTest, ShredRejectsAnonymousPolicy) {
-  relational::Catalog catalog;
-  EXPECT_FALSE(PolicyShredder::Shred(PrivacyPolicy("", {}), &catalog).ok());
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "inference/interval_solver.h"
 #include "inference/nlp_solver.h"
 #include "linkage/psi.h"
-#include "linkage/record_linkage.h"
 #include "mediator/privacy_control.h"
 #include "mediator/result_integrator.h"
 #include "perturb/noise.h"
@@ -754,26 +753,6 @@ TEST_P(DedupDifferentialTest, IntegrateMatchesDisplayStringOracle) {
         << "trial " << trial << "\ngot:\n"
         << got->ToString() << "want:\n"
         << want->ToString();
-  }
-}
-
-TEST_P(DedupDifferentialTest, DeduplicateByKeyMatchesDisplayStringOracle) {
-  Rng rng(GetParam() * 104729 + 11);
-  const char* key_names[] = {"id", "name", "score", "flag", "mixed"};
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto sources = RandomSources(&rng);
-    const relational::Table& t = sources[0].table;
-    std::vector<std::string> keys;
-    for (const auto& col : t.schema().columns()) {
-      if (rng.NextBernoulli(0.5)) keys.push_back(col.name);
-    }
-    if (keys.empty()) keys.push_back(key_names[rng.NextBounded(5)]);
-    auto got = linkage::DeduplicateByKey(t, keys);
-    auto want = relational::dedupref::DeduplicateByKey(t, keys);
-    ASSERT_EQ(got.ok(), want.ok()) << trial;
-    if (!want.ok()) continue;
-    EXPECT_EQ(relational::EncodeTable(*got), relational::EncodeTable(*want))
-        << "trial " << trial;
   }
 }
 

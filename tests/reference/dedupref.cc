@@ -9,6 +9,31 @@ namespace piye {
 namespace relational {
 namespace dedupref {
 
+namespace {
+
+/// First occurrence of each value of `key_columns`, in row order.
+Result<Table> DeduplicateByKey(const Table& input,
+                               const std::vector<std::string>& key_columns) {
+  std::vector<size_t> idx;
+  for (const auto& col : key_columns) {
+    PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(col));
+    idx.push_back(i);
+  }
+  Table out(input.schema());
+  std::set<std::string> seen;
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    std::string key;
+    for (size_t i : idx) {
+      if (!key.empty()) key += '\x1f';
+      key += input.Cell(r, i).ToDisplayString();
+    }
+    if (seen.insert(key).second) out.AppendRowUnchecked(rowref::RowAt(input, r));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Table> Integrate(const std::vector<Source>& sources,
                         const std::vector<std::string>& dedup_keys) {
   Schema schema;
@@ -43,26 +68,6 @@ Result<Table> Integrate(const std::vector<Source>& sources,
     if (seen.insert(std::move(key)).second) {
       out.AppendRowUnchecked(rowref::RowAt(combined, r));
     }
-  }
-  return out;
-}
-
-Result<Table> DeduplicateByKey(const Table& input,
-                               const std::vector<std::string>& key_columns) {
-  std::vector<size_t> idx;
-  for (const auto& col : key_columns) {
-    PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(col));
-    idx.push_back(i);
-  }
-  Table out(input.schema());
-  std::set<std::string> seen;
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    std::string key;
-    for (size_t i : idx) {
-      if (!key.empty()) key += '\x1f';
-      key += input.Cell(r, i).ToDisplayString();
-    }
-    if (seen.insert(key).second) out.AppendRowUnchecked(rowref::RowAt(input, r));
   }
   return out;
 }

@@ -11,8 +11,8 @@ namespace piye {
 namespace relational {
 namespace dedupref {
 
-// The display-string duplicate elimination the Result Integrator and
-// linkage::DeduplicateByKey used before the typed kernel
+// The display-string duplicate elimination the Result Integrator used
+// before the typed kernel
 // (relational::FirstOccurrences), kept cell by cell as the oracle for it:
 // property_test diffs the two on seeded multi-source inputs and
 // bench_fig2_pipeline's --quick gate times the integrator against it.
@@ -34,10 +34,6 @@ struct Source {
 /// provenance when empty.
 Result<Table> Integrate(const std::vector<Source>& sources,
                         const std::vector<std::string>& dedup_keys);
-
-/// First occurrence of each value of `key_columns`, in row order.
-Result<Table> DeduplicateByKey(const Table& input,
-                               const std::vector<std::string>& key_columns);
 
 }  // namespace dedupref
 }  // namespace relational

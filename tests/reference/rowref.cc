@@ -184,39 +184,6 @@ Result<Table> Aggregate(const Table& input,
   return out;
 }
 
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::string& left_key, const std::string& right_key,
-                       const std::string& right_prefix) {
-  PIYE_ASSIGN_OR_RETURN(size_t li, left.schema().IndexOf(left_key));
-  PIYE_ASSIGN_OR_RETURN(size_t ri, right.schema().IndexOf(right_key));
-  Schema out_schema = left.schema();
-  for (const auto& col : right.schema().columns()) {
-    std::string name = col.name;
-    if (out_schema.Contains(name)) name = right_prefix + name;
-    out_schema.AddColumn({name, col.type});
-  }
-  std::map<Value, std::vector<size_t>> build;
-  for (size_t i = 0; i < right.num_rows(); ++i) {
-    const Value k = right.Cell(i, ri);
-    if (k.is_null()) continue;
-    build[k].push_back(i);
-  }
-  Table out(std::move(out_schema));
-  for (size_t l = 0; l < left.num_rows(); ++l) {
-    const Row lrow = RowAt(left, l);
-    const Value& k = lrow[li];
-    if (k.is_null()) continue;
-    auto it = build.find(k);
-    if (it == build.end()) continue;
-    for (size_t r : it->second) {
-      Row row = lrow;
-      for (const Value& v : RowAt(right, r)) row.push_back(v);
-      out.AppendRowUnchecked(row);
-    }
-  }
-  return out;
-}
-
 Result<Table> Union(const Table& a, const Table& b) {
   if (!(a.schema() == b.schema())) {
     return Status::InvalidArgument("UNION requires identical schemas: [" +

@@ -37,9 +37,6 @@ Result<Table> Project(const Table& input, const std::vector<std::string>& column
 Result<Table> Aggregate(const Table& input,
                         const std::vector<std::string>& group_by,
                         const std::vector<SelectItem>& aggregates);
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::string& left_key, const std::string& right_key,
-                       const std::string& right_prefix = "r_");
 Result<Table> Union(const Table& a, const Table& b);
 Table Distinct(const Table& input);
 Result<Table> Sort(const Table& input, const std::vector<OrderKey>& keys);

@@ -292,20 +292,6 @@ TEST_F(ExecutorTest, AliasRenamesOutput) {
   EXPECT_EQ(r->schema().column(0).name, "patientName");
 }
 
-TEST_F(ExecutorTest, HashJoin) {
-  Table left(Schema{Column{"id", ColumnType::kInt64}, Column{"x", ColumnType::kString}});
-  ASSERT_TRUE(left.AppendRow(Row{Value::Int(1), Value::Str("a")}).ok());
-  ASSERT_TRUE(left.AppendRow(Row{Value::Int(2), Value::Str("b")}).ok());
-  Table right(Schema{Column{"id", ColumnType::kInt64}, Column{"y", ColumnType::kString}});
-  ASSERT_TRUE(right.AppendRow(Row{Value::Int(2), Value::Str("B")}).ok());
-  ASSERT_TRUE(right.AppendRow(Row{Value::Int(2), Value::Str("B2")}).ok());
-  ASSERT_TRUE(right.AppendRow(Row{Value::Int(3), Value::Str("C")}).ok());
-  auto joined = Executor::HashJoin(left, right, "id", "id");
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->num_rows(), 2u);  // id=2 matches twice
-  EXPECT_TRUE(joined->schema().Contains("r_id"));
-}
-
 TEST_F(ExecutorTest, UnionRequiresSameSchema) {
   Table a(Schema{Column{"x", ColumnType::kInt64}});
   Table b(Schema{Column{"y", ColumnType::kInt64}});
@@ -788,9 +774,6 @@ TEST(DifferentialTest, BothEnginesAgreeAcrossNullDensities) {
     ExpectSameTable(Executor::Aggregate(t, {"g", "b"}, kAggs),
                     rowref::Aggregate(t, {"g", "b"}, kAggs),
                     "Aggregate by g,b" + tag);
-    Table right = RandomTable(&rng, 40, null_density);
-    ExpectSameTable(Executor::HashJoin(t, right, "g", "g", "r_"),
-                    rowref::HashJoin(t, right, "g", "g", "r_"), "HashJoin" + tag);
     ExpectSameTable(Executor::Union(t, t), rowref::Union(t, t), "Union" + tag);
     ExpectSameTable(Result<Table>(Executor::Distinct(t)),
                     Result<Table>(rowref::Distinct(t)), "Distinct" + tag);
@@ -855,8 +838,6 @@ TEST(DifferentialTest, EmptyTablesAgree) {
                   "Aggregate empty global");
   ExpectSameTable(Executor::Aggregate(t, {"g"}, aggs),
                   rowref::Aggregate(t, {"g"}, aggs), "Aggregate empty grouped");
-  ExpectSameTable(Executor::HashJoin(t, t, "g", "g", "r_"),
-                  rowref::HashJoin(t, t, "g", "g", "r_"), "Join empty");
   ExpectSameTable(Executor::Sort(t, {{"i", true}}), rowref::Sort(t, {{"i", true}}),
                   "Sort empty");
   ExpectSameTable(Result<Table>(Executor::Limit(t, 5)),

@@ -588,6 +588,62 @@ TEST_F(RemoteSourceTest, RangeColumnsAreGeneralized) {
   }
 }
 
+TEST_F(RemoteSourceTest, LinkageClassReleaseGeneralizesRangeColumnsOnce) {
+  // A wide unfiltered row dump is a linkage-class query: (0,0,0,1,8,...) is
+  // that class's exemplar, one unit from this 8-column query. Its numeric
+  // kRange column must be released as [lo,hi) buckets; generalizing the
+  // bucket strings a second time would cut them to a prefix like "[20*".
+  Table table(Schema{Column{"patient_id", ColumnType::kString},
+                     Column{"age", ColumnType::kInt64},
+                     Column{"sex", ColumnType::kString},
+                     Column{"ward", ColumnType::kString},
+                     Column{"diagnosis", ColumnType::kString},
+                     Column{"drug", ColumnType::kString},
+                     Column{"insurer", ColumnType::kString},
+                     Column{"outcome", ColumnType::kString}});
+  for (int i = 0; i < 64; ++i) {
+    table.AppendRowUnchecked({Value::Str("p" + std::to_string(i)), Value::Int(20 + i),
+                              Value::Str(i % 2 ? "F" : "M"), Value::Str("w"),
+                              Value::Str("d"), Value::Str("x"), Value::Str("i"),
+                              Value::Str("o")});
+  }
+  RemoteSource wide("hospitalA", "patients", std::move(table), 1);
+  policy::PrivacyPolicy policy("hospitalA", {});
+  for (const auto& col : wide.schema().columns()) {
+    policy::PolicyRule rule;
+    rule.id = col.name + "-rule";
+    rule.item = {"*", col.name};
+    rule.purposes = {"healthcare"};
+    rule.recipients = {"*"};
+    rule.form = col.name == "age" ? policy::DisclosureForm::kRange
+                                  : policy::DisclosureForm::kExact;
+    rule.max_privacy_loss = 1.0;
+    policy.AddRule(rule);
+  }
+  ASSERT_TRUE(wide.mutable_policies()->AddPolicy(std::move(policy)).ok());
+  ASSERT_TRUE(wide.mutable_rbac()->AddRole("analyst").ok());
+  ASSERT_TRUE(wide.mutable_rbac()->AssignRole("analyst", "analyst").ok());
+  ASSERT_TRUE(
+      wide.mutable_rbac()->Grant("analyst", access::Action::kSelect, "*", "*").ok());
+
+  std::string select;
+  for (const auto& col : wide.schema().columns()) {
+    select += "<select>" + col.name + "</select>";
+  }
+  auto result = wide.ExecuteFragment(MakeQuery(select));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto idx = result->table.schema().IndexOf("age");
+  ASSERT_TRUE(idx.ok());
+  ASSERT_EQ(result->table.num_rows(), 64u);
+  for (size_t r = 0; r < result->table.num_rows(); ++r) {
+    const std::string cell = result->table.Cell(r, *idx).AsString();
+    ASSERT_GE(cell.size(), 5u) << cell;
+    EXPECT_EQ(cell.front(), '[') << cell;
+    EXPECT_EQ(cell.back(), ')') << cell;
+    EXPECT_NE(cell.find(','), std::string::npos) << cell;
+  }
+}
+
 TEST_F(RemoteSourceTest, RequesterInfoLossToleranceGates) {
   // Asking for 3 columns of which 1 is denied ⇒ info loss >= 1/3; a
   // requester tolerating only 0.1 is refused outright.

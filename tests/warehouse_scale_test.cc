@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,9 +50,8 @@ std::string Fp(size_t i) { return "query-fingerprint-" + std::to_string(i); }
 
 TEST(WarehouseScaleTest, ConcurrentPutGetEvictAcrossShards) {
   trace::MetricsRegistry metrics;
-  Warehouse warehouse(Warehouse::Options{/*num_shards=*/16, /*max_bytes=*/0});
+  Warehouse warehouse;
   warehouse.set_metrics(&metrics);
-  EXPECT_EQ(warehouse.num_shards(), 16u);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kOpsPerThread = 400;
@@ -106,8 +106,8 @@ TEST(WarehouseScaleTest, ConcurrentPutGetEvictAcrossShards) {
 
 TEST(WarehouseScaleTest, ByteBudgetBoundsResidentBytes) {
   trace::MetricsRegistry metrics;
-  // ~64KB budget over 4 shards = 16KB per shard; entries are ~4KB+ each.
-  Warehouse warehouse(Warehouse::Options{/*num_shards=*/4, /*max_bytes=*/64 << 10});
+  // ~256KB budget over 16 shards = 16KB per shard; entries are ~4KB+ each.
+  Warehouse warehouse(Warehouse::Options{/*max_bytes=*/256 << 10});
   warehouse.set_metrics(&metrics);
 
   for (size_t i = 0; i < 128; ++i) {
@@ -129,40 +129,47 @@ TEST(WarehouseScaleTest, ByteBudgetBoundsResidentBytes) {
 }
 
 TEST(WarehouseScaleTest, EvictionIsOldestEpochFirstThenLru) {
-  // Single shard so the eviction order is fully deterministic.
-  Warehouse warehouse(Warehouse::Options{/*num_shards=*/1, /*max_bytes=*/0});
+  // Four fingerprints routed to one shard (Warehouse::ShardFor hashes with
+  // std::hash modulo kShards), so their eviction order is fully
+  // deterministic.
+  const auto shard_of = [](const std::string& fp) {
+    return std::hash<std::string>{}(fp) % Warehouse::kShards;
+  };
+  std::vector<std::string> keys;
+  for (size_t i = 0; keys.size() < 4; ++i) {
+    const std::string fp = Fp(i);
+    if (keys.empty() || shard_of(fp) == shard_of(keys[0])) keys.push_back(fp);
+  }
+  const std::string& a = keys[0];
+  const std::string& b = keys[1];
+  const std::string& c = keys[2];
+  const std::string& d = keys[3];
 
-  // Epochs: old=1 for a,b; new=2 for c. A Get refreshes `a`, making `b` the
-  // least-recently-used entry of the oldest epoch.
-  warehouse.Put("a", MakeTable(1, 1024), /*epoch=*/1);
-  warehouse.Put("b", MakeTable(2, 1024), /*epoch=*/1);
-  warehouse.Put("c", MakeTable(3, 1024), /*epoch=*/2);
-  ASSERT_NE(warehouse.Get("a", 2, 1), nullptr);  // refresh a's LRU position
-
-  // Shrink the budget by rebuilding with one that only fits two entries;
-  // replaying the same puts (with the refresh) must evict b first, then a —
-  // never c, even though c was written after a was refreshed.
+  // A shard slice that only fits two entries. Epochs: old=1 for a,b; new=2
+  // for c. A Get refreshes `a`, making `b` the least-recently-used entry of
+  // the oldest epoch: the puts must evict b first, then a — never c, even
+  // though c was written after a was refreshed.
   const size_t entry_bytes = MakeTable(1, 1024).ApproxBytes();
   Warehouse bounded(
-      Warehouse::Options{/*num_shards=*/1, /*max_bytes=*/entry_bytes * 2 + 64});
-  bounded.Put("a", MakeTable(1, 1024), 1);
-  bounded.Put("b", MakeTable(2, 1024), 1);
-  ASSERT_NE(bounded.Get("a", 1, 0), nullptr);  // a is now more recent than b
-  bounded.Put("c", MakeTable(3, 1024), 2);     // over budget: evict within epoch 1
-  EXPECT_EQ(bounded.Get("b", 2, 1), nullptr);  // b (oldest epoch, LRU) evicted
-  EXPECT_NE(bounded.Get("a", 2, 1), nullptr);
-  EXPECT_NE(bounded.Get("c", 2, 1), nullptr);
+      Warehouse::Options{/*max_bytes=*/(entry_bytes * 2 + 64) * Warehouse::kShards});
+  bounded.Put(a, MakeTable(1, 1024), 1);
+  bounded.Put(b, MakeTable(2, 1024), 1);
+  ASSERT_NE(bounded.Get(a, 1, 0), nullptr);  // a is now more recent than b
+  bounded.Put(c, MakeTable(3, 1024), 2);     // over budget: evict within epoch 1
+  EXPECT_EQ(bounded.Get(b, 2, 1), nullptr);  // b (oldest epoch, LRU) evicted
+  EXPECT_NE(bounded.Get(a, 2, 1), nullptr);
+  EXPECT_NE(bounded.Get(c, 2, 1), nullptr);
 
   // Next eviction takes a (oldest epoch) even though it was just used:
   // epoch-major order dominates recency.
-  bounded.Put("d", MakeTable(4, 1024), 2);
-  EXPECT_EQ(bounded.Get("a", 2, 1), nullptr);
-  EXPECT_NE(bounded.Get("c", 2, 1), nullptr);
-  EXPECT_NE(bounded.Get("d", 2, 1), nullptr);
+  bounded.Put(d, MakeTable(4, 1024), 2);
+  EXPECT_EQ(bounded.Get(a, 2, 1), nullptr);
+  EXPECT_NE(bounded.Get(c, 2, 1), nullptr);
+  EXPECT_NE(bounded.Get(d, 2, 1), nullptr);
 }
 
 TEST(WarehouseScaleTest, SnapshotDoesNotBlockConcurrentGets) {
-  Warehouse warehouse(Warehouse::Options{/*num_shards=*/16, /*max_bytes=*/0});
+  Warehouse warehouse;
   constexpr size_t kEntries = 256;
   for (size_t i = 0; i < kEntries; ++i) {
     warehouse.Put(Fp(i), MakeTable(static_cast<int64_t>(i), /*payload_bytes=*/16384),

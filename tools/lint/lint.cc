@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <sstream>
 
 namespace piye {
@@ -118,6 +120,16 @@ std::vector<LineInfo> SplitLines(const std::string& content) {
 
 bool PathHas(const std::string& path, const std::string& fragment) {
   return path.find(fragment) != std::string::npos;
+}
+
+bool StartsWith(const std::string& path, const std::string& prefix) {
+  return path.rfind(prefix, 0) == 0;
+}
+
+/// The trees the path-scoped rules cover: the product (src/) and the
+/// ablation substrate beside it (lab/), which mirrors src/'s layout.
+bool InLibraryTree(const std::string& path) {
+  return PathHas(path, "src/") || StartsWith(path, "lab/") || PathHas(path, "/lab/");
 }
 
 bool IsHeader(const std::string& path) {
@@ -312,7 +324,7 @@ void CheckSerializationBoundary(const std::string& path, const std::vector<LineI
 /// module itself and the PrivateIye facade that reads the requester's XML.
 void CheckPiqlText(const std::string& path, const std::vector<LineInfo>& lines, Emit out) {
   static const char* kRule = "piql-text";
-  if (!PathHas(path, "src/")) return;
+  if (!InLibraryTree(path)) return;
   if (PathHas(path, "src/xml/") || PathHas(path, "src/source/piql.cc") ||
       PathHas(path, "src/core/private_iye.cc")) {
     return;
@@ -429,14 +441,15 @@ void CheckAnalysisEscape(const std::string& path, const std::vector<LineInfo>& l
 /// row-loop: the product tree reads tables column by column; materializing
 /// Rows reintroduces the per-cell variant churn the columnar rebuild removed
 /// (and, for dense write-backs, the NULL-misalignment bug class). Flags row
-/// iteration and every `.row(` / `->row(` member call anywhere under src/.
+/// iteration and every `.row(` / `->row(` member call anywhere under src/
+/// and lab/.
 /// `Table` has no row accessor, and the rule keeps it that way.
 /// relational/table.* is exempt as the owner of the row-append boundary
 /// (`AppendRow`); the row-engine reference (`rowref::RowAt`) lives in the
 /// test tree, outside the scanned paths.
 void CheckRowLoop(const std::string& path, const std::vector<LineInfo>& lines, Emit out) {
   static const char* kRule = "row-loop";
-  if (!PathHas(path, "src/")) return;
+  if (!InLibraryTree(path)) return;
   if (PathHas(path, "relational/table.")) return;
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& code = lines[i].code;
@@ -527,19 +540,53 @@ const std::vector<Rule>& Rules() {
        "NO_THREAD_SAFETY_ANALYSIS outside common/sync.h (no opt-outs)",
        CheckAnalysisEscape},
       {"row-loop",
-       "row-at-a-time iteration or Table::row calls anywhere in src/ outside "
-       "the row shim (relational/table.*)",
+       "row-at-a-time iteration or Table::row calls anywhere in src/ or lab/ "
+       "outside the row shim (relational/table.*)",
        CheckRowLoop},
       {"manual-snapshot",
        "StateLog rotation calls outside the snapshotter/engine seam (bypass "
        "dirty-floor tracking and the fail-closed latch)",
        CheckManualSnapshot},
       {"piql-text",
-       "xml::Serialize, ToXml() or PiqlQuery::Parse calls in src/ outside the "
-       "requester edge (src/xml/, source/piql.cc, core/private_iye.cc)",
+       "xml::Serialize, ToXml() or PiqlQuery::Parse calls in src/ or lab/ "
+       "outside the requester edge (src/xml/, source/piql.cc, "
+       "core/private_iye.cc)",
        CheckPiqlText},
   };
   return kRules;
+}
+
+/// The `#include "..."` targets of a file with their 1-based lines; an
+/// include inside a comment does not count.
+std::vector<std::pair<size_t, std::string>> QuotedIncludes(const std::string& content) {
+  const std::vector<LineInfo> lines = SplitLines(content);
+  std::vector<std::pair<size_t, std::string>> out;
+  size_t begin = 0;
+  for (size_t i = 0; i < lines.size() && begin <= content.size(); ++i) {
+    size_t end = content.find('\n', begin);
+    if (end == std::string::npos) end = content.size();
+    const std::string raw = content.substr(begin, end - begin);
+    begin = end + 1;
+    // String literals are blanked in `code`, so the target comes from `raw`.
+    const std::string& code = lines[i].code;
+    const size_t hash = code.find_first_not_of(" \t");
+    if (hash == std::string::npos || code[hash] != '#') continue;
+    const size_t kw = code.find_first_not_of(" \t", hash + 1);
+    if (kw == std::string::npos || code.compare(kw, 7, "include") != 0) continue;
+    const size_t open = raw.find('"');
+    const size_t close = open == std::string::npos ? open : raw.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    out.emplace_back(i + 1, raw.substr(open + 1, close - open - 1));
+  }
+  return out;
+}
+
+bool IsProductRoot(const std::string& path) {
+  if (StartsWith(path, "src/mediator/") || StartsWith(path, "src/net/")) return true;
+  if (path == "src/core/private_iye.h" || path == "src/core/private_iye.cc") return true;
+  if (path == "tools/source_server.cc") return true;
+  return StartsWith(path, "perfbench/") && path.find('/', 10) == std::string::npos &&
+         path.size() > 3 && path.compare(path.size() - 3, 3, ".cc") == 0;
 }
 
 std::string JsonEscape(const std::string& in) {
@@ -594,6 +641,67 @@ std::vector<Finding> RunLint(const std::vector<FileContent>& files) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;
     return a.rule < b.rule;
+  });
+  return findings;
+}
+
+std::vector<Finding> CheckProductClosure(const std::vector<FileContent>& files) {
+  std::map<std::string, const FileContent*> by_path;
+  for (const auto& file : files) by_path[file.path] = &file;
+  const auto resolve = [&by_path](const std::string& from, const std::string& name) {
+    const size_t slash = from.rfind('/');
+    const std::string dir = slash == std::string::npos ? "" : from.substr(0, slash + 1);
+    for (const std::string& base : {dir, std::string("src/"), std::string("lab/")}) {
+      std::string path = base + name;
+      if (by_path.count(path) > 0) return path;
+    }
+    return std::string();
+  };
+
+  std::vector<Finding> findings;
+  std::vector<std::string> pending;
+  for (const auto& file : files) {
+    if (IsProductRoot(file.path)) pending.push_back(file.path);
+    if (!StartsWith(file.path, "src/") && !StartsWith(file.path, "tools/")) continue;
+    for (const auto& [line, name] : QuotedIncludes(file.content)) {
+      const std::string target = resolve(file.path, name);
+      if (StartsWith(target, "lab/")) {
+        findings.push_back({file.path, line, "lab-include",
+                            "includes the lab/ header '" + target +
+                                "'; lab/ is linked only by tests/, bench/ and "
+                                "examples/"});
+      }
+    }
+  }
+  if (pending.empty()) {
+    findings.push_back({"", 0, "product-closure", "no product root among the files"});
+    return findings;
+  }
+
+  std::set<std::string> reached;
+  while (!pending.empty()) {
+    const std::string path = std::move(pending.back());
+    pending.pop_back();
+    if (!reached.insert(path).second) continue;
+    for (const auto& [line, name] : QuotedIncludes(by_path.at(path)->content)) {
+      const std::string target = resolve(path, name);
+      if (!target.empty() && !StartsWith(target, "lab/")) pending.push_back(target);
+    }
+    if (IsHeader(path)) {
+      const std::string impl = path.substr(0, path.size() - 2) + ".cc";
+      if (by_path.count(impl) > 0) pending.push_back(impl);
+    }
+  }
+  for (const auto& file : files) {
+    if (StartsWith(file.path, "src/") && reached.count(file.path) == 0) {
+      findings.push_back({file.path, 1, "product-closure",
+                          "reached by no #include chain from a product root; "
+                          "delete it, or move it to lab/ if only tests, "
+                          "benches or examples use it"});
+    }
+  }
+  std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
+    return a.file != b.file ? a.file < b.file : a.line < b.line;
   });
   return findings;
 }

@@ -51,6 +51,17 @@ std::string RuleDescription(const std::string& rule);
 /// Lints every file and returns the findings, ordered by (file, line).
 std::vector<Finding> RunLint(const std::vector<FileContent>& files);
 
+/// Product closure: src/ holds only what the product reaches. Follows
+/// `#include "..."` lines from the product roots (src/mediator/, src/net/,
+/// src/core/private_iye.{h,cc}, tools/source_server.cc and perfbench/*.cc),
+/// plus each reached header's same-named .cc, and reports
+///  * "product-closure": a src/ file no root reaches;
+///  * "lab-include": a src/ or tools/ file that includes a lab/ header.
+/// `files` carry repo-relative paths. An include resolves against the
+/// including file's directory, then src/, then lab/; lab/ is never followed.
+/// There is no suppression: a file is reached or it leaves src/.
+std::vector<Finding> CheckProductClosure(const std::vector<FileContent>& files);
+
 /// Machine-readable report:
 /// {"count": N, "findings": [{"file", "line", "rule", "message"}, ...]}
 std::string FindingsToJson(const std::vector<Finding>& findings);
