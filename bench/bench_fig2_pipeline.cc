@@ -16,7 +16,7 @@
 #include "core/scenario.h"
 #include "match/mediated_schema.h"
 #include "mediator/result_integrator.h"
-#include "perturb/noise.h"
+#include "perturb/additive_noise.h"
 #include "perturb/swapping.h"
 #include "reference/dedupref.h"
 #include "reference/rowref.h"

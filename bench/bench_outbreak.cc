@@ -14,8 +14,8 @@
 #include <cstdio>
 #include <map>
 
+#include "core/outbreak.h"
 #include "core/private_iye.h"
-#include "core/scenario.h"
 
 using piye::core::OutbreakScenario;
 using piye::core::PrivateIye;

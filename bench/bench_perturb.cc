@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "perturb/noise.h"
+#include "perturb/additive_noise.h"
 #include "perturb/reconstruction.h"
 #include "perturb/spectral_filter.h"
 

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "relational/executor.h"
+#include "reference/sql_tables.h"
 #include "source/query_cluster.h"
 
 using namespace piye;
@@ -107,7 +107,6 @@ BENCHMARK(BM_DecideByFeatures)->Unit(benchmark::kNanosecond);
 // Option 1: execute the query first, then analyze its results.
 void BM_DecideByExecution(benchmark::State& state) {
   Rng rng(1);
-  relational::Catalog catalog;
   relational::Table t(relational::Schema{
       relational::Column{"g", relational::ColumnType::kString},
       relational::Column{"v", relational::ColumnType::kDouble},
@@ -117,11 +116,10 @@ void BM_DecideByExecution(benchmark::State& state) {
                           relational::Value::Real(rng.NextUniform(0, 100)),
                           relational::Value::Int(i % 5)});
   }
-  catalog.PutTable("t", std::move(t));
-  relational::Executor ex(&catalog);
+  const relational::sqlref::Tables tables{{"t", std::move(t)}};
   auto stmt = relational::ParseSql("SELECT g, AVG(v) FROM t WHERE a = 1 GROUP BY g");
   for (auto _ : state) {
-    auto result = ex.Execute(*stmt);
+    auto result = relational::sqlref::Execute(tables, *stmt);
     // "Analyze the query results": class-size statistics over the output.
     size_t rows = result.ok() ? result->num_rows() : 0;
     benchmark::DoNotOptimize(rows);

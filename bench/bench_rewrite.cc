@@ -30,7 +30,8 @@
 
 #include "common/rng.h"
 #include "core/scenario.h"
-#include "perturb/noise.h"
+#include "perturb/additive_noise.h"
+#include "reference/sql_tables.h"
 #include "relational/executor.h"
 #include "relational/sql.h"
 #include "relational/table_codec.h"
@@ -75,14 +76,12 @@ ExprPtr PolicyPredicate(int selectivity_pct) {
 void BM_RewriteThenExecute(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const int sel = static_cast<int>(state.range(1));
-  Catalog catalog;
-  catalog.PutTable("t", MakeTable(rows, 7));
-  Executor ex(&catalog);
+  const sqlref::Tables tables{{"t", MakeTable(rows, 7)}};
   auto stmt = ParseSql("SELECT rate FROM t WHERE rate >= 0");
   stmt->where = Expression::And(stmt->where, PolicyPredicate(sel));
   double sink = 0.0;
   for (auto _ : state) {
-    auto result = ex.Execute(*stmt);
+    auto result = sqlref::Execute(tables, *stmt);
     sink += PrivacyWork(*result, "rate");
     benchmark::DoNotOptimize(result);
   }
@@ -100,14 +99,12 @@ BENCHMARK(BM_RewriteThenExecute)
 void BM_ExecuteThenFilter(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const int sel = static_cast<int>(state.range(1));
-  Catalog catalog;
-  catalog.PutTable("t", MakeTable(rows, 7));
-  Executor ex(&catalog);
+  const sqlref::Tables tables{{"t", MakeTable(rows, 7)}};
   auto stmt = ParseSql("SELECT rate, consent_tier FROM t WHERE rate >= 0");
   const ExprPtr policy = PolicyPredicate(sel);
   double sink = 0.0;
   for (auto _ : state) {
-    auto result = ex.Execute(*stmt);
+    auto result = sqlref::Execute(tables, *stmt);
     // Privacy work runs on the FULL result before the policy filter — the
     // execute-then-filter shape.
     sink += PrivacyWork(*result, "rate");
@@ -142,13 +139,12 @@ Table MakeSiteTable(size_t rows, uint64_t seed) {
 }
 
 void BM_PerturbAfterAggregate(benchmark::State& state) {
-  Catalog catalog;
-  catalog.PutTable("t", MakeSiteTable(static_cast<size_t>(state.range(0)), 3));
-  Executor ex(&catalog);
+  const sqlref::Tables tables{
+      {"t", MakeSiteTable(static_cast<size_t>(state.range(0)), 3)}};
   auto stmt = ParseSql("SELECT site, AVG(rate) AS m FROM t GROUP BY site");
   piye::Rng rng(5);
   for (auto _ : state) {
-    auto result = ex.Execute(*stmt);
+    auto result = sqlref::Execute(tables, *stmt);
     const perturb::AdditiveNoise noise(perturb::AdditiveNoise::Distribution::kGaussian,
                                        1.0);
     (void)noise.PerturbColumn(&*result, "m", &rng);
@@ -158,19 +154,16 @@ void BM_PerturbAfterAggregate(benchmark::State& state) {
 BENCHMARK(BM_PerturbAfterAggregate)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void BM_PerturbBeforeAggregate(benchmark::State& state) {
-  Catalog catalog;
-  catalog.PutTable("t", MakeSiteTable(static_cast<size_t>(state.range(0)), 3));
-  Executor ex(&catalog);
+  const Table base = MakeSiteTable(static_cast<size_t>(state.range(0)), 3);
   auto stmt = ParseSql("SELECT site, AVG(rate) AS m FROM t GROUP BY site");
   piye::Rng rng(5);
   for (auto _ : state) {
-    Table copy = **catalog.GetTable("t");
+    Table copy = base;
     const perturb::AdditiveNoise noise(perturb::AdditiveNoise::Distribution::kGaussian,
                                        1.0);
     (void)noise.PerturbColumn(&copy, "rate", &rng);
-    Catalog scratch;
-    scratch.PutTable("t", std::move(copy));
-    auto result = Executor(&scratch).Execute(*stmt);
+    const sqlref::Tables scratch{{"t", std::move(copy)}};
+    auto result = sqlref::Execute(scratch, *stmt);
     benchmark::DoNotOptimize(result);
   }
 }

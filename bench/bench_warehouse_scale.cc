@@ -96,6 +96,10 @@ piye::relational::Table MakeTable(size_t marker) {
   return t;
 }
 
+Warehouse::TableHandle MakeHandle(size_t marker) {
+  return std::make_shared<const piye::relational::Table>(MakeTable(marker));
+}
+
 std::string Fp(size_t i) { return "fingerprint-" + std::to_string(i); }
 
 /// Runs `total_ops` Gets split over `threads` workers against `get`;
@@ -137,7 +141,7 @@ void PrintThroughputSweep() {
   Warehouse sharded;
   for (size_t i = 0; i < kEntries; ++i) {
     baseline.Put(Fp(i), MakeTable(i), 0);
-    sharded.Put(Fp(i), MakeTable(i), 0);
+    sharded.Put(Fp(i), MakeHandle(i), 0);
   }
   auto baseline_get = [&baseline](const std::string& fp) {
     auto t = baseline.Get(fp, 0, 0);
@@ -176,7 +180,7 @@ void PrintHitLatency() {
   Warehouse sharded;
   for (size_t i = 0; i < kEntries; ++i) {
     baseline.Put(Fp(i), MakeTable(i), 0);
-    sharded.Put(Fp(i), MakeTable(i), 0);
+    sharded.Put(Fp(i), MakeHandle(i), 0);
   }
   constexpr size_t kOps = 50'000;
   auto time_ns = [](auto fn) {
@@ -267,7 +271,7 @@ void PrintEvictionBudget() {
   Warehouse warehouse(Warehouse::Options{/*max_bytes=*/1 << 20});
   warehouse.set_metrics(&metrics);
   for (size_t i = 0; i < 1024; ++i) {
-    warehouse.Put(Fp(i), MakeTable(i), /*epoch=*/i / 128);
+    warehouse.Put(Fp(i), MakeHandle(i), /*epoch=*/i / 128);
   }
   std::printf("  resident: %zu entries, %zu bytes (budget %zu)\n",
               warehouse.size(), warehouse.bytes(), warehouse.max_bytes());
@@ -396,7 +400,7 @@ BaselineWarehouse* SharedBaseline() {
 Warehouse* SharedSharded() {
   static Warehouse* w = [] {
     auto* s = new Warehouse();
-    for (size_t i = 0; i < kEntries; ++i) s->Put(Fp(i), MakeTable(i), 0);
+    for (size_t i = 0; i < kEntries; ++i) s->Put(Fp(i), MakeHandle(i), 0);
     return s;
   }();
   return w;
@@ -439,7 +443,7 @@ void BM_ShardedPutEvict(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     ++i;
-    warehouse.Put(Fp(i % 4096), MakeTable(i % 64), i / 512);
+    warehouse.Put(Fp(i % 4096), MakeHandle(i % 64), i / 512);
   }
 }
 BENCHMARK(BM_ShardedPutEvict);

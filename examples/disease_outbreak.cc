@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <map>
 
+#include "core/outbreak.h"
 #include "core/private_iye.h"
-#include "core/scenario.h"
 #include "policy/policy.h"
 
 using piye::core::OutbreakScenario;

@@ -3,7 +3,10 @@
 //
 //   $ ./build/examples/quickstart
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/private_iye.h"
 #include "policy/policy.h"
@@ -20,6 +23,33 @@ using piye::relational::Table;
 using piye::relational::Value;
 
 namespace {
+
+/// Prints `t` as aligned columns: a header of column names, then one line
+/// per row, each cell padded to its column's widest entry plus two spaces.
+void PrintTable(const Table& t) {
+  std::vector<size_t> widths(t.num_columns());
+  std::vector<std::vector<std::string>> cells(t.num_rows());
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    widths[c] = t.schema().column(c).name.size();
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      cells[r].push_back(t.Cell(r, c).ToDisplayString());
+      widths[c] = std::max(widths[c], cells[r][c].size());
+    }
+  }
+  auto print_line = [&widths](auto cell) {
+    for (size_t c = 0; c < widths.size(); ++c) {
+      const std::string& text = cell(c);
+      std::printf("%s%*s", text.c_str(), static_cast<int>(widths[c] - text.size() + 2), "");
+    }
+    std::printf("\n");
+  };
+  print_line([&t](size_t c) -> const std::string& { return t.schema().column(c).name; });
+  for (const auto& row : cells) {
+    print_line([&row](size_t c) -> const std::string& { return row[c]; });
+  }
+}
 
 Table HospitalTable() {
   Table t(Schema{Column{"patient_id", ColumnType::kString},
@@ -137,7 +167,8 @@ int main() {
   }
   std::printf("\nIntegrated result (%zu rows, combined privacy loss %.2f):\n",
               result->table().num_rows(), result->combined_privacy_loss);
-  std::printf("%s\n", result->table().ToString().c_str());
+  PrintTable(result->table());
+  std::printf("\n");
 
   // 6. The same query for a disallowed purpose is refused outright.
   auto refused = system.QueryXml(R"(

@@ -8,11 +8,13 @@
 //   $ ./build/examples/warehouse_mining
 
 #include <cstdio>
+#include <map>
+#include <string>
 
+#include "core/outbreak.h"
 #include "core/private_iye.h"
 #include "core/scenario.h"
 #include "core/warehouse_miner.h"
-#include "relational/executor.h"
 
 using namespace piye;
 
@@ -74,19 +76,18 @@ int main() {
 
   // --- Trend mining over outbreak surveillance feeds. ---
   const std::vector<std::string> countries{"sg", "hk", "cn"};
-  auto cases = core::OutbreakScenario::MakeCaseTables(countries, 50, 25, 2, 7);
-  auto unioned = relational::Executor::Union(cases[0], cases[1]);
-  if (unioned.ok()) unioned = relational::Executor::Union(*unioned, cases[2]);
-  if (unioned.ok()) {
-    auto slopes =
-        core::WarehouseMiner::TrendSlopes(*unioned, "region", "day", "cases");
-    if (slopes.ok()) {
-      std::printf("\nCase-count trend slopes (cases/day) per region:\n");
-      for (const auto& [region, slope] : *slopes) {
-        std::printf("  %-6s %+7.2f %s\n", region.c_str(), slope,
-                    slope > 1.0 ? "<-- escalating: investigate" : "");
-      }
-    }
+  // Each case table holds one region, so each yields that region's slope.
+  const auto cases = core::OutbreakScenario::MakeCaseTables(countries, 50, 25, 2, 7);
+  std::map<std::string, double> slopes;
+  for (const auto& table : cases) {
+    auto region = core::WarehouseMiner::TrendSlopes(table, "region", "day", "cases");
+    if (!region.ok()) return 1;
+    slopes.insert(region->begin(), region->end());
+  }
+  std::printf("\nCase-count trend slopes (cases/day) per region:\n");
+  for (const auto& [region, slope] : slopes) {
+    std::printf("  %-6s %+7.2f %s\n", region.c_str(), slope,
+                slope > 1.0 ? "<-- escalating: investigate" : "");
   }
   return 0;
 }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "perturb/noise.h"
+#include "perturb/additive_noise.h"
 
 namespace piye {
 namespace perturb {

@@ -2,8 +2,9 @@
 # The repo's CI entry point: a warning-free (-Werror) release-ish build with
 # the full test suite, then an explicit multi-process federation leg (real
 # source_server processes over Unix sockets), then a no-execution static
-# analysis leg (piye_lint over src/ and lab/, the product-closure check, and
-# clang thread-safety analysis when a clang toolchain is present), then the same suite under AddressSanitizer
+# analysis leg (piye_lint over src/ and lab/, the file- and function-level
+# product-closure checks, and clang thread-safety analysis when a clang
+# toolchain is present), then the same suite under AddressSanitizer
 # (PIYE_SANITIZE=address), then the concurrency suites under ThreadSanitizer
 # (PIYE_SANITIZE=thread), then the parser/overload suites under UBSan
 # (PIYE_SANITIZE=undefined), then the columnar hot-path gate
@@ -83,6 +84,11 @@ else
   "$ROOT/build/tools/piye_lint" --json "$ROOT/src" "$ROOT/lab" \
     > "$ROOT/build/piye_lint_report.json"
   "$ROOT/build/tools/piye_lint" --closure "$ROOT"
+  # Function-level closure: every src/ function and file that neither
+  # product binary links (perfbench and source_server, at -O0 with
+  # --gc-sections) must be on the reviewed keep-list, and every keep-list
+  # entry must still be unlinked.
+  "$ROOT/scripts/unreferenced_functions.sh"
 
   # Clang thread-safety analysis: a compile-only pass with the capability
   # annotations from common/sync.h enforced as errors, proving every

@@ -77,44 +77,5 @@ bool RbacDatabase::IsAuthorized(const std::string& user, Action action,
   return false;
 }
 
-const char* SecurityLevelToString(SecurityLevel level) {
-  switch (level) {
-    case SecurityLevel::kPublic:
-      return "public";
-    case SecurityLevel::kInternal:
-      return "internal";
-    case SecurityLevel::kConfidential:
-      return "confidential";
-    case SecurityLevel::kSecret:
-      return "secret";
-  }
-  return "?";
-}
-
-void MlsLabeling::SetLabel(const std::string& table, const std::string& column,
-                           SecurityLevel level) {
-  labels_[{table, column}] = level;
-}
-
-SecurityLevel MlsLabeling::LabelOf(const std::string& table,
-                                   const std::string& column) const {
-  auto it = labels_.find({table, column});
-  if (it != labels_.end()) return it->second;
-  // Fall back to a table-wide label.
-  it = labels_.find({table, "*"});
-  if (it != labels_.end()) return it->second;
-  return SecurityLevel::kPublic;
-}
-
-bool MlsLabeling::CanRead(SecurityLevel clearance, const std::string& table,
-                          const std::string& column) const {
-  return clearance >= LabelOf(table, column);
-}
-
-bool MlsLabeling::CanWrite(SecurityLevel clearance, const std::string& table,
-                           const std::string& column) const {
-  return clearance <= LabelOf(table, column);
-}
-
 }  // namespace access
 }  // namespace piye

@@ -58,38 +58,6 @@ class RbacDatabase {
   std::map<std::string, std::vector<Permission>> grants_;  // role -> permissions
 };
 
-/// Multi-level security labels (Section 2). A reader may see data at or
-/// below their clearance (no read up); a writer may not write below their
-/// level (no write down) — the Bell–LaPadula discipline.
-enum class SecurityLevel {
-  kPublic = 0,
-  kInternal = 1,
-  kConfidential = 2,
-  kSecret = 3,
-};
-
-const char* SecurityLevelToString(SecurityLevel level);
-
-/// Assigns MLS labels to (table, column) objects and answers read/write
-/// checks against a clearance.
-class MlsLabeling {
- public:
-  void SetLabel(const std::string& table, const std::string& column,
-                SecurityLevel level);
-  /// Label of an object; defaults to kPublic when unlabeled.
-  SecurityLevel LabelOf(const std::string& table, const std::string& column) const;
-
-  /// Simple security property: clearance >= label.
-  bool CanRead(SecurityLevel clearance, const std::string& table,
-               const std::string& column) const;
-  /// Star property: clearance <= label.
-  bool CanWrite(SecurityLevel clearance, const std::string& table,
-                const std::string& column) const;
-
- private:
-  std::map<std::pair<std::string, std::string>, SecurityLevel> labels_;
-};
-
 }  // namespace access
 }  // namespace piye
 

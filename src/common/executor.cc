@@ -21,16 +21,10 @@ Executor::~Executor() {
   for (auto& t : threads_) t.join();
 }
 
-size_t Executor::tasks_submitted() const {
-  MutexLock lock(mu_);
-  return tasks_submitted_;
-}
-
 void Executor::Enqueue(std::function<void()> task) {
   {
     MutexLock lock(mu_);
     queue_.push_back(std::move(task));
-    ++tasks_submitted_;
   }
   cv_.NotifyOne();
 }
@@ -49,32 +43,6 @@ void Executor::WorkerLoop() {
     }
     task();
   }
-}
-
-void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t workers = std::min(n, num_threads() + 1);
-  const size_t chunk = (n + workers - 1) / workers;
-  std::vector<std::future<void>> pending;
-  pending.reserve(workers);
-  // Chunks [1, workers) go to the pool; chunk 0 runs on the caller so a
-  // single-item loop never pays a queue round-trip.
-  for (size_t w = 1; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pending.push_back(Submit([begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  const size_t first_end = std::min(n, chunk);
-  for (size_t i = 0; i < first_end; ++i) fn(i);
-  for (auto& f : pending) f.get();
-}
-
-Executor& Executor::Shared() {
-  static Executor shared(DefaultThreadCount());
-  return shared;
 }
 
 size_t Executor::DefaultThreadCount() {

@@ -17,8 +17,7 @@
 namespace piye {
 
 /// Fixed-size thread pool used by the mediation engine to fan query
-/// fragments out across autonomous remote sources, and by benchmarks for
-/// data-parallel loops.
+/// fragments out across autonomous remote sources.
 ///
 /// Semantics:
 ///  - `Submit` enqueues a task and returns a `std::future` for its result.
@@ -30,8 +29,6 @@ namespace piye {
 ///    lets owners (e.g. `MediationEngine`) guarantee that no task outlives
 ///    the resources it references: declare the executor *after* those
 ///    resources so it is destroyed (joined) first.
-///  - `ParallelFor` is a convenience barrier for index-space loops. It is
-///    not reentrant: calling it from inside a pool task can deadlock.
 class Executor {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -42,9 +39,6 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   size_t num_threads() const { return threads_.size(); }
-
-  /// Number of tasks submitted over the executor's lifetime.
-  size_t tasks_submitted() const;
 
   /// Enqueues `fn` and returns a future for its result. `fn` must be
   /// invocable with no arguments.
@@ -72,16 +66,6 @@ class Executor {
     });
   }
 
-  /// Runs fn(0) .. fn(n-1) across the pool and the calling thread, returning
-  /// only when every index has completed. Work is split into contiguous
-  /// chunks (one per worker plus one for the caller).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// A process-wide pool sized to the hardware, for callers without a
-  /// natural owner for one (benchmarks, ad-hoc tools). Library classes own
-  /// their executors instead so shutdown order stays explicit.
-  static Executor& Shared();
-
   /// The default worker count: hardware concurrency clamped to [1, 16].
   static size_t DefaultThreadCount();
 
@@ -89,11 +73,10 @@ class Executor {
   void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
-  size_t tasks_submitted_ GUARDED_BY(mu_) = 0;
   /// Written in the constructor, joined in the destructor; never touched by
   /// worker threads, so it needs no capability.
   std::vector<std::thread> threads_;

@@ -13,6 +13,7 @@ class Logger {
  public:
   /// Global severity threshold; messages below it are dropped.
   static void SetLevel(LogLevel level);
+  /// Test hook: the current threshold.
   static LogLevel level();
 
   static void Log(LogLevel level, const std::string& component,

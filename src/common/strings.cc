@@ -4,31 +4,9 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <set>
 
 namespace piye {
 namespace strings {
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
 
 std::string Trim(std::string_view s) {
   size_t b = 0, e = s.size();
@@ -71,29 +49,6 @@ double EditSimilarity(std::string_view a, std::string_view b) {
   const size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 1.0;
   return 1.0 - static_cast<double>(EditDistance(a, b)) / static_cast<double>(longest);
-}
-
-std::vector<std::string> QGrams(std::string_view s, size_t q) {
-  std::vector<std::string> out;
-  if (q == 0) return out;
-  std::string padded(q - 1, '#');
-  padded += ToLower(s);
-  padded += std::string(q - 1, '#');
-  if (padded.size() < q) return out;
-  for (size_t i = 0; i + q <= padded.size(); ++i) out.push_back(padded.substr(i, q));
-  return out;
-}
-
-double QGramJaccard(std::string_view a, std::string_view b, size_t q) {
-  const auto ga = QGrams(a, q);
-  const auto gb = QGrams(b, q);
-  const std::set<std::string> sa(ga.begin(), ga.end());
-  const std::set<std::string> sb(gb.begin(), gb.end());
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (const auto& g : sa) inter += sb.count(g);
-  const size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 std::vector<std::string> TokenizeIdentifier(std::string_view ident) {

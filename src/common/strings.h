@@ -9,12 +9,6 @@
 namespace piye {
 namespace strings {
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string Trim(std::string_view s);
 
@@ -29,13 +23,6 @@ size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Normalized edit similarity in [0,1]: 1 - dist/max(len).
 double EditSimilarity(std::string_view a, std::string_view b);
-
-/// Character q-grams of a string (padded with '#'), used by the private
-/// approximate-matching protocols.
-std::vector<std::string> QGrams(std::string_view s, size_t q);
-
-/// Jaccard similarity of the q-gram sets of two strings.
-double QGramJaccard(std::string_view a, std::string_view b, size_t q);
 
 /// Splits identifiers like "dateOfBirth", "date_of_birth", "date-of-birth"
 /// into lower-case tokens {"date","of","birth"} — the tokenizer used by the

@@ -129,14 +129,6 @@ Histogram LatencyCell::Snapshot() const {
   return h;
 }
 
-void LatencyCell::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 // --- MetricsRegistry ---
 
 MetricsRegistry::Counter* MetricsRegistry::RegisterCounter(
@@ -205,12 +197,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::Reset() {
-  MutexLock lock(mu_);
-  for (auto& [name, cell] : counters_) cell->store(0, std::memory_order_relaxed);
-  for (auto& [name, cell] : latencies_) cell->Reset();
 }
 
 // --- ScopedSpan ---

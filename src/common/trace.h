@@ -76,8 +76,6 @@ class LatencyCell {
  public:
   void Record(double micros);
   Histogram Snapshot() const;
-  /// Back to empty (not atomic with respect to concurrent Records).
-  void Reset();
 
  private:
   std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets_{};
@@ -95,12 +93,11 @@ class LatencyCell {
 /// find or insert it under one mutex and hand it back; callers cache the
 /// pointer and update the cell lock-free (the engine, admission, breakers
 /// and warehouse register theirs at construction, so no query takes the
-/// lock). Reads by name, `ToJson` and `Reset` take the same mutex.
+/// lock). Reads by name and `ToJson` take the same mutex.
 class MetricsRegistry {
  public:
-  /// A registered counter cell. Stable for the registry's lifetime — Reset
-  /// zeroes registered cells instead of destroying them, precisely so cached
-  /// pointers never dangle.
+  /// A registered counter cell, stable for the registry's lifetime, so
+  /// cached pointers never dangle.
   using Counter = std::atomic<uint64_t>;
 
   /// Returns the (created-on-first-use) counter cell for `name`. Increment
@@ -122,10 +119,6 @@ class MetricsRegistry {
   /// max_micros, mean_micros, p50_micros, p95_micros, p99_micros}}}.
   /// Names are JSON-escaped; an empty histogram reports explicit zeros.
   std::string ToJson() const;
-
-  /// Zeroes every counter and empties every histogram (registered cells
-  /// stay valid).
-  void Reset();
 
  private:
   mutable Mutex mu_;

@@ -1,7 +1,5 @@
 #include "core/scenario.h"
 
-#include <cmath>
-
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -16,6 +14,29 @@ using relational::ColumnType;
 using relational::Row;
 using relational::Table;
 using relational::Value;
+
+namespace {
+
+/// The per-HMO "compliance" table: one row per measure with columns
+/// (test STRING, rate DOUBLE, year INT64).
+Result<Table> HmoComplianceTable(size_t party_index,
+                                 const std::vector<std::vector<double>>& rates) {
+  const auto published = inference::PublishedAggregates::Figure1();
+  if (party_index >= published.parties.size()) {
+    return Status::OutOfRange("party index out of range");
+  }
+  Table table(relational::Schema{Column{"test", ColumnType::kString},
+                                 Column{"rate", ColumnType::kDouble},
+                                 Column{"year", ColumnType::kInt64}});
+  for (size_t m = 0; m < published.measures.size(); ++m) {
+    PIYE_RETURN_NOT_OK(table.AppendRow(Row{Value::Str(published.measures[m]),
+                                           Value::Real(rates[m][party_index]),
+                                           Value::Int(2001)}));
+  }
+  return table;
+}
+
+}  // namespace
 
 Result<std::vector<std::vector<double>>> ClinicalScenario::GroundTruthRates(
     uint64_t seed) {
@@ -35,23 +56,6 @@ Result<std::vector<std::vector<double>>> ClinicalScenario::GroundTruthRates(
     }
   }
   return rates;
-}
-
-Result<Table> ClinicalScenario::HmoComplianceTable(
-    size_t party_index, const std::vector<std::vector<double>>& rates) {
-  const auto published = inference::PublishedAggregates::Figure1();
-  if (party_index >= published.parties.size()) {
-    return Status::OutOfRange("party index out of range");
-  }
-  Table table(relational::Schema{Column{"test", ColumnType::kString},
-                                 Column{"rate", ColumnType::kDouble},
-                                 Column{"year", ColumnType::kInt64}});
-  for (size_t m = 0; m < published.measures.size(); ++m) {
-    PIYE_RETURN_NOT_OK(table.AppendRow(Row{Value::Str(published.measures[m]),
-                                           Value::Real(rates[m][party_index]),
-                                           Value::Int(2001)}));
-  }
-  return table;
 }
 
 Result<std::unique_ptr<source::RemoteSource>> ClinicalScenario::MakeHmoSource(
@@ -226,45 +230,6 @@ void ClinicalScenario::ApplyPatientPolicies(source::RemoteSource* src) {
   (void)src->mutable_rbac()->AddRole("cdc");
   (void)src->mutable_rbac()->AssignRole("cdc", "cdc");
   (void)src->mutable_rbac()->Grant("cdc", access::Action::kSelect, "*", "*");
-}
-
-std::vector<Table> OutbreakScenario::MakeCaseTables(
-    const std::vector<std::string>& countries, size_t days, size_t outbreak_day,
-    size_t outbreak_country, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Table> out;
-  for (size_t c = 0; c < countries.size(); ++c) {
-    Table table(relational::Schema{Column{"day", ColumnType::kInt64},
-                                   Column{"region", ColumnType::kString},
-                                   Column{"cases", ColumnType::kInt64}});
-    for (size_t d = 0; d < days; ++d) {
-      double rate = 4.0;  // endemic baseline
-      if (c == outbreak_country && d >= outbreak_day) {
-        rate += 2.0 * std::pow(1.35, static_cast<double>(d - outbreak_day));
-      }
-      const int cases = rng.NextPoisson(std::min(rate, 400.0));
-      table.AppendRowUnchecked(Row{Value::Int(static_cast<int64_t>(d)),
-                                   Value::Str(countries[c]),
-                                   Value::Int(cases)});
-    }
-    out.push_back(std::move(table));
-  }
-  return out;
-}
-
-long OutbreakScenario::DetectOutbreak(const std::vector<double>& daily_cases,
-                                      size_t window, double threshold_factor) {
-  if (daily_cases.size() < 2 * window) return -1;
-  for (size_t d = 2 * window; d < daily_cases.size(); ++d) {
-    double recent = 0.0, baseline = 0.0;
-    for (size_t i = 0; i < window; ++i) {
-      recent += daily_cases[d - i];
-      baseline += daily_cases[d - window - i];
-    }
-    if (baseline < 1.0) baseline = 1.0;
-    if (recent >= threshold_factor * baseline) return static_cast<long>(d);
-  }
-  return -1;
 }
 
 }  // namespace core

@@ -13,13 +13,13 @@
 namespace piye {
 namespace core {
 
-/// Synthetic data for the paper's two motivating scenarios. The paper's
-/// original data (PHC4 2001 diabetes reports; international SARS case data)
-/// is not redistributable, so these generators produce deterministic
-/// stand-ins that preserve exactly the properties the experiments consume —
-/// Figure 1's published aggregates, overlapping patient populations across
-/// heterogeneous schemas, and an outbreak's case-count ramp (see DESIGN.md,
-/// "Substitutions").
+/// Synthetic data for the paper's clinical scenario. The paper's original
+/// data (PHC4 2001 diabetes reports) is not redistributable, so these
+/// generators produce deterministic stand-ins that preserve exactly the
+/// properties the experiments consume — Figure 1's published aggregates and
+/// overlapping patient populations across heterogeneous schemas (see
+/// DESIGN.md, "Substitutions"). The outbreak scenario is in
+/// lab/core/outbreak.h.
 class ClinicalScenario {
  public:
   /// Ground-truth compliance rates per (measure, party) consistent with the
@@ -28,12 +28,8 @@ class ClinicalScenario {
   /// seed, so they are deterministic.
   static Result<std::vector<std::vector<double>>> GroundTruthRates(uint64_t seed = 7);
 
-  /// The per-HMO "compliance" table: one row per measure with columns
-  /// (test STRING, rate DOUBLE, year INT64).
-  static Result<relational::Table> HmoComplianceTable(
-      size_t party_index, const std::vector<std::vector<double>>& rates);
-
-  /// A fully configured HMO source: compliance table + a policy that allows
+  /// A fully configured HMO source: a "compliance" table with one row per
+  /// measure (test STRING, rate DOUBLE, year INT64) + a policy that allows
   /// `rate` only in aggregate form for healthcare purposes, and `test`
   /// exactly; RBAC grants SELECT to the "analyst" requester.
   static Result<std::unique_ptr<source::RemoteSource>> MakeHmoSource(
@@ -55,23 +51,6 @@ class ClinicalScenario {
   /// names denied, dob range-only, zip generalized, diagnosis exact for
   /// healthcare purposes only.
   static void ApplyPatientPolicies(source::RemoteSource* src);
-};
-
-/// Example 2: disease-outbreak surveillance over per-country case streams.
-class OutbreakScenario {
- public:
-  /// Per-country daily case counts: baseline Poisson noise plus an
-  /// exponential ramp starting at `outbreak_day` in `outbreak_country`.
-  /// Columns: day INT64, region STRING, cases INT64.
-  static std::vector<relational::Table> MakeCaseTables(
-      const std::vector<std::string>& countries, size_t days, size_t outbreak_day,
-      size_t outbreak_country, uint64_t seed);
-
-  /// Simple surveillance detector: first day the `window`-day moving sum
-  /// exceeds `threshold_factor` times the trailing baseline. Returns the
-  /// detection day or -1.
-  static long DetectOutbreak(const std::vector<double>& daily_cases, size_t window,
-                             double threshold_factor);
 };
 
 }  // namespace core

@@ -1,7 +1,6 @@
 #include "linkage/bloom.h"
 
 #include "common/sha256.h"
-#include "common/strings.h"
 
 namespace piye {
 namespace linkage {
@@ -31,15 +30,6 @@ void BloomFilter::Insert(std::string_view item) {
   for (size_t p : pos) bits_[p] = true;
 }
 
-bool BloomFilter::MaybeContains(std::string_view item) const {
-  std::vector<size_t> pos;
-  Positions(item, &pos);
-  for (size_t p : pos) {
-    if (!bits_[p]) return false;
-  }
-  return true;
-}
-
 size_t BloomFilter::PopCount() const {
   size_t n = 0;
   for (bool b : bits_) n += b ? 1 : 0;
@@ -55,18 +45,6 @@ double BloomFilter::DiceSimilarity(const BloomFilter& a, const BloomFilter& b) {
   const size_t total = a.PopCount() + b.PopCount();
   if (total == 0) return 1.0;
   return 2.0 * static_cast<double>(inter) / static_cast<double>(total);
-}
-
-BloomFilter BloomEncoder::Encode(const std::vector<std::string>& fields) const {
-  BloomFilter filter(params_.num_bits, params_.num_hashes);
-  for (const auto& field : fields) {
-    for (const auto& gram : strings::QGrams(field, params_.q)) {
-      // Keying the grams with the shared secret blocks outsiders from
-      // mounting a dictionary attack on the filters.
-      filter.Insert(key_ + "|" + gram);
-    }
-  }
-  return filter;
 }
 
 }  // namespace linkage

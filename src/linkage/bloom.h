@@ -10,15 +10,15 @@ namespace piye {
 namespace linkage {
 
 /// A plain Bloom filter with double hashing (Kirsch–Mitzenmacher) over
-/// SHA-256-derived hash pairs.
+/// SHA-256-derived hash pairs: the value sketch the schema matcher compares
+/// by Dice similarity, so sources never exchange raw column values.
 class BloomFilter {
  public:
   BloomFilter(size_t num_bits, size_t num_hashes);
 
   /// Reconstructs a filter from its raw bit vector — how a sketch's value
-  /// filter is rebuilt after crossing the wire. The bits are adopted as-is;
-  /// `num_hashes` must match the encoding side for membership queries to
-  /// mean anything (Dice similarity only needs the bits).
+  /// filter is rebuilt after crossing the wire. The bits are adopted as-is:
+  /// Dice similarity needs only the bits.
   static BloomFilter FromBits(std::vector<bool> bits, size_t num_hashes) {
     BloomFilter f(1, num_hashes);
     f.bits_ = std::move(bits);
@@ -26,7 +26,6 @@ class BloomFilter {
   }
 
   void Insert(std::string_view item);
-  bool MaybeContains(std::string_view item) const;
 
   size_t num_bits() const { return bits_.size(); }
   size_t num_hashes() const { return num_hashes_; }
@@ -43,33 +42,6 @@ class BloomFilter {
 
   std::vector<bool> bits_;
   size_t num_hashes_;
-};
-
-/// Schnell-style cryptographic-longterm-key encoding for privacy-preserving
-/// *approximate* record linkage: a record's identifying fields are split
-/// into character q-grams which are inserted into a Bloom filter keyed by a
-/// shared secret. Parties exchange only the filters; Dice similarity over
-/// filters approximates q-gram similarity over the underlying strings, so
-/// typos ("Jon Smith" / "John Smith") still link without revealing names.
-class BloomEncoder {
- public:
-  struct Params {
-    size_t num_bits = 512;
-    size_t num_hashes = 4;
-    size_t q = 2;  ///< q-gram length
-  };
-
-  BloomEncoder(std::string shared_key, Params params)
-      : key_(std::move(shared_key)), params_(params) {}
-
-  /// Encodes the concatenated identifying fields of a record.
-  BloomFilter Encode(const std::vector<std::string>& fields) const;
-
-  const Params& params() const { return params_; }
-
- private:
-  std::string key_;
-  Params params_;
 };
 
 }  // namespace linkage

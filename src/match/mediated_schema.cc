@@ -9,15 +9,6 @@
 namespace piye {
 namespace match {
 
-const MediatedAttribute* MediatedSchema::AttributeFor(const ColumnRef& ref) const {
-  for (const auto& attr : attributes_) {
-    for (const auto& m : attr.mappings) {
-      if (m == ref) return &attr;
-    }
-  }
-  return nullptr;
-}
-
 const MediatedAttribute* MediatedSchema::FindByName(
     const std::string& name, const xml::LooseNameMatcher& matcher,
     double threshold) const {
@@ -43,23 +34,6 @@ std::vector<ColumnRef> MediatedSchema::MappingsAt(const std::string& attribute,
     }
   }
   return out;
-}
-
-std::unique_ptr<xml::XmlNode> MediatedSchema::ToXml() const {
-  auto node = xml::XmlNode::Element("mediatedSchema");
-  for (const auto& attr : attributes_) {
-    xml::XmlNode* a = node->AddElement("attribute");
-    a->SetAttr("name", attr.name);
-    a->SetAttr("type", relational::ColumnTypeToString(attr.type));
-    a->SetAttr("partial", attr.partial ? "true" : "false");
-    for (const auto& m : attr.mappings) {
-      xml::XmlNode* map = a->AddElement("map");
-      map->SetAttr("source", m.source);
-      map->SetAttr("table", m.table);
-      map->SetAttr("column", m.column);
-    }
-  }
-  return node;
 }
 
 namespace {

@@ -8,7 +8,7 @@
 
 #include "common/result.h"
 #include "match/schema_matcher.h"
-#include "xml/node.h"
+#include "xml/loose_name.h"
 
 namespace piye {
 namespace match {
@@ -30,10 +30,6 @@ class MediatedSchema {
   const std::vector<MediatedAttribute>& attributes() const { return attributes_; }
   void AddAttribute(MediatedAttribute attr) { attributes_.push_back(std::move(attr)); }
 
-  /// The mediated attribute a fully qualified source column maps to, or
-  /// nullptr.
-  const MediatedAttribute* AttributeFor(const ColumnRef& ref) const;
-
   /// Finds an attribute by (approximate) name using the given matcher and
   /// threshold — the loose lookup behind privacy-conscious query
   /// translation.
@@ -44,14 +40,6 @@ class MediatedSchema {
   /// The source columns backing an attribute at a given source ("" = all).
   std::vector<ColumnRef> MappingsAt(const std::string& attribute,
                                     const std::string& source) const;
-
-  /// Structural summary as XML (what the mediator shows requesters):
-  ///   <mediatedSchema>
-  ///     <attribute name="dob" type="STRING" partial="false">
-  ///       <map source="hospitalA" table="patients" column="dob"/>
-  ///     </attribute>
-  ///   </mediatedSchema>
-  std::unique_ptr<xml::XmlNode> ToXml() const;
 
  private:
   std::vector<MediatedAttribute> attributes_;

@@ -150,25 +150,5 @@ std::vector<ColumnMatch> SchemaMatcher::MatchSketches(
   return out;
 }
 
-Result<std::vector<ColumnMatch>> SchemaMatcher::MatchTables(
-    const std::string& source_a, const std::string& table_name_a,
-    const relational::Table& a, const std::string& source_b,
-    const std::string& table_name_b, const relational::Table& b) const {
-  std::vector<ColumnSketch> sa, sb;
-  for (const auto& col : a.schema().columns()) {
-    PIYE_ASSIGN_OR_RETURN(
-        ColumnSketch s,
-        ColumnSketch::Build({source_a, table_name_a, col.name}, a, "", true));
-    sa.push_back(std::move(s));
-  }
-  for (const auto& col : b.schema().columns()) {
-    PIYE_ASSIGN_OR_RETURN(
-        ColumnSketch s,
-        ColumnSketch::Build({source_b, table_name_b, col.name}, b, "", true));
-    sb.push_back(std::move(s));
-  }
-  return MatchSketches(sa, sb);
-}
-
 }  // namespace match
 }  // namespace piye

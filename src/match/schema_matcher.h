@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "linkage/bloom.h"
 #include "relational/table.h"
-#include "xml/loose_path.h"
+#include "xml/loose_name.h"
 
 namespace piye {
 namespace match {
@@ -69,7 +69,7 @@ struct ColumnSketch {
 
 /// Learning-based schema matcher in the spirit the paper cites from Clifton
 /// et al. [14]: combines a name matcher (tokens/acronyms/synonyms — reusing
-/// the loose-path name similarity) with an instance-feature matcher, under a
+/// the loose name similarity) with an instance-feature matcher, under a
 /// configurable weighting. Stable-marriage-style greedy one-to-one
 /// assignment keeps the correspondences consistent.
 class SchemaMatcher {
@@ -82,15 +82,6 @@ class SchemaMatcher {
 
   SchemaMatcher(Options options, xml::LooseNameMatcher name_matcher)
       : options_(options), names_(std::move(name_matcher)) {}
-
-  /// Plain matching with full access to both tables (the non-private
-  /// baseline).
-  Result<std::vector<ColumnMatch>> MatchTables(const std::string& source_a,
-                                               const std::string& table_name_a,
-                                               const relational::Table& a,
-                                               const std::string& source_b,
-                                               const std::string& table_name_b,
-                                               const relational::Table& b) const;
 
   /// Privacy-preserving matching over sketches only. Hidden names
   /// contribute no name score (weight shifts to instance features).

@@ -73,6 +73,7 @@ class TokenBucket {
   /// already available) — the retry-after hint for shed queries.
   uint64_t RetryAfterMillis(TimePoint now) const;
 
+  /// Test hook: tokens held at `now`.
   double tokens(TimePoint now) const;
 
   /// True when the bucket holds its full burst again — the state a brand-new
@@ -217,9 +218,10 @@ class AdmissionController {
   size_t inflight() const;
   size_t queue_depth() const;
 
-  /// Resident token buckets across all shards (bounded by the sweep).
+  /// Test hook: resident token buckets across all shards (bounded by the
+  /// sweep).
   size_t tracked_buckets() const;
-  /// Live fair-share queue entries (bounded by the idle sweep).
+  /// Test hook: live fair-share queue entries (bounded by the idle sweep).
   size_t tracked_requesters() const;
 
  private:

@@ -82,7 +82,7 @@ class QueryHistory {
   /// this mediator answered" invariant survive compaction.
   size_t size() const;
 
-  /// Entries still resident in the bounded ring.
+  /// Test hook: entries still resident in the bounded ring.
   size_t resident_entries() const;
 
   /// Requesters with resident budget state (the hot set).
@@ -99,7 +99,7 @@ class QueryHistory {
 
   /// Resident-only cumulative loss: 0.0 for a requester with no resident
   /// state, *even if a spilled floor exists*. Budget decisions must use
-  /// `DurableCumulativeLoss`; this accessor is for inspection and for
+  /// `DurableCumulativeLoss`; this accessor is a test hook, exact for
   /// volatile (no-persistence) engines, where everything is resident.
   double CumulativeLoss(const std::string& requester) const;
 
@@ -109,7 +109,8 @@ class QueryHistory {
   /// query, not treat the requester as fresh.
   Result<double> DurableCumulativeLoss(const std::string& requester);
 
-  /// Entries issued by one requester, from the resident ring (copies).
+  /// Test hook: entries issued by one requester, from the resident ring
+  /// (copies).
   std::vector<HistoryEntry> ForRequester(const std::string& requester) const;
 
   /// Copy of every resident requester's cumulative loss (snapshotting).

@@ -51,12 +51,6 @@ void Warehouse::EnforceBudgetLocked(Shard& shard) {
   }
 }
 
-void Warehouse::Put(const std::string& fingerprint, relational::Table table,
-                    uint64_t epoch) {
-  Put(fingerprint,
-      std::make_shared<const relational::Table>(std::move(table)), epoch);
-}
-
 void Warehouse::Put(const std::string& fingerprint, TableHandle table,
                     uint64_t epoch) {
   if (table == nullptr) return;

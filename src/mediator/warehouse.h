@@ -75,7 +75,6 @@ class Warehouse {
   /// Stores a materialized result at the given logical epoch. If an entry
   /// with a *newer* epoch already exists for the fingerprint, the put is
   /// dropped (recovery replays must not roll a materialization back).
-  void Put(const std::string& fingerprint, relational::Table table, uint64_t epoch);
   void Put(const std::string& fingerprint, TableHandle table, uint64_t epoch);
 
   /// Returns a handle to the materialized table if one exists with
@@ -93,6 +92,8 @@ class Warehouse {
   /// call during setup.
   void set_metrics(trace::MetricsRegistry* metrics);
 
+  // Test hooks: operators read the same numbers as the `warehouse.*`
+  // metrics.
   size_t size() const;
   size_t hits() const;
   size_t misses() const;

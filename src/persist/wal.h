@@ -77,8 +77,8 @@ class WalWriter {
   /// the Sync that would cover that Append.
   void ArmKillPoint(KillPoint kp, uint64_t after_appends = 0);
 
-  /// True once an armed kill-point has fired; every operation fails from
-  /// then on.
+  /// Test hook: true once an armed kill-point has fired; every operation
+  /// fails from then on.
   bool crashed() const;
 
  private:

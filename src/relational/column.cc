@@ -309,10 +309,6 @@ ColumnVector ColumnVector::Gather(const uint32_t* sel, size_t n) const {
   return out;
 }
 
-void ColumnVector::AppendColumn(const ColumnVector& other) {
-  AppendRows(other, other.size_, [](size_t k) { return k; });
-}
-
 void ColumnVector::EncodeCell(size_t i, std::string* out) const {
   // Tag bytes mirror Value::Compare's type ranks: NULL < BOOL < numeric <
   // STRING. Both numeric types share one tag so an INT64 key and a DOUBLE

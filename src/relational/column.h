@@ -86,18 +86,17 @@ class ColumnVector {
   // -- point access --------------------------------------------------------
   /// Materializes cell `i` as a Value (NULL-aware).
   Value ValueAt(size_t i) const;
-  /// Overwrites cell `i` with `v` (same coercion rules as AppendValue).
+  /// Test hook: overwrites cell `i` with `v` (same coercion rules as
+  /// AppendValue). No query path rewrites a cell in place; the test oracles
+  /// do, and so leave string-arena slack for Gather to compact.
   void Set(size_t i, const Value& v);
-  /// Marks cell `i` NULL (zeroing its typed slot).
+  /// Test hook: marks cell `i` NULL (zeroing its typed slot).
   void SetNull(size_t i);
 
   // -- batch ops -----------------------------------------------------------
   /// New column holding rows `sel[0..n)` of this one, in that order. String
   /// columns are compacted (arena slack from Set is dropped).
   ColumnVector Gather(const uint32_t* sel, size_t n) const;
-  /// Appends all cells of `other` (same ColumnType required), with the
-  /// same bulk copy as AppendGather.
-  void AppendColumn(const ColumnVector& other);
 
   /// Appends the canonical grouping key encoding of cell `i` to `out`.
   /// Two cells encode identically iff `Value::Compare` orders them equal:

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/macros.h"
 #include "relational/agg.h"
@@ -12,26 +11,6 @@
 
 namespace piye {
 namespace relational {
-
-void Catalog::PutTable(const std::string& name, Table table) {
-  tables_.insert_or_assign(name, std::move(table));
-}
-
-Result<const Table*> Catalog::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no table named '" + name + "'");
-  return &it->second;
-}
-
-Result<Table*> Catalog::GetMutableTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no table named '" + name + "'");
-  return &it->second;
-}
-
-bool Catalog::HasTable(const std::string& name) const {
-  return tables_.count(name) != 0;
-}
 
 namespace {
 
@@ -727,32 +706,6 @@ Result<Table> Executor::Aggregate(const Table& input,
   return out;
 }
 
-Result<Table> Executor::Union(const Table& a, const Table& b) {
-  if (!(a.schema() == b.schema())) {
-    return Status::InvalidArgument("UNION requires identical schemas: [" +
-                                   a.schema().ToString() + "] vs [" +
-                                   b.schema().ToString() + "]");
-  }
-  Table out = a;
-  out.AppendTable(b);
-  return out;
-}
-
-Table Executor::Distinct(const Table& input) {
-  std::unordered_set<std::string> seen;
-  seen.reserve(input.num_rows());
-  std::vector<uint32_t> sel;
-  std::string key;
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    key.clear();
-    for (size_t c = 0; c < input.num_columns(); ++c) {
-      input.col(c).EncodeCell(r, &key);
-    }
-    if (seen.insert(key).second) sel.push_back(static_cast<uint32_t>(r));
-  }
-  return input.Gather(sel);
-}
-
 Result<Table> Executor::Sort(Table input, const std::vector<OrderKey>& keys) {
   std::vector<std::pair<size_t, bool>> idx;
   for (const auto& k : keys) {
@@ -783,15 +736,6 @@ Table Executor::Limit(const Table& input, size_t n) {
   std::vector<uint32_t> sel(std::min(n, input.num_rows()));
   std::iota(sel.begin(), sel.end(), 0u);
   return input.Gather(sel);
-}
-
-Result<Table> Executor::Execute(const SelectStatement& stmt) const {
-  PIYE_ASSIGN_OR_RETURN(const Table* base, catalog_->GetTable(stmt.table));
-  if (stmt.where == nullptr) {
-    return Execute(stmt, *base, Selection::All(base->num_rows()));
-  }
-  PIYE_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, FilterSelection(*base, *stmt.where));
-  return Execute(stmt, *base, Selection::Rows(std::move(sel)));
 }
 
 Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
@@ -896,11 +840,6 @@ Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
     }
   }
   return result;
-}
-
-Result<Table> Executor::Query(std::string_view sql) const {
-  PIYE_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
-  return Execute(stmt);
 }
 
 }  // namespace relational

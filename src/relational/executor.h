@@ -2,7 +2,6 @@
 #define PIYE_RELATIONAL_EXECUTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -12,20 +11,6 @@
 
 namespace piye {
 namespace relational {
-
-/// A named collection of tables — each remote source owns one, and the
-/// mediator's warehouse is one too.
-class Catalog {
- public:
-  /// Replaces or creates a table.
-  void PutTable(const std::string& name, Table table);
-  Result<const Table*> GetTable(const std::string& name) const;
-  Result<Table*> GetMutableTable(const std::string& name);
-  bool HasTable(const std::string& name) const;
-
- private:
-  std::map<std::string, Table> tables_;
-};
 
 /// The rows of a base table that a statement's WHERE selected, computed
 /// before execution and handed to `Executor::Execute(stmt, base, selection)`.
@@ -46,16 +31,12 @@ struct Selection {
   static Selection Mask(std::vector<uint8_t> mask);
 };
 
-/// Volcano-in-miniature: executes a parsed SELECT against a catalog. All
-/// operators also exist as standalone functions so the privacy layers can
-/// compose pipelines directly (e.g. perturb → aggregate → project).
+/// Volcano-in-miniature: executes a parsed SELECT over a source's own
+/// table. All operators also exist as standalone functions so the privacy
+/// layers can compose pipelines directly (e.g. perturb → aggregate →
+/// project).
 class Executor {
  public:
-  explicit Executor(const Catalog* catalog) : catalog_(catalog) {}
-
-  /// Executes a full SELECT statement.
-  Result<Table> Execute(const SelectStatement& stmt) const;
-
   /// Executes `stmt` over `base` (its `table` name is not looked up) with
   /// the WHERE already evaluated to `selection`. Positions are gathered
   /// before any operator runs. A mask is accumulated without a gather when
@@ -63,9 +44,6 @@ class Executor {
   /// how many rows are selected; any other statement gathers the masked rows.
   static Result<Table> Execute(const SelectStatement& stmt, const Table& base,
                                const Selection& selection);
-
-  /// Parses and executes SQL text.
-  Result<Table> Query(std::string_view sql) const;
 
   // --- Standalone relational operators ---
 
@@ -95,20 +73,11 @@ class Executor {
                                  const std::vector<SelectItem>& aggregates,
                                  const uint8_t* mask = nullptr);
 
-  /// Union of two tables with identical schemas.
-  static Result<Table> Union(const Table& a, const Table& b);
-
-  /// Distinct rows (exact duplicate elimination).
-  static Table Distinct(const Table& input);
-
   /// Sorts by the given keys.
   static Result<Table> Sort(Table input, const std::vector<OrderKey>& keys);
 
   /// First `n` rows.
   static Table Limit(const Table& input, size_t n);
-
- private:
-  const Catalog* catalog_;
 };
 
 }  // namespace relational

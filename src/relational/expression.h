@@ -25,9 +25,8 @@ namespace relational {
 /// bound also caps the stack any walk uses. ParseExpression and ParseSql
 /// (which hold parenthesis nesting to it as well) and
 /// Expression::DecodeCanonicalKey refuse larger input with kParseError.
-/// The parser's seven frames per parenthesis are the deepest use: an
-/// AddressSanitizer build overflows an 8 MiB stack between 512 and 768
-/// nested parentheses, so 256 keeps a 2x margin there.
+/// The parser spends two frames per parenthesis level (ParsePrimary and its
+/// precedence-climbing loop), fewer than any tree walk of the same depth.
 inline constexpr size_t kMaxExpressionNodes = 256;
 
 /// A scalar expression tree over a row: literals, column references,

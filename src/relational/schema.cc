@@ -19,15 +19,6 @@ bool Schema::Contains(const std::string& name) const {
   return false;
 }
 
-Result<Schema> Schema::Project(const std::vector<std::string>& names) const {
-  Schema out;
-  for (const auto& n : names) {
-    PIYE_ASSIGN_OR_RETURN(size_t idx, IndexOf(n));
-    out.AddColumn(columns_[idx]);
-  }
-  return out;
-}
-
 std::string Schema::ToString() const {
   std::string out;
   for (size_t i = 0; i < columns_.size(); ++i) {

@@ -41,9 +41,6 @@ class Schema {
   /// Renames column `i` (used to apply SELECT aliases after projection).
   void SetColumnName(size_t i, std::string name) { columns_[i].name = std::move(name); }
 
-  /// Schema with only the named columns (in the given order).
-  Result<Schema> Project(const std::vector<std::string>& names) const;
-
   bool operator==(const Schema& other) const { return columns_ == other.columns_; }
 
   /// "name:TYPE, name:TYPE, ..."

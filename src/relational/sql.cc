@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -53,54 +54,6 @@ bool SelectStatement::HasStar() const {
     if (item.kind == SelectItem::Kind::kStar) return true;
   }
   return false;
-}
-
-std::string SelectStatement::ToSql() const {
-  std::string out = "SELECT ";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    const SelectItem& it = items[i];
-    switch (it.kind) {
-      case SelectItem::Kind::kStar:
-        out += "*";
-        break;
-      case SelectItem::Kind::kColumn:
-        out += it.column;
-        break;
-      case SelectItem::Kind::kAggregate:
-        out += AggFuncToString(it.func);
-        out += "(";
-        out += it.column.empty() ? "*" : it.column;
-        out += ")";
-        break;
-    }
-    if (!it.alias.empty()) {
-      out += " AS ";
-      out += it.alias;
-    }
-  }
-  out += " FROM ";
-  out += table;
-  if (where != nullptr) {
-    out += " WHERE ";
-    out += where->ToString();
-  }
-  if (!group_by.empty()) {
-    out += " GROUP BY ";
-    out += strings::Join(group_by, ", ");
-  }
-  if (!order_by.empty()) {
-    out += " ORDER BY ";
-    for (size_t i = 0; i < order_by.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += order_by[i].column;
-      if (!order_by[i].ascending) out += " DESC";
-    }
-  }
-  if (limit.has_value()) {
-    out += strings::Format(" LIMIT %zu", *limit);
-  }
-  return out;
 }
 
 namespace {
@@ -217,7 +170,7 @@ class Parser {
     if (!MatchKeyword("FROM")) return Error("expected FROM");
     PIYE_ASSIGN_OR_RETURN(stmt.table, ExpectIdent());
     if (MatchKeyword("WHERE")) {
-      PIYE_ASSIGN_OR_RETURN(stmt.where, ParseOr());
+      PIYE_ASSIGN_OR_RETURN(stmt.where, ParseExpr(0));
     }
     if (MatchKeyword("GROUP")) {
       if (!MatchKeyword("BY")) return Error("expected BY after GROUP");
@@ -251,7 +204,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParseBareExpression() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
+    PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr(0));
     if (Peek().type != Token::Type::kEnd) {
       return Error("unexpected trailing tokens near '" + Peek().text + "'");
     }
@@ -360,109 +313,99 @@ class Parser {
     return Status::OK();
   }
 
-  // Expression grammar: or -> and -> not -> comparison -> additive ->
-  // multiplicative -> primary.
-  Result<ExprPtr> ParseOr() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
-    while (MatchKeyword("OR")) {
-      PIYE_RETURN_NOT_OK(CountNodes(1));
-      PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expression::Binary(Expression::Op::kOr, lhs, rhs);
+  // Expression grammar, loosest first: OR, AND, prefix NOT, comparisons
+  // (=, <>, !=, <, <=, >, >=, LIKE, IN), + and -, * and /, primary. The
+  // binary levels are one loop over kBinaryOps (precedence climbing), so a
+  // parenthesis level costs two frames: ParsePrimary and ParseExpr.
+  static constexpr int kNotPrec = 3;
+  static constexpr int kComparePrec = 4;
+
+  struct BinaryOp {
+    Token::Type type;       ///< kIdent for keywords (matched lower-case)
+    std::string_view text;
+    Expression::Op op;
+    int prec;  ///< binds tighter when larger; comparisons do not associate
+  };
+  static constexpr BinaryOp kBinaryOps[] = {
+      {Token::Type::kIdent, "or", Expression::Op::kOr, 1},
+      {Token::Type::kIdent, "and", Expression::Op::kAnd, 2},
+      {Token::Type::kIdent, "like", Expression::Op::kLike, kComparePrec},
+      {Token::Type::kIdent, "in", Expression::Op::kIn, kComparePrec},
+      {Token::Type::kSymbol, "<=", Expression::Op::kLe, kComparePrec},
+      {Token::Type::kSymbol, ">=", Expression::Op::kGe, kComparePrec},
+      {Token::Type::kSymbol, "<>", Expression::Op::kNe, kComparePrec},
+      {Token::Type::kSymbol, "!=", Expression::Op::kNe, kComparePrec},
+      {Token::Type::kSymbol, "=", Expression::Op::kEq, kComparePrec},
+      {Token::Type::kSymbol, "<", Expression::Op::kLt, kComparePrec},
+      {Token::Type::kSymbol, ">", Expression::Op::kGt, kComparePrec},
+      {Token::Type::kSymbol, "+", Expression::Op::kAdd, 5},
+      {Token::Type::kSymbol, "-", Expression::Op::kSub, 5},
+      {Token::Type::kSymbol, "*", Expression::Op::kMul, 6},
+      {Token::Type::kSymbol, "/", Expression::Op::kDiv, 6},
+  };
+
+  /// The binary operator at the cursor, or nullptr.
+  const BinaryOp* PeekBinaryOp() const {
+    const Token& t = Peek();
+    if (t.type != Token::Type::kIdent && t.type != Token::Type::kSymbol) return nullptr;
+    const std::string text =
+        t.type == Token::Type::kIdent ? strings::ToLower(t.text) : t.text;
+    for (const BinaryOp& o : kBinaryOps) {
+      if (o.type == t.type && o.text == text) return &o;
     }
-    return lhs;
+    return nullptr;
   }
 
-  Result<ExprPtr> ParseAnd() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
-    while (MatchKeyword("AND")) {
-      PIYE_RETURN_NOT_OK(CountNodes(1));
-      PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expression::Binary(Expression::Op::kAnd, lhs, rhs);
-    }
-    return lhs;
-  }
-
-  // A run of NOTs is read in a loop, so it costs no stack.
-  Result<ExprPtr> ParseNot() {
+  /// An expression of operators binding at least as tight as `min_prec`.
+  Result<ExprPtr> ParseExpr(int min_prec) {
+    // NOT negates a whole comparison; a run of NOTs is read in a loop, so
+    // it costs no stack. Below the comparisons `NOT` is a column name.
     size_t nots = 0;
-    for (; MatchKeyword("NOT"); ++nots) PIYE_RETURN_NOT_OK(CountNodes(1));
-    PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseComparison());
-    for (; nots > 0; --nots) e = Expression::Not(std::move(e));
-    return e;
-  }
-
-  Result<ExprPtr> ParseComparison() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-    if (MatchKeyword("LIKE")) {
-      PIYE_RETURN_NOT_OK(CountNodes(1));
-      PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      return Expression::Binary(Expression::Op::kLike, lhs, rhs);
+    if (min_prec <= kNotPrec) {
+      for (; MatchKeyword("NOT"); ++nots) PIYE_RETURN_NOT_OK(CountNodes(1));
     }
-    if (MatchKeyword("IN")) {
-      PIYE_RETURN_NOT_OK(CountNodes(1));
-      if (!MatchSymbol("(")) return Error("expected '(' after IN");
-      std::vector<Value> values;
-      do {
-        const size_t nodes_before = nodes_;
-        PIYE_ASSIGN_OR_RETURN(ExprPtr lit, ParsePrimary());
-        nodes_ = nodes_before;  // the list holds values, not nodes
-        if (lit->op() != Expression::Op::kLiteral) {
-          return Error("IN list must contain literals");
-        }
-        values.push_back(lit->literal());
-      } while (MatchSymbol(","));
-      if (!MatchSymbol(")")) return Error("expected ')' after IN list");
-      return Expression::In(lhs, std::move(values));
-    }
-    struct {
-      const char* sym;
-      Expression::Op op;
-    } kOps[] = {{"<=", Expression::Op::kLe}, {">=", Expression::Op::kGe},
-                {"<>", Expression::Op::kNe}, {"!=", Expression::Op::kNe},
-                {"=", Expression::Op::kEq},  {"<", Expression::Op::kLt},
-                {">", Expression::Op::kGt}};
-    for (const auto& o : kOps) {
-      if (MatchSymbol(o.sym)) {
-        PIYE_RETURN_NOT_OK(CountNodes(1));
-        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-        return Expression::Binary(o.op, lhs, rhs);
+    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePrimary());
+    int lhs_prec = std::numeric_limits<int>::max();  // of lhs's top operator
+    for (const BinaryOp* op; (op = PeekBinaryOp()) != nullptr;) {
+      if (nots > 0 && op->prec <= kNotPrec) {
+        for (; nots > 0; --nots) lhs = Expression::Not(std::move(lhs));
+        lhs_prec = kNotPrec;
       }
+      // A tighter operator than lhs's own can only follow a comparison the
+      // loop refused to chain; leave it to the caller's trailing check.
+      if (op->prec < min_prec || op->prec > lhs_prec ||
+          (op->prec == kComparePrec && lhs_prec == kComparePrec)) {
+        break;
+      }
+      Advance();
+      PIYE_RETURN_NOT_OK(CountNodes(1));
+      if (op->op == Expression::Op::kIn) {
+        PIYE_ASSIGN_OR_RETURN(lhs, ParseInList(std::move(lhs)));
+      } else {
+        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseExpr(op->prec + 1));
+        lhs = Expression::Binary(op->op, std::move(lhs), std::move(rhs));
+      }
+      lhs_prec = op->prec;
     }
+    for (; nots > 0; --nots) lhs = Expression::Not(std::move(lhs));
     return lhs;
   }
 
-  Result<ExprPtr> ParseAdditive() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
-    for (;;) {
-      if (MatchSymbol("+")) {
-        PIYE_RETURN_NOT_OK(CountNodes(1));
-        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expression::Binary(Expression::Op::kAdd, lhs, rhs);
-      } else if (MatchSymbol("-")) {
-        PIYE_RETURN_NOT_OK(CountNodes(1));
-        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expression::Binary(Expression::Op::kSub, lhs, rhs);
-      } else {
-        return lhs;
+  /// `(literal, ...)` after `lhs IN`.
+  Result<ExprPtr> ParseInList(ExprPtr lhs) {
+    if (!MatchSymbol("(")) return Error("expected '(' after IN");
+    std::vector<Value> values;
+    do {
+      const size_t nodes_before = nodes_;
+      PIYE_ASSIGN_OR_RETURN(ExprPtr lit, ParsePrimary());
+      nodes_ = nodes_before;  // the list holds values, not nodes
+      if (lit->op() != Expression::Op::kLiteral) {
+        return Error("IN list must contain literals");
       }
-    }
-  }
-
-  Result<ExprPtr> ParseMultiplicative() {
-    PIYE_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePrimary());
-    for (;;) {
-      if (MatchSymbol("*")) {
-        PIYE_RETURN_NOT_OK(CountNodes(1));
-        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
-        lhs = Expression::Binary(Expression::Op::kMul, lhs, rhs);
-      } else if (MatchSymbol("/")) {
-        PIYE_RETURN_NOT_OK(CountNodes(1));
-        PIYE_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
-        lhs = Expression::Binary(Expression::Op::kDiv, lhs, rhs);
-      } else {
-        return lhs;
-      }
-    }
+      values.push_back(lit->literal());
+    } while (MatchSymbol(","));
+    if (!MatchSymbol(")")) return Error("expected ')' after IN list");
+    return Expression::In(std::move(lhs), std::move(values));
   }
 
   Result<ExprPtr> ParsePrimary() {
@@ -514,7 +457,7 @@ class Parser {
           }
           Advance();
           ++depth_;
-          PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
+          PIYE_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr(0));
           --depth_;
           if (!MatchSymbol(")")) return Error("expected ')'");
           return e;

@@ -57,8 +57,8 @@ struct OrderKey {
 ///
 /// This covers the query surface the mediation engine fragments to sources —
 /// selections, projections, and the statistical aggregates whose privacy the
-/// paper's Example 1 is about. Joins are performed by the executor API (the
-/// integrator), not inside source SQL.
+/// paper's Example 1 is about. There are no joins: the Result Integrator
+/// combines the sources' answers.
 struct SelectStatement {
   std::vector<SelectItem> items;
   std::string table;
@@ -69,9 +69,6 @@ struct SelectStatement {
 
   bool HasAggregates() const;
   bool HasStar() const;
-
-  /// Renders back to SQL text (normalized).
-  std::string ToSql() const;
 };
 
 /// Parses the SELECT subset described above.

@@ -50,19 +50,6 @@ Table Table::Gather(const uint32_t* sel, size_t n) const {
   return out;
 }
 
-void Table::AppendTable(const Table& other) {
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    MutableColumn(c)->AppendColumn(other.col(c));
-  }
-  num_rows_ += other.num_rows_;
-}
-
-void Table::Reserve(size_t n) {
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    MutableColumn(c)->Reserve(n);
-  }
-}
-
 Status Table::AppendRow(Row row) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(strings::Format(
@@ -93,15 +80,6 @@ void Table::AppendRowUnchecked(const Row& row) {
   ++num_rows_;
 }
 
-Result<Value> Table::At(size_t row_idx, const std::string& column) const {
-  if (row_idx >= num_rows_) {
-    return Status::OutOfRange(strings::Format("row %zu out of %zu", row_idx,
-                                              num_rows_));
-  }
-  PIYE_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
-  return cols_[col]->ValueAt(row_idx);
-}
-
 Result<std::vector<double>> Table::NumericColumn(const std::string& column) const {
   PIYE_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(column));
   const ColumnVector& cv = *cols_[col];
@@ -116,40 +94,6 @@ Result<std::vector<double>> Table::NumericColumn(const std::string& column) cons
     out.push_back(cv.type() == ColumnType::kInt64
                       ? static_cast<double>(cv.IntAt(r))
                       : cv.RealAt(r));
-  }
-  return out;
-}
-
-std::string Table::ToString(size_t max_rows) const {
-  // Compute column widths over header + shown rows.
-  const size_t shown = std::min(max_rows, num_rows_);
-  std::vector<size_t> widths(schema_.num_columns());
-  std::vector<std::vector<std::string>> cells(shown);
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    widths[c] = schema_.column(c).name.size();
-  }
-  for (size_t r = 0; r < shown; ++r) {
-    cells[r].resize(schema_.num_columns());
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      cells[r][c] = Cell(r, c).ToDisplayString();
-      widths[c] = std::max(widths[c], cells[r][c].size());
-    }
-  }
-  std::string out;
-  auto pad = [&](const std::string& s, size_t w) {
-    out += s;
-    out.append(w - s.size() + 2, ' ');
-  };
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    pad(schema_.column(c).name, widths[c]);
-  }
-  out += '\n';
-  for (size_t r = 0; r < shown; ++r) {
-    for (size_t c = 0; c < schema_.num_columns(); ++c) pad(cells[r][c], widths[c]);
-    out += '\n';
-  }
-  if (shown < num_rows_) {
-    out += strings::Format("... (%zu more rows)\n", num_rows_ - shown);
   }
   return out;
 }

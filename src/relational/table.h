@@ -71,12 +71,6 @@ class Table {
     return Gather(sel.data(), sel.size());
   }
 
-  /// Appends all rows of `other`; schemas must already be compatible
-  /// (same column count and types — the callers validate names).
-  void AppendTable(const Table& other);
-
-  void Reserve(size_t n);
-
   // -- row appends (cold paths) --------------------------------------------
   /// Appends a row after arity and (non-NULL) type checking.
   Status AppendRow(Row row);
@@ -85,14 +79,8 @@ class Table {
   /// columns; other mismatches store NULL).
   void AppendRowUnchecked(const Row& row);
 
-  /// Value at (row, named column).
-  Result<Value> At(size_t row_idx, const std::string& column) const;
-
   /// Numeric column as doubles (NULLs skipped).
   Result<std::vector<double>> NumericColumn(const std::string& column) const;
-
-  /// Pretty-printed table (header + rows), for examples and benchmarks.
-  std::string ToString(size_t max_rows = 50) const;
 
   /// In-memory footprint of the actual columnar buffers (schema + validity
   /// bitmaps + typed payloads + string arenas), used by memory-bounded

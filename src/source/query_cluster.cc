@@ -135,57 +135,5 @@ ClusterStore ClusterStore::Default() {
   return store;
 }
 
-std::vector<QueryFeatures> KMeansCluster(const std::vector<QueryFeatures>& points,
-                                         size_t k, size_t iterations, Rng* rng) {
-  std::vector<QueryFeatures> centroids;
-  if (points.empty() || k == 0) return centroids;
-  k = std::min(k, points.size());
-  // Initialize with random distinct points.
-  std::vector<size_t> order(points.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-  for (size_t i = 0; i < k; ++i) centroids.push_back(points[order[i]]);
-
-  std::vector<size_t> assignment(points.size(), 0);
-  for (size_t iter = 0; iter < iterations; ++iter) {
-    bool moved = false;
-    for (size_t p = 0; p < points.size(); ++p) {
-      size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k; ++c) {
-        const double d = points[p].DistanceTo(centroids[c]);
-        if (d < best_dist) {
-          best_dist = d;
-          best = c;
-        }
-      }
-      if (assignment[p] != best) {
-        assignment[p] = best;
-        moved = true;
-      }
-    }
-    std::vector<QueryFeatures> next(k);
-    std::vector<size_t> counts(k, 0);
-    for (size_t p = 0; p < points.size(); ++p) {
-      for (size_t i = 0; i < QueryFeatures::kDims; ++i) {
-        next[assignment[p]].v[i] += points[p].v[i];
-      }
-      ++counts[assignment[p]];
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        next[c] = centroids[c];  // keep empty clusters where they were
-        continue;
-      }
-      for (size_t i = 0; i < QueryFeatures::kDims; ++i) {
-        next[c].v[i] /= static_cast<double>(counts[c]);
-      }
-    }
-    centroids = std::move(next);
-    if (!moved) break;
-  }
-  return centroids;
-}
-
 }  // namespace source
 }  // namespace piye

@@ -74,12 +74,6 @@ class ClusterStore {
   std::vector<QueryCluster> clusters_;
 };
 
-/// Plain k-means over query features — the unsupervised cluster-generation
-/// path ("we need ways to define and measure similar queries"), benchmarked
-/// against the labeled nearest-centroid store in bench_cluster.
-std::vector<QueryFeatures> KMeansCluster(const std::vector<QueryFeatures>& points,
-                                         size_t k, size_t iterations, Rng* rng);
-
 }  // namespace source
 }  // namespace piye
 

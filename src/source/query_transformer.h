@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "relational/sql.h"
 #include "source/piql.h"
-#include "xml/loose_path.h"
+#include "xml/loose_name.h"
 
 namespace piye {
 namespace source {

@@ -23,7 +23,7 @@
 #include "source/privacy_rewriter.h"
 #include "source/query_cluster.h"
 #include "source/query_transformer.h"
-#include "xml/loose_path.h"
+#include "xml/loose_name.h"
 
 namespace piye {
 namespace source {
@@ -121,10 +121,11 @@ class RemoteSource : public FederatedSource {
   Result<FragmentResult> ExecuteFragment(
       const PiqlQuery& fragment, const CancelToken& cancel = {}) const override;
 
-  /// The table the pipeline actually sees: the raw table filtered through
-  /// every privacy view registered for it (the Section 3 privacy-view
-  /// language — rows and columns outside the views simply do not exist for
-  /// the outside world). Returns the raw table when no view is registered.
+  /// Test hook: a copy of the table the pipeline actually sees, the raw
+  /// table filtered through every privacy view registered for it (the
+  /// Section 3 privacy-view language — rows and columns outside the views
+  /// simply do not exist for the outside world). Returns the raw table when
+  /// no view is registered.
   Result<relational::Table> EffectiveTable() const;
 
   /// Column sketches for mediated-schema generation, respecting policy: a
@@ -137,7 +138,8 @@ class RemoteSource : public FederatedSource {
   /// baseline integrator in the benchmarks.
   const relational::Table& raw_table_for_testing() const { return raw_; }
 
-  /// Running totals of the scan's choices, for tests and benches.
+  /// Test hook: running totals of the scan's choices, for tests and
+  /// benches.
   struct ScanStats {
     uint64_t index_scans = 0;    ///< WHEREs answered through a sorted index
     uint64_t full_scans = 0;     ///< WHEREs evaluated on every row

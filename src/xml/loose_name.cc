@@ -1,7 +1,6 @@
-#include "xml/loose_path.h"
+#include "xml/loose_name.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 
@@ -15,25 +14,6 @@ std::string Acronym(const std::vector<std::string>& tokens) {
     if (!t.empty()) out += t[0];
   }
   return out;
-}
-
-void CollectDescendantsOrSelf(const XmlNode& node, std::vector<const XmlNode*>* out) {
-  if (node.is_element()) out->push_back(&node);
-  for (const auto& c : node.children()) CollectDescendantsOrSelf(*c, out);
-}
-
-bool PredicateMatches(const PathStep::Predicate& pred, const XmlNode& node) {
-  switch (pred.kind) {
-    case PathStep::Predicate::Kind::kHasAttr:
-      return node.HasAttr(pred.name);
-    case PathStep::Predicate::Kind::kAttrEq: {
-      const std::string* v = node.GetAttr(pred.name);
-      return v != nullptr && *v == pred.value;
-    }
-    case PathStep::Predicate::Kind::kChildEq:
-      return node.ChildText(pred.name) == pred.value;
-  }
-  return false;
 }
 
 }  // namespace
@@ -104,62 +84,6 @@ double LooseNameMatcher::NameSimilarity(std::string_view a, std::string_view b) 
     return total / static_cast<double>(xs.size());
   };
   return 0.5 * (directed(ta, tb) + directed(tb, ta));
-}
-
-std::vector<LooseMatch> LoosePathMatcher::Find(const XmlPath& path,
-                                               const XmlNode& root) const {
-  std::vector<LooseMatch> current;
-  bool first = true;
-  for (const PathStep& step : path.steps()) {
-    // Gather candidates with the score accumulated so far.
-    std::vector<LooseMatch> candidates;
-    if (first) {
-      std::vector<const XmlNode*> nodes;
-      if (step.axis == PathStep::Axis::kChild) {
-        nodes.push_back(&root);
-      } else {
-        CollectDescendantsOrSelf(root, &nodes);
-      }
-      for (const XmlNode* n : nodes) candidates.push_back({n, 1.0});
-    } else {
-      for (const LooseMatch& m : current) {
-        if (step.axis == PathStep::Axis::kChild) {
-          for (const auto& c : m.node->children()) {
-            if (c->is_element()) candidates.push_back({c.get(), m.score});
-          }
-        } else {
-          std::vector<const XmlNode*> nodes;
-          for (const auto& c : m.node->children()) {
-            CollectDescendantsOrSelf(*c, &nodes);
-          }
-          for (const XmlNode* n : nodes) candidates.push_back({n, m.score});
-        }
-      }
-    }
-    // Filter by loose name similarity and predicates; keep the best score per
-    // node (the descendant axis can reach a node along several chains).
-    std::map<const XmlNode*, double> best;
-    for (const LooseMatch& cand : candidates) {
-      double name_score = 1.0;
-      if (step.name != "*") {
-        name_score = matcher_.NameSimilarity(step.name, cand.node->name());
-        if (name_score < threshold_) continue;
-      }
-      if (step.predicate && !PredicateMatches(*step.predicate, *cand.node)) continue;
-      const double score = std::min(cand.score, name_score);
-      auto [it, inserted] = best.emplace(cand.node, score);
-      if (!inserted) it->second = std::max(it->second, score);
-    }
-    current.clear();
-    for (const auto& [node, score] : best) current.push_back({node, score});
-    first = false;
-    if (current.empty()) break;
-  }
-  std::sort(current.begin(), current.end(), [](const LooseMatch& a, const LooseMatch& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.node < b.node;
-  });
-  return current;
 }
 
 }  // namespace xml

@@ -20,15 +20,6 @@ const std::string* XmlNode::GetAttr(std::string_view key) const {
   return nullptr;
 }
 
-void XmlNode::RemoveAttr(std::string_view key) {
-  for (auto it = attrs_.begin(); it != attrs_.end(); ++it) {
-    if (it->first == key) {
-      attrs_.erase(it);
-      return;
-    }
-  }
-}
-
 XmlNode* XmlNode::AddChild(std::unique_ptr<XmlNode> child) {
   children_.push_back(std::move(child));
   return children_.back().get();
@@ -49,13 +40,6 @@ void XmlNode::AddText(std::string text) { AddChild(Text(std::move(text))); }
 
 const XmlNode* XmlNode::FirstChild(std::string_view name) const {
   for (const auto& c : children_) {
-    if (c->is_element() && c->name() == name) return c.get();
-  }
-  return nullptr;
-}
-
-XmlNode* XmlNode::FirstChild(std::string_view name) {
-  for (auto& c : children_) {
     if (c->is_element() && c->name() == name) return c.get();
   }
   return nullptr;
@@ -87,21 +71,6 @@ std::string XmlNode::InnerText() const {
 std::string XmlNode::ChildText(std::string_view name) const {
   const XmlNode* c = FirstChild(name);
   return c ? c->InnerText() : std::string();
-}
-
-std::unique_ptr<XmlNode> XmlNode::Clone() const {
-  std::unique_ptr<XmlNode> copy(new XmlNode(type_, name_));
-  copy->attrs_ = attrs_;
-  copy->children_.reserve(children_.size());
-  for (const auto& c : children_) copy->children_.push_back(c->Clone());
-  return copy;
-}
-
-size_t XmlNode::CountElements() const {
-  if (!is_element()) return 0;
-  size_t n = 1;
-  for (const auto& c : children_) n += c->CountElements();
-  return n;
 }
 
 }  // namespace xml

@@ -10,9 +10,9 @@
 namespace piye {
 namespace xml {
 
-/// A node in the in-memory XML document model used throughout PRIVATE-IYE:
-/// remote sources export results as XML, the mediator integrates XML, and
-/// privacy metadata is attached as XML attributes (see source/metadata_tagger).
+/// A node in the in-memory XML document model PRIVATE-IYE uses at its
+/// edges: PIQL queries arrive as XML, policies, views and preferences are
+/// XML documents, and their `ToXml` renderers build these trees.
 ///
 /// The model is deliberately small: elements with ordered attributes and
 /// children, plus text nodes. Ownership is strict — each node owns its
@@ -44,7 +44,6 @@ class XmlNode {
   /// Returns the attribute value or nullptr.
   const std::string* GetAttr(std::string_view key) const;
   bool HasAttr(std::string_view key) const { return GetAttr(key) != nullptr; }
-  void RemoveAttr(std::string_view key);
   const std::vector<std::pair<std::string, std::string>>& attrs() const {
     return attrs_;
   }
@@ -65,7 +64,6 @@ class XmlNode {
 
   /// First child element with the given name, or nullptr.
   const XmlNode* FirstChild(std::string_view name) const;
-  XmlNode* FirstChild(std::string_view name);
   /// All child elements with the given name.
   std::vector<const XmlNode*> Children(std::string_view name) const;
   /// All child elements.
@@ -76,12 +74,6 @@ class XmlNode {
   /// Text of the named child element ("" if absent) — the common accessor for
   /// record-shaped XML.
   std::string ChildText(std::string_view name) const;
-
-  /// Deep copy.
-  std::unique_ptr<XmlNode> Clone() const;
-
-  /// Number of element nodes in this subtree (including this one).
-  size_t CountElements() const;
 
  private:
   XmlNode(Type type, std::string name) : type_(type), name_(std::move(name)) {}
@@ -100,10 +92,6 @@ class XmlDocument {
 
   bool has_root() const { return root_ != nullptr; }
   const XmlNode& root() const { return *root_; }
-
-  XmlDocument Clone() const {
-    return root_ ? XmlDocument(root_->Clone()) : XmlDocument();
-  }
 
  private:
   std::unique_ptr<XmlNode> root_;

@@ -33,7 +33,8 @@ struct ParseLimits {
 /// scope — names containing ':' are treated as plain names.
 Result<XmlDocument> Parse(std::string_view input);
 
-/// Parse with explicit resource limits (see ParseLimits).
+/// Test hook: Parse with explicit resource limits (see ParseLimits), so
+/// tests can reach the limits with small inputs.
 Result<XmlDocument> Parse(std::string_view input, const ParseLimits& limits);
 
 /// Serializes a node subtree. `indent` < 0 produces compact single-line

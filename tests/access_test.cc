@@ -72,29 +72,6 @@ TEST_F(RbacTest, InvalidConfigurations) {
   EXPECT_FALSE(db_.Grant("missing-role", Action::kSelect, "t", "c").ok());
 }
 
-TEST(MlsTest, BellLaPadula) {
-  MlsLabeling labels;
-  labels.SetLabel("patients", "diagnosis", SecurityLevel::kConfidential);
-  labels.SetLabel("patients", "*", SecurityLevel::kInternal);
-
-  // No read up.
-  EXPECT_FALSE(labels.CanRead(SecurityLevel::kInternal, "patients", "diagnosis"));
-  EXPECT_TRUE(labels.CanRead(SecurityLevel::kSecret, "patients", "diagnosis"));
-  // Table-wide fallback label.
-  EXPECT_TRUE(labels.CanRead(SecurityLevel::kInternal, "patients", "name"));
-  EXPECT_FALSE(labels.CanRead(SecurityLevel::kPublic, "patients", "name"));
-  // Unlabeled objects are public.
-  EXPECT_TRUE(labels.CanRead(SecurityLevel::kPublic, "other", "x"));
-  // No write down.
-  EXPECT_FALSE(labels.CanWrite(SecurityLevel::kSecret, "patients", "diagnosis"));
-  EXPECT_TRUE(labels.CanWrite(SecurityLevel::kInternal, "patients", "diagnosis"));
-}
-
-TEST(MlsTest, LevelNames) {
-  EXPECT_STREQ(SecurityLevelToString(SecurityLevel::kPublic), "public");
-  EXPECT_STREQ(SecurityLevelToString(SecurityLevel::kSecret), "secret");
-}
-
 }  // namespace
 }  // namespace access
 }  // namespace piye

@@ -155,13 +155,6 @@ TEST(StatsTest, CorrelationSigns) {
 
 // --- strings ---
 
-TEST(StringsTest, SplitAndJoin) {
-  const auto parts = strings::Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(strings::Join(parts, "-"), "a-b--c");
-}
-
 TEST(StringsTest, TrimAndLower) {
   EXPECT_EQ(strings::Trim("  aBc \n"), "aBc");
   EXPECT_EQ(strings::ToLower("aBc"), "abc");
@@ -172,12 +165,6 @@ TEST(StringsTest, EditDistance) {
   EXPECT_EQ(strings::EditDistance("", "abc"), 3u);
   EXPECT_EQ(strings::EditDistance("same", "same"), 0u);
   EXPECT_DOUBLE_EQ(strings::EditSimilarity("same", "same"), 1.0);
-}
-
-TEST(StringsTest, QGramJaccard) {
-  EXPECT_DOUBLE_EQ(strings::QGramJaccard("smith", "smith", 2), 1.0);
-  EXPECT_GT(strings::QGramJaccard("smith", "smyth", 2), 0.3);
-  EXPECT_LT(strings::QGramJaccard("smith", "garcia", 2), 0.1);
 }
 
 TEST(StringsTest, TokenizeIdentifier) {

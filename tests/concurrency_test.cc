@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,24 +37,12 @@ TEST(ExecutorTest, SubmitReturnsResults) {
   EXPECT_EQ(a.get(), 42);
   EXPECT_EQ(b.get(), "ok");
   EXPECT_EQ(pool.num_threads(), 4u);
-  EXPECT_EQ(pool.tasks_submitted(), 2u);
 }
 
 TEST(ExecutorTest, SubmitPropagatesExceptionsThroughFuture) {
   Executor pool(1);
   auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
-  Executor pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run for n=0"; });
 }
 
 TEST(ExecutorTest, TasksRunConcurrently) {
@@ -139,8 +128,6 @@ TEST(TraceTest, RegistryCountersAndJson) {
   EXPECT_NE(json.find("\"queries\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"stage.fragment\""), std::string::npos);
   EXPECT_NE(json.find("\"p95_micros\""), std::string::npos);
-  registry.Reset();
-  EXPECT_EQ(registry.counter("queries"), 0u);
 }
 
 // Minimal strict JSON value parser for the ToJson round-trip test: accepts
@@ -352,10 +339,14 @@ TEST(TraceTest, ToJsonSortsNamesRegardlessOfRegistrationOrder) {
 TEST(TraceTest, RegistryIsSafeForConcurrentWriters) {
   trace::MetricsRegistry registry;
   Executor pool(4);
-  pool.ParallelFor(64, [&registry](size_t i) {
-    trace::Bump(registry.RegisterCounter("c"));
-    registry.RegisterLatency("l")->Record(static_cast<double>(i));
-  });
+  std::vector<std::future<void>> writers;
+  for (size_t i = 0; i < 64; ++i) {
+    writers.push_back(pool.Submit([&registry, i] {
+      trace::Bump(registry.RegisterCounter("c"));
+      registry.RegisterLatency("l")->Record(static_cast<double>(i));
+    }));
+  }
+  for (auto& w : writers) w.get();
   EXPECT_EQ(registry.counter("c"), 64u);
   EXPECT_EQ(registry.latency("l").count(), 64u);
 }

@@ -6,12 +6,12 @@
 #include <cmath>
 
 #include "core/baseline.h"
+#include "core/outbreak.h"
 #include "core/warehouse_miner.h"
 #include "core/private_iye.h"
 #include "core/scenario.h"
 #include "inference/privacy_loss.h"
 #include "inference/snooping_attack.h"
-#include "relational/executor.h"
 
 namespace piye {
 namespace core {
@@ -375,10 +375,14 @@ TEST(WarehouseMinerTest, RejectsBadSupport) {
 TEST(WarehouseMinerTest, TrendSlopesFindTheOutbreak) {
   const std::vector<std::string> countries{"sg", "cn"};
   auto tables = OutbreakScenario::MakeCaseTables(countries, 40, 10, 1, 3);
-  // Union the two case tables (same schema) as the warehouse would hold.
-  auto unioned = relational::Executor::Union(tables[0], tables[1]);
-  ASSERT_TRUE(unioned.ok());
-  auto slopes = WarehouseMiner::TrendSlopes(*unioned, "region", "day", "cases");
+  // Both regions in one table (same schema), so the miner groups them.
+  relational::Table both(tables[0].schema());
+  for (const auto& t : tables) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      both.AppendRowUnchecked({t.Cell(r, 0), t.Cell(r, 1), t.Cell(r, 2)});
+    }
+  }
+  auto slopes = WarehouseMiner::TrendSlopes(both, "region", "day", "cases");
   ASSERT_TRUE(slopes.ok()) << slopes.status().ToString();
   ASSERT_EQ(slopes->size(), 2u);
   // The outbreak country's trend dominates the endemic one.

@@ -124,22 +124,6 @@ TEST(DhPsiTest, CostsMoreCryptoThanHashPsi) {
 
 // --- Bloom filters ---
 
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter filter(1024, 4);
-  for (int i = 0; i < 100; ++i) filter.Insert("item" + std::to_string(i));
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(filter.MaybeContains("item" + std::to_string(i)));
-  }
-}
-
-TEST(BloomFilterTest, LowFalsePositiveRateWhenSized) {
-  BloomFilter filter(4096, 4);
-  for (int i = 0; i < 100; ++i) filter.Insert("in" + std::to_string(i));
-  int fp = 0;
-  for (int i = 0; i < 1000; ++i) fp += filter.MaybeContains("out" + std::to_string(i));
-  EXPECT_LT(fp, 20);
-}
-
 TEST(BloomFilterTest, DiceSimilarityBounds) {
   BloomFilter a(512, 4), b(512, 4);
   a.Insert("x");
@@ -150,23 +134,6 @@ TEST(BloomFilterTest, DiceSimilarityBounds) {
   EXPECT_LT(BloomFilter::DiceSimilarity(a, c), 0.5);
   BloomFilter mismatched(256, 4);
   EXPECT_DOUBLE_EQ(BloomFilter::DiceSimilarity(a, mismatched), 0.0);
-}
-
-TEST(BloomEncoderTest, TyposKeepHighDice) {
-  const BloomEncoder encoder("secret", {512, 4, 2});
-  const auto a = encoder.Encode({"john smith", "1970-01-02"});
-  const auto b = encoder.Encode({"jon smith", "1970-01-02"});
-  const auto c = encoder.Encode({"maria garcia", "1985-07-21"});
-  EXPECT_GT(BloomFilter::DiceSimilarity(a, b), 0.8);
-  EXPECT_LT(BloomFilter::DiceSimilarity(a, c), 0.5);
-}
-
-TEST(BloomEncoderTest, DifferentKeysProduceUnrelatedFilters) {
-  const BloomEncoder k1("key1", {512, 4, 2});
-  const BloomEncoder k2("key2", {512, 4, 2});
-  const auto a = k1.Encode({"john smith"});
-  const auto b = k2.Encode({"john smith"});
-  EXPECT_LT(BloomFilter::DiceSimilarity(a, b), 0.5);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(WarehouseTest, FreshnessWindow) {
   Warehouse warehouse;
   Table t(Schema{Column{"x", ColumnType::kInt64}});
   (void)t.AppendRow(Row{Value::Int(1)});
-  warehouse.Put("q1", t, /*epoch=*/5);
+  warehouse.Put("q1", std::make_shared<const Table>(t), /*epoch=*/5);
   EXPECT_NE(warehouse.Get("q1", 5, 0), nullptr);
   EXPECT_NE(warehouse.Get("q1", 6, 1), nullptr);
   EXPECT_EQ(warehouse.Get("q1", 7, 1), nullptr);
@@ -67,10 +67,10 @@ TEST(WarehouseTest, PutKeepsMaxEpochEntry) {
   Table stale(Schema{Column{"x", ColumnType::kInt64}});
   (void)stale.AppendRow(Row{Value::Int(1)});
 
-  warehouse.Put("q1", fresh, /*epoch=*/7);
+  warehouse.Put("q1", std::make_shared<const Table>(fresh), /*epoch=*/7);
   // A stale writer (e.g. a recovery replay of an old WAL record) must not
   // roll the materialization back.
-  warehouse.Put("q1", stale, /*epoch=*/3);
+  warehouse.Put("q1", std::make_shared<const Table>(stale), /*epoch=*/3);
   auto handle = warehouse.Get("q1", 7, 0);
   ASSERT_NE(handle, nullptr);
   EXPECT_EQ(handle->Cell(0, 0).AsInt(), 2);
@@ -78,7 +78,7 @@ TEST(WarehouseTest, PutKeepsMaxEpochEntry) {
   // Same-epoch and newer-epoch puts replace as usual.
   Table newer(Schema{Column{"x", ColumnType::kInt64}});
   (void)newer.AppendRow(Row{Value::Int(9)});
-  warehouse.Put("q1", newer, /*epoch=*/8);
+  warehouse.Put("q1", std::make_shared<const Table>(newer), /*epoch=*/8);
   handle = warehouse.Get("q1", 8, 0);
   ASSERT_NE(handle, nullptr);
   EXPECT_EQ(handle->Cell(0, 0).AsInt(), 9);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/outbreak.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
 #include "net/client.h"

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "reference/rowref.h"
 #include "common/stats.h"
+#include "perturb/additive_noise.h"
 #include "perturb/noise.h"
 #include "perturb/reconstruction.h"
 #include "perturb/spectral_filter.h"

@@ -48,10 +48,11 @@ Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
 
 Result<Table> Project(const Table& input,
                       const std::vector<std::string>& columns) {
-  PIYE_ASSIGN_OR_RETURN(Schema schema, input.schema().Project(columns));
+  Schema schema;
   std::vector<size_t> idx;
   for (const auto& c : columns) {
     PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(c));
+    schema.AddColumn(input.schema().column(i));
     idx.push_back(i);
   }
   Table out(std::move(schema));
@@ -180,27 +181,6 @@ Result<Table> Aggregate(const Table& input,
       row.push_back(states[s].Finish(specs[s].func, specs[s].int_input));
     }
     out.AppendRowUnchecked(row);
-  }
-  return out;
-}
-
-Result<Table> Union(const Table& a, const Table& b) {
-  if (!(a.schema() == b.schema())) {
-    return Status::InvalidArgument("UNION requires identical schemas: [" +
-                                   a.schema().ToString() + "] vs [" +
-                                   b.schema().ToString() + "]");
-  }
-  Table out(a.schema());
-  for (const Row& r : AllRows(a)) out.AppendRowUnchecked(r);
-  for (const Row& r : AllRows(b)) out.AppendRowUnchecked(r);
-  return out;
-}
-
-Table Distinct(const Table& input) {
-  Table out(input.schema());
-  std::set<std::vector<Value>> seen;
-  for (const Row& r : AllRows(input)) {
-    if (seen.insert(r).second) out.AppendRowUnchecked(r);
   }
   return out;
 }

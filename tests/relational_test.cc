@@ -10,6 +10,7 @@
 #include "relational/dedup.h"
 #include "relational/executor.h"
 #include "reference/rowref.h"
+#include "reference/sql_tables.h"
 #include "relational/expression.h"
 #include "relational/schema.h"
 #include "relational/sql.h"
@@ -82,14 +83,11 @@ TEST(ValueTest, ToStringRendering) {
 
 // --- Schema / Table ---
 
-TEST(SchemaTest, IndexAndProject) {
+TEST(SchemaTest, IndexOf) {
   Schema s{Column{"a", ColumnType::kInt64}, Column{"b", ColumnType::kString}};
   ASSERT_TRUE(s.IndexOf("b").ok());
   EXPECT_EQ(*s.IndexOf("b"), 1u);
   EXPECT_FALSE(s.IndexOf("z").ok());
-  auto proj = s.Project({"b"});
-  ASSERT_TRUE(proj.ok());
-  EXPECT_EQ(proj->num_columns(), 1u);
 }
 
 TEST(TableTest, AppendRowValidatesArityAndTypes) {
@@ -213,37 +211,61 @@ TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(ParseSql("SELECT SUM(*) FROM t").ok());
 }
 
-TEST(SqlParserTest, ToSqlRoundTrip) {
-  const char* sql =
-      "SELECT city, AVG(rate) AS m FROM p WHERE (age > 30) GROUP BY city";
-  auto stmt = ParseSql(sql);
-  ASSERT_TRUE(stmt.ok());
-  auto stmt2 = ParseSql(stmt->ToSql());
-  ASSERT_TRUE(stmt2.ok()) << stmt->ToSql();
-  EXPECT_EQ(stmt2->items.size(), 2u);
+TEST(SqlParserTest, PrecedenceAndAssociativity) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"a OR b AND c", "(a OR (b AND c))"},
+      {"a - b - c", "((a - b) - c)"},
+      {"a + b * c = d / e - f", "((a + (b * c)) = ((d / e) - f))"},
+      {"NOT a = 1 AND NOT NOT b < 2 OR c", "(((NOT (a = 1)) AND (NOT (NOT (b < 2)))) OR c)"},
+      {"a LIKE 'x%' AND b IN (1, 2)", "((a LIKE 'x%') AND (b IN (1, 2)))"},
+      {"-a * (b + 1)", "((0 - a) * (b + 1))"},
+  };
+  for (const auto& [text, tree] : cases) {
+    auto e = ParseExpression(text);
+    ASSERT_TRUE(e.ok()) << text << ": " << e.status().ToString();
+    EXPECT_EQ((*e)->ToString(), tree) << text;
+  }
+  // Comparisons do not chain, and NOT is a column name inside a comparison.
+  for (const char* text : {"a = b = c", "a < b LIKE c", "a IN (1) = b", "NOT a = 1 = 2",
+                           "x AND a = 1 = 2", "a = NOT b"}) {
+    auto e = ParseExpression(text);
+    ASSERT_FALSE(e.ok()) << text;
+    EXPECT_TRUE(e.status().IsParseError()) << text;
+    EXPECT_NE(e.status().message().find("unexpected trailing tokens"), std::string::npos)
+        << text << ": " << e.status().message();
+  }
+}
+
+TEST(SqlParserTest, ParenthesisNestingBound) {
+  auto nested = [](size_t depth) {
+    return std::string(depth, '(') + "a = 1" + std::string(depth, ')');
+  };
+  auto at_bound = ParseExpression(nested(kMaxExpressionNodes));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ((*at_bound)->ToString(), "(a = 1)");
+  auto over = ParseExpression(nested(kMaxExpressionNodes + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsParseError());
+  EXPECT_EQ(over.status().message(), "SQL parse error: parentheses nest deeper than 256");
 }
 
 // --- Executor ---
 
 class ExecutorTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    catalog_.PutTable("patients", PatientsFixture());
-  }
-  Catalog catalog_;
+  void SetUp() override { tables_["patients"] = PatientsFixture(); }
+  sqlref::Tables tables_;
 };
 
 TEST_F(ExecutorTest, SelectStar) {
-  Executor ex(&catalog_);
-  auto r = ex.Query("SELECT * FROM patients");
+  auto r = sqlref::Query(tables_, "SELECT * FROM patients");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 5u);
 }
 
 TEST_F(ExecutorTest, FilterProjectOrderLimit) {
-  Executor ex(&catalog_);
-  auto r = ex.Query(
-      "SELECT name FROM patients WHERE age >= 40 ORDER BY name DESC LIMIT 2");
+  auto r = sqlref::Query(
+      tables_, "SELECT name FROM patients WHERE age >= 40 ORDER BY name DESC LIMIT 2");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 2u);
   EXPECT_EQ(r->Cell(0, 0).AsString(), "eli");
@@ -251,9 +273,9 @@ TEST_F(ExecutorTest, FilterProjectOrderLimit) {
 }
 
 TEST_F(ExecutorTest, GlobalAggregates) {
-  Executor ex(&catalog_);
-  auto r = ex.Query("SELECT COUNT(*), AVG(age), MIN(rate), MAX(rate), STDDEV(age) "
-                    "FROM patients");
+  auto r = sqlref::Query(tables_,
+                         "SELECT COUNT(*), AVG(age), MIN(rate), MAX(rate), STDDEV(age) "
+                         "FROM patients");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 1u);
   EXPECT_EQ(r->Cell(0, 0).AsInt(), 5);
@@ -263,9 +285,9 @@ TEST_F(ExecutorTest, GlobalAggregates) {
 }
 
 TEST_F(ExecutorTest, GroupBy) {
-  Executor ex(&catalog_);
-  auto r = ex.Query("SELECT city, COUNT(*) AS n FROM patients GROUP BY city "
-                    "ORDER BY city");
+  auto r = sqlref::Query(tables_,
+                         "SELECT city, COUNT(*) AS n FROM patients GROUP BY city "
+                         "ORDER BY city");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 3u);
   EXPECT_EQ(r->Cell(0, 0).AsString(), "bern");
@@ -273,44 +295,24 @@ TEST_F(ExecutorTest, GroupBy) {
 }
 
 TEST_F(ExecutorTest, AggregateOverEmptyInput) {
-  Executor ex(&catalog_);
-  auto r = ex.Query("SELECT COUNT(*) FROM patients WHERE age > 1000");
+  auto r = sqlref::Query(tables_, "SELECT COUNT(*) FROM patients WHERE age > 1000");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 1u);
   EXPECT_EQ(r->Cell(0, 0).AsInt(), 0);
 }
 
 TEST_F(ExecutorTest, BareColumnNeedsGroupBy) {
-  Executor ex(&catalog_);
-  EXPECT_FALSE(ex.Query("SELECT city, AVG(rate) FROM patients").ok());
+  EXPECT_FALSE(sqlref::Query(tables_, "SELECT city, AVG(rate) FROM patients").ok());
 }
 
 TEST_F(ExecutorTest, AliasRenamesOutput) {
-  Executor ex(&catalog_);
-  auto r = ex.Query("SELECT name AS patientName FROM patients LIMIT 1");
+  auto r = sqlref::Query(tables_, "SELECT name AS patientName FROM patients LIMIT 1");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->schema().column(0).name, "patientName");
 }
 
-TEST_F(ExecutorTest, UnionRequiresSameSchema) {
-  Table a(Schema{Column{"x", ColumnType::kInt64}});
-  Table b(Schema{Column{"y", ColumnType::kInt64}});
-  EXPECT_FALSE(Executor::Union(a, b).ok());
-  auto u = Executor::Union(a, a);
-  ASSERT_TRUE(u.ok());
-}
-
-TEST_F(ExecutorTest, Distinct) {
-  Table t(Schema{Column{"x", ColumnType::kInt64}});
-  for (int i : {1, 2, 2, 3, 1}) {
-    ASSERT_TRUE(t.AppendRow(Row{Value::Int(i)}).ok());
-  }
-  EXPECT_EQ(Executor::Distinct(t).num_rows(), 3u);
-}
-
 TEST_F(ExecutorTest, MissingTable) {
-  Executor ex(&catalog_);
-  EXPECT_FALSE(ex.Query("SELECT * FROM nope").ok());
+  EXPECT_FALSE(sqlref::Query(tables_, "SELECT * FROM nope").ok());
 }
 
 // --- Binary table codec ---
@@ -631,7 +633,6 @@ TEST(TableColumnarTest, ApproxBytesCountsColumnarFootprint) {
   // Row-major storage paid a full Value variant (32+ bytes) per cell; the
   // columnar footprint of an INT64 column must be close to 8 bytes/cell.
   Table t(Schema{Column{"x", ColumnType::kInt64}});
-  t.Reserve(1024);
   for (int64_t i = 0; i < 1024; ++i) {
     t.AppendRowUnchecked(Row{Value::Int(i)});
   }
@@ -774,9 +775,6 @@ TEST(DifferentialTest, BothEnginesAgreeAcrossNullDensities) {
     ExpectSameTable(Executor::Aggregate(t, {"g", "b"}, kAggs),
                     rowref::Aggregate(t, {"g", "b"}, kAggs),
                     "Aggregate by g,b" + tag);
-    ExpectSameTable(Executor::Union(t, t), rowref::Union(t, t), "Union" + tag);
-    ExpectSameTable(Result<Table>(Executor::Distinct(t)),
-                    Result<Table>(rowref::Distinct(t)), "Distinct" + tag);
     const std::vector<OrderKey> keys = {{"g", true}, {"d", false}, {"s", true}};
     ExpectSameTable(Executor::Sort(t, keys), rowref::Sort(t, keys), "Sort" + tag);
     ExpectSameTable(Result<Table>(Executor::Limit(t, 17)),
@@ -798,27 +796,24 @@ TEST(DifferentialTest, ExecuteMatchesFilteringEveryColumnFirst) {
       "SELECT g FROM t ORDER BY g",
   };
   Rng rng(0xD15C0);
-  Catalog catalog;
-  catalog.PutTable("t", RandomTable(&rng, 1500, 0.2));
-  const Executor executor(&catalog);
+  const sqlref::Tables tables{{"t", RandomTable(&rng, 1500, 0.2)}};
   for (const char* sql : kStatements) {
     auto stmt = ParseSql(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
-    Catalog filtered;
-    auto pre = rowref::Filter(**catalog.GetTable("t"), stmt->where);
+    auto pre = rowref::Filter(tables.at("t"), stmt->where);
     ASSERT_TRUE(pre.ok()) << sql;
-    filtered.PutTable("t", *pre);
+    const sqlref::Tables filtered{{"t", *pre}};
     SelectStatement unfiltered = *stmt;
     unfiltered.where = nullptr;
-    ExpectSameTable(executor.Execute(*stmt), Executor(&filtered).Execute(unfiltered),
+    ExpectSameTable(sqlref::Execute(tables, *stmt), sqlref::Execute(filtered, unfiltered),
                     sql);
   }
   // Predicate errors come before projection errors; a missing column keeps
   // its error.
-  auto both = executor.Query("SELECT missing FROM t WHERE i LIKE 'x%'");
+  auto both = sqlref::Query(tables, "SELECT missing FROM t WHERE i LIKE 'x%'");
   ASSERT_FALSE(both.ok());
   EXPECT_EQ(both.status().message(), "LIKE requires string operands");
-  auto missing = executor.Query("SELECT missing FROM t WHERE i > 0");
+  auto missing = sqlref::Query(tables, "SELECT missing FROM t WHERE i > 0");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().message(), "no column named 'missing'");
 }

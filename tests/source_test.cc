@@ -726,20 +726,6 @@ TEST(ClusterStoreTest, UntrainedStoreMapsToNull) {
   EXPECT_EQ(store.Map(QueryFeatures::Extract(*stmt)), nullptr);
 }
 
-TEST(KMeansTest, SeparatesObviousClusters) {
-  Rng rng(3);
-  std::vector<QueryFeatures> points;
-  for (int i = 0; i < 40; ++i) {
-    QueryFeatures f;
-    f.v[0] = i < 20 ? 0.0 : 1.0;
-    f.v[4] = i < 20 ? 8.0 : 1.0;
-    points.push_back(f);
-  }
-  const auto centroids = KMeansCluster(points, 2, 20, &rng);
-  ASSERT_EQ(centroids.size(), 2u);
-  EXPECT_GT(std::fabs(centroids[0].v[4] - centroids[1].v[4]), 5.0);
-}
-
 // --- Loss computation ---
 
 TEST(LossComputationTest, FormWeightsAreMonotone) {

@@ -33,7 +33,7 @@ using mediator::Warehouse;
 
 // A table whose ApproxBytes is dominated by `payload_bytes` of string data,
 // so byte-budget tests can reason in round numbers.
-relational::Table MakeTable(int64_t marker, size_t payload_bytes = 64) {
+Warehouse::TableHandle MakeTable(int64_t marker, size_t payload_bytes = 64) {
   relational::Table t(relational::Schema{
       relational::Column{"id", relational::ColumnType::kInt64},
       relational::Column{"blob", relational::ColumnType::kString}});
@@ -41,7 +41,7 @@ relational::Table MakeTable(int64_t marker, size_t payload_bytes = 64) {
                               relational::Value::Int(marker),
                               relational::Value::Str(std::string(payload_bytes, 'x'))})
                   .ok());
-  return t;
+  return std::make_shared<const relational::Table>(std::move(t));
 }
 
 std::string Fp(size_t i) { return "query-fingerprint-" + std::to_string(i); }
@@ -149,7 +149,7 @@ TEST(WarehouseScaleTest, EvictionIsOldestEpochFirstThenLru) {
   // for c. A Get refreshes `a`, making `b` the least-recently-used entry of
   // the oldest epoch: the puts must evict b first, then a — never c, even
   // though c was written after a was refreshed.
-  const size_t entry_bytes = MakeTable(1, 1024).ApproxBytes();
+  const size_t entry_bytes = MakeTable(1, 1024)->ApproxBytes();
   Warehouse bounded(
       Warehouse::Options{/*max_bytes=*/(entry_bytes * 2 + 64) * Warehouse::kShards});
   bounded.Put(a, MakeTable(1, 1024), 1);

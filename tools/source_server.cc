@@ -17,10 +17,15 @@
 //                            analyst) to every source — matching what the
 //                            in-process tests configure, so a federated run
 //                            is byte-identical to an in-process one
-//   --workers=N              fragment worker threads (default 4)
+//   --workers=N              fragment worker threads, 1..256 (default 4)
 //   --fault-seed=N --fault-drop-write=P --fault-tear=P --fault-corrupt=P
 //   --fault-drop-read=P --fault-delay-rate=P --fault-delay-micros=N
-//                            wire-level fault injection on every connection
+//                            wire-level fault injection on every connection;
+//                            each rate P is in [0, 1]
+//
+// A flag or --source key that is unknown, or a number that does not parse
+// completely or is out of range, exits with status 2 and a message naming
+// it, before any file is read or any thread starts.
 //
 // On readiness the resolved address is printed as "LISTENING <addr>" on
 // stdout (the line a spawning harness waits for). SIGTERM/SIGINT trigger a
@@ -28,13 +33,15 @@
 
 #include <signal.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/scenario.h"
@@ -52,6 +59,53 @@ struct SourceSpec {
   std::string file;
   uint64_t seed = 0;
 };
+
+/// `text` as a number of type T, or nullopt unless every character is part
+/// of it (no sign on an unsigned type, no spaces, no suffix).
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The value of `flag` as an unsigned integer in [lo, hi].
+Result<uint64_t> ParseCount(const std::string& flag, const std::string& text,
+                            uint64_t lo, uint64_t hi) {
+  const std::optional<uint64_t> n = ParseNumber<uint64_t>(text);
+  if (!n.has_value() || *n < lo || *n > hi) {
+    return Status::InvalidArgument(flag + " must be an integer in [" +
+                                   std::to_string(lo) + ", " + std::to_string(hi) +
+                                   "], got '" + text + "'");
+  }
+  return *n;
+}
+
+/// The value of `flag` as a probability in [0, 1].
+Result<double> ParseRate(const std::string& flag, const std::string& text) {
+  const std::optional<double> p = ParseNumber<double>(text);
+  if (!p.has_value() || !(*p >= 0.0 && *p <= 1.0)) {
+    return Status::InvalidArgument(flag + " must be a number in [0, 1], got '" + text +
+                                   "'");
+  }
+  return *p;
+}
+
+/// Stores a parsed flag value in `*out`, or prints why it is refused.
+template <typename T, typename U>
+bool Assign(const Result<T>& parsed, U* out) {
+  if (!parsed.ok()) {
+    std::cerr << "source_server: " << parsed.status().ToString() << "\n";
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
+constexpr uint64_t kMaxWorkers = 256;
+constexpr uint64_t kMaxU64 = ~uint64_t{0};
 
 Result<SourceSpec> ParseSourceSpec(const std::string& text) {
   SourceSpec spec;
@@ -72,7 +126,9 @@ Result<SourceSpec> ParseSourceSpec(const std::string& text) {
     } else if (key == "file") {
       spec.file = value;
     } else if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+      auto seed = ParseCount("--source seed", value, 0, kMaxU64);
+      if (!seed.ok()) return seed.status();
+      spec.seed = *seed;
     } else {
       return Status::InvalidArgument("--source key '" + key + "' unknown");
     }
@@ -113,6 +169,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
+    bool ok = true;  // false once a numeric flag is refused
     if (value_of(arg, "--listen", &value)) {
       config.listen_address = value;
     } else if (value_of(arg, "--source", &value)) {
@@ -125,25 +182,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--clinical-policies") {
       clinical_policies = true;
     } else if (value_of(arg, "--workers", &value)) {
-      config.worker_threads = std::strtoull(value.c_str(), nullptr, 10);
+      ok = Assign(ParseCount("--workers", value, 1, kMaxWorkers), &config.worker_threads);
     } else if (value_of(arg, "--fault-seed", &value)) {
-      config.fault.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = Assign(ParseCount("--fault-seed", value, 0, kMaxU64), &config.fault.seed);
     } else if (value_of(arg, "--fault-drop-write", &value)) {
-      config.fault.drop_write_rate = std::strtod(value.c_str(), nullptr);
+      ok = Assign(ParseRate("--fault-drop-write", value), &config.fault.drop_write_rate);
     } else if (value_of(arg, "--fault-tear", &value)) {
-      config.fault.tear_rate = std::strtod(value.c_str(), nullptr);
+      ok = Assign(ParseRate("--fault-tear", value), &config.fault.tear_rate);
     } else if (value_of(arg, "--fault-corrupt", &value)) {
-      config.fault.corrupt_rate = std::strtod(value.c_str(), nullptr);
+      ok = Assign(ParseRate("--fault-corrupt", value), &config.fault.corrupt_rate);
     } else if (value_of(arg, "--fault-drop-read", &value)) {
-      config.fault.drop_read_rate = std::strtod(value.c_str(), nullptr);
+      ok = Assign(ParseRate("--fault-drop-read", value), &config.fault.drop_read_rate);
     } else if (value_of(arg, "--fault-delay-rate", &value)) {
-      config.fault.delay_rate = std::strtod(value.c_str(), nullptr);
+      ok = Assign(ParseRate("--fault-delay-rate", value), &config.fault.delay_rate);
     } else if (value_of(arg, "--fault-delay-micros", &value)) {
-      config.fault.delay_micros = std::strtoull(value.c_str(), nullptr, 10);
+      ok = Assign(ParseCount("--fault-delay-micros", value, 0, kMaxU64),
+                  &config.fault.delay_micros);
     } else {
       std::cerr << "source_server: unknown flag '" << arg << "'\n";
       return 2;
     }
+    if (!ok) return 2;
   }
   if (specs.empty()) {
     std::cerr << "source_server: at least one --source is required\n";
