@@ -108,13 +108,14 @@ fi
 if [[ "${PIYE_CI_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== [4/8] ASan leg skipped (PIYE_CI_SKIP_ASAN=1) ==="
 else
-  echo "=== [4/8] AddressSanitizer build + test ==="
+  echo "=== [4/8] AddressSanitizer build (-Werror) + test ==="
   # halt_on_error makes a sanitizer report fail the test that produced it;
   # leak detection stays off to match scripts/sanitize.sh (ptrace is often
-  # unavailable in CI containers).
+  # unavailable in CI containers). The build is warning-free like leg 1:
+  # ASan's instrumentation changes what GCC's flow-sensitive warnings see.
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=0}"
   cmake -B "$ROOT/build-addresssan" -S "$ROOT" -DPIYE_SANITIZE=address \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DPIYE_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ROOT/build-addresssan" -j "$JOBS"
   ctest --test-dir "$ROOT/build-addresssan" --output-on-failure -j "$JOBS" \
     "${CTEST_EXCLUDE[@]}"

@@ -75,7 +75,9 @@ SourceServer::SourceServer(ServerConfig config) : config_(std::move(config)) {}
 SourceServer::~SourceServer() { Stop(); }
 
 void SourceServer::AddSource(const source::FederatedSource* source) {
-  sources_[source->owner()] = source;
+  if (!sources_.emplace(source->owner(), source).second) {
+    duplicate_owner_ = source->owner();
+  }
 }
 
 const source::FederatedSource* SourceServer::FindSource(
@@ -86,6 +88,9 @@ const source::FederatedSource* SourceServer::FindSource(
 
 Status SourceServer::Start() {
   if (started_) return Status::AlreadyExists("server already started");
+  if (!duplicate_owner_.empty()) {
+    return Status::AlreadyExists("source owner '" + duplicate_owner_ + "' added twice");
+  }
   PIYE_ASSIGN_OR_RETURN(Listener listener,
                         Listener::Listen(config_.listen_address));
   listener_ = std::make_unique<Listener>(std::move(listener));

@@ -58,6 +58,8 @@ class SourceServer {
   /// must be added before Start.
   void AddSource(const source::FederatedSource* source);
 
+  /// Listens and starts serving. Fails with kAlreadyExists if two added
+  /// sources share an owner (the server would answer for only one of them).
   Status Start();
   void Stop();
 
@@ -77,6 +79,8 @@ class SourceServer {
 
   ServerConfig config_;
   std::map<std::string, const source::FederatedSource*> sources_;
+  /// An owner AddSource saw twice, reported by Start; empty if none.
+  std::string duplicate_owner_;
   std::string bound_address_;
 
   std::unique_ptr<Listener> listener_;

@@ -157,73 +157,6 @@ Value ColumnVector::ValueAt(size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::Set(size_t i, const Value& v) {
-  if (v.is_null()) {
-    SetNull(i);
-    return;
-  }
-  switch (type_) {
-    case ColumnType::kInt64:
-      if (!v.is_int()) {
-        SetNull(i);
-        return;
-      }
-      ints_[i] = v.AsInt();
-      break;
-    case ColumnType::kDouble:
-      if (!v.is_numeric()) {
-        SetNull(i);
-        return;
-      }
-      reals_[i] = v.AsDouble();
-      break;
-    case ColumnType::kBool:
-      if (!v.is_bool()) {
-        SetNull(i);
-        return;
-      }
-      bools_[i] = v.AsBool() ? 1 : 0;
-      break;
-    case ColumnType::kString: {
-      if (!v.is_string()) {
-        SetNull(i);
-        return;
-      }
-      const std::string& s = v.AsString();
-      if (s.size() <= str_len_[i]) {
-        // Reuse the existing slot when the new payload fits.
-        std::memcpy(arena_.data() + str_offset_[i], s.data(), s.size());
-        str_len_[i] = static_cast<uint32_t>(s.size());
-      } else {
-        str_offset_[i] = static_cast<uint32_t>(arena_.size());
-        str_len_[i] = static_cast<uint32_t>(s.size());
-        arena_.append(s);
-      }
-      break;
-    }
-  }
-  validity_[i >> 6] |= uint64_t{1} << (i & 63);
-}
-
-void ColumnVector::SetNull(size_t i) {
-  validity_[i >> 6] &= ~(uint64_t{1} << (i & 63));
-  switch (type_) {
-    case ColumnType::kInt64:
-      ints_[i] = 0;
-      break;
-    case ColumnType::kDouble:
-      reals_[i] = 0.0;
-      break;
-    case ColumnType::kBool:
-      bools_[i] = 0;
-      break;
-    case ColumnType::kString:
-      str_offset_[i] = 0;
-      str_len_[i] = 0;
-      break;
-  }
-}
-
 template <typename RowAt>
 void ColumnVector::AppendRows(const ColumnVector& src, size_t n, RowAt row_at) {
   // Every buffer is resized before any pointer into it is taken, so `src`

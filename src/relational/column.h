@@ -23,10 +23,10 @@ namespace relational {
 /// written back by raw row index) structurally impossible against this
 /// storage.
 ///
-/// Mutation is append-or-overwrite: `Set` on a string cell appends the new
-/// bytes to the arena and repoints the cell (the old bytes stay until the
-/// column is rebuilt, e.g. by Gather). ApproxBytes reports the real buffer
-/// footprint including such slack.
+/// Cells are only ever appended; no cell is overwritten through a Value.
+/// The one in-place write is a perturbation kernel's typed payload write
+/// (`mutable_ints`/`mutable_reals`), which leaves the string arena alone, so
+/// the arena holds exactly the bytes of the cells that use it.
 class ColumnVector {
  public:
   ColumnVector() = default;
@@ -54,8 +54,8 @@ class ColumnVector {
     return std::string_view(arena_.data() + str_offset_[i], str_len_[i]);
   }
 
-  // -- typed writers (in-place perturbation kernels; cell must be
-  // -- non-NULL-aware via the validity bitmap) -----------------------------
+  // -- typed writers (in-place perturbation kernels; the caller skips NULL
+  // -- cells via the validity bitmap) --------------------------------------
   int64_t* mutable_ints() { return ints_.data(); }
   double* mutable_reals() { return reals_.data(); }
 
@@ -86,16 +86,10 @@ class ColumnVector {
   // -- point access --------------------------------------------------------
   /// Materializes cell `i` as a Value (NULL-aware).
   Value ValueAt(size_t i) const;
-  /// Test hook: overwrites cell `i` with `v` (same coercion rules as
-  /// AppendValue). No query path rewrites a cell in place; the test oracles
-  /// do, and so leave string-arena slack for Gather to compact.
-  void Set(size_t i, const Value& v);
-  /// Test hook: marks cell `i` NULL (zeroing its typed slot).
-  void SetNull(size_t i);
 
   // -- batch ops -----------------------------------------------------------
-  /// New column holding rows `sel[0..n)` of this one, in that order. String
-  /// columns are compacted (arena slack from Set is dropped).
+  /// New column holding rows `sel[0..n)` of this one, in that order. A
+  /// string column's arena holds only the selected rows' bytes.
   ColumnVector Gather(const uint32_t* sel, size_t n) const;
 
   /// Appends the canonical grouping key encoding of cell `i` to `out`.

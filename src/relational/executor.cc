@@ -1,7 +1,6 @@
 #include "relational/executor.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <unordered_map>
 
@@ -706,38 +705,6 @@ Result<Table> Executor::Aggregate(const Table& input,
   return out;
 }
 
-Result<Table> Executor::Sort(Table input, const std::vector<OrderKey>& keys) {
-  std::vector<std::pair<size_t, bool>> idx;
-  for (const auto& k : keys) {
-    PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(k.column));
-    idx.emplace_back(i, k.ascending);
-  }
-  std::vector<uint32_t> sel(input.num_rows());
-  std::iota(sel.begin(), sel.end(), 0u);
-  std::stable_sort(sel.begin(), sel.end(),
-                   [&idx, &input](uint32_t a, uint32_t b) {
-                     for (const auto& [i, asc] : idx) {
-                       const ColumnVector& c = input.col(i);
-                       const bool an = c.IsNull(a), bn = c.IsNull(b);
-                       int cmp;
-                       if (an || bn) {
-                         cmp = an == bn ? 0 : (an ? -1 : 1);  // NULL first
-                       } else {
-                         cmp = CellCompare(c, a, b);
-                       }
-                       if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
-                     }
-                     return false;
-                   });
-  return input.Gather(sel);
-}
-
-Table Executor::Limit(const Table& input, size_t n) {
-  std::vector<uint32_t> sel(std::min(n, input.num_rows()));
-  std::iota(sel.begin(), sel.end(), 0u);
-  return input.Gather(sel);
-}
-
 Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
                                 const Selection& selection) {
   if (selection.kind == Selection::Kind::kMask &&
@@ -755,15 +722,10 @@ Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
       read.push_back(*idx);
     }
   };
-  if (stmt.HasStar()) {
-    read.resize(base.num_columns());
-    std::iota(read.begin(), read.end(), size_t{0});
-  }
   for (const auto& item : stmt.items) {
     if (!item.column.empty()) add_read(item.column);
   }
   for (const auto& g : stmt.group_by) add_read(g);
-  for (const auto& k : stmt.order_by) add_read(k.column);
   Table filtered = base.ProjectShared(read);
   const uint8_t* mask = nullptr;
   switch (selection.kind) {
@@ -793,9 +755,6 @@ Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
     std::vector<SelectItem> aggs;
     std::vector<std::string> out_columns;
     for (const auto& item : stmt.items) {
-      if (item.kind == SelectItem::Kind::kStar) {
-        return Status::InvalidArgument("'*' cannot be mixed with aggregates");
-      }
       if (item.kind == SelectItem::Kind::kAggregate) {
         aggs.push_back(item);
         out_columns.push_back(item.OutputName());
@@ -815,28 +774,15 @@ Result<Table> Executor::Execute(const SelectStatement& stmt, const Table& base,
     // Build rename-aware projection: group cols keep names; aggregates were
     // named by OutputName already.
     PIYE_ASSIGN_OR_RETURN(result, Project(agg, out_columns));
-  } else if (stmt.HasStar()) {
-    if (stmt.items.size() != 1) {
-      return Status::InvalidArgument("'*' must be the only select item");
-    }
-    result = filtered;
   } else {
     std::vector<std::string> columns;
     for (const auto& item : stmt.items) columns.push_back(item.column);
     PIYE_ASSIGN_OR_RETURN(result, Project(filtered, columns));
   }
-  if (!stmt.order_by.empty()) {
-    PIYE_ASSIGN_OR_RETURN(result, Sort(std::move(result), stmt.order_by));
-  }
-  if (stmt.limit.has_value()) {
-    result = Limit(result, *stmt.limit);
-  }
   // Apply SELECT aliases to the output schema.
-  if (!stmt.HasStar() && result.schema().num_columns() == stmt.items.size()) {
-    for (size_t i = 0; i < stmt.items.size(); ++i) {
-      if (!stmt.items[i].alias.empty()) {
-        result.mutable_schema().SetColumnName(i, stmt.items[i].alias);
-      }
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    if (!stmt.items[i].alias.empty()) {
+      result.mutable_schema().SetColumnName(i, stmt.items[i].alias);
     }
   }
   return result;

@@ -72,12 +72,6 @@ class Executor {
                                  const std::vector<std::string>& group_by,
                                  const std::vector<SelectItem>& aggregates,
                                  const uint8_t* mask = nullptr);
-
-  /// Sorts by the given keys.
-  static Result<Table> Sort(Table input, const std::vector<OrderKey>& keys);
-
-  /// First `n` rows.
-  static Table Limit(const Table& input, size_t n);
 };
 
 }  // namespace relational

@@ -31,8 +31,6 @@ const char* AggFuncToString(AggFunc f) {
 std::string SelectItem::OutputName() const {
   if (!alias.empty()) return alias;
   switch (kind) {
-    case Kind::kStar:
-      return "*";
     case Kind::kColumn:
       return column;
     case Kind::kAggregate:
@@ -45,13 +43,6 @@ std::string SelectItem::OutputName() const {
 bool SelectStatement::HasAggregates() const {
   for (const auto& item : items) {
     if (item.kind == SelectItem::Kind::kAggregate) return true;
-  }
-  return false;
-}
-
-bool SelectStatement::HasStar() const {
-  for (const auto& item : items) {
-    if (item.kind == SelectItem::Kind::kStar) return true;
   }
   return false;
 }
@@ -179,24 +170,6 @@ class Parser {
         stmt.group_by.push_back(std::move(col));
       } while (MatchSymbol(","));
     }
-    if (MatchKeyword("ORDER")) {
-      if (!MatchKeyword("BY")) return Error("expected BY after ORDER");
-      do {
-        OrderKey key;
-        PIYE_ASSIGN_OR_RETURN(key.column, ExpectIdent());
-        if (MatchKeyword("DESC")) {
-          key.ascending = false;
-        } else {
-          MatchKeyword("ASC");
-        }
-        stmt.order_by.push_back(std::move(key));
-      } while (MatchSymbol(","));
-    }
-    if (MatchKeyword("LIMIT")) {
-      if (Peek().type != Token::Type::kNumber) return Error("expected LIMIT count");
-      stmt.limit = static_cast<size_t>(std::strtoull(Peek().text.c_str(), nullptr, 10));
-      Advance();
-    }
     if (Peek().type != Token::Type::kEnd) {
       return Error("unexpected trailing tokens near '" + Peek().text + "'");
     }
@@ -274,34 +247,30 @@ class Parser {
   Status ParseSelectList(SelectStatement* stmt) {
     do {
       SelectItem item;
-      if (MatchSymbol("*")) {
-        item = SelectItem::Star();
-      } else {
-        if (Peek().type != Token::Type::kIdent) {
-          return Error("expected column or aggregate in select list");
-        }
-        AggFunc func;
-        if (IsAggName(Peek().text, &func) && Peek(1).type == Token::Type::kSymbol &&
-            Peek(1).text == "(") {
-          Advance();  // func name
-          Advance();  // (
-          std::string col;
-          if (MatchSymbol("*")) {
-            if (func != AggFunc::kCount) {
-              return Error("only COUNT accepts '*'");
-            }
-          } else {
-            auto col_r = ExpectIdent();
-            if (!col_r.ok()) return col_r.status();
-            col = *col_r;
+      if (Peek().type != Token::Type::kIdent) {
+        return Error("expected column or aggregate in select list");
+      }
+      AggFunc func;
+      if (IsAggName(Peek().text, &func) && Peek(1).type == Token::Type::kSymbol &&
+          Peek(1).text == "(") {
+        Advance();  // func name
+        Advance();  // (
+        std::string col;
+        if (MatchSymbol("*")) {
+          if (func != AggFunc::kCount) {
+            return Error("only COUNT accepts '*'");
           }
-          if (!MatchSymbol(")")) return Error("expected ')'");
-          item = SelectItem::Agg(func, std::move(col));
         } else {
           auto col_r = ExpectIdent();
           if (!col_r.ok()) return col_r.status();
-          item = SelectItem::Col(*col_r);
+          col = *col_r;
         }
+        if (!MatchSymbol(")")) return Error("expected ')'");
+        item = SelectItem::Agg(func, std::move(col));
+      } else {
+        auto col_r = ExpectIdent();
+        if (!col_r.ok()) return col_r.status();
+        item = SelectItem::Col(*col_r);
       }
       if (MatchKeyword("AS")) {
         auto alias_r = ExpectIdent();

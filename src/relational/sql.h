@@ -1,7 +1,6 @@
 #ifndef PIYE_RELATIONAL_SQL_H_
 #define PIYE_RELATIONAL_SQL_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@ const char* AggFuncToString(AggFunc f);
 /// One item of a SELECT list.
 struct SelectItem {
   enum class Kind {
-    kStar,       ///< `*`
     kColumn,     ///< `col`
     kAggregate,  ///< `FUNC(col)` or `COUNT(*)` (column empty)
   };
@@ -29,7 +27,6 @@ struct SelectItem {
   AggFunc func = AggFunc::kCount;
   std::string alias;
 
-  static SelectItem Star() { return {Kind::kStar, "", AggFunc::kCount, ""}; }
   static SelectItem Col(std::string name, std::string alias = "") {
     return {Kind::kColumn, std::move(name), AggFunc::kCount, std::move(alias)};
   }
@@ -42,33 +39,26 @@ struct SelectItem {
   std::string OutputName() const;
 };
 
-/// ORDER BY key.
-struct OrderKey {
-  std::string column;
-  bool ascending = true;
-};
-
 /// A parsed SELECT statement over a single table.
 ///
 /// Grammar (case-insensitive keywords):
 ///   SELECT item [, item]* FROM table
 ///     [WHERE expr] [GROUP BY col [, col]*]
-///     [ORDER BY col [ASC|DESC] [, ...]] [LIMIT n]
+///   item := col [AS alias] | FUNC(col) [AS alias] | COUNT(*) [AS alias]
 ///
-/// This covers the query surface the mediation engine fragments to sources —
-/// selections, projections, and the statistical aggregates whose privacy the
-/// paper's Example 1 is about. There are no joins: the Result Integrator
-/// combines the sources' answers.
+/// This is what a PIQL fragment can say once the Query Transformer has
+/// mapped it to the source's local names: selections, projections, and the
+/// statistical aggregates whose privacy the paper's Example 1 is about.
+/// There is no `*` (every output column is named, so column-level policy
+/// sees each one), no ORDER BY and no LIMIT (PIQL has neither), and no
+/// joins: the Result Integrator combines the sources' answers.
 struct SelectStatement {
   std::vector<SelectItem> items;
   std::string table;
   ExprPtr where;  ///< null means no WHERE clause
   std::vector<std::string> group_by;
-  std::vector<OrderKey> order_by;
-  std::optional<size_t> limit;
 
   bool HasAggregates() const;
-  bool HasStar() const;
 };
 
 /// Parses the SELECT subset described above.

@@ -51,10 +51,6 @@ class Table {
   Value Cell(size_t row_idx, size_t col_idx) const {
     return cols_[col_idx]->ValueAt(row_idx);
   }
-  /// Overwrites cell (row, col); NULL clears it. Copy-on-write applies.
-  void SetCell(size_t row_idx, size_t col_idx, const Value& v) {
-    MutableColumn(col_idx)->Set(row_idx, v);
-  }
 
   /// Appends a column (NULL-padded up to num_rows(); a first column sets
   /// the row count).
@@ -65,7 +61,7 @@ class Table {
   Table ProjectShared(const std::vector<size_t>& col_indices) const;
 
   /// New table holding rows `sel[0..n)` in that order (selection-vector
-  /// materialization; string columns are compacted in the process).
+  /// materialization).
   Table Gather(const uint32_t* sel, size_t n) const;
   Table Gather(const std::vector<uint32_t>& sel) const {
     return Gather(sel.data(), sel.size());

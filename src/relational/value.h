@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/result.h"
@@ -39,10 +40,12 @@ class Value {
   /// NULL value.
   Value() : data_(std::monostate{}) {}
   static Value Null() { return Value(); }
-  static Value Int(int64_t v) { return Value(Data(v)); }
-  static Value Real(double v) { return Value(Data(v)); }
-  static Value Str(std::string v) { return Value(Data(std::move(v))); }
-  static Value Boolean(bool v) { return Value(Data(v)); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Real(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Str(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+  static Value Boolean(bool v) { return Value(std::in_place_type<bool>, v); }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
   bool is_int() const { return std::holds_alternative<int64_t>(data_); }
@@ -64,7 +67,7 @@ class Value {
   /// Bare rendering without string quotes (for XML/CSV output).
   std::string ToDisplayString() const;
 
-  /// Three-way comparison for ORDER BY and grouping keys. NULL sorts first.
+  /// Three-way comparison for MIN/MAX and comparison predicates. NULL sorts first.
   /// Cross-type numeric comparisons compare as doubles; otherwise types are
   /// ordered by type id.
   int Compare(const Value& other) const;
@@ -93,7 +96,11 @@ class Value {
 
  private:
   using Data = std::variant<std::monostate, int64_t, double, std::string, bool>;
-  explicit Value(Data data) : data_(std::move(data)) {}
+  /// Builds the alternative in place. Moving a temporary `Data` in instead
+  /// makes GCC 12 under ASan report its std::string member as
+  /// maybe-uninitialized (a false positive that -Werror turns fatal).
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg) : data_(type, std::forward<Arg>(arg)) {}
 
   Data data_;
 };

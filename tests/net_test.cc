@@ -577,6 +577,29 @@ TEST(NetFederationTest, FederatedAnswerIsByteIdenticalToInProcess) {
                    in_process->combined_privacy_loss);
 }
 
+TEST(NetFederationTest, StartRefusesTwoSourcesWithOneOwner) {
+  // A second source with an owner already added once replaced the first
+  // silently, and the server answered for only one of them.
+  auto make = [](uint64_t seed) {
+    relational::Table table(
+        relational::Schema{{"patient_id", relational::ColumnType::kString}});
+    table.AppendRowUnchecked({relational::Value::Str("p" + std::to_string(seed))});
+    return std::make_unique<source::RemoteSource>("clinic", "visits", std::move(table),
+                                                  seed);
+  };
+  auto first = make(1);
+  auto second = make(2);
+  net::ServerConfig server_config;
+  server_config.listen_address = UniqueSocketPath("dup_owner");
+  net::SourceServer server(server_config);
+  server.AddSource(first.get());
+  server.AddSource(second.get());
+  const Status started = server.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.IsAlreadyExists()) << started.ToString();
+  EXPECT_NE(started.message().find("'clinic'"), std::string::npos) << started.ToString();
+}
+
 TEST(NetFederationTest, ColumnNamesThatAreNotXmlNamesCrossTheWire) {
   // A column named "first visit" is no valid XML element name; the answer
   // must arrive over the wire exactly as it does in process.

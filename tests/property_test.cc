@@ -760,19 +760,17 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DedupDifferentialTest, ::testing::Range<uint64_t
 
 // --- Bulk Gather/AppendGather vs per-cell appends ---
 
-/// A random column with NULLs; string columns also get overwrites that
-/// leave arena slack (a longer value is appended, the old bytes stay).
+/// A random column with NULLs, built by appends; string cells also vary in
+/// length up to 11 bytes.
 ColumnVector RandomColumn(Rng* rng, ColumnType type, size_t n) {
   ColumnVector col(type);
-  for (size_t i = 0; i < n; ++i) col.AppendValue(RandomDedupCell(rng, type));
-  for (size_t k = 0; n > 0 && k < n / 3; ++k) {
-    const size_t i = rng->NextBounded(n);
-    if (rng->NextBernoulli(0.2)) {
-      col.SetNull(i);
-    } else if (type == ColumnType::kString) {
-      col.Set(i, Value::Str(std::string(rng->NextBounded(12), 'q')));
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->NextBernoulli(0.1)) {
+      col.AppendNull();
+    } else if (type == ColumnType::kString && rng->NextBernoulli(0.3)) {
+      col.AppendStr(std::string(rng->NextBounded(12), 'q'));
     } else {
-      col.Set(i, RandomDedupCell(rng, type));
+      col.AppendValue(RandomDedupCell(rng, type));
     }
   }
   return col;
@@ -1056,7 +1054,7 @@ relational::SelectStatement RandomScanStatement(Rng* rng, ExprPtr where) {
   switch (rng->NextBounded(3)) {
     case 0:
       if (rng->NextBernoulli(0.2)) {
-        stmt.items.push_back(SelectItem::Star());
+        for (const auto& c : kScanPool) stmt.items.push_back(SelectItem::Col(c.name));
       } else {
         for (size_t k = 0, n = 1 + rng->NextBounded(3); k < n; ++k) {
           stmt.items.push_back(SelectItem::Col(AnyScanColumn(rng).name));

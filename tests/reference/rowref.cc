@@ -30,6 +30,15 @@ std::vector<Row> AllRows(const Table& t) {
   return out;
 }
 
+/// Rebuilds column `col` of `table` from `cells`, one appended Value per
+/// row: the oracle never overwrites a cell in place.
+void ReplaceColumn(Table* table, size_t col, const std::vector<Value>& cells) {
+  ColumnVector out(table->schema().column(col).type);
+  out.Reserve(cells.size());
+  for (const Value& v : cells) out.AppendValue(v);
+  *table->MutableColumn(col) = std::move(out);
+}
+
 }  // namespace
 
 Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
@@ -185,34 +194,6 @@ Result<Table> Aggregate(const Table& input,
   return out;
 }
 
-Result<Table> Sort(const Table& input, const std::vector<OrderKey>& keys) {
-  std::vector<std::pair<size_t, bool>> idx;
-  for (const auto& k : keys) {
-    PIYE_ASSIGN_OR_RETURN(size_t i, input.schema().IndexOf(k.column));
-    idx.emplace_back(i, k.ascending);
-  }
-  std::vector<Row> rows = AllRows(input);
-  std::stable_sort(rows.begin(), rows.end(),
-                   [&idx](const Row& a, const Row& b) {
-                     for (const auto& [i, asc] : idx) {
-                       const int c = a[i].Compare(b[i]);
-                       if (c != 0) return asc ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
-  Table out(input.schema());
-  for (const Row& r : rows) out.AppendRowUnchecked(r);
-  return out;
-}
-
-Table Limit(const Table& input, size_t n) {
-  Table out(input.schema());
-  for (size_t i = 0; i < std::min(n, input.num_rows()); ++i) {
-    out.AppendRowUnchecked(RowAt(input, i));
-  }
-  return out;
-}
-
 Status AddNoiseRowAtATime(Table* table, const std::string& column,
                           bool gaussian, double scale, Rng* rng) {
   PIYE_ASSIGN_OR_RETURN(size_t col, table->schema().IndexOf(column));
@@ -220,17 +201,20 @@ Status AddNoiseRowAtATime(Table* table, const std::string& column,
   if (type != ColumnType::kDouble && type != ColumnType::kInt64) {
     return Status::InvalidArgument("column '" + column + "' is not numeric");
   }
+  std::vector<Value> cells;
+  cells.reserve(table->num_rows());
   for (size_t i = 0; i < table->num_rows(); ++i) {
-    const Value v = table->Cell(i, col);
-    if (v.is_null()) continue;
-    double x = v.AsDouble();
-    x += gaussian ? rng->NextGaussian(0.0, scale)
-                  : rng->NextUniform(-scale, scale);
-    table->SetCell(i, col,
-                   type == ColumnType::kInt64
-                       ? Value::Int(static_cast<int64_t>(std::llround(x)))
-                       : Value::Real(x));
+    Value v = table->Cell(i, col);
+    if (!v.is_null()) {
+      double x = v.AsDouble();
+      x += gaussian ? rng->NextGaussian(0.0, scale)
+                    : rng->NextUniform(-scale, scale);
+      v = type == ColumnType::kInt64 ? Value::Int(static_cast<int64_t>(std::llround(x)))
+                                     : Value::Real(x);
+    }
+    cells.push_back(std::move(v));
   }
+  ReplaceColumn(table, col, cells);
   return Status::OK();
 }
 
@@ -275,12 +259,12 @@ Status RankSwapRowAtATime(Table* table, const std::string& column,
     for (size_t r = 0; r < n; ++r) swapped[order[r]] = sorted[r];
   }
   const bool is_int = table->schema().column(col).type == ColumnType::kInt64;
+  std::vector<Value> cells(table->num_rows());  // NULL where no value was read
   for (size_t j = 0; j < rows.size(); ++j) {
-    table->SetCell(rows[j], col,
-                   is_int ? Value::Int(static_cast<int64_t>(
-                                std::llround(swapped[j])))
-                          : Value::Real(swapped[j]));
+    cells[rows[j]] = is_int ? Value::Int(static_cast<int64_t>(std::llround(swapped[j])))
+                            : Value::Real(swapped[j]);
   }
+  ReplaceColumn(table, col, cells);
   return Status::OK();
 }
 

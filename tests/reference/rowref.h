@@ -37,8 +37,6 @@ Result<Table> Project(const Table& input, const std::vector<std::string>& column
 Result<Table> Aggregate(const Table& input,
                         const std::vector<std::string>& group_by,
                         const std::vector<SelectItem>& aggregates);
-Result<Table> Sort(const Table& input, const std::vector<OrderKey>& keys);
-Table Limit(const Table& input, size_t n);
 
 // Row-at-a-time perturbation baselines mirroring perturb/noise.cc and
 // perturb/swapping.cc cell for cell (same RNG draw order, same rounding),

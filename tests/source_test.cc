@@ -96,6 +96,30 @@ TEST(PiqlTest, ParseErrors) {
       PiqlQuery::Parse(R"(<query><aggregate func="WAT" attribute="x"/></query>)").ok());
 }
 
+TEST(PiqlTest, MaxLossMustBeAFiniteNumberInTheUnitInterval) {
+  auto with_loss = [](const std::string& loss) {
+    return PiqlQuery::Parse("<query requester=\"r\" maxLoss=\"" + loss +
+                            "\"><select>a</select></query>");
+  };
+  // NaN once parsed, and no information loss compares greater than it, so
+  // the source's tolerance gate never refused.
+  for (const std::string loss :
+       {"nan", "abc", "0.4x", "-0.1", "1.5", "", "inf", " 0.4"}) {
+    auto q = with_loss(loss);
+    ASSERT_FALSE(q.ok()) << "'" << loss << "'";
+    EXPECT_TRUE(q.status().IsParseError()) << "'" << loss << "'";
+    EXPECT_NE(q.status().message().find("maxLoss"), std::string::npos)
+        << q.status().message();
+  }
+  const std::pair<std::string, double> accepted[] = {
+      {"0", 0.0}, {"1", 1.0}, {"1.0", 1.0}, {"0.29999999", 0.29999999}, {"1e-05", 1e-5}};
+  for (const auto& [loss, want] : accepted) {
+    auto q = with_loss(loss);
+    ASSERT_TRUE(q.ok()) << loss << ": " << q.status().ToString();
+    EXPECT_EQ(q->max_information_loss, want) << loss;
+  }
+}
+
 /// A query whose WHERE is `where_text`, read through the requester's XML.
 Result<PiqlQuery> ParseWhere(const std::string& where_text) {
   return PiqlQuery::Parse("<query requester=\"r\"><select>a</select><where>" + where_text +
@@ -700,6 +724,7 @@ TEST(QueryFeaturesTest, ExtractsShape) {
   EXPECT_GT(f.v[2], 2.0);         // predicate nodes
   EXPECT_DOUBLE_EQ(f.v[3], 0.0);  // not row-level
   EXPECT_DOUBLE_EQ(f.v[5], 1.0);  // grouped
+  EXPECT_DOUBLE_EQ(f.v[7], 0.0);  // small-LIMIT slot: PIQL has no LIMIT
 }
 
 TEST(ClusterStoreTest, DefaultStoreClassifiesCanonicalShapes) {
@@ -710,11 +735,13 @@ TEST(ClusterStoreTest, DefaultStoreClassifiesCanonicalShapes) {
   const QueryCluster* c1 = store.Map(QueryFeatures::Extract(*agg));
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(c1->breach, BreachClass::kAggregateInference);
-  // A narrow row-level probe maps to attribute disclosure.
-  auto probe = relational::ParseSql(
-      "SELECT rate FROM c WHERE a = 1 AND b = 2 AND d = 3 LIMIT 1");
+  // A narrow row-level probe maps to attribute disclosure, with the
+  // small-LIMIT slot set the way the exemplars set it.
+  auto probe = relational::ParseSql("SELECT rate FROM c WHERE a = 1 AND b = 2 AND d = 3");
   ASSERT_TRUE(probe.ok());
-  const QueryCluster* c2 = store.Map(QueryFeatures::Extract(*probe));
+  QueryFeatures probe_features = QueryFeatures::Extract(*probe);
+  probe_features.v[7] = 1.0;
+  const QueryCluster* c2 = store.Map(probe_features);
   ASSERT_NE(c2, nullptr);
   EXPECT_EQ(c2->breach, BreachClass::kAttributeDisclosure);
 }

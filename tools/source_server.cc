@@ -23,9 +23,10 @@
 //                            wire-level fault injection on every connection;
 //                            each rate P is in [0, 1]
 //
-// A flag or --source key that is unknown, or a number that does not parse
-// completely or is out of range, exits with status 2 and a message naming
-// it, before any file is read or any thread starts.
+// A flag or --source key that is unknown, a number that does not parse
+// completely or is out of range, or a source owner given twice, exits with
+// status 2 and a message naming it, before any file is read or any thread
+// starts.
 //
 // On readiness the resolved address is printed as "LISTENING <addr>" on
 // stdout (the line a spawning harness waits for). SIGTERM/SIGINT trigger a
@@ -177,6 +178,13 @@ int main(int argc, char** argv) {
       if (!spec.ok()) {
         std::cerr << "source_server: " << spec.status().ToString() << "\n";
         return 2;
+      }
+      for (const SourceSpec& added : specs) {
+        if (added.owner == spec->owner) {
+          std::cerr << "source_server: --source owner '" << spec->owner
+                    << "' given twice\n";
+          return 2;
+        }
       }
       specs.push_back(std::move(*spec));
     } else if (arg == "--clinical-policies") {
