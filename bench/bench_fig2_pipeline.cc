@@ -19,9 +19,11 @@
 #include "perturb/additive_noise.h"
 #include "perturb/swapping.h"
 #include "reference/dedupref.h"
+#include "reference/preserveref.h"
 #include "reference/rowref.h"
 #include "relational/executor.h"
 #include "relational/table_codec.h"
+#include "source/preservation.h"
 
 using piye::core::ClinicalScenario;
 using piye::core::PrivateIye;
@@ -244,11 +246,29 @@ std::vector<piye::mediator::ResultIntegrator::SourceResult> IntegrateInputs(
   return out;
 }
 
+/// A patient answer as a source holds it before step (7): patient_id and
+/// the kRange dob of the patients born in a five-year window (~2k of
+/// 25,600), with the disclosure forms the clinical policies give them.
+rel::Table PatientAnswer(piye::source::preserveref::Forms* forms) {
+  const auto tables = ClinicalScenario::MakePatientTables(25600, 0.4, 1);
+  const rel::Table& patients = tables.hospital;
+  const size_t id = *patients.schema().IndexOf("patient_id");
+  const size_t dob = *patients.schema().IndexOf("dob");
+  std::vector<uint32_t> window;
+  for (size_t r = 0; r < patients.num_rows(); ++r) {
+    const std::string_view d = patients.col(dob).StrAt(r);
+    if (d >= "1960-01-01" && d < "1965-01-01") window.push_back(static_cast<uint32_t>(r));
+  }
+  (*forms)["patient_id"] = piye::policy::DisclosureForm::kExact;
+  (*forms)["dob"] = piye::policy::DisclosureForm::kRange;
+  return patients.ProjectShared({id, dob}).Gather(window);
+}
+
 /// --quick: a CI smoke gate instead of the full benchmark sweep. Runs the
-/// aggregation and perturbation hot paths through both engines and the
-/// Result Integrator against its display-string reference, requires
-/// identical answers, and fails (exit 1) unless each clears its minimum
-/// speedup.
+/// aggregation and perturbation hot paths through both engines, the Result
+/// Integrator against its display-string reference and the preserve stage
+/// against its string-keyed reference, requires identical answers, and
+/// fails (exit 1) unless each clears its minimum speedup.
 bool TablesIdentical(const rel::Table& a, const rel::Table& b) {
   if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
     return false;
@@ -283,6 +303,7 @@ int RunQuickGate() {
   constexpr double kMinAggSpeedup = 5.0;
   constexpr double kMinSwapSpeedup = 1.2;
   constexpr double kMinIntegrateSpeedup = 3.0;
+  constexpr double kMinPreserveSpeedup = 2.0;
   constexpr size_t kRows = 200000;
   const rel::Table t = HotPathTable(kRows);
   const auto aggs = HotPathAggs();
@@ -368,9 +389,42 @@ int RunQuickGate() {
     benchmark::DoNotOptimize(out);
   });
 
+  // Preserve: generalization then suppression of a ~2k-row patient answer,
+  // byte-identical to the string-keyed reference.
+  piye::source::preserveref::Forms forms;
+  const rel::Table answer = PatientAnswer(&forms);
+  const std::vector<piye::source::Technique> techniques = {
+      piye::source::Technique::kGeneralization, piye::source::Technique::kSuppression};
+  const piye::source::PreservationModule preservation;
+  const size_t k = preservation.config().k;
+  piye::Rng unused(1);
+  {
+    auto typed = preservation.Apply(answer, forms, 1.0, techniques, &unused);
+    auto ref = piye::source::preserveref::Apply(answer, forms, techniques, k);
+    if (!typed.ok() || !ref.ok() || rel::EncodeTable(*typed) != rel::EncodeTable(*ref)) {
+      std::printf("FAIL: preserve kernel and reference disagree on the release\n");
+      return 1;
+    }
+  }
+  // Many calls per sample: one call takes tens of microseconds.
+  constexpr int kPreserveCalls = 50;
+  const double pres_typed_ms = BestOfMillis(5, [&] {
+    for (int i = 0; i < kPreserveCalls; ++i) {
+      auto out = preservation.Apply(answer, forms, 1.0, techniques, &unused);
+      benchmark::DoNotOptimize(out);
+    }
+  });
+  const double pres_ref_ms = BestOfMillis(5, [&] {
+    for (int i = 0; i < kPreserveCalls; ++i) {
+      auto out = piye::source::preserveref::Apply(answer, forms, techniques, k);
+      benchmark::DoNotOptimize(out);
+    }
+  });
+
   const double agg_speedup = agg_row_ms / agg_col_ms;
   const double pert_speedup = pert_row_ms / pert_col_ms;
   const double int_speedup = int_ref_ms / int_typed_ms;
+  const double pres_speedup = pres_ref_ms / pres_typed_ms;
   std::printf("--quick hot-path gate (%zu rows, value-identical verified)\n",
               kRows);
   std::printf("  aggregate: row %.2f ms, columnar %.2f ms -> %.1fx\n",
@@ -379,11 +433,15 @@ int RunQuickGate() {
               pert_row_ms, pert_col_ms, pert_speedup);
   std::printf("  integrate: reference %.2f ms, typed %.2f ms -> %.1fx\n",
               int_ref_ms, int_typed_ms, int_speedup);
+  std::printf("  preserve (%zu rows): reference %.1f us, typed %.1f us -> %.1fx\n",
+              answer.num_rows(), pres_ref_ms * 1000.0 / kPreserveCalls,
+              pres_typed_ms * 1000.0 / kPreserveCalls, pres_speedup);
   if (agg_speedup < kMinAggSpeedup || pert_speedup < kMinSwapSpeedup ||
-      int_speedup < kMinIntegrateSpeedup) {
+      int_speedup < kMinIntegrateSpeedup || pres_speedup < kMinPreserveSpeedup) {
     std::printf("FAIL: hot-path speedup below gate (aggregate %.1fx, "
-                "rank-swap %.1fx, integrate %.1fx)\n",
-                kMinAggSpeedup, kMinSwapSpeedup, kMinIntegrateSpeedup);
+                "rank-swap %.1fx, integrate %.1fx, preserve %.1fx)\n",
+                kMinAggSpeedup, kMinSwapSpeedup, kMinIntegrateSpeedup,
+                kMinPreserveSpeedup);
     return 1;
   }
   std::printf("OK\n");

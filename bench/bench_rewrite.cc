@@ -19,6 +19,11 @@
 // `NOT (dob < a OR dob >= b)` is not eligible, so it is the full-scan
 // baseline. A second table holds aggregate fragments at |C| = k and
 // |C| = n - k, whose cost must not follow |C|.
+//
+// Experiment perf-preserve: step (7) on the same row windows' answers
+// (patient_id plus the kRange dob), split into generalize / class ids /
+// gather, for the typed kernels and the string-keyed reference they
+// replaced (tests/reference/preserveref).
 
 #include <benchmark/benchmark.h>
 
@@ -31,10 +36,13 @@
 #include "common/rng.h"
 #include "core/scenario.h"
 #include "perturb/additive_noise.h"
+#include "reference/preserveref.h"
 #include "reference/sql_tables.h"
+#include "relational/dedup.h"
 #include "relational/executor.h"
 #include "relational/sql.h"
 #include "relational/table_codec.h"
+#include "source/preservation.h"
 #include "source/remote_source.h"
 
 using namespace piye::relational;
@@ -282,6 +290,118 @@ void PrintScanChoice() {
   std::printf("\n");
 }
 
+// --- perf-preserve ---
+
+/// Median microseconds of one call of `fn` over kScanCalls calls.
+template <typename Fn>
+double MedianMicros(Fn&& fn) {
+  std::vector<double> us;
+  for (int i = 0; i < kScanCalls; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
+void PrintPreserveSplit() {
+  namespace source = piye::source;
+  auto tables = piye::core::ClinicalScenario::MakePatientTables(25600, 0.3, 1);
+  const Table& patients = tables.hospital;
+  const size_t id = *patients.schema().IndexOf("patient_id");
+  const size_t dob = *patients.schema().IndexOf("dob");
+  const source::preserveref::Forms forms = {
+      {"patient_id", piye::policy::DisclosureForm::kExact},
+      {"dob", piye::policy::DisclosureForm::kRange}};
+  const std::vector<source::Technique> techniques = {source::Technique::kGeneralization,
+                                                     source::Technique::kSuppression};
+  const source::PreservationModule module;
+  const size_t k = module.config().k;
+  piye::Rng unused(1);
+
+  std::printf("perf-preserve: step (7) per call on a row window's answer "
+              "(patient_id, kRange dob), median of %d calls, us\n", kScanCalls);
+  std::printf("%-9s %6s %-9s %10s %10s %8s %8s  %s\n", "window", "rows", "path",
+              "generalize", "class ids", "gather", "total", "same bytes");
+  struct Window {
+    const char* name;
+    const char* lo;
+    const char* hi;
+  };
+  const Window windows[] = {{"14 days", "1960-03-01", "1960-03-15"},
+                            {"2 years", "1960-01-01", "1962-01-01"},
+                            {"5 years", "1960-01-01", "1965-01-01"}};
+  for (const Window& w : windows) {
+    // The answer in table order, as the scan hands it to step (7).
+    std::vector<uint32_t> rows;
+    for (size_t r = 0; r < patients.num_rows(); ++r) {
+      const std::string_view d = patients.col(dob).StrAt(r);
+      if (d >= w.lo && d < w.hi) rows.push_back(static_cast<uint32_t>(r));
+    }
+    const Table answer = patients.ProjectShared({id, dob}).Gather(rows);
+    Table generalized = answer;
+    source::preserveref::Generalize(&generalized, forms);
+    const bool same =
+        EncodeTable(*module.Apply(answer, forms, 1.0, techniques, &unused)) ==
+        EncodeTable(*source::preserveref::Apply(answer, forms, techniques, k));
+
+    // Reference: per-row labels, EncodeCell keys in an unordered_map, and a
+    // gather whether or not a row is dropped.
+    const std::vector<uint32_t> ref_class = source::preserveref::ClassIds(generalized, forms);
+    std::vector<size_t> size(ref_class.size() + 1, 0);
+    for (uint32_t c : ref_class) ++size[c];
+    std::vector<uint32_t> kept;
+    for (size_t r = 0; r < ref_class.size(); ++r) {
+      if (size[ref_class[r]] >= k) kept.push_back(static_cast<uint32_t>(r));
+    }
+    const bool drops = kept.size() < answer.num_rows();
+    const double ref_gen = MedianMicros([&] {
+      Table t = answer;
+      source::preserveref::Generalize(&t, forms);
+      benchmark::DoNotOptimize(t);
+    });
+    const double ref_ids = MedianMicros([&] {
+      auto ids = source::preserveref::ClassIds(generalized, forms);
+      benchmark::DoNotOptimize(ids);
+    });
+    const double gather = MedianMicros([&] {
+      Table t = generalized.Gather(kept);
+      benchmark::DoNotOptimize(t);
+    });
+    const double ref_total = MedianMicros([&] {
+      auto t = source::preserveref::Apply(answer, forms, techniques, k);
+      benchmark::DoNotOptimize(t);
+    });
+
+    // Typed: the module's generalization, the typed class-id kernel it
+    // suppresses with, and a gather only when some class is under k.
+    const double typed_gen = MedianMicros([&] {
+      auto t = module.Apply(answer, forms, 1.0, {source::Technique::kGeneralization},
+                            &unused);
+      benchmark::DoNotOptimize(t);
+    });
+    const KeyBlock qi{{&generalized.col(1)}, generalized.num_rows()};
+    const double typed_ids = MedianMicros([&] {
+      std::vector<uint32_t> ids;
+      auto first = KeyClasses({qi}, KeyEquality::kCompare, &ids);
+      benchmark::DoNotOptimize(first);
+    });
+    const double typed_total = MedianMicros([&] {
+      auto t = module.Apply(answer, forms, 1.0, techniques, &unused);
+      benchmark::DoNotOptimize(t);
+    });
+
+    std::printf("%-9s %6zu %-9s %10.1f %10.1f %8.1f %8.1f  %s\n", w.name,
+                answer.num_rows(), "reference", ref_gen, ref_ids, gather, ref_total,
+                same ? "yes" : "NO");
+    std::printf("%-9s %6zu %-9s %10.1f %10.1f %8.1f %8.1f\n", w.name, answer.num_rows(),
+                "typed", typed_gen, typed_ids, drops ? gather : 0.0, typed_total);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -292,8 +412,11 @@ int main(int argc, char** argv) {
               "Expect after-aggregate to win: it perturbs one value per group.\n"
               "abl-scan: expect the index to beat the full scan on row fragments\n"
               "by more the narrower the window, and the two aggregate rows to\n"
-              "cost the same.\n\n");
+              "cost the same.\n"
+              "perf-preserve: expect the typed path to skip the gather when no\n"
+              "class is under k, and to beat the reference on the other two.\n\n");
   PrintScanChoice();
+  PrintPreserveSplit();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -9,7 +9,8 @@
 # (PIYE_SANITIZE=thread), then the parser/overload suites under UBSan
 # (PIYE_SANITIZE=undefined), then the columnar hot-path gate
 # (bench_fig2_pipeline --quick: speedup + value-identity against the row
-# reference engine and the display-string dedup reference), then a
+# reference engine, the display-string dedup reference and the
+# string-keyed preserve reference), then a
 # scaled-down bounded-state soak (crash matrix
 # against the counting oracle with RSS and recovery-time ceilings). The
 # analysis leg runs before the sanitizer legs
@@ -174,12 +175,14 @@ if [[ "${PIYE_CI_SKIP_BENCH:-0}" == "1" ]]; then
 else
   echo "=== [7/8] columnar hot-path gate: bench_fig2_pipeline --quick ==="
   # Times the vectorized engine against the row-at-a-time reference on the
-  # aggregation and rank-swap hot paths, and the Result Integrator's typed
-  # dedup against the display-string reference on three ~2k-row answers;
-  # requires identical answers (integration: identical encoded bytes) and
-  # fails unless each clears its speedup bar (aggregate 5x, rank-swap 1.2x,
-  # integrate 3x). Catches both silent value drift and a perf regression
-  # that would quietly undo the columnar rebuild.
+  # aggregation and rank-swap hot paths, the Result Integrator's typed
+  # dedup against the display-string reference on three ~2k-row answers,
+  # and the preserve stage (generalization + suppression) against the
+  # string-keyed reference on a ~2k-row patient answer; requires identical
+  # answers (integration and preserve: identical encoded bytes) and fails
+  # unless each clears its speedup bar (aggregate 5x, rank-swap 1.2x,
+  # integrate 3x, preserve 2x). Catches both silent value drift and a perf
+  # regression that would quietly undo the columnar rebuild.
   cmake --build "$ROOT/build" -j "$JOBS" --target bench_fig2_pipeline
   "$ROOT/build/bench/bench_fig2_pipeline" --quick
 fi

@@ -242,6 +242,38 @@ ColumnVector ColumnVector::Gather(const uint32_t* sel, size_t n) const {
   return out;
 }
 
+ColumnVector ColumnVector::Prefixes(size_t keep, char mark) const {
+  ColumnVector out(ColumnType::kString);
+  out.size_ = size_;
+  out.validity_ = validity_;
+  out.str_offset_.resize(size_);
+  out.str_len_.resize(size_);
+  // A NULL cell has length 0, so it contributes no bytes.
+  size_t bytes = 0;
+  for (size_t i = 0; i < size_; ++i) {
+    bytes += str_len_[i] > keep ? keep + 1 : str_len_[i];
+  }
+  out.arena_.resize(bytes);
+  char* dst = out.arena_.data();
+  size_t offset = 0;
+  for (size_t i = 0; i < size_; ++i) {
+    const uint32_t len = str_len_[i];
+    if (len == 0) continue;  // NULL or empty: the zero slot
+    const char* src = arena_.data() + str_offset_[i];
+    out.str_offset_[i] = static_cast<uint32_t>(offset);
+    if (len > keep) {
+      std::memcpy(dst + offset, src, keep);
+      dst[offset + keep] = mark;
+      out.str_len_[i] = static_cast<uint32_t>(keep + 1);
+    } else {
+      std::memcpy(dst + offset, src, len);
+      out.str_len_[i] = len;
+    }
+    offset += out.str_len_[i];
+  }
+  return out;
+}
+
 void ColumnVector::EncodeCell(size_t i, std::string* out) const {
   // Tag bytes mirror Value::Compare's type ranks: NULL < BOOL < numeric <
   // STRING. Both numeric types share one tag so an INT64 key and a DOUBLE

@@ -92,6 +92,12 @@ class ColumnVector {
   /// string column's arena holds only the selected rows' bytes.
   ColumnVector Gather(const uint32_t* sel, size_t n) const;
 
+  /// New kString column (this one must be kString) holding each cell cut
+  /// to its first `keep` bytes, followed by `mark` where bytes were cut
+  /// ("1974-02-06" -> "197*"); NULLs stay NULL. The arena is sized up
+  /// front and each cell written into it once.
+  ColumnVector Prefixes(size_t keep, char mark) const;
+
   /// Appends the canonical grouping key encoding of cell `i` to `out`.
   /// Two cells encode identically iff `Value::Compare` orders them equal:
   /// NULL is a single tag byte, booleans a tag + payload byte, numerics a

@@ -1,6 +1,7 @@
 #include "relational/sql.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <limits>
 
@@ -390,8 +391,10 @@ class Parser {
         if (text.find('.') != std::string::npos) {
           return Expression::Literal(Value::Real(std::strtod(text.c_str(), nullptr)));
         }
-        return Expression::Literal(
-            Value::Int(std::strtoll(text.c_str(), nullptr, 10)));
+        errno = 0;
+        const long long v = std::strtoll(text.c_str(), nullptr, 10);
+        if (errno == ERANGE) return Error("integer literal out of range: " + text);
+        return Expression::Literal(Value::Int(v));
       }
       case Token::Type::kString: {
         std::string text = t.text;

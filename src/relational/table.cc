@@ -30,6 +30,15 @@ void Table::AddColumn(Column meta, ColumnVector data) {
   if (cols_.size() == 1) num_rows_ = cols_[0]->size();
 }
 
+void Table::ReplaceColumn(size_t i, ColumnVector data) {
+  if (data.type() != schema_.column(i).type) {
+    std::vector<Column> columns = schema_.columns();
+    columns[i].type = data.type();
+    schema_ = Schema(std::move(columns));
+  }
+  cols_[i] = std::make_shared<ColumnVector>(std::move(data));
+}
+
 Table Table::ProjectShared(const std::vector<size_t>& col_indices) const {
   Table out;
   out.num_rows_ = num_rows_;

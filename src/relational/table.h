@@ -55,6 +55,10 @@ class Table {
   /// Appends a column (NULL-padded up to num_rows(); a first column sets
   /// the row count).
   void AddColumn(Column meta, ColumnVector data);
+  /// Replaces the storage of column `i` with `data`, which must hold
+  /// num_rows() cells; the column keeps its name and takes `data`'s type.
+  /// Other holders of the old buffers keep them.
+  void ReplaceColumn(size_t i, ColumnVector data);
 
   /// New table exposing columns `col_indices` (in that order) by sharing
   /// their buffers — projection without copying any cell.

@@ -1,6 +1,7 @@
 #include "relational/value.h"
 
 #include <charconv>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -82,9 +83,13 @@ Result<Value> Value::Parse(const std::string& text, ColumnType type) {
   switch (type) {
     case ColumnType::kInt64: {
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(t.c_str(), &end, 10);
       if (end == nullptr || *end != '\0') {
         return Status::ParseError("not an integer: '" + t + "'");
+      }
+      if (errno == ERANGE) {
+        return Status::ParseError("integer out of range: '" + t + "'");
       }
       return Value::Int(v);
     }

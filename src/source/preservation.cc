@@ -1,12 +1,14 @@
 #include "source/preservation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/strings.h"
 #include "perturb/noise.h"
+#include "relational/dedup.h"
 
 namespace piye {
 namespace source {
@@ -42,148 +44,119 @@ bool IsNumericColumn(const relational::Schema& schema, size_t i) {
          schema.column(i).type == relational::ColumnType::kDouble;
 }
 
+/// A quasi-identifier is a column released coarsened: generalization
+/// coarsens it and suppression groups rows by it.
+bool IsQuasiIdentifier(const std::map<std::string, DisclosureForm>& forms,
+                       const std::string& column) {
+  auto it = forms.find(column);
+  return it != forms.end() && (it->second == DisclosureForm::kRange ||
+                               it->second == DisclosureForm::kGeneralized);
+}
+
+/// The "[lo,hi)" label of bucket `bucket` of width `width` starting at
+/// `lo`. A NaN bound prints as "nan": arithmetic on NaNs leaves the sign
+/// bit to the compiler's operand order, so it is not part of the label.
+std::string BucketLabel(double lo, double bucket, double width) {
+  const double b_lo = lo + bucket * width;
+  const double b_hi = b_lo + width;
+  auto bound = [](double b) {
+    return std::isnan(b) ? std::numeric_limits<double>::quiet_NaN() : b;
+  };
+  return strings::Format("[%g,%g)", bound(b_lo), bound(b_hi));
+}
+
+/// Replaces each number by the "[lo,hi)" label of its bucket among
+/// kGeneralizationBuckets equi-width ranges over the column's min..max.
+relational::ColumnVector GeneralizeNumbers(const relational::ColumnVector& cv) {
+  const size_t n = cv.size();
+  const bool is_int = cv.type() == relational::ColumnType::kInt64;
+  auto at = [&](size_t r) {
+    return is_int ? static_cast<double>(cv.IntAt(r)) : cv.RealAt(r);
+  };
+  double mn = 0.0, mx = 0.0;
+  bool first = true;
+  for (size_t r = 0; r < n; ++r) {
+    if (cv.IsNull(r)) continue;
+    const double x = at(r);
+    if (first) {
+      mn = mx = x;
+      first = false;
+    } else {
+      mn = std::min(mn, x);
+      mx = std::max(mx, x);
+    }
+  }
+  const double lo = mn;
+  double width = (mx - mn) / static_cast<double>(kGeneralizationBuckets);
+  if (width <= 0.0) width = 1.0;
+  // Each label is formatted once, on first use; the last slot is the label
+  // of a NaN bucket (a NaN cell, or a NaN bound).
+  std::array<std::string, kGeneralizationBuckets + 1> labels;
+  relational::ColumnVector out(relational::ColumnType::kString);
+  out.Reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (cv.IsNull(r)) {
+      out.AppendNull();
+      continue;
+    }
+    const double bucket =
+        std::clamp(std::floor((at(r) - lo) / width), 0.0,
+                   static_cast<double>(kGeneralizationBuckets - 1));
+    std::string& label =
+        labels[std::isnan(bucket) ? kGeneralizationBuckets : static_cast<size_t>(bucket)];
+    if (label.empty()) label = BucketLabel(lo, bucket, width);
+    out.AppendStr(label);
+  }
+  return out;
+}
+
 }  // namespace
 
 Status PreservationModule::ApplyGeneralization(
     relational::Table* table,
     const std::map<std::string, policy::DisclosureForm>& column_forms) const {
-  // Coarsen every kRange/kGeneralized column: numeric columns become
-  // kGeneralizationBuckets equi-width ranges, strings become
-  // kStringPrefix-character prefixes ("1974-02-06" → "197*"). The table's
-  // schema changes coarsened numeric columns to STRING.
-  relational::Schema new_schema;
-  std::vector<bool> generalize(table->schema().num_columns(), false);
-  std::vector<bool> string_generalize(table->schema().num_columns(), false);
-  std::vector<double> lo(table->schema().num_columns(), 0.0);
-  std::vector<double> width(table->schema().num_columns(), 0.0);
-  for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-    const auto& col = table->schema().column(c);
-    auto it = column_forms.find(col.name);
-    const bool wants_coarsening = it != column_forms.end() &&
-                                  (it->second == DisclosureForm::kRange ||
-                                   it->second == DisclosureForm::kGeneralized);
-    if (wants_coarsening && col.type == relational::ColumnType::kString) {
-      string_generalize[c] = true;
-      new_schema.AddColumn(col);
-      continue;
-    }
-    const bool coarsen = wants_coarsening && IsNumericColumn(table->schema(), c);
-    generalize[c] = coarsen;
-    if (coarsen) {
-      // Min/max scan over the contiguous typed buffer.
-      const relational::ColumnVector& cv = table->col(c);
-      const bool is_int = cv.type() == relational::ColumnType::kInt64;
-      double mn = 0.0, mx = 0.0;
-      bool first = true;
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        if (cv.IsNull(r)) continue;
-        const double x =
-            is_int ? static_cast<double>(cv.IntAt(r)) : cv.RealAt(r);
-        if (first) {
-          mn = mx = x;
-          first = false;
-        } else {
-          mn = std::min(mn, x);
-          mx = std::max(mx, x);
-        }
-      }
-      lo[c] = mn;
-      width[c] = (mx - mn) / static_cast<double>(kGeneralizationBuckets);
-      if (width[c] <= 0.0) width[c] = 1.0;
-      new_schema.AddColumn({col.name, relational::ColumnType::kString});
-    } else {
-      new_schema.AddColumn(col);
+  // Coarsen every quasi-identifier in place; a numeric one becomes a STRING
+  // column of range labels. Every other column keeps its buffers.
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    if (!IsQuasiIdentifier(column_forms, table->schema().column(c).name)) continue;
+    if (table->col(c).type() == relational::ColumnType::kString) {
+      // "1974-02-06" -> "197*"
+      table->ReplaceColumn(c, table->col(c).Prefixes(kStringPrefix, '*'));
+    } else if (IsNumericColumn(table->schema(), c)) {
+      table->ReplaceColumn(c, GeneralizeNumbers(table->col(c)));
     }
   }
-  // Rebuild column-by-column: untouched columns copy their buffers whole,
-  // coarsened ones are written as fresh STRING columns in one pass.
-  relational::Table out;
-  const size_t n = table->num_rows();
-  for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-    const relational::ColumnVector& cv = table->col(c);
-    if (string_generalize[c]) {
-      relational::ColumnVector data(relational::ColumnType::kString);
-      data.Reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        if (cv.IsNull(r)) {
-          data.AppendNull();
-          continue;
-        }
-        const std::string_view s = cv.StrAt(r);
-        if (s.size() > kStringPrefix) {
-          std::string prefixed(s.substr(0, kStringPrefix));
-          prefixed += '*';
-          data.AppendStr(prefixed);
-        } else {
-          data.AppendStr(s);
-        }
-      }
-      out.AddColumn(new_schema.column(c), std::move(data));
-    } else if (generalize[c]) {
-      const bool is_int = cv.type() == relational::ColumnType::kInt64;
-      relational::ColumnVector data(relational::ColumnType::kString);
-      data.Reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        if (cv.IsNull(r)) {
-          data.AppendNull();
-          continue;
-        }
-        const double x =
-            is_int ? static_cast<double>(cv.IntAt(r)) : cv.RealAt(r);
-        double bucket = std::floor((x - lo[c]) / width[c]);
-        bucket = std::clamp(
-            bucket, 0.0,
-            static_cast<double>(kGeneralizationBuckets - 1));
-        const double b_lo = lo[c] + bucket * width[c];
-        data.AppendStr(strings::Format("[%g,%g)", b_lo, b_lo + width[c]));
-      }
-      out.AddColumn(new_schema.column(c), std::move(data));
-    } else {
-      out.AddColumn(new_schema.column(c), cv);
-    }
-  }
-  *table = std::move(out);
   return Status::OK();
 }
 
 Status PreservationModule::ApplySuppression(
     relational::Table* table,
     const std::map<std::string, policy::DisclosureForm>& column_forms) const {
-  // k-anonymity-style suppression over the *coarsened* columns (the
-  // quasi-identifiers): rows whose generalized QI combination occurs fewer
-  // than k times are dropped. Without any coarsened column there is no QI to
-  // protect and suppression is a no-op.
-  std::vector<size_t> qi;
-  for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-    auto it = column_forms.find(table->schema().column(c).name);
-    if (it != column_forms.end() && (it->second == DisclosureForm::kRange ||
-                                     it->second == DisclosureForm::kGeneralized)) {
-      qi.push_back(c);
+  // k-anonymity-style suppression over the quasi-identifiers: rows whose QI
+  // combination occurs fewer than k times are dropped. Without any QI there
+  // is nothing to protect and suppression is a no-op.
+  relational::KeyBlock qi{{}, table->num_rows()};
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    if (IsQuasiIdentifier(column_forms, table->schema().column(c).name)) {
+      qi.cols.push_back(&table->col(c));
     }
   }
-  if (qi.empty()) return Status::OK();
-  // A row's class key is its QI cells' tagged, length-prefixed encodings, so
-  // two different QI combinations (NULL vs 'NULL', or a separator byte
-  // inside a string) never share a class.
-  const size_t n = table->num_rows();
-  std::unordered_map<std::string, uint32_t> class_of;
-  class_of.reserve(n);
-  std::vector<uint32_t> row_class(n);
-  std::vector<size_t> class_size;
-  std::string key;
-  for (size_t r = 0; r < n; ++r) {
-    key.clear();
-    for (size_t c : qi) table->col(c).EncodeCell(r, &key);
-    auto [it, inserted] =
-        class_of.try_emplace(key, static_cast<uint32_t>(class_size.size()));
-    if (inserted) class_size.push_back(0);
-    ++class_size[it->second];
-    row_class[r] = it->second;
+  if (qi.cols.empty()) return Status::OK();
+  // Classes follow Value::Compare's equality (NULL only with NULL, numerics
+  // by AsDouble with -0.0 folded into 0.0, strings by bytes).
+  std::vector<uint32_t> row_class;
+  const size_t classes =
+      relational::KeyClasses({qi}, relational::KeyEquality::kCompare, &row_class)
+          .size();
+  std::vector<size_t> class_size(classes, 0);
+  for (uint32_t c : row_class) ++class_size[c];
+  if (std::all_of(class_size.begin(), class_size.end(),
+                  [this](size_t size) { return size >= config_.k; })) {
+    return Status::OK();  // no class under k: the table is released as is
   }
-  // Keep rows of sufficiently large equivalence classes via one gather.
   std::vector<uint32_t> sel;
-  sel.reserve(n);
-  for (size_t r = 0; r < n; ++r) {
+  sel.reserve(row_class.size());
+  for (size_t r = 0; r < row_class.size(); ++r) {
     if (class_size[row_class[r]] >= config_.k) sel.push_back(static_cast<uint32_t>(r));
   }
   *table = table->Gather(sel);

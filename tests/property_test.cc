@@ -20,6 +20,7 @@
 #include "relational/sql.h"
 #include "relational/table_codec.h"
 #include "source/piql.h"
+#include "source/preservation.h"
 #include "xml/parser.h"
 #include "inference/constraint.h"
 #include "inference/interval_solver.h"
@@ -30,6 +31,7 @@
 #include "perturb/additive_noise.h"
 #include "perturb/reconstruction.h"
 #include "reference/dedupref.h"
+#include "reference/preserveref.h"
 #include "reference/sql_tables.h"
 #include "statdb/audit.h"
 
@@ -757,6 +759,148 @@ TEST_P(DedupDifferentialTest, IntegrateMatchesDisplayStringOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DedupDifferentialTest, ::testing::Range<uint64_t>(1, 9));
+
+// --- Typed generalization and suppression vs the string-keyed oracle ---
+
+/// A cell from a small domain of the shapes suppression classes must keep
+/// apart (NULL vs 'NULL', separator and tag bytes inside strings, NaN
+/// payloads) or together (-0.0 and 0.0, INT64s above 2^53 that share an
+/// AsDouble), with strings that share generalized prefixes.
+Value PreserveCell(Rng* rng, ColumnType type) {
+  if (rng->NextBernoulli(0.12)) return Value::Null();
+  constexpr int64_t kBig = int64_t{1} << 53;
+  switch (type) {
+    case ColumnType::kInt64: {
+      const int64_t ints[] = {0, 1, -1, 7, 100, kBig, kBig + 1, kBig + 2, -kBig - 1,
+                              std::numeric_limits<int64_t>::max(),
+                              std::numeric_limits<int64_t>::min()};
+      return Value::Int(ints[rng->NextBounded(11)]);
+    }
+    case ColumnType::kDouble: {
+      const double reals[] = {0.0, -0.0, 1.5, -1.5, 100.25, 9007199254740992.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::quiet_NaN(),
+                              FromBits(0x7ff8000000000001ULL),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+      return Value::Real(reals[rng->NextBounded(11)]);
+    }
+    case ColumnType::kString: {
+      const std::string strs[] = {"",
+                                  "a",
+                                  "NULL",
+                                  "null",
+                                  "197",
+                                  "1970",
+                                  "1970-01-01",
+                                  "1971-12-31",
+                                  "19\x1f" "7",
+                                  std::string("\0ab", 3),
+                                  std::string("\x03\x01\0\0\0x", 6),
+                                  "ab\x1f"};
+      return Value::Str(strs[rng->NextBounded(12)]);
+    }
+    case ColumnType::kBool:
+      return Value::Boolean(rng->NextBernoulli(0.5));
+  }
+  return Value::Null();
+}
+
+enum class PreserveShape { kEmpty, kRandom, kRepeated, kDistinct };
+
+/// A random answer of `shape` with its disclosure forms. kRepeated repeats
+/// every row at least 8 times, so no class is under any tested k; kDistinct
+/// adds a quasi-identifier whose every value is unique and survives
+/// generalization, so every class has one row.
+relational::Table RandomPreserveInput(Rng* rng, PreserveShape shape,
+                                      source::preserveref::Forms* forms) {
+  const ColumnType types[] = {ColumnType::kInt64, ColumnType::kDouble,
+                              ColumnType::kString, ColumnType::kBool};
+  const policy::DisclosureForm qi_forms[] = {policy::DisclosureForm::kRange,
+                                             policy::DisclosureForm::kGeneralized};
+  relational::Schema schema;
+  const size_t cols = 1 + rng->NextBounded(4);
+  for (size_t c = 0; c < cols; ++c) {
+    const std::string name = "c" + std::to_string(c);
+    schema.AddColumn({name, types[rng->NextBounded(4)]});
+    const uint64_t form = rng->NextBounded(5);
+    if (form < 3) {
+      (*forms)[name] = qi_forms[form % 2];
+    } else if (form == 3) {
+      (*forms)[name] = policy::DisclosureForm::kExact;
+    }  // else: no form, as for a column the policy does not name
+  }
+  if (shape == PreserveShape::kDistinct) {
+    schema.AddColumn({"u", ColumnType::kString});
+    (*forms)["u"] = policy::DisclosureForm::kGeneralized;
+  }
+  std::vector<relational::Row> protos(1 + rng->NextBounded(8));
+  for (auto& row : protos) {
+    for (size_t c = 0; c < cols; ++c) {
+      row.push_back(PreserveCell(rng, schema.column(c).type));
+    }
+  }
+  relational::Table t(schema);
+  const size_t rows = shape == PreserveShape::kEmpty ? 0 : 1 + rng->NextBounded(60);
+  for (size_t r = 0; r < rows; ++r) {
+    relational::Row row = protos[rng->NextBounded(protos.size())];
+    if (shape == PreserveShape::kRandom && rng->NextBernoulli(0.3)) {
+      const size_t c = rng->NextBounded(cols);
+      row[c] = PreserveCell(rng, schema.column(c).type);
+    }
+    if (shape == PreserveShape::kDistinct) row.push_back(Value::Str(std::to_string(r)));
+    const size_t copies = shape == PreserveShape::kRepeated ? 8 + rng->NextBounded(3) : 1;
+    for (size_t i = 0; i < copies; ++i) t.AppendRowUnchecked(row);
+  }
+  return t;
+}
+
+class PreserveDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+// PreservationModule::Apply releases exactly the oracle's bytes, for every
+// k, table shape and order of the two techniques.
+TEST_P(PreserveDifferentialTest, ApplyMatchesStringKeyedOracle) {
+  Rng rng(GetParam() * 104729 + 11);
+  using source::Technique;
+  const std::vector<Technique> orders[] = {
+      {Technique::kGeneralization, Technique::kSuppression},
+      {Technique::kSuppression, Technique::kGeneralization},
+      {Technique::kGeneralization},
+      {Technique::kSuppression}};
+  const size_t ks[] = {1, 2, 3, 8};
+  size_t none_suppressed = 0, all_suppressed = 0, some_suppressed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto shape = static_cast<PreserveShape>(rng.NextBounded(4));
+    source::preserveref::Forms forms;
+    const relational::Table input = RandomPreserveInput(&rng, shape, &forms);
+    const std::vector<Technique>& techniques =
+        orders[rng.NextBernoulli(0.8) ? rng.NextBounded(2) : 2 + rng.NextBounded(2)];
+    source::PreservationModule::Config config;
+    config.k = ks[rng.NextBounded(4)];
+    const source::PreservationModule module(config);
+    Rng unused(1);
+    auto got = module.Apply(input, forms, 1.0, techniques, &unused);
+    auto want = source::preserveref::Apply(input, forms, techniques, config.k);
+    ASSERT_TRUE(got.ok() && want.ok()) << trial;
+    EXPECT_EQ(relational::EncodeTable(*got), relational::EncodeTable(*want))
+        << "trial " << trial << " (k = " << config.k << "): got " << got->num_rows()
+        << " rows, want " << want->num_rows() << " of " << input.num_rows();
+    if (input.num_rows() == 0) continue;
+    if (want->num_rows() == input.num_rows()) {
+      ++none_suppressed;
+    } else if (want->num_rows() == 0) {
+      ++all_suppressed;
+    } else {
+      ++some_suppressed;
+    }
+  }
+  EXPECT_GT(none_suppressed, 0u);
+  EXPECT_GT(all_suppressed, 0u);
+  EXPECT_GT(some_suppressed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PreserveDifferentialTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 // --- Bulk Gather/AppendGather vs per-cell appends ---
 

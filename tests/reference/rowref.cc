@@ -36,7 +36,7 @@ void ReplaceColumn(Table* table, size_t col, const std::vector<Value>& cells) {
   ColumnVector out(table->schema().column(col).type);
   out.Reserve(cells.size());
   for (const Value& v : cells) out.AppendValue(v);
-  *table->MutableColumn(col) = std::move(out);
+  table->ReplaceColumn(col, std::move(out));
 }
 
 }  // namespace

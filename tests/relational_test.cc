@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
@@ -73,6 +74,19 @@ TEST(ValueTest, ParseByType) {
   EXPECT_TRUE(Value::Parse("true", ColumnType::kBool)->AsBool());
   EXPECT_TRUE(Value::Parse("NULL", ColumnType::kInt64)->is_null());
   EXPECT_FALSE(Value::Parse("abc", ColumnType::kInt64).ok());
+}
+
+TEST(ValueTest, ParseRefusesIntegersOutsideInt64) {
+  EXPECT_EQ(Value::Parse("9223372036854775807", ColumnType::kInt64)->AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Value::Parse("-9223372036854775808", ColumnType::kInt64)->AsInt(),
+            std::numeric_limits<int64_t>::min());
+  for (const char* text : {"9223372036854775808", "99999999999999999999",
+                           "-9223372036854775809"}) {
+    auto v = Value::Parse(text, ColumnType::kInt64);
+    ASSERT_FALSE(v.ok()) << text << " parsed as " << v->ToString();
+    EXPECT_TRUE(v.status().IsParseError()) << text;
+  }
 }
 
 TEST(ValueTest, ToStringRendering) {
@@ -226,6 +240,22 @@ TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(ParseSql("SELECT a FROM t WHERE").ok());
   EXPECT_FALSE(ParseSql("SELECT a FROM t garbage").ok());
   EXPECT_FALSE(ParseSql("SELECT SUM(*) FROM t").ok());
+}
+
+TEST(SqlParserTest, RefusesIntegerLiteralsOutsideInt64) {
+  auto max = ParseExpression("a = 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ((*max)->rhs()->literal().AsInt(), std::numeric_limits<int64_t>::max());
+  // Clamping would compare against INT64_MAX instead of the number written.
+  for (const char* text : {"a = 99999999999999999999", "a = -99999999999999999999",
+                           "a IN (1, 9223372036854775808)"}) {
+    auto e = ParseExpression(text);
+    ASSERT_FALSE(e.ok()) << text << " parsed as " << (*e)->ToString();
+    EXPECT_TRUE(e.status().IsParseError()) << text;
+    EXPECT_NE(e.status().message().find("out of range"), std::string::npos)
+        << e.status().message();
+  }
+  EXPECT_FALSE(ParseSql("SELECT a FROM t WHERE a > 18446744073709551616").ok());
 }
 
 TEST(SqlParserTest, PrecedenceAndAssociativity) {
@@ -508,6 +538,17 @@ TEST(XmlRecordsTest, MixedTypesWidenToString) {
   EXPECT_EQ(table->Cell(0, 0).AsString(), "12");
 }
 
+TEST(XmlRecordsTest, IntegerOutsideInt64IsTypedDouble) {
+  auto doc = xml::Parse(R"(
+    <r><rec><v>99999999999999999999</v></rec><rec><v>5</v></rec></r>)");
+  ASSERT_TRUE(doc.ok());
+  auto table = TableFromXmlRecords(doc->root());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->schema().column(0).type, ColumnType::kDouble);
+  EXPECT_DOUBLE_EQ(table->Cell(0, 0).AsDouble(), 1e20);
+  EXPECT_DOUBLE_EQ(table->Cell(1, 0).AsDouble(), 5.0);
+}
+
 TEST(XmlRecordsTest, EmptyRootGivesEmptyTable) {
   auto doc = xml::Parse("<r/>");
   ASSERT_TRUE(doc.ok());
@@ -615,6 +656,93 @@ TEST(FirstOccurrencesTest, TypedEqualityRules) {
   EXPECT_EQ(FirstOccurrences({KeyBlock{{}, 3}, KeyBlock{{}, 2}}),
             (std::vector<uint32_t>{0}));
   EXPECT_TRUE(FirstOccurrences({KeyBlock{{}, 0}}).empty());
+}
+
+TEST(KeyClassesTest, CompareEqualityDrawsTheEncodeCellClasses) {
+  // The rows of TypedEqualityRules under Value::Compare's equality: INT64s
+  // above 2^53 that share an AsDouble merge, and so do -0.0 and 0.0; NaNs
+  // stay apart unless bit for bit equal; NULL still equals only NULL.
+  constexpr int64_t kBig = int64_t{1} << 53;
+  ColumnVector i(ColumnType::kInt64), d(ColumnType::kDouble);
+  const uint64_t nan_bits = 0x7ff8000000000001ULL;
+  double other_nan = 0.0;
+  std::memcpy(&other_nan, &nan_bits, sizeof(other_nan));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int64_t v : {kBig, kBig + 1, kBig, int64_t{0}, int64_t{0}, int64_t{0},
+                    int64_t{0}, int64_t{0}}) {
+    i.AppendInt(v);
+  }
+  for (double v : {1.0, 1.0, 1.0, 0.0, -0.0, nan, other_nan, -nan}) d.AppendReal(v);
+  i.AppendNull();
+  d.AppendNull();
+  ColumnVector tail(ColumnType::kInt64);
+  tail.AppendNull();
+  tail.AppendInt(0);
+  std::vector<uint32_t> row_class;
+  EXPECT_EQ(KeyClasses({KeyBlock{{&i, &d}, i.size()}, KeyBlock{{&tail, nullptr}, 2}},
+                       KeyEquality::kCompare, &row_class),
+            (std::vector<uint32_t>{0, 3, 5, 6, 7, 8, 10}));
+  EXPECT_EQ(row_class, (std::vector<uint32_t>{0, 0, 0, 1, 1, 2, 3, 4, 5, 5, 6}));
+  // Each row's class is the one its EncodeCell key names.
+  std::map<std::string, uint32_t> by_key;
+  for (size_t r = 0; r < i.size(); ++r) {
+    std::string key;
+    i.EncodeCell(r, &key);
+    d.EncodeCell(r, &key);
+    EXPECT_EQ(by_key.try_emplace(key, row_class[r]).first->second, row_class[r]) << r;
+  }
+  EXPECT_EQ(by_key.size(), 6u);
+
+  // An INT64 equals the DOUBLE it converts to only under kCompare.
+  ColumnVector two_int(ColumnType::kInt64), two_real(ColumnType::kDouble);
+  two_int.AppendInt(2);
+  two_real.AppendReal(2.0);
+  const std::vector<KeyBlock> mixed = {KeyBlock{{&two_int}, 1}, KeyBlock{{&two_real}, 1}};
+  EXPECT_EQ(KeyClasses(mixed, KeyEquality::kCompare, nullptr),
+            (std::vector<uint32_t>{0}));
+  EXPECT_EQ(FirstOccurrences(mixed), (std::vector<uint32_t>{0, 1}));
+
+  // Keys whose hashes collide (two loads of "wxyz" against one, the length
+  // folded into the top bits) stay apart, run or no run.
+  ColumnVector s(ColumnType::kString);
+  for (const char* v : {"wxyz", "wxyzwxy\x1a", "wxyz", "wxyz"}) s.AppendStr(v);
+  EXPECT_EQ(KeyClasses({KeyBlock{{&s}, s.size()}}, KeyEquality::kCompare, &row_class),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(row_class, (std::vector<uint32_t>{0, 1, 0, 0}));
+}
+
+TEST(ColumnVectorTest, PrefixesCutAndMarkLongCells) {
+  ColumnVector col(ColumnType::kString);
+  for (const char* s : {"1974-02-06", "", "ab", "abc", "abcd"}) col.AppendStr(s);
+  col.AppendNull();
+  col.AppendStr(std::string("x\0yz", 4));
+  const ColumnVector cut = col.Prefixes(3, '*');
+  ASSERT_EQ(cut.size(), col.size());
+  const std::vector<std::string> want = {"197*", "", "ab", "abc", "abc*", "",
+                                         std::string("x\0y*", 4)};
+  for (size_t r = 0; r < cut.size(); ++r) {
+    EXPECT_EQ(cut.IsNull(r), r == 5) << r;
+    EXPECT_EQ(cut.StrAt(r), want[r]) << r;
+  }
+}
+
+TEST(TableColumnarTest, ReplaceColumnKeepsNameAndOtherHoldersBuffers) {
+  Table t;
+  ColumnVector ints(ColumnType::kInt64);
+  ints.AppendInt(7);
+  ints.AppendNull();
+  t.AddColumn({"a", ColumnType::kInt64}, std::move(ints));
+  const Table before = t;
+  ColumnVector labels(ColumnType::kString);
+  labels.AppendStr("[0,8)");
+  labels.AppendNull();
+  t.ReplaceColumn(0, std::move(labels));
+  EXPECT_EQ(t.schema().column(0).name, "a");
+  EXPECT_EQ(t.schema().column(0).type, ColumnType::kString);
+  EXPECT_EQ(t.Cell(0, 0).AsString(), "[0,8)");
+  EXPECT_TRUE(t.Cell(1, 0).is_null());
+  EXPECT_EQ(before.schema().column(0).type, ColumnType::kInt64);
+  EXPECT_EQ(before.Cell(0, 0).AsInt(), 7);
 }
 
 TEST(TableColumnarTest, ProjectSharedSharesBuffersUntilMutation) {

@@ -133,6 +133,17 @@ std::string Repeat(const std::string& piece, size_t times) {
   return out;
 }
 
+TEST(PiqlTest, IntegerLiteralOutsideInt64IsAParseError) {
+  // Clamped, `a = 99999999999999999999` compared against INT64_MAX.
+  for (const char* where_text : {"a = 99999999999999999999",
+                                 "a &gt; -9223372036854775809"}) {
+    auto q = ParseWhere(where_text);
+    ASSERT_FALSE(q.ok()) << where_text;
+    EXPECT_TRUE(q.status().IsParseError()) << q.status().ToString();
+  }
+  EXPECT_TRUE(ParseWhere("a = 9223372036854775807").ok());
+}
+
 TEST(PiqlTest, OverBoundWhereIsAParseError) {
   // These once overflowed the stack: the parser's recursion on the rendered
   // NOTs and on the parentheses, and keying the AND chain's tree. The plain
