@@ -75,10 +75,8 @@ void LossVsK() {
               "generalization at every k)\n\n");
 }
 
-/// A source holding the microdata plus five exact columns, with age as a
-/// kRange and zip as a kGeneralized quasi-identifier.
-std::unique_ptr<source::RemoteSource> MakeLinkageSource(const relational::Table& data,
-                                                        size_t k) {
+/// The microdata plus five exact columns.
+relational::Table LinkageTable(const relational::Table& data) {
   relational::Table table(relational::Schema{
       relational::Column{"patient_id", relational::ColumnType::kString},
       relational::Column{"age", relational::ColumnType::kInt64},
@@ -96,6 +94,13 @@ std::unique_ptr<source::RemoteSource> MakeLinkageSource(const relational::Table&
          relational::Value::Str("i" + std::to_string(r % 3)),
          relational::Value::Str("o")});
   }
+  return table;
+}
+
+/// A source holding `table`, with age as a kRange and zip as a kGeneralized
+/// quasi-identifier.
+std::unique_ptr<source::RemoteSource> MakeLinkageSource(relational::Table table,
+                                                        size_t k) {
   auto src = std::make_unique<source::RemoteSource>("hospital", "patients",
                                                     std::move(table), 1);
   source::PreservationModule::Config config;
@@ -127,6 +132,7 @@ std::unique_ptr<source::RemoteSource> MakeLinkageSource(const relational::Table&
 /// suppression of classes under k), on the same unfiltered 8-column answer.
 void ReleaseVsMondrian(bool skewed) {
   const relational::Table data = MakeMicrodata(1000, 3, skewed);
+  const relational::Table table = LinkageTable(data);
   source::QueryFeatures shape;
   shape.v = {0, 0, 0, 1, 8, 0, 0, 0};
   const source::QueryCluster* cluster = source::ClusterStore::Default().Map(shape);
@@ -138,7 +144,7 @@ void ReleaseVsMondrian(bool skewed) {
               "classes", "discernibility");
   const std::vector<std::string> qi = {"age", "zip"};
   for (size_t k : {3, 8}) {
-    auto src = MakeLinkageSource(data, k);
+    auto src = MakeLinkageSource(table, k);
     std::string select;
     for (const auto& col : src->schema().columns()) {
       select += "<select>" + col.name + "</select>";
@@ -155,7 +161,7 @@ void ReleaseVsMondrian(bool skewed) {
     const relational::Table& product = released->table;
     const size_t suppressed = data.num_rows() - product.num_rows();
     auto pm = ComputeMetrics(product, qi, suppressed);
-    auto mondrian = Mondrian(qi, k).Anonymize(src->raw_table_for_testing());
+    auto mondrian = Mondrian(qi, k).Anonymize(table);
     if (!pm.ok() || !mondrian.ok()) return;
     auto mm = ComputeMetrics(*mondrian, qi);
     if (!mm.ok()) return;

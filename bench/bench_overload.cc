@@ -31,6 +31,7 @@
 #include "core/scenario.h"
 #include "mediator/admission.h"
 #include "mediator/engine.h"
+#include "reference/faulty_source.h"
 #include "source/remote_source.h"
 
 using piye::CancelSource;
@@ -40,14 +41,15 @@ using piye::mediator::AdmissionConfig;
 using piye::mediator::MediationEngine;
 using piye::mediator::QueryOptions;
 using piye::source::RemoteSource;
+using piye::source::faultref::FaultySource;
+using piye::source::faultref::Fleet;
 
 namespace {
 
 constexpr uint64_t kSourceLatencyMicros = 2000;  // 2 ms per source per fragment
 
-std::vector<std::unique_ptr<RemoteSource>> BuildSources(size_t n,
-                                                        uint64_t latency_micros) {
-  std::vector<std::unique_ptr<RemoteSource>> sources;
+Fleet BuildSources(size_t n, uint64_t latency_micros) {
+  Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = ClinicalScenario::MakePatientTables(50, 0.3, 100 + i);
     auto src = std::make_unique<RemoteSource>("hospital" + std::to_string(i),
@@ -60,26 +62,21 @@ std::vector<std::unique_ptr<RemoteSource>> BuildSources(size_t n,
     for (const char* requester : {"alice", "bob", "carol"}) {
       (void)src->mutable_rbac()->AssignRole(requester, "analyst");
     }
-    if (latency_micros > 0) {
-      RemoteSource::FaultInjection faults;
-      faults.latency_micros = latency_micros;
-      src->set_fault_injection(faults);
-    }
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = latency_micros});
   }
   return sources;
 }
 
-std::unique_ptr<MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<RemoteSource>>& sources,
-    const AdmissionConfig& admission, size_t worker_threads) {
+std::unique_ptr<MediationEngine> BuildEngine(const Fleet& sources,
+                                             const AdmissionConfig& admission,
+                                             size_t worker_threads) {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = worker_threads;
   options.admission = admission;
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) (void)engine->RegisterSource(src.get());
+  for (const auto& src : sources.faulty) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
   return engine;
 }
@@ -208,11 +205,11 @@ void PrintOverloadSweep() {
 void PrintCancellationTiming() {
   std::printf("--- deadline & cancellation response (3 sources, all hung 2 s) ---\n");
   auto sources = BuildSources(3, 0);
-  RemoteSource::FaultInjection hanging;
+  FaultySource::Plan hanging;
   hanging.drop_rate = 1.0;
   hanging.hang_micros = 2'000'000;
   hanging.seed = 9;
-  for (auto& src : sources) src->set_fault_injection(hanging);
+  for (auto& src : sources.faulty) src->set_plan(hanging);
   auto engine = BuildEngine(sources, AdmissionConfig{}, /*worker_threads=*/8);
   const auto query = Query("analyst");
 

@@ -22,6 +22,7 @@
 #include "common/logging.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
+#include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 
@@ -29,39 +30,33 @@ using piye::core::ClinicalScenario;
 using piye::mediator::MediationEngine;
 using piye::mediator::QueryOptions;
 using piye::source::RemoteSource;
+using piye::source::faultref::FaultySource;
+using piye::source::faultref::Fleet;
 
 namespace {
 
 constexpr uint64_t kInjectedLatencyMicros = 1000;  // >= 1 ms per source
 
-std::vector<std::unique_ptr<RemoteSource>> BuildSources(size_t n,
-                                                        uint64_t latency_micros) {
-  std::vector<std::unique_ptr<RemoteSource>> sources;
+Fleet BuildSources(size_t n, uint64_t latency_micros) {
+  Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = ClinicalScenario::MakePatientTables(50, 0.3, 100 + i);
     auto src = std::make_unique<RemoteSource>("hospital" + std::to_string(i),
                                               "patients", std::move(tables.hospital),
                                               /*seed=*/i + 1);
     ClinicalScenario::ApplyPatientPolicies(src.get());
-    if (latency_micros > 0) {
-      RemoteSource::FaultInjection faults;
-      faults.latency_micros = latency_micros;
-      src->set_fault_injection(faults);
-    }
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = latency_micros});
   }
   return sources;
 }
 
-std::unique_ptr<MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<RemoteSource>>& sources,
-    size_t worker_threads) {
+std::unique_ptr<MediationEngine> BuildEngine(const Fleet& sources, size_t worker_threads) {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = worker_threads;
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) (void)engine->RegisterSource(src.get());
+  for (const auto& src : sources.faulty) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
   return engine;
 }
@@ -126,15 +121,14 @@ void PrintByteIdentityAudit() {
   std::printf("--- byte-identity audit: parallel vs serial on the clinical "
               "scenario ---\n");
   auto make_trio = [] {
-    std::vector<std::unique_ptr<RemoteSource>> sources;
+    Fleet sources;
     auto tables = ClinicalScenario::MakePatientTables(200, 0.4, 11);
-    sources.push_back(std::make_unique<RemoteSource>("hospital", "patients",
-                                                     std::move(tables.hospital), 1));
-    sources.push_back(std::make_unique<RemoteSource>("pharmacy", "rx",
-                                                     std::move(tables.pharmacy), 2));
-    sources.push_back(
-        std::make_unique<RemoteSource>("lab", "tests", std::move(tables.lab), 3));
-    for (auto& src : sources) ClinicalScenario::ApplyPatientPolicies(src.get());
+    sources.Add(std::make_unique<RemoteSource>("hospital", "patients",
+                                               std::move(tables.hospital), 1));
+    sources.Add(std::make_unique<RemoteSource>("pharmacy", "rx",
+                                               std::move(tables.pharmacy), 2));
+    sources.Add(std::make_unique<RemoteSource>("lab", "tests", std::move(tables.lab), 3));
+    for (auto& src : sources.sources) ClinicalScenario::ApplyPatientPolicies(src.get());
     return sources;
   };
   struct Scenario {
@@ -173,15 +167,15 @@ void PrintByteIdentityAudit() {
 void PrintDegradation() {
   std::printf("--- graceful degradation: 8 sources, 2 fault-injected ---\n");
   auto sources = BuildSources(8, kInjectedLatencyMicros);
-  RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
   erroring.seed = 7;
-  sources[2]->set_fault_injection(erroring);
-  RemoteSource::FaultInjection hanging;
+  sources.faulty[2]->set_plan(erroring);
+  FaultySource::Plan hanging;
   hanging.drop_rate = 1.0;
   hanging.hang_micros = 200'000;
   hanging.seed = 8;
-  sources[5]->set_fault_injection(hanging);
+  sources.faulty[5]->set_plan(hanging);
   auto engine = BuildEngine(sources, 16);
   QueryOptions options = LiveOptions();
   options.deadline_ms = 50;
@@ -233,9 +227,9 @@ BENCHMARK(BM_ParallelFanout)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::k
 
 void BM_DegradedQuery(benchmark::State& state) {
   auto sources = BuildSources(8, kInjectedLatencyMicros);
-  RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
-  sources[2]->set_fault_injection(erroring);
+  sources.faulty[2]->set_plan(erroring);
   auto engine = BuildEngine(sources, 16);
   QueryOptions options = LiveOptions();
   options.deadline_ms = 50;

@@ -27,12 +27,14 @@
 #include "mediator/persistence.h"
 #include "persist/state_log.h"
 #include "persist/wal.h"
+#include "reference/faulty_source.h"
 #include "source/remote_source.h"
 
 using piye::core::ClinicalScenario;
 using piye::mediator::MediationEngine;
 using piye::mediator::QueryOptions;
 using piye::source::RemoteSource;
+using piye::source::faultref::Fleet;
 
 namespace {
 
@@ -50,33 +52,29 @@ std::string FreshDir(const std::string& name) {
   return p.string();
 }
 
-std::vector<std::unique_ptr<RemoteSource>> BuildSources(size_t n) {
-  std::vector<std::unique_ptr<RemoteSource>> sources;
+Fleet BuildSources(size_t n) {
+  Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = ClinicalScenario::MakePatientTables(50, 0.3, 100 + i);
     auto src = std::make_unique<RemoteSource>("hospital" + std::to_string(i),
                                               "patients", std::move(tables.hospital),
                                               /*seed=*/i + 1);
     ClinicalScenario::ApplyPatientPolicies(src.get());
-    RemoteSource::FaultInjection faults;
-    faults.latency_micros = kInjectedLatencyMicros;
-    src->set_fault_injection(faults);
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = kInjectedLatencyMicros});
   }
   return sources;
 }
 
 enum class Durability { kVolatile, kWalFsync };
 
-std::unique_ptr<MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<RemoteSource>>& sources, Durability mode,
-    const std::string& dir) {
+std::unique_ptr<MediationEngine> BuildEngine(const Fleet& sources, Durability mode,
+                                             const std::string& dir) {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = 8;
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) (void)engine->RegisterSource(src.get());
+  for (const auto& src : sources.faulty) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
   if (mode != Durability::kVolatile) (void)engine->Recover(dir);
   return engine;
@@ -180,7 +178,7 @@ double RecoverMillis(const std::string& dir, size_t* recovered_entries) {
   MediationEngine::Options options;
   options.max_cumulative_loss = 1e9;
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) (void)engine->RegisterSource(src.get());
+  for (const auto& src : sources.faulty) (void)engine->RegisterSource(src.get());
   (void)engine->GenerateMediatedSchema("bench-key");
   const auto start = std::chrono::steady_clock::now();
   auto status = engine->Recover(dir);
@@ -294,7 +292,7 @@ void BM_Recover10k(benchmark::State& state) {
     MediationEngine::Options options;
     options.max_cumulative_loss = 1e9;
     MediationEngine engine(options);
-    for (const auto& src : sources) (void)engine.RegisterSource(src.get());
+    for (const auto& src : sources.faulty) (void)engine.RegisterSource(src.get());
     (void)engine.GenerateMediatedSchema("bench-key");
     state.ResumeTiming();
     auto status = engine.Recover(dir);

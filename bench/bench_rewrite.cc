@@ -225,6 +225,7 @@ CallTimes TimeFragment(const piye::source::RemoteSource& src,
 
 void PrintScanChoice() {
   auto tables = piye::core::ClinicalScenario::MakePatientTables(25600, 0.3, 1);
+  const piye::relational::Table raw = tables.hospital;  // the bench's own copy
   piye::source::RemoteSource src("hospital", "patients", std::move(tables.hospital), 4);
   piye::core::ClinicalScenario::ApplyPatientPolicies(&src);
   (void)src.mutable_rbac()->AssignRole("*", "analyst");
@@ -268,7 +269,7 @@ void PrintScanChoice() {
   // is the first dob after exactly k (n - k) smaller ones; both query sets
   // pass the query-set restriction, so both answers are released.
   const size_t k = piye::source::PreservationModule::Config{}.k;
-  const auto& dob = src.raw_table_for_testing().col(2);
+  const auto& dob = raw.col(2);
   std::vector<std::string> sorted;
   for (size_t r = 0; r < n; ++r) sorted.emplace_back(dob.StrAt(r));
   std::sort(sorted.begin(), sorted.end());

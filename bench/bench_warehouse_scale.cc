@@ -36,6 +36,7 @@
 #include "core/scenario.h"
 #include "mediator/engine.h"
 #include "mediator/warehouse.h"
+#include "reference/faulty_source.h"
 #include "relational/table.h"
 #include "source/remote_source.h"
 
@@ -206,24 +207,21 @@ void PrintHitLatency() {
 
 void PrintSingleFlightBurst() {
   std::printf("--- single-flight: 8 identical concurrent queries, slow sources ---\n");
-  std::vector<std::unique_ptr<RemoteSource>> sources;
+  piye::source::faultref::Fleet sources;
   for (size_t i = 0; i < 3; ++i) {
     auto tables = ClinicalScenario::MakePatientTables(50, 0.3, 100 + i);
     auto src = std::make_unique<RemoteSource>("hospital" + std::to_string(i),
                                               "patients", std::move(tables.hospital),
                                               /*seed=*/i + 1);
     ClinicalScenario::ApplyPatientPolicies(src.get());
-    RemoteSource::FaultInjection faults;
-    faults.latency_micros = 20'000;  // 20 ms per source
-    src->set_fault_injection(faults);
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = 20'000});  // 20 ms per source
   }
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = 4;
   MediationEngine engine(options);
-  for (const auto& src : sources) (void)engine.RegisterSource(src.get());
+  for (const auto& src : sources.faulty) (void)engine.RegisterSource(src.get());
   (void)engine.GenerateMediatedSchema("bench-key");
   const auto query = *piye::source::PiqlQuery::Parse(
       "<query requester=\"analyst\" purpose=\"research\" maxLoss=\"0.95\">"

@@ -14,8 +14,12 @@
 #include "inference/privacy_loss.h"
 #include "inference/snooping_attack.h"
 #include "mediator/privacy_control.h"
+#include "relational/table.h"
 
 using piye::core::ClinicalScenario;
+using piye::relational::ColumnType;
+using piye::relational::Table;
+using piye::relational::Value;
 using piye::inference::AttackerKnowledge;
 using piye::inference::PublishedAggregates;
 using piye::inference::SnoopingAttack;
@@ -56,13 +60,17 @@ int main() {
   // ------------------------------------------------------------------
   // World 1: a traditional integrator (access control only).
   // ------------------------------------------------------------------
-  std::vector<std::unique_ptr<piye::source::RemoteSource>> sources;
-  std::vector<const piye::source::RemoteSource*> raw;
+  // It is handed each HMO's raw compliance table: one row per measure.
+  PublishedAggregates published = PublishedAggregates::Figure1();
+  std::vector<Table> raw;
   for (size_t p = 0; p < 4; ++p) {
-    auto src = ClinicalScenario::MakeHmoSource(p, *rates);
-    if (!src.ok()) return 1;
-    sources.push_back(std::move(*src));
-    raw.push_back(sources.back().get());
+    Table table(piye::relational::Schema{{"test", ColumnType::kString},
+                                         {"rate", ColumnType::kDouble}});
+    for (size_t m = 0; m < 3; ++m) {
+      table.AppendRowUnchecked(
+          {Value::Str(published.measures[m]), Value::Real((*rates)[m][p])});
+    }
+    raw.push_back(std::move(table));
   }
   auto published_rows =
       piye::core::NaiveIntegrator::PublishGroupedAggregates(raw, "test", "rate");
@@ -74,7 +82,6 @@ int main() {
     std::printf("%-13s %7.1f%% %7.1f%%\n", row.group.c_str(), row.mean, row.stddev);
   }
 
-  PublishedAggregates published = PublishedAggregates::Figure1();
   AttackerKnowledge attacker = AttackerKnowledge::Figure1();
   for (size_t m = 0; m < 3; ++m) {
     published.measure_mean[m] = (*published_rows)[m].mean;

@@ -10,18 +10,17 @@ namespace core {
 
 Result<std::vector<NaiveIntegrator::PublishedRow>>
 NaiveIntegrator::PublishGroupedAggregates(
-    const std::vector<const source::RemoteSource*>& sources,
+    const std::vector<relational::Table>& tables,
     const std::string& group_column, const std::string& value_column) {
-  if (sources.empty()) return Status::InvalidArgument("no sources");
+  if (tables.empty()) return Status::InvalidArgument("no sources");
   // Groups in first-appearance order over the sources' raw tables, in
   // source order.
   std::map<std::string, std::vector<double>> groups;
   std::vector<std::string> order;
-  for (const auto* src : sources) {
-    if (!(src->schema() == sources[0]->schema())) {
+  for (const relational::Table& raw : tables) {
+    if (!(raw.schema() == tables[0].schema())) {
       return Status::InvalidArgument("naive integration requires matching schemas");
     }
-    const relational::Table& raw = src->raw_table_for_testing();
     PIYE_ASSIGN_OR_RETURN(size_t group_idx, raw.schema().IndexOf(group_column));
     PIYE_ASSIGN_OR_RETURN(size_t value_idx, raw.schema().IndexOf(value_column));
     const relational::ColumnVector& group = raw.col(group_idx);

@@ -45,8 +45,8 @@ CancelToken CancelToken::WithDeadline(TimePoint deadline) const {
 
 bool CancelToken::SleepFor(std::chrono::microseconds duration) const {
   const auto now = std::chrono::steady_clock::now();
-  // Wake at the deadline even mid-sleep: a hung-source simulation or a retry
-  // backoff must not outlive the query that asked for it.
+  // Wake at the deadline even mid-sleep: a retry backoff must not outlive
+  // the query that asked for it.
   const TimePoint wake = std::min(now + duration, deadline_);
   if (state_ == nullptr) {
     if (wake > now) std::this_thread::sleep_until(wake);

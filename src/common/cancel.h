@@ -2,6 +2,7 @@
 #define PIYE_COMMON_CANCEL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include "common/status.h"
@@ -26,11 +27,16 @@ struct CancelState;
 /// existed. Checking is polling-based (`cancelled()` / `Check()` at natural
 /// pipeline boundaries) plus `SleepFor`, an interruptible sleep that a
 /// `CancelSource::RequestCancel` wakes immediately — which is what lets a
-/// retry backoff or an injected-fault hang stop mid-sleep instead of running
-/// to completion.
+/// retry backoff stop mid-sleep instead of running to completion.
 class CancelToken {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
+
+  /// The longest timeout a caller may turn into a deadline: one day. Far
+  /// larger ones overflow the nanosecond steady-clock arithmetic, so every
+  /// timeout that comes from outside (a query option, a budget read off the
+  /// wire) is refused or clamped to this first.
+  static constexpr int64_t kMaxTimeoutMs = 24LL * 60 * 60 * 1000;
 
   /// Never cancelled, no deadline.
   CancelToken() = default;

@@ -30,7 +30,8 @@ constexpr std::chrono::microseconds kRetryBackoffCap{5000};
 constexpr std::chrono::milliseconds kCancelPollInterval{2};
 
 /// A deadline of "none" is the steady clock's far future. Negative values
-/// were rejected by ValidateOptions before this runs.
+/// and values above QueryOptions::kMaxDeadlineMs were rejected by
+/// ValidateOptions before this runs.
 std::chrono::steady_clock::time_point ComputeDeadline(
     std::chrono::steady_clock::time_point start, int64_t deadline_ms) {
   if (deadline_ms == 0) return std::chrono::steady_clock::time_point::max();
@@ -667,6 +668,12 @@ Status MediationEngine::ValidateOptions(const QueryOptions& options) const {
     return Status::InvalidArgument(
         "QueryOptions.deadline_ms must be >= 0 (0 = no deadline), got " +
         std::to_string(options.deadline_ms));
+  }
+  if (options.deadline_ms > QueryOptions::kMaxDeadlineMs) {
+    return Status::InvalidArgument(
+        "QueryOptions.deadline_ms " + std::to_string(options.deadline_ms) +
+        " exceeds the limit of " + std::to_string(QueryOptions::kMaxDeadlineMs) +
+        " (one day; 0 = no deadline)");
   }
   if (options.max_retries > QueryOptions::kMaxRetriesLimit) {
     return Status::InvalidArgument(

@@ -30,9 +30,11 @@ struct QueryOptions {
 
   /// Per-source deadline in milliseconds, measured from fan-out start. A
   /// source that has not answered in time lands in `sources_skipped` with a
-  /// DeadlineExceeded reason. 0 ⇒ no deadline; negative values are rejected
-  /// with kInvalidArgument at the top of Execute.
+  /// DeadlineExceeded reason. 0 ⇒ no deadline; negative values and values
+  /// above kMaxDeadlineMs are rejected with kInvalidArgument at the top of
+  /// Execute.
   int64_t deadline_ms = 0;
+  static constexpr int64_t kMaxDeadlineMs = CancelToken::kMaxTimeoutMs;
 
   /// Bounded retry for *transient* (kUnavailable) source failures, with
   /// exponential backoff between attempts. Privacy refusals are never

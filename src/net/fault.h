@@ -11,18 +11,17 @@
 namespace piye {
 namespace net {
 
-/// Seeded, deterministic transport-fault schedule — the wire-level successor
-/// to `RemoteSource::FaultInjection`. Instead of simulating failures inside
-/// the source's address space, these faults happen to the *bytes on the
-/// wire*, so the framing layer, the server's decoder, the client's demux,
-/// and every resilience mechanism above them (retries, breakers, quorum,
-/// budget accounting) are exercised against exactly what a flaky network
-/// does: dropped connections, torn frames, flipped bits, latency spikes,
-/// and mid-response disconnects.
+/// Seeded, deterministic transport-fault schedule, the product's only fault
+/// hook: a source runs just its Figure 2(a) pipeline, and these faults
+/// happen to the *bytes on the wire*. So the framing layer, the server's
+/// decoder, the client's demux, and every resilience mechanism above them
+/// (retries, breakers, quorum, budget accounting) are exercised against
+/// exactly what a flaky network does: dropped connections, torn frames,
+/// flipped bits, latency spikes, and mid-response disconnects.
 ///
 /// Decisions are drawn from an RNG stream derived from `seed` and a per-
 /// operation counter, so a given plan misbehaves reproducibly in operation
-/// order (the same convention the in-process hooks used).
+/// order.
 struct FaultPlan {
   uint64_t seed = 0;
   /// Probability a write is swallowed and the connection killed (the peer

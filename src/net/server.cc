@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
@@ -287,8 +288,12 @@ void SourceServer::DispatchExecute(std::shared_ptr<Connection> conn,
                             source::PiqlQuery::Decode(req.fragment));
       CancelToken token = cancel_source.token();
       if (req.deadline_budget_ms > 0) {
+        // The budget is the peer's number: clamp it before it meets the
+        // clock, where a larger one would wrap into the past.
+        const uint64_t budget_ms = std::min<uint64_t>(
+            req.deadline_budget_ms, CancelToken::kMaxTimeoutMs);
         token = token.WithTimeout(
-            std::chrono::milliseconds(req.deadline_budget_ms));
+            std::chrono::milliseconds(static_cast<int64_t>(budget_ms)));
       }
       PIYE_ASSIGN_OR_RETURN(resp.result, src->ExecuteFragment(fragment, token));
       return Status::OK();

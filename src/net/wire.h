@@ -48,6 +48,7 @@ struct ExecuteRequest {
   /// Remaining budget the mediator grants this fragment; 0 = no deadline.
   /// The server derives its own CancelToken deadline from this, so the
   /// mediator's per-source deadline propagates across the process boundary.
+  /// A budget above CancelToken::kMaxTimeoutMs is clamped to it.
   uint64_t deadline_budget_ms = 0;
 };
 std::string EncodeExecuteRequest(const ExecuteRequest& req);

@@ -1,9 +1,7 @@
 #include "source/remote_source.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
-#include <thread>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -157,31 +155,6 @@ RemoteSource::ScanStats RemoteSource::scan_stats() const {
 Result<RemoteSource::FragmentResult> RemoteSource::ExecuteFragment(
     const PiqlQuery& fragment, const CancelToken& cancel) const {
   PIYE_RETURN_NOT_OK(cancel.Check());
-  // (F) Fault injection, when configured: the source misbehaves the way an
-  // autonomous federated service does — slow, transiently failing, or hung.
-  // The sleeps are token-interruptible: a cancelled query does not hold a
-  // pool thread hostage for the remainder of a simulated hang.
-  if (faults_.latency_micros > 0 || faults_.error_rate > 0.0 ||
-      faults_.drop_rate > 0.0) {
-    if (faults_.latency_micros > 0 &&
-        !cancel.SleepFor(std::chrono::microseconds(faults_.latency_micros))) {
-      return cancel.status();
-    }
-    const uint64_t call = fault_calls_.fetch_add(1, std::memory_order_relaxed);
-    Rng fault_rng(faults_.seed ^ (call * 0x9E3779B97F4A7C15ULL) ^
-                  0xD1B54A32D192ED03ULL);
-    if (fault_rng.NextBernoulli(faults_.drop_rate)) {
-      if (!cancel.SleepFor(std::chrono::microseconds(faults_.hang_micros))) {
-        return cancel.status();
-      }
-      return Status::Unavailable("injected drop: source '" + owner_ +
-                                 "' hung past its deadline");
-    }
-    if (fault_rng.NextBernoulli(faults_.error_rate)) {
-      return Status::Unavailable("injected fault: source '" + owner_ +
-                                 "' failed transiently");
-    }
-  }
 
   // (0) Privacy views define what exists at all.
   PIYE_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot, CurrentSnapshot());

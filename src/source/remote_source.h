@@ -63,24 +63,6 @@ class RemoteSource : public FederatedSource {
     preservation_ = PreservationModule(config);
   }
 
-  /// Seeded fault injection for testing and benchmarking the mediation
-  /// engine's degradation behaviour against a misbehaving autonomous
-  /// source. Faults apply per `ExecuteFragment` call: every call first
-  /// sleeps `latency_micros`; then, with probability `error_rate`, fails
-  /// with `kUnavailable` (a transient fault the engine may retry); with
-  /// probability `drop_rate`, simulates a hang — sleeping `hang_micros`
-  /// before failing, long enough to trip any realistic per-source deadline.
-  /// Decisions are drawn from an RNG stream seeded by `seed` and a per-call
-  /// counter, so a given source misbehaves reproducibly in call order.
-  struct FaultInjection {
-    uint64_t latency_micros = 0;
-    double error_rate = 0.0;
-    double drop_rate = 0.0;
-    uint64_t hang_micros = 50'000;
-    uint64_t seed = 0;
-  };
-  void set_fault_injection(const FaultInjection& faults) { faults_ = faults; }
-
   /// Marks a column whose *name* is itself sensitive: it still participates
   /// in mediated-schema generation (via instance sketches) but is exported
   /// under a salted hash tag, so the mediated schema stays partial
@@ -113,11 +95,10 @@ class RemoteSource : public FederatedSource {
   /// queries rely on).
   ///
   /// `cancel` makes the call cooperative: the pipeline polls the token at
-  /// its stage boundaries and the fault-injection sleeps are interruptible,
-  /// so an expired query deadline or a caller cancellation returns promptly
-  /// with the token's status (kDeadlineExceeded / kCancelled) instead of
-  /// running the remaining stages — or sleeping out a simulated hang — for
-  /// an answer nobody will read. The default token never fires.
+  /// its stage boundaries, so an expired query deadline or a caller
+  /// cancellation returns promptly with the token's status
+  /// (kDeadlineExceeded / kCancelled) instead of running the remaining
+  /// stages for an answer nobody will read. The default token never fires.
   Result<FragmentResult> ExecuteFragment(
       const PiqlQuery& fragment, const CancelToken& cancel = {}) const override;
 
@@ -133,10 +114,6 @@ class RemoteSource : public FederatedSource {
   /// coarsened form is exported with a hashed (non-public) name.
   Result<std::vector<match::ColumnSketch>> ExportSketches(
       const std::string& shared_key) const override;
-
-  /// Direct (policy-bypassing) access for tests and for the no-privacy
-  /// baseline integrator in the benchmarks.
-  const relational::Table& raw_table_for_testing() const { return raw_; }
 
   /// Test hook: running totals of the scan's choices, for tests and
   /// benches.
@@ -176,10 +153,6 @@ class RemoteSource : public FederatedSource {
   QueryTransformer transformer_;
   uint64_t perturb_seed_;
   uint64_t rsq_seed_;
-  FaultInjection faults_;
-  /// Per-call fault-decision counter (atomic so concurrent callers draw
-  /// distinct fault decisions).
-  mutable std::atomic<uint64_t> fault_calls_{0};
   mutable Mutex snapshot_mu_;
   mutable std::shared_ptr<const Snapshot> snapshot_ GUARDED_BY(snapshot_mu_);
   struct ScanCounters {

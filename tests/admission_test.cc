@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/scenario.h"
 #include "mediator/admission.h"
 #include "mediator/engine.h"
+#include "reference/faulty_source.h"
 #include "source/remote_source.h"
 
 namespace piye {
@@ -488,26 +490,25 @@ TEST(AdmissionControllerTest, ConcurrentBurstConservesEveryQuery) {
 
 // --- Engine-level satellites ---
 
-std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(size_t n) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+source::faultref::Fleet BuildSources(size_t n) {
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = core::ClinicalScenario::MakePatientTables(20, 0.3, 100 + i);
     auto src = std::make_unique<source::RemoteSource>(
         "hospital" + std::to_string(i), "patients", std::move(tables.hospital),
         /*seed=*/i + 1);
     core::ClinicalScenario::ApplyPatientPolicies(src.get());
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src));
   }
   return sources;
 }
 
 std::unique_ptr<mediator::MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<source::RemoteSource>>& sources,
-    mediator::MediationEngine::Options options) {
+    const source::faultref::Fleet& sources, mediator::MediationEngine::Options options) {
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
@@ -536,6 +537,28 @@ TEST(QueryOptionsValidationTest, NegativeDeadlineRejected) {
   // Rejected before anything was touched: not even the query counter moved.
   EXPECT_EQ(engine->metrics()->counter("engine.queries"), 0u);
   EXPECT_EQ(engine->history()->size(), 0u);
+}
+
+TEST(QueryOptionsValidationTest, DeadlineAboveLimitRejected) {
+  // deadline_ms is added to a nanosecond steady-clock time point: this much
+  // would wrap to a deadline in the past and skip every source.
+  auto sources = BuildSources(2);
+  auto engine = BuildEngine(sources, {});
+  const auto query = MakeQuery("<select>patient_id</select>");
+  mediator::QueryOptions options = LiveOptions();
+  options.deadline_ms = std::numeric_limits<int64_t>::max() / 1000;
+  auto result = engine->Execute(query, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+  EXPECT_EQ(engine->metrics()->counter("engine.queries"), 0u);
+  options.deadline_ms = mediator::QueryOptions::kMaxDeadlineMs + 1;
+  result = engine->Execute(query, options);
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+  // The limit itself is a deadline like any other: every source answers.
+  options.deadline_ms = mediator::QueryOptions::kMaxDeadlineMs;
+  result = engine->Execute(query, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->sources_answered.size(), 2u);
 }
 
 TEST(QueryOptionsValidationTest, RetryCountAboveLimitRejected) {
@@ -608,12 +631,12 @@ TEST(BreakerShedInteractionTest, CallerCancellationDoesNotBlameSources) {
   // A caller that gives up mid-flight is not a source failure either: the
   // fragments stop cooperatively and the breakers stay untouched.
   auto sources = BuildSources(3);
-  for (auto& src : sources) {
-    source::RemoteSource::FaultInjection faults;
+  for (auto& src : sources.faulty) {
+    source::faultref::FaultySource::Plan faults;
     faults.drop_rate = 1.0;  // every call hangs...
     faults.hang_micros = 2'000'000;
     faults.seed = 42;
-    src->set_fault_injection(faults);
+    src->set_plan(faults);
   }
   mediator::MediationEngine::Options engine_options;
   engine_options.worker_threads = 4;

@@ -32,6 +32,7 @@
 #include "common/cancel.h"
 #include "core/scenario.h"
 #include "mediator/engine.h"
+#include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 
@@ -42,9 +43,10 @@ std::string TableBytes(const relational::Table& t) {
   return relational::EncodeTable(t);
 }
 
-std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(
-    size_t n, uint64_t latency_micros) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+using source::faultref::FaultySource;
+
+source::faultref::Fleet BuildSources(size_t n, uint64_t latency_micros) {
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = core::ClinicalScenario::MakePatientTables(20, 0.3, 100 + i);
     auto src = std::make_unique<source::RemoteSource>(
@@ -56,23 +58,17 @@ std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(
     for (const char* requester : {"alice", "bob"}) {
       EXPECT_TRUE(src->mutable_rbac()->AssignRole(requester, "analyst").ok());
     }
-    if (latency_micros > 0) {
-      source::RemoteSource::FaultInjection faults;
-      faults.latency_micros = latency_micros;
-      src->set_fault_injection(faults);
-    }
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = latency_micros});
   }
   return sources;
 }
 
 std::unique_ptr<mediator::MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<source::RemoteSource>>& sources,
-    mediator::MediationEngine::Options options) {
+    const source::faultref::Fleet& sources, mediator::MediationEngine::Options options) {
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
@@ -259,12 +255,12 @@ TEST(ChaosSoakTest, PreExpiredDeadlineRejectedBeforeAnyDispatch) {
 // charges nothing, and the hung fragments die cooperatively.
 TEST(ChaosSoakTest, ExpiredDeadlineReturnsWithinTwiceTheDeadline) {
   auto sources = BuildSources(3, /*latency_micros=*/0);
-  for (auto& src : sources) {
-    source::RemoteSource::FaultInjection faults;
+  for (auto& src : sources.faulty) {
+    FaultySource::Plan faults;
     faults.drop_rate = 1.0;
     faults.hang_micros = 2'000'000;  // 2 s hang vs a 150 ms deadline
     faults.seed = 7;
-    src->set_fault_injection(faults);
+    src->set_plan(faults);
   }
   mediator::MediationEngine::Options options;
   options.worker_threads = 4;
@@ -288,12 +284,12 @@ TEST(ChaosSoakTest, ExpiredDeadlineReturnsWithinTwiceTheDeadline) {
 // the engine keeps serving afterwards.
 TEST(ChaosSoakTest, CancellationStopsHungFragmentsAndEngineStaysServable) {
   auto sources = BuildSources(3, /*latency_micros=*/0);
-  for (auto& src : sources) {
-    source::RemoteSource::FaultInjection faults;
+  for (auto& src : sources.faulty) {
+    FaultySource::Plan faults;
     faults.drop_rate = 1.0;
     faults.hang_micros = 2'000'000;
     faults.seed = 11;
-    src->set_fault_injection(faults);
+    src->set_plan(faults);
   }
   mediator::MediationEngine::Options options;
   options.worker_threads = 4;
@@ -316,8 +312,8 @@ TEST(ChaosSoakTest, CancellationStopsHungFragmentsAndEngineStaysServable) {
   EXPECT_EQ(engine->history()->size(), 0u);
 
   // The engine is still fully servable: heal the sources and query again.
-  for (auto& src : sources) {
-    src->set_fault_injection(source::RemoteSource::FaultInjection{});
+  for (auto& src : sources.faulty) {
+    src->set_plan({});
   }
   auto after = engine->Execute(MakeQuery(), LiveOptions());
   EXPECT_TRUE(after.ok()) << after.status().ToString();
@@ -344,11 +340,11 @@ TEST(ChaosSoakTest, SeededFaultStormSoakHoldsInvariantsEveryRound) {
   for (int round = 0; round < kRounds; ++round) {
     // A different (but seeded, reproducible) fault storm each round.
     for (size_t s = 0; s < sources.size(); ++s) {
-      source::RemoteSource::FaultInjection faults;
+      FaultySource::Plan faults;
       faults.latency_micros = 1000;
       faults.error_rate = 0.25;
       faults.seed = 1000 + static_cast<uint64_t>(round) * 10 + s;
-      sources[s]->set_fault_injection(faults);
+      sources.faulty[s]->set_plan(faults);
     }
     std::vector<std::thread> threads;
     for (int i = 0; i < kOfferedPerRound; ++i) {

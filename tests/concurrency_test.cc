@@ -24,6 +24,7 @@
 #include "mediator/engine.h"
 #include "relational/sql.h"
 #include "relational/table_codec.h"
+#include "reference/faulty_source.h"
 
 namespace piye {
 namespace {
@@ -357,34 +358,29 @@ std::string TableBytes(const relational::Table& t) {
   return relational::EncodeTable(t);
 }
 
-std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(
-    size_t n, uint64_t latency_micros = 0) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+using source::faultref::FaultySource;
+
+source::faultref::Fleet BuildSources(size_t n, uint64_t latency_micros = 0) {
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = core::ClinicalScenario::MakePatientTables(20, 0.3, 100 + i);
     auto src = std::make_unique<source::RemoteSource>(
         "hospital" + std::to_string(i), "patients", std::move(tables.hospital),
         /*seed=*/i + 1);
     core::ClinicalScenario::ApplyPatientPolicies(src.get());
-    if (latency_micros > 0) {
-      source::RemoteSource::FaultInjection faults;
-      faults.latency_micros = latency_micros;
-      src->set_fault_injection(faults);
-    }
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = latency_micros});
   }
   return sources;
 }
 
 std::unique_ptr<mediator::MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<source::RemoteSource>>& sources,
-    size_t worker_threads) {
+    const source::faultref::Fleet& sources, size_t worker_threads) {
   mediator::MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = worker_threads;
   auto engine = std::make_unique<mediator::MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
@@ -400,6 +396,91 @@ source::PiqlQuery MakeQuery(const std::string& body) {
       "</query>");
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   return *q;
+}
+
+// --- FaultySource: the misbehaving source the engine tests run against ---
+
+/// One character per call of `source`: '.' answered, 'E' an injected fault,
+/// 'D' an injected drop.
+std::string FaultSchedule(const FaultySource& source, int calls) {
+  const auto query = MakeQuery("<select>patient_id</select>");
+  std::string out;
+  for (int i = 0; i < calls; ++i) {
+    auto result = source.ExecuteFragment(query);
+    const std::string message = result.ok() ? "" : result.status().message();
+    out += result.ok()                                         ? '.'
+           : message.find("injected drop") != std::string::npos  ? 'D'
+           : message.find("injected fault") != std::string::npos ? 'E'
+                                                                 : '?';
+  }
+  return out;
+}
+
+TEST(FaultySourceTest, DrawsTheRecordedScheduleForEachSeed) {
+  // Recorded from the fault hook that RemoteSource carried before this
+  // decorator replaced it: each seed fails and hangs on the same calls.
+  struct Case {
+    uint64_t seed;
+    double error_rate;
+    double drop_rate;
+    const char* schedule;
+  };
+  const Case cases[] = {
+      {7, 0.25, 0.0, ".E.E.......EE.........E.....EE.EE..E....E.E.EE.."},
+      {42, 0.0, 0.3, "D.D.D.....D..D........D...D.....D..DD...D..D.D.."},
+      {1003, 0.25, 0.1, "..E.....ED..EDE.....DE..E..........DD....E......"},
+      {0, 0.5, 0.2, "E.EE.ED.E....EE.DDED.E..EE..E.EEDDE...D.EEDEDDEE"},
+      {11, 0.1, 0.1, "D....D..E....D.......D...................E....DD"},
+  };
+  auto sources = BuildSources(1);
+  for (const Case& c : cases) {
+    FaultySource faulty(sources.sources[0].get(), {.error_rate = c.error_rate,
+                                                   .drop_rate = c.drop_rate,
+                                                   .hang_micros = 0,
+                                                   .seed = c.seed});
+    EXPECT_EQ(FaultSchedule(faulty, 48), c.schedule) << "seed " << c.seed;
+  }
+}
+
+TEST(FaultySourceTest, SwappedPlansShareOneCallCounter) {
+  // A pass-through plan draws nothing; the next plan resumes the count.
+  // Recorded from the same old hook as above.
+  auto sources = BuildSources(1);
+  FaultySource& faulty = *sources.faulty[0];
+  faulty.set_plan({.error_rate = 0.25, .hang_micros = 0, .seed = 7});
+  EXPECT_EQ(FaultSchedule(faulty, 8), ".E.E....");
+  faulty.set_plan({});
+  EXPECT_EQ(FaultSchedule(faulty, 4), "....");
+  faulty.set_plan({.drop_rate = 0.3, .hang_micros = 0, .seed = 42});
+  EXPECT_EQ(FaultSchedule(faulty, 8), "..D..D..");
+}
+
+TEST(FaultySourceTest, PlanSwapWhileAnAbandonedCallHangs) {
+  // Nobody waits for the hung call (its token never fires). While it
+  // sleeps, the plan is healed and then broken differently: later calls see
+  // each new plan, and the hung call ends with the plan it started under.
+  auto sources = BuildSources(1);
+  FaultySource& faulty = *sources.faulty[0];
+  faulty.set_plan({.drop_rate = 1.0, .hang_micros = 300'000, .seed = 3});
+  const auto query = MakeQuery("<select>patient_id</select>");
+  std::atomic<bool> calling{false};
+  Status hung_status;
+  std::thread hung([&] {
+    calling.store(true);
+    hung_status = faulty.ExecuteFragment(query).status();
+  });
+  while (!calling.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  faulty.set_plan({});
+  EXPECT_EQ(FaultSchedule(faulty, 4), "....");
+  faulty.set_plan({.error_rate = 1.0, .seed = 5});
+  EXPECT_EQ(FaultSchedule(faulty, 2), "EE");
+  hung.join();
+  EXPECT_TRUE(hung_status.IsUnavailable()) << hung_status.ToString();
+  EXPECT_NE(hung_status.message().find("injected drop: source 'hospital0'"),
+            std::string::npos)
+      << hung_status.ToString();
 }
 
 TEST(EngineFanoutTest, ParallelOutputIsByteIdenticalToSerial) {
@@ -454,15 +535,15 @@ TEST(EngineFanoutTest, FaultySourcesAreSkippedWithReasons) {
   auto sources = BuildSources(8);
   // Source 2 fails transiently on every attempt; source 5 hangs well past
   // the per-source deadline.
-  source::RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
   erroring.seed = 7;
-  sources[2]->set_fault_injection(erroring);
-  source::RemoteSource::FaultInjection hanging;
+  sources.faulty[2]->set_plan(erroring);
+  FaultySource::Plan hanging;
   hanging.drop_rate = 1.0;
   hanging.hang_micros = 200'000;
   hanging.seed = 8;
-  sources[5]->set_fault_injection(hanging);
+  sources.faulty[5]->set_plan(hanging);
 
   auto engine = BuildEngine(sources, 8);
   mediator::QueryOptions options = LiveOptions();
@@ -482,9 +563,9 @@ TEST(EngineFanoutTest, FaultySourcesAreSkippedWithReasons) {
 
 TEST(EngineFanoutTest, QuorumEnforcement) {
   auto sources = BuildSources(4);
-  source::RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
-  sources[0]->set_fault_injection(erroring);
+  sources.faulty[0]->set_plan(erroring);
   auto engine = BuildEngine(sources, 4);
   const auto query = MakeQuery("<select>patient_id</select>");
 
@@ -508,9 +589,9 @@ TEST(EngineFanoutTest, AllSourcesDownIsUnavailableNotPrivacyViolation) {
   // verdict: the caller should see kUnavailable (retryable) and the per-source
   // reasons, never a misleading PrivacyViolation.
   auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
-  for (auto& s : sources) s->set_fault_injection(erroring);
+  for (auto& s : sources.faulty) s->set_plan(erroring);
   auto engine = BuildEngine(sources, 4);
   auto result =
       engine->Execute(MakeQuery("<select>patient_id</select>"), LiveOptions());
@@ -524,11 +605,11 @@ TEST(EngineFanoutTest, DefaultEngineShedsAPersistentlyFailingSource) {
   // source that fails every call is shed after `failure_threshold`
   // consecutive failures, and Health reports its breaker open.
   auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
-  sources[1]->set_fault_injection(erroring);
+  sources.faulty[1]->set_plan(erroring);
   mediator::MediationEngine engine;
-  for (const auto& src : sources) ASSERT_TRUE(engine.RegisterSource(src.get()).ok());
+  for (const auto& src : sources.faulty) ASSERT_TRUE(engine.RegisterSource(src.get()).ok());
   ASSERT_TRUE(engine.GenerateMediatedSchema("shared-key").ok());
   const auto query = MakeQuery("<select>patient_id</select>");
 
@@ -605,9 +686,9 @@ TEST(EngineFanoutTest, RequesterOverrideKeysTheWarehouse) {
 }
 
 /// One source per row list, each releasing patient_id and ward exactly.
-std::vector<std::unique_ptr<source::RemoteSource>> WardSources(
+source::faultref::Fleet WardSources(
     const std::vector<std::vector<std::pair<std::string, std::string>>>& rows) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < rows.size(); ++i) {
     relational::Table table(relational::Schema{
         {"patient_id", relational::ColumnType::kString},
@@ -619,7 +700,7 @@ std::vector<std::unique_ptr<source::RemoteSource>> WardSources(
     auto src = std::make_unique<source::RemoteSource>(
         "clinic" + std::to_string(i), "visits", std::move(table), /*seed=*/i + 1);
     core::ClinicalScenario::ApplyPatientPolicies(src.get());
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src));
   }
   return sources;
 }
@@ -652,9 +733,9 @@ TEST(EngineFanoutTest, WarehouseKeyCoversTheQuorum) {
   // materialized. A later caller demanding all three must get the quorum
   // failure, not the cached partial answer.
   auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection erroring;
+  FaultySource::Plan erroring;
   erroring.error_rate = 1.0;
-  sources[0]->set_fault_injection(erroring);
+  sources.faulty[0]->set_plan(erroring);
   auto engine = BuildEngine(sources, 3);
   const auto query = MakeQuery("<select>patient_id</select>");
   auto partial = engine->Execute(query);
@@ -729,7 +810,7 @@ TEST(EngineFanoutTest, PerQueryWarehouseOptOut) {
   engine_options.max_combined_loss = 0.95;
   engine_options.max_cumulative_loss = 1e9;
   mediator::MediationEngine engine(engine_options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     ASSERT_TRUE(engine.RegisterSource(src.get()).ok());
   }
   ASSERT_TRUE(engine.GenerateMediatedSchema("k").ok());
@@ -889,9 +970,9 @@ TEST(SourceSnapshotTest, ConcurrentColdStartsBuildEachIndexOnce) {
 // --- Registration API ---
 
 TEST(RegistrationTest, DuplicateOwnerRejected) {
-  auto sources = BuildSources(2);
+  auto fleet = BuildSources(2);
   mediator::MediationEngine engine;
-  ASSERT_TRUE(engine.RegisterSource(sources[0].get()).ok());
+  ASSERT_TRUE(engine.RegisterSource(fleet.sources[0].get()).ok());
   auto tables = core::ClinicalScenario::MakePatientTables(5, 0.5, 9);
   source::RemoteSource dup("hospital0", "other", std::move(tables.hospital));
   const Status status = engine.RegisterSource(&dup);
@@ -900,11 +981,11 @@ TEST(RegistrationTest, DuplicateOwnerRejected) {
 }
 
 TEST(RegistrationTest, RegistrationAfterInitializeRejected) {
-  auto sources = BuildSources(2);
+  auto fleet = BuildSources(2);
   mediator::MediationEngine engine;
-  ASSERT_TRUE(engine.RegisterSource(sources[0].get()).ok());
+  ASSERT_TRUE(engine.RegisterSource(fleet.sources[0].get()).ok());
   ASSERT_TRUE(engine.GenerateMediatedSchema("k").ok());
-  const Status status = engine.RegisterSource(sources[1].get());
+  const Status status = engine.RegisterSource(fleet.sources[1].get());
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(engine.SourceOwners().size(), 1u);
   EXPECT_FALSE(engine.RegisterSource(nullptr).ok());

@@ -120,13 +120,15 @@ TEST_F(Figure1Test, NaiveIntegratorPublishesAndAttackSucceeds) {
   // Build the four HMO sources and integrate them naively (the Example 1
   // world): exact aggregates get published, and the snooping HMO recovers
   // tight intervals on everyone's sensitive rates.
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
-  std::vector<const source::RemoteSource*> raw;
+  // The naive integrator is handed each HMO's table (no privacy view is
+  // registered, so the effective table is the raw one).
+  std::vector<relational::Table> raw;
   for (size_t p = 0; p < 4; ++p) {
     auto src = ClinicalScenario::MakeHmoSource(p, rates_);
     ASSERT_TRUE(src.ok());
-    sources.push_back(std::move(*src));
-    raw.push_back(sources.back().get());
+    auto table = (*src)->EffectiveTable();
+    ASSERT_TRUE(table.ok());
+    raw.push_back(std::move(*table));
   }
   auto published_rows =
       NaiveIntegrator::PublishGroupedAggregates(raw, "test", "rate");
@@ -171,8 +173,7 @@ TEST(NaiveIntegratorTest, GroupWhoseFirstValueIsNullIsPublishedOnce) {
   table.AppendRowUnchecked({relational::Value::Str("a"), relational::Value::Null()});
   table.AppendRowUnchecked({relational::Value::Str("a"), relational::Value::Real(1.0)});
   table.AppendRowUnchecked({relational::Value::Str("b"), relational::Value::Real(2.0)});
-  const source::RemoteSource src("HMO1", "compliance", std::move(table));
-  auto rows = NaiveIntegrator::PublishGroupedAggregates({&src}, "test", "rate");
+  auto rows = NaiveIntegrator::PublishGroupedAggregates({table}, "test", "rate");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0].group, "a");

@@ -54,6 +54,7 @@ const std::vector<RuleFixture>& Fixtures() {
       {"row-loop", "row-loop.cc", "src/perturb/fixture.cc"},
       {"manual-snapshot", "manual-snapshot.cc", "src/mediator/fixture.cc"},
       {"piql-text", "piql-text.cc", "src/mediator/fixture.cc"},
+      {"for-testing", "for-testing.h", "src/source/fixture.h"},
   };
   return kFixtures;
 }
@@ -205,6 +206,17 @@ TEST(LintPaths, RowLoopCoversAllOfSrc) {
   EXPECT_TRUE(LintOne("src/statdb/fixture.cc", "size_t n = table.num_rows();\n").empty());
   // The test and bench trees keep their row-engine oracles.
   EXPECT_TRUE(LintOne("tests/reference/fixture.cc", content).empty());
+}
+
+TEST(LintPaths, ForTestingCoversOnlySrc) {
+  const std::string content = ReadFixture("bad", "for-testing.h");
+  EXPECT_EQ(LintOne("src/mediator/fixture.cc", content).size(), 1u);
+  // The test tree is where test-only access lives.
+  EXPECT_TRUE(LintOne("tests/reference/fixture.h", content).empty());
+  // Only a suffix of a whole identifier counts.
+  EXPECT_TRUE(LintOne("src/source/fixture.cc", "int _for_testing = 0;\n").empty());
+  EXPECT_TRUE(LintOne("src/source/fixture.cc", "int a_for_testing_b = 0;\n").empty());
+  EXPECT_EQ(LintOne("src/source/fixture.cc", "x.reset_for_testing();\n").size(), 1u);
 }
 
 TEST(LintPaths, SrcScopedRulesCoverLab) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,9 +28,12 @@
 #include "net/frame.h"
 #include "net/net_source.h"
 #include "net/server.h"
+#include "net/socket.h"
+#include "net/transport.h"
 #include "net/wire.h"
 #include "persist/codec.h"
 #include "policy/policy.h"
+#include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 
@@ -474,6 +478,8 @@ std::string UniqueSocketPath(const std::string& tag) {
 
 struct Cluster {
   std::vector<std::unique_ptr<source::RemoteSource>> sources;
+  /// What each server hosts: its source behind a pass-through FaultySource.
+  std::vector<std::unique_ptr<source::faultref::FaultySource>> faulty;
   std::vector<std::unique_ptr<net::SourceServer>> servers;
   std::vector<std::shared_ptr<net::NetClient>> clients;
   std::vector<std::unique_ptr<net::NetSource>> net_sources;
@@ -488,9 +494,10 @@ struct Cluster {
 };
 
 /// One server process-equivalent per source, all in this test process:
-/// engine -> NetSource -> NetClient -> socket -> SourceServer -> the very
-/// same RemoteSource objects the baseline engine calls directly, so any
-/// byte difference is the wire's fault.
+/// engine -> NetSource -> NetClient -> socket -> SourceServer -> FaultySource
+/// (pass-through unless a test sets a plan) -> the very same RemoteSource
+/// objects the baseline engine calls directly, so any byte difference is
+/// the wire's fault.
 Cluster BuildCluster(const std::string& tag, bool tcp = false,
                      net::FaultPlan client_fault = {}) {
   Cluster cluster;
@@ -511,8 +518,10 @@ Cluster BuildCluster(const std::string& tag, bool tcp = false,
     server_config.listen_address =
         tcp ? "tcp:127.0.0.1:0"
             : UniqueSocketPath(tag + "_" + std::to_string(i));
+    auto faulty = std::make_unique<source::faultref::FaultySource>(
+        src.get(), source::faultref::FaultySource::Plan{});
     auto server = std::make_unique<net::SourceServer>(server_config);
-    server->AddSource(src.get());
+    server->AddSource(faulty.get());
     EXPECT_TRUE(server->Start().ok());
 
     net::ClientConfig client_config;
@@ -524,6 +533,7 @@ Cluster BuildCluster(const std::string& tag, bool tcp = false,
         std::make_unique<net::NetSource>(owners[i], client));
     cluster.clients.push_back(std::move(client));
     cluster.servers.push_back(std::move(server));
+    cluster.faulty.push_back(std::move(faulty));
     cluster.sources.push_back(std::move(src));
   }
   return cluster;
@@ -796,6 +806,51 @@ TEST(NetFederationTest, OverBoundFragmentIsRefusedAndTheServerKeepsServing) {
   client.Close();
 }
 
+TEST(NetFederationTest, HugeDeadlineBudgetIsClampedNotWrapped) {
+  // deadline_budget_ms is whatever the peer sends. A budget too large for a
+  // steady-clock time point is clamped, not wrapped into a deadline in the
+  // past (or, larger still, overflowed in the clock arithmetic).
+  Cluster cluster = BuildCluster("hugebudget");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto socket = net::Dial(cluster.servers[0]->bound_address(), deadline);
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  net::SocketTransport transport(std::move(*socket));
+  net::Frame hello;
+  hello.type = net::MessageType::kHello;
+  hello.request_id = 1;
+  hello.payload = net::EncodeHello("raw-peer");
+  ASSERT_TRUE(net::WriteFrame(transport, hello, deadline).ok());
+  auto ack = net::ReadFrame(transport, deadline, std::chrono::seconds(5));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->type, net::MessageType::kHelloAck);
+
+  const uint64_t budgets[] = {
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max() / 1000),
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+      std::numeric_limits<uint64_t>::max()};
+  uint64_t request_id = 2;
+  for (uint64_t budget : budgets) {
+    net::ExecuteRequest req;
+    req.owner = "hospital";
+    req.fragment = MakeQuery().CanonicalKey();
+    req.deadline_budget_ms = budget;
+    net::Frame frame;
+    frame.type = net::MessageType::kExecuteRequest;
+    frame.request_id = request_id++;
+    frame.payload = net::EncodeExecuteRequest(req);
+    ASSERT_TRUE(net::WriteFrame(transport, frame, deadline).ok());
+    auto reply = net::ReadFrame(transport, deadline, std::chrono::seconds(5));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, net::MessageType::kExecuteResponse);
+    EXPECT_EQ(reply->request_id, frame.request_id);
+    auto resp = net::DecodeExecuteResponse(reply->payload);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_TRUE(resp->status.ok()) << "budget " << budget << ": "
+                                   << resp->status.ToString();
+    EXPECT_GT(resp->result.table.num_rows(), 0u) << "budget " << budget;
+  }
+}
+
 TEST(NetFederationTest, TcpTransportSmoke) {
   Cluster cluster = BuildCluster("tcp", /*tcp=*/true);
   auto engine = BuildEngine(cluster.net_sources);
@@ -922,10 +977,10 @@ TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
 TEST(NetFederationTest, DeadlinePropagatesAndTimesOutCleanly) {
   Cluster cluster = BuildCluster("deadline");
   // Every source hangs far longer than the query deadline.
-  for (auto& src : cluster.sources) {
-    source::RemoteSource::FaultInjection faults;
+  for (auto& src : cluster.faulty) {
+    source::faultref::FaultySource::Plan faults;
     faults.latency_micros = 300'000;
-    src->set_fault_injection(faults);
+    src->set_plan(faults);
   }
   auto engine = BuildEngine(cluster.net_sources);
   mediator::QueryOptions qopts = LiveOptions();

@@ -24,6 +24,7 @@
 #include "persist/codec.h"
 #include "persist/state_log.h"
 #include "persist/wal.h"
+#include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 
@@ -44,24 +45,23 @@ std::string TestDir(const std::string& name) {
   return p.string();
 }
 
-std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(size_t n) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+source::faultref::Fleet BuildSources(size_t n) {
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = core::ClinicalScenario::MakePatientTables(20, 0.3, 100 + i);
     auto src = std::make_unique<source::RemoteSource>(
         "hospital" + std::to_string(i), "patients", std::move(tables.hospital),
         /*seed=*/i + 1);
     core::ClinicalScenario::ApplyPatientPolicies(src.get());
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src));
   }
   return sources;
 }
 
-std::unique_ptr<MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<source::RemoteSource>>& sources,
-    MediationEngine::Options options) {
+std::unique_ptr<MediationEngine> BuildEngine(const source::faultref::Fleet& sources,
+                                             MediationEngine::Options options) {
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());
@@ -664,10 +664,11 @@ TEST(RecoveryTest, ColumnNamesThatAreNotXmlNamesSurviveRestart) {
                               relational::Value::Str("2001-02-0" + day),
                               relational::Value::Str(i % 2 == 0 ? "flu" : "cold")});
   }
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
-  sources.push_back(std::make_unique<source::RemoteSource>("clinic", "visits",
-                                                           std::move(table), 1));
-  core::ClinicalScenario::ApplyPatientPolicies(sources[0].get());
+  auto clinic = std::make_unique<source::RemoteSource>("clinic", "visits",
+                                                       std::move(table), 1);
+  core::ClinicalScenario::ApplyPatientPolicies(clinic.get());
+  source::faultref::Fleet sources;
+  sources.Add(std::move(clinic));
   MediationEngine::Options options = DurableOptions();
 
   double loss_before = 0.0;
@@ -761,10 +762,10 @@ MediationEngine::Options BreakerOptions(uint32_t threshold,
 
 TEST(EngineBreakerTest, PersistentlyFailingSourceIsShedNotDialed) {
   auto sources = BuildSources(4);
-  source::RemoteSource::FaultInjection faults;
+  source::faultref::FaultySource::Plan faults;
   faults.error_rate = 1.0;
   faults.seed = 11;
-  sources[1]->set_fault_injection(faults);
+  sources.faulty[1]->set_plan(faults);
 
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/2,
                                                     /*cooldown_ms=*/60'000));
@@ -792,10 +793,10 @@ TEST(EngineBreakerTest, PersistentlyFailingSourceIsShedNotDialed) {
 
 TEST(EngineBreakerTest, HalfOpenProbeReadmitsARecoveredSource) {
   auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection faults;
+  source::faultref::FaultySource::Plan faults;
   faults.error_rate = 1.0;
   faults.seed = 5;
-  sources[0]->set_fault_injection(faults);
+  sources.faulty[0]->set_plan(faults);
 
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/2,
                                                     /*cooldown_ms=*/1));
@@ -804,7 +805,7 @@ TEST(EngineBreakerTest, HalfOpenProbeReadmitsARecoveredSource) {
     ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());
   }
   // The source heals; after the cooldown the next query probes and readmits.
-  sources[0]->set_fault_injection(source::RemoteSource::FaultInjection{});
+  sources.faulty[0]->set_plan({});
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   auto r = engine->Execute(query, LiveOptions());
   ASSERT_TRUE(r.ok());
@@ -817,16 +818,16 @@ TEST(EngineBreakerTest, HalfOpenProbeReadmitsARecoveredSource) {
 
 TEST(EngineBreakerTest, BypassDialsAnOpenBreakerSource) {
   auto sources = BuildSources(3);
-  source::RemoteSource::FaultInjection faults;
+  source::faultref::FaultySource::Plan faults;
   faults.error_rate = 1.0;
   faults.seed = 9;
-  sources[0]->set_fault_injection(faults);
+  sources.faulty[0]->set_plan(faults);
 
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/1,
                                                     /*cooldown_ms=*/60'000));
   const auto query = MakeQuery("<select>patient_id</select><select>sex</select>");
   ASSERT_TRUE(engine->Execute(query, LiveOptions()).ok());  // opens breaker
-  sources[0]->set_fault_injection(source::RemoteSource::FaultInjection{});
+  sources.faulty[0]->set_plan({});
 
   // Shed without bypass (the breaker stays open long past this test)...
   auto shed = engine->Execute(query, LiveOptions());
@@ -845,12 +846,12 @@ TEST(EngineBreakerTest, BypassDialsAnOpenBreakerSource) {
 
 TEST(EngineBreakerTest, AllSourcesShedReportsUnavailableNotPrivacy) {
   auto sources = BuildSources(2);
-  source::RemoteSource::FaultInjection faults;
+  source::faultref::FaultySource::Plan faults;
   faults.error_rate = 1.0;
   faults.seed = 3;
-  sources[0]->set_fault_injection(faults);
+  sources.faulty[0]->set_plan(faults);
   faults.seed = 4;
-  sources[1]->set_fault_injection(faults);
+  sources.faulty[1]->set_plan(faults);
 
   auto engine = BuildEngine(sources, BreakerOptions(/*threshold=*/1,
                                                     /*cooldown_ms=*/60'000));
@@ -870,14 +871,14 @@ TEST(EngineBreakerTest, AllSourcesShedReportsUnavailableNotPrivacy) {
 TEST(HealthTest, ReportsSchemaBreakersAndPersistence) {
   const std::string dir = TestDir("health");
   auto sources = BuildSources(2);
-  source::RemoteSource::FaultInjection faults;
+  source::faultref::FaultySource::Plan faults;
   faults.error_rate = 1.0;
   faults.seed = 2;
-  sources[1]->set_fault_injection(faults);
+  sources.faulty[1]->set_plan(faults);
 
   auto options = BreakerOptions(/*threshold=*/1, /*cooldown_ms=*/60'000);
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     ASSERT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   auto report = engine->Health();

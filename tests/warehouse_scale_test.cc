@@ -21,6 +21,7 @@
 #include "mediator/engine.h"
 #include "mediator/warehouse.h"
 #include "relational/table.h"
+#include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 
@@ -238,33 +239,26 @@ std::string TableBytes(const relational::Table& t) {
   return relational::EncodeTable(t);
 }
 
-std::vector<std::unique_ptr<source::RemoteSource>> BuildSources(
-    size_t n, uint64_t latency_micros) {
-  std::vector<std::unique_ptr<source::RemoteSource>> sources;
+source::faultref::Fleet BuildSources(size_t n, uint64_t latency_micros) {
+  source::faultref::Fleet sources;
   for (size_t i = 0; i < n; ++i) {
     auto tables = core::ClinicalScenario::MakePatientTables(20, 0.3, 100 + i);
     auto src = std::make_unique<source::RemoteSource>(
         "hospital" + std::to_string(i), "patients", std::move(tables.hospital),
         /*seed=*/i + 1);
     core::ClinicalScenario::ApplyPatientPolicies(src.get());
-    if (latency_micros > 0) {
-      source::RemoteSource::FaultInjection faults;
-      faults.latency_micros = latency_micros;
-      src->set_fault_injection(faults);
-    }
-    sources.push_back(std::move(src));
+    sources.Add(std::move(src), {.latency_micros = latency_micros});
   }
   return sources;
 }
 
-std::unique_ptr<MediationEngine> BuildEngine(
-    const std::vector<std::unique_ptr<source::RemoteSource>>& sources) {
+std::unique_ptr<MediationEngine> BuildEngine(const source::faultref::Fleet& sources) {
   MediationEngine::Options options;
   options.max_combined_loss = 0.95;
   options.max_cumulative_loss = 1e9;
   options.worker_threads = 4;
   auto engine = std::make_unique<MediationEngine>(options);
-  for (const auto& src : sources) {
+  for (const auto& src : sources.faulty) {
     EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
   }
   EXPECT_TRUE(engine->GenerateMediatedSchema("shared-key").ok());

@@ -136,6 +136,10 @@ bool IsHeader(const std::string& path) {
   return path.size() >= 2 && path.compare(path.size() - 2, 2, ".h") == 0;
 }
 
+bool IsIdentChar(char ch) {
+  return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+}
+
 /// True when `token` occurs in `code` as a complete token: neither neighbor
 /// is an identifier character, so `my_system_clock` and `system_clocks`
 /// never match, while qualified uses (`std::chrono::system_clock`) do.
@@ -145,10 +149,7 @@ bool HasToken(const std::string& code, const std::string& token) {
     const char before = pos == 0 ? '\0' : code[pos - 1];
     const size_t end = pos + token.size();
     const char after = end < code.size() ? code[end] : '\0';
-    const auto ident = [](char ch) {
-      return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
-    };
-    if (!ident(before) && !ident(after)) return true;
+    if (!IsIdentChar(before) && !IsIdentChar(after)) return true;
     pos = end;
   }
   return false;
@@ -508,6 +509,33 @@ void CheckManualSnapshot(const std::string& path, const std::vector<LineInfo>& l
   }
 }
 
+/// for-testing: the product has no test-only back doors. An identifier
+/// ending in `_for_testing` names one (`RemoteSource::raw_table_for_testing`
+/// read a source's table around its policies); a test reads what the
+/// product releases, and oracles and fault injectors live in
+/// tests/reference/.
+void CheckForTesting(const std::string& path, const std::vector<LineInfo>& lines,
+                     Emit out) {
+  static const char* kRule = "for-testing";
+  static const std::string kSuffix = "_for_testing";
+  if (!PathHas(path, "src/")) return;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string& code = lines[i].code;
+    for (size_t pos = code.find(kSuffix); pos != std::string::npos;
+         pos = code.find(kSuffix, pos + 1)) {
+      const size_t end = pos + kSuffix.size();
+      const bool has_stem = pos > 0 && IsIdentChar(code[pos - 1]);
+      const bool ends_identifier = end == code.size() || !IsIdentChar(code[end]);
+      if (has_stem && ends_identifier && !Suppressed(lines, i, kRule)) {
+        AddFinding(out, path, i, kRule,
+                   "identifier ending in _for_testing in the product tree; "
+                   "test-only access belongs in tests/reference/, not in src/");
+        break;
+      }
+    }
+  }
+}
+
 struct Rule {
   const char* name;
   const char* description;
@@ -552,6 +580,9 @@ const std::vector<Rule>& Rules() {
        "outside the requester edge (src/xml/, source/piql.cc, "
        "core/private_iye.cc)",
        CheckPiqlText},
+      {"for-testing",
+       "identifiers ending in _for_testing under src/ (test-only back doors)",
+       CheckForTesting},
   };
   return kRules;
 }

@@ -14,7 +14,8 @@
 /// enforces privacy-flow conventions — never retry a privacy refusal, never
 /// serialize raw records outside the blessed seams, never render a PIQL
 /// query as text past the requester's front door, never schedule on the
-/// wall clock, never drop a Status without saying why.
+/// wall clock, never drop a Status without saying why, never name a
+/// test-only back door (`*_for_testing`) in the product.
 ///
 /// The scanner strips comments and string literals before matching, so prose
 /// mentioning a banned token never trips a rule. A finding is silenced by a
