@@ -8,8 +8,9 @@
 //   3. multi-process     — engine -> 3 forked source_server processes
 //                          (the real deployment shape; skipped when the
 //                          server binary is not found)
-//   4. wire + fault storm — configuration 2 under a seeded transport fault
-//                          schedule with retries (the recovery price)
+//   4. wire + fault storm — configuration 2 with a fault proxy in front of
+//                          each server running a seeded transport fault
+//                          schedule, with retries (the recovery price)
 //
 // The query-cluster accuracy experiment that previously lived here moved to
 // bench_query_cluster.cc.
@@ -31,6 +32,7 @@
 #include "net/client.h"
 #include "net/net_source.h"
 #include "net/server.h"
+#include "reference/fault_transport.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
 
@@ -113,14 +115,17 @@ void BM_FederationInProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_FederationInProcess)->Unit(benchmark::kMillisecond);
 
-/// In-process servers behind real Unix sockets, one per source.
+/// In-process servers behind real Unix sockets, one per source. An enabled
+/// `fault` puts a proxy running it (seed + i for source i) in front of each
+/// server.
 struct WireCluster {
   std::vector<std::unique_ptr<source::RemoteSource>> sources;
   std::vector<std::unique_ptr<net::SourceServer>> servers;
+  std::vector<std::unique_ptr<net::faultref::FaultProxy>> proxies;
   std::vector<std::shared_ptr<net::NetClient>> clients;
   std::vector<std::unique_ptr<net::NetSource>> net_sources;
 
-  explicit WireCluster(net::FaultPlan client_fault = {}) {
+  explicit WireCluster(net::faultref::FaultPlan fault = {}) {
     sources = MakeSources();
     for (size_t i = 0; i < sources.size(); ++i) {
       net::ServerConfig server_config;
@@ -133,8 +138,15 @@ struct WireCluster {
 
       net::ClientConfig client_config;
       client_config.address = server->bound_address();
-      client_config.fault = client_fault;
-      if (client_fault.enabled()) client_config.fault.seed += i;
+      if (fault.enabled()) {
+        net::faultref::FaultPlan plan = fault;
+        plan.seed += i;
+        auto proxy =
+            std::make_unique<net::faultref::FaultProxy>(server->bound_address(), plan);
+        if (!proxy->Start().ok()) std::abort();
+        client_config.address = proxy->address();
+        proxies.push_back(std::move(proxy));
+      }
       auto client = std::make_shared<net::NetClient>(client_config);
       net_sources.push_back(
           std::make_unique<net::NetSource>(sources[i]->owner(), client));
@@ -144,6 +156,7 @@ struct WireCluster {
   }
   ~WireCluster() {
     for (auto& client : clients) client->Close();
+    proxies.clear();
     for (auto& server : servers) server->Stop();
   }
 };
@@ -159,7 +172,7 @@ BENCHMARK(BM_FederationWireUds)->Unit(benchmark::kMillisecond);
 // 4. The same wire under a seeded fault storm, with the retry budget that
 // rides it out. degraded_rounds counts iterations where a source was lost.
 void BM_FederationWireFaultStorm(benchmark::State& state) {
-  net::FaultPlan storm;
+  net::faultref::FaultPlan storm;
   storm.seed = 0xBE7C;
   storm.drop_write_rate = 0.05;
   storm.tear_rate = 0.04;

@@ -238,15 +238,6 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
     }
     std::unique_ptr<Transport> transport =
         std::make_unique<SocketTransport>(std::move(*sock));
-    if (config_.fault.enabled()) {
-      // Each dial gets a distinct fault stream so reconnects do not replay
-      // the first connection's failure schedule verbatim.
-      FaultPlan plan = config_.fault;
-      plan.seed ^=
-          0x517CC1B727220A95ULL * (connects_.load() + attempt + 1);
-      transport = std::make_unique<FaultInjectingTransport>(
-          std::move(transport), plan);
-    }
 
     // Handshake: Hello out, HelloAck back, both within the hello bound.
     const TimePoint hello_deadline =
@@ -255,26 +246,34 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
     hello.type = MessageType::kHello;
     hello.payload = EncodeHello("piye-mediator");
     Status hs = WriteFrame(*transport, hello, hello_deadline);
+    // Set only by a frame that arrived intact but is not a HelloAck: the
+    // peer speaks another protocol, and a redial would not change that.
+    Status protocol = Status::OK();
     if (hs.ok()) {
       Result<Frame> ack = ReadFrame(*transport, hello_deadline, kFrameTimeout);
       if (!ack.ok()) {
         hs = ack.status();
+        // A frame that fails its checks was damaged on the wire, as in the
+        // reader loop: count it and redial.
+        if (hs.IsInvalidArgument()) {
+          corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
+        }
       } else if (ack->type != MessageType::kHelloAck) {
-        hs = Status::InvalidArgument("expected HelloAck, got " +
-                                     std::string(MessageTypeName(ack->type)));
+        protocol = Status::InvalidArgument("expected HelloAck, got " +
+                                           std::string(MessageTypeName(ack->type)));
       } else {
         Result<std::vector<std::string>> owners = DecodeHelloAck(ack->payload);
         if (!owners.ok()) {
-          hs = owners.status();
+          protocol = owners.status();
         } else {
           MutexLock lock(owners_mu_);
           owners_ = std::move(*owners);
         }
       }
     }
-    if (!hs.ok()) {
+    if (!hs.ok() || !protocol.ok()) {
       connect_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (hs.IsInvalidArgument()) return hs;  // wrong protocol; don't retry
+      if (!protocol.ok()) return protocol;
       last = Status::Unavailable("handshake with '" + config_.address +
                                  "' failed: " + hs.message());
       continue;

@@ -12,7 +12,6 @@
 #include "common/result.h"
 #include "common/sync.h"
 #include "match/schema_matcher.h"
-#include "net/fault.h"
 #include "net/frame.h"
 #include "source/federated_source.h"
 
@@ -28,8 +27,6 @@ struct ClientConfig {
   /// it waits (bounded backpressure) instead of piling unbounded frames onto
   /// one stream.
   size_t max_inflight_per_connection = 16;
-  /// Wire-level fault injection applied to every dialed connection.
-  FaultPlan fault;
 };
 
 /// Mediator-side endpoint of the federation wire protocol: a pool of
@@ -40,7 +37,10 @@ struct ClientConfig {
 /// is redialed lazily by the next request. A redial makes up to three
 /// attempts, each bounded by 1 s to connect and 1 s for the Hello exchange,
 /// with a backoff that doubles from 10 ms to at most 200 ms and stops early
-/// when the request's cancel token fires.
+/// when the request's cancel token fires. A HelloAck that fails its frame
+/// checks is wire damage: it counts in `corrupt_frames` and fails that
+/// attempt. Only an intact reply that is not a decodable HelloAck ends the
+/// redial with kInvalidArgument.
 ///
 /// Thread-safe; one NetClient is shared by every NetSource pointing at the
 /// same server process.

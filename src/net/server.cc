@@ -180,13 +180,7 @@ void SourceServer::AcceptLoop() {
       return;  // listener shut down
     }
     auto conn = std::make_shared<Connection>();
-    std::unique_ptr<Transport> transport =
-        std::make_unique<SocketTransport>(std::move(*accepted));
-    if (config_.fault.enabled()) {
-      transport = std::make_unique<FaultInjectingTransport>(
-          std::move(transport), config_.fault);
-    }
-    conn->transport = std::move(transport);
+    conn->transport = std::make_unique<SocketTransport>(std::move(*accepted));
     {
       MutexLock lock(mu_);
       if (stopping_) return;
@@ -215,11 +209,16 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
     handshaken = WriteFrame(transport, ack, After(kFrameTimeout)).ok();
   }
 
+  bool draining = false;
   while (handshaken) {
     {
       MutexLock lock(mu_);
-      if (stopping_) break;  // drain: stop consuming, let responses flush
+      draining = stopping_;
     }
+    // Drain: stop consuming, and leave the in-flight requests running and
+    // the transport open for their responses. Stop() cancels and shuts the
+    // connection down once its drain window is over.
+    if (draining) break;
     Result<Frame> frame = ReadFrame(transport, After(kIdleTick), kFrameTimeout);
     if (!frame.ok()) {
       if (frame.status().IsDeadlineExceeded()) continue;  // idle tick
@@ -252,8 +251,10 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
     }
   }
 
-  conn->CancelAll();
-  transport.Shutdown();
+  if (!draining) {
+    conn->CancelAll();
+    transport.Shutdown();
+  }
   conn->dead.store(true, std::memory_order_release);
 }
 

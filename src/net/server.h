@@ -12,7 +12,6 @@
 #include "common/executor.h"
 #include "common/result.h"
 #include "common/sync.h"
-#include "net/fault.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "source/federated_source.h"
@@ -27,9 +26,6 @@ struct ServerConfig {
   /// Workers executing query fragments (requests multiplex onto this pool,
   /// so one slow fragment never blocks the connection's other requests).
   size_t worker_threads = 4;
-  /// Wire-level fault injection applied to every accepted connection (tests
-  /// and chaos benchmarks; leave zeroed in production paths).
-  FaultPlan fault;
 };
 
 /// Hosts `FederatedSource` instances behind the PIYE wire protocol — one of
@@ -42,10 +38,13 @@ struct ServerConfig {
 /// CancelSource.
 ///
 /// Stop() drains gracefully: the listener closes first (no new
-/// connections), in-flight requests get a fixed drain window (2 s) to
-/// finish, then connections are shut down and every thread joined. A client
-/// must complete the Hello exchange within 5 s of connecting, and quiet
-/// connections wake every 250 ms to check for shutdown.
+/// connections) and each connection stops reading new requests, but keeps
+/// its in-flight ones running and its socket open. Those get a fixed drain
+/// window (2 s) to finish and flush their responses; only then does Stop()
+/// cancel what is still running, shut the connections down and join every
+/// thread. A client must complete the Hello exchange within 5 s of
+/// connecting, and quiet connections wake every 250 ms to check for
+/// shutdown.
 class SourceServer {
  public:
   explicit SourceServer(ServerConfig config);

@@ -11,9 +11,10 @@ namespace piye {
 namespace net {
 
 /// A bidirectional byte stream with per-operation deadlines — the seam the
-/// framing layer reads and writes through, and the seam chaos testing wraps
-/// (`FaultInjectingTransport`) so every failure mode a real wire exposes can
-/// be injected deterministically under the real protocol code.
+/// framing layer reads and writes through. The test tree's fault proxy
+/// wraps one leg of a proxied connection in a transport that drops, tears
+/// and corrupts bytes, so every failure mode a real wire exposes reaches
+/// the real protocol code with neither end configured for it.
 ///
 /// Status vocabulary (shared by every implementation):
 ///  - `kDeadlineExceeded`: the operation's deadline passed. No bytes were

@@ -79,11 +79,6 @@ Result<std::shared_ptr<const RemoteSource::Snapshot>> RemoteSource::CurrentSnaps
   return snapshot_;
 }
 
-Result<relational::Table> RemoteSource::EffectiveTable() const {
-  PIYE_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot, CurrentSnapshot());
-  return snapshot->table;
-}
-
 const relational::SortedIndex* RemoteSource::IndexFor(const Snapshot& snapshot,
                                                       size_t column) const {
   Snapshot::IndexSlot& slot = snapshot.slots[column];

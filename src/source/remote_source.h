@@ -102,13 +102,6 @@ class RemoteSource : public FederatedSource {
   Result<FragmentResult> ExecuteFragment(
       const PiqlQuery& fragment, const CancelToken& cancel = {}) const override;
 
-  /// Test hook: a copy of the table the pipeline actually sees, the raw
-  /// table filtered through every privacy view registered for it (the
-  /// Section 3 privacy-view language — rows and columns outside the views
-  /// simply do not exist for the outside world). Returns the raw table when
-  /// no view is registered.
-  Result<relational::Table> EffectiveTable() const;
-
   /// Column sketches for mediated-schema generation, respecting policy: a
   /// denied column is not exported at all; a column disclosed only in
   /// coarsened form is exported with a hashed (non-public) name.

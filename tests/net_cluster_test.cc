@@ -28,6 +28,7 @@
 #include "mediator/engine.h"
 #include "net/client.h"
 #include "net/net_source.h"
+#include "reference/fault_transport.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
 #include "xml/parser.h"
@@ -183,6 +184,7 @@ class NetClusterTest : public ::testing::Test {
     for (auto& client : clients_) {
       if (client) client->Close();
     }
+    proxies_.clear();
     for (auto& server : servers_) server.Terminate();
   }
 
@@ -219,14 +221,22 @@ class NetClusterTest : public ::testing::Test {
     return sources;
   }
 
+  /// NetSources for the three servers. An enabled `fault` puts a proxy
+  /// running it (seed + i for server i) in front of each server.
   std::vector<std::unique_ptr<net::NetSource>> WireSources(
-      net::FaultPlan fault = {}) {
+      net::faultref::FaultPlan fault = {}) {
     std::vector<std::unique_ptr<net::NetSource>> sources;
     for (size_t i = 0; i < 3; ++i) {
       net::ClientConfig config;
       config.address = servers_[i].address;
-      config.fault = fault;
-      if (fault.enabled()) config.fault.seed += i;
+      if (fault.enabled()) {
+        net::faultref::FaultPlan plan = fault;
+        plan.seed += i;
+        auto proxy = std::make_unique<net::faultref::FaultProxy>(servers_[i].address, plan);
+        EXPECT_TRUE(proxy->Start().ok());
+        config.address = proxy->address();
+        proxies_.push_back(std::move(proxy));
+      }
       auto client = std::make_shared<net::NetClient>(config);
       sources.push_back(std::make_unique<net::NetSource>(kOwners[i], client));
       clients_.push_back(std::move(client));
@@ -269,6 +279,7 @@ class NetClusterTest : public ::testing::Test {
   std::string data_files_[3];
   std::string socket_paths_[3];
   ServerProc servers_[3];
+  std::vector<std::unique_ptr<net::faultref::FaultProxy>> proxies_;
   std::vector<std::shared_ptr<net::NetClient>> clients_;
 };
 
@@ -298,7 +309,7 @@ TEST_F(NetClusterTest, AnswerIsByteIdenticalAcrossProcessBoundaries) {
 }
 
 TEST_F(NetClusterTest, SeededFaultStormConvergesToTheSameBytes) {
-  net::FaultPlan storm;
+  net::faultref::FaultPlan storm;
   storm.seed = 0xC1A05;
   storm.drop_write_rate = 0.05;
   storm.tear_rate = 0.04;

@@ -4,8 +4,8 @@
 // round-trips, client/server exchanges over Unix and TCP sockets, engine
 // integration through NetSource (byte-identity with the in-process path,
 // skip-reason fidelity for unreachable servers, transport stats in
-// Health()), deterministic transport fault injection, and client
-// backpressure.
+// Health()), deterministic transport fault injection through a fault proxy,
+// graceful drain, and client backpressure.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,7 +24,6 @@
 #include "core/scenario.h"
 #include "mediator/engine.h"
 #include "net/client.h"
-#include "net/fault.h"
 #include "net/frame.h"
 #include "net/net_source.h"
 #include "net/server.h"
@@ -33,6 +32,7 @@
 #include "net/wire.h"
 #include "persist/codec.h"
 #include "policy/policy.h"
+#include "reference/fault_transport.h"
 #include "reference/faulty_source.h"
 #include "relational/table_codec.h"
 #include "source/remote_source.h"
@@ -424,7 +424,7 @@ TEST(WireTest, FuzzPayloadDecodersNeverCrash) {
 // Fault injection determinism
 
 TEST(FaultTest, SameSeedSameFaultSchedule) {
-  net::FaultPlan plan;
+  net::faultref::FaultPlan plan;
   plan.seed = 1234;
   plan.drop_write_rate = 0.15;
   plan.tear_rate = 0.1;
@@ -433,7 +433,7 @@ TEST(FaultTest, SameSeedSameFaultSchedule) {
   auto run = [&plan] {
     auto inner = std::make_unique<BufferTransport>("");
     BufferTransport* raw = inner.get();
-    net::FaultInjectingTransport faulty(std::move(inner), plan);
+    net::faultref::FaultInjectingTransport faulty(std::move(inner), plan);
     std::vector<int> outcomes;
     for (int i = 0; i < 64; ++i) {
       const Status s = faulty.WriteAll("0123456789abcdef", net::NoDeadline());
@@ -450,7 +450,7 @@ TEST(FaultTest, SameSeedSameFaultSchedule) {
 }
 
 TEST(FaultTest, CorruptionSurfacesAtTheReceiverCrc) {
-  net::FaultPlan plan;
+  net::faultref::FaultPlan plan;
   plan.seed = 7;
   plan.corrupt_rate = 1.0;  // every write flips one bit
   Frame frame;
@@ -460,7 +460,7 @@ TEST(FaultTest, CorruptionSurfacesAtTheReceiverCrc) {
 
   auto inner = std::make_unique<BufferTransport>("");
   BufferTransport* raw = inner.get();
-  net::FaultInjectingTransport faulty(std::move(inner), plan);
+  net::faultref::FaultInjectingTransport faulty(std::move(inner), plan);
   ASSERT_TRUE(net::WriteFrame(faulty, frame, net::NoDeadline()).ok());
   auto decoded = DecodeBytes(raw->written());
   ASSERT_FALSE(decoded.ok());
@@ -481,6 +481,8 @@ struct Cluster {
   /// What each server hosts: its source behind a pass-through FaultySource.
   std::vector<std::unique_ptr<source::faultref::FaultySource>> faulty;
   std::vector<std::unique_ptr<net::SourceServer>> servers;
+  /// A fault proxy in front of each server when the cluster has a plan.
+  std::vector<std::unique_ptr<net::faultref::FaultProxy>> proxies;
   std::vector<std::shared_ptr<net::NetClient>> clients;
   std::vector<std::unique_ptr<net::NetSource>> net_sources;
 
@@ -489,17 +491,20 @@ struct Cluster {
   Cluster& operator=(Cluster&&) = default;
   ~Cluster() {
     for (auto& client : clients) client->Close();
+    proxies.clear();
     for (auto& server : servers) server->Stop();
   }
 };
 
 /// One server process-equivalent per source, all in this test process:
-/// engine -> NetSource -> NetClient -> socket -> SourceServer -> FaultySource
-/// (pass-through unless a test sets a plan) -> the very same RemoteSource
-/// objects the baseline engine calls directly, so any byte difference is
-/// the wire's fault.
-Cluster BuildCluster(const std::string& tag, bool tcp = false,
-                     net::FaultPlan client_fault = {}) {
+/// engine -> NetSource -> NetClient -> socket -> [FaultProxy ->] SourceServer
+/// -> FaultySource (pass-through unless a test sets a plan) -> the very same
+/// RemoteSource objects the baseline engine calls directly, so any byte
+/// difference is the wire's fault. An enabled `fault` puts a proxy running
+/// it (seed + i for source i) on `leg` in front of each server.
+Cluster BuildCluster(
+    const std::string& tag, bool tcp = false, net::faultref::FaultPlan fault = {},
+    net::faultref::FaultProxy::Leg leg = net::faultref::FaultProxy::Leg::kUpstream) {
   Cluster cluster;
   const char* owners[] = {"hospital", "pharmacy", "lab"};
   for (size_t i = 0; i < 3; ++i) {
@@ -526,8 +531,15 @@ Cluster BuildCluster(const std::string& tag, bool tcp = false,
 
     net::ClientConfig client_config;
     client_config.address = server->bound_address();
-    client_config.fault = client_fault;
-    if (client_fault.enabled()) client_config.fault.seed += i;
+    if (fault.enabled()) {
+      net::faultref::FaultPlan plan = fault;
+      plan.seed += i;
+      auto proxy = std::make_unique<net::faultref::FaultProxy>(
+          server->bound_address(), plan, leg);
+      EXPECT_TRUE(proxy->Start().ok());
+      client_config.address = proxy->address();
+      cluster.proxies.push_back(std::move(proxy));
+    }
     auto client = std::make_shared<net::NetClient>(client_config);
     cluster.net_sources.push_back(
         std::make_unique<net::NetSource>(owners[i], client));
@@ -931,15 +943,23 @@ TEST(NetFederationTest, HealthReportsTransportStats) {
   }
 }
 
-TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
-  net::FaultPlan storm;
-  storm.seed = 20260808;
-  storm.drop_write_rate = 0.05;
-  storm.tear_rate = 0.04;
-  storm.corrupt_rate = 0.04;
-  storm.drop_read_rate = 0.04;
-  Cluster cluster = BuildCluster("storm", /*tcp=*/false, storm);
-  auto engine = BuildEngine(cluster.net_sources);
+/// The storm tests' rounds over a cluster behind fault proxies: eight live
+/// queries with a retry budget of 6. Whatever survives the storm must be
+/// byte-identical to the in-process answer: corruption is either caught by
+/// CRC (and retried) or never happened. Sketch export rides the faulty wire
+/// too and the engine does not retry it, so schema generation may take a
+/// few attempts. Returns the wire engine, for its Health().
+std::unique_ptr<mediator::MediationEngine> RunStormRounds(const Cluster& cluster) {
+  auto engine = std::make_unique<mediator::MediationEngine>(EngineOptions());
+  for (const auto& src : cluster.net_sources) {
+    EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
+  }
+  Status schema = Status::OK();
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    schema = engine->GenerateMediatedSchema("shared-key");
+    if (schema.ok()) break;
+  }
+  EXPECT_TRUE(schema.ok()) << schema.ToString();
   auto local_engine = BuildEngine(cluster.sources);
 
   mediator::QueryOptions qopts = LiveOptions();
@@ -948,21 +968,32 @@ TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
   qopts.coalesce = false;
   const auto query = MakeQuery();
   auto baseline = local_engine->Execute(query, qopts);
-  ASSERT_TRUE(baseline.ok());
+  EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
+  if (!baseline.ok()) return engine;
   const std::string expected = TableBytes(baseline->table());
 
   size_t full_answers = 0;
   for (int round = 0; round < 8; ++round) {
     auto result = engine->Execute(query, qopts);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (result->sources_answered.size() == 3) {
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (result.ok() && result->sources_answered.size() == 3) {
       ++full_answers;
-      // Whatever survived the storm must be byte-identical — corruption is
-      // either caught by CRC (and retried) or never happened.
       EXPECT_EQ(TableBytes(result->table()), expected);
     }
   }
   EXPECT_GT(full_answers, 0u) << "storm drowned every round";
+  return engine;
+}
+
+TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
+  net::faultref::FaultPlan storm;
+  storm.seed = 20260808;
+  storm.drop_write_rate = 0.05;
+  storm.tear_rate = 0.04;
+  storm.corrupt_rate = 0.04;
+  storm.drop_read_rate = 0.04;
+  Cluster cluster = BuildCluster("storm", /*tcp=*/false, storm);
+  auto engine = RunStormRounds(cluster);
 
   // The storm must be visible in the transport stats.
   uint64_t disconnects = 0, reconnects = 0;
@@ -972,6 +1003,90 @@ TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
   }
   EXPECT_GT(disconnects, 0u);
   EXPECT_GT(reconnects, 0u);
+}
+
+TEST(NetFederationTest, FaultStormOnResponsesConvergesToInProcessBytes) {
+  // The plan sits on the proxy's downstream leg: responses, HelloAcks
+  // included, are swallowed, torn and bit-flipped on their way to the
+  // client, whose CRC checks must catch every flip.
+  net::faultref::FaultPlan storm;
+  storm.seed = 20261020;
+  storm.drop_write_rate = 0.04;
+  storm.tear_rate = 0.04;
+  storm.corrupt_rate = 0.1;
+  storm.drop_read_rate = 0.04;
+  Cluster cluster = BuildCluster("storm_down", /*tcp=*/false, storm,
+                                 net::faultref::FaultProxy::Leg::kDownstream);
+  auto engine = RunStormRounds(cluster);
+
+  uint64_t corrupt_frames = 0;
+  for (const auto& source_health : engine->Health().sources) {
+    corrupt_frames += source_health.transport.corrupt_frames;
+  }
+  EXPECT_GT(corrupt_frames, 0u);
+}
+
+TEST(NetFederationTest, CorruptHelloAckIsRedialedNotRefused) {
+  // A bit flipped in transit in the first connection's HelloAck fails that
+  // frame's header CRC. That is wire damage, not a peer speaking another
+  // protocol: the client counts a corrupt frame, redials, and the fragment
+  // is answered on the second connection.
+  Cluster cluster = BuildCluster("flip_ack");
+  const source::RemoteSource& hospital = *cluster.sources[0];
+  auto listener = net::Listener::Listen(UniqueSocketPath("flip_ack_front"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::thread front([&] {
+    for (int connection = 0; connection < 2; ++connection) {
+      auto accepted = listener->Accept(deadline);
+      if (!accepted.ok()) return;
+      net::SocketTransport transport(std::move(*accepted));
+      auto hello = net::ReadFrame(transport, deadline, net::kFrameTimeout);
+      if (!hello.ok()) return;
+      net::Frame ack;
+      ack.type = net::MessageType::kHelloAck;
+      ack.request_id = hello->request_id;
+      ack.payload = net::EncodeHelloAck({hospital.owner()});
+      std::string bytes = net::EncodeFrame(ack);
+      if (connection == 0) bytes[5] ^= 0x01;  // the type byte
+      if (!transport.WriteAll(bytes, deadline).ok() || connection == 0) continue;
+      auto request = net::ReadFrame(transport, deadline, net::kFrameTimeout);
+      if (!request.ok()) return;
+      auto req = net::DecodeExecuteRequest(request->payload);
+      if (!req.ok()) return;
+      auto fragment = source::PiqlQuery::Decode(req->fragment);
+      if (!fragment.ok()) return;
+      net::ExecuteResponse resp;
+      auto answer = hospital.ExecuteFragment(*fragment);
+      resp.status = answer.status();
+      if (answer.ok()) resp.result = std::move(*answer);
+      net::Frame reply;
+      reply.type = net::MessageType::kExecuteResponse;
+      reply.request_id = request->request_id;
+      reply.payload = net::EncodeExecuteResponse(resp);
+      if (!net::WriteFrame(transport, reply, deadline).ok()) return;
+      char byte;
+      (void)transport.Read(&byte, 1, deadline);  // until the client hangs up
+    }
+  });
+
+  net::ClientConfig config;
+  config.address = listener->bound_address();
+  config.connections = 1;
+  net::NetClient client(config);
+  auto over_wire = client.ExecuteFragment(hospital.owner(), MakeQuery().CanonicalKey());
+  const source::TransportStats stats = client.stats();
+  client.Close();
+  front.join();
+  listener->Close();
+
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  auto in_process = hospital.ExecuteFragment(MakeQuery());
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  EXPECT_EQ(TableBytes(over_wire->table), TableBytes(in_process->table));
+  EXPECT_EQ(stats.corrupt_frames, 1u);
+  EXPECT_EQ(stats.connect_failures, 1u);
+  EXPECT_EQ(stats.connects, 1u);
 }
 
 TEST(NetFederationTest, DeadlinePropagatesAndTimesOutCleanly) {
@@ -1036,6 +1151,38 @@ TEST(NetFederationTest, ServerStopDrainsGracefully) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
   client.Close();
+}
+
+TEST(NetFederationTest, StopLetsAnInFlightFragmentFinish) {
+  // Stop() 50 ms into a 400 ms fragment: the drain window (2 s) covers it,
+  // so the answer must arrive whole instead of being cancelled when the
+  // connection's handler notices the stop.
+  Cluster cluster = BuildCluster("drain_inflight");
+  source::faultref::FaultySource::Plan slow;
+  slow.latency_micros = 400'000;
+  cluster.faulty[0]->set_plan(slow);
+  net::ClientConfig config;
+  config.address = cluster.servers[0]->bound_address();
+  net::NetClient client(config);
+  ASSERT_TRUE(client.ListOwners().ok());  // dialed before the stop
+
+  const std::string fragment = MakeQuery().CanonicalKey();
+  Result<source::FederatedSource::FragmentResult> over_wire =
+      Status::Internal("not run");
+  std::thread caller([&] { over_wire = client.ExecuteFragment("hospital", fragment); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto stop_started = std::chrono::steady_clock::now();
+  cluster.servers[0]->Stop();
+  const auto stop_took = std::chrono::steady_clock::now() - stop_started;
+  caller.join();
+  client.Close();
+
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  auto in_process = cluster.sources[0]->ExecuteFragment(MakeQuery());
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  EXPECT_EQ(TableBytes(over_wire->table), TableBytes(in_process->table));
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_took),
+            std::chrono::milliseconds(2000));
 }
 
 }  // namespace

@@ -20,8 +20,8 @@ namespace faultref {
 /// must outlive the wrapper) and forwards `owner`, `ExportSketches` and
 /// `transport_stats` unchanged, so tests and benches register it with an
 /// engine, or host it on a `net::SourceServer`, in the wrapped source's
-/// place. The product has no in-process fault hook; `net::FaultPlan` injects
-/// faults on the wire.
+/// place. The product has no fault hook; `net::faultref::FaultProxy`
+/// (reference/fault_transport.h) injects faults on the wire.
 class FaultySource : public FederatedSource {
  public:
   /// Faults apply per `ExecuteFragment` call. Every call first sleeps

@@ -554,7 +554,8 @@ TEST_F(RemoteSourceTest, RaisingPredicateOverEmptyEffectiveTable) {
   // an empty table and the aggregate is refused by the query-set check.
   RemoteSource empty("hospitalA", "patients", Table(src_->schema()), 1);
   core::ClinicalScenario::ApplyPatientPolicies(&empty);
-  ASSERT_EQ(empty.EffectiveTable()->num_rows(), 0u);
+  // No view adds rows: the pipeline sees the empty table it was built with.
+  ASSERT_TRUE(empty.policies().ViewsForTable("hospitalA", "patients").empty());
 
   auto rows = empty.ExecuteFragment(
       MakeQuery("<select>diagnosis</select><where>zip LIKE '9%'</where>"));
@@ -883,7 +884,8 @@ class ViewedSourceTest : public ::testing::Test {
  protected:
   void SetUp() override { src_ = MakeSource(); }
 
-  static std::unique_ptr<RemoteSource> MakeSource() {
+  /// The rows every source of this fixture is built with.
+  static Table MakeTable() {
     Table t(Schema{Column{"patient_id", ColumnType::kString},
                    Column{"diagnosis", ColumnType::kString},
                    Column{"consented", ColumnType::kBool}});
@@ -893,7 +895,20 @@ class ViewedSourceTest : public ::testing::Test {
                           Value::Boolean(false)});
     (void)t.AppendRow(Row{Value::Str("P3"), Value::Str("diabetes"),
                           Value::Boolean(true)});
-    auto src = std::make_unique<RemoteSource>("clinic", "patients", std::move(t), 1);
+    return t;
+  }
+
+  /// Only consented rows exist, and the consent flag itself is not exported.
+  static policy::PrivacyView ConsentedOnly() {
+    policy::PrivacyView view("consented_only", "patients");
+    view.AddVisibleColumn("patient_id");
+    view.AddVisibleColumn("diagnosis");
+    view.set_row_filter(*relational::ParseExpression("consented = TRUE"));
+    return view;
+  }
+
+  static std::unique_ptr<RemoteSource> MakeSource() {
+    auto src = std::make_unique<RemoteSource>("clinic", "patients", MakeTable(), 1);
     policy::PrivacyPolicy policy("clinic", {});
     policy::PolicyRule rule;
     rule.id = "all-healthcare";
@@ -913,17 +928,10 @@ class ViewedSourceTest : public ::testing::Test {
 };
 
 TEST_F(ViewedSourceTest, PrivacyViewGatesRowsAndColumns) {
-  // Register a view: only consented rows exist, and the consent flag itself
-  // is not exported.
-  policy::PrivacyView view("consented_only", "patients");
-  view.AddVisibleColumn("patient_id");
-  view.AddVisibleColumn("diagnosis");
-  auto filter = relational::ParseExpression("consented = TRUE");
-  ASSERT_TRUE(filter.ok());
-  view.set_row_filter(*filter);
-  ASSERT_TRUE(src_->mutable_policies()->AddView("clinic", std::move(view)).ok());
+  ASSERT_TRUE(src_->mutable_policies()->AddView("clinic", ConsentedOnly()).ok());
 
-  auto effective = src_->EffectiveTable();
+  // What the view leaves of the source's own rows.
+  auto effective = ConsentedOnly().Apply(MakeTable());
   ASSERT_TRUE(effective.ok());
   EXPECT_EQ(effective->num_rows(), 2u);
   EXPECT_FALSE(effective->schema().Contains("consented"));
@@ -946,10 +954,17 @@ TEST_F(ViewedSourceTest, PrivacyViewGatesRowsAndColumns) {
 }
 
 TEST_F(ViewedSourceTest, NoViewMeansRawTable) {
-  auto effective = src_->EffectiveTable();
-  ASSERT_TRUE(effective.ok());
-  EXPECT_EQ(effective->num_rows(), 3u);
-  EXPECT_TRUE(effective->schema().Contains("consented"));
+  // With no view every row and column of the raw table exists for the
+  // pipeline, the consent flag included.
+  ASSERT_TRUE(src_->policies().ViewsForTable("clinic", "patients").empty());
+  auto q = PiqlQuery::Parse(
+      R"(<query requester="analyst" purpose="research" maxLoss="1.0">
+           <select>patient_id</select><select>consented</select></query>)");
+  ASSERT_TRUE(q.ok());
+  auto result = src_->ExecuteFragment(*q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->table.num_rows(), MakeTable().num_rows());
+  EXPECT_TRUE(result->table.schema().Contains("consented"));
 }
 
 TEST_F(ViewedSourceTest, AddViewRebuildsTheSnapshot) {
@@ -962,21 +977,14 @@ TEST_F(ViewedSourceTest, AddViewRebuildsTheSnapshot) {
   EXPECT_EQ(before->table.num_rows(), 3u);
   EXPECT_EQ(src_->scan_stats().index_builds, 1u);
 
-  auto consented_only = [] {
-    policy::PrivacyView view("consented_only", "patients");
-    view.AddVisibleColumn("patient_id");
-    view.AddVisibleColumn("diagnosis");
-    view.set_row_filter(*relational::ParseExpression("consented = TRUE"));
-    return view;
-  };
-  ASSERT_TRUE(src_->mutable_policies()->AddView("clinic", consented_only()).ok());
+  ASSERT_TRUE(src_->mutable_policies()->AddView("clinic", ConsentedOnly()).ok());
   auto after = src_->ExecuteFragment(*q);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(src_->scan_stats().index_builds, 2u);  // rebuilt for the new generation
 
   // The answer is the one a source built with the view from the start gives.
   auto fresh = MakeSource();
-  ASSERT_TRUE(fresh->mutable_policies()->AddView("clinic", consented_only()).ok());
+  ASSERT_TRUE(fresh->mutable_policies()->AddView("clinic", ConsentedOnly()).ok());
   auto want = fresh->ExecuteFragment(*q);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   EXPECT_EQ(after->table.num_rows(), 2u);

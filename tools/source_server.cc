@@ -18,10 +18,6 @@
 //                            in-process tests configure, so a federated run
 //                            is byte-identical to an in-process one
 //   --workers=N              fragment worker threads, 1..256 (default 4)
-//   --fault-seed=N --fault-drop-write=P --fault-tear=P --fault-corrupt=P
-//   --fault-drop-read=P --fault-delay-rate=P --fault-delay-micros=N
-//                            wire-level fault injection on every connection;
-//                            each rate P is in [0, 1]
 //
 // A flag or --source key that is unknown, a number that does not parse
 // completely or is out of range, or a source owner given twice, exits with
@@ -82,16 +78,6 @@ Result<uint64_t> ParseCount(const std::string& flag, const std::string& text,
                                    "], got '" + text + "'");
   }
   return *n;
-}
-
-/// The value of `flag` as a probability in [0, 1].
-Result<double> ParseRate(const std::string& flag, const std::string& text) {
-  const std::optional<double> p = ParseNumber<double>(text);
-  if (!p.has_value() || !(*p >= 0.0 && *p <= 1.0)) {
-    return Status::InvalidArgument(flag + " must be a number in [0, 1], got '" + text +
-                                   "'");
-  }
-  return *p;
 }
 
 /// Stores a parsed flag value in `*out`, or prints why it is refused.
@@ -191,21 +177,6 @@ int main(int argc, char** argv) {
       clinical_policies = true;
     } else if (value_of(arg, "--workers", &value)) {
       ok = Assign(ParseCount("--workers", value, 1, kMaxWorkers), &config.worker_threads);
-    } else if (value_of(arg, "--fault-seed", &value)) {
-      ok = Assign(ParseCount("--fault-seed", value, 0, kMaxU64), &config.fault.seed);
-    } else if (value_of(arg, "--fault-drop-write", &value)) {
-      ok = Assign(ParseRate("--fault-drop-write", value), &config.fault.drop_write_rate);
-    } else if (value_of(arg, "--fault-tear", &value)) {
-      ok = Assign(ParseRate("--fault-tear", value), &config.fault.tear_rate);
-    } else if (value_of(arg, "--fault-corrupt", &value)) {
-      ok = Assign(ParseRate("--fault-corrupt", value), &config.fault.corrupt_rate);
-    } else if (value_of(arg, "--fault-drop-read", &value)) {
-      ok = Assign(ParseRate("--fault-drop-read", value), &config.fault.drop_read_rate);
-    } else if (value_of(arg, "--fault-delay-rate", &value)) {
-      ok = Assign(ParseRate("--fault-delay-rate", value), &config.fault.delay_rate);
-    } else if (value_of(arg, "--fault-delay-micros", &value)) {
-      ok = Assign(ParseCount("--fault-delay-micros", value, 0, kMaxU64),
-                  &config.fault.delay_micros);
     } else {
       std::cerr << "source_server: unknown flag '" << arg << "'\n";
       return 2;
