@@ -17,9 +17,7 @@
 #include "relational/table.h"
 
 using piye::core::ClinicalScenario;
-using piye::relational::ColumnType;
 using piye::relational::Table;
-using piye::relational::Value;
 using piye::inference::AttackerKnowledge;
 using piye::inference::PublishedAggregates;
 using piye::inference::SnoopingAttack;
@@ -64,13 +62,9 @@ int main() {
   PublishedAggregates published = PublishedAggregates::Figure1();
   std::vector<Table> raw;
   for (size_t p = 0; p < 4; ++p) {
-    Table table(piye::relational::Schema{{"test", ColumnType::kString},
-                                         {"rate", ColumnType::kDouble}});
-    for (size_t m = 0; m < 3; ++m) {
-      table.AppendRowUnchecked(
-          {Value::Str(published.measures[m]), Value::Real((*rates)[m][p])});
-    }
-    raw.push_back(std::move(table));
+    auto table = ClinicalScenario::HmoComplianceTable(p, *rates);
+    if (!table.ok()) return 1;
+    raw.push_back(std::move(*table));
   }
   auto published_rows =
       piye::core::NaiveIntegrator::PublishGroupedAggregates(raw, "test", "rate");

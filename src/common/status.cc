@@ -32,6 +32,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kDataLoss:
+      return "DataLoss";
   }
   return "Unknown";
 }

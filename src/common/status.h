@@ -27,6 +27,7 @@ enum class StatusCode {
   kDeadlineExceeded,   ///< a per-source or per-query deadline expired
   kResourceExhausted,  ///< load shed: admission refused the query; retry later
   kCancelled,          ///< the caller cooperatively cancelled the operation
+  kDataLoss,           ///< bytes failed their checksum: damaged in transit
 };
 
 /// Returns a stable human-readable name for a status code.
@@ -84,6 +85,9 @@ class [[nodiscard]] Status {
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
   }
+  static Status DataLoss(std::string msg) {
+    return Status(StatusCode::kDataLoss, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsInvalidArgument() const { return code_ == StatusCode::kInvalidArgument; }
@@ -98,6 +102,7 @@ class [[nodiscard]] Status {
     return code_ == StatusCode::kResourceExhausted;
   }
   bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
+  bool IsDataLoss() const { return code_ == StatusCode::kDataLoss; }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return msg_; }

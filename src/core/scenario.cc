@@ -15,12 +15,8 @@ using relational::Row;
 using relational::Table;
 using relational::Value;
 
-namespace {
-
-/// The per-HMO "compliance" table: one row per measure with columns
-/// (test STRING, rate DOUBLE, year INT64).
-Result<Table> HmoComplianceTable(size_t party_index,
-                                 const std::vector<std::vector<double>>& rates) {
+Result<Table> ClinicalScenario::HmoComplianceTable(
+    size_t party_index, const std::vector<std::vector<double>>& rates) {
   const auto published = inference::PublishedAggregates::Figure1();
   if (party_index >= published.parties.size()) {
     return Status::OutOfRange("party index out of range");
@@ -35,8 +31,6 @@ Result<Table> HmoComplianceTable(size_t party_index,
   }
   return table;
 }
-
-}  // namespace
 
 Result<std::vector<std::vector<double>>> ClinicalScenario::GroundTruthRates(
     uint64_t seed) {

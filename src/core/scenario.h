@@ -28,6 +28,11 @@ class ClinicalScenario {
   /// seed, so they are deterministic.
   static Result<std::vector<std::vector<double>>> GroundTruthRates(uint64_t seed = 7);
 
+  /// HMO `party_index`'s raw "compliance" table: one row per measure
+  /// (test STRING, rate DOUBLE, year INT64) with its rates from `rates`.
+  static Result<relational::Table> HmoComplianceTable(
+      size_t party_index, const std::vector<std::vector<double>>& rates);
+
   /// A fully configured HMO source: a "compliance" table with one row per
   /// measure (test STRING, rate DOUBLE, year INT64) + a policy that allows
   /// `rate` only in aggregate form for healthcare purposes, and `test`

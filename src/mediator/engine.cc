@@ -24,6 +24,11 @@ constexpr size_t kWarehouseMaxBytes = 256ull << 20;
 constexpr std::chrono::microseconds kRetryBackoffBase{200};
 constexpr std::chrono::microseconds kRetryBackoffCap{5000};
 
+/// The wait before retry `attempt + 1`: doubling from the base, capped.
+std::chrono::microseconds RetryBackoff(uint32_t attempt) {
+  return std::min(kRetryBackoffCap, kRetryBackoffBase * (1u << std::min(attempt, 5u)));
+}
+
 /// How often a single-flight follower with a live CancelToken re-checks it
 /// while waiting on the leader (the token's deadline is honoured exactly via
 /// wait_until; this bounds only the explicit-cancel reaction time).
@@ -165,9 +170,17 @@ std::vector<std::string> MediationEngine::SourceOwners() const {
 Status MediationEngine::GenerateMediatedSchema(const std::string& shared_key) {
   std::vector<match::ColumnSketch> sketches;
   for (const auto* src : sources_) {
-    PIYE_ASSIGN_OR_RETURN(std::vector<match::ColumnSketch> s,
-                          src->ExportSketches(shared_key));
-    sketches.insert(sketches.end(), s.begin(), s.end());
+    // Only a transient fault is worth another try, as for fragments.
+    Result<std::vector<match::ColumnSketch>> exported = src->ExportSketches(shared_key);
+    for (uint32_t attempt = 0;
+         !exported.ok() && exported.status().IsUnavailable() &&
+         attempt < kSketchExportRetries;
+         ++attempt) {
+      (void)CancelToken().SleepFor(RetryBackoff(attempt));  // a plain token sleeps in full
+      exported = src->ExportSketches(shared_key);
+    }
+    PIYE_RETURN_NOT_OK(exported.status());
+    sketches.insert(sketches.end(), exported->begin(), exported->end());
   }
   match::SchemaMatcher::Options match_options;
   match::MediatedSchemaGenerator generator(
@@ -745,8 +758,7 @@ void MediationEngine::RunFragmentWithRetry(
       }
       break;
     }
-    const auto backoff =
-        std::min(kRetryBackoffCap, kRetryBackoffBase * (1u << std::min(attempt, 5u)));
+    const auto backoff = RetryBackoff(attempt);
     if (std::chrono::steady_clock::now() + backoff >= deadline) {
       trace::Bump(cells.fragments_failed);
       break;  // the waiter is about to give up on us anyway

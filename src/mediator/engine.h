@@ -142,8 +142,12 @@ class MediationEngine {
   std::vector<std::string> SourceOwners() const;
 
   /// Builds the mediated schema from the sources' privacy-respecting
-  /// sketches. Must be called before Execute; freezes registration.
+  /// sketches. Must be called before Execute; freezes registration. A
+  /// source whose export fails kUnavailable (a dropped connection) is asked
+  /// again up to kSketchExportRetries times, with the fragments' backoff;
+  /// any other failure, or the last kUnavailable, fails the call.
   Status GenerateMediatedSchema(const std::string& shared_key);
+  static constexpr uint32_t kSketchExportRetries = 6;
   const match::MediatedSchema& mediated_schema() const { return schema_; }
 
   /// Attaches a durability directory and restores fail-closed state from it

@@ -163,8 +163,8 @@ void NetClient::ReaderLoop(std::shared_ptr<Conn> conn, uint64_t generation) {
     // destroying the transport.
     Result<Frame> frame = ReadFrame(*transport, NoDeadline(), kFrameTimeout);
     if (!frame.ok()) {
-      if (frame.status().IsInvalidArgument()) {
-        // Corrupt or torn frame: the stream is unrecoverable.
+      if (frame.status().IsDataLoss() || frame.status().IsInvalidArgument()) {
+        // Corrupt or malformed frame: the stream is unrecoverable.
         corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
       }
       FailConnection(*conn, generation,
@@ -253,10 +253,13 @@ Status NetClient::EnsureConnected(std::shared_ptr<Conn> conn,
       Result<Frame> ack = ReadFrame(*transport, hello_deadline, kFrameTimeout);
       if (!ack.ok()) {
         hs = ack.status();
-        // A frame that fails its checks was damaged on the wire, as in the
-        // reader loop: count it and redial.
-        if (hs.IsInvalidArgument()) {
+        // A CRC mismatch is damage on the wire, as in the reader loop:
+        // count it and redial. An intact header that breaks the framing
+        // rules (another magic or version) is the peer's protocol.
+        if (hs.IsDataLoss()) {
           corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
+        } else if (hs.IsInvalidArgument()) {
+          protocol = hs;
         }
       } else if (ack->type != MessageType::kHelloAck) {
         protocol = Status::InvalidArgument("expected HelloAck, got " +

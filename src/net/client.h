@@ -37,10 +37,11 @@ struct ClientConfig {
 /// is redialed lazily by the next request. A redial makes up to three
 /// attempts, each bounded by 1 s to connect and 1 s for the Hello exchange,
 /// with a backoff that doubles from 10 ms to at most 200 ms and stops early
-/// when the request's cancel token fires. A HelloAck that fails its frame
-/// checks is wire damage: it counts in `corrupt_frames` and fails that
-/// attempt. Only an intact reply that is not a decodable HelloAck ends the
-/// redial with kInvalidArgument.
+/// when the request's cancel token fires. A HelloAck that fails its CRC is
+/// wire damage: it counts in `corrupt_frames` and fails that attempt. Only
+/// an intact reply that breaks the protocol (another magic or version, or
+/// a frame that is not a decodable HelloAck) ends the redial with
+/// kInvalidArgument.
 ///
 /// Thread-safe; one NetClient is shared by every NetSource pointing at the
 /// same server process.

@@ -133,7 +133,7 @@ Result<Frame> ReadFrame(Transport& transport, TimePoint idle_deadline,
   const uint32_t stored_header_crc = GetU32LE(header + 20);
   const uint32_t actual_header_crc = persist::Crc32(header, 20);
   if (stored_header_crc != actual_header_crc) {
-    return Status::InvalidArgument("frame header CRC mismatch");
+    return Status::DataLoss("frame header CRC mismatch");
   }
   if (GetU32LE(header) != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic");
@@ -186,7 +186,7 @@ Result<Frame> ReadFrame(Transport& transport, TimePoint idle_deadline,
   }
   const uint32_t stored_payload_crc = GetU32LE(trailer);
   if (stored_payload_crc != persist::Crc32(frame.payload)) {
-    return Status::InvalidArgument("frame payload CRC mismatch");
+    return Status::DataLoss("frame payload CRC mismatch");
   }
   return frame;
 }

@@ -27,8 +27,10 @@ namespace net {
 ///
 /// The header CRC is checked *before* the payload length is trusted, so a
 /// flipped length bit can neither trigger a giant allocation nor desync the
-/// stream silently; the payload CRC catches corruption in the body. Any
-/// framing violation is a `kInvalidArgument` — the stream can no longer be
+/// stream silently; the payload CRC catches corruption in the body. A CRC
+/// mismatch is `kDataLoss` (bytes damaged on the wire); any other framing
+/// violation in a header whose CRC holds is `kInvalidArgument` (the peer
+/// speaks another protocol). Either way the stream can no longer be
 /// trusted and the connection must be dropped (both ends do).
 constexpr uint32_t kFrameMagic = 0x45594950u;  // "PIYE" read little-endian
 constexpr uint8_t kProtocolVersion = 1;
@@ -77,9 +79,10 @@ Status WriteFrame(Transport& transport, const Frame& frame, TimePoint deadline);
 ///    `frame_timeout`; a stall mid-frame is indistinguishable from a torn
 ///    write and returns `kUnavailable` (connection must be dropped).
 ///
-/// `kUnavailable`: peer closed or connection failed. `kInvalidArgument`:
-/// framing violation (bad magic / version / flags / CRC / oversized payload)
-/// — drop the connection.
+/// `kUnavailable`: peer closed or connection failed. `kDataLoss`: header or
+/// payload CRC mismatch. `kInvalidArgument`: framing violation in an intact
+/// header (bad magic / version / type / flags / oversized payload). After
+/// either of the last two, drop the connection.
 Result<Frame> ReadFrame(Transport& transport, TimePoint idle_deadline,
                         std::chrono::milliseconds frame_timeout,
                         size_t max_payload = kDefaultMaxPayload);

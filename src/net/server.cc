@@ -163,6 +163,10 @@ void SourceServer::AcceptLoop() {
         std::vector<std::shared_ptr<Connection>> reaped;
         {
           MutexLock lock(mu_);
+          // Once stopping, every connection is left for Stop(), which
+          // cancels and shuts down each one after its drain window, a
+          // draining handler's included.
+          if (stopping_) return;
           for (auto it = connections_.begin(); it != connections_.end();) {
             if ((*it)->dead.load(std::memory_order_acquire)) {
               reaped.push_back(std::move(*it));
@@ -222,10 +226,10 @@ void SourceServer::HandleConnection(std::shared_ptr<Connection> conn) {
     Result<Frame> frame = ReadFrame(transport, After(kIdleTick), kFrameTimeout);
     if (!frame.ok()) {
       if (frame.status().IsDeadlineExceeded()) continue;  // idle tick
-      if (frame.status().IsInvalidArgument()) {
-        // Protocol violation: the stream can no longer be trusted.
-        Logger::Warn("net", "dropping connection on protocol violation: " +
-                                frame.status().message());
+      if (frame.status().IsDataLoss() || frame.status().IsInvalidArgument()) {
+        // Corrupt or malformed frame: the stream can no longer be trusted.
+        Logger::Warn("net", "dropping connection on a bad frame: " +
+                                frame.status().ToString());
       }
       break;
     }

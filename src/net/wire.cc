@@ -34,6 +34,8 @@ Status CheckExhausted(const Decoder& dec, const char* what) {
   return Status::OK();
 }
 
+/// The highest code a response status may carry. kDataLoss names damage to
+/// one link's bytes, which each end detects on its own; no peer reports it.
 constexpr uint16_t kMaxStatusCode =
     static_cast<uint16_t>(StatusCode::kCancelled);
 

@@ -34,7 +34,7 @@ TEST(StatusTest, CodesAndMessages) {
 }
 
 TEST(StatusTest, AllCodesHaveNames) {
-  for (int c = 0; c <= static_cast<int>(StatusCode::kInternal); ++c) {
+  for (int c = 0; c <= static_cast<int>(StatusCode::kDataLoss); ++c) {
     EXPECT_STRNE(StatusCodeToString(static_cast<StatusCode>(c)), "Unknown");
   }
 }

@@ -120,20 +120,12 @@ TEST_F(Figure1Test, NaiveIntegratorPublishesAndAttackSucceeds) {
   // Build the four HMO sources and integrate them naively (the Example 1
   // world): exact aggregates get published, and the snooping HMO recovers
   // tight intervals on everyone's sensitive rates.
-  // The naive integrator is handed each HMO's raw compliance table: one
-  // (test, rate) row per measure.
-  const auto figure1 = inference::PublishedAggregates::Figure1();
+  // The naive integrator is handed each HMO's raw compliance table.
   std::vector<relational::Table> raw;
   for (size_t p = 0; p < 4; ++p) {
-    relational::Table table(relational::Schema{{"test", relational::ColumnType::kString},
-                                               {"rate", relational::ColumnType::kDouble}});
-    for (size_t m = 0; m < figure1.measures.size(); ++m) {
-      ASSERT_TRUE(table
-                      .AppendRow({relational::Value::Str(figure1.measures[m]),
-                                  relational::Value::Real(rates_[m][p])})
-                      .ok());
-    }
-    raw.push_back(std::move(table));
+    auto table = ClinicalScenario::HmoComplianceTable(p, rates_);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    raw.push_back(std::move(*table));
   }
   auto published_rows =
       NaiveIntegrator::PublishGroupedAggregates(raw, "test", "rate");

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/scenario.h"
 #include "mediator/engine.h"
@@ -9,6 +12,7 @@
 #include "mediator/privacy_control.h"
 #include "mediator/result_integrator.h"
 #include "mediator/warehouse.h"
+#include "source/federated_source.h"
 #include "source/remote_source.h"
 
 namespace piye {
@@ -302,6 +306,67 @@ TEST_F(EngineTest, ExecuteBeforeSchemaGenerationFails) {
   MediationEngine fresh;
   ASSERT_TRUE(fresh.RegisterSource(hospital_.get()).ok());
   EXPECT_FALSE(fresh.Execute(MakeQuery("<select>dob</select>")).ok());
+}
+
+/// Forwards to `inner`, except that its first `failures` sketch exports
+/// fail with `failure`.
+class FlakySketchSource : public source::FederatedSource {
+ public:
+  FlakySketchSource(const source::FederatedSource* inner, int failures, Status failure)
+      : inner_(inner), failures_(failures), failure_(std::move(failure)) {}
+
+  const std::string& owner() const override { return inner_->owner(); }
+  Result<FragmentResult> ExecuteFragment(const source::PiqlQuery& fragment,
+                                         const CancelToken& cancel) const override {
+    return inner_->ExecuteFragment(fragment, cancel);
+  }
+  Result<std::vector<match::ColumnSketch>> ExportSketches(
+      const std::string& shared_key) const override {
+    if (++calls_ <= failures_) return failure_;
+    return inner_->ExportSketches(shared_key);
+  }
+
+  int calls() const { return calls_; }
+
+ private:
+  const source::FederatedSource* inner_;
+  const int failures_;
+  const Status failure_;
+  mutable int calls_ = 0;
+};
+
+TEST_F(EngineTest, SchemaGenerationRetriesATransientSketchExportFailure) {
+  // A dropped connection during sketch export is retried: the schema is the
+  // one a healthy hospital yields.
+  FlakySketchSource flaky(hospital_.get(), 3, Status::Unavailable("connection dropped"));
+  MediationEngine engine;
+  ASSERT_TRUE(engine.RegisterSource(&flaky).ok());
+  ASSERT_TRUE(engine.RegisterSource(pharmacy_.get()).ok());
+  ASSERT_TRUE(engine.RegisterSource(lab_.get()).ok());
+  const Status status = engine.GenerateMediatedSchema("shared-key");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(flaky.calls(), 4);
+  EXPECT_EQ(engine.mediated_schema().attributes().size(),
+            engine_->mediated_schema().attributes().size());
+  auto result = engine.Execute(MakeQuery("<select>dob</select>"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->sources_answered.size(), 3u);
+}
+
+TEST_F(EngineTest, SchemaGenerationRetriesOnlyTransientFailuresAndOnlySoOften) {
+  FlakySketchSource down(hospital_.get(), 1000, Status::Unavailable("connection dropped"));
+  MediationEngine down_engine;
+  ASSERT_TRUE(down_engine.RegisterSource(&down).ok());
+  EXPECT_TRUE(down_engine.GenerateMediatedSchema("shared-key").IsUnavailable());
+  EXPECT_EQ(down.calls(), 1 + static_cast<int>(MediationEngine::kSketchExportRetries));
+
+  // A refusal would refuse identically every time: asked once.
+  FlakySketchSource refusing(hospital_.get(), 1000,
+                             Status::PermissionDenied("no sketches for this mediator"));
+  MediationEngine refusing_engine;
+  ASSERT_TRUE(refusing_engine.RegisterSource(&refusing).ok());
+  EXPECT_TRUE(refusing_engine.GenerateMediatedSchema("shared-key").IsPermissionDenied());
+  EXPECT_EQ(refusing.calls(), 1);
 }
 
 // --- Result integrator unit behaviour ---

@@ -109,6 +109,14 @@ Result<Frame> DecodeBytes(std::string bytes,
                         std::chrono::milliseconds(1000), max_payload);
 }
 
+/// `bytes` with its frame header CRC recomputed: a header whose fields were
+/// changed on purpose by a sender, not damaged on the wire.
+std::string WithHeaderCrc(std::string bytes) {
+  const uint32_t crc = persist::Crc32(bytes.data(), 20);
+  for (size_t i = 0; i < 4; ++i) bytes[20 + i] = static_cast<char>(crc >> (8 * i));
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Frame codec
 
@@ -144,21 +152,25 @@ TEST(FrameTest, RejectsBadMagicVersionTypeAndFlags) {
   frame.payload = "hi";
   const std::string good = net::EncodeFrame(frame);
 
-  // The header CRC is checked first, so a mutated field fails either on the
-  // CRC or (for the CRC bytes themselves) on the mismatch — always a clean
-  // kInvalidArgument, never a decode of garbage.
+  // The header CRC is checked first, so a field damaged on the wire fails
+  // on the CRC (kDataLoss), never a decode of garbage. The same field sent
+  // with a matching CRC is a peer breaking the protocol (kInvalidArgument).
   auto mutate = [&](size_t offset, char value) {
     std::string bytes = good;
     bytes[offset] = value;
-    auto status = DecodeBytes(bytes).status();
-    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    auto damaged = DecodeBytes(bytes).status();
+    EXPECT_TRUE(damaged.IsDataLoss()) << damaged.ToString();
+    auto sent = DecodeBytes(WithHeaderCrc(bytes)).status();
+    EXPECT_TRUE(sent.IsInvalidArgument()) << sent.ToString();
   };
   mutate(0, 'X');   // magic
   mutate(4, 99);    // version
   mutate(5, 0);     // message type below range
   mutate(5, 100);   // message type above range
   mutate(6, 1);     // reserved flags
-  mutate(21, 'X');  // header CRC itself
+  std::string bad_crc = good;
+  bad_crc[21] = 'X';  // the header CRC itself
+  EXPECT_TRUE(DecodeBytes(bad_crc).status().IsDataLoss());
 }
 
 TEST(FrameTest, RejectsOversizedPayloadBeforeAllocating) {
@@ -207,9 +219,7 @@ TEST(FrameTest, FuzzBitFlipsNeverCrashAndNeverMisdecode) {
       EXPECT_EQ(result->request_id, frame.request_id);
     } else {
       ++corruption_caught;
-      EXPECT_TRUE(result.status().IsInvalidArgument() ||
-                  result.status().IsUnavailable())
-          << result.status().ToString();
+      EXPECT_TRUE(result.status().IsDataLoss()) << result.status().ToString();
     }
   }
   EXPECT_EQ(corruption_caught, 2000u);  // single bit flips are always caught
@@ -223,8 +233,7 @@ TEST(FrameTest, FuzzRandomGarbageIsRejectedCleanly) {
     for (auto& c : bytes) c = static_cast<char>(rng.NextBounded(256));
     auto result = DecodeBytes(bytes);
     ASSERT_FALSE(result.ok());
-    EXPECT_TRUE(result.status().IsInvalidArgument() ||
-                result.status().IsUnavailable())
+    EXPECT_TRUE(result.status().IsDataLoss() || result.status().IsUnavailable())
         << result.status().ToString();
   }
 }
@@ -464,8 +473,7 @@ TEST(FaultTest, CorruptionSurfacesAtTheReceiverCrc) {
   ASSERT_TRUE(net::WriteFrame(faulty, frame, net::NoDeadline()).ok());
   auto decoded = DecodeBytes(raw->written());
   ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsInvalidArgument())
-      << decoded.status().ToString();
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -944,22 +952,9 @@ TEST(NetFederationTest, HealthReportsTransportStats) {
 }
 
 /// The storm tests' rounds over a cluster behind fault proxies: eight live
-/// queries with a retry budget of 6. Whatever survives the storm must be
-/// byte-identical to the in-process answer: corruption is either caught by
-/// CRC (and retried) or never happened. Sketch export rides the faulty wire
-/// too and the engine does not retry it, so schema generation may take a
-/// few attempts. Returns the wire engine, for its Health().
-std::unique_ptr<mediator::MediationEngine> RunStormRounds(const Cluster& cluster) {
-  auto engine = std::make_unique<mediator::MediationEngine>(EngineOptions());
-  for (const auto& src : cluster.net_sources) {
-    EXPECT_TRUE(engine->RegisterSource(src.get()).ok());
-  }
-  Status schema = Status::OK();
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    schema = engine->GenerateMediatedSchema("shared-key");
-    if (schema.ok()) break;
-  }
-  EXPECT_TRUE(schema.ok()) << schema.ToString();
+/// queries with a retry budget of 6 through `engine`, built over the
+/// cluster's NetSources.
+void RunStormRounds(const Cluster& cluster, mediator::MediationEngine& engine) {
   auto local_engine = BuildEngine(cluster.sources);
 
   mediator::QueryOptions qopts = LiveOptions();
@@ -968,21 +963,21 @@ std::unique_ptr<mediator::MediationEngine> RunStormRounds(const Cluster& cluster
   qopts.coalesce = false;
   const auto query = MakeQuery();
   auto baseline = local_engine->Execute(query, qopts);
-  EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
-  if (!baseline.ok()) return engine;
+  ASSERT_TRUE(baseline.ok());
   const std::string expected = TableBytes(baseline->table());
 
   size_t full_answers = 0;
   for (int round = 0; round < 8; ++round) {
-    auto result = engine->Execute(query, qopts);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (result.ok() && result->sources_answered.size() == 3) {
+    auto result = engine.Execute(query, qopts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (result->sources_answered.size() == 3) {
       ++full_answers;
+      // Whatever survived the storm must be byte-identical — corruption is
+      // either caught by CRC (and retried) or never happened.
       EXPECT_EQ(TableBytes(result->table()), expected);
     }
   }
   EXPECT_GT(full_answers, 0u) << "storm drowned every round";
-  return engine;
 }
 
 TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
@@ -993,7 +988,8 @@ TEST(NetFederationTest, FaultStormSurvivedByRetryAndReconnect) {
   storm.corrupt_rate = 0.04;
   storm.drop_read_rate = 0.04;
   Cluster cluster = BuildCluster("storm", /*tcp=*/false, storm);
-  auto engine = RunStormRounds(cluster);
+  auto engine = BuildEngine(cluster.net_sources);
+  RunStormRounds(cluster, *engine);
 
   // The storm must be visible in the transport stats.
   uint64_t disconnects = 0, reconnects = 0;
@@ -1017,7 +1013,8 @@ TEST(NetFederationTest, FaultStormOnResponsesConvergesToInProcessBytes) {
   storm.drop_read_rate = 0.04;
   Cluster cluster = BuildCluster("storm_down", /*tcp=*/false, storm,
                                  net::faultref::FaultProxy::Leg::kDownstream);
-  auto engine = RunStormRounds(cluster);
+  auto engine = BuildEngine(cluster.net_sources);
+  RunStormRounds(cluster, *engine);
 
   uint64_t corrupt_frames = 0;
   for (const auto& source_health : engine->Health().sources) {
@@ -1087,6 +1084,54 @@ TEST(NetFederationTest, CorruptHelloAckIsRedialedNotRefused) {
   EXPECT_EQ(stats.corrupt_frames, 1u);
   EXPECT_EQ(stats.connect_failures, 1u);
   EXPECT_EQ(stats.connects, 1u);
+}
+
+TEST(NetFederationTest, HelloAckOfAnotherProtocolVersionIsNotRedialed) {
+  // An intact HelloAck of another protocol version is the peer's protocol,
+  // not wire damage: no corrupt frame, no redial, kInvalidArgument.
+  auto listener = net::Listener::Listen(UniqueSocketPath("other_version"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> accepted_connections{0};
+  std::thread front([&] {
+    for (;;) {
+      auto accepted = listener->Accept(deadline);
+      if (!accepted.ok()) return;
+      accepted_connections.fetch_add(1);
+      net::SocketTransport transport(std::move(*accepted));
+      auto hello = net::ReadFrame(transport, deadline, net::kFrameTimeout);
+      if (!hello.ok()) continue;
+      net::Frame ack;
+      ack.type = net::MessageType::kHelloAck;
+      ack.payload = net::EncodeHelloAck({"hospital"});
+      std::string bytes = net::EncodeFrame(ack);
+      bytes[4] = static_cast<char>(net::kProtocolVersion + 1);
+      (void)transport.WriteAll(WithHeaderCrc(bytes), deadline);  // test peer
+      char byte;
+      (void)transport.Read(&byte, 1, deadline);  // until the client hangs up
+    }
+  });
+
+  net::ClientConfig config;
+  config.address = listener->bound_address();
+  config.connections = 1;
+  net::NetClient client(config);
+  auto over_wire = client.ExecuteFragment("hospital", MakeQuery().CanonicalKey());
+  const source::TransportStats stats = client.stats();
+  client.Close();
+  listener->Shutdown();
+  front.join();
+  listener->Close();
+
+  ASSERT_FALSE(over_wire.ok());
+  EXPECT_TRUE(over_wire.status().IsInvalidArgument()) << over_wire.status().ToString();
+  EXPECT_NE(over_wire.status().message().find("unsupported protocol version"),
+            std::string::npos)
+      << over_wire.status().ToString();
+  EXPECT_EQ(accepted_connections.load(), 1);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+  EXPECT_EQ(stats.connect_failures, 1u);
+  EXPECT_EQ(stats.connects, 0u);
 }
 
 TEST(NetFederationTest, DeadlinePropagatesAndTimesOutCleanly) {

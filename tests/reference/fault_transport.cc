@@ -35,14 +35,18 @@ std::string UniqueProxyAddress() {
   return "unix:" + path.string();
 }
 
-/// Copies bytes from `from` to `to` until either side fails or closes, then
-/// shuts both down so the opposite pump wakes and ends too.
+/// Forwards frames from `from` to `to` until either side fails or closes,
+/// then shuts both down so the opposite pump wakes and ends too. A frame is
+/// read with ReadFrame and written with WriteFrame, so a faulty leg sees the
+/// very operations a NetClient's or SourceServer's own socket would: one
+/// Read for a frame's first byte, then the rest of its header, its payload
+/// and its trailer (more if the socket returns them in pieces), and one
+/// WriteAll per frame.
 void Pump(Transport& from, Transport& to) {
-  char buf[16 << 10];
   for (;;) {
-    const Result<size_t> n = from.Read(buf, sizeof(buf), NoDeadline());
-    if (!n.ok() || *n == 0) break;
-    if (!to.WriteAll(std::string_view(buf, *n), After(kFrameTimeout)).ok()) break;
+    const Result<Frame> frame = ReadFrame(from, NoDeadline(), kFrameTimeout);
+    if (!frame.ok()) break;
+    if (!WriteFrame(to, *frame, After(kFrameTimeout)).ok()) break;
   }
   from.Shutdown();
   to.Shutdown();

@@ -78,9 +78,12 @@ class FaultInjectingTransport : public Transport {
   std::atomic<bool> killed_{false};
 };
 
-/// A byte-pumping proxy in front of one server: it listens on its own Unix
-/// socket, dials `upstream_address` once per accepted connection and copies
-/// bytes both ways, with a `FaultInjectingTransport` on one leg. Point a
+/// A frame-forwarding proxy in front of one server: it listens on its own
+/// Unix socket, dials `upstream_address` once per accepted connection and
+/// forwards frames both ways, with a `FaultInjectingTransport` on one leg.
+/// Each frame crosses the faulty leg in the same Read and WriteAll calls
+/// the client's or server's own socket would make, so a plan draws one
+/// decision per operation as it would there. Point a
 /// `net::ClientConfig::address` at `address()` and the client's traffic
 /// crosses a faulty wire while neither `NetClient` nor `SourceServer` knows.
 ///
