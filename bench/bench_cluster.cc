@@ -212,6 +212,9 @@ std::string RecordsXml(const relational::Table& table) {
 
 struct ProcessCluster {
   std::vector<pid_t> pids;
+  /// Each server's records file. The constructor's early returns still end
+  /// in the destructor, which deletes them.
+  std::vector<std::string> files;
   std::vector<std::shared_ptr<net::NetClient>> clients;
   std::vector<std::unique_ptr<net::NetSource>> net_sources;
   bool ok = false;
@@ -226,8 +229,9 @@ struct ProcessCluster {
       const std::string base = "/tmp/piye_bench_proc_" +
                                std::to_string(::getpid()) + "_" +
                                std::to_string(i);
+      files.push_back(base + ".xml");
       {
-        std::ofstream out(base + ".xml", std::ios::binary);
+        std::ofstream out(files.back(), std::ios::binary);
         out << RecordsXml(table);
       }
       int pipe_fds[2];
@@ -273,6 +277,7 @@ struct ProcessCluster {
       int status = 0;
       waitpid(pid, &status, 0);
     }
+    for (const std::string& file : files) std::remove(file.c_str());
   }
 };
 

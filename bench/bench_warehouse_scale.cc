@@ -345,6 +345,7 @@ void PrintEngineHitLatency() {
   HitDeployment* d = SharedHitDeployment();
   constexpr size_t kRounds = 400;  // passes over each thread's requests
   std::printf("  threads  mean_ns  p50_ns  p90_ns  hits/thread\n");
+  std::vector<int64_t> p50s;
   for (size_t threads : {size_t{1}, kHitThreadsMax}) {
     std::atomic<bool> go{false};
     std::atomic<size_t> misses{0};
@@ -380,8 +381,12 @@ void PrintEngineHitLatency() {
                 static_cast<long long>(all[all.size() * 9 / 10]),
                 kRounds * kHitRequestsPerThread,
                 misses.load() == 0 ? "" : "  (some requests missed!)");
+    p50s.push_back(all[all.size() / 2]);
   }
-  std::printf("\n");
+  // How much a hit slows when threads share the warehouse: 1.0 is perfect
+  // scaling. Reported, not gated: host steal moves it run to run.
+  std::printf("  %zu-thread / 1-thread p50 ratio: %.2f\n\n", kHitThreadsMax,
+              static_cast<double>(p50s[1]) / static_cast<double>(p50s[0]));
 }
 
 // --- google-benchmark microbenchmarks (multi-threaded Get) ---

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace piye {
 namespace trace {
@@ -77,9 +78,16 @@ void Trace::Record(std::string_view stage, double micros) {
   timings_.push_back({std::string(stage), micros});
 }
 
-std::vector<StageTiming> Trace::timings() const {
+std::vector<StageTiming> Trace::TakeTimings() {
   MutexLock lock(mu_);
-  return timings_;
+  return std::move(timings_);
+}
+
+// --- Per-thread slots ---
+
+size_t NextMetricSlot() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kMetricSlots;
 }
 
 // --- Histogram ---
@@ -102,40 +110,54 @@ double Histogram::PercentileMicros(double p) const {
 
 void LatencyCell::Record(double micros) {
   micros = std::max(micros, 0.0);
-  buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(micros, std::memory_order_relaxed);
-  double seen = min_.load(std::memory_order_relaxed);
+  Slot& slot = slots_[ThreadSlot()];
+  slot.buckets[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
+  slot.sum.fetch_add(micros, std::memory_order_relaxed);
+  double seen = slot.min.load(std::memory_order_relaxed);
   while (micros < seen &&
-         !min_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+         !slot.min.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
   }
-  seen = max_.load(std::memory_order_relaxed);
+  seen = slot.max.load(std::memory_order_relaxed);
   while (micros > seen &&
-         !max_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+         !slot.max.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
   }
   // Last, with release: a Snapshot that counts this sample sees its min/max.
-  count_.fetch_add(1, std::memory_order_release);
+  slot.count.fetch_add(1, std::memory_order_release);
 }
 
 Histogram LatencyCell::Snapshot() const {
   Histogram h;
-  h.count_ = count_.load(std::memory_order_acquire);
-  if (h.count_ == 0) return h;
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    h.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
+  for (const Slot& slot : slots_) {
+    const uint64_t count = slot.count.load(std::memory_order_acquire);
+    if (count == 0) continue;
+    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+      h.buckets_[i] += slot.buckets[i].load(std::memory_order_relaxed);
+    }
+    h.sum_ += slot.sum.load(std::memory_order_relaxed);
+    const double min = slot.min.load(std::memory_order_relaxed);
+    const double max = slot.max.load(std::memory_order_relaxed);
+    h.min_ = h.count_ == 0 ? min : std::min(h.min_, min);
+    h.max_ = h.count_ == 0 ? max : std::max(h.max_, max);
+    h.count_ += count;
   }
-  h.sum_ = sum_.load(std::memory_order_relaxed);
-  h.min_ = min_.load(std::memory_order_relaxed);
-  h.max_ = max_.load(std::memory_order_relaxed);
   return h;
 }
 
 // --- MetricsRegistry ---
 
+uint64_t MetricsRegistry::Counter::Load() const {
+  uint64_t total = 0;
+  for (const Slot& slot : slots_) {
+    total += slot.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 MetricsRegistry::Counter* MetricsRegistry::RegisterCounter(
     const std::string& name) {
   MutexLock lock(mu_);
   auto [it, inserted] = counters_.try_emplace(name);
-  if (inserted) it->second = std::make_unique<Counter>(0);
+  if (inserted) it->second = std::make_unique<Counter>();
   return it->second.get();
 }
 
@@ -149,7 +171,7 @@ LatencyCell* MetricsRegistry::RegisterLatency(const std::string& name) {
 uint64_t MetricsRegistry::counter(const std::string& name) const {
   MutexLock lock(mu_);
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second->load(std::memory_order_relaxed);
+  return it == counters_.end() ? 0 : it->second->Load();
 }
 
 Histogram MetricsRegistry::latency(const std::string& name) const {
@@ -166,7 +188,7 @@ std::string MetricsRegistry::ToJson() const {
     if (!first) out += ", ";
     first = false;
     out += "\"" + JsonEscape(name) + "\": " +
-           std::to_string(cell->load(std::memory_order_relaxed));
+           std::to_string(cell->Load());
   }
   out += "}, \"latencies\": {";
   first = true;

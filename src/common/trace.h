@@ -33,12 +33,30 @@ struct StageTiming {
 class Trace {
  public:
   void Record(std::string_view stage, double micros);
-  std::vector<StageTiming> timings() const;
+  /// Moves the recorded timings out (the query's final report); the trace
+  /// is empty afterwards.
+  std::vector<StageTiming> TakeTimings();
 
  private:
   mutable Mutex mu_;
   std::vector<StageTiming> timings_ GUARDED_BY(mu_);
 };
+
+/// Every metric cell is split into this many per-thread slots, each on its
+/// own cache lines, and summed on read. A thread records into the slot it
+/// picked on first use (round-robin), so up to kMetricSlots recording
+/// threads never write a line another one writes; more threads share slots,
+/// which is why slot updates stay atomic.
+inline constexpr size_t kMetricSlots = 16;
+
+/// Hands out slots round-robin; ThreadSlot calls it once per thread.
+size_t NextMetricSlot();
+
+/// The calling thread's slot in [0, kMetricSlots), fixed for its lifetime.
+inline size_t ThreadSlot() {
+  thread_local const size_t slot = NextMetricSlot();
+  return slot;
+}
 
 /// Fixed-bucket latency histogram (power-of-two microsecond buckets). The
 /// value type of a latency snapshot; the registry records into lock-free
@@ -69,20 +87,25 @@ class Histogram {
 };
 
 /// A registered latency histogram: the same buckets and summary as
-/// Histogram, held in atomics so concurrent Records take no lock. A
-/// Snapshot taken while Records are running may not yet show their bucket
-/// or sum updates; every sample whose count it includes is in its min/max.
+/// Histogram, held in per-thread-slot atomics so concurrent Records take no
+/// lock and write no line another slot's thread writes. Snapshot merges the
+/// slots. A Snapshot taken while Records are running may not yet show their
+/// bucket or sum updates; every sample whose count it includes is in its
+/// min/max.
 class LatencyCell {
  public:
   void Record(double micros);
   Histogram Snapshot() const;
 
  private:
-  std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{0.0};
+  struct alignas(64) Slot {
+    std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets{};
+    std::atomic<uint64_t> count{0};
+    std::atomic<double> sum{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{0.0};
+  };
+  std::array<Slot, kMetricSlots> slots_;
 };
 
 /// Registry of named counters and latency histograms. All operations are
@@ -93,15 +116,30 @@ class LatencyCell {
 /// find or insert it under one mutex and hand it back; callers cache the
 /// pointer and update the cell lock-free (the engine, admission, breakers
 /// and warehouse register theirs at construction, so no query takes the
-/// lock). Reads by name and `ToJson` take the same mutex.
+/// lock). Cells are split into per-thread slots (`kMetricSlots`), so
+/// concurrent queries bumping the same metric do not bounce one cache line;
+/// reads sum the slots. Reads by name and `ToJson` take the same mutex.
 class MetricsRegistry {
  public:
   /// A registered counter cell, stable for the registry's lifetime, so
-  /// cached pointers never dangle.
-  using Counter = std::atomic<uint64_t>;
+  /// cached pointers never dangle. `Add` writes the calling thread's slot;
+  /// `Load` sums all slots.
+  class Counter {
+   public:
+    void Add(uint64_t delta) {
+      slots_[ThreadSlot()].value.fetch_add(delta, std::memory_order_relaxed);
+    }
+    uint64_t Load() const;
+
+   private:
+    struct alignas(64) Slot {
+      std::atomic<uint64_t> value{0};
+    };
+    std::array<Slot, kMetricSlots> slots_;
+  };
 
   /// Returns the (created-on-first-use) counter cell for `name`. Increment
-  /// with `fetch_add(n, std::memory_order_relaxed)` or `Bump`.
+  /// with `Bump`.
   Counter* RegisterCounter(const std::string& name);
 
   /// Returns the (created-on-first-use) latency cell for `name`; stable for
@@ -131,7 +169,7 @@ class MetricsRegistry {
 /// Adds `delta` to a registered counter cell; a null cell (no registry
 /// attached) is a no-op.
 inline void Bump(MetricsRegistry::Counter* counter, uint64_t delta = 1) {
-  if (counter != nullptr) counter->fetch_add(delta, std::memory_order_relaxed);
+  if (counter != nullptr) counter->Add(delta);
 }
 
 /// RAII span over a monotonic (steady) clock — wall-clock timestamps are

@@ -185,7 +185,19 @@ AdmissionController::BucketShard& AdmissionController::BucketShardFor(
 }
 
 size_t AdmissionController::inflight() const {
-  return inflight_.load(std::memory_order_relaxed);
+  if (config_.max_inflight != 0) {
+    MutexLock lock(mu_);
+    return inflight_;
+  }
+  size_t released = 0;
+  for (const GaugeSlot& slot : gauge_) {
+    released += slot.released.load(std::memory_order_acquire);
+  }
+  size_t admitted = 0;
+  for (const GaugeSlot& slot : gauge_) {
+    admitted += slot.admitted.load(std::memory_order_relaxed);
+  }
+  return admitted - released;
 }
 
 size_t AdmissionController::queue_depth() const {
@@ -215,7 +227,7 @@ void AdmissionController::Permit::Release() {
 
 void AdmissionController::Release() {
   if (config_.max_inflight == 0) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    gauge_[trace::ThreadSlot()].released.fetch_add(1, std::memory_order_release);
     return;
   }
   MutexLock lock(mu_);
@@ -225,7 +237,7 @@ void AdmissionController::Release() {
     admitted_[id] = true;
     cv_.NotifyAll();
   } else {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    --inflight_;
   }
 }
 
@@ -275,15 +287,15 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
   }
 
   if (config_.max_inflight == 0) {
-    inflight_.fetch_add(1, std::memory_order_relaxed);
+    gauge_[trace::ThreadSlot()].admitted.fetch_add(1, std::memory_order_relaxed);
     trace::Bump(c_admitted_);
     return Permit(this);
   }
 
   MutexLock lock(mu_);
-  if (inflight_.load(std::memory_order_relaxed) < config_.max_inflight &&
+  if (inflight_ < config_.max_inflight &&
       queue_.empty()) {
-    inflight_.fetch_add(1, std::memory_order_relaxed);
+    ++inflight_;
     trace::Bump(c_admitted_);
     return Permit(this);
   }
@@ -296,7 +308,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     // lower bound for a backoff hint.
     return Status::ResourceExhausted(
         "admission queue saturated (" + std::to_string(queue_.size()) +
-        " waiting, " + std::to_string(inflight_.load(std::memory_order_relaxed)) +
+        " waiting, " + std::to_string(inflight_) +
         " in flight); retry after ~" + std::to_string(queue_.size() + 1) + " ms");
   }
   trace::Bump(c_queued_);
@@ -325,7 +337,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
           admitted_[next] = true;
           cv_.NotifyAll();
         } else {
-          inflight_.fetch_sub(1, std::memory_order_relaxed);
+          --inflight_;
         }
       }
       trace::Bump(c_cancelled_);

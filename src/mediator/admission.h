@@ -1,6 +1,7 @@
 #ifndef PIYE_MEDIATOR_ADMISSION_H_
 #define PIYE_MEDIATOR_ADMISSION_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -174,9 +175,11 @@ class FairShareQueue {
 /// cells registered at construction.
 ///
 /// With `max_inflight == 0` (the permissive default) nothing ever queues, so
-/// admission and release are one atomic increment and decrement of the
-/// in-flight gauge: no mutex, no name lookup. The bounded path takes `mu_`
-/// as before; a controller is one or the other for its whole life.
+/// admission and release each add one to the calling thread's slot of a
+/// per-thread-slot gauge (admitted and released counts, summed on read): no
+/// mutex, no name lookup and no cache line shared with other threads. The
+/// bounded path takes `mu_` as before; a controller is one or the other for
+/// its whole life.
 class AdmissionController {
  public:
   AdmissionController(AdmissionConfig config, trace::MetricsRegistry* metrics);
@@ -246,12 +249,22 @@ class AdmissionController {
   mutable std::vector<BucketShard> bucket_shards_;
   size_t bucket_shard_mask_ = 0;
 
-  /// Queries holding a permit. Permissive mode updates it lock-free; the
-  /// bounded path reads and writes it only under mu_.
-  std::atomic<size_t> inflight_{0};
+  /// The permissive path's in-flight gauge, one slot per thread slot
+  /// (`trace::ThreadSlot`). Both counts only grow; a permit is held from its
+  /// `admitted` increment to its `released` one, which may be in another
+  /// thread's slot. `inflight()` sums `released` (acquire) before `admitted`,
+  /// so every release it counts has its admission counted too, and a permit
+  /// held across the call is never missed.
+  struct alignas(64) GaugeSlot {
+    std::atomic<size_t> admitted{0};
+    std::atomic<size_t> released{0};
+  };
+  std::array<GaugeSlot, trace::kMetricSlots> gauge_;
 
   mutable Mutex mu_;
   CondVar cv_;
+  /// Queries holding a permit on the bounded path.
+  size_t inflight_ GUARDED_BY(mu_) = 0;
   uint64_t next_waiter_id_ GUARDED_BY(mu_) = 0;
   FairShareQueue queue_ GUARDED_BY(mu_);
   /// Waiters flipped to admitted by Release; their Admit call wakes, erases

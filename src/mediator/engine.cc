@@ -839,7 +839,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::Execute(
       IntegratedResult out;
       out.table_handle = std::move(cached);  // zero-copy: the cached entry
       out.from_warehouse = true;
-      out.timings = query_trace.timings();
+      out.timings = query_trace.TakeTimings();
       return out;
     }
   }
@@ -1185,7 +1185,7 @@ Result<MediationEngine::IntegratedResult> MediationEngine::ExecuteUncoalesced(
         std::move(entry), options.allow_warehouse ? out.table_handle : nullptr,
         warehouse_key));
   }
-  out.timings = query_trace->timings();
+  out.timings = query_trace->TakeTimings();
   return out;
 }
 

@@ -29,7 +29,7 @@ size_t Warehouse::RemoveLocked(Shard& shard,
                                std::map<std::string, Entry>::iterator it) {
   const size_t freed = it->second.bytes;
   shard.bytes -= freed;
-  shard.eviction_order.erase({it->second.epoch, it->second.tick});
+  shard.eviction_order.erase({it->second.epoch, it->second.indexed_tick});
   shard.entries.erase(it);
   return freed;
 }
@@ -39,7 +39,17 @@ void Warehouse::EnforceBudgetLocked(Shard& shard) {
   size_t bytes_evicted = 0;
   size_t entries_evicted = 0;
   while (shard.bytes > max_bytes_per_shard_ && !shard.eviction_order.empty()) {
-    auto victim = shard.entries.find(shard.eviction_order.begin()->second);
+    auto front = shard.eviction_order.begin();
+    auto victim = shard.entries.find(front->second);
+    Entry& entry = victim->second;
+    if (entry.indexed_tick != entry.tick) {
+      // Hit since it was indexed: move the node to its live key (in place,
+      // no allocation) and look at the new front.
+      auto node = shard.eviction_order.extract(front);
+      node.key().second = entry.indexed_tick = entry.tick;
+      shard.eviction_order.insert(std::move(node));
+      continue;
+    }
     bytes_evicted += RemoveLocked(shard, victim);
     ++entries_evicted;
   }
@@ -69,7 +79,7 @@ void Warehouse::Put(const std::string& fingerprint, TableHandle table,
   }
   const uint64_t tick = ++shard.tick;
   shard.entries.emplace(fingerprint,
-                        Entry{std::move(table), epoch, entry_bytes, tick});
+                        Entry{std::move(table), epoch, entry_bytes, tick, tick});
   shard.eviction_order.emplace(EvictionKey{epoch, tick}, fingerprint);
   shard.bytes += entry_bytes;
   trace::Bump(c_puts_);
@@ -95,12 +105,9 @@ Warehouse::TableHandle Warehouse::Get(const std::string& fingerprint,
     trace::Bump(c_misses_);
     return nullptr;
   }
-  // Refresh the LRU position within the entry's epoch by re-keying the
-  // index node in place: no allocation and no copy of the fingerprint.
-  auto node = shard.eviction_order.extract({entry.epoch, entry.tick});
+  // Refresh the LRU position within the entry's epoch. The index node keeps
+  // its old key until eviction reaches it (see Shard).
   entry.tick = ++shard.tick;
-  node.key() = EvictionKey{entry.epoch, entry.tick};
-  shard.eviction_order.insert(std::move(node));
   ++shard.hits;
   trace::Bump(c_hits_);
   return entry.table;

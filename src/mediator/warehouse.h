@@ -79,7 +79,9 @@ class Warehouse {
 
   /// Returns a handle to the materialized table if one exists with
   /// epoch >= current_epoch - max_age; otherwise nullptr. A hit refreshes
-  /// the entry's LRU position within its epoch without allocating.
+  /// the entry's LRU position within its epoch by stamping a new tick on
+  /// the entry alone: it does not touch the eviction index, which is
+  /// re-keyed lazily when eviction reaches a stale node (see Shard).
   TableHandle Get(const std::string& fingerprint, uint64_t current_epoch,
                   uint64_t max_age) const;
 
@@ -121,19 +123,30 @@ class Warehouse {
     TableHandle table;
     uint64_t epoch = 0;
     size_t bytes = 0;
-    uint64_t tick = 0;  ///< LRU sequence within the shard
+    uint64_t tick = 0;          ///< LRU sequence within the shard (live)
+    uint64_t indexed_tick = 0;  ///< the tick its eviction_order node holds
   };
   /// Eviction order is epoch-major: (epoch, tick) sorts oldest epoch first
   /// and least-recently-used within an epoch.
   using EvictionKey = std::pair<uint64_t, uint64_t>;
-  struct Shard {
+  /// One lock domain, alignas(64) so that the line a hit writes (the mutex,
+  /// `tick`, `hits`, `misses`) is written by no neighbouring shard.
+  ///
+  /// The eviction index is re-keyed lazily. A hit only bumps the entry's
+  /// live `tick`, so an entry's index key (epoch, indexed_tick) is never
+  /// above its live key (epoch, tick). Eviction pops the index front: a
+  /// stale front node is re-keyed to its live key and the front examined
+  /// again; a current one is the smallest live key in the shard (every
+  /// other live key is at least its own index key, which is at least the
+  /// front's), so the victims are exactly those of an eagerly re-keyed LRU.
+  struct alignas(64) Shard {
     mutable Mutex mu;
-    std::map<std::string, Entry> entries GUARDED_BY(mu);
-    std::map<EvictionKey, std::string> eviction_order GUARDED_BY(mu);
-    size_t bytes GUARDED_BY(mu) = 0;
     uint64_t tick GUARDED_BY(mu) = 0;
     size_t hits GUARDED_BY(mu) = 0;
     size_t misses GUARDED_BY(mu) = 0;
+    std::map<std::string, Entry> entries GUARDED_BY(mu);
+    std::map<EvictionKey, std::string> eviction_order GUARDED_BY(mu);
+    size_t bytes GUARDED_BY(mu) = 0;
     size_t evicted GUARDED_BY(mu) = 0;
   };
 

@@ -90,7 +90,7 @@ TEST(TraceTest, ScopedSpanRecordsNonNegativeMicros) {
     trace::ScopedSpan span("work", &t);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  auto timings = t.timings();
+  auto timings = t.TakeTimings();
   ASSERT_EQ(timings.size(), 1u);
   EXPECT_EQ(timings[0].stage, "work");
   EXPECT_GT(timings[0].micros, 0.0);
@@ -102,7 +102,7 @@ TEST(TraceTest, StopEndsSpanEarlyAndOnce) {
   const double micros = span.Stop();
   EXPECT_GE(micros, 0.0);
   EXPECT_EQ(span.Stop(), 0.0);  // idempotent
-  EXPECT_EQ(t.timings().size(), 1u);
+  EXPECT_EQ(t.TakeTimings().size(), 1u);
 }
 
 TEST(TraceTest, HistogramStatsAndPercentiles) {
@@ -350,6 +350,85 @@ TEST(TraceTest, RegistryIsSafeForConcurrentWriters) {
   for (auto& w : writers) w.get();
   EXPECT_EQ(registry.counter("c"), 64u);
   EXPECT_EQ(registry.latency("l").count(), 64u);
+}
+
+TEST(TraceTest, SlottedCellsSumExactlyWithMoreThreadsThanSlots) {
+  // More recording threads than slots, so some threads share a slot. Samples
+  // are the integers 1..N (exact in a double sum); a concurrent reader's
+  // snapshots must never show a count without its min/max, or min > max.
+  trace::MetricsRegistry registry;
+  trace::MetricsRegistry::Counter* counter = registry.RegisterCounter("c");
+  trace::LatencyCell* latency = registry.RegisterLatency("l");
+  constexpr size_t kThreads = trace::kMetricSlots + 4;
+  constexpr size_t kPerThread = 2000;
+  constexpr double kLargest = static_cast<double>(kThreads * kPerThread);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const trace::Histogram h = registry.latency("l");
+      if (h.count() == 0) {
+        EXPECT_EQ(h.min_micros(), 0.0);
+        EXPECT_EQ(h.max_micros(), 0.0);
+        continue;
+      }
+      EXPECT_GE(h.min_micros(), 1.0);
+      EXPECT_LE(h.min_micros(), h.max_micros());
+      EXPECT_LE(h.max_micros(), kLargest);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([counter, latency, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        trace::Bump(counter, t + 1);
+        latency->Record(static_cast<double>(t * kPerThread + i + 1));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(registry.counter("c"), kPerThread * kThreads * (kThreads + 1) / 2);
+  const trace::Histogram h = registry.latency("l");
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+  EXPECT_EQ(h.sum_micros(), kLargest * (kLargest + 1) / 2);
+  EXPECT_EQ(h.min_micros(), 1.0);
+  EXPECT_EQ(h.max_micros(), kLargest);
+  uint64_t bucketed = 0;
+  for (uint64_t n : h.buckets()) bucketed += n;
+  EXPECT_EQ(bucketed, h.count());
+}
+
+TEST(TraceTest, OneThreadSequenceKeepsItsJsonBytes) {
+  // Recorded from one thread, every sample lands in one slot, and the merged
+  // JSON is byte for byte what one unsplit cell gives for this sequence.
+  trace::MetricsRegistry registry;
+  trace::Bump(registry.RegisterCounter("warehouse.hits"), 3);
+  for (int i = 0; i < 7; ++i) trace::Bump(registry.RegisterCounter("engine.queries"));
+  trace::Bump(registry.RegisterCounter("warehouse.hits"), 1000);
+  registry.RegisterCounter("engine.shed");
+  trace::LatencyCell* a = registry.RegisterLatency("stage.a");
+  for (double v : {0.5, 1.25, 3.0, 17.75, 1000.125, 2.5e6}) a->Record(v);
+  trace::LatencyCell* b = registry.RegisterLatency("stage.b");
+  for (int i = 0; i < 100; ++i) b->Record(i * 0.37);
+  registry.RegisterLatency("stage.c");
+  EXPECT_EQ(registry.ToJson(),
+            "{\"counters\": {\"engine.queries\": 7, \"engine.shed\": 0, "
+            "\"warehouse.hits\": 1003}, \"latencies\": {"
+            "\"stage.a\": {\"count\": 6, \"sum_micros\": 2501022.625, "
+            "\"min_micros\": 0.500, \"max_micros\": 2500000.000, "
+            "\"mean_micros\": 416837.104, \"p50_micros\": 4.000, "
+            "\"p95_micros\": 2500000.000, \"p99_micros\": 2500000.000}, "
+            "\"stage.b\": {\"count\": 100, \"sum_micros\": 1831.500, "
+            "\"min_micros\": 0.000, \"max_micros\": 36.630, "
+            "\"mean_micros\": 18.315, \"p50_micros\": 32.000, "
+            "\"p95_micros\": 36.630, \"p99_micros\": 36.630}, "
+            "\"stage.c\": {\"count\": 0, \"sum_micros\": 0.000, "
+            "\"min_micros\": 0.000, \"max_micros\": 0.000, "
+            "\"mean_micros\": 0.000, \"p50_micros\": 0.000, "
+            "\"p95_micros\": 0.000, \"p99_micros\": 0.000}}}");
 }
 
 // --- Engine fan-out over homogeneous patient sources ---

@@ -1,19 +1,23 @@
 // Scale suite for the warehouse read path: the sharded memory-bounded
 // warehouse (concurrent Put/Get/Evict, byte-budget enforcement,
-// oldest-epoch-first / LRU-within-epoch eviction, snapshot vs. concurrent
-// readers) and the engine's single-flight query coalescing (identical
-// concurrent queries share one federated execution and one budget charge;
-// distinct requesters never coalesce). This suite is required to pass under
+// oldest-epoch-first / LRU-within-epoch eviction checked against an eager
+// LRU model, snapshot vs. concurrent readers) and the engine's single-flight
+// query coalescing (identical concurrent queries share one federated
+// execution and one budget charge; distinct requesters never coalesce). This suite is required to pass under
 // PIYE_SANITIZE=thread (scripts/sanitize.sh, scripts/ci.sh TSan leg).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/trace.h"
@@ -167,6 +171,134 @@ TEST(WarehouseScaleTest, EvictionIsOldestEpochFirstThenLru) {
   EXPECT_EQ(bounded.Get(a, 2, 1), nullptr);
   EXPECT_NE(bounded.Get(c, 2, 1), nullptr);
   EXPECT_NE(bounded.Get(d, 2, 1), nullptr);
+}
+
+// Reference model for one shard: oldest epoch first, least recently used
+// within an epoch, and every hit re-keys the entry on the spot. The
+// warehouse re-keys lazily; its victims must be the same.
+class EagerLruShard {
+ public:
+  explicit EagerLruShard(size_t budget) : budget_(budget) {}
+
+  void Put(const std::string& fp, Warehouse::TableHandle table, uint64_t epoch) {
+    auto it = items_.find(fp);
+    if (it != items_.end()) {
+      if (it->second.epoch > epoch) return;
+      bytes_ -= it->second.bytes;
+      items_.erase(it);
+    }
+    const size_t bytes = table->ApproxBytes();
+    items_[fp] = Item{std::move(table), epoch, ++tick_, bytes};
+    bytes_ += bytes;
+    while (bytes_ > budget_ && !items_.empty()) {
+      auto victim = items_.begin();
+      for (auto i = items_.begin(); i != items_.end(); ++i) {
+        if (std::pair(i->second.epoch, i->second.tick) <
+            std::pair(victim->second.epoch, victim->second.tick)) {
+          victim = i;
+        }
+      }
+      bytes_ -= victim->second.bytes;
+      items_.erase(victim);
+      ++evicted_;
+    }
+  }
+
+  Warehouse::TableHandle Get(const std::string& fp, uint64_t current_epoch,
+                             uint64_t max_age) {
+    auto it = items_.find(fp);
+    if (it == items_.end()) return nullptr;
+    const uint64_t epoch = it->second.epoch;
+    if ((current_epoch >= epoch ? current_epoch - epoch : 0) > max_age) {
+      return nullptr;
+    }
+    it->second.tick = ++tick_;
+    return it->second.table;
+  }
+
+  size_t EvictOlderThan(uint64_t epoch) {
+    const size_t before = items_.size();
+    std::erase_if(items_, [epoch](const auto& kv) { return kv.second.epoch < epoch; });
+    bytes_ = 0;
+    for (const auto& [fp, item] : items_) bytes_ += item.bytes;
+    evicted_ += before - items_.size();
+    return before - items_.size();
+  }
+
+  /// Resident entries in fingerprint order, as SnapshotEntries lists them.
+  std::vector<Warehouse::SnapshotEntry> Resident() const {
+    std::vector<Warehouse::SnapshotEntry> out;
+    for (const auto& [fp, item] : items_) out.push_back({fp, item.epoch, item.table});
+    return out;
+  }
+  size_t bytes() const { return bytes_; }
+  size_t evicted() const { return evicted_; }
+
+ private:
+  struct Item {
+    Warehouse::TableHandle table;
+    uint64_t epoch = 0;
+    uint64_t tick = 0;
+    size_t bytes = 0;
+  };
+  size_t budget_;
+  size_t bytes_ = 0;
+  size_t evicted_ = 0;
+  uint64_t tick_ = 0;
+  std::map<std::string, Item> items_;
+};
+
+TEST(WarehouseScaleTest, LazyLruEvictsExactlyAsEagerLru) {
+  // Twelve fingerprints forced into one shard, a slice that holds about four
+  // of their tables, and seeded streams of puts (some stale), gets at
+  // varying max ages and epoch horizons. After every operation the resident
+  // entries, bytes and eviction count must equal the eager model's.
+  std::vector<std::string> keys;
+  const auto shard_of = [](const std::string& fp) {
+    return std::hash<std::string>{}(fp) % Warehouse::kShards;
+  };
+  for (size_t i = 0; keys.size() < 12; ++i) {
+    if (keys.empty() || shard_of(Fp(i)) == shard_of(keys[0])) keys.push_back(Fp(i));
+  }
+  const size_t slice = 4 * MakeTable(0, 1024)->ApproxBytes();
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    Warehouse warehouse(Warehouse::Options{slice * Warehouse::kShards});
+    EagerLruShard model(slice);
+    uint64_t epoch = 1;
+    for (int op = 0; op < 1500; ++op) {
+      const std::string& fp = keys[rng() % keys.size()];
+      const uint64_t roll = rng() % 100;
+      if (roll < 35) {
+        const uint64_t put_epoch = rng() % 4 == 0 ? epoch - 1 : epoch;  // stale replay
+        auto table = MakeTable(op, 256 + (rng() % 8) * 192);
+        warehouse.Put(fp, table, put_epoch);
+        model.Put(fp, table, put_epoch);
+      } else if (roll < 93) {
+        const uint64_t max_age = rng() % 4;
+        ASSERT_EQ(warehouse.Get(fp, epoch, max_age), model.Get(fp, epoch, max_age))
+            << "op " << op;
+      } else if (roll < 98) {
+        ++epoch;
+      } else {
+        const uint64_t horizon = epoch - rng() % 3;
+        ASSERT_EQ(warehouse.EvictOlderThan(horizon), model.EvictOlderThan(horizon))
+            << "op " << op;
+      }
+      const auto got = warehouse.SnapshotEntries();
+      const auto want = model.Resident();
+      ASSERT_EQ(got.size(), want.size()) << "op " << op;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].fingerprint, want[i].fingerprint) << "op " << op;
+        ASSERT_EQ(got[i].epoch, want[i].epoch) << "op " << op;
+        ASSERT_EQ(got[i].table, want[i].table) << "op " << op;
+      }
+      ASSERT_EQ(warehouse.bytes(), model.bytes()) << "op " << op;
+      ASSERT_EQ(warehouse.evicted_entries(), model.evicted()) << "op " << op;
+    }
+  }
 }
 
 TEST(WarehouseScaleTest, SnapshotDoesNotBlockConcurrentGets) {
